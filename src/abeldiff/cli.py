@@ -23,7 +23,8 @@ import mpmath as mp
 
 from . import differentials as diffs
 from .curves import Curve, smoothness_report
-from .errors import (AbeldiffError, IrrationalAbscissaUnsupported, NotSmooth,
+from .errors import (AbeldiffError, InvalidArgument,
+                     IrrationalAbscissaUnsupported, NotSmooth,
                      VerificationFailed, exit_code_for)
 from .parser import format_bpoly, parse_poly
 from .towers import TowerContext
@@ -133,6 +134,12 @@ def run(req: Request) -> tuple[dict, bool]:
             "assume_smooth": req.assume_smooth,
         },
     }
+    if req.digits < 1:
+        raise InvalidArgument(f"--digits must be at least 1, got {req.digits}")
+    if len(req.roota or []) > len(req.a or []):
+        raise InvalidArgument(
+            f"more --roota values ({len(req.roota)}) than --a poles "
+            f"({len(req.a or [])}); give at most one --roota per --a")
     t0 = time.perf_counter()
     f = parse_poly(req.curve)
     doc["inputs"]["curve_canonical"] = format_bpoly(f)

@@ -34,6 +34,13 @@ class UnknownVariable(AbeldiffError):
         self.pos = pos
 
 
+class InvalidArgument(AbeldiffError):
+    """A command-line value parsed but is out of range, or a repeated
+    option was given more often than its partner option."""
+
+    exit_code = 2
+
+
 class NotSmooth(AbeldiffError):
     exit_code = 3
 

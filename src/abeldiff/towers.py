@@ -9,17 +9,24 @@ representative, so ring-level zero testing is purely syntactic.
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
 public predicates (is_zero, approximate) answer questions about the embedded
-complex value: certified numerically where a disc certificate suffices,
-exactly via the characteristic polynomial of the multiplication operator
-where it does not.  Moduli are never factored and no absolute minimal
-polynomial is ever computed; reducible moduli only surface when a zero
-divisor is inverted, which raises NotInvertible with a witness factor.
+complex value.  is_zero decides in four exact stages, cheapest first: the
+syntactic test on the reduced form; the normal form modulo the Cauchy
+modules of the element's generators, which proves the identities that hold
+because generators sharing a modulus denote distinct roots of it (sums over
+a section are symmetric functions of its roots); a certified disc that
+excludes zero; and, where none of those decides, the minimal polynomial of
+the multiplication operator.  Stored elements are only ever reduced by the
+individual moduli, so the Cauchy modules change no representation.  Moduli
+are never factored and no absolute minimal polynomial is ever computed;
+reducible moduli only surface when a zero divisor is inverted, which raises
+NotInvertible with a witness factor.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 
@@ -147,6 +154,7 @@ class TowerContext:
     def __init__(self):
         self.extensions: list[ExtensionDescriptor] = []
         self._lock = threading.Lock()
+        self._cauchy: dict[tuple[UPoly, int], tuple] = {}
 
     def __len__(self):
         return len(self.extensions)
@@ -176,6 +184,20 @@ class TowerContext:
             if ext.modulus == monic and ext.root_id == root_id:
                 return i
         return None
+
+    def cauchy_module(self, modulus: UPoly, j: int) -> tuple[int, tuple]:
+        """The j-th Cauchy module of a monic modulus s = sum a_i t^i of
+        degree r, f_j = sum_i a_i h_(i-j+1)(t_1..t_j) with h_d the complete
+        homogeneous symmetric polynomial, as the rewrite rule t_j^d -> tail.
+
+        f_j is monic of degree d = r-j+1 in t_j; tail lists
+        (exponents of t_1..t_j, coefficient) pairs of t_j^d - f_j.
+        """
+        key = (modulus, j)
+        rule = self._cauchy.get(key)
+        if rule is None:
+            rule = self._cauchy.setdefault(key, _cauchy_rule(modulus.coeffs, j))
+        return rule
 
     def _append(self, ext: ExtensionDescriptor) -> int:
         with self._lock:
@@ -342,20 +364,33 @@ class TowerElement:
     def is_zero(self) -> bool:
         """Exact decision: does the embedded complex value equal zero?
 
-        The reduced representative is canonical, so a syntactic zero decides
-        immediately.  A syntactically nonzero element can still embed to
-        zero when some modulus is reducible and the element is a zero
-        divisor; that case is settled by comparing a certified disc against
-        a positive lower bound from the element's minimal polynomial mu:
-        the ring is a product of fields, so the embedded value is a root of
-        mu, and every nonzero root satisfies |root| >= |psi_0| / (|psi_0| +
-        max_i |psi_i|) where psi is mu with the z-factor stripped.  Never
-        probabilistic.
+        The stages run in this order, and each one that decides returns:
+
+        1. Syntactic.  The empty reduced form is zero; a nonzero rational
+           is not.
+        2. Cauchy normal form.  Generators with one modulus and distinct
+           root ids embed to distinct roots of it, so every Cauchy module of
+           those generators vanishes there; an element whose normal form
+           modulo them is empty embeds to zero.  This decides identities
+           such as sum_j y_j^k = p_k over a section.
+        3. Disc.  A certified disc at 15, then 40 digits that excludes zero
+           proves the value nonzero.
+        4. Minimal polynomial.  A syntactically nonzero element can embed
+           to zero when it is a zero divisor (a reducible modulus, or two
+           generators bound to one root).  The ring is a product of fields,
+           so the embedded value is a root of the element's minimal
+           polynomial mu, and every nonzero root satisfies |root| >=
+           |psi_0| / (|psi_0| + max_i |psi_i|) where psi is mu with the
+           z-factor stripped; a disc below that bound proves zero.
+
+        Never probabilistic.
         """
         if not self.terms:
             return True
         if self.is_rational():
             return False
+        if not _cauchy_normal_form(self):
+            return True
         for digits in (15, 40):
             ball = self._ball(digits)
             if abs(ball.c) > ball.r:
@@ -364,7 +399,10 @@ class TowerElement:
         if mu[0] != 0:
             return False  # no embedding maps this element to zero
         psi = mu[1:]
-        assert psi[0] != 0  # square-free moduli make mu square-free
+        if psi[0] == 0:
+            raise NotSquareFree(
+                "minimal polynomial has a repeated root at zero; "
+                "a modulus of the tower is not square-free")
         top = max(abs(c) for c in psi[1:]) if len(psi) > 1 else Fraction(0)
         bound = abs(psi[0]) / (abs(psi[0]) + top)
         digits = 40
@@ -517,6 +555,88 @@ def _reduce_terms(ctx: TowerContext, raw: dict) -> dict:
             nk = list(key)
             nk[over] = e2
             stack.append((_trim(tuple(nk)), coeff * c2))
+    return out
+
+
+# -- Cauchy modules ---------------------------------------------------------
+
+
+def _cauchy_rule(coeffs: tuple[Fraction, ...], j: int) -> tuple[int, tuple]:
+    r = len(coeffs) - 1
+    d = r - j + 1
+    tail: dict[tuple[int, ...], Fraction] = {}
+    for i in range(j - 1, r + 1):
+        if not coeffs[i]:
+            continue
+        for combo in combinations_with_replacement(range(j), i - j + 1):
+            exps = [0] * j
+            for pos in combo:
+                exps[pos] += 1
+            if exps[-1] == d:
+                continue  # the leading monomial t_j^d
+            exps = tuple(exps)
+            tail[exps] = tail.get(exps, Fraction(0)) - coeffs[i]
+    return d, tuple((e, c) for e, c in tail.items() if c)
+
+
+def _cauchy_normal_form(a: TowerElement) -> dict:
+    """Normal form of a modulo the Cauchy modules of its generators.
+
+    Generators are grouped by modulus, keeping the first generator of each
+    root id (the modules hold only for distinct roots).  Only generators
+    present in a take part, so a group of k generators of a degree-r modulus
+    spans a quotient of dimension r(r-1)...(r-k+1).  Within a group t_1..t_k
+    the modules form a lex Groebner basis; reducing t_k first, down to t_1,
+    gives the normal form.  Groups of one generator are skipped: a's terms
+    are already reduced by their modulus, which is f_1.
+    """
+    ctx = a.ctx
+    groups: dict[UPoly, dict[int, int]] = {}
+    for g in a.present_generators():
+        ext = ctx.extensions[g]
+        groups.setdefault(ext.modulus, {}).setdefault(ext.root_id, g)
+    terms = a.terms
+    for modulus, by_root in groups.items():
+        gens = sorted(by_root.values())
+        if len(gens) < 2:
+            continue
+        for j in range(len(gens), 0, -1):
+            d, tail = ctx.cauchy_module(modulus, j)
+            terms = _reduce_leading(terms, gens[:j], d, tail)
+            if not terms:
+                return terms
+    return terms
+
+
+def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple) -> dict:
+    """Rewrite t^d -> tail, t = generator gens[-1], until every term has
+    degree below d in t; tail exponents run over gens in order."""
+    g = gens[-1]
+    levels: dict[int, dict] = {}
+    for key, c in terms.items():
+        levels.setdefault(key[g] if len(key) > g else 0, {})[key] = c
+    out: dict = {}
+    for e in range(max(levels), -1, -1):
+        level = levels.pop(e, None)
+        if not level:
+            continue
+        if e < d:
+            out.update(level)
+            continue
+        for key, c in level.items():
+            base = list(key) + [0] * (g + 1 - len(key))
+            base[g] = e - d
+            for exps, tc in tail:
+                nk = list(base)
+                for pos, x in zip(gens, exps):
+                    nk[pos] += x
+                bucket = levels.setdefault(nk[g], {})
+                nk = _trim(tuple(nk))
+                v = bucket.get(nk, Fraction(0)) + c * tc
+                if v:
+                    bucket[nk] = v
+                else:
+                    bucket.pop(nk, None)
     return out
 
 

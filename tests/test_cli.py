@@ -139,3 +139,19 @@ def test_human_output_mentions_verdicts(capsys):
 def test_unknown_flag_rejected(capsys):
     code = cli.main(["genus", "-f", CIRCLE, "--frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_nonpositive_digits_rejected(capsys, digits):
+    code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
+                                   "--x2", "1/2", "--digits", digits])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
+
+
+def test_surplus_roota_rejected(capsys):
+    code, doc = _run_json(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1",
+                                   "--xp", "3", "--a=2", "--roota", "0",
+                                   "--roota", "1"])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"

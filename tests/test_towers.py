@@ -4,10 +4,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from abeldiff import towers
+from abeldiff.curves import Curve
+from abeldiff.differentials import (residue_certificates, third_kind,
+                                    vandermonde_equivalence)
 from abeldiff.errors import (ContextMismatch, NotInvertible, NotSquareFree,
                              ZeroDivision)
 from abeldiff.polys import BPoly, UPoly
-from abeldiff.towers import TowerContext, adjoin, eval_bpoly
+from abeldiff.towers import TowerContext, TowerElement, adjoin, eval_bpoly
 
 SQRT2 = UPoly([-2, 0, 1])
 SQRT3 = UPoly([-3, 0, 1])
@@ -126,6 +130,88 @@ def test_is_zero_semantic_fallback():
     assert not (a + b).is_zero()
     with pytest.raises(ZeroDivision):
         d.invert()
+
+
+def _no_minimal_polynomial(self):
+    raise AssertionError("zero test fell through to the minimal polynomial")
+
+
+def test_is_zero_cauchy_keeps_one_generator_per_root(monkeypatch):
+    ctx = TowerContext()
+    ctx, a = adjoin(ctx, SQRT2, 1)
+    ctx, b = adjoin(ctx, SQRT2, 1)  # same root as a
+    ctx, c = adjoin(ctx, SQRT2, 0)  # the other root
+    # a + b would vanish if a and b were taken for distinct roots
+    assert towers._cauchy_normal_form(a + b)
+    assert not (a + b).is_zero()
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
+    assert (a + c).is_zero()
+    assert (b + c).is_zero()
+    assert (a * c + 2).is_zero()
+
+
+def test_cauchy_stage_decides_vandermonde_and_residues(monkeypatch, quartic):
+    ctx = TowerContext()
+    p1 = quartic.section_roots(Fraction(1, 2), ctx)[0]
+    p2 = quartic.section_roots(Fraction(-2, 3), ctx)[0]
+    diff = third_kind(quartic, p1, p2)
+    septic = Curve(BPoly({(7, 0): 1, (0, 7): 1, (1, 0): -1, (0, 0): -1}))
+    ctx = TowerContext()
+    q1 = septic.section_roots(0, ctx)[0]
+    q2 = septic.section_roots(2, ctx)[0]
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
+    assert vandermonde_equivalence(diff)
+    assert all(cert["ok"] for cert in residue_certificates(third_kind(septic, q1, q2)))
+
+
+def test_is_zero_cauchy_agrees_with_minimal_polynomial(monkeypatch):
+    # the three roots of y^3 + 2y - 1 (Galois group S3) and sqrt(2)
+    section = UPoly([-1, 2, 0, 1])
+    ctx = TowerContext()
+    t = []
+    for rid in range(3):
+        ctx, g = adjoin(ctx, section, rid)
+        t.append(g)
+    ctx, c = adjoin(ctx, SQRT2, 1)
+    e1 = t[0] + t[1] + t[2]
+    e2 = t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
+    e3 = t[0] * t[1] * t[2]
+    p2 = t[0] ** 2 + t[1] ** 2 + t[2] ** 2
+    ideal = [e1, e2 - 2, e3 - 1, p2 + 4, t[0] ** 2 + t[0] * t[1] + t[1] ** 2 + 2]
+    rng = random.Random(7)
+
+    def rand_elt():
+        e = ctx.constant(rng.randint(-2, 2))
+        for _ in range(2):
+            mono = ctx.constant(rng.randint(-3, 3))
+            for g in t + [c]:
+                mono = mono * g ** rng.randint(0, 1)
+            e = e + mono
+        return e
+
+    samples = []
+    for _ in range(6):
+        zero = rand_elt() * rng.choice(ideal)
+        samples.append(zero)
+        samples.append(zero + rng.choice(t + [c]) - rng.randint(0, 1))
+    for e in samples:
+        cauchy = e.is_zero()
+        with monkeypatch.context() as m:
+            m.setattr(towers, "_cauchy_normal_form", lambda a: a.terms)
+            reference = e.is_zero()
+        assert cauchy == reference
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
+    assert all(e.is_zero() for e in samples[::2])
+
+
+def test_is_zero_rejects_minimal_polynomial_with_double_root_at_zero(monkeypatch):
+    ctx = TowerContext()
+    ctx, a = adjoin(ctx, SQRT2, 1)
+    ctx, b = adjoin(ctx, SQRT2, 1)
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial",
+                        lambda self: [Fraction(0), Fraction(0), Fraction(1)])
+    with pytest.raises(NotSquareFree):
+        (a - b).is_zero()
 
 
 def test_context_mismatch():
