@@ -171,6 +171,7 @@ class ParametricDifferential:
     multiple of (x-x1)(x2-x)*m with deg m <= r-3 is exactly adding the
     first-kind differential m dx / f_y.  Residues are +1 at pole1, -1 at
     pole2 and 0 at the remaining section points for every assignment.
+    certificates holds the residue-oracle verdicts that third_kind checked.
     """
 
     curve: Curve
@@ -182,6 +183,7 @@ class ParametricDifferential:
     section2: list[Point] = field(repr=False)
     system: LinearSystem = field(repr=False)
     rank: int = 0
+    certificates: list[dict] = field(default_factory=list, repr=False)
 
     @property
     def parameter_count(self) -> int:
@@ -214,12 +216,12 @@ class ParametricDifferential:
         return out
 
 
-def third_kind(curve: Curve, p1: Point, p2: Point, verify: bool = True,
-               series_order: int = 2) -> ParametricDifferential:
+def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     """Construct the third-kind family: solve the symmetrized system, check
     that its nullspace is exactly the embedded first-kind space, canonicalize
-    the particular solution, and (by default) certify all residues with the
-    local-series oracle."""
+    the particular solution, and certify all residues with the local-series
+    oracle.  The oracle's verdicts are returned in the family's certificates;
+    VerificationFailed is raised when any of them fails."""
     pp = _prepare(curve, p1, p2)
     system = third_kind_system_sym(curve, pp.pole1, pp.pole2)
     sol = ff_solve(RatMatrix(system.matrix), system.rhs)
@@ -247,12 +249,11 @@ def third_kind(curve: Curve, p1: Point, p2: Point, verify: bool = True,
         curve=curve, pole1=pp.pole1, pole2=pp.pole2, base_numerator=base,
         first_kind_numerators=fkb.numerators, section1=pp.section1,
         section2=pp.section2, system=system, rank=sol.rank)
-    if verify:
-        failures = [c for c in residue_certificates(diff, series_order=series_order)
-                    if not c["ok"]]
-        if failures:
-            raise VerificationFailed(
-                f"residue oracle mismatch at {failures[0]['point']}")
+    diff.certificates = residue_certificates(diff)
+    failures = [c for c in diff.certificates if not c["ok"]]
+    if failures:
+        raise VerificationFailed(
+            f"residue oracle mismatch at {failures[0]['point']}")
     return diff
 
 
@@ -301,12 +302,13 @@ def _project_out(particular: list, nullspace: list, ctx: TowerContext) -> list:
 # -- the independent residue oracle ----------------------------------------
 
 
-def residue_at(diff: ParametricDifferential, point: Point, params=None,
-               series_order: int = 2) -> TowerElement:
+def residue_at(diff: ParametricDifferential, point: Point,
+               params=None) -> TowerElement:
     """Residue of the assigned differential at a section point over either
     pole abscissa, computed independently of the construction: substitute
     the local series into numerator and denominator and read the t^{-1}
     coefficient.  Certifies along the way that the pole order is at most 1.
+    The series stop at order 1, since the residue reads only constant terms.
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
@@ -318,7 +320,7 @@ def residue_at(diff: ParametricDifferential, point: Point, params=None,
     else:
         raise ValueError("residue_at expects a point over a pole abscissa")
 
-    order = max(series_order, 1)
+    order = 1
     series = diff.curve.local_series(point, order)  # raises VerticalTangent
     ycoeffs = [point.y] + list(series.coefficients)
     num = _series_eval(diff.numerator_with(params), point.x, ycoeffs, order)
@@ -341,8 +343,7 @@ def residue_at(diff: ParametricDifferential, point: Point, params=None,
     return sign * quot[0]
 
 
-def residue_certificates(diff: ParametricDifferential, params=None,
-                         series_order: int = 2) -> list[dict]:
+def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict]:
     """Residue oracle at every section point over both pole abscissas, plus
     the residue-sum identity.
 
@@ -361,7 +362,7 @@ def residue_certificates(diff: ParametricDifferential, params=None,
                 expected = 1
             elif pt is diff.pole2:
                 expected = -1
-            res = residue_at(diff, pt, params, series_order)
+            res = residue_at(diff, pt, params)
             ok = (res - expected).is_zero()
             all_ok = all_ok and ok
             expected_total += expected
@@ -399,20 +400,21 @@ class HauptResult:
 
 
 def haupt_eval(curve: Curve, p1: Point, p2: Point, p_prime: Point,
-               poles: list[Point], series_order: int = 2) -> TowerElement:
+               poles: list[Point]) -> TowerElement:
     """Value of the fundamental function at p1 (see haupt_solve)."""
-    return haupt_solve(curve, p1, p2, p_prime, poles, series_order).value
+    return haupt_solve(curve, p1, p2, p_prime, poles).value
 
 
 def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
-                poles: list[Point], series_order: int = 2) -> HauptResult:
+                poles: list[Point]) -> HauptResult:
     """Value of the fundamental function at p1: the function with simple
     poles at p_prime and the given auxiliary points, residue -1 at p_prime,
     normalized to vanish at p2.
 
-    Steps: construct the third-kind family for (p1, p2); fix its free
-    parameters so the function vanishes at every auxiliary pole; evaluate at
-    p_prime.  The result carries the determined parameters and the
+    Steps: construct the third-kind family for (p1, p2), which certifies
+    its residues; fix its free parameters so the function vanishes at every
+    auxiliary pole, checked exactly (VerificationFailed otherwise); evaluate
+    at p_prime.  The result carries the determined parameters and the
     underlying third-kind family alongside the value.
     """
     p = curve.genus()
@@ -422,7 +424,7 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
     if len(set(absc)) != len(absc):
         raise SameAbscissa("all chosen abscissas must be pairwise distinct")
 
-    diff = third_kind(curve, p1, p2, series_order=series_order)
+    diff = third_kind(curve, p1, p2)
     params: list = []
     if p:
         fkb = diff.first_kind_numerators

@@ -18,6 +18,7 @@ distinct real parts differ by at least that bound).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, isqrt
 
 import mpmath as mp
@@ -204,7 +205,8 @@ class _Isolator:
         # pairwise-disjoint discs + radii < sep/4 make conjugate pairing exact
         conj = self._pair_conjugates(recs)
 
-        order = sorted(range(self.n), key=_CmpKey(self, recs, conj))
+        order = sorted(range(self.n),
+                       key=cmp_to_key(lambda i, j: self.compare(recs, conj, i, j)))
         roots: list[RootApprox] = []
         pos = {old: new for new, old in enumerate(order)}
         for new, old in enumerate(order):
@@ -259,27 +261,6 @@ class _Isolator:
             ia = mp.mpf(0) if conj[i] == i else a.center.imag
             ib = mp.mpf(0) if conj[j] == j else b.center.imag
         return -1 if ia < ib else 1
-
-
-class _CmpKey:
-    """functools.cmp_to_key equivalent bound to one isolation run."""
-
-    def __init__(self, iso, recs, conj):
-        self.iso, self.recs, self.conj = iso, recs, conj
-
-    def __call__(self, idx):
-        outer = self
-
-        class K:
-            __slots__ = ("i",)
-
-            def __init__(self, i):
-                self.i = i
-
-            def __lt__(self, other):
-                return outer.iso.compare(outer.recs, outer.conj, self.i, other.i) < 0
-
-        return K(idx)
 
 
 _CACHE: dict[tuple, list[RootApprox]] = {}

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from abeldiff import cli
+from abeldiff import cli, differentials
 from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
                              exit_code_for)
 
@@ -137,8 +138,10 @@ def test_human_output_mentions_verdicts(capsys):
 
 
 def test_unknown_flag_rejected(capsys):
-    code = cli.main(["genus", "-f", CIRCLE, "--frobnicate"])
-    assert code == 2
+    for argv in (["genus", "-f", CIRCLE, "--frobnicate"],
+                 ["third-kind", "-f", CIRCLE, "--x1", "0", "--x2", "1/2",
+                  "--series-order", "2"]):
+        assert cli.main(argv) == 2
 
 
 @pytest.mark.parametrize("digits", ["0", "-5"])
@@ -155,3 +158,33 @@ def test_surplus_roota_rejected(capsys):
                                    "--roota", "1"])
     assert code == 2
     assert doc["error"]["type"] == "InvalidArgument"
+
+
+def test_out_of_range_root_index_rejected(capsys):
+    code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
+                                   "--x2", "1/2", "--root1", "5"])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("argv", [
+    ["third-kind", "-f", CUBIC, "--x1", "0", "--x2", "1"],
+    ["verify", "-f", CUBIC, "--x1", "0", "--x2", "1"],
+    ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--xp", "3", "--a", "2"],
+])
+def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
+    calls = {"third_kind": [], "residue_certificates": [], "eval_u": []}
+    for name, log in calls.items():
+        def counted(*args, _real=getattr(differentials, name), _log=log, **kwargs):
+            _log.append(sys._getframe(1).f_code.co_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(differentials, name, counted)
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert len(calls["third_kind"]) == 1
+    assert len(calls["residue_certificates"]) == 1
+    assert sum(v["check"].startswith("residue at") for v in doc["verification"]) == 7
+    if argv[0] == "haupt":
+        # u at the auxiliary pole is checked inside haupt_solve, not again by the CLI
+        assert "u vanishes at auxiliary pole a1" in [v["check"] for v in doc["verification"]]
+        assert set(calls["eval_u"]) == {"haupt_solve"}

@@ -110,6 +110,7 @@ def test_residues_cubic(cubic_diff):
     assert all(c["ok"] for c in certs)
     expected = sorted(c["expected"] for c in certs[:-1])
     assert expected == [-1, 0, 0, 0, 0, 1]
+    assert cubic_diff.certificates == certs   # third_kind keeps what it checked
 
 
 def test_residues_conic(circle_diff):
