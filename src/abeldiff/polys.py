@@ -201,38 +201,25 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return a.monic()
 
 
-def xgcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
-    """Extended Euclid over Q: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = UPoly([1]), UPoly()
-    t0, t1 = UPoly(), UPoly([1])
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    inv = Fraction(1) / r0.leading
-    return r0 * inv, s0 * inv, t0 * inv
-
-
 def is_squarefree(a: UPoly) -> bool:
     if a.is_zero:
         raise ZeroPolynomial("square-freeness of the zero polynomial")
     return poly_gcd(a, a.derivative()).degree <= 0
 
 
-def sylvester_matrix(a: UPoly, b: UPoly) -> list[list[Fraction]]:
-    """Sylvester matrix with a's coefficients in the top deg(b) rows.
+def sylvester_matrix(a: Sequence, b: Sequence) -> list[list[Fraction]]:
+    """Sylvester matrix of two coefficient sequences, lowest degree first.
 
-    This fixes the sign convention: resultant(y - 1, y - 2) == -1.
+    The last entry of each sequence is taken as its leading coefficient even
+    when it is zero, so a caller can keep a generic degree shape where the
+    actual degree drops.  a's coefficients fill the top len(b) - 1 rows; this
+    fixes the sign convention: resultant(y - 1, y - 2) == -1.
     """
-    m, n = a.degree, b.degree
+    m, n = len(a) - 1, len(b) - 1
     size = m + n
     rows = []
-    ra = list(reversed(a.coeffs))
-    rb = list(reversed(b.coeffs))
+    ra = list(reversed(a))
+    rb = list(reversed(b))
     for k in range(n):
         rows.append([Fraction(0)] * k + ra + [Fraction(0)] * (size - k - m - 1))
     for k in range(m):
@@ -249,17 +236,7 @@ def resultant(a: UPoly, b: UPoly) -> Fraction:
         return a.coeffs[0] ** b.degree
     if b.degree == 0:
         return b.coeffs[0] ** a.degree
-    return bareiss_det(sylvester_matrix(a, b))
-
-
-def discriminant(a: UPoly) -> Fraction:
-    n = a.degree
-    if n < 1:
-        raise ZeroPolynomial("discriminant needs degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(a, a.derivative()) / a.leading
+    return bareiss_det(sylvester_matrix(a.coeffs, b.coeffs))
 
 
 def power_sums(a: UPoly, count: int) -> list[Fraction]:
@@ -508,14 +485,7 @@ def resultant_y(f: BPoly, g: BPoly) -> UPoly:
     while len(samples) < dbound + 1:
         x0 = Fraction(v)
         # generic-shape Sylvester determinant, even where y-degrees drop
-        size = m + n
-        rows = []
-        ra = [fy[i].eval(x0) for i in range(m, -1, -1)]
-        rb = [gy[i].eval(x0) for i in range(n, -1, -1)]
-        for k in range(n):
-            rows.append([Fraction(0)] * k + ra + [Fraction(0)] * (size - k - m - 1))
-        for k in range(m):
-            rows.append([Fraction(0)] * k + rb + [Fraction(0)] * (size - k - n - 1))
+        rows = sylvester_matrix([p.eval(x0) for p in fy], [p.eval(x0) for p in gy])
         samples.append((x0, bareiss_det(rows)))
         v = -v if v > 0 else -v + 1
     return interpolate(samples)

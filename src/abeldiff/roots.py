@@ -23,9 +23,10 @@ from math import comb, isqrt
 
 import mpmath as mp
 
-from .errors import NotSquareFree, ZeroPolynomial
+from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
-from .polys import UPoly, interpolate, is_squarefree, poly_gcd, resultant
+from .polys import (UPoly, interpolate, is_squarefree, poly_gcd, resultant,
+                    sylvester_matrix)
 
 
 class RootApprox:
@@ -87,7 +88,7 @@ def _initial_roots(ints: list[int], prec: int):
                 return mp.polyroots(rev, maxsteps=300, extraprec=extra)
         except mp.libmp.libhyper.NoConvergence:
             continue
-    raise RuntimeError("numeric root finding did not converge")
+    raise AbeldiffError("numeric root finding did not converge")
 
 
 def _newton_to(ints, dints, n, z, target, prec):
@@ -111,6 +112,24 @@ def _newton_to(ints, dints, n, z, target, prec):
     return None
 
 
+def _refine(ints, center, radius, target, prec):
+    """Newton-refine the certified disc (center, radius) of a root of ints
+    until its radius is below target, doubling the precision while Newton
+    stalls; returns (center, radius, prec).  The new disc must meet the old
+    one, so it isolates the same root."""
+    n = len(ints) - 1
+    dints = [i * c for i, c in enumerate(ints)][1:]
+    while True:
+        got = _newton_to(ints, dints, n, center, target, prec)
+        if got is not None:
+            break
+        prec *= 2
+    z, rad = got
+    if not abs(z - center) <= radius + rad:
+        raise AbeldiffError("refined root disc does not meet its isolating disc")
+    return z, rad, prec
+
+
 class _Record:
     __slots__ = ("center", "radius", "prec")
 
@@ -128,7 +147,6 @@ class _Isolator:
             raise NotSquareFree("polynomial has multiple roots")
         self.ints, _ = poly.to_int_coeffs()
         self.n = len(self.ints) - 1
-        self.dints = [i * c for i, c in enumerate(self.ints)][1:]
         self.sep = separation_bound(self.ints)
         self._re_gap: Fraction | None = None
 
@@ -137,16 +155,8 @@ class _Isolator:
             if isinstance(target, Fraction) else mp.mpf(target)
         if rec.radius < t:
             return
-        prec = rec.prec
-        while True:
-            got = _newton_to(self.ints, self.dints, self.n, rec.center, t, prec)
-            if got is not None:
-                z, rad = got
-                if rec.radius > 0:
-                    assert abs(z - rec.center) <= rec.radius + rad
-                rec.center, rec.radius, rec.prec = z, rad, max(prec, rec.prec)
-                return
-            prec = prec * 2
+        rec.center, rec.radius, rec.prec = _refine(self.ints, rec.center, rec.radius,
+                                                   t, rec.prec)
 
     def re_gap(self) -> Fraction:
         """Lower bound on |re(a) - re(b)| over root pairs with distinct real
@@ -166,15 +176,7 @@ class _Isolator:
                     continue
                 for j in range(k + 1):
                     q[j] += a[k] * comb(k, j) * (2 * s) ** (k - j) * (-1) ** j
-            size = 2 * n
-            rows = []
-            ra = list(reversed(a))
-            rb = list(reversed(q))
-            for k in range(n):
-                rows.append([Fraction(0)] * k + ra + [Fraction(0)] * (size - k - n - 1))
-            for k in range(n):
-                rows.append([Fraction(0)] * k + rb + [Fraction(0)] * (size - k - n - 1))
-            samples.append((s, bareiss_det(rows)))
+            samples.append((s, bareiss_det(sylvester_matrix(a, q))))
             v = -v if v > 0 else -v + 1
         big = interpolate(samples)
         sqf = (big // poly_gcd(big, big.derivative()))
@@ -200,7 +202,7 @@ class _Isolator:
                 break
             prec *= 4
         else:
-            raise RuntimeError("could not isolate all roots into disjoint discs")
+            raise AbeldiffError("could not isolate all roots into disjoint discs")
 
         # pairwise-disjoint discs + radii < sep/4 make conjugate pairing exact
         conj = self._pair_conjugates(recs)
@@ -283,13 +285,5 @@ def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
     if root.radius < target:
         return root
     ints, _ = m.to_int_coeffs()
-    n = len(ints) - 1
-    dints = [i * c for i, c in enumerate(ints)][1:]
-    prec = max(root.prec, 80)
-    while True:
-        got = _newton_to(ints, dints, n, root.center, target, prec)
-        if got is not None:
-            z, rad = got
-            assert abs(z - root.center) <= root.radius + rad
-            return RootApprox(root.index, z, rad, prec, root.conj_index)
-        prec *= 2
+    z, rad, prec = _refine(ints, root.center, root.radius, target, max(root.prec, 80))
+    return RootApprox(root.index, z, rad, prec, root.conj_index)

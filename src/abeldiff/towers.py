@@ -30,10 +30,10 @@ from itertools import combinations_with_replacement
 
 import mpmath as mp
 
-from .errors import (ContextMismatch, NotInvertible, NotSquareFree,
-                     ZeroDivision)
+from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
+                     NotSquareFree, ZeroDivision)
 from .polys import BPoly, UPoly
-from .roots import RootApprox, isolate_roots, refine_root, separation_bound
+from .roots import RootApprox, isolate_roots, refine_root
 
 
 class _Ball:
@@ -79,25 +79,14 @@ class ExtensionDescriptor:
     the canonical root order) can never change.
     """
 
-    def __init__(self, modulus: UPoly, root: RootApprox, separation: Fraction):
+    def __init__(self, modulus: UPoly, root: RootApprox):
         self.modulus = modulus
         self.root_id = root.index
-        self.separation = separation
         self._root = root
         self._lock = threading.Lock()
-        d = modulus.degree
-        # reduced forms of t^d .. t^(2d-2): enough for products of reduced terms
-        table: dict[int, tuple[Fraction, ...]] = {}
-        base = tuple(-c for c in modulus.coeffs[:-1])
-        table[d] = base
-        prev = base
-        for e in range(d + 1, 2 * d - 1):
-            shifted = (Fraction(0),) + prev
-            top = shifted[d] if len(shifted) > d else Fraction(0)
-            nxt = [shifted[i] + top * base[i] for i in range(d)]
-            prev = tuple(nxt[:d])
-            table[e] = prev
-        self.power_table = table
+        # reduced forms of t^e, e >= d; reduced_power extends it on demand
+        self.power_table: dict[int, tuple[Fraction, ...]] = {
+            modulus.degree: tuple(-c for c in modulus.coeffs[:-1])}
 
     @property
     def degree(self) -> int:
@@ -214,8 +203,7 @@ def adjoin(ctx: TowerContext, modulus: UPoly, root_id: int) -> tuple[TowerContex
     roots = isolate_roots(monic)  # raises NotSquareFree when appropriate
     if not 0 <= root_id < len(roots):
         raise IndexError(f"root index {root_id} out of range for degree {len(roots)}")
-    sep = separation_bound(monic.to_int_coeffs()[0])
-    idx = ctx._append(ExtensionDescriptor(monic, roots[root_id], sep))
+    idx = ctx._append(ExtensionDescriptor(monic, roots[root_id]))
     return ctx, ctx.generator(idx)
 
 
@@ -497,7 +485,7 @@ class TowerElement:
                     return mp.mpc(ball.c)
             attempt += 1
             if attempt > 8:
-                raise RuntimeError("approximation did not converge")
+                raise AbeldiffError("approximation did not converge")
 
     def serialize(self, digits: int | None = None) -> dict:
         gens = self.present_generators()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -188,3 +189,30 @@ def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
         # u at the auxiliary pole is checked inside haupt_solve, not again by the CLI
         assert "u vanishes at auxiliary pole a1" in [v["check"] for v in doc["verification"]]
         assert set(calls["eval_u"]) == {"haupt_solve"}
+
+
+# SHA-256 of each request's --json document with "timings" and "stats"
+# removed.  A change that keeps the output byte-identical leaves these as
+# they are; one that changes the output on purpose records the new digests.
+DIGESTS = {
+    "verify -f x^2+y^2-1 --x1 0 --x2 1/2":
+        "9495dab5d8ac78a4090e45e362426ae3981a062f48d3957543b483cb273334a3",
+    "third-kind -f x^3-y^3+2*x*y+x-2*y+1 --x1 0 --x2 1":
+        "d53c8e8f0dc358aeaf5816b0bc08b75d0ba5992d48c223fe969ce2032a2ed6b5",
+    "haupt -f x^3-y^3+2*x*y+x-2*y+1 --x1 0 --x2 1 --xp 3 --a 2":
+        "4f44a1e210807f3bef174ed55d8bd977ce8820a38df7c4624b52323f83a29c22",
+    "third-kind -f x^4+y^4-1 --x1 2 --x2 3":
+        "80e47b4eece7d555ae41bcdb0a0e45bc57d1e6f5fbdc2df3654f377705dbf52a",
+    "third-kind -f x^2+y^2-1 --x1 0 --x2 1/2 --root1 5":
+        "7bf332b7b2ffdee196a062da5492577cb353c6509c3318ec269ff2046ffb0606",
+}
+
+
+@pytest.mark.parametrize("request_line", DIGESTS)
+def test_json_output_digests(capsys, request_line):
+    cli.main(request_line.split() + ["--json"])
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("timings", None)
+    doc.pop("stats", None)
+    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+    assert digest == DIGESTS[request_line]

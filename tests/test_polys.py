@@ -62,7 +62,7 @@ def _cofactor_det(rows):
 def test_resultant_matches_sylvester_cofactor_oracle():
     a = UPoly([-1, 2, 0, 1])
     b = a.derivative()
-    expected = _cofactor_det(sylvester_matrix(a, b))
+    expected = _cofactor_det(sylvester_matrix(a.coeffs, b.coeffs))
     got = resultant(a, b)
     assert got == expected
     assert got != 0

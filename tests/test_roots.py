@@ -1,11 +1,13 @@
+import json
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from abeldiff.errors import NotSquareFree
+from abeldiff import cli, roots as roots_mod
+from abeldiff.errors import AbeldiffError, NotSquareFree
 from abeldiff.polys import UPoly
-from abeldiff.roots import isolate_roots, refine_root, separation_bound
+from abeldiff.roots import _Isolator, isolate_roots, refine_root, separation_bound
 
 
 def _horner_exact(ints, z):
@@ -85,3 +87,43 @@ def test_separation_bound_positive_and_below_true_separation():
 def test_not_squarefree_rejected():
     with pytest.raises(NotSquareFree):
         isolate_roots(UPoly([0, 0, 1]))
+
+
+@pytest.mark.parametrize("poly, gap, centers", [
+    # (y^2 - 2y + 2)(y^2 - 2y + 5): two conjugate pairs, all real parts 1
+    (UPoly([2, -2, 1]) * UPoly([5, -2, 1]),
+     Fraction(547391355690527, 447974633384219461514053911956470342656),
+     [1 - 2j, 1 - 1j, 1 + 1j, 1 + 2j]),
+    # (y - 1)(y^2 - 2y + 2)
+    (UPoly([-2, 4, -3, 1]), Fraction(124, 17796870375), [1 - 1j, 1, 1 + 1j]),
+])
+def test_real_part_gap_and_order_on_ties(poly, gap, centers):
+    assert _Isolator(poly).re_gap() == gap
+    roots = isolate_roots(poly)
+    assert len(roots) == len(centers)
+    for r, z in zip(roots, centers):
+        assert abs(r.center - z) < r.radius
+
+
+def test_refinement_leaving_the_isolating_disc_is_an_error(monkeypatch):
+    p = UPoly([-1, 2, 0, 1])
+    root = isolate_roots(p)[0]
+    monkeypatch.setattr(roots_mod, "_newton_to",
+                        lambda *args: (root.center + 10, mp.mpf(10) ** -70))
+    with pytest.raises(AbeldiffError, match="does not meet"):
+        refine_root(p, root, mp.mpf(10) ** -60)
+
+
+def test_root_finding_failure_reaches_the_cli_as_an_error_document(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise mp.libmp.libhyper.NoConvergence("stub")
+
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    monkeypatch.setattr(roots_mod, "_CACHE", {})
+    code = cli.main(["third-kind", "-f", "x^2+y^2-1", "--x1", "0", "--x2", "1/2",
+                     "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["error"] == {"type": "AbeldiffError",
+                            "message": "numeric root finding did not converge",
+                            "exit_code": 1}
