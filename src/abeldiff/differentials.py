@@ -13,6 +13,13 @@ which is the symmetrized system this module actually solves.  The two forms
 are equivalent: the symmetrized rows are the Vandermonde matrix of the
 section ordinates times the per-point rows.
 
+The conditions fix E only up to adding m*(x - x1)(x2 - x) for a monomial m of
+degree <= r-3, i.e. up to a first-kind differential.  Appending these
+embedded first-kind vectors to the symmetrized matrix as rows with
+right-hand side 0 makes the system nonsingular: its unique solution is the
+numerator orthogonal to the first-kind space under the monomial inner
+product, and one fraction-free solve yields it.
+
 Every constructed differential is certified fail-closed by an independent
 residue oracle that substitutes the local power series at each section point
 and reads the t^{-1} coefficient.
@@ -56,9 +63,7 @@ class FirstKindBasis:
 def first_kind_basis(curve: Curve) -> FirstKindBasis:
     if curve.r < 3:
         return FirstKindBasis(curve, [])
-    nums = [BPoly({m: 1}) for m in monomials_upto(curve.r - 3)]
-    assert len(nums) == curve.genus()
-    return FirstKindBasis(curve, nums)
+    return FirstKindBasis(curve, [BPoly({m: 1}) for m in monomials_upto(curve.r - 3)])
 
 
 @dataclass
@@ -162,6 +167,11 @@ def third_kind_system_sym(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
                         [f"c{k}" for k in range(len(monos))], monos, tags)
 
 
+def _pole_factor(x1, x2) -> BPoly:
+    """(x - x1)(x2 - x), the factor that embeds a first-kind numerator."""
+    return BPoly({(1, 0): 1, (0, 0): -x1}) * BPoly({(0, 0): x2, (1, 0): -1})
+
+
 @dataclass
 class ParametricDifferential:
     """A third-kind differential family E(c) dx / ((x-x1)(x2-x) f_y).
@@ -194,8 +204,7 @@ class ParametricDifferential:
         return self.pole1.y.ctx
 
     def pole_factor(self) -> BPoly:
-        x1, x2 = self.pole1.x, self.pole2.x
-        return BPoly({(1, 0): 1, (0, 0): -x1}) * BPoly({(0, 0): x2, (1, 0): -1})
+        return _pole_factor(self.pole1.x, self.pole2.x)
 
     def _params(self, params) -> list:
         p = self.parameter_count
@@ -217,86 +226,48 @@ class ParametricDifferential:
 
 
 def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
-    """Construct the third-kind family: solve the symmetrized system, check
-    that its nullspace is exactly the embedded first-kind space, canonicalize
-    the particular solution, and certify all residues with the local-series
-    oracle.  The oracle's verdicts are returned in the family's certificates;
+    """Construct the third-kind family and certify all residues with the
+    local-series oracle.
+
+    The base numerator is the unique solution of the symmetrized system
+    stacked with the embedded first-kind vectors as rows with right-hand side
+    0 (see the module docstring).  Each embedded vector is first checked
+    exactly to solve the homogeneous system; full column rank of the stacked
+    system then certifies that the nullspace is exactly the embedded
+    first-kind space.  Inconsistent is raised when either fails.  The
+    oracle's verdicts are returned in the family's certificates;
     VerificationFailed is raised when any of them fails."""
     pp = _prepare(curve, p1, p2)
     system = third_kind_system_sym(curve, pp.pole1, pp.pole2)
-    sol = ff_solve(RatMatrix(system.matrix), system.rhs)
-
-    p = curve.genus()
-    if len(sol.nullspace) != p:
-        raise Inconsistent(
-            f"nullspace dimension {len(sol.nullspace)} != genus {p}")
-
     monos = system.monomials
     fkb = first_kind_basis(curve)
-    pf = BPoly({(1, 0): 1, (0, 0): -pp.pole1.x}) * BPoly({(0, 0): pp.pole2.x, (1, 0): -1})
-    embedded: list[tuple[Fraction, ...]] = []
+    pf = _pole_factor(pp.pole1.x, pp.pole2.x)
+    embedded = []
     for mono in fkb.numerators:
-        prod = mono * pf
-        embedded.append(tuple(prod.terms.get(m, Fraction(0)) for m in monos))
-    if not _same_span(sol.nullspace, embedded):
-        raise Inconsistent("nullspace is not the embedded first-kind space")
-
-    particular = _project_out(sol.particular, sol.nullspace, pp.ctx)
-    base = BPoly({monos[k]: particular[k] for k in range(len(monos))
-                  if _nonzero(particular[k])})
+        terms = (mono * pf).terms
+        embedded.append([terms.get(m, Fraction(0)) for m in monos])
+    if any(sum(a * e for a, e in zip(row, vec))
+           for vec in embedded for row in system.matrix):
+        raise Inconsistent("an embedded first-kind numerator does not solve "
+                           "the homogeneous system")
+    p = len(embedded)
+    sol = ff_solve(RatMatrix(system.matrix + embedded),
+                   system.rhs + [pp.ctx.zero] * p)
+    if sol.rank != len(monos):
+        raise Inconsistent(f"nullspace dimension {len(monos) - sol.rank + p} "
+                           f"!= genus {p}")
+    base = BPoly({m: c for m, c in zip(monos, sol.particular) if c})
 
     diff = ParametricDifferential(
         curve=curve, pole1=pp.pole1, pole2=pp.pole2, base_numerator=base,
         first_kind_numerators=fkb.numerators, section1=pp.section1,
-        section2=pp.section2, system=system, rank=sol.rank)
+        section2=pp.section2, system=system, rank=sol.rank - p)
     diff.certificates = residue_certificates(diff)
     failures = [c for c in diff.certificates if not c["ok"]]
     if failures:
         raise VerificationFailed(
             f"residue oracle mismatch at {failures[0]['point']}")
     return diff
-
-
-def _nonzero(v) -> bool:
-    if isinstance(v, TowerElement):
-        return bool(v)
-    return v != 0
-
-
-def _same_span(a: list, b: list) -> bool:
-    from .linsolve import rank as _rank
-    if not a and not b:
-        return True
-    if len(a) != len(b):
-        return False
-    ra = _rank(list(a))
-    rb = _rank(list(b))
-    ru = _rank(list(a) + list(b))
-    return ra == rb == ru == len(a)
-
-
-def _project_out(particular: list, nullspace: list, ctx: TowerContext) -> list:
-    """Subtract the nullspace components under the monomial inner product so
-    the reported base numerator is deterministic."""
-    if not nullspace:
-        return list(particular)
-    ortho: list[tuple[Fraction, ...]] = []
-    for v in nullspace:
-        w = list(v)
-        for u in ortho:
-            c = sum(a * b for a, b in zip(w, u)) / sum(a * a for a in u)
-            w = [wi - c * ui for wi, ui in zip(w, u)]
-        ortho.append(tuple(w))
-    out = [x if isinstance(x, TowerElement) else ctx.constant(x) for x in particular]
-    for u in ortho:
-        dot = ctx.zero
-        for xi, ui in zip(out, u):
-            if ui:
-                dot = dot + xi * ui
-        norm = sum(a * a for a in u)
-        coef = dot / norm
-        out = [xi - coef * ui if ui else xi for xi, ui in zip(out, u)]
-    return out
 
 
 # -- the independent residue oracle ----------------------------------------
@@ -379,14 +350,19 @@ def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict
 def eval_u(diff: ParametricDifferential, point: Point, params=None) -> TowerElement:
     """Exact value of the rational function u at a point away from the pole
     abscissas."""
+    return _eval_u(diff, diff.numerator_with(params), point)
+
+
+def _eval_u(diff: ParametricDifferential, numerator: BPoly,
+            point: Point) -> TowerElement:
+    """eval_u with the assigned numerator already built."""
     if point.x == diff.pole1.x or point.x == diff.pole2.x:
         raise EvaluationAtPole(f"x = {point.x} is a pole abscissa")
     fyv = diff.curve.fy_at(point)
     if fyv.is_zero():
         raise EvaluationAtPole("f_y vanishes at the evaluation point")
     denom = (point.x - diff.pole1.x) * (diff.pole2.x - point.x) * fyv
-    num = eval_bpoly(diff.numerator_with(params), point.x, point.y)
-    return num * denom.invert()
+    return eval_bpoly(numerator, point.x, point.y) * denom.invert()
 
 
 # -- fundamental function ---------------------------------------------------
@@ -434,11 +410,12 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
             rows.append([eval_bpoly(mono, q.x, q.y) * fy_inv for mono in fkb])
             rhs.append(-eval_u(diff, q))
         params = _solve_tower(rows, rhs)
-        for q in poles:
-            if not eval_u(diff, q, params).is_zero():
-                raise VerificationFailed(
-                    f"assigned differential does not vanish at x = {q.x}")
-    value = eval_u(diff, p_prime, params)
+    numerator = diff.numerator_with(params)
+    for q in poles:
+        if not _eval_u(diff, numerator, q).is_zero():
+            raise VerificationFailed(
+                f"assigned differential does not vanish at x = {q.x}")
+    value = _eval_u(diff, numerator, p_prime)
     return HauptResult(value=value, parameters=params, differential=diff)
 
 

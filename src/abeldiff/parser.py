@@ -3,6 +3,9 @@
 Grammar: integer and rational literals (p/q), variables x and y, operators
 + - * ^ and parentheses.  Implicit multiplication is rejected on purpose:
 "2*x*y" parses, "2xy" does not.  No decimal points — exactness discipline.
+Exponents and the total degree of every product are capped at MAX_DEGREE
+before the power or product is computed, so an oversized curve fails fast
+with InvalidArgument instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -10,10 +13,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import PolySyntaxError, UnknownVariable
+from .errors import InvalidArgument, PolySyntaxError, UnknownVariable
 from .polys import BPoly
 
+MAX_DEGREE = 24
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+\-*/^]))")
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise InvalidArgument(f"total degree {degree} exceeds the maximum "
+                              f"{MAX_DEGREE} (at position {pos})")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -65,7 +76,9 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = acc * self.unary()
+                rhs = self.unary()
+                _check_degree(acc.total_degree + rhs.total_degree, pos)
+                acc = acc * rhs
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 raise PolySyntaxError(
                     "implicit multiplication is not allowed; write '*' explicitly", pos)
@@ -94,7 +107,13 @@ class _Parser:
             if kind != "num":
                 raise PolySyntaxError("exponent must be a nonnegative integer", pos)
             self.take()
-            return base ** int(val)
+            # digit count first: int() refuses strings of over 4300 digits
+            if len(val.lstrip("0")) > len(str(MAX_DEGREE)) or int(val) > MAX_DEGREE:
+                raise InvalidArgument(f"exponent exceeds the maximum degree {MAX_DEGREE} "
+                                      f"(at position {pos})")
+            e = int(val)
+            _check_degree(base.total_degree * e, pos)
+            return base ** e
         return base
 
     def atom(self) -> BPoly:

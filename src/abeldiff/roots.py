@@ -18,7 +18,7 @@ distinct real parts differ by at least that bound).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import comb, isqrt
 
 import mpmath as mp
@@ -265,18 +265,19 @@ class _Isolator:
         return -1 if ia < ib else 1
 
 
-_CACHE: dict[tuple, list[RootApprox]] = {}
+@lru_cache(maxsize=512)
+def _isolated(ints: tuple[int, ...]) -> list[RootApprox]:
+    """Roots of the primitive integer polynomial ints, shared across requests
+    that meet the same section polynomial."""
+    return _Isolator(UPoly(ints)).run()
 
 
 def isolate_roots(m: UPoly) -> list[RootApprox]:
     """All complex roots of a square-free polynomial as certified discs, in
     the canonical order (ascending re, then ascending im)."""
     ints, _ = m.to_int_coeffs()
-    key = tuple(ints)
-    if key not in _CACHE:
-        _CACHE[key] = _Isolator(m).run()
-    src = _CACHE[key]
-    return [RootApprox(r.index, r.center, r.radius, r.prec, r.conj_index) for r in src]
+    return [RootApprox(r.index, r.center, r.radius, r.prec, r.conj_index)
+            for r in _isolated(tuple(ints))]
 
 
 def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:

@@ -161,6 +161,13 @@ def test_surplus_roota_rejected(capsys):
     assert doc["error"]["type"] == "InvalidArgument"
 
 
+def test_oversized_curve_rejected_at_parse_time(capsys):
+    code, doc = _run_json(capsys, ["genus", "-f", "x^100000+y^2-1"])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
+    assert doc["error"]["exit_code"] == 2
+
+
 def test_out_of_range_root_index_rejected(capsys):
     code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
                                    "--x2", "1/2", "--root1", "5"])

@@ -3,20 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from abeldiff import differentials, linsolve
 from abeldiff.curves import Curve, Point
-from abeldiff.differentials import (eval_u, first_kind_basis, haupt_eval,
-                                    haupt_solve,
+from abeldiff.differentials import (FirstKindBasis, eval_u, first_kind_basis,
+                                    haupt_eval, haupt_solve,
                                     monomials_upto, residue_at,
                                     residue_certificates, third_kind,
                                     third_kind_system_naive,
                                     third_kind_system_sym,
                                     unit_circle_pullback,
                                     vandermonde_equivalence, _solve_tower)
-from abeldiff.errors import (DegeneratePoints, EvaluationAtPole, MultipleRoots,
-                             SameAbscissa)
+from abeldiff.errors import (DegeneratePoints, EvaluationAtPole, Inconsistent,
+                             MultipleRoots, SameAbscissa)
 from abeldiff.linsolve import rank
 from abeldiff.polys import BPoly
 from abeldiff.towers import TowerContext
+from tests.conftest import CUBIC_TERMS, QUARTIC_TERMS
 
 
 def test_first_kind_basis_cubic(cubic):
@@ -33,6 +35,12 @@ def test_first_kind_basis_quartic(quartic):
     basis = first_kind_basis(quartic)
     assert [m.terms for m in basis.numerators] == [
         {(0, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_first_kind_basis_size_is_the_genus(r):
+    curve = Curve(BPoly({(r, 0): 1, (0, r): 1, (0, 0): -1}))
+    assert len(first_kind_basis(curve)) == curve.genus() == (r - 1) * (r - 2) // 2
 
 
 def test_naive_system_cubic_six_by_six(cubic, cubic_setup):
@@ -289,3 +297,59 @@ def test_corrupted_numerator_flagged_with_point(cubic_diff):
     failing = [c for c in certs if not c["ok"]]
     assert failing
     assert any("x=" in c["point"] for c in failing)
+
+
+@pytest.mark.parametrize("terms, x1, x2", [
+    (CUBIC_TERMS, 0, 1),
+    (QUARTIC_TERMS, 2, 3),
+    ({(5, 0): 1, (0, 5): 1, (0, 0): -1}, 0, 2),
+])
+def test_base_numerator_is_the_solution_orthogonal_to_first_kind(terms, x1, x2):
+    curve = Curve(BPoly(terms))
+    ctx = TowerContext()
+    diff = third_kind(curve, curve.section_roots(x1, ctx)[0],
+                      curve.section_roots(x2, ctx)[0])
+    system = diff.system
+    coords = [diff.base_numerator.terms.get(m, ctx.zero) for m in system.monomials]
+    for row, rhs in zip(system.matrix, system.rhs):
+        acc = ctx.zero
+        for a, c in zip(row, coords):
+            acc = acc + a * c
+        assert (acc - rhs).is_zero()
+    pf = diff.pole_factor()
+    assert len(diff.first_kind_numerators) == curve.genus()
+    for mono in diff.first_kind_numerators:
+        embedded = (mono * pf).terms
+        dot = ctx.zero
+        for m, c in zip(system.monomials, coords):
+            dot = dot + embedded.get(m, Fraction(0)) * c
+        assert dot.is_zero()
+    assert diff.rank == len(system.monomials) - curve.genus()
+
+
+def test_third_kind_solves_once(monkeypatch, cubic, cubic_setup):
+    _, p1, p2 = cubic_setup
+    real, calls = linsolve.ff_solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # linsolve's own module global too, which linsolve.rank calls
+    monkeypatch.setattr(linsolve, "ff_solve", counted)
+    monkeypatch.setattr(differentials, "ff_solve", counted)
+    third_kind(cubic, p1, p2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("numerators", [
+    [BPoly({(1, 0): 1})],     # degree r-2: its embedding leaves the monomial range
+    [],                       # too small a space: the stacked system is rank deficient
+])
+def test_wrong_first_kind_space_is_inconsistent(monkeypatch, cubic, cubic_setup,
+                                                numerators):
+    _, p1, p2 = cubic_setup
+    monkeypatch.setattr(differentials, "first_kind_basis",
+                        lambda curve: FirstKindBasis(curve, numerators))
+    with pytest.raises(Inconsistent):
+        third_kind(cubic, p1, p2)

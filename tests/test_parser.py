@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abeldiff.errors import PolySyntaxError, UnknownVariable
-from abeldiff.parser import format_bpoly, parse_poly
+from abeldiff.errors import InvalidArgument, PolySyntaxError, UnknownVariable
+from abeldiff.parser import MAX_DEGREE, format_bpoly, parse_poly
 from abeldiff.polys import BPoly
 from tests.conftest import CUBIC_TERMS
 
@@ -73,3 +73,23 @@ def test_roundtrip_on_canonical_form():
 def test_roundtrip_random(terms):
     p = BPoly(terms)
     assert parse_poly(format_bpoly(p)) == p
+
+
+@pytest.mark.parametrize("text", [
+    "x^100000+y^2-1",
+    "(x+y)^20*(x+y)^20",
+    "x^" + "9" * 5000,        # beyond int()'s digit limit
+    "2^25",
+    "(x^2+y)^13",
+    "x^12*y^12*x",
+])
+def test_oversized_curve_rejected(text):
+    with pytest.raises(InvalidArgument, match=f"maximum.*{MAX_DEGREE}"):
+        parse_poly(text)
+
+
+def test_degree_cap_still_accepts_its_maximum():
+    assert MAX_DEGREE == 24
+    assert parse_poly("x^24+y^24-1").total_degree == 24
+    assert parse_poly("(x+y)^12*(x-y)^12").total_degree == 24
+    assert parse_poly("x^0024").total_degree == 24

@@ -119,7 +119,7 @@ def test_root_finding_failure_reaches_the_cli_as_an_error_document(monkeypatch, 
         raise mp.libmp.libhyper.NoConvergence("stub")
 
     monkeypatch.setattr(mp, "polyroots", no_convergence)
-    monkeypatch.setattr(roots_mod, "_CACHE", {})
+    roots_mod._isolated.cache_clear()
     code = cli.main(["third-kind", "-f", "x^2+y^2-1", "--x1", "0", "--x2", "1/2",
                      "--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -127,3 +127,13 @@ def test_root_finding_failure_reaches_the_cli_as_an_error_document(monkeypatch, 
     assert doc["error"] == {"type": "AbeldiffError",
                             "message": "numeric root finding did not converge",
                             "exit_code": 1}
+
+
+def test_isolation_cache_is_bounded_and_hands_out_copies():
+    assert roots_mod._isolated.cache_info().maxsize == 512
+    p = UPoly([-2, 0, 1])
+    first = isolate_roots(p)
+    first[0].radius = mp.mpf(1)
+    again = isolate_roots(2 * p)      # same primitive integer polynomial
+    assert again[0].radius < 1
+    assert roots_mod._isolated.cache_info().hits >= 1
