@@ -1,8 +1,13 @@
 """Plane algebraic curves over Q: degree, genus, exact smoothness, section
 ordinates over a rational abscissa, and local power-series uniformization.
 
-Smoothness is decided exactly, never numerically.  The affine singular locus
-is screened by the y-resultant of the curve with its y-derivative; candidate
+Smoothness is decided exactly, never numerically.  One discriminant is
+computed: the y-resultant of the curve with its y-derivative, by
+evaluation/interpolation of half-size hybrid Bezout determinants
+(polys.resultant_matrix).  It vanishes identically exactly when f has a
+repeated factor involving y; a repeated factor free of y is a repeated factor
+of the y-content of f (the gcd of its y-coefficients in Q[x]), which stands in
+for the x-discriminant Res_x(f, f_x) at the cost of a few gcds.  Candidate
 abscissas are then handled by a gcd computation over Q[x] modulo the
 square-free candidate polynomial, splitting the modulus whenever a zero test
 is ambiguous (dynamic evaluation), so the answer holds for every root of
@@ -190,13 +195,19 @@ def smoothness_report(f: BPoly) -> SmoothnessReport:
     disc = resultant_y(f, fy)
     if disc.is_zero:
         return SmoothnessReport(False, "repeated factor (y-discriminant vanishes)")
-    if resultant_y(_transpose(f), _transpose(fx)).is_zero:
+    # with disc != 0 a repeated factor is free of y, so the x-discriminant
+    # Res_x(f, f_x) vanishes exactly when the y-content of f is not square-free
+    cols = f.coefficients_in_y()
+    content = UPoly()
+    for c in cols:
+        content = poly_gcd(content, c)
+    if not is_squarefree(content):
         return SmoothnessReport(False, "repeated factor (x-discriminant vanishes)")
 
     if disc.degree >= 1:
         m = (disc // poly_gcd(disc, disc.derivative())).monic()
         witness = _common_section_root(
-            m, [f.coefficients_in_y(), fx.coefficients_in_y(), fy.coefficients_in_y()])
+            m, [cols, fx.coefficients_in_y(), fy.coefficients_in_y()])
         if witness is not None:
             mod, g = witness
             if g is None:
@@ -207,10 +218,6 @@ def smoothness_report(f: BPoly) -> SmoothnessReport:
                 f"affine singular point: over abscissas with {_fmt(mod)} = 0 the "
                 f"sections of f, f_x, f_y share the factor {_fmt_y(g, mod)}")
     return _infinity_report(f, r)
-
-
-def _transpose(f: BPoly) -> BPoly:
-    return BPoly({(j, i): c for (i, j), c in f.terms.items()})
 
 
 def _fmt(p: UPoly) -> str:

@@ -58,6 +58,10 @@ def _int_rows(rows) -> tuple[list[list[int]], list[Fraction]]:
     the per-row scale factors."""
     out, scales = [], []
     for row in rows:
+        if all(type(v) is int for v in row):
+            out.append(list(row))
+            scales.append(Fraction(1))
+            continue
         fr = [Fraction(v) for v in row]
         m = lcm(*(c.denominator for c in fr)) if fr else 1
         out.append([int(c * m) for c in fr])
@@ -92,15 +96,21 @@ def bareiss_det(matrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pk, rk = a[k][k], a[k]
         for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
             for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = 0
-        prev = a[k][k]
-    det = Fraction(sign * a[n - 1][n - 1])
+                q, r = divmod(pk * ri[j] - aik * rk[j], prev)
+                if r:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                ri[j] = q
+            ri[k] = 0
+        prev = pk
+    den = 1
     for s in scales:
-        det /= s
-    return det
+        den *= s.numerator
+    return Fraction(sign * a[n - 1][n - 1], den)
 
 
 def _entry_is_zero(v) -> bool:

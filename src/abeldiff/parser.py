@@ -5,7 +5,9 @@ Grammar: integer and rational literals (p/q), variables x and y, operators
 "2*x*y" parses, "2xy" does not.  No decimal points — exactness discipline.
 Exponents and the total degree of every product are capped at MAX_DEGREE
 before the power or product is computed, so an oversized curve fails fast
-with InvalidArgument instead of running for minutes.
+with InvalidArgument instead of running for minutes.  Integer literals
+(numerators and denominators) are capped at MAX_LITERAL_DIGITS digits before
+they are converted, below the 4300-digit limit of int().
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import InvalidArgument, PolySyntaxError, UnknownVariable
 from .polys import BPoly
 
 MAX_DEGREE = 24
+MAX_LITERAL_DIGITS = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+\-*/^]))")
 
@@ -25,6 +28,13 @@ def _check_degree(degree: int, pos: int) -> None:
     if degree > MAX_DEGREE:
         raise InvalidArgument(f"total degree {degree} exceeds the maximum "
                               f"{MAX_DEGREE} (at position {pos})")
+
+
+def _literal(digits: str, pos: int) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise InvalidArgument(f"integer literal of {len(digits)} digits exceeds the "
+                              f"maximum of {MAX_LITERAL_DIGITS} digits (at position {pos})")
+    return int(digits)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -126,10 +136,11 @@ class _Parser:
                 if dkind != "num":
                     raise PolySyntaxError("denominator must be an integer", dpos)
                 self.take()
-                if int(dval) == 0:
+                den = _literal(dval, dpos)
+                if den == 0:
                     raise PolySyntaxError("zero denominator", dpos)
-                return BPoly.const(Fraction(int(val), int(dval)))
-            return BPoly.const(Fraction(int(val)))
+                return BPoly.const(Fraction(_literal(val, pos), den))
+            return BPoly.const(Fraction(_literal(val, pos)))
         if kind == "name":
             if val == "x":
                 return BPoly.x()

@@ -195,10 +195,14 @@ class UPoly:
 
 
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic greatest common divisor over Q; gcd(0, 0) = 0."""
+    """Monic greatest common divisor over Q; gcd(0, 0) = 0.
+
+    Every remainder is made monic, which keeps the coefficients of the
+    Euclidean sequence from growing with each step."""
+    a, b = a.monic(), b.monic()
     while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+        a, b = b, (a % b).monic()
+    return a
 
 
 def is_squarefree(a: UPoly) -> bool:
@@ -207,36 +211,69 @@ def is_squarefree(a: UPoly) -> bool:
     return poly_gcd(a, a.derivative()).degree <= 0
 
 
-def sylvester_matrix(a: Sequence, b: Sequence) -> list[list[Fraction]]:
-    """Sylvester matrix of two coefficient sequences, lowest degree first.
+def _cleared(coeffs: Sequence) -> tuple[list[int], int]:
+    """Integer coefficients c*coeffs and the least c that makes them so."""
+    c = lcm(*(v.denominator for v in coeffs))
+    return [int(v * c) for v in coeffs], c
+
+
+def resultant_matrix(a: Sequence, b: Sequence) -> list[list]:
+    """Hybrid Bezout matrix of two coefficient sequences, lowest degree
+    first: bareiss_det of it is their Sylvester resultant.
 
     The last entry of each sequence is taken as its leading coefficient even
     when it is zero, so a caller can keep a generic degree shape where the
-    actual degree drops.  a's coefficients fill the top len(b) - 1 rows; this
-    fixes the sign convention: resultant(y - 1, y - 2) == -1.
+    actual degree drops.  For formal degrees m >= n the matrix is m x m, half
+    the size of the Sylvester matrix, with column i holding the coefficient
+    of y^i: row j < m - n holds y^j * b, and row m - n + k - 1 (k = 1 .. n)
+    holds
+
+        b_hi * a_lo - y^(m-n) * a_hi * b_lo  =  b_hi * a - y^(m-n) * a_hi * b,
+
+    where a = a_hi * y^(m-k+1) + a_lo splits off the top k coefficients of a
+    and b = b_hi * y^(n-k+1) + b_lo those of b, so the row has degree below
+    m.  Its determinant is (-1)^n times the Sylvester determinant, as a
+    polynomial identity in the coefficients, zero leading ones included; for
+    m < n the inputs swap, at a sign (-1)^(m*n).  The rows are built over
+    the integers: each input is cleared of denominators first, and
+    Res(c*a, d*b) = c^n * d^m * Res(a, b).  The signs and 1/(c^n * d^m) are
+    folded into row 0.  Sign convention of the Sylvester matrix, whose top
+    rows hold a's coefficients: resultant(y - 1, y - 2) == -1.
     """
     m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    rows = []
-    ra = list(reversed(a))
-    rb = list(reversed(b))
-    for k in range(n):
-        rows.append([Fraction(0)] * k + ra + [Fraction(0)] * (size - k - m - 1))
-    for k in range(m):
-        rows.append([Fraction(0)] * k + rb + [Fraction(0)] * (size - k - n - 1))
+    fold = Fraction(1)
+    if m < n:
+        a, b, m, n = b, a, n, m
+        fold = Fraction((-1) ** (m * n))
+    a, c = _cleared(a)
+    b, d = _cleared(b)
+    fold *= Fraction((-1) ** n, c ** n * d ** m)
+    rows = [[0] * j + b + [0] * (m - n - j - 1) for j in range(m - n)]
+    # row k = y * (row k-1) + b_(n-k+1) * a - a_(m-k+1) * y^(m-n) * b, whose
+    # y^m coefficient cancels
+    shifted_b = [0] * (m - n) + b
+    row = [0] * m
+    for k in range(1, n + 1):
+        u, v = b[n - k + 1], a[m - k + 1]
+        row = [p + u * x - v * z for p, x, z in zip([0] + row[:-1], a, shifted_b)]
+        rows.append(row)
+    if rows and fold != 1:
+        scale = fold.numerator if fold.denominator == 1 else fold
+        rows[0] = [v * scale for v in rows[0]]
     return rows
 
 
 def resultant(a: UPoly, b: UPoly) -> Fraction:
-    """Resultant of two nonzero univariate polynomials (Sylvester determinant;
-    see sylvester_matrix for the sign convention)."""
+    """Resultant of two nonzero univariate polynomials (Sylvester
+    determinant, taken as the determinant of the half-size resultant_matrix,
+    which also fixes the sign convention)."""
     if a.is_zero or b.is_zero:
         raise ZeroPolynomial("resultant with a zero polynomial")
     if a.degree == 0:
         return a.coeffs[0] ** b.degree
     if b.degree == 0:
         return b.coeffs[0] ** a.degree
-    return bareiss_det(sylvester_matrix(a.coeffs, b.coeffs))
+    return bareiss_det(resultant_matrix(a.coeffs, b.coeffs))
 
 
 def power_sums(a: UPoly, count: int) -> list[Fraction]:
@@ -267,18 +304,39 @@ def power_sums(a: UPoly, count: int) -> list[Fraction]:
     return ps[:count]
 
 
-def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> UPoly:
-    """Exact polynomial interpolation (Newton form) through distinct nodes."""
-    xs = [Fraction(p[0]) for p in points]
-    coeffs = [Fraction(p[1]) for p in points]
+def _as_int(v) -> int:
+    v = Fraction(v)
+    if v.denominator != 1:
+        raise ValueError(f"interpolation data must be integers, got {v}")
+    return v.numerator
+
+
+def interpolate(points: Sequence[tuple]) -> UPoly:
+    """The integer polynomial through points with distinct integer nodes.
+
+    Every divided difference of an integer polynomial at integer nodes is an
+    integer, so the Newton form is computed and expanded by Horner in integer
+    arithmetic alone; a division that leaves a remainder means the values
+    are not those of an integer polynomial and raises ValueError.
+    """
+    xs = [_as_int(p[0]) for p in points]
+    cs = [_as_int(p[1]) for p in points]
     n = len(points)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = UPoly()
+            q, r = divmod(cs[i] - cs[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise ValueError("interpolation data are not those of an integer polynomial")
+            cs[i] = q
+    acc: list[int] = []
     for i in range(n - 1, -1, -1):
-        poly = poly * UPoly([-xs[i], 1]) + UPoly([coeffs[i]])
-    return poly
+        x = xs[i]
+        nxt = [0] + acc
+        for k, v in enumerate(acc):
+            nxt[k] -= x * v
+        nxt[0] += cs[i]
+        acc = nxt
+    return UPoly(acc)
 
 
 class BPoly:
@@ -462,9 +520,11 @@ class BPoly:
 def resultant_y(f: BPoly, g: BPoly) -> UPoly:
     """Resultant of f and g with respect to y, as a UPoly in x.
 
-    Computed by evaluation/interpolation: the Sylvester matrix is built from
-    the generic y-degree shape (so degree drops at special x do not change
-    the matrix), evaluated at enough rational points, and interpolated.
+    Computed by evaluation/interpolation: f and g are cleared of
+    denominators once (Res(c*f, d*g) = c^n * d^m * Res(f, g) for y-degrees m
+    and n), the determinant of resultant_matrix is taken at enough integer
+    abscissas on the generic y-degree shape (so degree drops at special x do
+    not change the matrix), and the samples are interpolated.
     """
     fy = f.coefficients_in_y()
     gy = g.coefficients_in_y()
@@ -474,19 +534,22 @@ def resultant_y(f: BPoly, g: BPoly) -> UPoly:
         raise ZeroPolynomial("resultant with the zero polynomial")
     if m == 0 and n == 0:
         return UPoly([1])
-    dbound = 0
-    if fy:
-        dbound += n * max(p.degree for p in fy)
-    if gy:
-        dbound += m * max(p.degree for p in gy)
-    dbound = max(dbound, 0)
-    samples: list[tuple[Fraction, Fraction]] = []
-    v = 0
-    while len(samples) < dbound + 1:
-        x0 = Fraction(v)
-        # generic-shape Sylvester determinant, even where y-degrees drop
-        rows = sylvester_matrix([p.eval(x0) for p in fy], [p.eval(x0) for p in gy])
+    dbound = n * max(p.degree for p in fy) + m * max(p.degree for p in gy)
+    c = lcm(*(v.denominator for v in f.terms.values()))
+    d = lcm(*(v.denominator for v in g.terms.values()))
+    fi = [[int(v * c) for v in p.coeffs] for p in fy]
+    gi = [[int(v * d) for v in p.coeffs] for p in gy]
+    samples: list[tuple[int, Fraction]] = []
+    x0 = 0
+    while len(samples) < max(dbound, 0) + 1:
+        rows = resultant_matrix([_eval_int(p, x0) for p in fi], [_eval_int(p, x0) for p in gi])
         samples.append((x0, bareiss_det(rows)))
-        v = -v if v > 0 else -v + 1
-    return interpolate(samples)
+        x0 = -x0 if x0 > 0 else -x0 + 1
+    return interpolate(samples) * Fraction(1, c ** n * d ** m)
 
+
+def _eval_int(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

@@ -26,7 +26,7 @@ import mpmath as mp
 from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
 from .polys import (UPoly, interpolate, is_squarefree, poly_gcd, resultant,
-                    sylvester_matrix)
+                    resultant_matrix)
 
 
 class RootApprox:
@@ -165,19 +165,18 @@ class _Isolator:
         if self._re_gap is not None:
             return self._re_gap
         n = self.n
-        a = [Fraction(c) for c in self.ints]
+        a = self.ints
         samples = []
-        v = 0
+        s = 0
         while len(samples) <= n * n:
-            s = Fraction(v)
-            q = [Fraction(0)] * (n + 1)
+            q = [0] * (n + 1)
             for k in range(n + 1):
                 if not a[k]:
                     continue
                 for j in range(k + 1):
                     q[j] += a[k] * comb(k, j) * (2 * s) ** (k - j) * (-1) ** j
-            samples.append((s, bareiss_det(sylvester_matrix(a, q))))
-            v = -v if v > 0 else -v + 1
+            samples.append((s, bareiss_det(resultant_matrix(a, q))))
+            s = -s if s > 0 else -s + 1
         big = interpolate(samples)
         sqf = (big // poly_gcd(big, big.derivative()))
         if sqf.degree <= 1:

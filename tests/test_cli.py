@@ -39,6 +39,39 @@ def test_smooth_command_failure_exit_code(capsys):
     assert doc["smooth"]["detail"]
 
 
+# verdicts and details recorded before the x-discriminant became a content test
+SMOOTH_VERDICTS = {
+    "x^2+y^2-1": (0, "no singular points"),
+    "(x-1)^2*(x^2+y^2-1)": (3, "repeated factor (x-discriminant vanishes)"),
+    "(x^2+1)^2*(y-x^3)": (3, "repeated factor (x-discriminant vanishes)"),
+    "(x^2+y^2-1)*(x-2)": (3, "affine singular point: over abscissas with -2*x^0 + 1*x^1 = 0 "
+                             "the sections of f, f_x, f_y share the factor "
+                             "(3*x^0)*y^0 + (1*x^0)*y^2"),
+    "x^2-y^3": (3, "affine singular point: over abscissas with 1*x^1 = 0 the sections of "
+                   "f, f_x, f_y share the factor (-3*x^0)*y^2"),
+    "y^2-x^2": (3, "affine singular point: over abscissas with 1*x^1 = 0 the sections of "
+                   "f, f_x, f_y share the factor (2*x^0)*y^1"),
+    "(y-x)^2": (3, "repeated factor (y-discriminant vanishes)"),
+    "x^2": (3, "repeated linear component"),
+    "x^2*y-1": (3, "singular point at infinity [0:1:0]"),
+    "y^2-x^2*(x+1)": (3, "affine singular point: over abscissas with 1*x^1 = 0 the sections "
+                         "of f, f_x, f_y share the factor (2*x^0)*y^1"),
+    "(x^2+y^2-1)^2": (3, "repeated factor (y-discriminant vanishes)"),
+    "(x-1)*(x-2)*(y^2-x)": (3, "affine singular point: over abscissas with "
+                               "2*x^0 + -3*x^1 + 1*x^2 = 0 the sections of f, f_x, f_y "
+                               "share the factor (4*x^0 + -3*x^1)*y^0 + (-3*x^0 + 2*x^1)*y^2"),
+    "y^3-x^2*y+x": (0, "no singular points"),
+    "x^4+y^4-1": (0, "no singular points"),
+}
+
+
+@pytest.mark.parametrize("curve", SMOOTH_VERDICTS)
+def test_smooth_verdicts_and_details(capsys, curve):
+    code, doc = _run_json(capsys, ["smooth", "-f", curve])
+    assert (code, doc["smooth"]["detail"]) == SMOOTH_VERDICTS[curve]
+    assert doc["smooth"]["smooth"] is (code == 0)
+
+
 def test_first_kind_command(capsys):
     code, doc = _run_json(capsys, ["first-kind", "-f", CUBIC])
     assert code == 0
@@ -166,6 +199,12 @@ def test_oversized_curve_rejected_at_parse_time(capsys):
     assert code == 2
     assert doc["error"]["type"] == "InvalidArgument"
     assert doc["error"]["exit_code"] == 2
+
+
+def test_oversized_literal_rejected_with_an_error_document(capsys):
+    code, doc = _run_json(capsys, ["genus", "-f", "9" * 5000 + "*x+y^2-1"])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
 
 
 def test_out_of_range_root_index_rejected(capsys):

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from abeldiff.curves import Curve, Point, smoothness_report
+from abeldiff.curves import Curve, Point, SmoothnessReport, smoothness_report
 from abeldiff.errors import (DegreeDrop, IrrationalAbscissaUnsupported,
                              MultipleRoots, NotSmooth, PointNotOnCurve,
                              VerticalTangent)
@@ -57,6 +58,21 @@ def test_parallel_lines_singular_at_infinity():
 
 def test_single_line_smooth():
     assert smoothness_report(BPoly({(1, 0): 1, (0, 1): 2, (0, 0): -3})).smooth
+
+
+def _dense(d):
+    """Every monomial x^i*y^j of total degree <= d (i outer, j inner) with a
+    seeded coefficient in -9..9, plus x^d + y^d."""
+    rng = random.Random(7)
+    terms = {(i, j): rng.randint(-9, 9) for i in range(d + 1) for j in range(d + 1 - i)}
+    return BPoly(terms) + BPoly({(d, 0): 1, (0, d): 1})
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_dense_curves_are_smooth(d):
+    f = _dense(d)
+    assert f.total_degree == d
+    assert smoothness_report(f) == SmoothnessReport(True, "no singular points")
 
 
 def test_not_smooth_raised_on_construction():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abeldiff.errors import InvalidArgument, PolySyntaxError, UnknownVariable
-from abeldiff.parser import MAX_DEGREE, format_bpoly, parse_poly
+from abeldiff.parser import MAX_DEGREE, MAX_LITERAL_DIGITS, format_bpoly, parse_poly
 from abeldiff.polys import BPoly
 from tests.conftest import CUBIC_TERMS
 
@@ -86,6 +86,22 @@ def test_roundtrip_random(terms):
 def test_oversized_curve_rejected(text):
     with pytest.raises(InvalidArgument, match=f"maximum.*{MAX_DEGREE}"):
         parse_poly(text)
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 5000 + "*x+y^2-1",       # beyond int()'s digit limit
+    "1/" + "7" * 5000 + "*x+y^2-1",
+    "0" * 4999 + "1*x+y^2-1",
+    "1" * (MAX_LITERAL_DIGITS + 1) + "+x+y",
+])
+def test_oversized_literal_rejected(text):
+    with pytest.raises(InvalidArgument, match=f"{MAX_LITERAL_DIGITS} digits"):
+        parse_poly(text)
+
+
+def test_literal_cap_still_accepts_its_maximum():
+    big = "9" * MAX_LITERAL_DIGITS
+    assert parse_poly(f"{big}/{big}*x+y").terms[(1, 0)] == 1
 
 
 def test_degree_cap_still_accepts_its_maximum():

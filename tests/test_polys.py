@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abeldiff.errors import ZeroPolynomial
+from abeldiff.linsolve import bareiss_det
 from abeldiff.polys import (BPoly, UPoly, interpolate, is_squarefree,
-                            poly_gcd, power_sums, resultant, resultant_y,
-                            sylvester_matrix)
+                            poly_gcd, power_sums, resultant, resultant_matrix,
+                            resultant_y)
 
 
 def test_gcd_common_factor_by_inspection():
@@ -44,6 +45,37 @@ def test_resultant_linear_against_quadratic():
     assert resultant(UPoly([1, 0, 1]), UPoly([0, 1])) == 1
 
 
+def sylvester_matrix(a, b):
+    """Sylvester matrix of two coefficient sequences, lowest degree first,
+    the last entry of each taken as its leading coefficient even when zero;
+    a's coefficients fill the top len(b) - 1 rows."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    ra, rb = list(reversed(a)), list(reversed(b))
+    rows = [[Fraction(0)] * k + ra + [Fraction(0)] * (size - k - m - 1) for k in range(n)]
+    rows += [[Fraction(0)] * k + rb + [Fraction(0)] * (size - k - n - 1) for k in range(m)]
+    return rows
+
+
+def _gauss_det(rows):
+    """Determinant by Gaussian elimination over Q, independent of Bareiss."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            q = a[i][k] / a[k][k]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+    return det
+
+
 def _cofactor_det(rows):
     n = len(rows)
     if n == 0:
@@ -66,6 +98,50 @@ def test_resultant_matches_sylvester_cofactor_oracle():
     got = resultant(a, b)
     assert got == expected
     assert got != 0
+
+
+def _random_coeffs(rng, degree):
+    """Integers, fractions and zeros, the leading entry zero one time in four."""
+    out = []
+    for _ in range(degree + 1):
+        kind = rng.random()
+        out.append(Fraction(0) if kind < 0.2 else
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if kind < 0.5 else
+                   Fraction(rng.randint(-30, 30)))
+    if rng.random() < 0.25:
+        out[-1] = Fraction(0)
+    return out
+
+
+def test_resultant_matrix_determinant_is_the_sylvester_determinant():
+    rng = random.Random(2024)
+    for m in range(9):
+        for n in range(9):
+            for _ in range(3):
+                a, b = _random_coeffs(rng, m), _random_coeffs(rng, n)
+                rows = resultant_matrix(a, b)
+                assert len(rows) == max(m, n)
+                assert bareiss_det(rows) == _gauss_det(sylvester_matrix(a, b)), (a, b)
+
+
+def test_resultant_y_matches_sylvester_sampled_oracle():
+    rng = random.Random(99)
+    x = BPoly.x()
+    for trial in range(12):
+        dy_f, dy_g = rng.randint(1, 4), rng.randint(0, 3)
+        f = BPoly({(i, j): Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+                   for j in range(dy_f) for i in range(rng.randint(0, 3))})
+        g = BPoly({(i, j): rng.randint(-5, 5)
+                   for j in range(dy_g) for i in range(rng.randint(0, 3))})
+        # leading y-coefficients vanish at some interpolation nodes (0, 1, -1, 2)
+        f = f + (x - 1) * x * BPoly({(0, dy_f): 1})
+        g = g + ((x + 1) * Fraction(1, 2) if trial % 2 else 3 * x) * BPoly({(0, dy_g): 1})
+        got = resultant_y(f, g)
+        fy, gy = f.coefficients_in_y(), g.coefficients_in_y()
+        for x0 in [Fraction(v) for v in range(-6, 7)] + [Fraction(1, 2), Fraction(-7, 3)]:
+            expected = _gauss_det(sylvester_matrix([c.eval(x0) for c in fy],
+                                                   [c.eval(x0) for c in gy]))
+            assert got.eval(x0) == expected, (trial, x0)
 
 
 def test_resultant_zero_iff_common_factor():
@@ -121,6 +197,12 @@ def test_interpolate():
     p = UPoly([1, -2, 0, 3])
     pts = [(Fraction(k), p.eval(Fraction(k))) for k in range(5)]
     assert interpolate(pts) == p
+    q = UPoly([10**30 + 7, 0, -5, 2, 0, 9 * 10**20])
+    assert interpolate([(k, q.eval(k)) for k in (0, 1, -1, 2, -2, 3, -3)]) == q
+    with pytest.raises(ValueError):
+        interpolate([(Fraction(1, 2), 1), (0, 0)])
+    with pytest.raises(ValueError):
+        interpolate([(0, 0), (2, 1)])  # the line through them is t/2
 
 
 @settings(max_examples=60, deadline=None)
