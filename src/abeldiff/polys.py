@@ -541,7 +541,7 @@ def resultant_y(f: BPoly, g: BPoly) -> UPoly:
     gi = [[int(v * d) for v in p.coeffs] for p in gy]
     samples: list[tuple[int, Fraction]] = []
     x0 = 0
-    while len(samples) < max(dbound, 0) + 1:
+    while len(samples) <= dbound:
         rows = resultant_matrix([_eval_int(p, x0) for p in fi], [_eval_int(p, x0) for p in gi])
         samples.append((x0, bareiss_det(rows)))
         x0 = -x0 if x0 > 0 else -x0 + 1
