@@ -26,7 +26,7 @@ from .curves import Curve, smoothness_report
 from .errors import (AbeldiffError, InvalidArgument,
                      IrrationalAbscissaUnsupported, NotSmooth,
                      VerificationFailed, exit_code_for)
-from .parser import format_bpoly, parse_poly
+from .parser import MAX_LITERAL_DIGITS, format_bpoly, parse_poly
 from .towers import TowerContext
 
 SCHEMA = "weier/1"
@@ -35,11 +35,16 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def _rational(text: str) -> Fraction:
-    if not _RATIONAL.match(text.strip()):
+    literal = text.strip()
+    if not _RATIONAL.match(literal):
         raise IrrationalAbscissaUnsupported(
             f"{text!r} is not a rational literal; chosen points must have "
             "rational abscissas written as an integer or p/q")
-    return Fraction(text.strip())
+    digits = max(len(part.lstrip("+-")) for part in literal.split("/"))
+    if digits > MAX_LITERAL_DIGITS:
+        raise InvalidArgument(f"abscissa literal of {digits} digits exceeds the "
+                              f"maximum of {MAX_LITERAL_DIGITS} digits")
+    return Fraction(literal)
 
 
 @dataclass

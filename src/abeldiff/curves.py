@@ -92,13 +92,15 @@ class Curve:
         """Uniformization y = y0 + c1 t + ... + cn t^n with x = x0 + t.
 
         Each coefficient solves a linear equation whose pivot is f_y(p), so
-        the point must not sit on a vertical tangent.
+        the point must not sit on a vertical tangent; that is checked exactly
+        at every order, and f_y(p) is inverted only when order >= 1.
         """
         fyv = self.fy_at(p)
         if fyv.is_zero():
             raise VerticalTangent(f"f_y vanishes at x = {p.x}")
-        inv = fyv.invert()
         coeffs: list[TowerElement] = []
+        if order >= 1:
+            inv = fyv.invert()
         for m in range(1, order + 1):
             res = _series_eval(self.f, p.x, [p.y] + coeffs, m)[m]
             coeffs.append(-res * inv)

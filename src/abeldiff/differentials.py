@@ -279,39 +279,29 @@ def residue_at(diff: ParametricDifferential, point: Point,
     pole abscissa, computed independently of the construction: substitute
     the local series into numerator and denominator and read the t^{-1}
     coefficient.  Certifies along the way that the pole order is at most 1.
-    The series stop at order 1, since the residue reads only constant terms.
+    The series stop at order 0: at a simple pole the residue reads only the
+    constant terms of both series.
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
-        sign, shift = 1, x2 - x1      # (x2 - x) = (x2 - x1) - t
-        tsign = -1
+        sign = 1      # (x2 - x) = (x2 - x1) - t
     elif point.x == x2:
-        sign, shift = -1, x2 - x1     # (x - x1) = (x2 - x1) + t
-        tsign = 1
+        sign = -1     # (x - x1) = (x2 - x1) + t
     else:
         raise ValueError("residue_at expects a point over a pole abscissa")
 
-    order = 1
-    series = diff.curve.local_series(point, order)  # raises VerticalTangent
+    def element(v):
+        return v if isinstance(v, TowerElement) else diff.ctx.constant(v)
+
+    series = diff.curve.local_series(point, 0)  # raises VerticalTangent
     ycoeffs = [point.y] + list(series.coefficients)
-    num = _series_eval(diff.numerator_with(params), point.x, ycoeffs, order)
-    fy = _series_eval(diff.curve.fy, point.x, ycoeffs, order)
-    # D1(t) = (shift + tsign*t) * fy(t); the full denominator is t * D1(t)
-    d1 = [shift * c for c in fy]
-    for k in range(1, order + 1):
-        d1[k] = d1[k] + tsign * fy[k - 1]
-    d1 = [c if isinstance(c, TowerElement) else diff.ctx.constant(c) for c in d1]
-    if d1[0].is_zero():
+    num = element(_series_eval(diff.numerator_with(params), point.x, ycoeffs, 0)[0])
+    # the full denominator is t * D1(t) with D1(0) = (x2 - x1) * fy(0)
+    d1 = element((x2 - x1) * _series_eval(diff.curve.fy, point.x, ycoeffs, 0)[0])
+    if d1.is_zero():
         raise HigherOrderPole("denominator series has no constant term")
-    inv0 = d1[0].invert()
-    quot: list[TowerElement] = []
-    for k in range(order + 1):
-        acc = num[k] if isinstance(num[k], TowerElement) else diff.ctx.constant(num[k])
-        for j in range(k):
-            acc = acc - quot[j] * d1[k - j]
-        quot.append(acc * inv0)
-    # differential = sign * (quot[0]/t + quot[1] + ...) dt: simple pole only
-    return sign * quot[0]
+    # differential = sign * (num / D1(0) / t + O(1)) dt: simple pole only
+    return sign * (num * d1.invert())
 
 
 def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict]:

@@ -6,27 +6,38 @@ element is a multivariate polynomial in the generators, fully reduced so that
 the degree in t_j stays below deg(m_j); that reduced form is the canonical
 representative, so ring-level zero testing is purely syntactic.
 
+Elements store their reduced form as a dict of Fraction coefficients.  A
+product is computed in integers: each operand is scaled by the lcm of its
+denominators, monomials are packed into single ints so that multiplying two
+of them is one addition, and the raw product is reduced one present
+generator at a time, highest first, by substituting t_j^e (e >= deg m_j)
+from a per-generator cache of reduced powers held as integer numerators over
+one denominator.  One Fraction is built per output term.
+
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
 public predicates (is_zero, approximate) answer questions about the embedded
-complex value.  is_zero decides in four exact stages, cheapest first: the
-syntactic test on the reduced form; the normal form modulo the Cauchy
-modules of the element's generators, which proves the identities that hold
-because generators sharing a modulus denote distinct roots of it (sums over
-a section are symmetric functions of its roots); a certified disc that
-excludes zero; and, where none of those decides, the minimal polynomial of
-the multiplication operator.  Stored elements are only ever reduced by the
-individual moduli, so the Cauchy modules change no representation.  Moduli
-are never factored and no absolute minimal polynomial is ever computed;
-reducible moduli only surface when a zero divisor is inverted, which raises
-NotInvertible with a witness factor.
+complex value.  The decimal embedding evaluates every term in ball
+arithmetic, taking each generator's powers of its root ball from a cache on
+its descriptor that holds for one root approximation at one precision.
+is_zero decides in four exact stages, cheapest first: the syntactic test on
+the reduced form; the normal form modulo the Cauchy modules of the element's
+generators, which proves the identities that hold because generators sharing
+a modulus denote distinct roots of it (sums over a section are symmetric
+functions of its roots); a certified disc that excludes zero; and, where
+none of those decides, the minimal polynomial of the multiplication
+operator.  Stored elements are only ever reduced by the individual moduli,
+so the Cauchy modules change no representation.  Moduli are never factored
+and no absolute minimal polynomial is ever computed; reducible moduli only
+surface when a zero divisor is inverted, which raises NotInvertible with a
+witness factor.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import mpmath as mp
 
@@ -83,42 +94,51 @@ class ExtensionDescriptor:
         self.modulus = modulus
         self.root_id = root.index
         self._root = root
-        self._lock = threading.Lock()
-        # reduced forms of t^e, e >= d; reduced_power extends it on demand
-        self.power_table: dict[int, tuple[Fraction, ...]] = {
-            modulus.degree: tuple(-c for c in modulus.coeffs[:-1])}
+        # reduced t^e for e >= d as (integer numerators of t^0..t^(d-1),
+        # denominator), from t^d on; int_power extends it on demand
+        ints, _ = modulus.to_int_coeffs()
+        self._int_powers = [_lowest_terms([-c for c in ints[:-1]], ints[-1])]
+        # powers of the root's ball, for one RootApprox at one precision
+        self._balls: tuple = (None, 0, {})
 
     @property
     def degree(self) -> int:
         return self.modulus.degree
 
-    def reduced_power(self, e: int) -> tuple[Fraction, ...]:
+    def int_power(self, e: int) -> tuple[list[int], int]:
+        """Reduced form of t^e, e >= degree: numerators of t^0..t^(d-1) over
+        one positive denominator."""
+        rows = self._int_powers
         d = self.degree
-        if e in self.power_table:
-            return self.power_table[e]
-        with self._lock:
-            top = max(self.power_table)
-            prev = self.power_table[top]
-            base = self.power_table[d]
-            while top < e:
-                shifted = [Fraction(0)] + list(prev)
-                head = shifted.pop(d) if len(shifted) > d else Fraction(0)
-                nxt = [shifted[i] if i < len(shifted) else Fraction(0) for i in range(d)]
-                if head:
-                    nxt = [nxt[i] + head * base[i] for i in range(d)]
-                prev = tuple(nxt)
-                top += 1
-                self.power_table[top] = prev
-        return self.power_table[e]
+        base, q = rows[0]
+        while len(rows) <= e - d:
+            prev, den = rows[-1]
+            head = prev[-1]
+            rows.append(_lowest_terms(
+                [head * b + (prev[i - 1] * q if i else 0) for i, b in enumerate(base)],
+                den * q))
+        return rows[e - d]
+
+    def power_ball(self, root: RootApprox, e: int, prec: int) -> _Ball:
+        """The ball of root raised to e at working precision prec (call it
+        inside mp.workprec(prec)), computed once per root object and
+        precision: a refinement or another precision starts afresh."""
+        cached_root, cached_prec, balls = self._balls
+        if cached_root is not root or cached_prec != prec:
+            balls = {}
+            self._balls = (root, prec, balls)
+        ball = balls.get(e)
+        if ball is None:
+            ball = balls[e] = _Ball(root.center, root.radius).pow(e, prec)
+        return ball
 
     def approximation(self) -> RootApprox:
         return self._root
 
     def refine_to(self, target) -> RootApprox:
-        with self._lock:
-            if not self._root.radius < target:
-                self._root = refine_root(self.modulus, self._root, target)
-            return self._root
+        if not self._root.radius < target:
+            self._root = refine_root(self.modulus, self._root, target)
+        return self._root
 
     def serialize(self) -> dict:
         ints, _ = self.modulus.to_int_coeffs()
@@ -142,7 +162,10 @@ class TowerContext:
 
     def __init__(self):
         self.extensions: list[ExtensionDescriptor] = []
-        self._lock = threading.Lock()
+        self.degrees: tuple[int, ...] = ()
+        # bits per exponent in a packed monomial: holds any exponent of a
+        # product of two reduced elements
+        self.width = 1
         self._cauchy: dict[tuple[UPoly, int], tuple] = {}
 
     def __len__(self):
@@ -151,7 +174,7 @@ class TowerContext:
     def constant(self, value) -> "TowerElement":
         value = Fraction(value)
         terms = {(): value} if value else {}
-        return TowerElement(self, terms, reduce=False)
+        return TowerElement(self, terms)
 
     @property
     def zero(self) -> "TowerElement":
@@ -165,7 +188,7 @@ class TowerContext:
         if not 0 <= i < len(self.extensions):
             raise IndexError(f"no generator t{i} in this context")
         key = tuple([0] * i + [1])
-        return TowerElement(self, {key: Fraction(1)}, reduce=False)
+        return TowerElement(self, {key: Fraction(1)})
 
     def locate(self, modulus: UPoly, root_id: int) -> int | None:
         monic = modulus.monic()
@@ -189,9 +212,10 @@ class TowerContext:
         return rule
 
     def _append(self, ext: ExtensionDescriptor) -> int:
-        with self._lock:
-            self.extensions.append(ext)
-            return len(self.extensions) - 1
+        self.extensions.append(ext)
+        self.degrees += (ext.degree,)
+        self.width = max(self.width, (2 * ext.degree).bit_length())
+        return len(self.extensions) - 1
 
 
 def adjoin(ctx: TowerContext, modulus: UPoly, root_id: int) -> tuple[TowerContext, "TowerElement"]:
@@ -230,9 +254,9 @@ class TowerElement:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: TowerContext, terms: dict, reduce: bool = True):
+    def __init__(self, ctx: TowerContext, terms: dict):
         self.ctx = ctx
-        self.terms = _reduce_terms(ctx, terms) if reduce else terms
+        self.terms = terms
 
     # -- plumbing ---------------------------------------------------------
 
@@ -259,7 +283,7 @@ class TowerElement:
     # -- ring arithmetic --------------------------------------------------
 
     def __neg__(self):
-        return TowerElement(self.ctx, {k: -c for k, c in self.terms.items()}, reduce=False)
+        return TowerElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -272,7 +296,7 @@ class TowerElement:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return TowerElement(self.ctx, out, reduce=False)
+        return TowerElement(self.ctx, out)
 
     __radd__ = __add__
 
@@ -289,18 +313,35 @@ class TowerElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                if len(k1) < len(k2):
-                    k1e = k1 + (0,) * (len(k2) - len(k1))
-                    key = tuple(a + b for a, b in zip(k1e, k2))
-                else:
-                    k2e = k2 + (0,) * (len(k1) - len(k2))
-                    key = tuple(a + b for a, b in zip(k1, k2e))
-                key = _trim(key)
-                raw[key] = raw.get(key, Fraction(0)) + c1 * c2
-        return TowerElement(self.ctx, raw)
+        ctx = self.ctx
+        width = ctx.width
+        mask = (1 << width) - 1
+        a, den_a, seen_a = _packed(self.terms, width)
+        b, den_b, seen_b = _packed(o.terms, width)
+        raw: dict[int, int] = {}
+        get = raw.get
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = k1 + k2
+                raw[k] = get(k, 0) + c1 * c2
+        den = den_a * den_b
+        degrees = ctx.degrees
+        for j in range(len(degrees) - 1, -1, -1):
+            shift = j * width
+            # the fields of seen_* bound each operand's exponents of t_j
+            if ((seen_a >> shift) & mask) + ((seen_b >> shift) & mask) >= degrees[j]:
+                raw, scale = _reduce_generator(raw, ctx.extensions[j], degrees[j],
+                                               shift, mask)
+                den *= scale
+        terms = {}
+        for k, n in raw.items():
+            if n:
+                key = []
+                while k:
+                    key.append(k & mask)
+                    k >>= width
+                terms[tuple(key)] = Fraction(n, den)
+        return TowerElement(ctx, terms)
 
     __rmul__ = __mul__
 
@@ -323,8 +364,7 @@ class TowerElement:
             if other == 0:
                 raise ZeroDivision("division by zero")
             inv = Fraction(1, 1) / Fraction(other)
-            return TowerElement(self.ctx, {k: c * inv for k, c in self.terms.items()},
-                                reduce=False)
+            return TowerElement(self.ctx, {k: c * inv for k, c in self.terms.items()})
         return NotImplemented
 
     # -- structure --------------------------------------------------------
@@ -422,17 +462,15 @@ class TowerElement:
     def _ball(self, digits10: int) -> _Ball:
         prec = int(digits10 * 3.4) + 40
         target = mp.mpf(10) ** (-digits10)
-        gens: dict[int, RootApprox] = {}
-        for i in self.present_generators():
-            gens[i] = self.ctx.extensions[i].refine_to(target)
+        exts = self.ctx.extensions
+        roots = {i: exts[i].refine_to(target) for i in self.present_generators()}
         with mp.workprec(prec):
             acc = _Ball(mp.mpc(0), mp.mpf(0))
             for key, coeff in self.terms.items():
                 term = _Ball.from_fraction(coeff, prec)
                 for i, e in enumerate(key):
                     if e:
-                        root = gens[i]
-                        term = term.mul(_Ball(root.center, root.radius).pow(e, prec), prec)
+                        term = term.mul(exts[i].power_ball(roots[i], e, prec), prec)
                 acc = acc.add(term, prec)
             return acc
 
@@ -517,33 +555,58 @@ class TowerElement:
             return f"TowerElement({len(self.terms)} terms)"
 
 
-def _reduce_terms(ctx: TowerContext, raw: dict) -> dict:
-    """Canonical reduced form: degree in t_j below deg(m_j) for every j."""
-    out: dict = {}
-    stack = [(k, c) for k, c in raw.items() if c]
-    while stack:
-        key, coeff = stack.pop()
-        over = None
-        for i, e in enumerate(key):
-            if e >= ctx.extensions[i].degree:
-                over = i
-                break
-        if over is None:
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-            continue
-        ext = ctx.extensions[over]
-        repl = ext.reduced_power(key[over])
-        for e2, c2 in enumerate(repl):
-            if not c2:
-                continue
-            nk = list(key)
-            nk[over] = e2
-            stack.append((_trim(tuple(nk)), coeff * c2))
-    return out
+def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
+def _packed(terms: dict, width: int) -> tuple[list, int, int]:
+    """An element's terms as (packed monomial, integer numerator) pairs over
+    the lcm of its denominators, plus the OR of the packed monomials.
+
+    A monomial packs the exponent of t_j into bits j*width..(j+1)*width-1,
+    so multiplying monomials adds their packed forms.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    out = []
+    seen = 0
+    for key, c in terms.items():
+        k = 0
+        for e in reversed(key):
+            k = (k << width) | e
+        seen |= k
+        out.append((k, c.numerator * (den // c.denominator)))
+    return out, den, seen
+
+
+def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int, shift: int,
+                      mask: int) -> tuple[dict, int]:
+    """Replace every t^e with e >= d = deg(t) of the generator packed at
+    shift by its reduced form; returns the new numerators and the factor by
+    which their common denominator grew."""
+    out: dict[int, int] = {}
+    over = []
+    for k, c in raw.items():
+        e = (k >> shift) & mask
+        if e < d:
+            out[k] = c
+        elif c:
+            over.append((k - (e << shift), e, c))
+    if not over:
+        return out, 1
+    rows = {e: ext.int_power(e) for e in {e for _, e, _ in over}}
+    scale = lcm(*(q for _, q in rows.values()))
+    if scale != 1:
+        out = {k: c * scale for k, c in out.items()}
+    get = out.get
+    for base, e, c in over:
+        nums, q = rows[e]
+        c *= scale // q
+        for i, n in enumerate(nums):
+            if n:
+                k = base + (i << shift)
+                out[k] = get(k, 0) + c * n
+    return out, scale
 
 
 # -- Cauchy modules ---------------------------------------------------------
@@ -634,7 +697,7 @@ def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple) -> dict:
 def _as_coeff_lists(a: TowerElement, j: int) -> list[TowerElement]:
     """View a as a polynomial in generator j: list of coefficient elements
     (not involving t_j), lowest degree first."""
-    d = a.ctx.extensions[j].degree
+    d = a.ctx.degrees[j]
     buckets: list[dict] = [dict() for _ in range(d)]
     for key, c in a.terms.items():
         e = key[j] if len(key) > j else 0
@@ -642,7 +705,7 @@ def _as_coeff_lists(a: TowerElement, j: int) -> list[TowerElement]:
         if len(nk) > j:
             nk[j] = 0
         buckets[e][_trim(tuple(nk))] = c
-    return [TowerElement(a.ctx, b, reduce=False) for b in buckets]
+    return [TowerElement(a.ctx, b) for b in buckets]
 
 
 def _rp_strip(p: list[TowerElement]) -> list[TowerElement]:
@@ -678,7 +741,6 @@ def _invert(a: TowerElement) -> TowerElement:
     if not gens:
         return ctx.constant(Fraction(1) / a.terms[()])
     j = gens[-1]
-    d = ctx.extensions[j].degree
     m_list = [ctx.constant(c) for c in ctx.extensions[j].modulus.coeffs]
     a_list = _rp_strip(_as_coeff_lists(a, j))
 

@@ -207,6 +207,13 @@ def test_oversized_literal_rejected_with_an_error_document(capsys):
     assert doc["error"]["type"] == "InvalidArgument"
 
 
+@pytest.mark.parametrize("x1, x2", [("1" * 5000, "0"), ("0", "1/" + "1" * 5000)])
+def test_oversized_abscissa_rejected_with_an_error_document(capsys, x1, x2):
+    code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", x1, "--x2", x2])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
+
+
 def test_out_of_range_root_index_rejected(capsys):
     code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
                                    "--x2", "1/2", "--root1", "5"])

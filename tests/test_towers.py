@@ -67,6 +67,143 @@ def test_ring_axioms_randomized():
         assert a + b == b + a
 
 
+def _key(*exps):
+    """A monomial's key: its exponents without trailing zeros."""
+    exps = list(exps)
+    while exps and exps[-1] == 0:
+        exps.pop()
+    return tuple(exps)
+
+
+def _reference_product(ctx, a, b):
+    """The product by definition, in Fractions: multiply term by term, then
+    divide by each modulus m_j in turn, rewriting t_j^e -> t_j^e - t_j^(e-d)
+    m_j(t_j) from the highest exponent e >= d down."""
+    n = len(ctx)
+    terms = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(k1 + (0,) * (n - len(k1)),
+                                              k2 + (0,) * (n - len(k2))))
+            terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+    for j in range(n):
+        m = ctx.extensions[j].modulus.coeffs
+        d = len(m) - 1
+        for e in range(max((k[j] for k in terms), default=0), d - 1, -1):
+            for key in [k for k in terms if k[j] == e]:
+                c = terms.pop(key)
+                for i, mi in enumerate(m[:-1]):
+                    nk = key[:j] + (e - d + i,) + key[j + 1:]
+                    terms[nk] = terms.get(nk, Fraction(0)) - c * mi
+    return {_key(*key): c for key, c in terms.items() if c}
+
+
+def _random_modulus(rng, degree):
+    """A square-free rational modulus, not monic, with large coefficients."""
+    while True:
+        coeffs = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                  for _ in range(degree)]
+        coeffs.append(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        try:
+            adjoin(TowerContext(), UPoly(coeffs), 0)
+        except NotSquareFree:
+            continue
+        return UPoly(coeffs)
+
+
+def _random_element(rng, ctx, big):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        num = rng.randint(-10**30, 10**30) if big else rng.randint(-5, 5)
+        den = rng.randint(1, 10**25) if big else rng.randint(1, 4)
+        if num:
+            terms[_key(*(rng.randrange(d) for d in ctx.degrees))] = Fraction(num, den)
+    return TowerElement(ctx, terms)
+
+
+def _cofactor(ctx, j):
+    """(m_j(t_j) - m_j(0)) / t_j for the monic modulus m_j of t_j, so that
+    t_j times it is the rational -m_j(0)."""
+    m = ctx.extensions[j].modulus.coeffs
+    return TowerElement(ctx, {_key(*[0] * j, i - 1): c
+                              for i, c in enumerate(m) if i and c})
+
+
+def test_product_matches_fraction_reference():
+    rng = random.Random(20211)
+    for _ in range(24):
+        moduli = [_random_modulus(rng, rng.randint(2, 7))
+                  for _ in range(rng.randint(1, 3))]
+        ctx = TowerContext()
+        for _ in range(rng.randint(1, 4)):
+            # generators may share a modulus, with distinct roots or one root
+            modulus = rng.choice(moduli)
+            ctx, _ = adjoin(ctx, modulus, rng.randrange(modulus.degree))
+        for big in (False, True):
+            for _ in range(4):
+                a = _random_element(rng, ctx, big)
+                b = _random_element(rng, ctx, big)
+                assert (a * b).terms == _reference_product(ctx, a, b)
+        for j in range(len(ctx)):
+            t, b = ctx.generator(j), _cofactor(ctx, j)
+            assert (t * b).terms == _reference_product(ctx, t, b) == \
+                {(): -ctx.extensions[j].modulus.coeffs[0]}
+            b = 3 * b + t * t
+            assert (t * b).terms == _reference_product(ctx, t, b)
+
+
+def test_product_of_zero_divisors_is_zero():
+    # s, t roots of one modulus m: (t - s) * (m(t) - m(s)) / (t - s) = 0
+    m = UPoly([Fraction(-7, 3), Fraction(1, 5), 0, Fraction(9, 2)])
+    ctx = TowerContext()
+    ctx, s = adjoin(ctx, m, 0)
+    ctx, t = adjoin(ctx, m, 1)
+    q = TowerElement(ctx, {_key(e, i - 1 - e): mi for i, mi in
+                           enumerate(ctx.extensions[0].modulus.coeffs) if mi
+                           for e in range(i)})
+    assert q
+    assert not ((t - s) * q).terms
+    assert _reference_product(ctx, t - s, q) == {}
+
+
+def _uncached_ball(a, digits10):
+    """TowerElement._ball with every power of a root recomputed per term."""
+    prec = int(digits10 * 3.4) + 40
+    target = mp.mpf(10) ** (-digits10)
+    roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
+    with mp.workprec(prec):
+        acc = towers._Ball(mp.mpc(0), mp.mpf(0))
+        for key, coeff in a.terms.items():
+            term = towers._Ball.from_fraction(coeff, prec)
+            for i, e in enumerate(key):
+                if e:
+                    root = roots[i]
+                    term = term.mul(towers._Ball(root.center, root.radius).pow(e, prec),
+                                    prec)
+            acc = acc.add(term, prec)
+        return acc
+
+
+def test_ball_power_cache_is_bit_identical_and_invalidated():
+    ctx = TowerContext()
+    ctx, r2 = adjoin(ctx, SQRT2, 1)
+    ctx, c = adjoin(ctx, UPoly([-1, 2, 0, 0, 0, 1]), 3)
+    a = 3 * r2 * c ** 4 - Fraction(7, 5) * c ** 3 + r2 * c + Fraction(1, 9)
+
+    def check(digits):
+        got, ref = a._ball(digits), _uncached_ball(a, digits)
+        assert (got.c, got.r) == (ref.c, ref.r)
+
+    for digits in (15, 40, 15, 40):   # each change of precision starts afresh
+        check(digits)
+    ext = ctx.extensions[1]
+    before = ext.approximation()
+    ext.refine_to(mp.mpf(10) ** -80)  # a new root object at the same precision
+    assert ext.approximation() is not before
+    check(40)
+    assert ext._balls[0] is ext.approximation()
+
+
 def test_invert_sqrt2():
     ctx, r2 = adjoin(TowerContext(), SQRT2, 1)
     inv = r2.invert()
