@@ -10,7 +10,7 @@ numeric embedding for root selection and decimal output.
 from .curves import Curve, LocalSeries, Point, SmoothnessReport, smoothness_report
 from .differentials import (FirstKindBasis, HauptResult, LinearSystem,
                             ParametricDifferential, eval_u, first_kind_basis,
-                            haupt_eval, haupt_solve, residue_at, residue_certificates,
+                            haupt_solve, residue_at, residue_certificates,
                             third_kind, third_kind_system_naive,
                             third_kind_system_sym, unit_circle_pullback,
                             vandermonde_equivalence)
@@ -28,7 +28,7 @@ __all__ = [
     "LocalSeries", "ParametricDifferential", "Point", "RatMatrix",
     "SmoothnessReport", "SolveResult", "TowerContext", "TowerElement",
     "UPoly", "adjoin", "eval_bpoly", "eval_u", "ff_solve",
-    "first_kind_basis", "format_bpoly", "haupt_eval", "haupt_solve", "is_squarefree",
+    "first_kind_basis", "format_bpoly", "haupt_solve", "is_squarefree",
     "isolate_roots", "parse_poly", "poly_gcd", "power_sums", "residue_at",
     "residue_certificates", "resultant", "resultant_y", "separation_bound",
     "smoothness_report", "third_kind", "third_kind_system_naive",

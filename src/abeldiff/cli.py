@@ -31,6 +31,10 @@ from .towers import TowerContext
 
 SCHEMA = "weier/1"
 
+# Largest --digits accepted: 10000 digits take seconds per request, 100000
+# take minutes.
+MAX_DIGITS = 10000
+
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -138,6 +142,9 @@ def run(req: Request) -> tuple[dict, bool]:
     }
     if req.digits < 1:
         raise InvalidArgument(f"--digits must be at least 1, got {req.digits}")
+    if req.digits > MAX_DIGITS:
+        raise InvalidArgument(
+            f"--digits must be at most {MAX_DIGITS}, got {req.digits}")
     if len(req.roota or []) > len(req.a or []):
         raise InvalidArgument(
             f"more --roota values ({len(req.roota)}) than --a poles "

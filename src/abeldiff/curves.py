@@ -54,7 +54,6 @@ class Curve:
             raise ValueError("curve polynomial must be nonzero and nonconstant")
         self.f = f
         self.r = f.total_degree
-        self.fx = f.partial_x()
         self.fy = f.partial_y()
         self.report: SmoothnessReport | None = None
         if not assume_smooth:
@@ -84,9 +83,6 @@ class Curve:
 
     def fy_at(self, p: "Point") -> TowerElement:
         return eval_bpoly(self.fy, p.x, p.y)
-
-    def fx_at(self, p: "Point") -> TowerElement:
-        return eval_bpoly(self.fx, p.x, p.y)
 
     def local_series(self, p: "Point", order: int) -> "LocalSeries":
         """Uniformization y = y0 + c1 t + ... + cn t^n with x = x0 + t.

@@ -20,9 +20,16 @@ right-hand side 0 makes the system nonsingular: its unique solution is the
 numerator orthogonal to the first-kind space under the monomial inner
 product, and one fraction-free solve yields it.
 
-Every constructed differential is certified fail-closed by an independent
-residue oracle that substitutes the local power series at each section point
-and reads the t^{-1} coefficient.
+Every condition is stated on the numerator E, never on the rational
+function u = E / ((x - x1)(x2 - x) f_y): f_y is a unit at every point of a
+square-free section, and haupt_solve checks it nonzero exactly at every
+auxiliary pole, so f_y changes no condition and is inverted only where a
+value is returned.  Every constructed differential is certified fail-closed
+by an independent residue oracle: at each section point over a pole
+abscissa it checks f_y != 0 exactly and compares E / ((x2 - x1) f_y) with
+the expected residue.  The fundamental function fixes the free parameters
+so that E vanishes at the auxiliary poles, and evaluates u only at the
+evaluation point.
 """
 
 from __future__ import annotations
@@ -30,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import Curve, Point, _series_eval
+from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
-                     HigherOrderPole, Inconsistent, SameAbscissa,
-                     VerificationFailed)
+                     Inconsistent, SameAbscissa, VerificationFailed)
 from .linsolve import RatMatrix, ff_solve, vandermonde
 from .polys import BPoly, UPoly, power_sums
 from .towers import TowerContext, TowerElement, eval_bpoly
@@ -75,7 +81,6 @@ class LinearSystem:
     ("residue", i, root_id) for the residue normalization at pole i.
     """
 
-    kind: str                      # "naive" | "symmetrized"
     matrix: list                   # rows; Fractions for symmetrized
     rhs: list
     labels: list[str]              # c0, c1, ... in graded monomial order
@@ -139,7 +144,7 @@ def third_kind_system_naive(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
         matrix.append([eval_bpoly(BPoly({m: 1}), pole.x, pole.y) for m in monos])
         rhs.append(dx * curve.fy_at(pole))
         tags.append(("residue", i, pole_idx))
-    return LinearSystem("naive", matrix, rhs,
+    return LinearSystem(matrix, rhs,
                         [f"c{k}" for k in range(len(monos))], monos, tags)
 
 
@@ -163,7 +168,7 @@ def third_kind_system_sym(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
             rhs.append(ypow * fyv)
             tags.append(("power", i, k))
             ypow = ypow * pole.y
-    return LinearSystem("symmetrized", matrix, rhs,
+    return LinearSystem(matrix, rhs,
                         [f"c{k}" for k in range(len(monos))], monos, tags)
 
 
@@ -176,12 +181,13 @@ def _pole_factor(x1, x2) -> BPoly:
 class ParametricDifferential:
     """A third-kind differential family E(c) dx / ((x-x1)(x2-x) f_y).
 
-    The assigned numerator is base_numerator plus, for each free parameter,
-    the corresponding first-kind numerator times (x-x1)(x2-x) — adding a
-    multiple of (x-x1)(x2-x)*m with deg m <= r-3 is exactly adding the
-    first-kind differential m dx / f_y.  Residues are +1 at pole1, -1 at
-    pole2 and 0 at the remaining section points for every assignment.
-    certificates holds the residue-oracle verdicts that third_kind checked.
+    The assigned numerator E(c) is base_numerator plus, for each free
+    parameter, the corresponding first-kind numerator times (x-x1)(x2-x) —
+    adding a multiple of (x-x1)(x2-x)*m with deg m <= r-3 is exactly adding
+    the first-kind differential m dx / f_y, which changes E at no section
+    point over x1 or x2.  So residues are +1 at pole1, -1 at pole2 and 0 at
+    the remaining section points for every assignment.  certificates holds
+    the residue-oracle verdicts that third_kind checked.
     """
 
     curve: Curve
@@ -227,15 +233,16 @@ class ParametricDifferential:
 
 def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     """Construct the third-kind family and certify all residues with the
-    local-series oracle.
+    residue oracle.
 
-    The base numerator is the unique solution of the symmetrized system
-    stacked with the embedded first-kind vectors as rows with right-hand side
-    0 (see the module docstring).  Each embedded vector is first checked
-    exactly to solve the homogeneous system; full column rank of the stacked
-    system then certifies that the nullspace is exactly the embedded
-    first-kind space.  Inconsistent is raised when either fails.  The
-    oracle's verdicts are returned in the family's certificates;
+    The base numerator E is the unique solution of the symmetrized
+    conditions on E (vanishing at the non-pole section points, (x2 - x1) f_y
+    at the poles) stacked with the embedded first-kind vectors as rows with
+    right-hand side 0 (see the module docstring).  Each embedded vector is
+    first checked exactly to solve the homogeneous system; full column rank
+    of the stacked system then certifies that the nullspace is exactly the
+    embedded first-kind space.  Inconsistent is raised when either fails.
+    The oracle's verdicts are returned in the family's certificates;
     VerificationFailed is raised when any of them fails."""
     pp = _prepare(curve, p1, p2)
     system = third_kind_system_sym(curve, pp.pole1, pp.pole2)
@@ -276,11 +283,12 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
 def residue_at(diff: ParametricDifferential, point: Point,
                params=None) -> TowerElement:
     """Residue of the assigned differential at a section point over either
-    pole abscissa, computed independently of the construction: substitute
-    the local series into numerator and denominator and read the t^{-1}
-    coefficient.  Certifies along the way that the pole order is at most 1.
-    The series stop at order 0: at a simple pole the residue reads only the
-    constant terms of both series.
+    pole abscissa, computed independently of the construction.
+
+    With x = x0 + t the denominator is t * D1(t) with D1(0) = (x2 - x1) *
+    f_y(point), and f_y(point) != 0 is checked exactly first
+    (VerticalTangent), so the pole is simple and the residue is
+    sign * E(point) / ((x2 - x1) * f_y(point)).
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
@@ -289,19 +297,9 @@ def residue_at(diff: ParametricDifferential, point: Point,
         sign = -1     # (x - x1) = (x2 - x1) + t
     else:
         raise ValueError("residue_at expects a point over a pole abscissa")
-
-    def element(v):
-        return v if isinstance(v, TowerElement) else diff.ctx.constant(v)
-
-    series = diff.curve.local_series(point, 0)  # raises VerticalTangent
-    ycoeffs = [point.y] + list(series.coefficients)
-    num = element(_series_eval(diff.numerator_with(params), point.x, ycoeffs, 0)[0])
-    # the full denominator is t * D1(t) with D1(0) = (x2 - x1) * fy(0)
-    d1 = element((x2 - x1) * _series_eval(diff.curve.fy, point.x, ycoeffs, 0)[0])
-    if d1.is_zero():
-        raise HigherOrderPole("denominator series has no constant term")
-    # differential = sign * (num / D1(0) / t + O(1)) dt: simple pole only
-    return sign * (num * d1.invert())
+    diff.curve.local_series(point, 0)  # raises VerticalTangent
+    num = eval_bpoly(diff.numerator_with(params), point.x, point.y)
+    return sign * (num * ((x2 - x1) * diff.curve.fy_at(point)).invert())
 
 
 def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict]:
@@ -340,19 +338,13 @@ def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict
 def eval_u(diff: ParametricDifferential, point: Point, params=None) -> TowerElement:
     """Exact value of the rational function u at a point away from the pole
     abscissas."""
-    return _eval_u(diff, diff.numerator_with(params), point)
-
-
-def _eval_u(diff: ParametricDifferential, numerator: BPoly,
-            point: Point) -> TowerElement:
-    """eval_u with the assigned numerator already built."""
     if point.x == diff.pole1.x or point.x == diff.pole2.x:
         raise EvaluationAtPole(f"x = {point.x} is a pole abscissa")
     fyv = diff.curve.fy_at(point)
     if fyv.is_zero():
         raise EvaluationAtPole("f_y vanishes at the evaluation point")
     denom = (point.x - diff.pole1.x) * (diff.pole2.x - point.x) * fyv
-    return eval_bpoly(numerator, point.x, point.y) * denom.invert()
+    return eval_bpoly(diff.numerator_with(params), point.x, point.y) * denom.invert()
 
 
 # -- fundamental function ---------------------------------------------------
@@ -365,12 +357,6 @@ class HauptResult:
     differential: ParametricDifferential
 
 
-def haupt_eval(curve: Curve, p1: Point, p2: Point, p_prime: Point,
-               poles: list[Point]) -> TowerElement:
-    """Value of the fundamental function at p1 (see haupt_solve)."""
-    return haupt_solve(curve, p1, p2, p_prime, poles).value
-
-
 def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
                 poles: list[Point]) -> HauptResult:
     """Value of the fundamental function at p1: the function with simple
@@ -378,10 +364,15 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
     normalized to vanish at p2.
 
     Steps: construct the third-kind family for (p1, p2), which certifies
-    its residues; fix its free parameters so the function vanishes at every
-    auxiliary pole, checked exactly (VerificationFailed otherwise); evaluate
-    at p_prime.  The result carries the determined parameters and the
-    underlying third-kind family alongside the value.
+    its residues; fix its free parameters so the assigned numerator E
+    vanishes at every auxiliary pole; evaluate u at p_prime.  Row q of the
+    parameter system holds the first-kind numerators at q, with right-hand
+    side -E_base(q) / ((q.x - x1)(x2 - q.x)): the condition u(q) = 0 times
+    f_y(q), a unit at every point with f_y(q) != 0 (checked exactly first,
+    EvaluationAtPole otherwise).  The vanishing of E at every auxiliary pole
+    is then checked exactly (VerificationFailed otherwise).  The result
+    carries the determined parameters and the underlying third-kind family
+    alongside the value.
     """
     p = curve.genus()
     if len(poles) != p:
@@ -391,21 +382,24 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
         raise SameAbscissa("all chosen abscissas must be pairwise distinct")
 
     diff = third_kind(curve, p1, p2)
+    x1, x2 = diff.pole1.x, diff.pole2.x
     params: list = []
     if p:
-        fkb = diff.first_kind_numerators
         rows, rhs = [], []
         for q in poles:
-            fy_inv = curve.fy_at(q).invert()
-            rows.append([eval_bpoly(mono, q.x, q.y) * fy_inv for mono in fkb])
-            rhs.append(-eval_u(diff, q))
+            if curve.fy_at(q).is_zero():
+                raise EvaluationAtPole(f"f_y vanishes at auxiliary pole x = {q.x}")
+            rows.append([eval_bpoly(mono, q.x, q.y)
+                         for mono in diff.first_kind_numerators])
+            rhs.append(-eval_bpoly(diff.base_numerator, q.x, q.y)
+                       / ((q.x - x1) * (x2 - q.x)))
         params = _solve_tower(rows, rhs)
     numerator = diff.numerator_with(params)
     for q in poles:
-        if not _eval_u(diff, numerator, q).is_zero():
+        if not eval_bpoly(numerator, q.x, q.y).is_zero():
             raise VerificationFailed(
                 f"assigned differential does not vanish at x = {q.x}")
-    value = _eval_u(diff, numerator, p_prime)
+    value = eval_u(diff, p_prime, params)
     return HauptResult(value=value, parameters=params, differential=diff)
 
 

@@ -109,10 +109,6 @@ class VerificationFailed(AbeldiffError):
     exit_code = 14
 
 
-class HigherOrderPole(AbeldiffError):
-    exit_code = 15
-
-
 class NotSquareFree(AbeldiffError):
     exit_code = 16
 

@@ -35,14 +35,6 @@ class UPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c) -> "UPoly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -126,12 +118,6 @@ class UPoly:
             base = base * base
             n >>= 1
         return result
-
-    def shift(self, k: int) -> "UPoly":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return UPoly([Fraction(0)] * k + list(self.coeffs))
 
     def derivative(self) -> "UPoly":
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -10,7 +10,7 @@ import pytest
 
 from abeldiff import cli
 from abeldiff.curves import Curve
-from abeldiff.differentials import (eval_u, haupt_eval, haupt_solve,
+from abeldiff.differentials import (eval_u, haupt_solve,
                                     residue_certificates,
                                     third_kind, third_kind_system_naive,
                                     third_kind_system_sym,

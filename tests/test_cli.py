@@ -10,6 +10,7 @@ from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
 
 CUBIC = "x^3-y^3+2*x*y+x-2*y+1"
 CIRCLE = "x^2+y^2-1"
+DENSE_QUARTIC = "y^4+y-2-170*x+4*x*y-4*x*y^2+2*x*y^3+94*x^2-14*x^3-3*x^3*y+x^4"
 
 
 def _run_json(capsys, argv):
@@ -186,6 +187,15 @@ def test_nonpositive_digits_rejected(capsys, digits):
     assert doc["error"]["type"] == "InvalidArgument"
 
 
+@pytest.mark.parametrize("digits", ["10001", "100000"])
+def test_digits_above_the_cap_rejected(capsys, digits):
+    # 100000 digits ran for minutes before the cap of 10000
+    code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
+                                   "--x2", "1/2", "--digits", digits])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
+
+
 def test_surplus_roota_rejected(capsys):
     code, doc = _run_json(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1",
                                    "--xp", "3", "--a=2", "--roota", "0",
@@ -258,6 +268,14 @@ DIGESTS = {
         "80e47b4eece7d555ae41bcdb0a0e45bc57d1e6f5fbdc2df3654f377705dbf52a",
     "third-kind -f x^2+y^2-1 --x1 0 --x2 1/2 --root1 5":
         "7bf332b7b2ffdee196a062da5492577cb353c6509c3318ec269ff2046ffb0606",
+    # the NotInvertible error document (exit 11, ROADMAP item 3)
+    f"haupt -f {DENSE_QUARTIC} --x1 2 --x2 3 --xp 5 --a 0 --a 4 --a 6":
+        "b1aaa7a9f443cd77de6c78cec0da35652898fde59c8b03a9f2d66477e20f5c3d",
+    f"haupt -f {DENSE_QUARTIC} --x1=1/3 --x2=5/2 --xp=0 --a=-2/3 --a=7/3 --a=3 "
+    "--digits 60":
+        "2c2ba799802d6010b9b953a01abac10cb4e483207e5060bb615f96ff45853a44",
+    "haupt -f x^4+y^4-1 --x1 0 --x2 2 --xp 3 --a 4 --a 5 --a 6":
+        "93afc582e4333ddc8458c505208ed2262dbb01566dee9f39515b5ff8645a876a",
 }
 
 

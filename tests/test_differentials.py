@@ -6,7 +6,7 @@ import pytest
 from abeldiff import differentials, linsolve
 from abeldiff.curves import Curve, Point
 from abeldiff.differentials import (FirstKindBasis, eval_u, first_kind_basis,
-                                    haupt_eval, haupt_solve,
+                                    haupt_solve,
                                     monomials_upto, residue_at,
                                     residue_certificates, third_kind,
                                     third_kind_system_naive,
@@ -17,7 +17,7 @@ from abeldiff.errors import (DegeneratePoints, EvaluationAtPole, Inconsistent,
                              MultipleRoots, SameAbscissa)
 from abeldiff.linsolve import rank
 from abeldiff.polys import BPoly
-from abeldiff.towers import TowerContext
+from abeldiff.towers import TowerContext, TowerElement
 from tests.conftest import CUBIC_TERMS, QUARTIC_TERMS
 
 
@@ -233,16 +233,31 @@ def test_haupt_cubic(cubic):
     assert not res.value.is_zero()
 
 
-def test_haupt_eval_returns_tower_element(cubic):
-    from abeldiff.towers import TowerElement
+def test_haupt_solve_inverts_only_residues_pivots_and_value(cubic, monkeypatch):
+    # one inversion per residue (2r), per pivot (p) and for the value:
+    # the parameter rows hold no inverse of f_y
     ctx = TowerContext()
-    p1 = cubic.section_roots(0, ctx)[0]
-    p2 = cubic.section_roots(1, ctx)[0]
-    a1 = cubic.section_roots(2, ctx)[0]
-    pp = cubic.section_roots(3, ctx)[0]
-    value = haupt_eval(cubic, p1, p2, pp, [a1])
-    assert isinstance(value, TowerElement)
-    assert (value - haupt_solve(cubic, p1, p2, pp, [a1]).value).is_zero()
+    p1, p2, a1, pp = (cubic.section_roots(x, ctx)[0] for x in (0, 1, 2, 3))
+    calls = []
+    real_invert = TowerElement.invert
+
+    def counted(self):
+        calls.append(self)
+        return real_invert(self)
+    monkeypatch.setattr(TowerElement, "invert", counted)
+    haupt_solve(cubic, p1, p2, pp, [a1])
+    assert len(calls) == 2 * cubic.r + cubic.genus() + 1 == 8
+
+
+def test_auxiliary_pole_at_vertical_tangent_rejected():
+    # the section over x = 0 is (y-1)^2 (y+2), so the point (0, 1) can only
+    # be built by hand; f_y = 3y^2 - 3 vanishes there
+    curve = Curve(BPoly({(0, 3): 1, (0, 1): -3, (0, 0): 2, (3, 0): -1, (1, 0): 1}))
+    ctx = TowerContext()
+    p1, p2, pp = (curve.section_roots(x, ctx)[0] for x in (2, 3, 5))
+    tangent = Point(curve, 0, ctx.constant(1))
+    with pytest.raises(EvaluationAtPole):
+        haupt_solve(curve, p1, p2, pp, [tangent])
 
 
 def test_haupt_genus_zero_equals_direct_evaluation(circle, circle_diff):
@@ -257,7 +272,7 @@ def test_haupt_wrong_pole_count(cubic, cubic_setup):
     ctx, p1, p2 = cubic_setup
     pp = cubic.section_roots(3, ctx)[0]
     with pytest.raises(DegeneratePoints):
-        haupt_eval(cubic, p1, p2, pp, [])
+        haupt_solve(cubic, p1, p2, pp, [])
 
 
 def test_haupt_duplicate_abscissas_rejected(cubic, cubic_setup):
@@ -265,7 +280,7 @@ def test_haupt_duplicate_abscissas_rejected(cubic, cubic_setup):
     pp = cubic.section_roots(3, ctx)[0]
     a_dup = cubic.section_roots(3, ctx)[1]
     with pytest.raises(SameAbscissa):
-        haupt_eval(cubic, p1, p2, pp, [a_dup])
+        haupt_solve(cubic, p1, p2, pp, [a_dup])
 
 
 def test_solve_tower_singular_raises(cubic_setup):
