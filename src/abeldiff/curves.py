@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegreeDrop, IrrationalAbscissaUnsupported, MultipleRoots,
-                     NotSmooth, PointNotOnCurve, VerticalTangent)
+from .errors import (DegreeDrop, InvalidArgument, IrrationalAbscissaUnsupported,
+                     MultipleRoots, NotSmooth, PointNotOnCurve, VerticalTangent,
+                     ZeroPolynomial)
 from .polys import BPoly, UPoly, is_squarefree, poly_gcd, resultant_y
 from .towers import TowerContext, TowerElement, eval_bpoly, locate_or_adjoin
 
@@ -50,8 +51,10 @@ class Curve:
     """
 
     def __init__(self, f: BPoly, assume_smooth: bool = False):
-        if f.is_zero or f.total_degree < 1:
-            raise ValueError("curve polynomial must be nonzero and nonconstant")
+        if f.is_zero:
+            raise ZeroPolynomial("the curve polynomial is zero")
+        if f.total_degree < 1:
+            raise InvalidArgument("the curve polynomial is a nonzero constant")
         self.f = f
         self.r = f.total_degree
         self.fy = f.partial_y()

@@ -153,7 +153,11 @@ def third_kind_system_sym(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
     of the point conditions weighted by the k-th power of the ordinate.  The
     unknowns' coefficients become power sums of the section polynomial, hence
     rational; only the right-hand side touches the pole ordinates."""
-    pp = _prepare(curve, p1, p2)
+    return _symmetrized_system(_prepare(curve, p1, p2))
+
+
+def _symmetrized_system(pp: _PolePair) -> LinearSystem:
+    curve = pp.curve
     r = curve.r
     monos = monomials_upto(r - 1)
     dx = pp.pole2.x - pp.pole1.x
@@ -245,7 +249,7 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     The oracle's verdicts are returned in the family's certificates;
     VerificationFailed is raised when any of them fails."""
     pp = _prepare(curve, p1, p2)
-    system = third_kind_system_sym(curve, pp.pole1, pp.pole2)
+    system = _symmetrized_system(pp)
     monos = system.monomials
     fkb = first_kind_basis(curve)
     pf = _pole_factor(pp.pole1.x, pp.pole2.x)
@@ -335,16 +339,20 @@ def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict
     return out
 
 
-def eval_u(diff: ParametricDifferential, point: Point, params=None) -> TowerElement:
+def eval_u(diff: ParametricDifferential, point: Point,
+           numerator: BPoly | None = None) -> TowerElement:
     """Exact value of the rational function u at a point away from the pole
-    abscissas."""
+    abscissas, for the assigned numerator E (diff.numerator_with(params);
+    the base numerator by default)."""
     if point.x == diff.pole1.x or point.x == diff.pole2.x:
         raise EvaluationAtPole(f"x = {point.x} is a pole abscissa")
     fyv = diff.curve.fy_at(point)
     if fyv.is_zero():
         raise EvaluationAtPole("f_y vanishes at the evaluation point")
     denom = (point.x - diff.pole1.x) * (diff.pole2.x - point.x) * fyv
-    return eval_bpoly(diff.numerator_with(params), point.x, point.y) * denom.invert()
+    if numerator is None:
+        numerator = diff.base_numerator
+    return eval_bpoly(numerator, point.x, point.y) * denom.invert()
 
 
 # -- fundamental function ---------------------------------------------------
@@ -399,7 +407,7 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
         if not eval_bpoly(numerator, q.x, q.y).is_zero():
             raise VerificationFailed(
                 f"assigned differential does not vanish at x = {q.x}")
-    value = eval_u(diff, p_prime, params)
+    value = eval_u(diff, p_prime, numerator)
     return HauptResult(value=value, parameters=params, differential=diff)
 
 

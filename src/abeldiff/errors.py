@@ -35,8 +35,9 @@ class UnknownVariable(AbeldiffError):
 
 
 class InvalidArgument(AbeldiffError):
-    """A command-line value parsed but is out of range, or a repeated
-    option was given more often than its partner option."""
+    """A command-line value parsed but is out of range (a constant curve
+    among them), or a repeated option was given more often than its partner
+    option."""
 
     exit_code = 2
 

@@ -12,14 +12,20 @@ denominators, monomials are packed into single ints so that multiplying two
 of them is one addition, and the raw product is reduced one present
 generator at a time, highest first, by substituting t_j^e (e >= deg m_j)
 from a per-generator cache of reduced powers held as integer numerators over
-one denominator.  One Fraction is built per output term.
+one denominator.  One Fraction is built per output term.  A product with a
+rational constant (or zero) skips all of that: it scales the other
+operand's terms one by one, which gives the same terms in the same order.
 
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
 public predicates (is_zero, approximate) answer questions about the embedded
 complex value.  The decimal embedding evaluates every term in ball
 arithmetic, taking each generator's powers of its root ball from a cache on
-its descriptor that holds for one root approximation at one precision.
+its descriptor that holds for one root approximation at one precision.  A
+ball's center is an mpc at the working precision; its radius is a 30-bit
+float rounded upward, grown from a cheap upper bound on each center's
+magnitude (at most 1.12 times it) instead of a full-precision absolute
+value, so the radius costs a few small-integer operations per step.
 is_zero decides in four exact stages, cheapest first: the syntactic test on
 the reduced form; the normal form modulo the Cauchy modules of the element's
 generators, which proves the identities that hold because generators sharing
@@ -40,6 +46,8 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import mpmath as mp
+from mpmath.libmp import (fone, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_pos,
+                          mpf_shift, round_up)
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
@@ -47,29 +55,77 @@ from .polys import BPoly, UPoly
 from .roots import RootApprox, isolate_roots, refine_root
 
 
+# bits of a ball's radius; every radius operation rounds upward
+_RADIUS_BITS = 30
+
+
+def _upper_abs(c) -> tuple:
+    """An upper bound on |c| for an mpc c as a raw radius: max(|re|, |im|) +
+    min(|re|, |im|)/2, which is at least |c| and at most 1.12 |c|."""
+    re, im = c._mpc_
+    re, im = mpf_abs(re), mpf_abs(im)
+    if mpf_cmp(re, im) < 0:
+        re, im = im, re
+    return mpf_add(re, mpf_shift(im, -1), _RADIUS_BITS, round_up)
+
+
+def _slop(mag: tuple, shift: int) -> tuple:
+    """(1 + mag) * 2^shift, rounded upward: the rounding error of one
+    operation whose result has magnitude at most mag."""
+    return mpf_shift(mpf_add(fone, mag, _RADIUS_BITS, round_up), shift)
+
+
 class _Ball:
     """Complex disc (center, radius) with rounding slop folded into the
-    radius after every operation."""
+    radius after every operation.
 
-    __slots__ = ("c", "r")
+    The center is an mpc at the working precision.  The radius is a raw mpf
+    of _RADIUS_BITS bits, computed in upward rounding from upper bounds on
+    the centers' magnitudes (each ball keeps its own, from _upper_abs), so
+    it never falls below the exact radius formula.  The constructor takes
+    the radius as an mpf, and r reads it back as one.
+    """
+
+    __slots__ = ("c", "_r", "_m")
 
     def __init__(self, c, r):
         self.c = c
-        self.r = r
+        self._r = mpf_pos(r._mpf_, _RADIUS_BITS, round_up)
+        self._m = _upper_abs(c)
+
+    @property
+    def r(self):
+        return mp.mpf(self._r)
+
+    @staticmethod
+    def _raw(c, r: tuple, m: tuple) -> "_Ball":
+        ball = _Ball.__new__(_Ball)
+        ball.c = c
+        ball._r = r
+        ball._m = m
+        return ball
 
     @staticmethod
     def from_fraction(fr: Fraction, prec: int) -> "_Ball":
         c = mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
-        return _Ball(mp.mpc(c), mp.ldexp(1 + abs(c), 4 - prec))
+        m = mpf_abs(c._mpf_, _RADIUS_BITS, round_up)
+        return _Ball._raw(mp.mpc(c), _slop(m, 4 - prec), m)
 
     def add(self, other: "_Ball", prec: int) -> "_Ball":
         c = self.c + other.c
-        return _Ball(c, self.r + other.r + mp.ldexp(1 + abs(c), 6 - prec))
+        m = _upper_abs(c)
+        r = mpf_add(self._r, other._r, _RADIUS_BITS, round_up)
+        return _Ball._raw(c, mpf_add(r, _slop(m, 6 - prec), _RADIUS_BITS, round_up), m)
 
     def mul(self, other: "_Ball", prec: int) -> "_Ball":
         c = self.c * other.c
-        r = abs(self.c) * other.r + abs(other.c) * self.r + self.r * other.r
-        return _Ball(c, r + mp.ldexp(1 + abs(c), 6 - prec))
+        m = _upper_abs(c)
+        r1, r2 = self._r, other._r
+        r = mpf_add(mpf_mul(self._m, r2, _RADIUS_BITS, round_up),
+                    mpf_mul(other._m, r1, _RADIUS_BITS, round_up),
+                    _RADIUS_BITS, round_up)
+        r = mpf_add(r, mpf_mul(r1, r2, _RADIUS_BITS, round_up), _RADIUS_BITS, round_up)
+        return _Ball._raw(c, mpf_add(r, _slop(m, 6 - prec), _RADIUS_BITS, round_up), m)
 
     def pow(self, e: int, prec: int) -> "_Ball":
         out = _Ball(mp.mpc(1), mp.mpf(0))
@@ -187,6 +243,10 @@ class TowerContext:
     def generator(self, i: int) -> "TowerElement":
         if not 0 <= i < len(self.extensions):
             raise IndexError(f"no generator t{i} in this context")
+        modulus = self.extensions[i].modulus
+        if modulus.degree == 1:
+            # reduced form of t modulo the monic t + m_0: the root itself
+            return self.constant(-modulus.coeffs[0])
         key = tuple([0] * i + [1])
         return TowerElement(self, {key: Fraction(1)})
 
@@ -314,10 +374,20 @@ class TowerElement:
         if o is None:
             return NotImplemented
         ctx = self.ctx
+        a, b = self.terms, o.terms
+        if not a or not b:
+            return TowerElement(ctx, {})
+        if len(b) == 1 and () in b:
+            a, b = b, a
+        if len(a) == 1 and () in a:
+            # a rational constant scales the other operand term by term, in
+            # its order: the terms and order the packed product gives
+            s = a[()]
+            return TowerElement(ctx, {k: c * s for k, c in b.items()})
         width = ctx.width
         mask = (1 << width) - 1
-        a, den_a, seen_a = _packed(self.terms, width)
-        b, den_b, seen_b = _packed(o.terms, width)
+        a, den_a, seen_a = _packed(a, width)
+        b, den_b, seen_b = _packed(b, width)
         raw: dict[int, int] = {}
         get = raw.get
         for k1, c1 in a:

@@ -142,6 +142,33 @@ def test_genus_on_singular_curve_exits_not_smooth(capsys):
     assert doc["error"]["type"] == "NotSmooth"
 
 
+@pytest.mark.parametrize("argv, error, code", [
+    (["genus", "-f", "0"], "ZeroPolynomial", 17),
+    (["genus", "-f", "x-x"], "ZeroPolynomial", 17),
+    (["genus", "-f", "1"], "InvalidArgument", 2),
+    (["first-kind", "-f", "5"], "InvalidArgument", 2),
+    (["third-kind", "-f", "3", "--x1", "0", "--x2", "1"], "InvalidArgument", 2),
+])
+def test_constant_or_zero_curve_rejected_with_an_error_document(capsys, argv, error, code):
+    # these ended in a ValueError traceback from Curve
+    got, doc = _run_json(capsys, argv)
+    assert got == code
+    assert doc["error"]["type"] == error
+    assert doc["error"]["exit_code"] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["third-kind", "-f", "x+y", "--x1", "0", "--x2", "1"],
+    ["verify", "-f", "2*x-3*y+1", "--x1=1/3", "--x2=-2"],
+    ["haupt", "-f", "2*x-3*y+1", "--x1", "0", "--x2", "1", "--xp", "2"],
+])
+def test_lines_are_answered(capsys, argv):
+    # a line's ordinates are generators of degree-1 moduli
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert all(v["ok"] for v in doc["verification"])
+
+
 def test_parse_error_exit_code(capsys):
     code, doc = _run_json(capsys, ["genus", "-f", "x^3-y^3+2xy"])
     assert code == 2

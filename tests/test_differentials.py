@@ -5,8 +5,8 @@ import pytest
 
 from abeldiff import differentials, linsolve
 from abeldiff.curves import Curve, Point
-from abeldiff.differentials import (FirstKindBasis, eval_u, first_kind_basis,
-                                    haupt_solve,
+from abeldiff.differentials import (FirstKindBasis, ParametricDifferential,
+                                    eval_u, first_kind_basis, haupt_solve,
                                     monomials_upto, residue_at,
                                     residue_certificates, third_kind,
                                     third_kind_system_naive,
@@ -228,7 +228,8 @@ def test_haupt_cubic(cubic):
     pp = cubic.section_roots(3, ctx)[0]
     res = haupt_solve(cubic, p1, p2, pp, [a1])
     # the step-2 assignment makes u vanish exactly at the auxiliary pole
-    assert eval_u(res.differential, a1, res.parameters).is_zero()
+    assert eval_u(res.differential, a1,
+                  res.differential.numerator_with(res.parameters)).is_zero()
     assert len(res.parameters) == 1
     assert not res.value.is_zero()
 
@@ -247,6 +248,21 @@ def test_haupt_solve_inverts_only_residues_pivots_and_value(cubic, monkeypatch):
     monkeypatch.setattr(TowerElement, "invert", counted)
     haupt_solve(cubic, p1, p2, pp, [a1])
     assert len(calls) == 2 * cubic.r + cubic.genus() + 1 == 8
+
+
+def test_haupt_solve_builds_the_assigned_numerator_once(cubic, monkeypatch):
+    ctx = TowerContext()
+    p1, p2, a1, pp = (cubic.section_roots(x, ctx)[0] for x in (0, 1, 2, 3))
+    built = []
+    real = ParametricDifferential.numerator_with
+
+    def counted(self, params=None):
+        if params is not None:
+            built.append(params)
+        return real(self, params)
+    monkeypatch.setattr(ParametricDifferential, "numerator_with", counted)
+    haupt_solve(cubic, p1, p2, pp, [a1])
+    assert len(built) == 1
 
 
 def test_auxiliary_pole_at_vertical_tangent_rejected():
@@ -355,6 +371,18 @@ def test_third_kind_solves_once(monkeypatch, cubic, cubic_setup):
     monkeypatch.setattr(differentials, "ff_solve", counted)
     third_kind(cubic, p1, p2)
     assert len(calls) == 1
+
+
+def test_third_kind_prepares_its_pole_pair_once(monkeypatch, cubic, cubic_setup):
+    _, p1, p2 = cubic_setup
+    real, calls = Curve.section_roots, []
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return real(self, *args)
+    monkeypatch.setattr(Curve, "section_roots", counted)
+    third_kind(cubic, p1, p2)
+    assert calls == [p1.x, p2.x]
 
 
 @pytest.mark.parametrize("numerators", [

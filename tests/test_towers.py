@@ -152,6 +152,35 @@ def test_product_matches_fraction_reference():
             assert (t * b).terms == _reference_product(ctx, t, b)
 
 
+def _random_context(rng):
+    """1 to 4 generators over 1 to 3 random moduli of degree 1 to 7;
+    generators may share a modulus, with distinct roots or one root."""
+    moduli = [_random_modulus(rng, rng.randint(1, 7)) for _ in range(rng.randint(1, 3))]
+    ctx = TowerContext()
+    for _ in range(rng.randint(1, 4)):
+        modulus = rng.choice(moduli)
+        ctx, _ = adjoin(ctx, modulus, rng.randrange(modulus.degree))
+    return ctx
+
+
+SCALARS = [0, 1, -1, Fraction(7, 3), Fraction(10**30, 7), Fraction(-10**30, 7)]
+
+
+def test_product_with_a_rational_constant_scales_term_by_term():
+    rng = random.Random(31337)
+    for _ in range(12):
+        ctx = _random_context(rng)
+        elements = [ctx.zero] + [ctx.generator(j) for j in range(len(ctx))] + \
+            [_random_element(rng, ctx, big) for big in (False, True) for _ in range(3)]
+        for a in elements:
+            for s in SCALARS:
+                expected = [(k, c * s) for k, c in a.terms.items()] if s else []
+                const = ctx.constant(s)
+                for r in (a * s, s * a, a * const, const * a):
+                    assert list(r.terms.items()) == expected
+                    assert r.terms == _reference_product(ctx, a, const)
+
+
 def test_product_of_zero_divisors_is_zero():
     # s, t roots of one modulus m: (t - s) * (m(t) - m(s)) / (t - s) = 0
     m = UPoly([Fraction(-7, 3), Fraction(1, 5), 0, Fraction(9, 2)])
@@ -202,6 +231,135 @@ def test_ball_power_cache_is_bit_identical_and_invalidated():
     assert ext.approximation() is not before
     check(40)
     assert ext._balls[0] is ext.approximation()
+
+
+class _ParentBall:
+    """The ball arithmetic of _Ball with its radius at the working precision
+    and |c| from mpmath's abs: the oracle that bounds _Ball's radius."""
+
+    def __init__(self, c, r):
+        self.c = c
+        self.r = r
+
+    @staticmethod
+    def from_fraction(fr, prec):
+        c = mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
+        return _ParentBall(mp.mpc(c), mp.ldexp(1 + abs(c), 4 - prec))
+
+    def add(self, other, prec):
+        c = self.c + other.c
+        return _ParentBall(c, self.r + other.r + mp.ldexp(1 + abs(c), 6 - prec))
+
+    def mul(self, other, prec):
+        c = self.c * other.c
+        r = abs(self.c) * other.r + abs(other.c) * self.r + self.r * other.r
+        return _ParentBall(c, r + mp.ldexp(1 + abs(c), 6 - prec))
+
+    def pow(self, e, prec):
+        out = _ParentBall(mp.mpc(1), mp.mpf(0))
+        base = self
+        while e:
+            if e & 1:
+                out = out.mul(base, prec)
+            base = base.mul(base, prec)
+            e >>= 1
+        return out
+
+
+def _parent_ball(a, digits10):
+    """TowerElement._ball computed with _ParentBall, on the roots it uses."""
+    prec = int(digits10 * 3.4) + 40
+    target = mp.mpf(10) ** (-digits10)
+    roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
+    with mp.workprec(prec):
+        acc = _ParentBall(mp.mpc(0), mp.mpf(0))
+        for key, coeff in a.terms.items():
+            term = _ParentBall.from_fraction(coeff, prec)
+            for i, e in enumerate(key):
+                if e:
+                    term = term.mul(_ParentBall(roots[i].center, roots[i].radius).pow(e, prec),
+                                    prec)
+            acc = acc.add(term, prec)
+        return acc
+
+
+def _fine_value(a, digits10):
+    """a's embedded value with every root refined to 10^-(3 digits10), at 4x
+    the working precision of a._ball(digits10)."""
+    target = mp.mpf(10) ** (-3 * digits10)
+    exts = a.ctx.extensions
+    centers = {i: towers.refine_root(exts[i].modulus, exts[i].approximation(), target).center
+               for i in a.present_generators()}
+    with mp.workprec(4 * (int(digits10 * 3.4) + 40)):
+        acc = mp.mpc(0)
+        for key, coeff in a.terms.items():
+            term = mp.mpf(coeff.numerator) / coeff.denominator
+            for i, e in enumerate(key):
+                if e:
+                    term *= centers[i] ** e
+            acc += term
+        return acc
+
+
+def test_ball_contains_the_value_with_a_radius_near_the_parent_oracle():
+    rng = random.Random(2017)
+    for _ in range(8):
+        ctx = _random_context(rng)
+        elements = [ctx.constant(Fraction(1, 3))] + \
+            [_random_element(rng, ctx, big) for big in (False, True) for _ in range(2)]
+        elements.append(sum((ctx.generator(j) ** (d - 1) for j, d in enumerate(ctx.degrees)),
+                            ctx.constant(Fraction(-2, 7))))
+        for a in elements:
+            if not a.terms:
+                continue
+            for digits in (15, 40, 70):
+                ball = a._ball(digits)
+                oracle = _parent_ball(a, digits)
+                assert ball.c == oracle.c
+                assert 0.999 * oracle.r <= ball.r <= 4 * oracle.r
+                with mp.workprec(4 * (int(digits * 3.4) + 40)):
+                    assert abs(ball.c - _fine_value(a, digits)) <= ball.r
+
+
+def _exact(x) -> Fraction:
+    man, exp = mp.mpf(x).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def test_ball_radius_rounds_upward():
+    # |c| is exact for a real center, so a radius operation rounded down, or
+    # a dropped slop term, puts the radius below its formula evaluated in
+    # Fractions; radii range from far below the slop to far above the centers
+    rng = random.Random(1968)
+    prec = 120
+
+    def rand_mpf(bits, lo, hi):
+        """bits random bits, magnitude between 2^(lo-1) and 2^hi."""
+        return mp.ldexp(rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(lo, hi) - bits)
+
+    def rand_ball():
+        c = mp.mpc(rng.choice((1, -1)) * rand_mpf(prec, -20, 20),
+                   rng.choice((0, 0, 1, -1)) * rand_mpf(prec, -20, 20))
+        r = rand_mpf(60, -prec - 30, 20)
+        return towers._Ball(c, r), c, _exact(r)
+
+    def magnitude(c):
+        with mp.workprec(400):
+            return _exact(abs(c))
+
+    for _ in range(400):
+        (x, cx, rx), (y, cy, ry) = rand_ball(), rand_ball()
+        fr = Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40))
+        with mp.workprec(prec):
+            cases = [
+                (x.mul(y, prec), magnitude(cx) * ry + magnitude(cy) * rx + rx * ry, 6),
+                (x.add(y, prec), rx + ry, 6),
+                (towers._Ball.from_fraction(fr, prec), Fraction(0), 4),
+            ]
+        for ball, body, shift in cases:
+            exact = body + (1 + magnitude(ball.c)) * Fraction(2) ** (shift - prec)
+            slack = Fraction(112, 100) * (1 + Fraction(1, 2**25))
+            assert exact <= _exact(ball.r) <= slack * exact
 
 
 def test_invert_sqrt2():
