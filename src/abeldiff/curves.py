@@ -42,6 +42,15 @@ def _as_rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _require_curve(f: BPoly) -> None:
+    """Reject the polynomials that define no curve: zero and nonzero
+    constants."""
+    if f.is_zero:
+        raise ZeroPolynomial("the curve polynomial is zero")
+    if f.total_degree < 1:
+        raise InvalidArgument("the curve polynomial is a nonzero constant")
+
+
 class Curve:
     """A smooth plane curve f(x, y) = 0 of total degree r.
 
@@ -51,10 +60,7 @@ class Curve:
     """
 
     def __init__(self, f: BPoly, assume_smooth: bool = False):
-        if f.is_zero:
-            raise ZeroPolynomial("the curve polynomial is zero")
-        if f.total_degree < 1:
-            raise InvalidArgument("the curve polynomial is a nonzero constant")
+        _require_curve(f)
         self.f = f
         self.r = f.total_degree
         self.fy = f.partial_y()
@@ -180,6 +186,7 @@ def _series_eval(f: BPoly, x0: Fraction, ycoeffs: list, order: int) -> list:
 
 def smoothness_report(f: BPoly) -> SmoothnessReport:
     """Decide whether f, f_x, f_y have a common projective zero."""
+    _require_curve(f)
     r = f.total_degree
     fx, fy = f.partial_x(), f.partial_y()
 

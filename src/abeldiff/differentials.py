@@ -125,6 +125,17 @@ def _prepare(curve: Curve, p1: Point, p2: Point) -> _PolePair:
     return _PolePair(curve, ctx, sec1[i1], sec2[i2], sec1, sec2, i1, i2)
 
 
+def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerElement]:
+    """The monomials x^a y^b at a point, from the powers xpows of its
+    abscissa and one chain of powers of its ordinate; each entry has the
+    terms, in order, that eval_bpoly(BPoly({(a, b): 1}), x, y) gives."""
+    ypows = [y.ctx.one, y]
+    for _ in range(len(xpows) - 2):
+        ypows.append(ypows[-1] * y)
+    return [ypows[b] * xpows[a] if b else y.ctx.constant(xpows[a])
+            for a, b in monos]
+
+
 def third_kind_system_naive(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
     """The per-point system: 2r equations (one per section point) in the
     r(r+1)/2 monomial coefficients; matrix entries are tower elements."""
@@ -135,13 +146,14 @@ def third_kind_system_naive(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
     for i, (sec, pole_idx, pole) in enumerate(
             [(pp.section1, pp.pole1_idx, pp.pole1),
              (pp.section2, pp.pole2_idx, pp.pole2)], start=1):
+        xpows = [pole.x ** a for a in range(curve.r)]
         for rid, pt in enumerate(sec):
             if rid == pole_idx:
                 continue
-            matrix.append([eval_bpoly(BPoly({m: 1}), pt.x, pt.y) for m in monos])
+            matrix.append(_monomial_row(monos, xpows, pt.y))
             rhs.append(pp.ctx.zero)
             tags.append(("vanish", i, rid))
-        matrix.append([eval_bpoly(BPoly({m: 1}), pole.x, pole.y) for m in monos])
+        matrix.append(_monomial_row(monos, xpows, pole.y))
         rhs.append(dx * curve.fy_at(pole))
         tags.append(("residue", i, pole_idx))
     return LinearSystem(matrix, rhs,
@@ -257,8 +269,9 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     for mono in fkb.numerators:
         terms = (mono * pf).terms
         embedded.append([terms.get(m, Fraction(0)) for m in monos])
-    if any(sum(a * e for a, e in zip(row, vec))
-           for vec in embedded for row in system.matrix):
+    supports = [[(k, e) for k, e in enumerate(vec) if e] for vec in embedded]
+    if any(sum(row[k] * e for k, e in support)
+           for support in supports for row in system.matrix):
         raise Inconsistent("an embedded first-kind numerator does not solve "
                            "the homogeneous system")
     p = len(embedded)

@@ -7,6 +7,14 @@ classical a-posteriori radius  deg * |p(z)/p'(z)|  (inflated for rounding)
 drops below a quarter of that bound, after which each disc provably contains
 exactly one root and refinement can never jump to a different root.
 
+The numeric roots come from mpmath's Durand-Kerner iteration (polyroots),
+started from hardware-float approximations found by the Aberth-Ehrlich
+iteration, so it only has to polish; when the floats cannot hold the roots
+or do not settle, it starts from its own default points instead.  The start
+only decides how fast the numeric roots arrive: polyroots polishes them to
+the same tolerance either way, and every certificate above is checked as
+before.
+
 Canonical order: ascending real part, ties broken by ascending imaginary
 part.  Real-part comparisons that do not resolve numerically are certified
 exactly: conjugate pairs are detected through disc pairing, and the remaining
@@ -17,9 +25,10 @@ distinct real parts differ by at least that bound).
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, pi
 
 import mpmath as mp
 
@@ -80,8 +89,51 @@ def separation_bound(ints: list[int]) -> Fraction:
     return Fraction(num) / (npow * norm_up ** (n - 1))
 
 
+def _float_seeds(ints: list[int]) -> list[complex] | None:
+    """Approximations to all roots of ints in hardware floats, by the
+    Aberth-Ehrlich iteration from points on the circle of radius
+    |a0/an|^(1/n); None if the coefficients do not fit a float or the
+    approximations do not settle into distinct points."""
+    n = len(ints) - 1
+    try:
+        a = [c / ints[-1] for c in ints]
+        r = abs(a[0]) ** (1.0 / n) or 1.0
+        # the angle offset keeps every start point off the real axis, where
+        # the iterates of a real polynomial would stay real
+        z = [cmath.rect(r, 2 * pi * k / n + 0.4) for k in range(n)]
+        for _ in range(200):
+            settled = True
+            for i in range(n):
+                zi = z[i]
+                p, dp = a[n], 0
+                for c in reversed(a[:n]):
+                    dp = dp * zi + p
+                    p = p * zi + c
+                newton = p / dp
+                pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                step = newton / (1 - newton * pull)
+                z[i] = zi - step
+                if not abs(step) <= 1e-12 * abs(zi):  # a NaN never settles
+                    settled = False
+            if settled:
+                break
+        else:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return z if len(set(z)) == n else None
+
+
 def _initial_roots(ints: list[int], prec: int):
     rev = list(reversed(ints))
+    seeds = _float_seeds(ints)
+    if seeds is not None:
+        try:
+            with mp.workprec(prec + 50):
+                return mp.polyroots(rev, maxsteps=300, extraprec=50,
+                                    roots_init=[mp.mpc(z) for z in seeds])
+        except mp.libmp.libhyper.NoConvergence:
+            pass
     for extra in (50, 200, 800):
         try:
             with mp.workprec(prec + extra):

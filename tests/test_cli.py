@@ -148,9 +148,13 @@ def test_genus_on_singular_curve_exits_not_smooth(capsys):
     (["genus", "-f", "1"], "InvalidArgument", 2),
     (["first-kind", "-f", "5"], "InvalidArgument", 2),
     (["third-kind", "-f", "3", "--x1", "0", "--x2", "1"], "InvalidArgument", 2),
+    (["smooth", "-f", "0"], "ZeroPolynomial", 17),
+    (["smooth", "-f", "5"], "InvalidArgument", 2),
+    (["smooth", "--curve=-1/2", "--assume-smooth"], "InvalidArgument", 2),
 ])
 def test_constant_or_zero_curve_rejected_with_an_error_document(capsys, argv, error, code):
-    # these ended in a ValueError traceback from Curve
+    # these ended in a ValueError traceback from Curve; smooth answered a
+    # nonzero constant with "smooth": false (exit 3)
     got, doc = _run_json(capsys, argv)
     assert got == code
     assert doc["error"]["type"] == error
@@ -303,6 +307,13 @@ DIGESTS = {
         "2c2ba799802d6010b9b953a01abac10cb4e483207e5060bb615f96ff45853a44",
     "haupt -f x^4+y^4-1 --x1 0 --x2 2 --xp 3 --a 4 --a 5 --a 6":
         "93afc582e4333ddc8458c505208ed2262dbb01566dee9f39515b5ff8645a876a",
+    # section ordinates with exactly-zero real parts, and a septic
+    "third-kind -f x^2+y^2-1 --x1=-4 --x2=6 --digits 30":
+        "7cb87a2596b9d5f7ed72b3b5503f2bc1bf9f9aec315dd965f08ae6fbf8d3b6dd",
+    "third-kind -f x^6+y^6-1 --x1=-5/3 --x2=-5/2 --digits 30":
+        "5bb9087adf7eae89672e868be13c20d092013d2da3418e8c20396503fcaad0f2",
+    "third-kind -f x^7+y^7-x-1 --x1 0 --x2 2":
+        "0bfbe41a21513a9e923f9c3e4c0164183db19ba19f90fcbda5d71b1069d5ba61",
 }
 
 

@@ -17,8 +17,8 @@ from abeldiff.errors import (DegeneratePoints, EvaluationAtPole, Inconsistent,
                              MultipleRoots, SameAbscissa)
 from abeldiff.linsolve import rank
 from abeldiff.polys import BPoly
-from abeldiff.towers import TowerContext, TowerElement
-from tests.conftest import CUBIC_TERMS, QUARTIC_TERMS
+from abeldiff.towers import TowerContext, TowerElement, eval_bpoly
+from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS
 
 
 def test_first_kind_basis_cubic(cubic):
@@ -51,6 +51,27 @@ def test_naive_system_cubic_six_by_six(cubic, cubic_setup):
     vanish = [t for t in sys.row_tags if t[0] == "vanish"]
     residue = [t for t in sys.row_tags if t[0] == "residue"]
     assert len(vanish) == 4 and len(residue) == 2
+
+
+@pytest.mark.parametrize("terms, x1, x2", [
+    (CIRCLE_TERMS, 0, Fraction(1, 2)),
+    (CUBIC_TERMS, 0, 1),
+    (QUARTIC_TERMS, 2, Fraction(-3, 5)),
+    ({(7, 0): 1, (0, 7): 1, (1, 0): -1, (0, 0): -1}, 0, 2),
+])
+def test_naive_rows_match_monomial_evaluation(terms, x1, x2):
+    # the rows come from one chain of powers per point; each entry keeps the
+    # terms and term order of evaluating its monomial on its own
+    curve = Curve(BPoly(terms))
+    ctx = TowerContext()
+    sections = {1: curve.section_roots(x1, ctx), 2: curve.section_roots(x2, ctx)}
+    sys = third_kind_system_naive(curve, sections[1][0], sections[2][-1])
+    assert len(sys.matrix) == 2 * curve.r
+    for row, (_, i, rid) in zip(sys.matrix, sys.row_tags):
+        pt = sections[i][rid]
+        for entry, m in zip(row, sys.monomials):
+            expected = eval_bpoly(BPoly({m: 1}), pt.x, pt.y)
+            assert list(entry.terms.items()) == list(expected.terms.items())
 
 
 def test_naive_system_conic_shape(circle, circle_setup):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 
 from abeldiff import cli, roots as roots_mod
 from abeldiff.errors import AbeldiffError, NotSquareFree
-from abeldiff.polys import UPoly
+from abeldiff.polys import UPoly, is_squarefree
 from abeldiff.roots import _Isolator, isolate_roots, refine_root, separation_bound
 
 
@@ -137,3 +138,82 @@ def test_isolation_cache_is_bounded_and_hands_out_copies():
     again = isolate_roots(2 * p)      # same primitive integer polynomial
     assert again[0].radius < 1
     assert roots_mod._isolated.cache_info().hits >= 1
+
+
+def _records(coeffs):
+    """Isolation records of coeffs, or the error that ended the isolation."""
+    try:
+        return [(r.index, r.center, r.radius, r.prec, r.conj_index)
+                for r in _Isolator(UPoly(coeffs)).run()]
+    except AbeldiffError as e:
+        return type(e), str(e)
+
+
+def _from_roots(*factors):
+    p = UPoly([1])
+    for f in factors:
+        p = p * UPoly(f)
+    return p.to_int_coeffs()[0]
+
+
+WILKINSON = _from_roots(*([-k, 1] for k in range(1, 13)))
+
+
+def _seeder_cases():
+    rng = random.Random(20240611)
+    cases = []
+    while len(cases) < 40:
+        n = 1 + len(cases) % 12
+        h = 10 ** rng.randint(0, 30)
+        c = [rng.randint(-h, h) for _ in range(n)] + [rng.randint(1, h)]
+        if is_squarefree(UPoly(c)):
+            cases.append(c)
+    cases += [
+        WILKINSON,
+        [-1] + [0] * 19 + [1],                                  # x^20 - 1
+        _from_roots([-1, 1], [-10 ** 8 - 1, 10 ** 8], [1, 0, 1]),  # roots 1e-8 apart
+        _from_roots([-10 ** 8, 1], [-10 ** 8 - 1, 1]),
+        [-2, 4, -3, 1],                                         # exact real-part ties
+        [0, -1, 0, 1],                                          # a root at zero
+        [10 ** 400, 1],                                         # a float overflow
+        [1, 10 ** 400],                                         # a float underflow
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("coeffs", _seeder_cases())
+def test_float_seeds_leave_the_isolation_records_unchanged(monkeypatch, coeffs):
+    seeded = _records(coeffs)
+    monkeypatch.setattr(roots_mod, "_float_seeds", lambda ints: None)
+    assert _records(coeffs) == seeded
+
+
+def test_float_seeds_settle_unless_floats_cannot_hold_the_roots():
+    unseeded = [c for c in _seeder_cases() if roots_mod._float_seeds(c) is None]
+    # Wilkinson's roots are too ill-conditioned to settle to 1e-12 in doubles
+    assert unseeded == [WILKINSON, [10 ** 400, 1]]
+    assert roots_mod._float_seeds([10 ** 400, 0, 1]) is None
+
+
+def test_seeds_that_do_not_converge_fall_back_to_the_default_start(monkeypatch):
+    coeffs = [-1, 2, 0, -3, 1]
+    monkeypatch.setattr(roots_mod, "_float_seeds", lambda ints: None)
+    parent = _records(coeffs)
+    real = mp.polyroots
+    raised = []
+
+    def watched(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except mp.libmp.libhyper.NoConvergence:
+            raised.append(kwargs.get("roots_init") is not None)
+            raise
+
+    # seeds this far out leave Durand-Kerner in its linear phase for more
+    # than its 300 steps
+    monkeypatch.setattr(mp, "polyroots", watched)
+    monkeypatch.setattr(roots_mod, "_float_seeds",
+                        lambda ints: [complex(1e300 * (k + 1), 1e300)
+                                      for k in range(len(ints) - 1)])
+    assert _records(coeffs) == parent
+    assert raised == [True]
