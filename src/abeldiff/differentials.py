@@ -127,8 +127,9 @@ def _prepare(curve: Curve, p1: Point, p2: Point) -> _PolePair:
 
 def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerElement]:
     """The monomials x^a y^b at a point, from the powers xpows of its
-    abscissa and one chain of powers of its ordinate; each entry has the
-    terms, in order, that eval_bpoly(BPoly({(a, b): 1}), x, y) gives."""
+    abscissa and one chain of powers of its ordinate; at a section point,
+    whose ordinate is a bare generator, each entry has the terms, in order,
+    that eval_bpoly(BPoly({(a, b): 1}), x, y) gives."""
     ypows = [y.ctx.one, y]
     for _ in range(len(xpows) - 2):
         ypows.append(ypows[-1] * y)

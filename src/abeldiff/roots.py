@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb, isqrt, pi
+from math import comb, inf, isqrt, pi
 
 import mpmath as mp
 
@@ -36,6 +36,12 @@ from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
 from .polys import (UPoly, interpolate, is_squarefree, poly_gcd, resultant,
                     resultant_matrix)
+
+
+# Working precision, in bits, above which refinement gives up: far beyond
+# what --digits 10000 and the separation bound of any accepted section need,
+# and far below what mpmath's precision conversions can represent.
+MAX_PREC = 1 << 22
 
 
 class RootApprox:
@@ -93,7 +99,12 @@ def _float_seeds(ints: list[int]) -> list[complex] | None:
     """Approximations to all roots of ints in hardware floats, by the
     Aberth-Ehrlich iteration from points on the circle of radius
     |a0/an|^(1/n); None if the coefficients do not fit a float or the
-    approximations do not settle into distinct points."""
+    approximations do not settle into distinct points.
+
+    Once the largest relative correction of a sweep is below 1e-6 the
+    iteration is in its fast local phase, so a sweep that does not shrink
+    it means rounding noise has taken over: the iteration gives up there
+    instead of running out its sweeps."""
     n = len(ints) - 1
     try:
         a = [c / ints[-1] for c in ints]
@@ -101,8 +112,10 @@ def _float_seeds(ints: list[int]) -> list[complex] | None:
         # the angle offset keeps every start point off the real axis, where
         # the iterates of a real polynomial would stay real
         z = [cmath.rect(r, 2 * pi * k / n + 0.4) for k in range(n)]
+        last = inf
         for _ in range(200):
             settled = True
+            worst = 0.0
             for i in range(n):
                 zi = z[i]
                 p, dp = a[n], 0
@@ -115,8 +128,12 @@ def _float_seeds(ints: list[int]) -> list[complex] | None:
                 z[i] = zi - step
                 if not abs(step) <= 1e-12 * abs(zi):  # a NaN never settles
                     settled = False
+                    worst = max(worst, abs(step) / abs(zi) if zi else inf)
             if settled:
                 break
+            if worst < 1e-6 and not worst < last:
+                return None
+            last = worst
         else:
             return None
     except (OverflowError, ZeroDivisionError):
@@ -167,15 +184,18 @@ def _newton_to(ints, dints, n, z, target, prec):
 def _refine(ints, center, radius, target, prec):
     """Newton-refine the certified disc (center, radius) of a root of ints
     until its radius is below target, doubling the precision while Newton
-    stalls; returns (center, radius, prec).  The new disc must meet the old
-    one, so it isolates the same root."""
+    stalls, up to MAX_PREC bits; returns (center, radius, prec).  The new
+    disc must meet the old one, so it isolates the same root."""
     n = len(ints) - 1
     dints = [i * c for i, c in enumerate(ints)][1:]
     while True:
         got = _newton_to(ints, dints, n, center, target, prec)
         if got is not None:
             break
-        prec *= 2
+        if prec >= MAX_PREC:
+            raise AbeldiffError(
+                f"root refinement stalled at {MAX_PREC} bits of precision")
+        prec = min(2 * prec, MAX_PREC)
     z, rad = got
     if not abs(z - center) <= radius + rad:
         raise AbeldiffError("refined root disc does not meet its isolating disc")

@@ -16,16 +16,24 @@ one denominator.  One Fraction is built per output term.  A product with a
 rational constant (or zero) skips all of that: it scales the other
 operand's terms one by one, which gives the same terms in the same order.
 
+eval_bpoly evaluates a bivariate polynomial at a point nested: it collects
+the coefficients of the section polynomial in y first, then sums them
+against the ordinate, assembling the terms directly when the ordinate is a
+bare generator of high enough degree and by Horner's rule otherwise.
+
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
 public predicates (is_zero, approximate) answer questions about the embedded
-complex value.  The decimal embedding evaluates every term in ball
-arithmetic, taking each generator's powers of its root ball from a cache on
-its descriptor that holds for one root approximation at one precision.  A
-ball's center is an mpc at the working precision; its radius is a 30-bit
-float rounded upward, grown from a cheap upper bound on each center's
-magnitude (at most 1.12 times it) instead of a full-precision absolute
-value, so the radius costs a few small-integer operations per step.
+complex value.  The decimal embedding sums the terms in ball arithmetic one
+generator at a time, lowest index first: the partial sums that share the
+rest of their key are multiplied by one power ball and merged, so there is
+about one ball product per distinct key suffix rather than one per
+generator of every term.  Each generator's powers of its root ball come
+from a cache on its descriptor that holds for one root approximation at one
+precision.  A ball's center is an mpc at the working precision; its radius
+is a 30-bit float rounded upward, grown from a cheap upper bound on each
+center's magnitude (at most 1.12 times it) instead of a full-precision
+absolute value, so the radius costs a few small-integer operations per step.
 is_zero decides in four exact stages, cheapest first: the syntactic test on
 the reduced form; the normal form modulo the Cauchy modules of the element's
 generators, which proves the identities that hold because generators sharing
@@ -535,14 +543,22 @@ class TowerElement:
         exts = self.ctx.extensions
         roots = {i: exts[i].refine_to(target) for i in self.present_generators()}
         with mp.workprec(prec):
-            acc = _Ball(mp.mpc(0), mp.mpf(0))
-            for key, coeff in self.terms.items():
-                term = _Ball.from_fraction(coeff, prec)
-                for i, e in enumerate(key):
-                    if e:
-                        term = term.mul(exts[i].power_ball(roots[i], e, prec), prec)
-                acc = acc.add(term, prec)
-            return acc
+            # one generator at a time, lowest index first: the partial sums
+            # are keyed by the rest of their key, each is multiplied by the
+            # power of t_i it carries and merged with those of equal rest
+            level = {key: _Ball.from_fraction(c, prec) for key, c in self.terms.items()}
+            for i in range(max(map(len, level), default=0)):
+                ext, root = exts[i], roots.get(i)
+                merged: dict[tuple, _Ball] = {}
+                for key, ball in level.items():
+                    if key:
+                        if key[0]:
+                            ball = ball.mul(ext.power_ball(root, key[0], prec), prec)
+                        key = key[1:]
+                    prev = merged.get(key)
+                    merged[key] = ball if prev is None else prev.add(ball, prec)
+                level = merged
+            return level.get((), _Ball(mp.mpc(0), mp.mpf(0)))
 
     def _minimal_polynomial(self) -> list[Fraction]:
         """Minimal polynomial of the element over Q, monic, coefficients
@@ -859,13 +875,91 @@ def _invert(a: TowerElement) -> TowerElement:
 def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     """Exact evaluation of a bivariate polynomial at a rational abscissa and
     a tower ordinate.  Coefficients may themselves be tower elements of the
-    same context."""
+    same context.
+
+    The section polynomial's coefficients c_j = sum_i c_ij x^i are collected
+    first, as term dicts.  When y is a bare generator t_g (every section
+    ordinate is one), sum_j c_j t_g^j is assembled without a ring product:
+    a term of c_j with t_g^e moves to t_g^(j+e), and where j+e reaches
+    deg t_g the cached reduced power t_g^(j+e), a rational combination of
+    lower powers, takes its place.  Since every modulus is univariate, that
+    gives the reduced form.  Any other ordinate is summed by Horner's
+    rule."""
     if not isinstance(y, TowerElement):
         raise TypeError("ordinate must be a TowerElement")
-    for c in p.terms.values():
-        if isinstance(c, TowerElement) and c.ctx is not y.ctx:
-            raise ContextMismatch("coefficient context differs from the ordinate's")
-    result = p.eval(Fraction(x), y)
-    if isinstance(result, (int, Fraction)):
-        return y.ctx.constant(result)
-    return result
+    ctx = y.ctx
+    x = Fraction(x)
+    # (j, key) -> the (i, coefficient of the key in c_ij) pairs
+    groups: dict[tuple, list] = {}
+    for (i, j), c in p.terms.items():
+        if isinstance(c, TowerElement):
+            if c.ctx is not ctx:
+                raise ContextMismatch("coefficient context differs from the ordinate's")
+            items = c.terms.items()
+        else:
+            items = (((), c),)
+        for k, v in items:
+            groups.setdefault((j, k), []).append((i, v))
+    cols: dict[int, dict] = {}
+    for (j, k), pairs in groups.items():
+        v = _at(pairs, x.numerator, x.denominator)
+        if v:
+            cols.setdefault(j, {})[k] = v
+    g = _bare_generator(y)
+    if g is not None:
+        return TowerElement(ctx, _shifted(cols, g, ctx.extensions[g]))
+    top = max(cols, default=-1)
+    acc = TowerElement(ctx, cols.get(top, {}))
+    for j in range(top - 1, -1, -1):
+        acc = acc * y
+        if j in cols:
+            acc = acc + TowerElement(ctx, cols[j])
+    return acc
+
+
+def _at(pairs: list, a: int, b: int) -> Fraction:
+    """sum v x^i over the (i, v) pairs at x = a/b, in integers over one
+    denominator."""
+    if len(pairs) == 1:
+        (i, v), = pairs
+        return v * Fraction(a ** i, b ** i) if i else v
+    top = max(i for i, _ in pairs)
+    den = lcm(*(v.denominator for _, v in pairs))
+    num = sum(v.numerator * (den // v.denominator) * a ** i * b ** (top - i) for i, v in pairs)
+    return Fraction(num, den * b ** top)
+
+
+def _shifted(cols: dict, g: int, ext: ExtensionDescriptor) -> dict:
+    """Reduced terms of sum_j c_j t_g^j, c_j given by its terms cols[j]."""
+    d = ext.degree
+    out: dict = {}
+
+    def add(key, v):
+        v = out.get(key, 0) + v
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+
+    for j, col in cols.items():
+        for k, v in col.items():
+            e = j + (k[g] if len(k) > g else 0)
+            head, tail = k[:g] + (0,) * (g - len(k)), k[g + 1:]
+            if e < d:
+                add(_trim(head + (e,) + tail), v)
+                continue
+            nums, q = ext.int_power(e)
+            for i, n in enumerate(nums):
+                if n:
+                    add(_trim(head + (i,) + tail), v * Fraction(n, q))
+    return out
+
+
+def _bare_generator(y: TowerElement) -> int | None:
+    """g when y is the generator t_g itself, else None."""
+    if len(y.terms) != 1:
+        return None
+    (key, c), = y.terms.items()
+    if c != 1 or not key or key[-1] != 1 or any(key[:-1]):
+        return None
+    return len(key) - 1

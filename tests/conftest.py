@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from abeldiff.curves import Curve
@@ -10,6 +11,15 @@ from abeldiff.towers import TowerContext
 CUBIC_TERMS = {(3, 0): 1, (0, 3): -1, (1, 1): 2, (1, 0): 1, (0, 1): -2, (0, 0): 1}
 CIRCLE_TERMS = {(2, 0): 1, (0, 2): 1, (0, 0): -1}
 QUARTIC_TERMS = {(4, 0): 1, (0, 4): 1, (0, 0): -1}
+
+
+@pytest.fixture(autouse=True)
+def global_precision_unchanged():
+    """Every test leaves mpmath's global precision as it found it: the
+    library sets its own working precision and restores it, error or not."""
+    before = mp.mp.prec, mp.mp.dps
+    yield
+    assert (mp.mp.prec, mp.mp.dps) == before
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 
+import mpmath as mp
 import pytest
 
 from abeldiff import cli, differentials
@@ -255,6 +256,21 @@ def test_oversized_abscissa_rejected_with_an_error_document(capsys, x1, x2):
     assert doc["error"]["type"] == "InvalidArgument"
 
 
+def test_stalled_refinement_is_an_error_that_leaves_the_precision_alone(capsys):
+    # ordinates +-i*10^-200 lie below polyroots' absolute tolerance, which
+    # rounds both to 0, where Newton stalls at every precision
+    prec = mp.mp.prec
+    code, doc = _run_json(capsys, ["third-kind", "-f", "y^2-x", "--x1=-1/1" + "0" * 400,
+                                   "--x2=1"])
+    assert code == 1
+    assert doc["error"]["type"] == "AbeldiffError"
+    assert "precision" in doc["error"]["message"]
+    assert mp.mp.prec == prec
+    code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1=0", "--x2=1/2"])
+    assert code == 0
+    assert mp.mp.prec == prec
+
+
 def test_out_of_range_root_index_rejected(capsys):
     code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
                                    "--x2", "1/2", "--root1", "5"])
@@ -314,6 +330,12 @@ DIGESTS = {
         "5bb9087adf7eae89672e868be13c20d092013d2da3418e8c20396503fcaad0f2",
     "third-kind -f x^7+y^7-x-1 --x1 0 --x2 2":
         "0bfbe41a21513a9e923f9c3e4c0164183db19ba19f90fcbda5d71b1069d5ba61",
+    # a genus-3 haupt value with 227 terms in six generators, and a quartic
+    # verify (both recorded before evaluation was nested)
+    "haupt -f x^4+y^4-1 --x1=7 --x2=6 --xp=7/3 --a=-5/2 --a=3/2 --a=-4 --digits 60":
+        "da77974cda759e252ff0ea00693b51c3b068edd394ed970eb0c35deff0420642",
+    "verify -f x^4+y^4-1 --x1=2 --x2=3 --digits 30":
+        "f63c418c9889b117a8e8b36254e1be09c0ce57292fdc7c9db7207d409eba551a",
 }
 
 

@@ -10,7 +10,7 @@ from abeldiff.differentials import (residue_certificates, third_kind,
                                     vandermonde_equivalence)
 from abeldiff.errors import (ContextMismatch, NotInvertible, NotSquareFree,
                              ZeroDivision)
-from abeldiff.polys import BPoly, UPoly
+from abeldiff.polys import BPoly, UPoly, is_squarefree
 from abeldiff.towers import TowerContext, TowerElement, adjoin, eval_bpoly
 
 SQRT2 = UPoly([-2, 0, 1])
@@ -195,22 +195,34 @@ def test_product_of_zero_divisors_is_zero():
     assert _reference_product(ctx, t - s, q) == {}
 
 
+def _nested_sum(a, ball, power, prec):
+    """a's terms summed in the nested order of TowerElement._ball: one
+    generator at a time, lowest index first, each partial sum multiplied by
+    power(i, e), the ball of t_i^e, and merged by the rest of its key;
+    ball(c) is the ball of a coefficient."""
+    level = {key: ball(c) for key, c in a.terms.items()}
+    for i in range(max(map(len, level), default=0)):
+        merged = {}
+        for key, b in level.items():
+            if key:
+                if key[0]:
+                    b = b.mul(power(i, key[0]), prec)
+                key = key[1:]
+            merged[key] = b if key not in merged else merged[key].add(b, prec)
+        level = merged
+    return level[()]
+
+
 def _uncached_ball(a, digits10):
-    """TowerElement._ball with every power of a root recomputed per term."""
+    """TowerElement._ball with every power of a root recomputed where it is
+    used."""
     prec = int(digits10 * 3.4) + 40
     target = mp.mpf(10) ** (-digits10)
     roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
     with mp.workprec(prec):
-        acc = towers._Ball(mp.mpc(0), mp.mpf(0))
-        for key, coeff in a.terms.items():
-            term = towers._Ball.from_fraction(coeff, prec)
-            for i, e in enumerate(key):
-                if e:
-                    root = roots[i]
-                    term = term.mul(towers._Ball(root.center, root.radius).pow(e, prec),
-                                    prec)
-            acc = acc.add(term, prec)
-        return acc
+        return _nested_sum(
+            a, lambda c: towers._Ball.from_fraction(c, prec),
+            lambda i, e: towers._Ball(roots[i].center, roots[i].radius).pow(e, prec), prec)
 
 
 def test_ball_power_cache_is_bit_identical_and_invalidated():
@@ -272,15 +284,9 @@ def _parent_ball(a, digits10):
     target = mp.mpf(10) ** (-digits10)
     roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
     with mp.workprec(prec):
-        acc = _ParentBall(mp.mpc(0), mp.mpf(0))
-        for key, coeff in a.terms.items():
-            term = _ParentBall.from_fraction(coeff, prec)
-            for i, e in enumerate(key):
-                if e:
-                    term = term.mul(_ParentBall(roots[i].center, roots[i].radius).pow(e, prec),
-                                    prec)
-            acc = acc.add(term, prec)
-        return acc
+        return _nested_sum(
+            a, lambda c: _ParentBall.from_fraction(c, prec),
+            lambda i, e: _ParentBall(roots[i].center, roots[i].radius).pow(e, prec), prec)
 
 
 def _fine_value(a, digits10):
@@ -301,24 +307,47 @@ def _fine_value(a, digits10):
         return acc
 
 
+def _haupt_shaped_elements(rng):
+    """Dense elements in two generators each of the sections of x^4+y^4-1
+    over x = 2 and x = 3 (distinct roots of one modulus): the shape of a
+    haupt value."""
+    ctx = TowerContext()
+    for x in (2, 3):
+        for root_id in (0, 2):
+            ctx, _ = adjoin(ctx, UPoly([x ** 4 - 1, 0, 0, 0, 1]), root_id)
+    out = []
+    for h in (5, 10 ** 30):
+        a = ctx.one
+        for j in range(len(ctx)):
+            a = a * sum((Fraction(rng.randint(1, h), rng.randint(1, h)) * ctx.generator(j) ** e
+                         for e in range(4)), ctx.zero)
+        out.append(a + _random_element(rng, ctx, h > 5))
+    return out
+
+
 def test_ball_contains_the_value_with_a_radius_near_the_parent_oracle():
     rng = random.Random(2017)
+    batches = []
     for _ in range(8):
         ctx = _random_context(rng)
         elements = [ctx.constant(Fraction(1, 3))] + \
             [_random_element(rng, ctx, big) for big in (False, True) for _ in range(2)]
         elements.append(sum((ctx.generator(j) ** (d - 1) for j, d in enumerate(ctx.degrees)),
                             ctx.constant(Fraction(-2, 7))))
-        for a in elements:
-            if not a.terms:
-                continue
-            for digits in (15, 40, 70):
-                ball = a._ball(digits)
-                oracle = _parent_ball(a, digits)
-                assert ball.c == oracle.c
-                assert 0.999 * oracle.r <= ball.r <= 4 * oracle.r
-                with mp.workprec(4 * (int(digits * 3.4) + 40)):
-                    assert abs(ball.c - _fine_value(a, digits)) <= ball.r
+        batches.append(elements)
+    haupt_shaped = _haupt_shaped_elements(rng)
+    assert all(len(a.present_generators()) == 4 and len(a.terms) > 100 for a in haupt_shaped)
+    batches.append(haupt_shaped)
+    for a in (a for elements in batches for a in elements):
+        if not a.terms:
+            continue
+        for digits in (15, 40, 70):
+            ball = a._ball(digits)
+            oracle = _parent_ball(a, digits)
+            assert ball.c == oracle.c
+            assert 0.999 * oracle.r <= ball.r <= 4 * oracle.r
+            with mp.workprec(4 * (int(digits * 3.4) + 40)):
+                assert abs(ball.c - _fine_value(a, digits)) <= ball.r
 
 
 def _exact(x) -> Fraction:
@@ -593,3 +622,56 @@ def test_serialization_shape():
     coeffs = dict((tuple(k), v) for k, v in doc["coefficients"])
     assert coeffs[()] == "1/3"
     assert coeffs[(1,)] == "1"
+
+
+def _term_by_term(p, x, y):
+    """eval_bpoly as it was computed before nesting (BPoly.eval): every
+    monomial c x^i y^j from its own power of y, summed one at a time."""
+    result = p.eval(Fraction(x), y)
+    return result if isinstance(result, TowerElement) else y.ctx.constant(result)
+
+
+def test_eval_bpoly_matches_term_by_term_evaluation():
+    rng = random.Random(1979)
+
+    def ratio():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def element(gens):
+        """A few terms in the given generators, or a rational."""
+        n = len(ctx)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * n
+            for g in rng.sample(gens, min(len(gens), rng.randint(0, 2))):
+                exps[g] = rng.randrange(ctx.degrees[g])
+            terms[_key(*exps)] = ratio() or Fraction(1)
+        return TowerElement(ctx, terms)
+
+    def poly(ydeg, coeff):
+        return BPoly({(rng.randrange(4), rng.randint(0, ydeg)): coeff()
+                      for _ in range(rng.randint(1, 8))})
+
+    for degree in range(2, 8):
+        f = BPoly({(degree, 0): 1, (0, degree): 1, (0, 0): -1,
+                   (1, rng.randrange(degree - 1)): rng.randint(1, 3)})
+        curve = Curve(f, assume_smooth=True)
+        xs = [x for x in (Fraction(k, 2) for k in range(-6, 7))
+              if curve.section_poly(x).degree == degree and is_squarefree(curve.section_poly(x))]
+        ctx = TowerContext()
+        sections = [curve.section_roots(x, ctx) for x in xs[:2]]
+        for sec, other in (sections, sections[::-1]):
+            others = sorted({g for pt in other for g in pt.y.present_generators()})
+            for pt in sec:
+                own = pt.y.present_generators()
+                assert pt.y.terms == {_key(*[0] * own[0], 1): 1}
+                polys = [f, curve.fy, poly(degree - 1, ratio), poly(degree + 2, ratio),
+                         poly(degree - 1, lambda: element(others)),
+                         poly(degree + 1, lambda: element(others + own)),
+                         poly(degree - 1, lambda: rng.choice((ratio(), element(own))))]
+                # the section ordinate, then three that are no bare generator
+                for y in (pt.y, 2 * pt.y, Fraction(3, 2) * pt.y - 1, ctx.constant(ratio())):
+                    for p in polys:
+                        got = eval_bpoly(p, pt.x, y)
+                        assert got.terms == _term_by_term(p, pt.x, y).terms, (degree, p, y)
+                assert not eval_bpoly(f, pt.x, pt.y).terms
