@@ -27,9 +27,11 @@ auxiliary pole, so f_y changes no condition and is inverted only where a
 value is returned.  Every constructed differential is certified fail-closed
 by an independent residue oracle: at each section point over a pole
 abscissa it checks f_y != 0 exactly and compares E / ((x2 - x1) f_y) with
-the expected residue.  The fundamental function fixes the free parameters
-so that E vanishes at the auxiliary poles, and evaluates u only at the
-evaluation point.
+the expected residue.  The fundamental function needs the assigned
+numerator E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values:
+it fixes the free parameters c_k so that E vanishes at the auxiliary poles,
+from E_base and the first-kind monomials m_k at each pole, and evaluates u
+at the evaluation point the same way.  E itself is never built.
 """
 
 from __future__ import annotations
@@ -199,12 +201,13 @@ class ParametricDifferential:
     """A third-kind differential family E(c) dx / ((x-x1)(x2-x) f_y).
 
     The assigned numerator E(c) is base_numerator plus, for each free
-    parameter, the corresponding first-kind numerator times (x-x1)(x2-x) —
-    adding a multiple of (x-x1)(x2-x)*m with deg m <= r-3 is exactly adding
-    the first-kind differential m dx / f_y, which changes E at no section
-    point over x1 or x2.  So residues are +1 at pole1, -1 at pole2 and 0 at
-    the remaining section points for every assignment.  certificates holds
-    the residue-oracle verdicts that third_kind checked.
+    parameter c_k, the first-kind numerator m_k times (x-x1)(x2-x) — adding
+    such a multiple with deg m_k <= r-3 is exactly adding the first-kind
+    differential m_k dx / f_y, which changes E at no section point over x1
+    or x2.  So residues are +1 at pole1, -1 at pole2 and 0 at the remaining
+    section points for every assignment, and the residue oracle checks the
+    base numerator.  E(c) is only ever evaluated (eval_u), never built.
+    certificates holds the residue-oracle verdicts that third_kind checked.
     """
 
     curve: Curve
@@ -225,27 +228,6 @@ class ParametricDifferential:
     @property
     def ctx(self) -> TowerContext:
         return self.pole1.y.ctx
-
-    def pole_factor(self) -> BPoly:
-        return _pole_factor(self.pole1.x, self.pole2.x)
-
-    def _params(self, params) -> list:
-        p = self.parameter_count
-        if params is None:
-            return [Fraction(0)] * p
-        params = list(params)
-        if len(params) != p:
-            raise ValueError(f"expected {p} parameters, got {len(params)}")
-        return params
-
-    def numerator_with(self, params=None) -> BPoly:
-        out = self.base_numerator
-        pf = self.pole_factor()
-        for c, mono in zip(self._params(params), self.first_kind_numerators):
-            if isinstance(c, Fraction) and not c:
-                continue
-            out = out + c * (mono * pf)
-        return out
 
 
 def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
@@ -298,15 +280,16 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
 # -- the independent residue oracle ----------------------------------------
 
 
-def residue_at(diff: ParametricDifferential, point: Point,
-               params=None) -> TowerElement:
-    """Residue of the assigned differential at a section point over either
-    pole abscissa, computed independently of the construction.
+def residue_at(diff: ParametricDifferential, point: Point) -> TowerElement:
+    """Residue of the differential at a section point over either pole
+    abscissa, computed independently of the construction.
 
     With x = x0 + t the denominator is t * D1(t) with D1(0) = (x2 - x1) *
     f_y(point), and f_y(point) != 0 is checked exactly first
     (VerticalTangent), so the pole is simple and the residue is
-    sign * E(point) / ((x2 - x1) * f_y(point)).
+    sign * E(point) / ((x2 - x1) * f_y(point)), with E the base numerator:
+    the first-kind terms of an assigned numerator vanish over both pole
+    abscissas, so every assignment has these residues.
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
@@ -316,11 +299,11 @@ def residue_at(diff: ParametricDifferential, point: Point,
     else:
         raise ValueError("residue_at expects a point over a pole abscissa")
     diff.curve.local_series(point, 0)  # raises VerticalTangent
-    num = eval_bpoly(diff.numerator_with(params), point.x, point.y)
+    num = eval_bpoly(diff.base_numerator, point.x, point.y)
     return sign * (num * ((x2 - x1) * diff.curve.fy_at(point)).invert())
 
 
-def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict]:
+def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     """Residue oracle at every section point over both pole abscissas, plus
     the residue-sum identity.
 
@@ -339,7 +322,7 @@ def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict
                 expected = 1
             elif pt is diff.pole2:
                 expected = -1
-            res = residue_at(diff, pt, params)
+            res = residue_at(diff, pt)
             ok = (res - expected).is_zero()
             all_ok = all_ok and ok
             expected_total += expected
@@ -353,20 +336,38 @@ def residue_certificates(diff: ParametricDifferential, params=None) -> list[dict
     return out
 
 
+def _first_kind_at(diff: ParametricDifferential, point: Point) -> list[TowerElement]:
+    """The first-kind numerators m_k (the monomials of degree <= r-3) at a
+    point."""
+    r = diff.curve.r
+    return _monomial_row(monomials_upto(r - 3),
+                         [point.x ** a for a in range(r - 2)], point.y)
+
+
+def _combination(diff: ParametricDifferential, params, values) -> TowerElement:
+    """sum_k c_k m_k(p) from the first-kind values m_k(p) at a point;
+    ValueError when the counts differ."""
+    return sum((c * m for c, m in zip(params, values, strict=True)),
+               diff.ctx.zero)
+
+
 def eval_u(diff: ParametricDifferential, point: Point,
-           numerator: BPoly | None = None) -> TowerElement:
+           params=None) -> TowerElement:
     """Exact value of the rational function u at a point away from the pole
-    abscissas, for the assigned numerator E (diff.numerator_with(params);
-    the base numerator by default)."""
+    abscissas, for the parameters c_k (all zero by default):
+    (E_base(p) + w sum_k c_k m_k(p)) / (w f_y(p)), w = (p.x - x1)(x2 - p.x),
+    from the values of the base and first-kind numerators at the point.
+    ValueError when the parameter count is not the genus."""
     if point.x == diff.pole1.x or point.x == diff.pole2.x:
         raise EvaluationAtPole(f"x = {point.x} is a pole abscissa")
     fyv = diff.curve.fy_at(point)
     if fyv.is_zero():
         raise EvaluationAtPole("f_y vanishes at the evaluation point")
-    denom = (point.x - diff.pole1.x) * (diff.pole2.x - point.x) * fyv
-    if numerator is None:
-        numerator = diff.base_numerator
-    return eval_bpoly(numerator, point.x, point.y) * denom.invert()
+    w = (point.x - diff.pole1.x) * (diff.pole2.x - point.x)
+    num = eval_bpoly(diff.base_numerator, point.x, point.y)
+    if params is not None:
+        num = num + w * _combination(diff, params, _first_kind_at(diff, point))
+    return num * (w * fyv).invert()
 
 
 # -- fundamental function ---------------------------------------------------
@@ -388,13 +389,16 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
     Steps: construct the third-kind family for (p1, p2), which certifies
     its residues; fix its free parameters so the assigned numerator E
     vanishes at every auxiliary pole; evaluate u at p_prime.  Row q of the
-    parameter system holds the first-kind numerators at q, with right-hand
-    side -E_base(q) / ((q.x - x1)(x2 - q.x)): the condition u(q) = 0 times
-    f_y(q), a unit at every point with f_y(q) != 0 (checked exactly first,
-    EvaluationAtPole otherwise).  The vanishing of E at every auxiliary pole
-    is then checked exactly (VerificationFailed otherwise).  The result
-    carries the determined parameters and the underlying third-kind family
-    alongside the value.
+    parameter system holds the first-kind numerators m_k(q), with
+    right-hand side rhs_q = -E_base(q) / ((q.x - x1)(x2 - q.x)): the
+    condition u(q) = 0 times f_y(q), a unit at every point with
+    f_y(q) != 0 (checked exactly first, EvaluationAtPole otherwise).  Only
+    values at points enter: E_base is evaluated once at each auxiliary pole
+    and once at p_prime.  The vanishing of E at every auxiliary pole is then
+    checked exactly on those values, rhs_q - sum_k c_k m_k(q) =
+    -E(q) / ((q.x - x1)(x2 - q.x)) = 0 (VerificationFailed otherwise).  The
+    result carries the determined parameters and the underlying third-kind
+    family alongside the value.
     """
     p = curve.genus()
     if len(poles) != p:
@@ -405,23 +409,19 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
 
     diff = third_kind(curve, p1, p2)
     x1, x2 = diff.pole1.x, diff.pole2.x
-    params: list = []
-    if p:
-        rows, rhs = [], []
-        for q in poles:
-            if curve.fy_at(q).is_zero():
-                raise EvaluationAtPole(f"f_y vanishes at auxiliary pole x = {q.x}")
-            rows.append([eval_bpoly(mono, q.x, q.y)
-                         for mono in diff.first_kind_numerators])
-            rhs.append(-eval_bpoly(diff.base_numerator, q.x, q.y)
-                       / ((q.x - x1) * (x2 - q.x)))
-        params = _solve_tower(rows, rhs)
-    numerator = diff.numerator_with(params)
+    rows, rhs = [], []
     for q in poles:
-        if not eval_bpoly(numerator, q.x, q.y).is_zero():
+        if curve.fy_at(q).is_zero():
+            raise EvaluationAtPole(f"f_y vanishes at auxiliary pole x = {q.x}")
+        rows.append(_first_kind_at(diff, q))
+        rhs.append(-eval_bpoly(diff.base_numerator, q.x, q.y)
+                   / ((q.x - x1) * (x2 - q.x)))
+    params = _solve_tower(rows, rhs)
+    for q, row, rv in zip(poles, rows, rhs):
+        if not (rv - _combination(diff, params, row)).is_zero():
             raise VerificationFailed(
                 f"assigned differential does not vanish at x = {q.x}")
-    value = eval_u(diff, p_prime, numerator)
+    value = eval_u(diff, p_prime, params)
     return HauptResult(value=value, parameters=params, differential=diff)
 
 
@@ -459,10 +459,11 @@ def _solve_tower(rows: list[list[TowerElement]], rhs: list[TowerElement]) -> lis
 # -- verification bundles ----------------------------------------------------
 
 
-def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
+def vandermonde_equivalence(diff: ParametricDifferential,
+                            naive: LinearSystem) -> bool:
     """Exact check that V_i . (per-point rows) == (symmetrized rows) for both
-    pole abscissas, including the right-hand sides."""
-    naive = third_kind_system_naive(diff.curve, diff.pole1, diff.pole2)
+    pole abscissas, including the right-hand sides; naive is the per-point
+    system third_kind_system_naive builds for diff's poles."""
     sym = diff.system
     r = diff.curve.r
     ncols = len(naive.monomials)
@@ -511,7 +512,7 @@ def unit_circle_pullback(diff: ParametricDifferential) -> dict:
         return UPoly([c if isinstance(c, TowerElement) else ctx.constant(c)
                       for c in coeffs])
 
-    e = diff.numerator_with(None)
+    e = diff.base_numerator
     one_minus = upoly([1, 0, -1])     # 1 - t^2
     two_t = upoly([0, 2])             # 2t
     one_plus = upoly([1, 0, 1])       # 1 + t^2

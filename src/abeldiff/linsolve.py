@@ -32,10 +32,6 @@ class RatMatrix:
                 raise ValueError("ragged matrix")
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 

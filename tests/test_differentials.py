@@ -1,24 +1,28 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from abeldiff import differentials, linsolve
 from abeldiff.curves import Curve, Point
-from abeldiff.differentials import (FirstKindBasis, ParametricDifferential,
-                                    eval_u, first_kind_basis, haupt_solve,
+from abeldiff.differentials import (FirstKindBasis, eval_u,
+                                    first_kind_basis, haupt_solve,
                                     monomials_upto, residue_at,
                                     residue_certificates, third_kind,
                                     third_kind_system_naive,
                                     third_kind_system_sym,
                                     unit_circle_pullback,
-                                    vandermonde_equivalence, _solve_tower)
+                                    vandermonde_equivalence, _pole_factor,
+                                    _solve_tower)
 from abeldiff.errors import (DegeneratePoints, EvaluationAtPole, Inconsistent,
-                             MultipleRoots, SameAbscissa)
+                             MultipleRoots, SameAbscissa, VerificationFailed)
 from abeldiff.linsolve import rank
+from abeldiff.parser import parse_poly
 from abeldiff.polys import BPoly
 from abeldiff.towers import TowerContext, TowerElement, eval_bpoly
 from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS
+from tests.test_cli import DENSE_QUARTIC
 
 
 def test_first_kind_basis_cubic(cubic):
@@ -114,11 +118,15 @@ def test_same_abscissa_rejected(cubic):
 
 
 def test_vandermonde_equivalence_cubic(cubic_diff):
-    assert vandermonde_equivalence(cubic_diff)
+    naive = third_kind_system_naive(cubic_diff.curve, cubic_diff.pole1,
+                                    cubic_diff.pole2)
+    assert vandermonde_equivalence(cubic_diff, naive)
 
 
 def test_vandermonde_equivalence_conic(circle_diff):
-    assert vandermonde_equivalence(circle_diff)
+    naive = third_kind_system_naive(circle_diff.curve, circle_diff.pole1,
+                                    circle_diff.pole2)
+    assert vandermonde_equivalence(circle_diff, naive)
 
 
 def test_nullspace_is_embedded_first_kind_space(cubic, cubic_setup):
@@ -158,12 +166,6 @@ def test_residue_zero_at_non_pole_points(cubic_diff):
         assert residue_at(cubic_diff, pt).is_zero()
 
 
-def test_residues_invariant_under_parameters(cubic_diff):
-    for params in ([Fraction(1)], [Fraction(-7, 3)]):
-        certs = residue_certificates(cubic_diff, params=params)
-        assert all(c["ok"] for c in certs)
-
-
 def test_swapped_poles_negate_residues(cubic, cubic_setup):
     _, p1, p2 = cubic_setup
     swapped = third_kind(cubic, p2, p1)
@@ -188,7 +190,7 @@ def test_particular_solution_satisfies_naive_system(cubic, cubic_setup, cubic_di
 def test_nullspace_vector_satisfies_homogeneous_naive(cubic, cubic_setup, cubic_diff):
     _, p1, p2 = cubic_setup
     naive = third_kind_system_naive(cubic, p1, p2)
-    pf = cubic_diff.pole_factor()
+    pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     for mono in cubic_diff.first_kind_numerators:
         vec = mono * pf
         coords = [vec.terms.get(m, Fraction(0)) for m in naive.monomials]
@@ -224,7 +226,7 @@ def test_eval_u_conic_rational_point(circle, circle_diff):
     xt = (1 - t0 ** 2) / (1 + t0 ** 2)
     yt = 2 * t0 / (1 + t0 ** 2)
     assert (xt, yt) == (Fraction(3, 5), Fraction(4, 5))
-    num = circle_diff.numerator_with(None).eval(xt, ctx.constant(yt))
+    num = circle_diff.base_numerator.eval(xt, ctx.constant(yt))
     den = (xt - circle_diff.pole1.x) * (circle_diff.pole2.x - xt) \
         * circle.fy.eval(xt, ctx.constant(yt))
     assert (val - num * den.invert()).is_zero()
@@ -249,8 +251,7 @@ def test_haupt_cubic(cubic):
     pp = cubic.section_roots(3, ctx)[0]
     res = haupt_solve(cubic, p1, p2, pp, [a1])
     # the step-2 assignment makes u vanish exactly at the auxiliary pole
-    assert eval_u(res.differential, a1,
-                  res.differential.numerator_with(res.parameters)).is_zero()
+    assert eval_u(res.differential, a1, res.parameters).is_zero()
     assert len(res.parameters) == 1
     assert not res.value.is_zero()
 
@@ -271,19 +272,84 @@ def test_haupt_solve_inverts_only_residues_pivots_and_value(cubic, monkeypatch):
     assert len(calls) == 2 * cubic.r + cubic.genus() + 1 == 8
 
 
-def test_haupt_solve_builds_the_assigned_numerator_once(cubic, monkeypatch):
+@pytest.mark.parametrize("terms, abscissas", [
+    (CUBIC_TERMS, (0, 1, 3, 2)),
+    (QUARTIC_TERMS, (0, 2, 3, 4, 5, 6)),
+], ids=["cubic", "quartic"])
+def test_haupt_solve_evaluates_the_base_numerator_once_per_point(
+        monkeypatch, terms, abscissas):
+    # after third_kind returns: E_base once at each auxiliary pole and once
+    # at p'; the first-kind values come from monomial rows
+    curve = Curve(BPoly(terms))
+    ctx = TowerContext()
+    p1, p2, pp, *poles = (curve.section_roots(x, ctx)[0] for x in abscissas)
+    evaluated = []
+    real_eval, real_third_kind = differentials.eval_bpoly, differentials.third_kind
+
+    def third_kind(*args):
+        diff = real_third_kind(*args)
+        evaluated.clear()
+        return diff
+
+    def counted(poly, x, y):
+        evaluated.append(poly)
+        return real_eval(poly, x, y)
+    monkeypatch.setattr(differentials, "third_kind", third_kind)
+    monkeypatch.setattr(differentials, "eval_bpoly", counted)
+    res = haupt_solve(curve, p1, p2, pp, poles)
+    assert len(evaluated) == curve.genus() + 1
+    assert all(poly is res.differential.base_numerator for poly in evaluated)
+
+
+def test_parameters_that_miss_an_auxiliary_pole_fail_verification(cubic,
+                                                                   monkeypatch):
+    # every parameter off by one: E no longer vanishes at the auxiliary pole,
+    # and the exact check after the parameter solve says so
+    real = differentials._solve_tower
+    monkeypatch.setattr(differentials, "_solve_tower",
+                        lambda rows, rhs: [c + 1 for c in real(rows, rhs)])
     ctx = TowerContext()
     p1, p2, a1, pp = (cubic.section_roots(x, ctx)[0] for x in (0, 1, 2, 3))
-    built = []
-    real = ParametricDifferential.numerator_with
+    with pytest.raises(VerificationFailed):
+        haupt_solve(cubic, p1, p2, pp, [a1])
 
-    def counted(self, params=None):
-        if params is not None:
-            built.append(params)
-        return real(self, params)
-    monkeypatch.setattr(ParametricDifferential, "numerator_with", counted)
-    haupt_solve(cubic, p1, p2, pp, [a1])
-    assert len(built) == 1
+
+def _assigned_u(diff, pt, params):
+    """Reference for eval_u: the whole assigned numerator
+    E_base + sum_k c_k m_k (x - x1)(x2 - x) as one BPoly, evaluated by
+    BPoly.eval and divided by (x - x1)(x2 - x) f_y."""
+    pf = _pole_factor(diff.pole1.x, diff.pole2.x)
+    num = diff.base_numerator
+    for c, mono in zip(params, diff.first_kind_numerators, strict=True):
+        num = num + c * (mono * pf)
+    w = (pt.x - diff.pole1.x) * (diff.pole2.x - pt.x)
+    return num.eval(pt.x, pt.y) * (w * diff.curve.fy.eval(pt.x, pt.y)).invert()
+
+
+@pytest.mark.parametrize("text, x1, x2, xp, aux, rational_point", [
+    ("x^2+y^2-1", 0, Fraction(1, 2), 3, [], (Fraction(3, 5), Fraction(4, 5))),
+    ("x^3-y^3+2*x*y+x-2*y+1", 0, 1, 3, [2], (Fraction(-17, 27), Fraction(1, 27))),
+    ("x^4+y^4-1", 2, 3, Fraction(1, 2), [4, 5, 6], (0, 1)),
+    (DENSE_QUARTIC, Fraction(1, 3), Fraction(5, 2), 0,
+     [Fraction(-2, 3), Fraction(7, 3), 3], (4, 1)),
+], ids=["circle", "cubic", "quartic", "dense-quartic"])
+def test_eval_u_matches_the_assigned_numerator_evaluated_whole(
+        text, x1, x2, xp, aux, rational_point):
+    curve = Curve(parse_poly(text))
+    ctx = TowerContext()
+    p1, p2, pp, *poles = (curve.section_roots(x, ctx)[0] for x in [x1, x2, xp, *aux])
+    res = haupt_solve(curve, p1, p2, pp, poles)
+    diff = res.differential
+    rng = random.Random(2026)
+    rational = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in poles]
+    points = curve.section_roots(xp, ctx) + [
+        Point(curve, rational_point[0], ctx.constant(rational_point[1]))]
+    if aux:
+        points += curve.section_roots(aux[0], ctx)
+    for params in (rational, res.parameters):
+        for pt in points:
+            assert (eval_u(diff, pt, params) - _assigned_u(diff, pt, params)).is_zero()
+    assert (res.value - _assigned_u(diff, pp, res.parameters)).is_zero()
 
 
 def test_auxiliary_pole_at_vertical_tangent_rejected():
@@ -334,7 +400,7 @@ def test_monomials_upto_order():
 def test_first_kind_numerators_have_zero_residue_everywhere(cubic_diff):
     # the embedded first-kind numerators alone give regular differentials:
     # residue 0 at every section point over both pole abscissas
-    pf = cubic_diff.pole_factor()
+    pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     for mono in cubic_diff.first_kind_numerators:
         pure = dataclasses.replace(cubic_diff, base_numerator=mono * pf,
                                    first_kind_numerators=[])
@@ -368,7 +434,7 @@ def test_base_numerator_is_the_solution_orthogonal_to_first_kind(terms, x1, x2):
         for a, c in zip(row, coords):
             acc = acc + a * c
         assert (acc - rhs).is_zero()
-    pf = diff.pole_factor()
+    pf = _pole_factor(diff.pole1.x, diff.pole2.x)
     assert len(diff.first_kind_numerators) == curve.genus()
     for mono in diff.first_kind_numerators:
         embedded = (mono * pf).terms
