@@ -12,6 +12,7 @@ for the "timings" subtree.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -68,7 +69,10 @@ class Request:
     assume_smooth: bool = False
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: parse_args
+    leaves it unchanged, and _request copies the lists it returns."""
     ap = argparse.ArgumentParser(
         prog="abeldiff",
         description="Exact Abelian differentials of the first and third kind "

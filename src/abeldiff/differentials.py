@@ -25,13 +25,15 @@ function u = E / ((x - x1)(x2 - x) f_y): f_y is a unit at every point of a
 square-free section, and haupt_solve checks it nonzero exactly at every
 auxiliary pole, so f_y changes no condition and is inverted only where a
 value is returned.  Every constructed differential is certified fail-closed
-by an independent residue oracle: at each section point over a pole
-abscissa it checks f_y != 0 exactly and compares E / ((x2 - x1) f_y) with
-the expected residue.  The fundamental function needs the assigned
-numerator E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values:
-it fixes the free parameters c_k so that E vanishes at the auxiliary poles,
-from E_base and the first-kind monomials m_k at each pole, and evaluates u
-at the evaluation point the same way.  E itself is never built.
+by an independent residue oracle: at each section point p over a pole
+abscissa it checks f_y(p) != 0 exactly, so the residue there is
+sign * E(p) / ((x2 - x1) f_y(p)), and checks exactly that
+E(p) - sign * expected * (x2 - x1) f_y(p) vanishes, which inverts
+nothing.  The fundamental function needs the assigned numerator
+E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values: it fixes
+the free parameters c_k so that E vanishes at the auxiliary poles, from
+E_base and the first-kind monomials m_k at each pole, and evaluates u at
+the evaluation point the same way.  E itself is never built.
 """
 
 from __future__ import annotations
@@ -280,16 +282,17 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
 # -- the independent residue oracle ----------------------------------------
 
 
-def residue_at(diff: ParametricDifferential, point: Point) -> TowerElement:
-    """Residue of the differential at a section point over either pole
-    abscissa, computed independently of the construction.
+def _residue_terms(diff: ParametricDifferential, point: Point):
+    """(sign, E(point), den) for a section point over either pole abscissa:
+    the residue there is sign * E(point) / den(), den() = (x2 - x1) *
+    f_y(point).
 
-    With x = x0 + t the denominator is t * D1(t) with D1(0) = (x2 - x1) *
-    f_y(point), and f_y(point) != 0 is checked exactly first
-    (VerticalTangent), so the pole is simple and the residue is
-    sign * E(point) / ((x2 - x1) * f_y(point)), with E the base numerator:
-    the first-kind terms of an assigned numerator vanish over both pole
-    abscissas, so every assignment has these residues.
+    With x = x0 + t the denominator of the differential is t * D1(t) with
+    D1(0) = (x2 - x1) * f_y(point), and f_y(point) != 0 is checked exactly
+    first (VerticalTangent), so the pole is simple.  E is the base
+    numerator: the first-kind terms of an assigned numerator vanish over
+    both pole abscissas, so every assignment has these residues.  den is
+    evaluated only when called.
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
@@ -300,13 +303,25 @@ def residue_at(diff: ParametricDifferential, point: Point) -> TowerElement:
         raise ValueError("residue_at expects a point over a pole abscissa")
     diff.curve.local_series(point, 0)  # raises VerticalTangent
     num = eval_bpoly(diff.base_numerator, point.x, point.y)
-    return sign * (num * ((x2 - x1) * diff.curve.fy_at(point)).invert())
+    return sign, num, lambda: (x2 - x1) * diff.curve.fy_at(point)
+
+
+def residue_at(diff: ParametricDifferential, point: Point) -> TowerElement:
+    """Residue of the differential at a section point over either pole
+    abscissa, computed independently of the construction:
+    sign * E(point) / ((x2 - x1) * f_y(point)) (see _residue_terms)."""
+    sign, num, den = _residue_terms(diff, point)
+    return sign * (num * den().invert())
 
 
 def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     """Residue oracle at every section point over both pole abscissas, plus
     the residue-sum identity.
 
+    The residue sign * E(p) / ((x2 - x1) f_y(p)) equals its expected value
+    exactly when E(p) - sign * expected * (x2 - x1) f_y(p) is zero, since
+    (x2 - x1) f_y(p) is nonzero: the oracle decides that, and just
+    E(p) = 0 where the expected residue is 0, so it inverts nothing.
     Each residue is certified exactly equal to its expected value, so the
     sum certificate is the sum of the expected values over the certified
     points (mixing all residues into one element would drag every generator
@@ -322,8 +337,8 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
                 expected = 1
             elif pt is diff.pole2:
                 expected = -1
-            res = residue_at(diff, pt)
-            ok = (res - expected).is_zero()
+            sign, num, den = _residue_terms(diff, pt)
+            ok = (num - sign * expected * den() if expected else num).is_zero()
             all_ok = all_ok and ok
             expected_total += expected
             out.append({

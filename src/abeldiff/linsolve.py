@@ -65,13 +65,6 @@ def _int_rows(rows) -> tuple[list[list[int]], list[Fraction]]:
     return out, scales
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("fraction-free elimination lost exactness")
-    return q
-
-
 def bareiss_det(matrix) -> Fraction:
     """Determinant of a square rational matrix by fraction-free elimination."""
     rows = matrix.rows if isinstance(matrix, RatMatrix) else matrix
@@ -161,11 +154,17 @@ def ff_solve(matrix, rhs: Sequence) -> SolveResult:
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             b[r], b[piv] = b[piv], b[r]
-        pk = a[r][col]
+        pk, rr = a[r][col], a[r]
         for i in range(r + 1, m):
-            aik = a[i][col]
-            for j in range(n):
-                a[i][j] = _exact_div(pk * a[i][j] - aik * a[r][j], prev)
+            ri = a[i]
+            aik = ri[col]
+            # entries left of col are zero in rows r.. already
+            for j in range(col + 1, n):
+                q, rem = divmod(pk * ri[j] - aik * rr[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                ri[j] = q
+            ri[col] = 0
             b[i] = (b[i] * pk - b[r] * aik) * Fraction(1, prev)
         prev = pk
         pivots.append(col)

@@ -21,6 +21,13 @@ exactly: conjugate pairs are detected through disc pairing, and the remaining
 ties fall back to a separation bound for the polynomial whose roots are all
 midpoints of root pairs (real parts are midpoints of conjugate pairs, so two
 distinct real parts differ by at least that bound).
+
+Isolations and refinements are shared across requests.  The isolation of
+each primitive integer polynomial is kept in a bounded LRU cache, and with
+it every refinement of its roots: refine_root is a pure function of the
+polynomial, the root's index and disc and the target, so a memoized
+refinement is bit for bit what a fresh process computes.  Callers receive
+copies, never the shared records.
 """
 
 from __future__ import annotations
@@ -46,20 +53,26 @@ MAX_PREC = 1 << 22
 
 class RootApprox:
     """One certified root: an open disc |z - center| < radius containing
-    exactly one root of the (implicit) polynomial."""
+    exactly one root of the (implicit) polynomial.
 
-    __slots__ = ("index", "center", "radius", "prec", "conj_index")
+    balls is a cache that the tower layer fills with powers of the disc's
+    ball.  Its contents depend only on the disc, so every copy of one disc
+    shares it, across requests too."""
 
-    def __init__(self, index, center, radius, prec, conj_index):
+    __slots__ = ("index", "center", "radius", "prec", "conj_index", "balls")
+
+    def __init__(self, index, center, radius, prec, conj_index, balls=None):
         self.index = index
         self.center = center
         self.radius = radius
         self.prec = prec
         self.conj_index = conj_index
+        self.balls = {} if balls is None else balls
 
-    @property
-    def is_real(self) -> bool:
-        return self.conj_index == self.index
+    def copy(self) -> "RootApprox":
+        """The same disc in a new record that shares the ball cache."""
+        return RootApprox(self.index, self.center, self.radius, self.prec,
+                          self.conj_index, self.balls)
 
     def __repr__(self):
         return f"RootApprox({self.index}, {mp.nstr(self.center, 8)}, r<{mp.nstr(self.radius, 3)})"
@@ -336,26 +349,54 @@ class _Isolator:
         return -1 if ia < ib else 1
 
 
+# Refinements kept per isolated polynomial, oldest dropped first.
+MAX_REFINED = 64
+
+
+class _Isolation:
+    """The certified roots of one polynomial and the refinements of them
+    made so far, keyed by (root index, input disc, target)."""
+
+    __slots__ = ("roots", "refined")
+
+    def __init__(self, roots: list[RootApprox]):
+        self.roots = roots
+        self.refined: dict[tuple, RootApprox] = {}
+
+
 @lru_cache(maxsize=512)
-def _isolated(ints: tuple[int, ...]) -> list[RootApprox]:
-    """Roots of the primitive integer polynomial ints, shared across requests
-    that meet the same section polynomial."""
-    return _Isolator(UPoly(ints)).run()
+def _isolated(ints: tuple[int, ...]) -> _Isolation:
+    """Roots of the primitive integer polynomial ints, and their
+    refinements, shared across requests that meet the same section
+    polynomial."""
+    return _Isolation(_Isolator(UPoly(ints)).run())
 
 
 def isolate_roots(m: UPoly) -> list[RootApprox]:
     """All complex roots of a square-free polynomial as certified discs, in
     the canonical order (ascending re, then ascending im)."""
     ints, _ = m.to_int_coeffs()
-    return [RootApprox(r.index, r.center, r.radius, r.prec, r.conj_index)
-            for r in _isolated(tuple(ints))]
+    return [r.copy() for r in _isolated(tuple(ints)).roots]
 
 
 def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
-    """Shrink the certified radius below target; the root identity (index)
-    is preserved because the new disc intersects the old isolating disc."""
+    """Shrink the certified radius of a root of the square-free m below
+    target; the root identity (index) is preserved because the new disc
+    intersects the old isolating disc.
+
+    A pure function of m, the root's index and disc (center, radius, prec)
+    and target: the result is memoized with m's isolation and handed out
+    as a copy, so it is bit for bit what a fresh process computes."""
     if root.radius < target:
         return root
     ints, _ = m.to_int_coeffs()
-    z, rad, prec = _refine(ints, root.center, root.radius, target, max(root.prec, 80))
-    return RootApprox(root.index, z, rad, prec, root.conj_index)
+    refined = _isolated(tuple(ints)).refined
+    key = (root.index, root.center, root.radius, root.prec, target)
+    shared = refined.get(key)
+    if shared is None:
+        z, rad, prec = _refine(ints, root.center, root.radius, target,
+                               max(root.prec, 80))
+        if len(refined) >= MAX_REFINED:
+            del refined[next(iter(refined))]
+        shared = refined[key] = RootApprox(root.index, z, rad, prec, root.conj_index)
+    return shared.copy()

@@ -29,7 +29,8 @@ generator at a time, lowest index first: the partial sums that share the
 rest of their key are multiplied by one power ball and merged, so there is
 about one ball product per distinct key suffix rather than one per
 generator of every term.  Each generator's powers of its root ball come
-from a cache on its descriptor that holds for one root approximation at one
+from a cache on its certified disc, which every request that meets the
+same disc shares (roots memoizes refinements), and which holds for one
 precision.  A ball's center is an mpc at the working precision; its radius
 is a 30-bit float rounded upward, grown from a cheap upper bound on each
 center's magnitude (at most 1.12 times it) instead of a full-precision
@@ -146,6 +147,24 @@ class _Ball:
         return out
 
 
+def _power_ball(root: RootApprox, e: int, prec: int) -> _Ball:
+    """The ball of root raised to e at working precision prec (call it
+    inside mp.workprec(prec)), computed once per certified disc and
+    precision: the cache is the root's, which every copy of the disc that
+    isolate_roots or refine_root hands out shares, in any request.  It
+    holds one disc at one precision; another precision, or a copy whose
+    disc was changed, starts it afresh."""
+    held = root.balls.get(prec)
+    if held is None or held[0] is not root.center or held[1] is not root.radius:
+        root.balls.clear()
+        held = root.balls[prec] = (root.center, root.radius, {})
+    balls = held[2]
+    ball = balls.get(e)
+    if ball is None:
+        ball = balls[e] = _Ball(root.center, root.radius).pow(e, prec)
+    return ball
+
+
 class ExtensionDescriptor:
     """One generator: a square-free monic modulus plus the certified
     approximation that pins which of its roots the generator denotes.
@@ -162,8 +181,6 @@ class ExtensionDescriptor:
         # denominator), from t^d on; int_power extends it on demand
         ints, _ = modulus.to_int_coeffs()
         self._int_powers = [_lowest_terms([-c for c in ints[:-1]], ints[-1])]
-        # powers of the root's ball, for one RootApprox at one precision
-        self._balls: tuple = (None, 0, {})
 
     @property
     def degree(self) -> int:
@@ -182,19 +199,6 @@ class ExtensionDescriptor:
                 [head * b + (prev[i - 1] * q if i else 0) for i, b in enumerate(base)],
                 den * q))
         return rows[e - d]
-
-    def power_ball(self, root: RootApprox, e: int, prec: int) -> _Ball:
-        """The ball of root raised to e at working precision prec (call it
-        inside mp.workprec(prec)), computed once per root object and
-        precision: a refinement or another precision starts afresh."""
-        cached_root, cached_prec, balls = self._balls
-        if cached_root is not root or cached_prec != prec:
-            balls = {}
-            self._balls = (root, prec, balls)
-        ball = balls.get(e)
-        if ball is None:
-            ball = balls[e] = _Ball(root.center, root.radius).pow(e, prec)
-        return ball
 
     def approximation(self) -> RootApprox:
         return self._root
@@ -548,12 +552,12 @@ class TowerElement:
             # power of t_i it carries and merged with those of equal rest
             level = {key: _Ball.from_fraction(c, prec) for key, c in self.terms.items()}
             for i in range(max(map(len, level), default=0)):
-                ext, root = exts[i], roots.get(i)
+                root = roots.get(i)
                 merged: dict[tuple, _Ball] = {}
                 for key, ball in level.items():
                     if key:
                         if key[0]:
-                            ball = ball.mul(ext.power_ball(root, key[0], prec), prec)
+                            ball = ball.mul(_power_ball(root, key[0], prec), prec)
                         key = key[1:]
                     prev = merged.get(key)
                     merged[key] = ball if prev is None else prev.add(ball, prec)

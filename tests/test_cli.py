@@ -5,7 +5,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from abeldiff import cli, differentials
+from abeldiff import cli, differentials, roots
 from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
                              exit_code_for)
 
@@ -336,6 +336,12 @@ DIGESTS = {
         "da77974cda759e252ff0ea00693b51c3b068edd394ed970eb0c35deff0420642",
     "verify -f x^4+y^4-1 --x1=2 --x2=3 --digits 30":
         "f63c418c9889b117a8e8b36254e1be09c0ce57292fdc7c9db7207d409eba551a",
+    # residue certificates at a quintic's ten section points, and a cubic
+    # verify (both recorded before the residue oracle was division-free)
+    "third-kind -f x^5+y^5-1 --x1=2 --x2=-3 --digits 30":
+        "8247818d11bb608ae6716f758f3d12e02add0c744e087e9523e27df4423db9ac",
+    "verify -f x^3-y^3+2*x*y+x-2*y+1 --x1=1/2 --x2=-2 --digits 30":
+        "8d434ea39beb8fda1505a9a2dab10bceb5c789efaeb7802f53ef6742e03a9ed8",
 }
 
 
@@ -347,3 +353,43 @@ def test_json_output_digests(capsys, request_line):
     doc.pop("stats", None)
     digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
     assert digest == DIGESTS[request_line]
+
+
+def _document(capsys, argv):
+    cli.main(argv + ["--json"])
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("timings", None)
+    return doc
+
+
+def test_a_request_does_not_depend_on_earlier_requests(capsys):
+    # the second request shares its sections, and so their isolations and
+    # refinements, with the first; its document must be what a process that
+    # has run nothing before it prints
+    group = ["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2",
+             "--a", "4", "--a", "5", "--a", "6", "--digits", "60"]
+    roots._isolated.cache_clear()
+    _document(capsys, group + ["--xp", "7"])
+    after_another = _document(capsys, group + ["--xp", "3"])
+    roots._isolated.cache_clear()
+    fresh = _document(capsys, group + ["--xp", "3"])
+    assert after_another == fresh
+
+
+def test_consecutive_requests_share_no_argument_lists(monkeypatch):
+    seen = []
+
+    def record(req):
+        seen.append(req)
+        return {}, True
+    monkeypatch.setattr(cli, "run", record)
+    monkeypatch.setattr(cli, "_emit", lambda doc, ok, json_mode: None)
+    base = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--xp", "3"]
+    assert cli.main(base + ["--a", "2", "--roota", "1"]) == 0
+    assert cli.main(base + ["--a", "5", "--a", "6", "--roota", "2"]) == 0
+    assert cli.main(base) == 0
+    first, second, third = seen
+    assert (first.a, first.roota) == (["2"], [1])
+    assert (second.a, second.roota) == (["5", "6"], [2])
+    assert (third.a, third.roota) == ([], [])
+    assert first.a is not second.a and first.roota is not second.roota

@@ -257,8 +257,8 @@ def test_haupt_cubic(cubic):
 
 
 def test_haupt_solve_inverts_only_residues_pivots_and_value(cubic, monkeypatch):
-    # one inversion per residue (2r), per pivot (p) and for the value:
-    # the parameter rows hold no inverse of f_y
+    # one inversion per pivot (p) and one for the value: the residue oracle
+    # inverts nothing, and the parameter rows hold no inverse of f_y
     ctx = TowerContext()
     p1, p2, a1, pp = (cubic.section_roots(x, ctx)[0] for x in (0, 1, 2, 3))
     calls = []
@@ -269,7 +269,7 @@ def test_haupt_solve_inverts_only_residues_pivots_and_value(cubic, monkeypatch):
         return real_invert(self)
     monkeypatch.setattr(TowerElement, "invert", counted)
     haupt_solve(cubic, p1, p2, pp, [a1])
-    assert len(calls) == 2 * cubic.r + cubic.genus() + 1 == 8
+    assert len(calls) == cubic.genus() + 1 == 2
 
 
 @pytest.mark.parametrize("terms, abscissas", [
@@ -415,6 +415,46 @@ def test_corrupted_numerator_flagged_with_point(cubic_diff):
     failing = [c for c in certs if not c["ok"]]
     assert failing
     assert any("x=" in c["point"] for c in failing)
+
+
+@pytest.mark.parametrize("text, x1, x2", [
+    ("x^2+y^2-1", 0, Fraction(1, 2)),
+    ("x^3-y^3+2*x*y+x-2*y+1", 0, 1),
+    ("x^4+y^4-1", 2, 3),
+    ("x^5+y^5-1", 2, -3),
+    ("x^6+y^6-1", Fraction(-5, 3), Fraction(-5, 2)),
+    ("x^7+y^7-x-1", 0, 2),
+    (DENSE_QUARTIC, Fraction(1, 3), Fraction(5, 2)),
+], ids=["circle", "cubic", "quartic", "quintic", "sextic", "septic", "dense-quartic"])
+def test_division_free_verdicts_match_the_residues(text, x1, x2):
+    # at every section point over both poles the certificate's verdict is
+    # the residue compared with its expected value, both for the base
+    # numerator and for one that keeps the residues over x1 only
+    curve = Curve(parse_poly(text))
+    ctx = TowerContext()
+    diff = third_kind(curve, curve.section_roots(x1, ctx)[0],
+                      curve.section_roots(x2, ctx)[-1])
+    shifted = dataclasses.replace(
+        diff, base_numerator=diff.base_numerator + BPoly({(1, 0): 1, (0, 0): -x1}))
+    points = diff.section1 + diff.section2
+    for d, verdicts in ((diff, [True] * len(points)),
+                        (shifted, [True] * curve.r + [False] * curve.r)):
+        certs = residue_certificates(d)[:-1]
+        assert [c["ok"] for c in certs] == verdicts
+        for pt, cert in zip(points, certs):
+            assert cert["ok"] == (residue_at(d, pt) - cert["expected"]).is_zero()
+
+
+def test_third_kind_inverts_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(TowerElement, "invert", lambda self: calls.append(self))
+    for text, x1, x2 in (("x^3-y^3+2*x*y+x-2*y+1", 0, 1), ("x^4+y^4-1", 2, 3)):
+        curve = Curve(parse_poly(text))
+        ctx = TowerContext()
+        diff = third_kind(curve, curve.section_roots(x1, ctx)[0],
+                          curve.section_roots(x2, ctx)[0])
+        residue_certificates(diff)
+    assert calls == []
 
 
 @pytest.mark.parametrize("terms, x1, x2", [

@@ -23,7 +23,7 @@ def test_two_rational_roots_ordered():
     assert len(roots) == 2
     assert abs(roots[0].center - (-1)) < roots[0].radius
     assert abs(roots[1].center - 1) < roots[1].radius
-    assert all(r.is_real for r in roots)
+    assert all(r.conj_index == r.index for r in roots)
 
 
 def test_cube_root_of_three_ordering():
@@ -31,19 +31,19 @@ def test_cube_root_of_three_ordering():
     # within the pair, negative imaginary part first
     roots = isolate_roots(UPoly([-3, 0, 0, 1]))
     assert len(roots) == 3
-    assert not roots[0].is_real and not roots[1].is_real
+    assert roots[0].conj_index != roots[0].index and roots[1].conj_index != roots[1].index
     assert roots[0].conj_index == 1 and roots[1].conj_index == 0
     assert roots[0].center.imag < 0 < roots[1].center.imag
-    assert roots[2].is_real
+    assert roots[2].conj_index == roots[2].index
     assert abs(roots[2].center - mp.cbrt(3)) < 1e-10
 
 
 def test_depressed_cubic_roots():
     roots = isolate_roots(UPoly([-1, 2, 0, 1]))  # y^3 + 2y - 1
-    real = [r for r in roots if r.is_real]
+    real = [r for r in roots if r.conj_index == r.index]
     assert len(real) == 1
     assert abs(real[0].center.real - mp.mpf("0.45339765")) < 1e-6
-    pair = [r for r in roots if not r.is_real]
+    pair = [r for r in roots if r.conj_index != r.index]
     assert abs(pair[0].center.real - mp.mpf("-0.22669883")) < 1e-6
 
 
@@ -62,7 +62,7 @@ def test_exact_real_part_tie_with_real_root():
     # (y - 1)(y^2 - 2y + 2): roots 1, 1 +- i, all with real part exactly 1
     p = UPoly([-2, 4, -3, 1])
     roots = isolate_roots(p)
-    assert [r.is_real for r in roots] == [False, True, False]
+    assert [r.conj_index == r.index for r in roots] == [False, True, False]
     assert roots[0].center.imag < 0 < roots[2].center.imag
     for r in roots:
         assert abs(r.center.real - 1) < 1e-9
@@ -76,6 +76,36 @@ def test_refinement_is_stable():
         assert fine.index == r.index
         assert fine.radius < mp.mpf(10) ** -60
         assert abs(fine.center - r.center) <= r.radius + fine.radius
+
+
+def test_refinements_are_shared_and_equal_a_fresh_computation(monkeypatch):
+    p = UPoly([-1, 2, 0, 1])
+    target = mp.mpf(10) ** -60
+
+    def disc(r):
+        return r.center, r.radius, r.prec
+
+    roots_mod._isolated.cache_clear()
+    first, again = isolate_roots(p), isolate_roots(2 * p)
+    calls = []
+    real_refine = roots_mod._refine
+
+    def counted(*args):
+        calls.append(args)
+        return real_refine(*args)
+    monkeypatch.setattr(roots_mod, "_refine", counted)
+    miss = [disc(refine_root(p, r, target)) for r in first]
+    handed = [refine_root(p, r, target) for r in again]
+    assert len(calls) == 3                    # the second pass hits the memo
+    assert [disc(r) for r in handed] == miss
+    for r in handed:                          # a caller alters its copies
+        r.center += 1
+        r.radius = mp.mpf(1)
+        r.prec = 7
+    assert [disc(refine_root(p, r, target)) for r in isolate_roots(p)] == miss
+    assert len(calls) == 3
+    roots_mod._isolated.cache_clear()
+    assert [disc(refine_root(p, r, target)) for r in isolate_roots(p)] == miss
 
 
 def test_separation_bound_positive_and_below_true_separation():
@@ -108,6 +138,7 @@ def test_real_part_gap_and_order_on_ties(poly, gap, centers):
 
 def test_refinement_leaving_the_isolating_disc_is_an_error(monkeypatch):
     p = UPoly([-1, 2, 0, 1])
+    roots_mod._isolated.cache_clear()  # no refinement memoized by an earlier test
     root = isolate_roots(p)[0]
     monkeypatch.setattr(roots_mod, "_newton_to",
                         lambda *args: (root.center + 10, mp.mpf(10) ** -70))

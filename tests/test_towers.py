@@ -243,7 +243,20 @@ def test_ball_power_cache_is_bit_identical_and_invalidated():
     ext.refine_to(mp.mpf(10) ** -80)  # a new root object at the same precision
     assert ext.approximation() is not before
     check(40)
-    assert ext._balls[0] is ext.approximation()
+    assert ext.approximation().balls and ext.approximation().balls is not before.balls
+
+
+def test_a_changed_copy_of_a_root_leaves_the_shared_power_balls_alone():
+    ctx, c = adjoin(TowerContext(), UPoly([-1, 2, 0, 0, 0, 1]), 3)
+    a = c ** 4 - Fraction(7, 5) * c ** 3 + c
+    # a copy of the disc that a._ball(40) uses shares its cache
+    alias = ctx.extensions[0].refine_to(mp.mpf(10) ** -40).copy()
+    alias.center += 1
+    prec = int(40 * 3.4) + 40
+    with mp.workprec(prec):
+        towers._power_ball(alias, 3, prec)
+    got, ref = a._ball(40), _uncached_ball(a, 40)
+    assert (got.c, got.r) == (ref.c, ref.r)
 
 
 class _ParentBall:
