@@ -20,15 +20,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import differentials as diffs
 from .curves import Curve, smoothness_report
 from .errors import (AbeldiffError, InvalidArgument,
                      IrrationalAbscissaUnsupported, NotSmooth,
                      VerificationFailed, exit_code_for)
 from .parser import MAX_LITERAL_DIGITS, format_bpoly, parse_poly
-from .towers import TowerContext
+from .towers import TowerContext, decimal_parts
 
 SCHEMA = "weier/1"
 
@@ -126,8 +124,7 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
     doc_roots[label] = {
         "x": str(x),
         "root_index": root,
-        "ordinate_approx": {"re": mp.nstr(approx.real, 12),
-                            "im": mp.nstr(approx.imag, 12)},
+        "ordinate_approx": decimal_parts(approx, 12),
     }
     return pt
 

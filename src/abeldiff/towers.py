@@ -625,12 +625,8 @@ class TowerElement:
             ],
         }
         if digits:
-            val = self.approximate(digits)
-            doc["decimal"] = {
-                "re": mp.nstr(val.real, digits),
-                "im": mp.nstr(val.imag, digits),
-                "digits": digits,
-            }
+            doc["decimal"] = {**decimal_parts(self.approximate(digits), digits),
+                              "digits": digits}
         return doc
 
     def __repr__(self):
@@ -643,6 +639,17 @@ class TowerElement:
             return f"TowerElement(~{mp.nstr(v, 8)}; {len(self.terms)} terms)"
         except Exception:
             return f"TowerElement({len(self.terms)} terms)"
+
+
+def decimal_parts(value: mp.mpc, digits: int) -> dict:
+    """The "re" and "im" strings of a value certified to within
+    10**-digits/2, each to digits significant digits.  A component below
+    10**-digits/2 in magnitude prints as 0.0: its digits would be rounding
+    noise, and 0.0 is still within 10**-digits of the true component."""
+    with mp.workdps(digits + 5):
+        tiny = mp.mpf(10) ** (-digits) / 2
+        return {part: "0.0" if abs(x) < tiny else mp.nstr(x, digits)
+                for part, x in (("re", value.real), ("im", value.imag))}
 
 
 def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:

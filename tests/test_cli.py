@@ -301,6 +301,35 @@ def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
         assert set(calls["eval_u"]) == {"haupt_solve"}
 
 
+def _decimals(node, digits=None):
+    """(component, digits it is certified to) for every certified decimal
+    in a document: each "decimal" at its own digits, each ordinate_approx at
+    12."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _decimals(item, digits)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key == "decimal":
+                yield from ((value[part], value["digits"]) for part in ("re", "im"))
+            elif key == "ordinate_approx":
+                yield from ((value[part], 12) for part in ("re", "im"))
+            else:
+                yield from _decimals(value, digits)
+
+
+def test_no_decimal_prints_digits_below_its_certified_error(capsys):
+    # base-numerator coefficients of this sextic have real part exactly 0; a
+    # decimal certified to 10^-30 cannot resolve anything below 10^-30/2
+    code, doc = _run_json(capsys, ["third-kind", "-f", "x^6+y^6-1", "--x1=-7/2",
+                                   "--x2=3", "--digits", "30"])
+    assert code == 0
+    found = list(_decimals(doc))
+    assert sum(d == 30 for _, d in found) >= 20
+    for text, digits in found:
+        assert text == "0.0" or abs(mp.mpf(text)) >= mp.mpf(10) ** -digits / 2, text
+
+
 # SHA-256 of each request's --json document with "timings" and "stats"
 # removed.  A change that keeps the output byte-identical leaves these as
 # they are; one that changes the output on purpose records the new digests.
@@ -326,8 +355,10 @@ DIGESTS = {
     # section ordinates with exactly-zero real parts, and a septic
     "third-kind -f x^2+y^2-1 --x1=-4 --x2=6 --digits 30":
         "7cb87a2596b9d5f7ed72b3b5503f2bc1bf9f9aec315dd965f08ae6fbf8d3b6dd",
+    # (the sextic re-recorded when components below 10^-digits/2 began to
+    # print as 0.0)
     "third-kind -f x^6+y^6-1 --x1=-5/3 --x2=-5/2 --digits 30":
-        "5bb9087adf7eae89672e868be13c20d092013d2da3418e8c20396503fcaad0f2",
+        "4068388a69ae7c01a6d8d08d69d3ac249394d10eb1abd8b44fa82f7831eb8228",
     "third-kind -f x^7+y^7-x-1 --x1 0 --x2 2":
         "0bfbe41a21513a9e923f9c3e4c0164183db19ba19f90fcbda5d71b1069d5ba61",
     # a genus-3 haupt value with 227 terms in six generators, and a quartic
