@@ -120,11 +120,10 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
         raise InvalidArgument(
             f"--{label}: root index {root} out of range 0..{len(pts) - 1}")
     pt = pts[root]
-    approx = pt.y.approximate(12)
     doc_roots[label] = {
         "x": str(x),
         "root_index": root,
-        "ordinate_approx": decimal_parts(approx, 12),
+        "ordinate_approx": decimal_parts(pt.y.approximate(12), 12),
     }
     return pt
 

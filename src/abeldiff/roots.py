@@ -55,9 +55,10 @@ class RootApprox:
     """One certified root: an open disc |z - center| < radius containing
     exactly one root of the (implicit) polynomial.
 
-    balls is a cache that the tower layer fills with powers of the disc's
-    ball.  Its contents depend only on the disc, so every copy of one disc
-    shares it, across requests too."""
+    balls is a cache that the tower layer fills with the disc's powers as
+    fixed-point integer balls, for one working precision at a time.  Its
+    contents depend only on the disc, so every copy of one disc shares it,
+    across requests too."""
 
     __slots__ = ("index", "center", "radius", "prec", "conj_index", "balls")
 

@@ -24,17 +24,22 @@ bare generator of high enough degree and by Horner's rule otherwise.
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
 public predicates (is_zero, approximate) answer questions about the embedded
-complex value.  The decimal embedding sums the terms in ball arithmetic one
-generator at a time, lowest index first: the partial sums that share the
-rest of their key are multiplied by one power ball and merged, so there is
-about one ball product per distinct key suffix rather than one per
-generator of every term.  Each generator's powers of its root ball come
-from a cache on its certified disc, which every request that meets the
-same disc shares (roots memoizes refinements), and which holds for one
-precision.  A ball's center is an mpc at the working precision; its radius
-is a 30-bit float rounded upward, grown from a cheap upper bound on each
-center's magnitude (at most 1.12 times it) instead of a full-precision
-absolute value, so the radius costs a few small-integer operations per step.
+complex value.  Both rest on one fixed-point ball kernel in Python
+integers: a ball is a center (re, im) of integers at scale 2^-P, P the
+working precision, and a radius counted in units of 2^-P, rounded upward.
+The element's coefficients enter as integer numerators over their lcm D,
+which divides once, at the end.  The terms are summed one generator at a
+time, lowest index first: the partial sums that share the rest of their key
+are multiplied by one power ball and merged, so there is about one ball
+product per distinct key suffix rather than one per generator of every
+term.  Sums and integer multiples of a ball are exact; a product of balls
+truncates its center toward zero and adds 2 units to its radius.  Each
+generator's powers of its root disc, converted exactly from the disc's raw
+mpf parts, come from a cache on the disc, which every request that meets
+the same disc shares (roots memoizes refinements), and which holds for one
+precision.  The decimal of an element is the center of a disc of radius
+below 10^-digits/2, rounded to digits significant digits; a component below
+10^-digits/2 in magnitude prints as 0.0.
 is_zero decides in four exact stages, cheapest first: the syntactic test on
 the reduced form; the normal form modulo the Cauchy modules of the element's
 generators, which proves the identities that hold because generators sharing
@@ -53,10 +58,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (fone, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_pos,
-                          mpf_shift, round_up)
+from mpmath.libmp import from_rational, round_nearest, round_up
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
@@ -64,105 +69,152 @@ from .polys import BPoly, UPoly
 from .roots import RootApprox, isolate_roots, refine_root
 
 
-# bits of a ball's radius; every radius operation rounds upward
-_RADIUS_BITS = 30
-
-
-def _upper_abs(c) -> tuple:
-    """An upper bound on |c| for an mpc c as a raw radius: max(|re|, |im|) +
-    min(|re|, |im|)/2, which is at least |c| and at most 1.12 |c|."""
-    re, im = c._mpc_
-    re, im = mpf_abs(re), mpf_abs(im)
-    if mpf_cmp(re, im) < 0:
+def _mag(re: int, im: int) -> int:
+    """An integer upper bound on |re + i im|: max + floor(min/2) + 1, at
+    most 1.12 times the modulus plus 1."""
+    re, im = abs(re), abs(im)
+    if re < im:
         re, im = im, re
-    return mpf_add(re, mpf_shift(im, -1), _RADIUS_BITS, round_up)
+    return re + (im >> 1) + 1
 
 
-def _slop(mag: tuple, shift: int) -> tuple:
-    """(1 + mag) * 2^shift, rounded upward: the rounding error of one
-    operation whose result has magnitude at most mag."""
-    return mpf_shift(mpf_add(fone, mag, _RADIUS_BITS, round_up), shift)
+def _mul(x: tuple, y: tuple, prec: int) -> tuple:
+    """Product of two balls (re, im, rad) at scale 2^-prec.  The center is
+    truncated toward zero, which moves it by under 2 units and commutes
+    with negation and conjugation; the radius is rounded upward."""
+    a, b, r = x
+    c, d, s = y
+    re, im = a * c - b * d, a * d + b * c
+    re = re >> prec if re >= 0 else -(-re >> prec)
+    im = im >> prec if im >= 0 else -(-im >> prec)
+    rad = _mag(a, b) * s + _mag(c, d) * r + r * s
+    return re, im, -(-rad >> prec) + 2
 
 
-class _Ball:
-    """Complex disc (center, radius) with rounding slop folded into the
-    radius after every operation.
-
-    The center is an mpc at the working precision.  The radius is a raw mpf
-    of _RADIUS_BITS bits, computed in upward rounding from upper bounds on
-    the centers' magnitudes (each ball keeps its own, from _upper_abs), so
-    it never falls below the exact radius formula.  The constructor takes
-    the radius as an mpf, and r reads it back as one.
-    """
-
-    __slots__ = ("c", "_r", "_m")
-
-    def __init__(self, c, r):
-        self.c = c
-        self._r = mpf_pos(r._mpf_, _RADIUS_BITS, round_up)
-        self._m = _upper_abs(c)
-
-    @property
-    def r(self):
-        return mp.mpf(self._r)
-
-    @staticmethod
-    def _raw(c, r: tuple, m: tuple) -> "_Ball":
-        ball = _Ball.__new__(_Ball)
-        ball.c = c
-        ball._r = r
-        ball._m = m
-        return ball
-
-    @staticmethod
-    def from_fraction(fr: Fraction, prec: int) -> "_Ball":
-        c = mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
-        m = mpf_abs(c._mpf_, _RADIUS_BITS, round_up)
-        return _Ball._raw(mp.mpc(c), _slop(m, 4 - prec), m)
-
-    def add(self, other: "_Ball", prec: int) -> "_Ball":
-        c = self.c + other.c
-        m = _upper_abs(c)
-        r = mpf_add(self._r, other._r, _RADIUS_BITS, round_up)
-        return _Ball._raw(c, mpf_add(r, _slop(m, 6 - prec), _RADIUS_BITS, round_up), m)
-
-    def mul(self, other: "_Ball", prec: int) -> "_Ball":
-        c = self.c * other.c
-        m = _upper_abs(c)
-        r1, r2 = self._r, other._r
-        r = mpf_add(mpf_mul(self._m, r2, _RADIUS_BITS, round_up),
-                    mpf_mul(other._m, r1, _RADIUS_BITS, round_up),
-                    _RADIUS_BITS, round_up)
-        r = mpf_add(r, mpf_mul(r1, r2, _RADIUS_BITS, round_up), _RADIUS_BITS, round_up)
-        return _Ball._raw(c, mpf_add(r, _slop(m, 6 - prec), _RADIUS_BITS, round_up), m)
-
-    def pow(self, e: int, prec: int) -> "_Ball":
-        out = _Ball(mp.mpc(1), mp.mpf(0))
-        base = self
-        while e:
-            if e & 1:
-                out = out.mul(base, prec)
-            base = base.mul(base, prec)
-            e >>= 1
-        return out
+def _pow(base: tuple, e: int, prec: int) -> tuple:
+    """base^e, e >= 1, by binary powering."""
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else _mul(out, base, prec)
+        e >>= 1
+        if not e:
+            return out
+        base = _mul(base, base, prec)
 
 
-def _power_ball(root: RootApprox, e: int, prec: int) -> _Ball:
-    """The ball of root raised to e at working precision prec (call it
-    inside mp.workprec(prec)), computed once per certified disc and
-    precision: the cache is the root's, which every copy of the disc that
-    isolate_roots or refine_root hands out shares, in any request.  It
-    holds one disc at one precision; another precision, or a copy whose
-    disc was changed, starts it afresh."""
+def _disc_ball(root: RootApprox, prec: int) -> tuple:
+    """The ball of a root disc at scale 2^-prec, from the raw mpf parts of
+    its center and (finite) radius: each center part is its mantissa
+    shifted to that scale, truncated toward zero where bits fall below it
+    (under 2 units off in all), and the radius is rounded upward."""
+    center = []
+    for sign, man, exp, _ in root.center._mpc_:
+        shift = exp + prec
+        v = man << shift if shift >= 0 else man >> -shift
+        center.append(-v if sign else v)
+    _, man, exp, _ = root.radius._mpf_
+    shift = exp + prec
+    rad = man << shift if shift >= 0 else -(-man >> -shift)
+    return center[0], center[1], rad + 2
+
+
+def _power_ball(root: RootApprox, e: int, prec: int) -> tuple:
+    """The ball of root raised to e >= 1 at scale 2^-prec, computed once per
+    certified disc and precision: the cache is the root's, which every copy
+    of the disc that isolate_roots or refine_root hands out shares, in any
+    request.  It holds one disc at one precision; another precision, or a
+    copy whose disc was changed, starts it afresh."""
     held = root.balls.get(prec)
     if held is None or held[0] is not root.center or held[1] is not root.radius:
         root.balls.clear()
         held = root.balls[prec] = (root.center, root.radius, {})
-    balls = held[2]
-    ball = balls.get(e)
+    powers = held[2]
+    ball = powers.get(e)
     if ball is None:
-        ball = balls[e] = _Ball(root.center, root.radius).pow(e, prec)
+        if 1 not in powers:
+            powers[1] = _disc_ball(root, prec)
+        ball = powers[e] = _pow(powers[1], e, prec)
     return ball
+
+
+def _add(x, y, prec: int):
+    """Sum of two partial sums, each an exact integer or a ball at scale
+    2^-prec; exact."""
+    if type(x) is int:
+        if type(y) is int:
+            return x + y
+        x, y = y, x
+    if type(y) is int:
+        return x[0] + (y << prec), x[1], x[2]
+    return x[0] + y[0], x[1] + y[1], x[2] + y[2]
+
+
+class _Disc(NamedTuple):
+    """A certified disc about an element's embedded value: center re + i im
+    and radius rad, all over den * 2^prec."""
+
+    re: int
+    im: int
+    rad: int
+    den: int
+    prec: int
+
+    def excludes_zero(self) -> bool:
+        return self.re * self.re + self.im * self.im > self.rad * self.rad
+
+    def below(self, bound: Fraction) -> bool:
+        """Is every point of the disc below bound in magnitude?"""
+        q = bound.denominator
+        t = bound.numerator * (self.den << self.prec) - q * self.rad
+        return t > 0 and q * q * (self.re * self.re + self.im * self.im) < t * t
+
+    @property
+    def c(self) -> mp.mpc:
+        """The center rounded to prec bits."""
+        q = self.den << self.prec
+        return mp.make_mpc((from_rational(self.re, q, self.prec, round_nearest),
+                            from_rational(self.im, q, self.prec, round_nearest)))
+
+    @property
+    def r(self) -> mp.mpf:
+        """The radius about c, rounded upward: rad plus what rounding the
+        center to prec bits can move it, under 2^-prec |center|."""
+        extra = (_mag(self.re, self.im) >> self.prec) + 1
+        return mp.make_mpf(from_rational(self.rad + extra, self.den << self.prec, 53,
+                                         round_up))
+
+
+def _nested_ball(terms: dict, roots: dict, prec: int) -> _Disc:
+    """The disc of sum c_k prod_i t_i^(k_i) over terms {k: c_k}, each t_i in
+    the disc roots[i], at scale 2^-prec.
+
+    The coefficients enter as integer numerators over their lcm, which the
+    disc keeps as its denominator.  One generator at a time, lowest index
+    first: each partial sum is multiplied by the power of t_i it carries
+    and merged with those of equal rest of key.  A partial sum stays an
+    exact integer until a power multiplies it, exactly."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    level = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+    for i in range(max(map(len, level), default=0)):
+        root = roots.get(i)
+        merged: dict = {}
+        for key, v in level.items():
+            if key:
+                if key[0]:
+                    power = _power_ball(root, key[0], prec)
+                    if type(v) is int:
+                        v = v * power[0], v * power[1], abs(v) * power[2]
+                    else:
+                        v = _mul(v, power, prec)
+                key = key[1:]
+            prev = merged.get(key)
+            merged[key] = v if prev is None else _add(prev, v, prec)
+        level = merged
+    v = level.get((), 0)
+    if type(v) is int:
+        v = v << prec, 0, 0
+    return _Disc(*v, den, prec)
 
 
 class ExtensionDescriptor:
@@ -502,8 +554,7 @@ class TowerElement:
         if not _cauchy_normal_form(self):
             return True
         for digits in (15, 40):
-            ball = self._ball(digits)
-            if abs(ball.c) > ball.r:
+            if self._ball(digits).excludes_zero():
                 return False
         mu = self._minimal_polynomial()
         if mu[0] != 0:
@@ -518,10 +569,9 @@ class TowerElement:
         digits = 40
         while True:
             ball = self._ball(digits)
-            if abs(ball.c) > ball.r:
+            if ball.excludes_zero():
                 return False
-            b = mp.mpf(bound.numerator) / mp.mpf(bound.denominator)
-            if abs(ball.c) + ball.r < b:
+            if ball.below(bound):
                 return True
             digits *= 2
 
@@ -541,28 +591,14 @@ class TowerElement:
                     "inverting an element whose embedded value is zero") from None
             raise
 
-    def _ball(self, digits10: int) -> _Ball:
-        prec = int(digits10 * 3.4) + 40
+    def _ball(self, digits10: int) -> _Disc:
+        """A certified disc about the embedded value, computed in integers
+        at the working precision of digits10 digits, from every present
+        generator's root refined below 10**-digits10."""
         target = mp.mpf(10) ** (-digits10)
         exts = self.ctx.extensions
         roots = {i: exts[i].refine_to(target) for i in self.present_generators()}
-        with mp.workprec(prec):
-            # one generator at a time, lowest index first: the partial sums
-            # are keyed by the rest of their key, each is multiplied by the
-            # power of t_i it carries and merged with those of equal rest
-            level = {key: _Ball.from_fraction(c, prec) for key, c in self.terms.items()}
-            for i in range(max(map(len, level), default=0)):
-                root = roots.get(i)
-                merged: dict[tuple, _Ball] = {}
-                for key, ball in level.items():
-                    if key:
-                        if key[0]:
-                            ball = ball.mul(_power_ball(root, key[0], prec), prec)
-                        key = key[1:]
-                    prev = merged.get(key)
-                    merged[key] = ball if prev is None else prev.add(ball, prec)
-                level = merged
-            return level.get((), _Ball(mp.mpc(0), mp.mpf(0)))
+        return _nested_ball(self.terms, roots, int(digits10 * 3.4) + 40)
 
     def _minimal_polynomial(self) -> list[Fraction]:
         """Minimal polynomial of the element over Q, monic, coefficients
@@ -603,12 +639,14 @@ class TowerElement:
             k += 1
 
     def approximate(self, digits: int) -> mp.mpc:
-        """Complex approximation with certified error below 10**-digits."""
+        """The center of a certified disc of radius below 10**-digits/2
+        about the embedded value, rounded to digits + 5 significant digits;
+        printed to digits significant digits, it is the decimal."""
         attempt = 0
         while True:
             work = digits + 10 + attempt * 20
             ball = self._ball(work)
-            if ball.r < mp.mpf(10) ** (-digits) / 2:
+            if ball.rad * 2 * 10 ** digits < ball.den << ball.prec:
                 with mp.workdps(digits + 5):
                     return mp.mpc(ball.c)
             attempt += 1

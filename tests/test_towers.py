@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 import pytest
@@ -12,6 +13,7 @@ from abeldiff.differentials import (residue_certificates, third_kind,
 from abeldiff.errors import (ContextMismatch, NotInvertible, NotSquareFree,
                              ZeroDivision)
 from abeldiff.polys import BPoly, UPoly, is_squarefree
+from abeldiff.roots import RootApprox
 from abeldiff.towers import TowerContext, TowerElement, adjoin, eval_bpoly
 
 SQRT2 = UPoly([-2, 0, 1])
@@ -215,15 +217,14 @@ def _nested_sum(a, ball, power, prec):
 
 
 def _uncached_ball(a, digits10):
-    """TowerElement._ball with every power of a root recomputed where it is
-    used."""
-    prec = int(digits10 * 3.4) + 40
+    """TowerElement._ball with every power of a root computed afresh, in a
+    cache of its own."""
     target = mp.mpf(10) ** (-digits10)
-    roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
-    with mp.workprec(prec):
-        return _nested_sum(
-            a, lambda c: towers._Ball.from_fraction(c, prec),
-            lambda i, e: towers._Ball(roots[i].center, roots[i].radius).pow(e, prec), prec)
+    roots = {}
+    for i in a.present_generators():
+        r = a.ctx.extensions[i].refine_to(target)
+        roots[i] = RootApprox(r.index, r.center, r.radius, r.prec, r.conj_index)
+    return towers._nested_ball(a.terms, roots, int(digits10 * 3.4) + 40)
 
 
 def test_ball_power_cache_is_bit_identical_and_invalidated():
@@ -234,6 +235,7 @@ def test_ball_power_cache_is_bit_identical_and_invalidated():
 
     def check(digits):
         got, ref = a._ball(digits), _uncached_ball(a, digits)
+        assert got == ref
         assert (got.c, got.r) == (ref.c, ref.r)
 
     for digits in (15, 40, 15, 40):   # each change of precision starts afresh
@@ -249,19 +251,25 @@ def test_ball_power_cache_is_bit_identical_and_invalidated():
 def test_a_changed_copy_of_a_root_leaves_the_shared_power_balls_alone():
     ctx, c = adjoin(TowerContext(), UPoly([-1, 2, 0, 0, 0, 1]), 3)
     a = c ** 4 - Fraction(7, 5) * c ** 3 + c
-    # a copy of the disc that a._ball(40) uses shares its cache
-    alias = ctx.extensions[0].refine_to(mp.mpf(10) ** -40).copy()
-    alias.center += 1
+    # copies of the disc that a._ball(40) uses share its cache, which holds
+    # a's powers; one copy moves the center, the other widens the radius
+    root = ctx.extensions[0].refine_to(mp.mpf(10) ** -40)
     prec = int(40 * 3.4) + 40
-    with mp.workprec(prec):
-        towers._power_ball(alias, 3, prec)
-    got, ref = a._ball(40), _uncached_ball(a, 40)
-    assert (got.c, got.r) == (ref.c, ref.r)
+    for changed in ("center", "radius"):
+        a._ball(40)
+        alias = root.copy()
+        setattr(alias, changed, 2 * getattr(root, changed))
+        assert towers._power_ball(alias, 3, prec) == \
+            towers._pow(towers._disc_ball(alias, prec), 3, prec)
+        got, ref = a._ball(40), _uncached_ball(a, 40)
+        assert got == ref
+        assert (got.c, got.r) == (ref.c, ref.r)
 
 
 class _ParentBall:
-    """The ball arithmetic of _Ball with its radius at the working precision
-    and |c| from mpmath's abs: the oracle that bounds _Ball's radius."""
+    """Ball arithmetic in mpmath at the working precision, each operation's
+    rounding folded into the radius, |c| from mpmath's abs: the oracle that
+    bounds the fixed-point kernel's radius."""
 
     def __init__(self, c, r):
         self.c = c
@@ -358,51 +366,127 @@ def test_ball_contains_the_value_with_a_radius_near_the_parent_oracle():
         for digits in (15, 40, 70):
             ball = a._ball(digits)
             oracle = _parent_ball(a, digits)
-            assert ball.c == oracle.c
-            assert 0.999 * oracle.r <= ball.r <= 4 * oracle.r
+            assert ball.r <= 4 * oracle.r
             with mp.workprec(4 * (int(digits * 3.4) + 40)):
+                assert abs(ball.c - oracle.c) <= ball.r + oracle.r
                 assert abs(ball.c - _fine_value(a, digits)) <= ball.r
 
 
+def test_approximate_lies_within_its_digits_of_the_value():
+    # the certified center is within 10^-d/2; approximate rounds it to d + 5
+    # significant digits, which moves a value above 1 by up to |v| 10^-(d+4)
+    rng = random.Random(1990)
+    elements = _haupt_shaped_elements(rng)
+    for _ in range(6):
+        ctx = _random_context(rng)
+        elements += [_random_element(rng, ctx, big) for big in (False, True) for _ in range(2)]
+    for a in elements:
+        for d in (15, 30, 60):
+            v = a.approximate(d)
+            with mp.workprec(4 * (int(d * 3.4) + 40)):
+                fine = _fine_value(a, d)
+                assert abs(v - fine) <= mp.mpf(10) ** -d * max(1, abs(fine))
+
+
 def _exact(x) -> Fraction:
-    man, exp = mp.mpf(x).man_exp
-    return Fraction(man) * Fraction(2) ** exp
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _ceil_sqrt(n: int) -> int:
+    return isqrt(n - 1) + 1 if n else 0
+
+
+def _holds(rad, body, dx, dy) -> bool:
+    """rad >= body + |dx + i dy|, in exact arithmetic."""
+    return rad >= body and (rad - body) ** 2 >= dx * dx + dy * dy
 
 
 def test_ball_radius_rounds_upward():
-    # |c| is exact for a real center, so a radius operation rounded down, or
-    # a dropped slop term, puts the radius below its formula evaluated in
-    # Fractions; radii range from far below the slop to far above the centers
+    # each radius of the fixed-point kernel is at least its formula in
+    # Fractions, with every modulus rounded up (a rounding done downward, or
+    # a dropped unit, breaks it), and at most a small factor above it plus a
+    # few units; centers and radii run from one unit of 2^-prec to 2^20
     rng = random.Random(1968)
     prec = 120
+    one = 1 << prec
 
-    def rand_mpf(bits, lo, hi):
-        """bits random bits, magnitude between 2^(lo-1) and 2^hi."""
-        return mp.ldexp(rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(lo, hi) - bits)
+    def rand_int(hi):
+        bits = rng.randint(1, hi)
+        return rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
 
     def rand_ball():
-        c = mp.mpc(rng.choice((1, -1)) * rand_mpf(prec, -20, 20),
-                   rng.choice((0, 0, 1, -1)) * rand_mpf(prec, -20, 20))
-        r = rand_mpf(60, -prec - 30, 20)
-        return towers._Ball(c, r), c, _exact(r)
+        hi = rng.choice((3, prec + 20))   # centers of a few units too
+        return (rand_int(hi), rng.choice((0, 0, 1)) * rand_int(hi),
+                rng.choice((0, abs(rand_int(prec + 20)))))
 
-    def magnitude(c):
-        with mp.workprec(400):
-            return _exact(abs(c))
+    def rand_mpf():
+        return mp.ldexp(rand_int(prec), rng.randint(-2 * prec, 20))
 
     for _ in range(400):
-        (x, cx, rx), (y, cy, ry) = rand_ball(), rand_ball()
-        fr = Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40))
-        with mp.workprec(prec):
-            cases = [
-                (x.mul(y, prec), magnitude(cx) * ry + magnitude(cy) * rx + rx * ry, 6),
-                (x.add(y, prec), rx + ry, 6),
-                (towers._Ball.from_fraction(fr, prec), Fraction(0), 4),
-            ]
-        for ball, body, shift in cases:
-            exact = body + (1 + magnitude(ball.c)) * Fraction(2) ** (shift - prec)
-            slack = Fraction(112, 100) * (1 + Fraction(1, 2**25))
-            assert exact <= _exact(ball.r) <= slack * exact
+        x, y = rand_ball(), rand_ball()
+        (a, b, r), (c, d, s) = x, y
+        # product: exact center (a + ib)(c + id) at scale 2^-2prec, truncated
+        re, im, rad = towers._mul(x, y, prec)
+        dx, dy = a * c - b * d - re * one, a * d + b * c - im * one
+        m1, m2 = _ceil_sqrt(a * a + b * b), _ceil_sqrt(c * c + d * d)
+        body = m1 * s + m2 * r + r * s
+        assert _holds(rad * one, body, dx, dy)
+        assert rad * one <= Fraction(22, 10) * (isqrt(a * a + b * b) * s +
+                                                isqrt(c * c + d * d) * r + r * s) + 4 * one
+        # truncation toward zero commutes with negation and conjugation
+        assert towers._mul((-a, -b, r), y, prec) == (-re, -im, rad)
+        assert towers._mul((a, -b, r), (c, -d, s), prec) == (re, -im, rad)
+        # sums are exact, with an integer partial sum too
+        assert towers._add(x, y, prec) == (a + c, b + d, r + s)
+        n = rand_int(100)
+        assert towers._add(n, y, prec) == towers._add(y, n, prec) == (c + (n << prec), d, s)
+        # integer times a root disc's power, in a one-term element
+        center, radius = mp.mpc(rand_mpf(), rng.choice((0, 1)) * rand_mpf()), abs(rand_mpf())
+        root = RootApprox(0, center, radius, prec, None)
+        disc = towers._disc_ball(root, prec)
+        ball = towers._nested_ball({(1,): Fraction(n)}, {0: root}, prec)
+        assert ball == (n * disc[0], n * disc[1], abs(n) * disc[2], 1, prec)
+        # root disc: exact shift of the raw parts, radius rounded upward
+        ex, ey = _exact(center.real) * one, _exact(center.imag) * one
+        body = _exact(radius) * one
+        assert _holds(disc[2], body, ex - disc[0], ey - disc[1])
+        assert disc[2] <= body + 3
+        # final conversion: c is the center over den 2^prec at prec bits, and
+        # r covers its rounding
+        den = rng.randint(1, 10**40)
+        out = towers._Disc(re, im, rad, den, prec)
+        q = den * one
+        body = Fraction(rad, q)
+        assert _holds(_exact(out.r), body, _exact(out.c.real) - Fraction(re, q),
+                      _exact(out.c.imag) - Fraction(im, q))
+        assert _exact(out.r) <= Fraction(12, 10) * (body + Fraction(_ceil_sqrt(re * re + im * im),
+                                                                    q * one)) + Fraction(3, q)
+    # a root disc whose two center parts each lose nearly one unit, and whose
+    # radius is a whole number of units or just below one
+    with mp.workprec(4 * prec):
+        below_one = mp.ldexp(2 ** 100 - 1, -100 - prec)
+        edges = [(mp.mpc(sign * (1 + below_one), -sign * below_one), radius)
+                 for radius in (mp.mpf(0), mp.ldexp(1, -prec), below_one)
+                 for sign in (1, -1)]
+    for center, radius in edges:
+        re, im, rad = towers._disc_ball(RootApprox(0, center, radius, prec, None), prec)
+        assert _holds(rad, _exact(radius) * one, _exact(center.real) * one - re,
+                      _exact(center.imag) * one - im)
+
+
+def test_disc_predicates_are_exact():
+    # |c| + rad = 10 at prec 0: the disc touches zero or the bound exactly
+    touching = towers._Disc(3, -4, 5, 1, 0)
+    assert not touching.excludes_zero()
+    assert towers._Disc(3, -4, 4, 1, 0).excludes_zero()
+    assert not touching.below(Fraction(10))
+    assert touching.below(Fraction(10**30 + 1, 10**29))
+    assert not touching.below(Fraction(4))
+    # the same disc over den 2^prec
+    scaled = towers._Disc(3 << 70, -4 << 70, 5 << 70, 7, 70)
+    assert not scaled.below(Fraction(10, 7))
+    assert scaled.below(Fraction(10**30 + 1, 7 * 10**29))
 
 
 def test_invert_sqrt2():
