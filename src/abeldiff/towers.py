@@ -6,15 +6,18 @@ element is a multivariate polynomial in the generators, fully reduced so that
 the degree in t_j stays below deg(m_j); that reduced form is the canonical
 representative, so ring-level zero testing is purely syntactic.
 
-Elements store their reduced form as a dict of Fraction coefficients.  A
-product is computed in integers: each operand is scaled by the lcm of its
-denominators, monomials are packed into single ints so that multiplying two
-of them is one addition, and the raw product is reduced one present
-generator at a time, highest first, by substituting t_j^e (e >= deg m_j)
-from a per-generator cache of reduced powers held as integer numerators over
-one denominator.  One Fraction is built per output term.  A product with a
-rational constant (or zero) skips all of that: it scales the other
-operand's terms one by one, which gives the same terms in the same order.
+Elements store their reduced form as integer numerators over one positive
+denominator, in lowest terms, as Sage's number field elements and FLINT's
+fmpq_poly do; every ring operation works on the numerators and ends in at
+most one gcd over them.  A sum adds numerators, over the lcm of the two
+denominators only when they differ; a negation needs no gcd.  A product is
+computed in integers: monomials are packed into single ints so that
+multiplying two of them is one addition, and the raw product is reduced one
+present generator at a time, highest first, by substituting t_j^e (e >=
+deg m_j) from a per-generator cache of reduced powers held as integer
+numerators over one denominator.  A product with a rational constant (or
+zero) skips all of that: it scales the other operand's numerators one by
+one, in their order, after cancelling common factors as Fraction does.
 
 eval_bpoly evaluates a bivariate polynomial at a point nested: it collects
 the coefficients of the section polynomial in y first, then sums them
@@ -27,7 +30,7 @@ public predicates (is_zero, approximate) answer questions about the embedded
 complex value.  Both rest on one fixed-point ball kernel in Python
 integers: a ball is a center (re, im) of integers at scale 2^-P, P the
 working precision, and a radius counted in units of 2^-P, rounded upward.
-The element's coefficients enter as integer numerators over their lcm D,
+The element's numerators enter as they are stored, over its denominator D,
 which divides once, at the end.  The terms are summed one generator at a
 time, lowest index first: the partial sums that share the rest of their key
 are multiplied by one power ball and merged, so there is about one ball
@@ -55,6 +58,7 @@ witness factor.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
@@ -185,17 +189,16 @@ class _Disc(NamedTuple):
                                          round_up))
 
 
-def _nested_ball(terms: dict, roots: dict, prec: int) -> _Disc:
-    """The disc of sum c_k prod_i t_i^(k_i) over terms {k: c_k}, each t_i in
-    the disc roots[i], at scale 2^-prec.
+def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
+    """The disc of sum (n_k / den) prod_i t_i^(k_i) over nums {k: n_k}, each
+    t_i in the disc roots[i], at scale 2^-prec.
 
-    The coefficients enter as integer numerators over their lcm, which the
-    disc keeps as its denominator.  One generator at a time, lowest index
-    first: each partial sum is multiplied by the power of t_i it carries
-    and merged with those of equal rest of key.  A partial sum stays an
-    exact integer until a power multiplies it, exactly."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    level = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+    The integer numerators are summed as they are, and the disc keeps den
+    as its denominator.  One generator at a time, lowest index first: each
+    partial sum is multiplied by the power of t_i it carries and merged
+    with those of equal rest of key.  A partial sum stays an exact integer
+    until a power multiplies it, exactly."""
+    level = nums
     for i in range(max(map(len, level), default=0)):
         root = roots.get(i)
         merged: dict = {}
@@ -229,9 +232,11 @@ class ExtensionDescriptor:
         self.modulus = modulus
         self.root_id = root.index
         self._root = root
+        # the primitive integer modulus, listed by serialize
+        ints, _ = modulus.to_int_coeffs()
+        self.int_coeffs = ints
         # reduced t^e for e >= d as (integer numerators of t^0..t^(d-1),
         # denominator), from t^d on; int_power extends it on demand
-        ints, _ = modulus.to_int_coeffs()
         self._int_powers = [_lowest_terms([-c for c in ints[:-1]], ints[-1])]
 
     @property
@@ -261,10 +266,9 @@ class ExtensionDescriptor:
         return self._root
 
     def serialize(self) -> dict:
-        ints, _ = self.modulus.to_int_coeffs()
         root = self._root
         return {
-            "modulus_int_coeffs": [str(c) for c in ints],
+            "modulus_int_coeffs": [str(c) for c in self.int_coeffs],
             "root_index": self.root_id,
             "root_approx": {
                 "re": mp.nstr(root.center.real, 20),
@@ -292,9 +296,10 @@ class TowerContext:
         return len(self.extensions)
 
     def constant(self, value) -> "TowerElement":
-        value = Fraction(value)
-        terms = {(): value} if value else {}
-        return TowerElement(self, terms)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        n = value.numerator
+        return _element(self, {(): n} if n else {}, value.denominator)
 
     @property
     def zero(self) -> "TowerElement":
@@ -312,7 +317,7 @@ class TowerContext:
             # reduced form of t modulo the monic t + m_0: the root itself
             return self.constant(-modulus.coeffs[0])
         key = tuple([0] * i + [1])
-        return TowerElement(self, {key: Fraction(1)})
+        return _element(self, {key: 1}, 1)
 
     def locate(self, modulus: UPoly, root_id: int) -> int | None:
         monic = modulus.monic()
@@ -372,15 +377,27 @@ def _trim(key: tuple) -> tuple:
 class TowerElement:
     """An exact algebraic value: reduced polynomial in the context generators.
 
-    Immutable once constructed.  Arithmetic coerces ints and Fractions, and
-    mixing elements of different contexts raises ContextMismatch.
+    Stored as integer numerators nums {exponent key: n} over one denominator
+    den.  Invariant: den > 0, no n is zero, and gcd(den, *nums) == 1 (so the
+    zero element has den == 1).  The form is canonical, so equality is
+    syntactic.  Immutable once constructed.  Arithmetic coerces ints and
+    Fractions, and mixing elements of different contexts raises
+    ContextMismatch.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: TowerContext, terms: dict):
+        """The element sum c_k t^k of rational coefficients terms {k: c_k}."""
+        den = lcm(*{c.denominator for c in terms.values()})
         self.ctx = ctx
-        self.terms = terms
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}
+        self.den = den
+
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as Fractions, in the stored key order."""
+        return _Terms(self.nums, self.den)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -394,33 +411,43 @@ class TowerElement:
         return None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.nums == o.nums
 
     __hash__ = None
 
     # -- ring arithmetic --------------------------------------------------
 
     def __neg__(self):
-        return TowerElement(self.ctx, {k: -c for k, c in self.terms.items()})
+        return _element(self.ctx, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            s = out.get(k, Fraction(0)) + c
+        if not o.nums:
+            return self
+        if not self.nums:
+            return o
+        den = self.den
+        if o.den == den:
+            out, b = dict(self.nums), o.nums
+        else:
+            den = lcm(den, o.den)
+            out, b = _times(self.nums, den // self.den), _times(o.nums, den // o.den)
+        get = out.get
+        for k, n in b.items():
+            s = get(k, 0) + n
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return TowerElement(self.ctx, out)
+                del out[k]
+        return _lowest(self.ctx, out, den)
 
     __radd__ = __add__
 
@@ -438,27 +465,26 @@ class TowerElement:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        a, b = self.terms, o.terms
-        if not a or not b:
-            return TowerElement(ctx, {})
-        if len(b) == 1 and () in b:
+        a, b = self, o
+        if not a.nums or not b.nums:
+            return _element(ctx, {}, 1)
+        if len(b.nums) == 1 and () in b.nums:
             a, b = b, a
-        if len(a) == 1 and () in a:
+        if len(a.nums) == 1 and () in a.nums:
             # a rational constant scales the other operand term by term, in
             # its order: the terms and order the packed product gives
-            s = a[()]
-            return TowerElement(ctx, {k: c * s for k, c in b.items()})
+            return b._scaled(a.nums[()], a.den)
         width = ctx.width
         mask = (1 << width) - 1
-        a, den_a, seen_a = _packed(a, width)
-        b, den_b, seen_b = _packed(b, width)
+        den = a.den * b.den
+        a, seen_a = _packed(a.nums, width)
+        b, seen_b = _packed(b.nums, width)
         raw: dict[int, int] = {}
         get = raw.get
         for k1, c1 in a:
             for k2, c2 in b:
                 k = k1 + k2
                 raw[k] = get(k, 0) + c1 * c2
-        den = den_a * den_b
         degrees = ctx.degrees
         for j in range(len(degrees) - 1, -1, -1):
             shift = j * width
@@ -467,17 +493,31 @@ class TowerElement:
                 raw, scale = _reduce_generator(raw, ctx.extensions[j], degrees[j],
                                                shift, mask)
                 den *= scale
-        terms = {}
+        nums = {}
         for k, n in raw.items():
             if n:
                 key = []
                 while k:
                     key.append(k & mask)
                     k >>= width
-                terms[tuple(key)] = Fraction(n, den)
-        return TowerElement(ctx, terms)
+                nums[tuple(key)] = n
+        return _lowest(ctx, nums, den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, q: int) -> "TowerElement":
+        """self * p/q for p/q in lowest terms, q > 0: the common factors of p
+        with den and of q with the numerators cancel first, as in Fraction's
+        product, which leaves the result in lowest terms."""
+        g = gcd(p, self.den)
+        h = gcd(q, *self.nums.values()) if q != 1 else 1
+        p //= g
+        den = self.den // g * (q // h)
+        if h == 1:
+            nums = {k: n * p for k, n in self.nums.items()}
+        else:
+            nums = {k: n // h * p for k, n in self.nums.items()}
+        return _element(self.ctx, nums, den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -497,25 +537,27 @@ class TowerElement:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivision("division by zero")
-            inv = Fraction(1, 1) / Fraction(other)
-            return TowerElement(self.ctx, {k: c * inv for k, c in self.terms.items()})
+            other = Fraction(other)
+            if other < 0:
+                return self._scaled(-other.denominator, -other.numerator)
+            return self._scaled(other.denominator, other.numerator)
         return NotImplemented
 
     # -- structure --------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(k == () for k in self.terms)
+        return all(k == () for k in self.nums)
 
     def as_fraction(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("element is not syntactically rational")
-        return self.terms[()]
+        return Fraction(self.nums[()], self.den)
 
     def present_generators(self) -> list[int]:
         out: set[int] = set()
-        for key in self.terms:
+        for key in self.nums:
             for i, e in enumerate(key):
                 if e:
                     out.add(i)
@@ -547,7 +589,7 @@ class TowerElement:
 
         Never probabilistic.
         """
-        if not self.terms:
+        if not self.nums:
             return True
         if self.is_rational():
             return False
@@ -581,7 +623,7 @@ class TowerElement:
         Raises ZeroDivision for (embedded) zero, NotInvertible with a factor
         witness when a nonzero zero divisor is hit.
         """
-        if not self.terms:
+        if not self.nums:
             raise ZeroDivision("inverting zero")
         try:
             return _invert(self)
@@ -598,7 +640,7 @@ class TowerElement:
         target = mp.mpf(10) ** (-digits10)
         exts = self.ctx.extensions
         roots = {i: exts[i].refine_to(target) for i in self.present_generators()}
-        return _nested_ball(self.terms, roots, int(digits10 * 3.4) + 40)
+        return _nested_ball(self.nums, self.den, roots, int(digits10 * 3.4) + 40)
 
     def _minimal_polynomial(self) -> list[Fraction]:
         """Minimal polynomial of the element over Q, monic, coefficients
@@ -658,8 +700,8 @@ class TowerElement:
         doc = {
             "generators": [self.ctx.extensions[i].serialize() for i in gens],
             "coefficients": [
-                [list(key), str(coeff)]
-                for key, coeff in sorted(self.terms.items())
+                [list(key), _fraction_str(n, self.den)]
+                for key, n in sorted(self.nums.items())
             ],
         }
         if digits:
@@ -668,15 +710,13 @@ class TowerElement:
         return doc
 
     def __repr__(self):
-        if not self.terms:
-            return "TowerElement(0)"
         if self.is_rational():
-            return f"TowerElement({self.terms[()]})"
+            return f"TowerElement({self.as_fraction()})"
         try:
             v = self.approximate(8)
-            return f"TowerElement(~{mp.nstr(v, 8)}; {len(self.terms)} terms)"
+            return f"TowerElement(~{mp.nstr(v, 8)}; {len(self.nums)} terms)"
         except Exception:
-            return f"TowerElement({len(self.terms)} terms)"
+            return f"TowerElement({len(self.nums)} terms)"
 
 
 def decimal_parts(value: mp.mpc, digits: int) -> dict:
@@ -690,28 +730,80 @@ def decimal_parts(value: mp.mpc, digits: int) -> dict:
                 for part, x in (("re", value.real), ("im", value.imag))}
 
 
+class _Terms(Mapping):
+    """An element's coefficients n/den as Fractions, in the stored key
+    order, each built when it is read."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _element(ctx: TowerContext, nums: dict, den: int) -> TowerElement:
+    """The element of numerators nums over den, already in lowest terms."""
+    e = object.__new__(TowerElement)
+    e.ctx = ctx
+    e.nums = nums
+    e.den = den
+    return e
+
+
+def _lowest(ctx: TowerContext, nums: dict, den: int) -> TowerElement:
+    """The element of nonzero numerators nums over den > 0, after one gcd."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+    return _element(ctx, nums, den)
+
+
+def _times(nums: dict, f: int) -> dict:
+    """The numerators nums multiplied by f, in a new dict."""
+    return {k: n * f for k, n in nums.items()} if f != 1 else dict(nums)
+
+
+def _fraction_str(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
     g = gcd(den, *nums)
     return [n // g for n in nums], den // g
 
 
-def _packed(terms: dict, width: int) -> tuple[list, int, int]:
-    """An element's terms as (packed monomial, integer numerator) pairs over
-    the lcm of its denominators, plus the OR of the packed monomials.
+def _packed(nums: dict, width: int) -> tuple[list, int]:
+    """An element's numerators as (packed monomial, numerator) pairs, plus
+    the OR of the packed monomials.
 
     A monomial packs the exponent of t_j into bits j*width..(j+1)*width-1,
     so multiplying monomials adds their packed forms.
     """
-    den = lcm(*(c.denominator for c in terms.values()))
     out = []
     seen = 0
-    for key, c in terms.items():
+    for key, n in nums.items():
         k = 0
         for e in reversed(key):
             k = (k << width) | e
         seen |= k
-        out.append((k, c.numerator * (den // c.denominator)))
-    return out, den, seen
+        out.append((k, n))
+    return out, seen
 
 
 def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int, shift: int,
@@ -766,7 +858,8 @@ def _cauchy_rule(coeffs: tuple[Fraction, ...], j: int) -> tuple[int, tuple]:
 
 
 def _cauchy_normal_form(a: TowerElement) -> dict:
-    """Normal form of a modulo the Cauchy modules of its generators.
+    """Normal form of den * a, a's numerators, modulo the Cauchy modules of
+    its generators; it is empty exactly when a's normal form is.
 
     Generators are grouped by modulus, keeping the first generator of each
     root id (the modules hold only for distinct roots).  Only generators
@@ -781,7 +874,7 @@ def _cauchy_normal_form(a: TowerElement) -> dict:
     for g in a.present_generators():
         ext = ctx.extensions[g]
         groups.setdefault(ext.modulus, {}).setdefault(ext.root_id, g)
-    terms = a.terms
+    terms = a.nums
     for modulus, by_root in groups.items():
         gens = sorted(by_root.values())
         if len(gens) < 2:
@@ -834,13 +927,13 @@ def _as_coeff_lists(a: TowerElement, j: int) -> list[TowerElement]:
     (not involving t_j), lowest degree first."""
     d = a.ctx.degrees[j]
     buckets: list[dict] = [dict() for _ in range(d)]
-    for key, c in a.terms.items():
+    for key, n in a.nums.items():
         e = key[j] if len(key) > j else 0
         nk = list(key)
         if len(nk) > j:
             nk[j] = 0
-        buckets[e][_trim(tuple(nk))] = c
-    return [TowerElement(a.ctx, b) for b in buckets]
+        buckets[e][_trim(tuple(nk))] = n
+    return [_lowest(a.ctx, b, a.den) for b in buckets]
 
 
 def _rp_strip(p: list[TowerElement]) -> list[TowerElement]:
@@ -852,8 +945,7 @@ def _rp_strip(p: list[TowerElement]) -> list[TowerElement]:
 
 def _rp_divmod(num: list[TowerElement], den: list[TowerElement], ctx: TowerContext):
     den = _rp_strip(den)
-    lead_inv = _invert(den[-1]) if not den[-1].is_rational() or den[-1].terms.get((), 0) != 1 \
-        else ctx.one
+    lead_inv = ctx.one if den[-1] == ctx.one else _invert(den[-1])
     rem = list(num)
     dq = len(rem) - len(den)
     quo: list[TowerElement] = [ctx.zero] * (dq + 1) if dq >= 0 else []
@@ -870,11 +962,11 @@ def _rp_divmod(num: list[TowerElement], den: list[TowerElement], ctx: TowerConte
 
 def _invert(a: TowerElement) -> TowerElement:
     ctx = a.ctx
-    if not a.terms:
+    if not a.nums:
         raise ZeroDivision("inverting zero")
     gens = a.present_generators()
     if not gens:
-        return ctx.constant(Fraction(1) / a.terms[()])
+        return ctx.constant(Fraction(a.den, a.nums[()]))
     j = gens[-1]
     m_list = [ctx.constant(c) for c in ctx.extensions[j].modulus.coeffs]
     a_list = _rp_strip(_as_coeff_lists(a, j))
@@ -927,7 +1019,8 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     same context.
 
     The section polynomial's coefficients c_j = sum_i c_ij x^i are collected
-    first, as term dicts.  When y is a bare generator t_g (every section
+    first, each coefficient of a monomial as an integer numerator over a
+    denominator.  When y is a bare generator t_g (every section
     ordinate is one), sum_j c_j t_g^j is assembled without a ring product:
     a term of c_j with t_g^e moves to t_g^(j+e), and where j+e reaches
     deg t_g the cached reduced power t_g^(j+e), a rational combination of
@@ -938,77 +1031,86 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
         raise TypeError("ordinate must be a TowerElement")
     ctx = y.ctx
     x = Fraction(x)
-    # (j, key) -> the (i, coefficient of the key in c_ij) pairs
+    # (j, key) -> the (i, numerator, denominator) triples of the key's
+    # coefficient in c_ij
     groups: dict[tuple, list] = {}
     for (i, j), c in p.terms.items():
         if isinstance(c, TowerElement):
             if c.ctx is not ctx:
                 raise ContextMismatch("coefficient context differs from the ordinate's")
-            items = c.terms.items()
+            d = c.den
+            for k, n in c.nums.items():
+                groups.setdefault((j, k), []).append((i, n, d))
         else:
-            items = (((), c),)
-        for k, v in items:
-            groups.setdefault((j, k), []).append((i, v))
+            groups.setdefault((j, ()), []).append((i, c.numerator, c.denominator))
     cols: dict[int, dict] = {}
-    for (j, k), pairs in groups.items():
-        v = _at(pairs, x.numerator, x.denominator)
-        if v:
-            cols.setdefault(j, {})[k] = v
+    for (j, k), triples in groups.items():
+        n, d = _at(triples, x.numerator, x.denominator)
+        if n:
+            cols.setdefault(j, {})[k] = n, d
     g = _bare_generator(y)
     if g is not None:
-        return TowerElement(ctx, _shifted(cols, g, ctx.extensions[g]))
+        return _lowest(ctx, *_shifted(cols, g, ctx.extensions[g]))
     top = max(cols, default=-1)
-    acc = TowerElement(ctx, cols.get(top, {}))
+    acc = _over_lcm(ctx, cols.get(top, {}))
     for j in range(top - 1, -1, -1):
         acc = acc * y
         if j in cols:
-            acc = acc + TowerElement(ctx, cols[j])
+            acc = acc + _over_lcm(ctx, cols[j])
     return acc
 
 
-def _at(pairs: list, a: int, b: int) -> Fraction:
-    """sum v x^i over the (i, v) pairs at x = a/b, in integers over one
-    denominator."""
-    if len(pairs) == 1:
-        (i, v), = pairs
-        return v * Fraction(a ** i, b ** i) if i else v
-    top = max(i for i, _ in pairs)
-    den = lcm(*(v.denominator for _, v in pairs))
-    num = sum(v.numerator * (den // v.denominator) * a ** i * b ** (top - i) for i, v in pairs)
-    return Fraction(num, den * b ** top)
+def _at(triples: list, a: int, b: int) -> tuple[int, int]:
+    """sum (n/d) x^i over the (i, n, d) triples at x = a/b, as a numerator
+    over one denominator, not reduced."""
+    if len(triples) == 1:
+        (i, n, d), = triples
+        return (n * a ** i, d * b ** i) if i else (n, d)
+    top = max(i for i, _, _ in triples)
+    den = lcm(*{d for _, _, d in triples})
+    num = sum(n * (den // d) * a ** i * b ** (top - i) for i, n, d in triples)
+    return num, den * b ** top
 
 
-def _shifted(cols: dict, g: int, ext: ExtensionDescriptor) -> dict:
-    """Reduced terms of sum_j c_j t_g^j, c_j given by its terms cols[j]."""
+def _over_lcm(ctx: TowerContext, col: dict) -> TowerElement:
+    """The element of the coefficients n/d given as col {key: (n, d)}."""
+    den = lcm(*{d for _, d in col.values()})
+    return _lowest(ctx, {k: n * (den // d) for k, (n, d) in col.items()}, den)
+
+
+def _shifted(cols: dict, g: int, ext: ExtensionDescriptor) -> tuple[dict, int]:
+    """Reduced numerators and denominator of sum_j c_j t_g^j, c_j given by
+    its coefficients cols[j] {key: (n, d)}."""
     d = ext.degree
+    parts = []
+    for j, col in cols.items():
+        for k, (n, q) in col.items():
+            e = j + (k[g] if len(k) > g else 0)
+            head, tail = k[:g] + (0,) * (g - len(k)), k[g + 1:]
+            if e < d:
+                parts.append((_trim(head + (e,) + tail), n, q))
+                continue
+            nums, r = ext.int_power(e)
+            for i, m in enumerate(nums):
+                if m:
+                    parts.append((_trim(head + (i,) + tail), n * m, q * r))
+    den = lcm(*{q for _, _, q in parts})
     out: dict = {}
-
-    def add(key, v):
-        v = out.get(key, 0) + v
+    get = out.get
+    for key, n, q in parts:
+        v = get(key, 0) + n * (den // q)
         if v:
             out[key] = v
         else:
             del out[key]
-
-    for j, col in cols.items():
-        for k, v in col.items():
-            e = j + (k[g] if len(k) > g else 0)
-            head, tail = k[:g] + (0,) * (g - len(k)), k[g + 1:]
-            if e < d:
-                add(_trim(head + (e,) + tail), v)
-                continue
-            nums, q = ext.int_power(e)
-            for i, n in enumerate(nums):
-                if n:
-                    add(_trim(head + (i,) + tail), v * Fraction(n, q))
-    return out
+    return out, den
 
 
 def _bare_generator(y: TowerElement) -> int | None:
     """g when y is the generator t_g itself, else None."""
-    if len(y.terms) != 1:
+    if len(y.nums) != 1 or y.den != 1:
         return None
-    (key, c), = y.terms.items()
-    if c != 1 or not key or key[-1] != 1 or any(key[:-1]):
+    (key, n), = y.nums.items()
+    if n != 1 or not key or key[-1] != 1 or any(key[:-1]):
         return None
     return len(key) - 1

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath as mp
 import pytest
@@ -198,6 +198,80 @@ def test_product_of_zero_divisors_is_zero():
     assert _reference_product(ctx, t - s, q) == {}
 
 
+def _reference_sum(a, b):
+    """The sum of two coefficient dicts by definition, in Fractions."""
+    terms = dict(a)
+    for k, c in b.items():
+        terms[k] = terms.get(k, Fraction(0)) + c
+    return {k: c for k, c in terms.items() if c}
+
+
+def _reference_eval(ctx, p, x, y):
+    """eval_bpoly by definition, in Fractions: every monomial c x^i y^j
+    from j products with y, summed one at a time."""
+    acc = {}
+    for (i, j), c in p.terms.items():
+        term = {k: v * Fraction(x) ** i
+                for k, v in (c.terms.items() if isinstance(c, TowerElement) else [((), c)])}
+        for _ in range(j):
+            term = _reference_product(ctx, TowerElement(ctx, term), y)
+        acc = _reference_sum(acc, term)
+    return acc
+
+
+def _assert_canonical(e, reference):
+    """e is stored in lowest terms with the coefficients of reference, and
+    serialize prints each of them as str(Fraction) does."""
+    assert e.den > 0
+    assert gcd(e.den, *e.nums.values()) == 1
+    assert all(e.nums.values())
+    assert e.terms == reference
+    printed = {tuple(key): text for key, text in e.serialize()["coefficients"]}
+    assert printed == {key: str(c) for key, c in reference.items()}
+
+
+def test_every_operation_leaves_elements_in_lowest_terms():
+    rng = random.Random(1801)
+    for _ in range(10):
+        ctx = _random_context(rng)
+        elements = [ctx.zero, ctx.one] + [ctx.generator(j) for j in range(len(ctx))] + \
+            [_random_element(rng, ctx, big) for big in (False, True) for _ in range(3)]
+        # even denominators, so that a + a cancels a factor 2
+        elements += [a * Fraction(1, 2) for a in elements[-6:]]
+        for a in elements:
+            _assert_canonical(-a, {k: -c for k, c in a.terms.items()})
+            for s in SCALARS:
+                scaled = {k: c * s for k, c in a.terms.items()} if s else {}
+                for r in (a * s, s * a, a * ctx.constant(s)):
+                    _assert_canonical(r, scaled)
+                if s:
+                    _assert_canonical(a / s, {k: c / s for k, c in a.terms.items()})
+            for b in rng.sample(elements, 4) + [a]:
+                _assert_canonical(a + b, _reference_sum(a.terms, b.terms))
+                negated = {k: -c for k, c in b.terms.items()}
+                _assert_canonical(a - b, _reference_sum(a.terms, negated))
+                _assert_canonical(a * b, _reference_product(ctx, a, b))
+            for j in a.present_generators():   # the coefficients inversion divides
+                for part in towers._as_coeff_lists(a, j):
+                    _assert_canonical(part, dict(part.terms))
+            # one generator: inverses in two of these moduli grow for seconds
+            if len(a.present_generators()) <= 1:
+                try:
+                    inverse = a.invert()
+                except (NotInvertible, ZeroDivision):
+                    continue
+                _assert_canonical(inverse, dict(inverse.terms))
+                assert _reference_product(ctx, a, inverse) == {(): 1}
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for j in range(len(ctx)):
+            t = ctx.generator(j)
+            for ydeg in (0, ctx.degrees[j] + 1):
+                p = BPoly({(rng.randrange(3), rng.randint(0, ydeg)):
+                           rng.choice(elements) or Fraction(1, 3) for _ in range(5)})
+                for y in (t, 2 * t - Fraction(1, 3)):
+                    _assert_canonical(eval_bpoly(p, x, y), _reference_eval(ctx, p, x, y))
+
+
 def _nested_sum(a, ball, power, prec):
     """a's terms summed in the nested order of TowerElement._ball: one
     generator at a time, lowest index first, each partial sum multiplied by
@@ -224,7 +298,7 @@ def _uncached_ball(a, digits10):
     for i in a.present_generators():
         r = a.ctx.extensions[i].refine_to(target)
         roots[i] = RootApprox(r.index, r.center, r.radius, r.prec, r.conj_index)
-    return towers._nested_ball(a.terms, roots, int(digits10 * 3.4) + 40)
+    return towers._nested_ball(a.nums, a.den, roots, int(digits10 * 3.4) + 40)
 
 
 def test_ball_power_cache_is_bit_identical_and_invalidated():
@@ -445,7 +519,7 @@ def test_ball_radius_rounds_upward():
         center, radius = mp.mpc(rand_mpf(), rng.choice((0, 1)) * rand_mpf()), abs(rand_mpf())
         root = RootApprox(0, center, radius, prec, None)
         disc = towers._disc_ball(root, prec)
-        ball = towers._nested_ball({(1,): Fraction(n)}, {0: root}, prec)
+        ball = towers._nested_ball({(1,): n}, 1, {0: root}, prec)
         assert ball == (n * disc[0], n * disc[1], abs(n) * disc[2], 1, prec)
         # root disc: exact shift of the raw parts, radius rounded upward
         ex, ey = _exact(center.real) * one, _exact(center.imag) * one
