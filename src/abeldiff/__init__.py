@@ -12,8 +12,7 @@ from .differentials import (FirstKindBasis, HauptResult, LinearSystem,
                             ParametricDifferential, eval_u, first_kind_basis,
                             haupt_solve, residue_at, residue_certificates,
                             third_kind, third_kind_system_naive,
-                            third_kind_system_sym, unit_circle_pullback,
-                            vandermonde_equivalence)
+                            unit_circle_pullback, vandermonde_equivalence)
 from .linsolve import RatMatrix, SolveResult, ff_solve, vandermonde
 from .parser import format_bpoly, parse_poly
 from .polys import (BPoly, UPoly, is_squarefree, poly_gcd, power_sums,
@@ -32,6 +31,5 @@ __all__ = [
     "isolate_roots", "parse_poly", "poly_gcd", "power_sums", "residue_at",
     "residue_certificates", "resultant", "resultant_y", "separation_bound",
     "smoothness_report", "third_kind", "third_kind_system_naive",
-    "third_kind_system_sym", "unit_circle_pullback", "vandermonde",
-    "vandermonde_equivalence",
+    "unit_circle_pullback", "vandermonde", "vandermonde_equivalence",
 ]

@@ -187,7 +187,8 @@ def run(req: Request) -> tuple[dict, bool]:
     timings["sections"] = time.perf_counter() - t1
 
     t1 = time.perf_counter()
-    naive = diffs.third_kind_system_naive(curve, p1, p2)
+    d = diffs.third_kind(curve, p1, p2)
+    naive = diffs.third_kind_system_naive(d)
     if req.command == "haupt":
         pp = _chosen_point(curve, ctx, req.xp, req.rootp, "xp", doc["inputs"]["points"])
         roota = list(req.roota or [])
@@ -196,10 +197,7 @@ def run(req: Request) -> tuple[dict, bool]:
             _chosen_point(curve, ctx, ax, ar, f"a{i + 1}", doc["inputs"]["points"])
             for i, (ax, ar) in enumerate(zip(req.a or [], roota))
         ]
-        result = diffs.haupt_solve(curve, p1, p2, pp, poles)
-        d = result.differential
-    else:
-        d = diffs.third_kind(curve, p1, p2)
+        result = diffs.haupt_solve(d, pp, poles)
     timings["third_kind"] = time.perf_counter() - t1
 
     doc["system"] = {
@@ -212,8 +210,7 @@ def run(req: Request) -> tuple[dict, bool]:
     }
     doc["solution"] = {
         "base_numerator": {
-            f"x^{i}*y^{j}": (v.serialize(req.digits) if hasattr(v, "serialize")
-                             else str(v))
+            f"x^{i}*y^{j}": v.serialize(req.digits)
             for (i, j), v in sorted(d.base_numerator.terms.items())
         },
         "first_kind_numerators": [format_bpoly(m) for m in d.first_kind_numerators],
@@ -241,10 +238,7 @@ def run(req: Request) -> tuple[dict, bool]:
     if req.command == "haupt":
         doc["haupt"] = {
             "value": result.value.serialize(req.digits),
-            "parameters": [
-                (c.serialize() if hasattr(c, "serialize") else str(c))
-                for c in result.parameters
-            ],
+            "parameters": [c.serialize() for c in result.parameters],
         }
         # haupt_solve raises VerificationFailed unless u vanishes at every pole
         verdicts += [{"check": f"u vanishes at auxiliary pole a{i + 1}", "ok": True}

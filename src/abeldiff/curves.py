@@ -98,7 +98,8 @@ class Curve:
 
         Each coefficient solves a linear equation whose pivot is f_y(p), so
         the point must not sit on a vertical tangent; that is checked exactly
-        at every order, and f_y(p) is inverted only when order >= 1.
+        at every order, and f_y(p) is inverted only when order >= 1.  The
+        pivot is kept on the result as fy.
         """
         fyv = self.fy_at(p)
         if fyv.is_zero():
@@ -109,7 +110,7 @@ class Curve:
         for m in range(1, order + 1):
             res = _series_eval(self.f, p.x, [p.y] + coeffs, m)[m]
             coeffs.append(-res * inv)
-        return LocalSeries(p, tuple(coeffs), order)
+        return LocalSeries(p, tuple(coeffs), order, fyv)
 
     def __repr__(self):
         return f"Curve(degree={self.r}, genus={self.genus()})"
@@ -137,11 +138,13 @@ class Point:
 @dataclass
 class LocalSeries:
     """Truncated uniformization at a point: substituting x = x0 + t,
-    y = y0 + sum(c_k t^k) into f leaves a remainder of order t^(order+1)."""
+    y = y0 + sum(c_k t^k) into f leaves a remainder of order t^(order+1).
+    fy is f_y at the point, the pivot of every coefficient."""
 
     point: Point
     coefficients: tuple
     order: int
+    fy: TowerElement
 
 
 # -- truncated series ------------------------------------------------------

@@ -34,6 +34,12 @@ E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values: it fixes
 the free parameters c_k so that E vanishes at the auxiliary poles, from
 E_base and the first-kind monomials m_k at each pole, and evaluates u at
 the evaluation point the same way.  E itself is never built.
+
+third_kind is the only step that takes a pole pair: it finds both sections,
+solves, certifies, and returns the differential.  Every later step takes
+that differential: third_kind_system_naive builds the per-point rows from
+its sections, vandermonde_equivalence checks them against its symmetrized
+system, and haupt_solve fixes its free parameters.
 """
 
 from __future__ import annotations
@@ -96,18 +102,6 @@ class LinearSystem:
         return (len(self.matrix), len(self.monomials))
 
 
-@dataclass
-class _PolePair:
-    curve: Curve
-    ctx: TowerContext
-    pole1: Point
-    pole2: Point
-    section1: list[Point]
-    section2: list[Point]
-    pole1_idx: int
-    pole2_idx: int
-
-
 def _locate_pole(sections: list[Point], p: Point) -> int:
     for i, q in enumerate(sections):
         if (q.y - p.y).is_zero():
@@ -115,18 +109,18 @@ def _locate_pole(sections: list[Point], p: Point) -> int:
     raise Inconsistent("pole ordinate matches no section root")  # unreachable
 
 
-def _prepare(curve: Curve, p1: Point, p2: Point) -> _PolePair:
+def _prepare(curve: Curve, p1: Point, p2: Point
+             ) -> tuple[Point, Point, list[Point], list[Point]]:
+    """(pole1, pole2, section1, section2): the sections over both pole
+    abscissas, and each pole as the section point it is, so that its
+    ordinate is a section generator."""
     if p1.y.ctx is not p2.y.ctx:
         raise ContextMismatch("pole points live in different tower contexts")
     if p1.x == p2.x:
         raise SameAbscissa(f"both poles lie over x = {p1.x}")
-    ctx = p1.y.ctx
-    sec1 = curve.section_roots(p1.x, ctx)
-    sec2 = curve.section_roots(p2.x, ctx)
-    i1 = _locate_pole(sec1, p1)
-    i2 = _locate_pole(sec2, p2)
-    # canonical ordinates: always compute with the section generators
-    return _PolePair(curve, ctx, sec1[i1], sec2[i2], sec1, sec2, i1, i2)
+    sec1 = curve.section_roots(p1.x, p1.y.ctx)
+    sec2 = curve.section_roots(p2.x, p1.y.ctx)
+    return sec1[_locate_pole(sec1, p1)], sec2[_locate_pole(sec2, p2)], sec1, sec2
 
 
 def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerElement]:
@@ -141,22 +135,25 @@ def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerEl
             for a, b in monos]
 
 
-def third_kind_system_naive(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
-    """The per-point system: 2r equations (one per section point) in the
-    r(r+1)/2 monomial coefficients; matrix entries are tower elements."""
-    pp = _prepare(curve, p1, p2)
+def third_kind_system_naive(diff: ParametricDifferential) -> LinearSystem:
+    """The per-point system of diff's pole pair: 2r equations (one per
+    section point) in the r(r+1)/2 monomial coefficients; matrix entries are
+    tower elements.  Each residue row's right-hand side (x2 - x1) f_y(pole)
+    is evaluated here, not read from diff.system, since
+    vandermonde_equivalence checks the one against the other."""
+    curve = diff.curve
     monos = monomials_upto(curve.r - 1)
-    dx = pp.pole2.x - pp.pole1.x
+    dx = diff.pole2.x - diff.pole1.x
     matrix, rhs, tags = [], [], []
-    for i, (sec, pole_idx, pole) in enumerate(
-            [(pp.section1, pp.pole1_idx, pp.pole1),
-             (pp.section2, pp.pole2_idx, pp.pole2)], start=1):
+    for i, (sec, pole) in enumerate([(diff.section1, diff.pole1),
+                                     (diff.section2, diff.pole2)], start=1):
         xpows = [pole.x ** a for a in range(curve.r)]
         for rid, pt in enumerate(sec):
-            if rid == pole_idx:
+            if pt is pole:
+                pole_idx = rid
                 continue
             matrix.append(_monomial_row(monos, xpows, pt.y))
-            rhs.append(pp.ctx.zero)
+            rhs.append(diff.ctx.zero)
             tags.append(("vanish", i, rid))
         matrix.append(_monomial_row(monos, xpows, pole.y))
         rhs.append(dx * curve.fy_at(pole))
@@ -165,21 +162,16 @@ def third_kind_system_naive(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
                         [f"c{k}" for k in range(len(monos))], monos, tags)
 
 
-def third_kind_system_sym(curve: Curve, p1: Point, p2: Point) -> LinearSystem:
+def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSystem:
     """The symmetrized system: for each pole abscissa and k = 0..r-1, the sum
     of the point conditions weighted by the k-th power of the ordinate.  The
     unknowns' coefficients become power sums of the section polynomial, hence
     rational; only the right-hand side touches the pole ordinates."""
-    return _symmetrized_system(_prepare(curve, p1, p2))
-
-
-def _symmetrized_system(pp: _PolePair) -> LinearSystem:
-    curve = pp.curve
     r = curve.r
     monos = monomials_upto(r - 1)
-    dx = pp.pole2.x - pp.pole1.x
+    dx = pole2.x - pole1.x
     matrix, rhs, tags = [], [], []
-    for i, pole in ((1, pp.pole1), (2, pp.pole2)):
+    for i, pole in ((1, pole1), (2, pole2)):
         ps = power_sums(curve.section_poly(pole.x), 2 * r - 1)
         xpows = [pole.x ** a for a in range(r)]
         fyv = dx * curve.fy_at(pole)
@@ -245,11 +237,11 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     embedded first-kind space.  Inconsistent is raised when either fails.
     The oracle's verdicts are returned in the family's certificates;
     VerificationFailed is raised when any of them fails."""
-    pp = _prepare(curve, p1, p2)
-    system = _symmetrized_system(pp)
+    pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
+    system = _symmetrized_system(curve, pole1, pole2)
     monos = system.monomials
     fkb = first_kind_basis(curve)
-    pf = _pole_factor(pp.pole1.x, pp.pole2.x)
+    pf = _pole_factor(pole1.x, pole2.x)
     embedded = []
     for mono in fkb.numerators:
         terms = (mono * pf).terms
@@ -261,16 +253,16 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
                            "the homogeneous system")
     p = len(embedded)
     sol = ff_solve(RatMatrix(system.matrix + embedded),
-                   system.rhs + [pp.ctx.zero] * p)
+                   system.rhs + [pole1.y.ctx.zero] * p)
     if sol.rank != len(monos):
         raise Inconsistent(f"nullspace dimension {len(monos) - sol.rank + p} "
                            f"!= genus {p}")
     base = BPoly({m: c for m, c in zip(monos, sol.particular) if c})
 
     diff = ParametricDifferential(
-        curve=curve, pole1=pp.pole1, pole2=pp.pole2, base_numerator=base,
-        first_kind_numerators=fkb.numerators, section1=pp.section1,
-        section2=pp.section2, system=system, rank=sol.rank - p)
+        curve=curve, pole1=pole1, pole2=pole2, base_numerator=base,
+        first_kind_numerators=fkb.numerators, section1=section1,
+        section2=section2, system=system, rank=sol.rank - p)
     diff.certificates = residue_certificates(diff)
     failures = [c for c in diff.certificates if not c["ok"]]
     if failures:
@@ -292,7 +284,8 @@ def _residue_terms(diff: ParametricDifferential, point: Point):
     first (VerticalTangent), so the pole is simple.  E is the base
     numerator: the first-kind terms of an assigned numerator vanish over
     both pole abscissas, so every assignment has these residues.  den is
-    evaluated only when called.
+    evaluated only when called, from the f_y(point) that the check
+    computed.
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
@@ -301,9 +294,9 @@ def _residue_terms(diff: ParametricDifferential, point: Point):
         sign = -1     # (x - x1) = (x2 - x1) + t
     else:
         raise ValueError("residue_at expects a point over a pole abscissa")
-    diff.curve.local_series(point, 0)  # raises VerticalTangent
+    fyv = diff.curve.local_series(point, 0).fy  # raises VerticalTangent
     num = eval_bpoly(diff.base_numerator, point.x, point.y)
-    return sign, num, lambda: (x2 - x1) * diff.curve.fy_at(point)
+    return sign, num, lambda: (x2 - x1) * fyv
 
 
 def residue_at(diff: ParametricDifferential, point: Point) -> TowerElement:
@@ -392,17 +385,16 @@ def eval_u(diff: ParametricDifferential, point: Point,
 class HauptResult:
     value: TowerElement
     parameters: list
-    differential: ParametricDifferential
 
 
-def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
+def haupt_solve(diff: ParametricDifferential, p_prime: Point,
                 poles: list[Point]) -> HauptResult:
-    """Value of the fundamental function at p1: the function with simple
-    poles at p_prime and the given auxiliary points, residue -1 at p_prime,
-    normalized to vanish at p2.
+    """Value of the fundamental function at diff's first pole p1: the
+    function with simple poles at p_prime and the given auxiliary points,
+    residue -1 at p_prime, normalized to vanish at diff's second pole p2.
 
-    Steps: construct the third-kind family for (p1, p2), which certifies
-    its residues; fix its free parameters so the assigned numerator E
+    diff is the certified third-kind family for (p1, p2) that third_kind
+    returns.  Steps: fix its free parameters so the assigned numerator E
     vanishes at every auxiliary pole; evaluate u at p_prime.  Row q of the
     parameter system holds the first-kind numerators m_k(q), with
     right-hand side rhs_q = -E_base(q) / ((q.x - x1)(x2 - q.x)): the
@@ -412,18 +404,17 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
     and once at p_prime.  The vanishing of E at every auxiliary pole is then
     checked exactly on those values, rhs_q - sum_k c_k m_k(q) =
     -E(q) / ((q.x - x1)(x2 - q.x)) = 0 (VerificationFailed otherwise).  The
-    result carries the determined parameters and the underlying third-kind
-    family alongside the value.
+    result carries the determined parameters alongside the value.
     """
+    curve = diff.curve
     p = curve.genus()
     if len(poles) != p:
         raise DegeneratePoints(f"expected {p} auxiliary poles, got {len(poles)}")
-    absc = [p1.x, p2.x, p_prime.x] + [q.x for q in poles]
+    x1, x2 = diff.pole1.x, diff.pole2.x
+    absc = [x1, x2, p_prime.x] + [q.x for q in poles]
     if len(set(absc)) != len(absc):
         raise SameAbscissa("all chosen abscissas must be pairwise distinct")
 
-    diff = third_kind(curve, p1, p2)
-    x1, x2 = diff.pole1.x, diff.pole2.x
     rows, rhs = [], []
     for q in poles:
         if curve.fy_at(q).is_zero():
@@ -437,7 +428,7 @@ def haupt_solve(curve: Curve, p1: Point, p2: Point, p_prime: Point,
             raise VerificationFailed(
                 f"assigned differential does not vanish at x = {q.x}")
     value = eval_u(diff, p_prime, params)
-    return HauptResult(value=value, parameters=params, differential=diff)
+    return HauptResult(value=value, parameters=params)
 
 
 def _solve_tower(rows: list[list[TowerElement]], rhs: list[TowerElement]) -> list:

@@ -41,8 +41,7 @@ import mpmath as mp
 
 from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
-from .polys import (UPoly, interpolate, is_squarefree, poly_gcd, resultant,
-                    resultant_matrix)
+from .polys import UPoly, interpolate, poly_gcd, resultant, resultant_matrix
 
 
 # Working precision, in bits, above which refinement gives up: far beyond
@@ -88,12 +87,15 @@ def _horner(coeffs, z):
 
 def separation_bound(ints: list[int]) -> Fraction:
     """Positive rational strictly below the minimal pairwise root distance
-    (Mahler's bound), for a square-free integer polynomial."""
+    (Mahler's bound), for a square-free integer polynomial; NotSquareFree
+    when the discriminant shows a multiple root."""
     n = len(ints) - 1
     if n <= 1:
         return Fraction(1)
     p = UPoly(ints)
     disc = resultant(p, p.derivative()) / p.leading
+    if disc == 0:
+        raise NotSquareFree("polynomial has multiple roots")
     d3 = abs(3 * disc)
     # numerator: floor(sqrt(3|D|)) -- |D| >= 1 for square-free integer polys
     num = isqrt(d3.numerator // d3.denominator)
@@ -229,8 +231,6 @@ class _Isolator:
     def __init__(self, poly: UPoly):
         if poly.is_zero or poly.degree < 1:
             raise ZeroPolynomial("root isolation needs degree >= 1")
-        if not is_squarefree(poly):
-            raise NotSquareFree("polynomial has multiple roots")
         self.ints, _ = poly.to_int_coeffs()
         self.n = len(self.ints) - 1
         self.sep = separation_bound(self.ints)

@@ -13,7 +13,6 @@ from abeldiff.curves import Curve
 from abeldiff.differentials import (eval_u, haupt_solve,
                                     residue_certificates,
                                     third_kind, third_kind_system_naive,
-                                    third_kind_system_sym,
                                     unit_circle_pullback,
                                     vandermonde_equivalence, _pole_factor)
 from abeldiff.errors import (AbeldiffError, MultipleRoots, PointNotOnCurve,
@@ -30,11 +29,10 @@ def test_criterion_1_cubic_end_to_end():
     ctx = TowerContext()
     p1 = curve.section_roots(0, ctx)[0]
     p2 = curve.section_roots(1, ctx)[0]
-    naive = third_kind_system_naive(curve, p1, p2)
-    assert naive.shape == (6, 6)
-    sym = third_kind_system_sym(curve, p1, p2)
-    assert all(isinstance(v, Fraction) for row in sym.matrix for v in row)
     diff = third_kind(curve, p1, p2)  # solve + mandatory residue verification
+    naive = third_kind_system_naive(diff)
+    assert naive.shape == (6, 6)
+    assert all(isinstance(v, Fraction) for row in diff.system.matrix for v in row)
     certs = residue_certificates(diff)
     assert all(c["ok"] for c in certs)
     elapsed = time.perf_counter() - t0
@@ -98,7 +96,7 @@ def test_criterion_2_residue_certification_randomized():
 
 def test_criterion_3_vandermonde_equivalence(cubic_diff, circle_diff):
     for d in (cubic_diff, circle_diff):
-        naive = third_kind_system_naive(d.curve, d.pole1, d.pole2)
+        naive = third_kind_system_naive(d)
         assert vandermonde_equivalence(d, naive)
     print("\nPASS criterion 3: V x (per-point system) == symmetrized system, "
           "entrywise exact, on cubic and conic fixtures")
@@ -161,9 +159,10 @@ def test_criterion_7_fundamental_function(cubic):
     p2 = cubic.section_roots(1, ctx)[0]
     a1 = cubic.section_roots(2, ctx)[0]
     pp = cubic.section_roots(3, ctx)[0]
-    result = haupt_solve(cubic, p1, p2, pp, [a1])
+    diff = third_kind(cubic, p1, p2)
+    result = haupt_solve(diff, pp, [a1])
     assert result.value.terms  # a genuine tower element
-    assert eval_u(result.differential, a1, result.parameters).is_zero()
+    assert eval_u(diff, a1, result.parameters).is_zero()
     v50 = result.value.approximate(50)
     v100 = result.value.approximate(100)
     with mp.workdps(130):

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from abeldiff import cli, differentials, roots
+from abeldiff.curves import Curve
 from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
                              exit_code_for)
 
@@ -299,6 +300,48 @@ def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
         # u at the auxiliary pole is checked inside haupt_solve, not again by the CLI
         assert "u vanishes at auxiliary pole a1" in [v["check"] for v in doc["verification"]]
         assert set(calls["eval_u"]) == {"haupt_solve"}
+
+
+@pytest.mark.parametrize("argv, genus", [
+    (["third-kind", "-f", CUBIC, "--x1", "0", "--x2", "1"], None),
+    (["verify", "-f", CUBIC, "--x1", "0", "--x2", "1"], None),
+    (["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--xp", "3", "--a", "2"], 1),
+    (["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2", "--xp", "3",
+      "--a", "4", "--a", "5", "--a", "6"], 3),
+], ids=["third-kind", "verify", "haupt-cubic", "haupt-quartic"])
+def test_each_request_prepares_its_pole_pair_once(capsys, monkeypatch, argv, genus):
+    # sections over x1 and x2 when the points are chosen and once more in
+    # third_kind, then over xp and each --a
+    calls = {"_prepare": 0, "section_roots": 0}
+    real_prepare, real_sections = differentials._prepare, Curve.section_roots
+
+    def prepare(*args):
+        calls["_prepare"] += 1
+        return real_prepare(*args)
+
+    def section_roots(*args):
+        calls["section_roots"] += 1
+        return real_sections(*args)
+    monkeypatch.setattr(differentials, "_prepare", prepare)
+    monkeypatch.setattr(Curve, "section_roots", section_roots)
+    code, _ = _run_json(capsys, argv)
+    assert code == 0
+    assert calls == {"_prepare": 1,
+                     "section_roots": 4 if genus is None else 5 + genus}
+
+
+def test_haupt_reports_same_pole_abscissas_before_its_other_points(capsys):
+    # x1 == x2 wins over an out-of-range --rootp; a missing --a is reported
+    # once the points are chosen
+    code, doc = _run_json(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "0",
+                                   "--xp", "2", "--rootp", "9", "--a", "3"])
+    assert code == 5
+    assert doc["error"]["type"] == "SameAbscissa"
+    assert "both poles lie over x = 0" in doc["error"]["message"]
+    code, doc = _run_json(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1",
+                                   "--xp", "3"])
+    assert code == 10
+    assert doc["error"]["type"] == "DegeneratePoints"
 
 
 def _decimals(node, digits=None):

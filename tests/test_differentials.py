@@ -11,7 +11,6 @@ from abeldiff.differentials import (FirstKindBasis, eval_u,
                                     monomials_upto, residue_at,
                                     residue_certificates, third_kind,
                                     third_kind_system_naive,
-                                    third_kind_system_sym,
                                     unit_circle_pullback,
                                     vandermonde_equivalence, _pole_factor,
                                     _solve_tower)
@@ -47,9 +46,8 @@ def test_first_kind_basis_size_is_the_genus(r):
     assert len(first_kind_basis(curve)) == curve.genus() == (r - 1) * (r - 2) // 2
 
 
-def test_naive_system_cubic_six_by_six(cubic, cubic_setup):
-    _, p1, p2 = cubic_setup
-    sys = third_kind_system_naive(cubic, p1, p2)
+def test_naive_system_cubic_six_by_six(cubic_diff):
+    sys = third_kind_system_naive(cubic_diff)
     assert sys.shape == (6, 6)
     assert sys.labels == [f"c{k}" for k in range(6)]
     vanish = [t for t in sys.row_tags if t[0] == "vanish"]
@@ -69,7 +67,7 @@ def test_naive_rows_match_monomial_evaluation(terms, x1, x2):
     curve = Curve(BPoly(terms))
     ctx = TowerContext()
     sections = {1: curve.section_roots(x1, ctx), 2: curve.section_roots(x2, ctx)}
-    sys = third_kind_system_naive(curve, sections[1][0], sections[2][-1])
+    sys = third_kind_system_naive(third_kind(curve, sections[1][0], sections[2][-1]))
     assert len(sys.matrix) == 2 * curve.r
     for row, (_, i, rid) in zip(sys.matrix, sys.row_tags):
         pt = sections[i][rid]
@@ -78,15 +76,13 @@ def test_naive_rows_match_monomial_evaluation(terms, x1, x2):
             assert list(entry.terms.items()) == list(expected.terms.items())
 
 
-def test_naive_system_conic_shape(circle, circle_setup):
-    _, p1, p2 = circle_setup
-    sys = third_kind_system_naive(circle, p1, p2)
+def test_naive_system_conic_shape(circle_diff):
+    sys = third_kind_system_naive(circle_diff)
     assert sys.shape == (4, 3)
 
 
-def test_sym_system_matrix_is_rational(cubic, cubic_setup):
-    _, p1, p2 = cubic_setup
-    sys = third_kind_system_sym(cubic, p1, p2)
+def test_sym_system_matrix_is_rational(cubic_diff):
+    sys = cubic_diff.system
     assert sys.shape == (6, 6)
     assert all(isinstance(v, Fraction) for row in sys.matrix for v in row)
     # right-hand sides live in the single-generator subrings of the poles
@@ -114,25 +110,22 @@ def test_same_abscissa_rejected(cubic):
     ctx = TowerContext()
     pts = cubic.section_roots(0, ctx)
     with pytest.raises(SameAbscissa):
-        third_kind_system_naive(cubic, pts[0], pts[1])
+        third_kind(cubic, pts[0], pts[1])
 
 
 def test_vandermonde_equivalence_cubic(cubic_diff):
-    naive = third_kind_system_naive(cubic_diff.curve, cubic_diff.pole1,
-                                    cubic_diff.pole2)
+    naive = third_kind_system_naive(cubic_diff)
     assert vandermonde_equivalence(cubic_diff, naive)
 
 
 def test_vandermonde_equivalence_conic(circle_diff):
-    naive = third_kind_system_naive(circle_diff.curve, circle_diff.pole1,
-                                    circle_diff.pole2)
+    naive = third_kind_system_naive(circle_diff)
     assert vandermonde_equivalence(circle_diff, naive)
 
 
-def test_nullspace_is_embedded_first_kind_space(cubic, cubic_setup):
+def test_nullspace_is_embedded_first_kind_space(cubic, cubic_diff):
     from abeldiff.linsolve import RatMatrix, ff_solve
-    _, p1, p2 = cubic_setup
-    sys = third_kind_system_sym(cubic, p1, p2)
+    sys = cubic_diff.system
     sol = ff_solve(RatMatrix(sys.matrix), sys.rhs)
     assert len(sol.nullspace) == cubic.genus() == 1
     monos = sys.monomials
@@ -175,9 +168,8 @@ def test_swapped_poles_negate_residues(cubic, cubic_setup):
     assert (residue_at(swapped, swapped.pole2) + 1).is_zero()
 
 
-def test_particular_solution_satisfies_naive_system(cubic, cubic_setup, cubic_diff):
-    _, p1, p2 = cubic_setup
-    naive = third_kind_system_naive(cubic, p1, p2)
+def test_particular_solution_satisfies_naive_system(cubic_diff):
+    naive = third_kind_system_naive(cubic_diff)
     monos = naive.monomials
     coords = [cubic_diff.base_numerator.terms.get(m, Fraction(0)) for m in monos]
     for row, rhs in zip(naive.matrix, naive.rhs):
@@ -187,9 +179,8 @@ def test_particular_solution_satisfies_naive_system(cubic, cubic_setup, cubic_di
         assert (acc - rhs).is_zero()
 
 
-def test_nullspace_vector_satisfies_homogeneous_naive(cubic, cubic_setup, cubic_diff):
-    _, p1, p2 = cubic_setup
-    naive = third_kind_system_naive(cubic, p1, p2)
+def test_nullspace_vector_satisfies_homogeneous_naive(cubic_diff):
+    naive = third_kind_system_naive(cubic_diff)
     pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     for mono in cubic_diff.first_kind_numerators:
         vec = mono * pf
@@ -249,9 +240,10 @@ def test_haupt_cubic(cubic):
     p2 = cubic.section_roots(1, ctx)[0]
     a1 = cubic.section_roots(2, ctx)[0]
     pp = cubic.section_roots(3, ctx)[0]
-    res = haupt_solve(cubic, p1, p2, pp, [a1])
+    diff = third_kind(cubic, p1, p2)
+    res = haupt_solve(diff, pp, [a1])
     # the step-2 assignment makes u vanish exactly at the auxiliary pole
-    assert eval_u(res.differential, a1, res.parameters).is_zero()
+    assert eval_u(diff, a1, res.parameters).is_zero()
     assert len(res.parameters) == 1
     assert not res.value.is_zero()
 
@@ -268,7 +260,7 @@ def test_haupt_solve_inverts_only_residues_pivots_and_value(cubic, monkeypatch):
         calls.append(self)
         return real_invert(self)
     monkeypatch.setattr(TowerElement, "invert", counted)
-    haupt_solve(cubic, p1, p2, pp, [a1])
+    haupt_solve(third_kind(cubic, p1, p2), pp, [a1])
     assert len(calls) == cubic.genus() + 1 == 2
 
 
@@ -283,22 +275,17 @@ def test_haupt_solve_evaluates_the_base_numerator_once_per_point(
     curve = Curve(BPoly(terms))
     ctx = TowerContext()
     p1, p2, pp, *poles = (curve.section_roots(x, ctx)[0] for x in abscissas)
+    diff = third_kind(curve, p1, p2)
     evaluated = []
-    real_eval, real_third_kind = differentials.eval_bpoly, differentials.third_kind
-
-    def third_kind(*args):
-        diff = real_third_kind(*args)
-        evaluated.clear()
-        return diff
+    real_eval = differentials.eval_bpoly
 
     def counted(poly, x, y):
         evaluated.append(poly)
         return real_eval(poly, x, y)
-    monkeypatch.setattr(differentials, "third_kind", third_kind)
     monkeypatch.setattr(differentials, "eval_bpoly", counted)
-    res = haupt_solve(curve, p1, p2, pp, poles)
+    haupt_solve(diff, pp, poles)
     assert len(evaluated) == curve.genus() + 1
-    assert all(poly is res.differential.base_numerator for poly in evaluated)
+    assert all(poly is diff.base_numerator for poly in evaluated)
 
 
 def test_parameters_that_miss_an_auxiliary_pole_fail_verification(cubic,
@@ -311,7 +298,7 @@ def test_parameters_that_miss_an_auxiliary_pole_fail_verification(cubic,
     ctx = TowerContext()
     p1, p2, a1, pp = (cubic.section_roots(x, ctx)[0] for x in (0, 1, 2, 3))
     with pytest.raises(VerificationFailed):
-        haupt_solve(cubic, p1, p2, pp, [a1])
+        haupt_solve(third_kind(cubic, p1, p2), pp, [a1])
 
 
 def _assigned_u(diff, pt, params):
@@ -338,8 +325,8 @@ def test_eval_u_matches_the_assigned_numerator_evaluated_whole(
     curve = Curve(parse_poly(text))
     ctx = TowerContext()
     p1, p2, pp, *poles = (curve.section_roots(x, ctx)[0] for x in [x1, x2, xp, *aux])
-    res = haupt_solve(curve, p1, p2, pp, poles)
-    diff = res.differential
+    diff = third_kind(curve, p1, p2)
+    res = haupt_solve(diff, pp, poles)
     rng = random.Random(2026)
     rational = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in poles]
     points = curve.section_roots(xp, ctx) + [
@@ -360,30 +347,30 @@ def test_auxiliary_pole_at_vertical_tangent_rejected():
     p1, p2, pp = (curve.section_roots(x, ctx)[0] for x in (2, 3, 5))
     tangent = Point(curve, 0, ctx.constant(1))
     with pytest.raises(EvaluationAtPole):
-        haupt_solve(curve, p1, p2, pp, [tangent])
+        haupt_solve(third_kind(curve, p1, p2), pp, [tangent])
 
 
 def test_haupt_genus_zero_equals_direct_evaluation(circle, circle_diff):
     ctx = circle_diff.ctx
     pp = Point(circle, Fraction(3, 5), ctx.constant(Fraction(4, 5)))
-    res = haupt_solve(circle, circle_diff.pole1, circle_diff.pole2, pp, [])
+    res = haupt_solve(circle_diff, pp, [])
     assert res.parameters == []
     assert (res.value - eval_u(circle_diff, pp)).is_zero()
 
 
-def test_haupt_wrong_pole_count(cubic, cubic_setup):
-    ctx, p1, p2 = cubic_setup
+def test_haupt_wrong_pole_count(cubic, cubic_setup, cubic_diff):
+    ctx, _, _ = cubic_setup
     pp = cubic.section_roots(3, ctx)[0]
     with pytest.raises(DegeneratePoints):
-        haupt_solve(cubic, p1, p2, pp, [])
+        haupt_solve(cubic_diff, pp, [])
 
 
-def test_haupt_duplicate_abscissas_rejected(cubic, cubic_setup):
-    ctx, p1, p2 = cubic_setup
+def test_haupt_duplicate_abscissas_rejected(cubic, cubic_setup, cubic_diff):
+    ctx, _, _ = cubic_setup
     pp = cubic.section_roots(3, ctx)[0]
     a_dup = cubic.section_roots(3, ctx)[1]
     with pytest.raises(SameAbscissa):
-        haupt_solve(cubic, p1, p2, pp, [a_dup])
+        haupt_solve(cubic_diff, pp, [a_dup])
 
 
 def test_solve_tower_singular_raises(cubic_setup):

@@ -120,6 +120,14 @@ def test_not_squarefree_rejected():
         isolate_roots(UPoly([0, 0, 1]))
 
 
+def test_zero_discriminant_has_no_separation_bound():
+    # (y - 1)^2: the bound would be 0, below no root distance
+    with pytest.raises(NotSquareFree, match="^polynomial has multiple roots$"):
+        separation_bound([1, -2, 1])
+    with pytest.raises(NotSquareFree, match="^polynomial has multiple roots$"):
+        isolate_roots(UPoly([1, -2, 1]))
+
+
 @pytest.mark.parametrize("poly, gap, centers", [
     # (y^2 - 2y + 2)(y^2 - 2y + 5): two conjugate pairs, all real parts 1
     (UPoly([2, -2, 1]) * UPoly([5, -2, 1]),

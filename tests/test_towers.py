@@ -657,7 +657,7 @@ def test_cauchy_stage_decides_vandermonde_and_residues(monkeypatch, quartic):
     q2 = septic.section_roots(2, ctx)[0]
     monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
     assert vandermonde_equivalence(
-        diff, third_kind_system_naive(quartic, diff.pole1, diff.pole2))
+        diff, third_kind_system_naive(diff))
     assert all(cert["ok"] for cert in residue_certificates(third_kind(septic, q1, q2)))
 
 
