@@ -5,8 +5,11 @@ Curve equations and abscissas are exact (integers or p/q); points are chosen
 by abscissa plus an index into the canonical root order of the section, and
 the chosen root's decimal approximation is always echoed so the intended
 branch can be confirmed.  Structured output (--json) is a single versioned
-document; it is byte-for-byte deterministic for identical requests except
-for the "timings" subtree.
+document printed as one compact line (no indentation; pipe it through
+``python -m json.tool`` to read it); it is byte-for-byte deterministic for
+identical requests except for the "timings" subtree.  When stdout is closed
+before the output is written, the console script exits 141 (128 + SIGPIPE)
+without a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -249,9 +254,14 @@ def run(req: Request) -> tuple[dict, bool]:
     return doc, all(v["ok"] for v in verdicts)
 
 
+def _dumps(doc: dict) -> str:
+    # without indent, json.dumps runs the C encoder
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def _emit(doc: dict, ok: bool, json_mode: bool) -> None:
     if json_mode:
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
         return
     print(f"curve: {doc['inputs'].get('curve_canonical', doc['inputs']['curve'])}")
     if "smooth" in doc:
@@ -294,7 +304,7 @@ def main(argv=None) -> int:
                "error": {"type": type(e).__name__, "message": str(e),
                          "exit_code": exit_code_for(e)}}
         if req.json_mode:
-            print(json.dumps(err, indent=2))
+            print(_dumps(err))
         else:
             print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         return exit_code_for(e)
@@ -306,7 +316,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # final flush stays quiet, and exit with the status of a SIGPIPE death
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(128 + signal.SIGPIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
