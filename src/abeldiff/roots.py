@@ -3,24 +3,29 @@ rational polynomial.
 
 Strategy: a Mahler-type separation bound is computed exactly from the integer
 coefficients, numeric roots are refined by Newton iteration until the
-classical a-posteriori radius  deg * |p(z)/p'(z)|  (inflated for rounding)
-drops below a quarter of that bound, after which each disc provably contains
-exactly one root and refinement can never jump to a different root.
+classical a-posteriori radius  deg * |p(z)/p'(z)|  drops below a quarter of
+that bound, after which each disc provably contains exactly one root and
+refinement can never jump to a different root.
 
-The numeric roots come from mpmath's Durand-Kerner iteration (polyroots),
-started from hardware-float approximations found by the Aberth-Ehrlich
-iteration, so it only has to polish; when the floats cannot hold the roots
-or do not settle, it starts from its own default points instead.  The start
-only decides how fast the numeric roots arrive: polyroots polishes them to
-the same tolerance either way, and every certificate above is checked as
-before.
+Newton's method runs in Python integers (_newton): the center is a Gaussian
+integer at scale 2^-P, p(z) and p'(z) are evaluated exactly at it by
+homogeneous Horner on the integer coefficients, and the radius
+deg * |p(z)/p'(z)| plus one unit 2^-P is bounded upward with integer square
+roots, so it holds for the center exactly as stored.  The numeric roots
+start from hardware-float approximations found by the Aberth-Ehrlich
+iteration, which the same kernel polishes; when the floats cannot hold the
+roots or the polish does not settle on distinct roots, mpmath's
+Durand-Kerner iteration (polyroots) finds them from its own default points
+instead.  The start only decides how fast the numeric roots arrive: every
+certificate above is checked as before.
 
 Canonical order: ascending real part, ties broken by ascending imaginary
 part.  Real-part comparisons that do not resolve numerically are certified
 exactly: conjugate pairs are detected through disc pairing, and the remaining
 ties fall back to a separation bound for the polynomial whose roots are all
 midpoints of root pairs (real parts are midpoints of conjugate pairs, so two
-distinct real parts differ by at least that bound).
+distinct real parts differ by at least that bound).  Whether two discs (or
+their projections on an axis) meet is decided exactly, in integers.
 
 Isolations and refinements are shared across requests.  The isolation of
 each primitive integer polynomial is kept in a bounded LRU cache, and with
@@ -35,9 +40,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb, inf, isqrt, pi
+from math import comb, frexp, inf, isqrt, pi
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_ceiling
 
 from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
@@ -76,13 +82,6 @@ class RootApprox:
 
     def __repr__(self):
         return f"RootApprox({self.index}, {mp.nstr(self.center, 8)}, r<{mp.nstr(self.radius, 3)})"
-
-
-def _horner(coeffs, z):
-    acc = mp.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def separation_bound(ints: list[int]) -> Fraction:
@@ -157,16 +156,124 @@ def _float_seeds(ints: list[int]) -> list[complex] | None:
     return z if len(set(z)) == n else None
 
 
+def _fixed(x, P: int) -> int:
+    """The finite mpf x times 2^P, exactly: P holds x's fractional bits."""
+    sign, man, exp, _ = x._mpf_
+    v = man << exp + P
+    return -v if sign else v
+
+
+def _frac_bits(*xs) -> int:
+    """The fewest fractional bits, at least 0, that hold the finite mpfs xs."""
+    return max([0] + [-x._mpf_[2] for x in xs if x._mpf_[1]])
+
+
+def _parts(z) -> tuple:
+    return z.real, z.imag
+
+
+def _mpc(zr: int, zi: int, P: int) -> mp.mpc:
+    return mp.make_mpc((from_man_exp(zr, -P), from_man_exp(zi, -P)))
+
+
+def _close(u, v, r1, r2) -> bool:
+    """Whether the points u and v, tuples of mpf coordinates, lie within
+    r1 + r2 of each other (closed discs, or intervals, that meet), decided
+    exactly in integers; an infinite radius reaches everything."""
+    if mp.isinf(r1) or mp.isinf(r2):
+        return True
+    P = _frac_bits(*u, *v, r1, r2)
+    d2 = sum((_fixed(a, P) - _fixed(b, P)) ** 2 for a, b in zip(u, v))
+    return d2 <= (_fixed(r1, P) + _fixed(r2, P)) ** 2
+
+
+def _newton(ints, zr, zi, P, target):
+    """Newton's method for a root of the integer polynomial ints from the
+    Gaussian integer center (zr + i zi) at scale 2^-P, for at most 300
+    steps.
+
+    At each center p(z) 2^(nP) and p'(z) 2^((n-1)P) are evaluated exactly
+    by homogeneous Horner, so their quotient is p/p' in units of 2^-P: the
+    radius n |p/p'| + 2^-P is bounded upward with integer square roots and
+    rounded upward into an mpf, and the Newton step is the quotient rounded
+    to the nearest unit.  Returns (zr, zi, radius) for the first center
+    whose radius is below target, or (zr, zi, None) once p'(z) = 0, a step
+    rounds to no move or the steps run out: from there, 2^-P is too coarse
+    to certify target."""
+    n = len(ints) - 1
+    scaled = [c << (n - k) * P for k, c in enumerate(ints[:n])]
+    scaled.reverse()
+    for _ in range(300):
+        pr, pj, dr, dj = ints[n], 0, 0, 0
+        if zi:
+            for c in scaled:
+                dr, dj = dr * zr - dj * zi + pr, dr * zi + dj * zr + pj
+                pr, pj = pr * zr - pj * zi + c, pr * zi + pj * zr
+        else:
+            for c in scaled:
+                dr = dr * zr + pr
+                pr = pr * zr + c
+        d2 = dr * dr + dj * dj
+        if not d2:
+            break
+        p2 = pr * pr + pj * pj
+        a = isqrt(p2)
+        a += a * a < p2
+        rad = mp.make_mpf(from_man_exp(-(-n * a // isqrt(d2)) + 1, -P, 53,
+                                       round_ceiling))
+        if rad < target:
+            return zr, zi, rad
+        # (pr + i pj) / (dr + i dj), rounded to the nearest unit
+        sr = (2 * (pr * dr + pj * dj) + d2) // (2 * d2)
+        sj = (2 * (pj * dr - pr * dj) + d2) // (2 * d2)
+        if not (sr or sj):
+            break
+        zr -= sr
+        zi -= sj
+    return zr, zi, None
+
+
+def _polish(ints, seeds, prec):
+    """The float seeds polished by _newton to a radius below 2^-(prec+50),
+    relative for roots below 1, with the components below 2^-(prec+49) set
+    to zero, as polyroots at prec + 50 bits finishes its roots; None if a
+    seed does not settle or two settle on one root."""
+    polished, discs = [], []
+    for z in seeds:
+        if not cmath.isfinite(z):
+            return None
+        small = max(0, -frexp(abs(z))[1])
+        P = prec + 58 + small
+        zr, zi = ((m << P) // d for m, d in (z.real.as_integer_ratio(),
+                                            z.imag.as_integer_ratio()))
+        zr, zi, rad = _newton(ints, zr, zi, P, mp.make_mpf(
+            from_man_exp(1, -(prec + 50 + small))))
+        if rad is None:
+            return None
+        near = _parts(_mpc(zr, zi, P))
+        if any(_close(near, other, rad, r) for other, r in discs):
+            return None
+        discs.append((near, rad))
+        tol = 1 << 9 + small
+        if zr * zr + zi * zi < tol * tol:
+            zr = zi = 0
+        elif abs(zi) < tol:
+            zi = 0
+        elif abs(zr) < tol:
+            zr = 0
+        polished.append(_mpc(zr, zi, P))
+    return polished
+
+
 def _initial_roots(ints: list[int], prec: int):
-    rev = list(reversed(ints))
+    """Approximations to all roots of ints: the float seeds polished, or
+    else polyroots' from its default start at prec + 50, 200 or 800 bits."""
     seeds = _float_seeds(ints)
     if seeds is not None:
-        try:
-            with mp.workprec(prec + 50):
-                return mp.polyroots(rev, maxsteps=300, extraprec=50,
-                                    roots_init=[mp.mpc(z) for z in seeds])
-        except mp.libmp.libhyper.NoConvergence:
-            pass
+        polished = _polish(ints, seeds, prec)
+        if polished is not None:
+            return polished
+    rev = list(reversed(ints))
     for extra in (50, 200, 800):
         try:
             with mp.workprec(prec + extra):
@@ -176,44 +283,29 @@ def _initial_roots(ints: list[int], prec: int):
     raise AbeldiffError("numeric root finding did not converge")
 
 
-def _newton_to(ints, dints, n, z, target, prec):
-    """Newton-iterate z at the given precision until the certified radius is
-    below target; returns (center, radius) or None if stuck."""
-    with mp.workprec(prec):
-        z = mp.mpc(z)
-        target = mp.mpf(target)
-        for _ in range(300):
-            pz = _horner(ints, z)
-            dz = _horner(dints, z)
-            if dz == 0:
-                return None
-            step = pz / dz
-            rad = 2 * n * abs(step) + mp.ldexp(1 + abs(z), 8 - prec)
-            if rad < target:
-                return z, rad
-            if abs(step) < mp.ldexp(1 + abs(z), 16 - prec):
-                return None  # stalled: needs more precision
-            z = z - step
-    return None
-
-
 def _refine(ints, center, radius, target, prec):
     """Newton-refine the certified disc (center, radius) of a root of ints
-    until its radius is below target, doubling the precision while Newton
-    stalls, up to MAX_PREC bits; returns (center, radius, prec).  The new
-    disc must meet the old one, so it isolates the same root."""
-    n = len(ints) - 1
-    dints = [i * c for i, c in enumerate(ints)][1:]
+    until its radius is below target; returns (center, radius, prec).
+
+    _newton works at scale 2^-P, P the larger of prec and the fractional
+    bits of center; where it stalls, it goes on from there at twice the
+    precision, up to MAX_PREC bits.  The new disc must meet the old one, so
+    it isolates the same root."""
+    parts = _parts(center)
+    P = max(prec, _frac_bits(*parts))
+    zr, zi = (_fixed(x, P) for x in parts)
     while True:
-        got = _newton_to(ints, dints, n, center, target, prec)
-        if got is not None:
+        zr, zi, rad = _newton(ints, zr, zi, P, target)
+        if rad is not None:
             break
         if prec >= MAX_PREC:
             raise AbeldiffError(
                 f"root refinement stalled at {MAX_PREC} bits of precision")
         prec = min(2 * prec, MAX_PREC)
-    z, rad = got
-    if not abs(z - center) <= radius + rad:
+        if prec > P:
+            zr, zi, P = zr << prec - P, zi << prec - P, prec
+    z = _mpc(zr, zi, P)
+    if not _close(_parts(z), parts, rad, radius):
         raise AbeldiffError("refined root disc does not meet its isolating disc")
     return z, rad, prec
 
@@ -281,8 +373,9 @@ class _Isolator:
                 rec = _Record(mp.mpc(z), mp.inf, prec)
                 self._refine_record(rec, self.sep / 4)
                 recs.append(rec)
-            ok = all(abs(recs[i].center - recs[j].center) > recs[i].radius + recs[j].radius
-                     for i in range(self.n) for j in range(i + 1, self.n))
+            ok = not any(_close(_parts(recs[i].center), _parts(recs[j].center),
+                                recs[i].radius, recs[j].radius)
+                         for i in range(self.n) for j in range(i + 1, self.n))
             if ok:
                 break
             prec *= 4
@@ -323,9 +416,8 @@ class _Isolator:
         if not re_tie:
             attempts = 0
             while True:
-                d = a.center.real - b.center.real
-                if abs(d) > a.radius + b.radius:
-                    return -1 if d < 0 else 1
+                if not _close((a.center.real,), (b.center.real,), a.radius, b.radius):
+                    return -1 if a.center.real < b.center.real else 1
                 attempts += 1
                 if attempts <= 3:
                     self._refine_record(a, a.radius * mp.mpf("0.25"))
@@ -342,7 +434,7 @@ class _Isolator:
         # equal real parts: order by imaginary part (never equal for i != j)
         ia = mp.mpf(0) if conj[i] == i else a.center.imag
         ib = mp.mpf(0) if conj[j] == j else b.center.imag
-        while not abs(ia - ib) > a.radius + b.radius:
+        while _close((ia,), (ib,), a.radius, b.radius):
             self._refine_record(a, min(a.radius, b.radius) * mp.mpf("0.25"))
             self._refine_record(b, min(a.radius, b.radius) * mp.mpf("0.25"))
             ia = mp.mpf(0) if conj[i] == i else a.center.imag

@@ -18,6 +18,19 @@ def _horner_exact(ints, z):
     return acc
 
 
+def _exact(x):
+    """The mpf x as a Fraction, or the mpc x as a pair of them."""
+    if isinstance(x, mp.mpc):
+        return _exact(x.real), _exact(x.imag)
+    man, exp = x.man_exp                      # man is |mantissa|
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def _dist2(z, w):
+    """|z - w|^2 for pairs of Fractions."""
+    return (z[0] - w[0]) ** 2 + (z[1] - w[1]) ** 2
+
+
 def test_two_rational_roots_ordered():
     roots = isolate_roots(UPoly([-1, 0, 1]))
     assert len(roots) == 2
@@ -148,8 +161,10 @@ def test_refinement_leaving_the_isolating_disc_is_an_error(monkeypatch):
     p = UPoly([-1, 2, 0, 1])
     roots_mod._isolated.cache_clear()  # no refinement memoized by an earlier test
     root = isolate_roots(p)[0]
-    monkeypatch.setattr(roots_mod, "_newton_to",
-                        lambda *args: (root.center + 10, mp.mpf(10) ** -70))
+    # the kernel certifies a disc about a center 10 away from the root
+    monkeypatch.setattr(roots_mod, "_newton",
+                        lambda ints, zr, zi, P, target: (zr + (10 << P), zi,
+                                                         mp.mpf(10) ** -70))
     with pytest.raises(AbeldiffError, match="does not meet"):
         refine_root(p, root, mp.mpf(10) ** -60)
 
@@ -158,6 +173,8 @@ def test_root_finding_failure_reaches_the_cli_as_an_error_document(monkeypatch, 
     def no_convergence(*args, **kwargs):
         raise mp.libmp.libhyper.NoConvergence("stub")
 
+    # both starts fail: no float seeds, and polyroots from its default points
+    monkeypatch.setattr(roots_mod, "_float_seeds", lambda ints: None)
     monkeypatch.setattr(mp, "polyroots", no_convergence)
     roots_mod._isolated.cache_clear()
     code = cli.main(["third-kind", "-f", "x^2+y^2-1", "--x1", "0", "--x2", "1/2",
@@ -220,11 +237,30 @@ def _seeder_cases():
     return cases
 
 
+def _assert_same_roots(seeded, unseeded, coeffs):
+    """Two isolations of coeffs from different starts: the same errors, or
+    the same order and pairing, each center inside the other's disc, both
+    radii below sep/4, and the same 20-digit root_approx strings."""
+    if isinstance(seeded, tuple) or isinstance(unseeded, tuple):
+        assert seeded == unseeded
+        return
+    quarter = separation_bound(coeffs) / 4
+    sep4 = mp.mpf(quarter.numerator) / quarter.denominator
+    assert [r[0] for r in seeded] == [r[0] for r in unseeded]
+    assert [r[4] for r in seeded] == [r[4] for r in unseeded]
+    for (_, c1, r1, _, _), (_, c2, r2, _, _) in zip(seeded, unseeded):
+        d2 = _dist2(_exact(c1), _exact(c2))
+        assert d2 < _exact(r1) ** 2 and d2 < _exact(r2) ** 2
+        assert r1 < sep4 and r2 < sep4
+        assert ([mp.nstr(c1.real, 20), mp.nstr(c1.imag, 20)]
+                == [mp.nstr(c2.real, 20), mp.nstr(c2.imag, 20)])
+
+
 @pytest.mark.parametrize("coeffs", _seeder_cases())
 def test_float_seeds_leave_the_isolation_records_unchanged(monkeypatch, coeffs):
     seeded = _records(coeffs)
     monkeypatch.setattr(roots_mod, "_float_seeds", lambda ints: None)
-    assert _records(coeffs) == seeded
+    _assert_same_roots(seeded, _records(coeffs), coeffs)
 
 
 def test_float_seeds_settle_unless_floats_cannot_hold_the_roots():
@@ -239,20 +275,144 @@ def test_seeds_that_do_not_converge_fall_back_to_the_default_start(monkeypatch):
     monkeypatch.setattr(roots_mod, "_float_seeds", lambda ints: None)
     parent = _records(coeffs)
     real = mp.polyroots
-    raised = []
+    starts = []
 
     def watched(*args, **kwargs):
-        try:
-            return real(*args, **kwargs)
-        except mp.libmp.libhyper.NoConvergence:
-            raised.append(kwargs.get("roots_init") is not None)
-            raise
+        starts.append(kwargs.get("roots_init"))
+        return real(*args, **kwargs)
 
-    # seeds this far out leave Durand-Kerner in its linear phase for more
-    # than its 300 steps
+    # Newton's method from seeds this far out shrinks them by about 3/4 a
+    # step, so the polish has not settled after its 300 steps
     monkeypatch.setattr(mp, "polyroots", watched)
     monkeypatch.setattr(roots_mod, "_float_seeds",
                         lambda ints: [complex(1e300 * (k + 1), 1e300)
                                       for k in range(len(ints) - 1)])
-    assert _records(coeffs) == parent
-    assert raised == [True]
+    assert _records(coeffs) == parent        # both from the default start
+    assert starts == [None]
+
+
+def test_seeds_that_settle_on_one_root_fall_back_to_the_default_start(monkeypatch):
+    # roots -14 and -14 + 1e-8: the float seeds are distinct, but Newton's
+    # method takes both to one root
+    coeffs = _from_roots([14 * 10 ** 8, 10 ** 8], [14 * 10 ** 8 - 1, 10 ** 8])
+    seeds = roots_mod._float_seeds(coeffs)
+    assert len(set(seeds)) == 2
+    assert all(roots_mod._polish(coeffs, [z], 80) for z in seeds)
+    assert roots_mod._polish(coeffs, seeds, 80) is None
+    starts = []
+    real = mp.polyroots
+
+    def watched(*args, **kwargs):
+        starts.append(kwargs.get("roots_init"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mp, "polyroots", watched)
+    seeded = _records(coeffs)
+    assert starts == [None]
+    monkeypatch.setattr(roots_mod, "_float_seeds", lambda ints: None)
+    assert _records(coeffs) == seeded
+    assert [r[4] for r in seeded] == [0, 1]
+
+
+def test_polished_real_roots_are_exactly_real():
+    # roots 10^8 * (671, 396, -630, -789): the polish certifies one of them
+    # with an imaginary part of one unit 2^-138, which the clean-up removes,
+    # as polyroots' does, so root_approx prints im 0.0
+    roots = [671, 396, -630, -789]
+    coeffs = _from_roots(*([-r * 10 ** 8, 1] for r in roots))
+    polished = roots_mod._polish(coeffs, roots_mod._float_seeds(coeffs), 80)
+    assert sorted(int(z.real) for z in polished) == sorted(r * 10 ** 8 for r in roots)
+    assert all(z.imag == 0 for z in polished)
+
+
+def _kernel_cases():
+    """Seeded square-free integer polynomials of degree 1-12 with
+    coefficients up to 10^30, and products with two roots 1e-8 apart."""
+    rng = random.Random(1818)
+    cases = []
+    while len(cases) < 24:
+        n = 1 + len(cases) % 12
+        h = 10 ** rng.randint(0, 30)
+        c = [rng.randint(-h, h) for _ in range(n)] + [rng.randint(1, h)]
+        if is_squarefree(UPoly(c)):
+            cases.append(c)
+    while len(cases) < 30:
+        a = rng.randint(-9, 9)
+        rest = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 8))] + [1]
+        c = _from_roots([-a, 1], [-a * 10 ** 8 - 1, 10 ** 8], rest)
+        if is_squarefree(UPoly(c)):
+            cases.append(c)
+    return cases
+
+
+def _value_and_slope(ints, z):
+    """p(z) and p'(z) at the pair of Fractions z, as pairs of Fractions."""
+    p, dp = (Fraction(ints[-1]), Fraction(0)), (Fraction(0), Fraction(0))
+    for c in reversed(ints[:-1]):
+        dp = (dp[0] * z[0] - dp[1] * z[1] + p[0], dp[0] * z[1] + dp[1] * z[0] + p[1])
+        p = (p[0] * z[0] - p[1] * z[1] + c, p[0] * z[1] + p[1] * z[0])
+    return p, dp
+
+
+def _check_disc(ints, refs, root, center, radius):
+    """Of the reference roots, the disc holds root alone, and its radius is
+    at least the classical bound n |p(c)/p'(c)| at its own center."""
+    c, r = _exact(center), _exact(radius)
+    assert [z for z in refs if _dist2(z, c) < r * r] == [root]
+    p, dp = _value_and_slope(ints, c)
+    n = len(ints) - 1
+    assert r * r * _dist2(dp, (0, 0)) >= n * n * _dist2(p, (0, 0))
+
+
+@pytest.mark.parametrize("ints", _kernel_cases())
+def test_integer_newton_kernel_certifies_one_root_per_disc(ints):
+    prec = mp.mp.prec
+    seeds = roots_mod._float_seeds(ints)
+    with mp.workprec(400):                    # Durand-Kerner, from the seeds
+        refs = mp.polyroots(list(reversed(ints)), maxsteps=500, extraprec=100,
+                            roots_init=seeds and [mp.mpc(z) for z in seeds])
+    refs = [(_exact(z.real), _exact(z.imag)) for z in refs]
+    quarter = separation_bound(ints) / 4
+    target = mp.mpf(quarter.numerator) / quarter.denominator
+    for z in refs:
+        seed = complex(float(z[0]), float(z[1]))
+        zr, zi = ((m << 80) // d for m, d in (seed.real.as_integer_ratio(),
+                                             seed.imag.as_integer_ratio()))
+        zr, zi, rad = roots_mod._newton(ints, zr, zi, 80, target)
+        assert mp.mp.prec == prec
+        if rad is None:       # 2^-80 is too coarse: _refine escalates
+            center, rad, _ = roots_mod._refine(ints, mp.mpc(seed), mp.inf, target, 80)
+        else:
+            with mp.workprec(max(zr.bit_length(), zi.bit_length(), 1)):
+                center = mp.mpc(mp.ldexp(zr, -80), mp.ldexp(zi, -80))
+            assert _exact(center) == (Fraction(zr, 2 ** 80), Fraction(zi, 2 ** 80))
+        assert mp.mp.prec == prec
+        assert rad < target
+        _check_disc(ints, refs, z, center, rad)
+        for fine in (rad / 4, target * mp.mpf(2) ** -100):
+            got, got_rad, _ = roots_mod._refine(ints, center, rad, fine, 80)
+            assert mp.mp.prec == prec
+            assert got_rad < fine
+            _check_disc(ints, refs, z, got, got_rad)
+            assert _dist2(_exact(got), _exact(center)) <= (_exact(got_rad) + _exact(rad)) ** 2
+            center, rad = got, got_rad
+    polished = None if seeds is None else roots_mod._polish(ints, seeds, 80)
+    assert mp.mp.prec == prec
+    if polished is not None:                  # one root each, to 2^-129
+        hit = []
+        for z in polished:
+            near = [_dist2(_exact(z), w) for w in refs]
+            hit.append(near.index(min(near)))
+            assert min(near) < Fraction(1, 2 ** 258) * max(1, _dist2(_exact(z), (0, 0)))
+        assert sorted(hit) == list(range(len(refs)))
+
+
+@pytest.mark.parametrize("ints, center, radius, message", [
+    ([1, 0, 1], mp.mpc(0), mp.inf, "stalled at"),            # p'(0) = 0
+    ([-2, 0, 1], mp.mpc(1.5), mp.mpf(10) ** -3, "does not meet"),  # sqrt(2)
+])
+def test_integer_newton_refinement_errors_leave_the_precision_alone(
+        ints, center, radius, message):
+    prec = mp.mp.prec
+    with pytest.raises(AbeldiffError, match=message):
+        roots_mod._refine(ints, center, radius, mp.mpf(10) ** -20, 80)
+    assert mp.mp.prec == prec
