@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegreeDrop, InvalidArgument, IrrationalAbscissaUnsupported,
-                     MultipleRoots, NotSmooth, PointNotOnCurve, VerticalTangent,
-                     ZeroPolynomial)
+                     MultipleRoots, NotSmooth, NotSquareFree, PointNotOnCurve,
+                     VerticalTangent, ZeroPolynomial)
 from .polys import BPoly, UPoly, is_squarefree, poly_gcd, resultant_y
 from .towers import TowerContext, TowerElement, eval_bpoly, locate_or_adjoin
 
@@ -84,11 +84,12 @@ class Curve:
         if s.degree < self.r:
             raise DegreeDrop(
                 f"section at x = {x0} has degree {s.degree} < {self.r}")
-        if not is_squarefree(s):
-            raise MultipleRoots(f"section at x = {x0} has a multiple root")
         monic = s.monic()
-        return [Point(self, x0, locate_or_adjoin(ctx, monic, rid))
-                for rid in range(self.r)]
+        try:  # isolating the first root decides square-freeness
+            return [Point(self, x0, locate_or_adjoin(ctx, monic, rid))
+                    for rid in range(self.r)]
+        except NotSquareFree:
+            raise MultipleRoots(f"section at x = {x0} has a multiple root") from None
 
     def fy_at(self, p: "Point") -> TowerElement:
         return eval_bpoly(self.fy, p.x, p.y)

@@ -32,12 +32,14 @@ each primitive integer polynomial is kept in a bounded LRU cache, and with
 it every refinement of its roots: refine_root is a pure function of the
 polynomial, the root's index and disc and the target, so a memoized
 refinement is bit for bit what a fresh process computes.  Callers receive
-copies, never the shared records.
+the shared records themselves: a RootApprox cannot be changed, and a
+refinement is always a new record.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, frexp, inf, isqrt, pi
@@ -56,32 +58,23 @@ from .polys import UPoly, interpolate, poly_gcd, resultant, resultant_matrix
 MAX_PREC = 1 << 22
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class RootApprox:
     """One certified root: an open disc |z - center| < radius containing
-    exactly one root of the (implicit) polynomial.
+    exactly one root of the (implicit) polynomial.  Immutable, and equal
+    only to itself.
 
     balls is a cache that the tower layer fills with the disc's powers as
     fixed-point integer balls, for one working precision at a time.  Its
-    contents depend only on the disc, so every copy of one disc shares it,
-    across requests too."""
+    contents depend only on the disc, which cannot change, so every holder
+    of the record shares it, across requests too."""
 
-    __slots__ = ("index", "center", "radius", "prec", "conj_index", "balls")
-
-    def __init__(self, index, center, radius, prec, conj_index, balls=None):
-        self.index = index
-        self.center = center
-        self.radius = radius
-        self.prec = prec
-        self.conj_index = conj_index
-        self.balls = {} if balls is None else balls
-
-    def copy(self) -> "RootApprox":
-        """The same disc in a new record that shares the ball cache."""
-        return RootApprox(self.index, self.center, self.radius, self.prec,
-                          self.conj_index, self.balls)
-
-    def __repr__(self):
-        return f"RootApprox({self.index}, {mp.nstr(self.center, 8)}, r<{mp.nstr(self.radius, 3)})"
+    index: int
+    center: mp.mpc
+    radius: mp.mpf
+    prec: int
+    conj_index: int
+    balls: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def separation_bound(ints: list[int]) -> Fraction:
@@ -310,15 +303,6 @@ def _refine(ints, center, radius, target, prec):
     return z, rad, prec
 
 
-class _Record:
-    __slots__ = ("center", "radius", "prec")
-
-    def __init__(self, center, radius, prec):
-        self.center = center
-        self.radius = radius
-        self.prec = prec
-
-
 class _Isolator:
     def __init__(self, poly: UPoly):
         if poly.is_zero or poly.degree < 1:
@@ -328,13 +312,16 @@ class _Isolator:
         self.sep = separation_bound(self.ints)
         self._re_gap: Fraction | None = None
 
-    def _refine_record(self, rec: _Record, target: Fraction | mp.mpf) -> None:
+    def _refine_record(self, recs: list[RootApprox], i: int,
+                       target: Fraction | mp.mpf) -> RootApprox:
+        """recs[i] refined below target, put back into recs."""
         t = mp.mpf(target.numerator) / target.denominator * mp.mpf("0.5") \
             if isinstance(target, Fraction) else mp.mpf(target)
-        if rec.radius < t:
-            return
-        rec.center, rec.radius, rec.prec = _refine(self.ints, rec.center, rec.radius,
-                                                   t, rec.prec)
+        rec = recs[i]
+        if not rec.radius < t:
+            z, rad, prec = _refine(self.ints, rec.center, rec.radius, t, rec.prec)
+            rec = recs[i] = replace(rec, center=z, radius=rad, prec=prec)
+        return rec
 
     def re_gap(self) -> Fraction:
         """Lower bound on |re(a) - re(b)| over root pairs with distinct real
@@ -368,11 +355,10 @@ class _Isolator:
         prec = 80
         for _ in range(3):
             seeds = _initial_roots(self.ints, prec)
-            recs = []
-            for z in seeds:
-                rec = _Record(mp.mpc(z), mp.inf, prec)
-                self._refine_record(rec, self.sep / 4)
-                recs.append(rec)
+            recs = [RootApprox(i, mp.mpc(z), mp.inf, prec, None)
+                    for i, z in enumerate(seeds)]
+            for i in range(self.n):
+                self._refine_record(recs, i, self.sep / 4)
             ok = not any(_close(_parts(recs[i].center), _parts(recs[j].center),
                                 recs[i].radius, recs[j].radius)
                          for i in range(self.n) for j in range(i + 1, self.n))
@@ -387,13 +373,9 @@ class _Isolator:
 
         order = sorted(range(self.n),
                        key=cmp_to_key(lambda i, j: self.compare(recs, conj, i, j)))
-        roots: list[RootApprox] = []
         pos = {old: new for new, old in enumerate(order)}
-        for new, old in enumerate(order):
-            rec = recs[old]
-            roots.append(RootApprox(new, rec.center, rec.radius, rec.prec,
-                                    pos[conj[old]]))
-        return roots
+        return [replace(recs[old], index=new, conj_index=pos[conj[old]])
+                for new, old in enumerate(order)]
 
     def _pair_conjugates(self, recs) -> list[int]:
         conj = [-1] * self.n
@@ -420,8 +402,8 @@ class _Isolator:
                     return -1 if a.center.real < b.center.real else 1
                 attempts += 1
                 if attempts <= 3:
-                    self._refine_record(a, a.radius * mp.mpf("0.25"))
-                    self._refine_record(b, b.radius * mp.mpf("0.25"))
+                    a = self._refine_record(recs, i, a.radius * mp.mpf("0.25"))
+                    b = self._refine_record(recs, j, b.radius * mp.mpf("0.25"))
                     continue
                 # exact tie certification via the midpoint-polynomial gap
                 gap4 = self.re_gap() / 4
@@ -429,14 +411,14 @@ class _Isolator:
                 if g > a.radius and g > b.radius:
                     re_tie = True
                     break
-                self._refine_record(a, gap4)
-                self._refine_record(b, gap4)
+                a = self._refine_record(recs, i, gap4)
+                b = self._refine_record(recs, j, gap4)
         # equal real parts: order by imaginary part (never equal for i != j)
         ia = mp.mpf(0) if conj[i] == i else a.center.imag
         ib = mp.mpf(0) if conj[j] == j else b.center.imag
         while _close((ia,), (ib,), a.radius, b.radius):
-            self._refine_record(a, min(a.radius, b.radius) * mp.mpf("0.25"))
-            self._refine_record(b, min(a.radius, b.radius) * mp.mpf("0.25"))
+            a = self._refine_record(recs, i, min(a.radius, b.radius) * mp.mpf("0.25"))
+            b = self._refine_record(recs, j, min(a.radius, b.radius) * mp.mpf("0.25"))
             ia = mp.mpf(0) if conj[i] == i else a.center.imag
             ib = mp.mpf(0) if conj[j] == j else b.center.imag
         return -1 if ia < ib else 1
@@ -467,9 +449,10 @@ def _isolated(ints: tuple[int, ...]) -> _Isolation:
 
 def isolate_roots(m: UPoly) -> list[RootApprox]:
     """All complex roots of a square-free polynomial as certified discs, in
-    the canonical order (ascending re, then ascending im)."""
+    the canonical order (ascending re, then ascending im): the records
+    shared with every request that isolates the same polynomial."""
     ints, _ = m.to_int_coeffs()
-    return [r.copy() for r in _isolated(tuple(ints)).roots]
+    return list(_isolated(tuple(ints)).roots)
 
 
 def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
@@ -478,8 +461,8 @@ def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
     intersects the old isolating disc.
 
     A pure function of m, the root's index and disc (center, radius, prec)
-    and target: the result is memoized with m's isolation and handed out
-    as a copy, so it is bit for bit what a fresh process computes."""
+    and target: the result is memoized with m's isolation and the shared
+    record handed out, so it is bit for bit what a fresh process computes."""
     if root.radius < target:
         return root
     ints, _ = m.to_int_coeffs()
@@ -492,4 +475,4 @@ def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
         if len(refined) >= MAX_REFINED:
             del refined[next(iter(refined))]
         shared = refined[key] = RootApprox(root.index, z, rad, prec, root.conj_index)
-    return shared.copy()
+    return shared

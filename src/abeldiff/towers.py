@@ -125,19 +125,15 @@ def _disc_ball(root: RootApprox, prec: int) -> tuple:
 
 def _power_ball(root: RootApprox, e: int, prec: int) -> tuple:
     """The ball of root raised to e >= 1 at scale 2^-prec, computed once per
-    certified disc and precision: the cache is the root's, which every copy
-    of the disc that isolate_roots or refine_root hands out shares, in any
-    request.  It holds one disc at one precision; another precision, or a
-    copy whose disc was changed, starts it afresh."""
-    held = root.balls.get(prec)
-    if held is None or held[0] is not root.center or held[1] is not root.radius:
+    certified disc and precision: the cache is the record's own, and
+    isolate_roots and refine_root hand one record to every request.  It
+    holds one precision at a time; another precision starts it afresh."""
+    powers = root.balls.get(prec)
+    if powers is None:
         root.balls.clear()
-        held = root.balls[prec] = (root.center, root.radius, {})
-    powers = held[2]
+        powers = root.balls[prec] = {1: _disc_ball(root, prec)}
     ball = powers.get(e)
     if ball is None:
-        if 1 not in powers:
-            powers[1] = _disc_ball(root, prec)
         ball = powers[e] = _pow(powers[1], e, prec)
     return ball
 
@@ -596,7 +592,8 @@ class TowerElement:
         if not _cauchy_normal_form(self):
             return True
         for digits in (15, 40):
-            if self._ball(digits).excludes_zero():
+            ball = self._ball(digits)
+            if ball.excludes_zero():
                 return False
         mu = self._minimal_polynomial()
         if mu[0] != 0:
@@ -608,14 +605,12 @@ class TowerElement:
                 "a modulus of the tower is not square-free")
         top = max(abs(c) for c in psi[1:]) if len(psi) > 1 else Fraction(0)
         bound = abs(psi[0]) / (abs(psi[0]) + top)
-        digits = 40
-        while True:
+        while not ball.below(bound):  # from stage 3's 40-digit disc
+            digits *= 2
             ball = self._ball(digits)
             if ball.excludes_zero():
                 return False
-            if ball.below(bound):
-                return True
-            digits *= 2
+        return True
 
     def invert(self) -> "TowerElement":
         """Exact inverse by iterated extended Euclid across the generators.

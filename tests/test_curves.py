@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from abeldiff import curves
 from abeldiff.curves import Curve, Point, SmoothnessReport, smoothness_report
 from abeldiff.errors import (DegreeDrop, IrrationalAbscissaUnsupported,
                              MultipleRoots, NotSmooth, PointNotOnCurve,
@@ -109,8 +110,21 @@ def test_section_roots_reuse_context(cubic):
 
 
 def test_tangent_abscissa_rejected(circle):
-    with pytest.raises(MultipleRoots):
-        circle.section_roots(1, TowerContext())
+    ctx = TowerContext()
+    with pytest.raises(MultipleRoots, match="^section at x = 1 has a multiple root$"):
+        circle.section_roots(1, ctx)
+    assert len(ctx) == 0
+
+
+def test_section_roots_leave_square_freeness_to_the_isolation(monkeypatch):
+    curve = Curve(BPoly(CIRCLE_TERMS))
+
+    def no_gcd(p):
+        raise AssertionError("section_roots ran a square-free test")
+    monkeypatch.setattr(curves, "is_squarefree", no_gcd)
+    assert len(curve.section_roots(0, TowerContext())) == 2
+    with pytest.raises(MultipleRoots, match="^section at x = -1 has a multiple root$"):
+        curve.section_roots(-1, TowerContext())
 
 
 def test_degree_drop_detected():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath as mp
@@ -96,7 +97,7 @@ def test_refinements_are_shared_and_equal_a_fresh_computation(monkeypatch):
     target = mp.mpf(10) ** -60
 
     def disc(r):
-        return r.center, r.radius, r.prec
+        return r.center._mpc_, r.radius._mpf_, r.prec
 
     roots_mod._isolated.cache_clear()
     first, again = isolate_roots(p), isolate_roots(2 * p)
@@ -107,18 +108,19 @@ def test_refinements_are_shared_and_equal_a_fresh_computation(monkeypatch):
         calls.append(args)
         return real_refine(*args)
     monkeypatch.setattr(roots_mod, "_refine", counted)
-    miss = [disc(refine_root(p, r, target)) for r in first]
+    miss = [refine_root(p, r, target) for r in first]
     handed = [refine_root(p, r, target) for r in again]
     assert len(calls) == 3                    # the second pass hits the memo
-    assert [disc(r) for r in handed] == miss
-    for r in handed:                          # a caller alters its copies
-        r.center += 1
-        r.radius = mp.mpf(1)
-        r.prec = 7
-    assert [disc(refine_root(p, r, target)) for r in isolate_roots(p)] == miss
+    assert all(h is m for h, m in zip(handed, miss))
+    for r in handed:                          # nobody can alter a shared disc
+        for name, value in (("center", r.center + 1), ("radius", mp.mpf(1)),
+                            ("prec", 7)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, value)
     assert len(calls) == 3
     roots_mod._isolated.cache_clear()
-    assert [disc(refine_root(p, r, target)) for r in isolate_roots(p)] == miss
+    assert [disc(refine_root(p, r, target)) for r in isolate_roots(p)] == \
+        [disc(r) for r in miss]
 
 
 def test_separation_bound_positive_and_below_true_separation():
@@ -186,12 +188,14 @@ def test_root_finding_failure_reaches_the_cli_as_an_error_document(monkeypatch, 
                             "exit_code": 1}
 
 
-def test_isolation_cache_is_bounded_and_hands_out_copies():
+def test_isolation_cache_is_bounded_and_hands_out_the_shared_records():
     assert roots_mod._isolated.cache_info().maxsize == 512
     p = UPoly([-2, 0, 1])
     first = isolate_roots(p)
-    first[0].radius = mp.mpf(1)
+    with pytest.raises(FrozenInstanceError):
+        first[0].radius = mp.mpf(1)
     again = isolate_roots(2 * p)      # same primitive integer polynomial
+    assert again[0] is first[0]
     assert again[0].radius < 1
     assert roots_mod._isolated.cache_info().hits >= 1
 

@@ -325,16 +325,18 @@ def test_ball_power_cache_is_bit_identical_and_invalidated():
 def test_a_changed_copy_of_a_root_leaves_the_shared_power_balls_alone():
     ctx, c = adjoin(TowerContext(), UPoly([-1, 2, 0, 0, 0, 1]), 3)
     a = c ** 4 - Fraction(7, 5) * c ** 3 + c
-    # copies of the disc that a._ball(40) uses share its cache, which holds
-    # a's powers; one copy moves the center, the other widens the radius
+    # new records beside the shared disc whose cache holds a's powers: one
+    # moves the center, the other widens the radius
     root = ctx.extensions[0].refine_to(mp.mpf(10) ** -40)
     prec = int(40 * 3.4) + 40
-    for changed in ("center", "radius"):
+    moved = RootApprox(root.index, 2 * root.center, root.radius, root.prec,
+                       root.conj_index)
+    widened = RootApprox(root.index, root.center, 2 * root.radius, root.prec,
+                         root.conj_index)
+    for changed in (moved, widened):
         a._ball(40)
-        alias = root.copy()
-        setattr(alias, changed, 2 * getattr(root, changed))
-        assert towers._power_ball(alias, 3, prec) == \
-            towers._pow(towers._disc_ball(alias, prec), 3, prec)
+        assert towers._power_ball(changed, 3, prec) == \
+            towers._pow(towers._disc_ball(changed, prec), 3, prec)
         got, ref = a._ball(40), _uncached_ball(a, 40)
         assert got == ref
         assert (got.c, got.r) == (ref.c, ref.r)
@@ -626,6 +628,21 @@ def test_is_zero_semantic_fallback():
     assert not (a + b).is_zero()
     with pytest.raises(ZeroDivision):
         d.invert()
+
+
+def test_is_zero_reuses_its_40_digit_disc_for_the_minimal_polynomial(monkeypatch):
+    ctx = TowerContext()
+    ctx, a = adjoin(ctx, SQRT2, 1)
+    ctx, b = adjoin(ctx, SQRT2, 1)
+    digits = []
+    real_ball = TowerElement._ball
+
+    def counted(self, digits10):
+        digits.append(digits10)
+        return real_ball(self, digits10)
+    monkeypatch.setattr(TowerElement, "_ball", counted)
+    assert (a - b).is_zero()      # decided by the bound on the 40-digit disc
+    assert digits == [15, 40]
 
 
 def _no_minimal_polynomial(self):
