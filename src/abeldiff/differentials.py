@@ -8,17 +8,26 @@ vanishes at the r-1 non-pole points of the section, and E equals
 (x2 - x1) f_y at the pole itself (residues +1 and -1).  Solving those
 conditions directly would put algebraic numbers in the matrix; summing the
 conditions against powers of the section ordinates turns every left-hand
-coefficient into a power sum of the section polynomial — a rational number —
-which is the symmetrized system this module actually solves.  The two forms
-are equivalent: the symmetrized rows are the Vandermonde matrix of the
-section ordinates times the per-point rows.
+coefficient into a power sum of the section polynomial — a rational number.
+That symmetrized system is kept with the differential, and verify checks it:
+its rows are the Vandermonde matrix of the section ordinates times the
+per-point rows.  Its left factor, the Hankel matrix of power sums, is
+invertible for a square-free section, so per pole (x_i, eta_i) the
+conditions are exactly one polynomial identity in y,
+E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i): the quotient vanishes at the
+other section points and equals f_y at the pole.  Its y^b-coefficients give
+sum_a c_{a,b} x_i^a = (x2 - x1) q_{i,b}, with rational rows and right-hand
+sides from one synthetic division each.
 
 The conditions fix E only up to adding m*(x - x1)(x2 - x) for a monomial m of
-degree <= r-3, i.e. up to a first-kind differential.  Appending these
-embedded first-kind vectors to the symmetrized matrix as rows with
-right-hand side 0 makes the system nonsingular: its unique solution is the
-numerator orthogonal to the first-kind space under the monomial inner
-product, and one fraction-free solve yields it.
+degree <= r-3, i.e. up to a first-kind differential.  For m = x^alpha y^b
+that vector lies in y-degree b alone, so the conditions split into one
+block per y-degree b: the r - b unknowns c_{a,b}, the two rows [x1^a] and
+[x2^a], and the embedded first-kind vectors of that degree as rows with
+right-hand side 0.  Each block has full column rank; together their solutions
+are the numerator orthogonal to the first-kind space under the monomial
+inner product, and r fraction-free solves of at most r unknowns each yield
+it.
 
 Every condition is stated on the numerator E, never on the rational
 function u = E / ((x - x1)(x2 - x) f_y): f_y is a unit at every point of a
@@ -50,7 +59,7 @@ from fractions import Fraction
 from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
-from .linsolve import RatMatrix, ff_solve, vandermonde
+from .linsolve import ff_solve, vandermonde
 from .polys import BPoly, UPoly, power_sums
 from .towers import TowerContext, TowerElement, eval_bpoly
 
@@ -224,45 +233,74 @@ class ParametricDifferential:
         return self.pole1.y.ctx
 
 
+def _pole_quotient(curve: Curve, pole: Point) -> list[TowerElement]:
+    """The coefficients q_0 .. q_{r-1} of f(x_i, y) / (y - eta) at a pole
+    (x_i, eta), by synthetic division of the section polynomial
+    s = f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  Each q_b has
+    degree below r in the pole's generator, so no product reduces."""
+    s = curve.section_poly(pole.x).coeffs
+    q = [pole.y.ctx.constant(s[curve.r])]
+    for b in range(curve.r - 1, 0, -1):
+        q.append(pole.y * q[-1] + s[b])
+    return q[::-1]
+
+
 def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     """Construct the third-kind family and certify all residues with the
     residue oracle.
 
-    The base numerator E is the unique solution of the symmetrized
-    conditions on E (vanishing at the non-pole section points, (x2 - x1) f_y
-    at the poles) stacked with the embedded first-kind vectors as rows with
-    right-hand side 0 (see the module docstring).  Each embedded vector is
-    first checked exactly to solve the homogeneous system; full column rank
-    of the stacked system then certifies that the nullspace is exactly the
-    embedded first-kind space.  Inconsistent is raised when either fails.
-    The oracle's verdicts are returned in the family's certificates;
-    VerificationFailed is raised when any of them fails."""
+    The base numerator E is the unique solution of the conditions
+    E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i) at both poles, stacked
+    with the embedded first-kind vectors as rows with right-hand side 0
+    (see the module docstring).  They split by y-degree: block b has the
+    unknowns c_{a,b}, a < r - b, the rows [x1^a] and [x2^a] with the
+    y^b-coefficients of the two quotients, and one row for each embedded
+    first-kind numerator x^alpha y^b; each block is one small fraction-free
+    solve.  Each first-kind numerator is first checked to be a monomial
+    whose embedding stays in degree <= r-1 and vanishes exactly on both
+    interpolation rows; full column rank of every block then certifies that
+    the nullspace is exactly the embedded first-kind space.  Inconsistent
+    is raised when either fails.  The oracle's verdicts are returned in the
+    family's certificates; VerificationFailed is raised when any of them
+    fails."""
     pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
     system = _symmetrized_system(curve, pole1, pole2)
-    monos = system.monomials
+    r, monos = curve.r, system.monomials
+    x1, x2 = pole1.x, pole2.x
     fkb = first_kind_basis(curve)
-    pf = _pole_factor(pole1.x, pole2.x)
-    embedded = []
+    pf = _pole_factor(x1, x2)
+    xpows = [[x ** a for a in range(r)] for x in (x1, x2)]
+    embedded = [[] for _ in range(r)]     # rows of block b, by y-degree
     for mono in fkb.numerators:
         terms = (mono * pf).terms
-        embedded.append([terms.get(m, Fraction(0)) for m in monos])
-    supports = [[(k, e) for k, e in enumerate(vec) if e] for vec in embedded]
-    if any(sum(row[k] * e for k, e in support)
-           for support in supports for row in system.matrix):
-        raise Inconsistent("an embedded first-kind numerator does not solve "
-                           "the homogeneous system")
-    p = len(embedded)
-    sol = ff_solve(RatMatrix(system.matrix + embedded),
-                   system.rhs + [pole1.y.ctx.zero] * p)
-    if sol.rank != len(monos):
-        raise Inconsistent(f"nullspace dimension {len(monos) - sol.rank + p} "
+        if len(mono.terms) != 1 or any(a + b >= r for a, b in terms):
+            raise Inconsistent("a first-kind numerator is not a monomial whose "
+                               "embedding has degree <= r-1")
+        (_, b), = mono.terms
+        row = [terms.get((a, b), Fraction(0)) for a in range(r - b)]
+        if any(sum(e * xp for e, xp in zip(row, xps)) for xps in xpows):
+            raise Inconsistent("an embedded first-kind numerator does not solve "
+                               "the homogeneous system")
+        embedded[b].append(row)
+    dx = x2 - x1
+    q1, q2 = _pole_quotient(curve, pole1), _pole_quotient(curve, pole2)
+    zero = pole1.y.ctx.zero
+    coeffs, rank = {}, 0
+    for b in range(r):
+        rows = [xps[:r - b] for xps in xpows] + embedded[b]
+        sol = ff_solve(rows, [dx * q1[b], dx * q2[b]] + [zero] * len(embedded[b]))
+        rank += sol.rank
+        coeffs.update(((a, b), c) for a, c in enumerate(sol.particular))
+    p = len(fkb)
+    if rank != len(monos):
+        raise Inconsistent(f"nullspace dimension {len(monos) - rank + p} "
                            f"!= genus {p}")
-    base = BPoly({m: c for m, c in zip(monos, sol.particular) if c})
+    base = BPoly({m: coeffs[m] for m in monos if coeffs[m]})
 
     diff = ParametricDifferential(
         curve=curve, pole1=pole1, pole2=pole2, base_numerator=base,
         first_kind_numerators=fkb.numerators, section1=section1,
-        section2=section2, system=system, rank=sol.rank - p)
+        section2=section2, system=system, rank=rank - p)
     diff.certificates = residue_certificates(diff)
     failures = [c for c in diff.certificates if not c["ok"]]
     if failures:

@@ -16,12 +16,13 @@ from abeldiff.differentials import (FirstKindBasis, eval_u,
                                     _solve_tower)
 from abeldiff.errors import (DegeneratePoints, EvaluationAtPole, Inconsistent,
                              MultipleRoots, SameAbscissa, VerificationFailed)
-from abeldiff.linsolve import rank
+from abeldiff.linsolve import RatMatrix, rank
 from abeldiff.parser import parse_poly
-from abeldiff.polys import BPoly
+from abeldiff.polys import BPoly, is_squarefree
 from abeldiff.towers import TowerContext, TowerElement, eval_bpoly
 from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS
 from tests.test_cli import DENSE_QUARTIC
+from tests.test_curves import _dense
 
 
 def test_first_kind_basis_cubic(cubic):
@@ -472,8 +473,9 @@ def test_base_numerator_is_the_solution_orthogonal_to_first_kind(terms, x1, x2):
     assert diff.rank == len(system.monomials) - curve.genus()
 
 
-def test_third_kind_solves_once(monkeypatch, cubic, cubic_setup):
-    _, p1, p2 = cubic_setup
+def test_third_kind_solves_one_block_per_y_degree(monkeypatch):
+    # one solve per y-degree b, each in the r - b coefficients c_{a,b}; the
+    # stacked matrix of all r(r+1)/2 columns is never built
     real, calls = linsolve.ff_solve, []
 
     def counted(*args):
@@ -483,8 +485,69 @@ def test_third_kind_solves_once(monkeypatch, cubic, cubic_setup):
     # linsolve's own module global too, which linsolve.rank calls
     monkeypatch.setattr(linsolve, "ff_solve", counted)
     monkeypatch.setattr(differentials, "ff_solve", counted)
-    third_kind(cubic, p1, p2)
-    assert len(calls) == 1
+    for terms, x1, x2 in ((CUBIC_TERMS, 0, 1), (QUARTIC_TERMS, 2, 3)):
+        curve = Curve(BPoly(terms))
+        ctx = TowerContext()
+        calls.clear()
+        third_kind(curve, curve.section_roots(x1, ctx)[0],
+                   curve.section_roots(x2, ctx)[0])
+        assert len(calls) == curve.r
+        widths = [len(getattr(m, "rows", m)[0]) for m, _ in calls]
+        assert widths == list(range(curve.r, 0, -1))
+        assert curve.r * (curve.r + 1) // 2 not in widths
+
+
+def _stacked_base_numerator(diff):
+    """The base numerator from one stacked solve: the symmetrized rows of
+    diff.system with the embedded first-kind vectors appended as rows with
+    right-hand side 0, in one fraction-free solve of full column rank."""
+    system = diff.system
+    pf = _pole_factor(diff.pole1.x, diff.pole2.x)
+    embedded = [[(mono * pf).terms.get(m, Fraction(0)) for m in system.monomials]
+                for mono in diff.first_kind_numerators]
+    sol = linsolve.ff_solve(RatMatrix(system.matrix + embedded),
+                            system.rhs + [diff.ctx.zero] * len(embedded))
+    assert sol.rank == len(system.monomials)
+    return BPoly({m: c for m, c in zip(system.monomials, sol.particular) if c})
+
+
+def _random_pole_pairs(curves, draws, seed):
+    """pytest params (f, x1, x2, i1, i2) for seeded random rational
+    abscissas whose sections keep full degree and are square-free, and
+    random root indices; curves maps an id to a polynomial."""
+    rng = random.Random(seed)
+    out = []
+    for name, f in curves.items():
+        curve = Curve(f)
+        for k in range(draws):
+            xs = []
+            while len(xs) < 2:
+                x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                s = curve.section_poly(x)
+                if x not in xs and s.degree == curve.r and is_squarefree(s):
+                    xs.append(x)
+            out.append(pytest.param(f, *xs, rng.randrange(curve.r),
+                                    rng.randrange(curve.r), id=f"{name}-{k}"))
+    return out
+
+
+LADDER_CURVES = ("x^2+y^2-1", "x^3-y^3+2*x*y+x-2*y+1", "x^4+y^4-1",
+                 "x^5+y^5-1", "x^6+y^6-1", "x^7+y^7-x-1")
+
+
+@pytest.mark.parametrize("f, x1, x2, i1, i2", [
+    *_random_pole_pairs({text: parse_poly(text) for text in LADDER_CURVES}, 2, 20),
+    *_random_pole_pairs({f"dense{d}": _dense(d) for d in (3, 4, 5)}, 2, 21),
+    *(pytest.param(parse_poly(text), Fraction(1, 2), Fraction(1, 3), 0, 0, id=text)
+      for text in ("x^10+y^10-1", "x^12+y^12-1")),
+])
+def test_block_solves_give_the_stacked_solution(f, x1, x2, i1, i2):
+    curve = Curve(f)
+    ctx = TowerContext()
+    diff = third_kind(curve, curve.section_roots(x1, ctx)[i1],
+                      curve.section_roots(x2, ctx)[i2])
+    assert diff.base_numerator == _stacked_base_numerator(diff)
+    assert diff.rank == 2 * curve.r - 1
 
 
 def test_third_kind_prepares_its_pole_pair_once(monkeypatch, cubic, cubic_setup):
@@ -510,3 +573,15 @@ def test_wrong_first_kind_space_is_inconsistent(monkeypatch, cubic, cubic_setup,
                         lambda curve: FirstKindBasis(curve, numerators))
     with pytest.raises(Inconsistent):
         third_kind(cubic, p1, p2)
+
+
+def test_non_monomial_first_kind_numerator_is_inconsistent(monkeypatch, quartic):
+    # 1, x + y, y span the first-kind space too, but x + y is not a
+    # monomial: its embedding mixes y-degrees, which no block holds
+    numerators = [BPoly.const(1), BPoly({(1, 0): 1, (0, 1): 1}), BPoly({(0, 1): 1})]
+    monkeypatch.setattr(differentials, "first_kind_basis",
+                        lambda curve: FirstKindBasis(curve, numerators))
+    ctx = TowerContext()
+    with pytest.raises(Inconsistent):
+        third_kind(quartic, quartic.section_roots(2, ctx)[0],
+                   quartic.section_roots(3, ctx)[0])
