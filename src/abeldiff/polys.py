@@ -27,7 +27,7 @@ class UPoly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_coeff(c) for c in coeffs]
@@ -60,7 +60,12 @@ class UPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # computed once; tower coefficients make hash(coeffs) raise TypeError
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coeffs)
+            return self._hash
 
     def __neg__(self):
         return UPoly([-c for c in self.coeffs])

@@ -323,17 +323,22 @@ class TowerContext:
         return None
 
     def cauchy_module(self, modulus: UPoly, j: int) -> tuple[int, tuple]:
-        """The j-th Cauchy module of a monic modulus s = sum a_i t^i of
-        degree r, f_j = sum_i a_i h_(i-j+1)(t_1..t_j) with h_d the complete
-        homogeneous symmetric polynomial, as the rewrite rule t_j^d -> tail.
+        """The j-th Cauchy module of a monic modulus of degree r, in integers,
+        as the rewrite rule u_j^d -> tail.
 
-        f_j is monic of degree d = r-j+1 in t_j; tail lists
-        (exponents of t_1..t_j, coefficient) pairs of t_j^d - f_j.
+        With sum c_i t^i its primitive integer form, t = u/c_r gives the
+        monic integer S(u) = sum s_i u^i, s_i = c_i c_r^(r-1-i); its module
+        f_j = sum_i s_i h_(i-j+1)(u_1..u_j), h_d the complete homogeneous
+        symmetric polynomial, is c_r^(r-j+1) times the modulus's at t_i =
+        u_i/c_r.  f_j is monic of degree d = r-j+1 in u_j; tail lists
+        (exponents of u_1..u_j, integer coefficient) pairs of u_j^d - f_j.
         """
         key = (modulus, j)
         rule = self._cauchy.get(key)
         if rule is None:
-            rule = self._cauchy.setdefault(key, _cauchy_rule(modulus.coeffs, j))
+            ints, _ = modulus.to_int_coeffs()
+            s = [c * ints[-1] ** (len(ints) - 2 - i) for i, c in enumerate(ints[:-1])]
+            rule = self._cauchy.setdefault(key, _cauchy_rule(s + [1], j))
         return rule
 
     def _append(self, ext: ExtensionDescriptor) -> int:
@@ -571,8 +576,10 @@ class TowerElement:
         2. Cauchy normal form.  Generators with one modulus and distinct
            root ids embed to distinct roots of it, so every Cauchy module of
            those generators vanishes there; an element whose normal form
-           modulo them is empty embeds to zero.  This decides identities
-           such as sum_j y_j^k = p_k over a section.
+           modulo them is empty embeds to zero.  It is reduced in integers
+           on packed monomials, by the modules of the modulus's monic
+           integer form.  This decides identities such as sum_j y_j^k = p_k
+           over a section.
         3. Disc.  A certified disc at 15, then 40 digits that excludes zero
            proves the value nonzero.
         4. Minimal polynomial.  A syntactically nonzero element can embed
@@ -834,10 +841,10 @@ def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int, shift: int,
 # -- Cauchy modules ---------------------------------------------------------
 
 
-def _cauchy_rule(coeffs: tuple[Fraction, ...], j: int) -> tuple[int, tuple]:
+def _cauchy_rule(coeffs: list[int], j: int) -> tuple[int, tuple]:
     r = len(coeffs) - 1
     d = r - j + 1
-    tail: dict[tuple[int, ...], Fraction] = {}
+    tail: dict[tuple[int, ...], int] = {}
     for i in range(j - 1, r + 1):
         if not coeffs[i]:
             continue
@@ -846,15 +853,15 @@ def _cauchy_rule(coeffs: tuple[Fraction, ...], j: int) -> tuple[int, tuple]:
             for pos in combo:
                 exps[pos] += 1
             if exps[-1] == d:
-                continue  # the leading monomial t_j^d
+                continue  # the leading monomial u_j^d
             exps = tuple(exps)
-            tail[exps] = tail.get(exps, Fraction(0)) - coeffs[i]
+            tail[exps] = tail.get(exps, 0) - coeffs[i]
     return d, tuple((e, c) for e, c in tail.items() if c)
 
 
 def _cauchy_normal_form(a: TowerElement) -> dict:
-    """Normal form of den * a, a's numerators, modulo the Cauchy modules of
-    its generators; it is empty exactly when a's normal form is.
+    """Normal form of a's numerators, times nonzero integers and packed (see
+    _packed), modulo its generators' Cauchy modules: empty exactly when a's is.
 
     Generators are grouped by modulus, keeping the first generator of each
     root id (the modules hold only for distinct roots).  Only generators
@@ -863,54 +870,67 @@ def _cauchy_normal_form(a: TowerElement) -> dict:
     the modules form a lex Groebner basis; reducing t_k first, down to t_1,
     gives the normal form.  Groups of one generator are skipped: a's terms
     are already reduced by their modulus, which is f_1.
+
+    A group is reduced in integers by cauchy_module's rules, in u_i =
+    L t_i: n_k t^k is n_k u^k / L^|k|, |k| its degree in the group, so n_k
+    is multiplied by L^(top - |k|), top the largest |k|.  A rewrite never
+    raises a total degree, so fields of the bit length of a's largest one
+    hold every exponent.
     """
     ctx = a.ctx
     groups: dict[UPoly, dict[int, int]] = {}
     for g in a.present_generators():
         ext = ctx.extensions[g]
         groups.setdefault(ext.modulus, {}).setdefault(ext.root_id, g)
-    terms = a.nums
-    for modulus, by_root in groups.items():
-        gens = sorted(by_root.values())
-        if len(gens) < 2:
-            continue
+    groups = [sorted(gens.values()) for gens in groups.values() if len(gens) > 1]
+    if not groups:
+        return a.nums
+    width = max(map(sum, a.nums)).bit_length()
+    mask = (1 << width) - 1
+    terms = dict(_packed(a.nums, width)[0])
+    for gens in groups:
+        ext = ctx.extensions[gens[0]]
+        if (lead := ext.int_coeffs[-1]) != 1:
+            degs = [sum((k >> g * width) & mask for g in gens) for k in terms]
+            top = max(degs)
+            terms = {k: n * lead ** (top - e) for (k, n), e in zip(terms.items(), degs)}
         for j in range(len(gens), 0, -1):
-            d, tail = ctx.cauchy_module(modulus, j)
-            terms = _reduce_leading(terms, gens[:j], d, tail)
+            terms = _reduce_leading(terms, gens[:j], *ctx.cauchy_module(ext.modulus, j), width)
             if not terms:
                 return terms
     return terms
 
 
-def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple) -> dict:
-    """Rewrite t^d -> tail, t = generator gens[-1], until every term has
-    degree below d in t; tail exponents run over gens in order."""
-    g = gens[-1]
+def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple, width: int) -> dict:
+    """Rewrite u^d -> tail (exponents over gens), u = gens[-1], until every
+    packed key has degree below d in u.  A rewrite adds a delta from
+    moves[x], the (delta, coefficient) pairs of tail's terms of u-degree x."""
+    shift = gens[-1] * width
+    mask = (1 << width) - 1
+    moves: dict[int, list] = {}
+    for exps, c in tail:
+        delta = sum(x << g * width for g, x in zip(gens, exps)) - (d << shift)
+        moves.setdefault(exps[-1], []).append((delta, c))
     levels: dict[int, dict] = {}
-    for key, c in terms.items():
-        levels.setdefault(key[g] if len(key) > g else 0, {})[key] = c
+    for k, c in terms.items():
+        levels.setdefault((k >> shift) & mask, {})[k] = c
     out: dict = {}
     for e in range(max(levels), -1, -1):
-        level = levels.pop(e, None)
-        if not level:
-            continue
+        level = levels.pop(e, {})
         if e < d:
             out.update(level)
             continue
-        for key, c in level.items():
-            base = list(key) + [0] * (g + 1 - len(key))
-            base[g] = e - d
-            for exps, tc in tail:
-                nk = list(base)
-                for pos, x in zip(gens, exps):
-                    nk[pos] += x
-                bucket = levels.setdefault(nk[g], {})
-                nk = _trim(tuple(nk))
-                v = bucket.get(nk, Fraction(0)) + c * tc
-                if v:
-                    bucket[nk] = v
-                else:
-                    bucket.pop(nk, None)
+        for k, c in level.items():
+            for x, pairs in moves.items():
+                bucket = levels.setdefault(e - d + x, {})
+                get = bucket.get
+                for delta, tc in pairs:
+                    nk = k + delta
+                    v = get(nk, 0) + c * tc
+                    if v:
+                        bucket[nk] = v
+                    else:
+                        del bucket[nk]
     return out
 
 

@@ -11,6 +11,7 @@ from abeldiff.linsolve import bareiss_det
 from abeldiff.polys import (BPoly, UPoly, interpolate, is_squarefree,
                             poly_gcd, power_sums, resultant, resultant_matrix,
                             resultant_y)
+from abeldiff.towers import TowerContext, adjoin
 
 
 def test_gcd_common_factor_by_inspection():
@@ -26,6 +27,23 @@ def test_gcd_with_zero_is_monic():
     p = UPoly([2, 4])
     assert poly_gcd(p, UPoly()) == UPoly([Fraction(1, 2), 1])
     assert poly_gcd(UPoly(), UPoly()) == UPoly()
+
+
+def test_hash_is_cached_and_agrees_with_equality():
+    p = UPoly([3, 0, -2, 1])
+    q = UPoly([Fraction(6, 2), Fraction(0), Fraction(-4, 2), Fraction(1), Fraction(0)])
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash(p) == hash(q)
+    assert {p: 1}[q] == 1
+    assert hash(UPoly()) == hash(UPoly([0, 0]))
+
+
+def test_upoly_with_tower_coefficients_stays_unhashable():
+    ctx, t = adjoin(TowerContext(), UPoly([-2, 0, 1]), 0)
+    p = UPoly([t, 1])
+    for _ in range(2):  # a failed hash caches nothing
+        with pytest.raises(TypeError):
+            hash(p)
 
 
 def test_squarefree():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt
 
 import mpmath as mp
@@ -20,6 +21,8 @@ SQRT2 = UPoly([-2, 0, 1])
 SQRT3 = UPoly([-3, 0, 1])
 CUBE3 = UPoly([-3, 0, 0, 1])
 CUBIC_F = BPoly({(3, 0): 1, (0, 3): -1, (1, 1): 2, (1, 0): 1, (0, 1): -2, (0, 0): 1})
+QUARTIC_F = BPoly({(4, 0): 1, (0, 4): 1, (0, 0): -1})
+SEPTIC_F = BPoly({(7, 0): 1, (0, 7): 1, (1, 0): -1, (0, 0): -1})
 
 
 def test_adjoin_square_root():
@@ -668,14 +671,22 @@ def test_cauchy_stage_decides_vandermonde_and_residues(monkeypatch, quartic):
     p1 = quartic.section_roots(Fraction(1, 2), ctx)[0]
     p2 = quartic.section_roots(Fraction(-2, 3), ctx)[0]
     diff = third_kind(quartic, p1, p2)
-    septic = Curve(BPoly({(7, 0): 1, (0, 7): 1, (1, 0): -1, (0, 0): -1}))
+    septic = Curve(SEPTIC_F)
     ctx = TowerContext()
     q1 = septic.section_roots(0, ctx)[0]
     q2 = septic.section_roots(2, ctx)[0]
+    ctx = TowerContext()
+    s1 = septic.section_roots(Fraction(1, 2), ctx)[0]
+    s2 = septic.section_roots(Fraction(-2, 3), ctx)[0]
+    septic_diff = third_kind(septic, s1, s2)
     monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
     assert vandermonde_equivalence(
         diff, third_kind_system_naive(diff))
     assert all(cert["ok"] for cert in residue_certificates(third_kind(septic, q1, q2)))
+    # the septic's sections at non-integral abscissas have primitive leads
+    # 2^7 and 3^7
+    assert vandermonde_equivalence(
+        septic_diff, third_kind_system_naive(septic_diff))
 
 
 def test_is_zero_cauchy_agrees_with_minimal_polynomial(monkeypatch):
@@ -716,6 +727,122 @@ def test_is_zero_cauchy_agrees_with_minimal_polynomial(monkeypatch):
         assert cauchy == reference
     monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
     assert all(e.is_zero() for e in samples[::2])
+
+
+def _complete_homogeneous(ctx, ts, d):
+    """h_d(ts) by tower arithmetic."""
+    out = ctx.zero
+    for combo in combinations_with_replacement(ts, d):
+        mono = ctx.one
+        for t in combo:
+            mono = mono * t
+        out = out + mono
+    return out
+
+
+def _cauchy_module_element(ctx, modulus, ts, j):
+    """The j-th Cauchy module sum_i a_i h_(i-j+1)(t_1..t_j) of the monic
+    modulus, built by tower arithmetic."""
+    a = modulus.monic().coeffs
+    return sum((a[i] * _complete_homogeneous(ctx, ts[:j], i - j + 1)
+                for i in range(j - 1, len(a))), ctx.zero)
+
+
+def _random_polynomial(rng, ctx, ts, degree, terms=3):
+    """A random integer polynomial in the generators ts, each exponent below
+    degree."""
+    out = ctx.constant(rng.randint(-9, 9))
+    for _ in range(terms):
+        mono = ctx.constant(rng.choice([-7, -2, -1, 1, 3, 8]))
+        for t in ts:
+            mono = mono * t ** rng.randrange(degree)
+        out = out + mono
+    return out
+
+
+def test_cauchy_stage_decides_ideal_members_of_nonmonic_moduli(monkeypatch):
+    """Ideal members over moduli whose primitive integer lead is not 1 are
+    decided zero by the Cauchy stage alone."""
+    rng = random.Random(2124)
+    moduli = [_random_modulus(rng, rng.randint(2, 5)) for _ in range(4)]
+    moduli += [Curve(QUARTIC_F).section_poly(Fraction(1, 3)),
+               Curve(SEPTIC_F).section_poly(Fraction(2, 5))]
+    assert all(m.to_int_coeffs()[0][-1] != 1 for m in moduli)
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
+    for modulus in moduli:
+        r = modulus.degree
+        ctx = TowerContext()
+        ts = []
+        for rid in rng.sample(range(r), rng.randint(2, min(4, r))):
+            ctx, t = adjoin(ctx, modulus, rid)
+            ts.append(t)
+        for j in range(2, len(ts) + 1):
+            module = _cauchy_module_element(ctx, modulus, ts, j)
+            assert module and module.is_zero()
+            member = _random_polynomial(rng, ctx, ts, r) * module
+            assert member and member.is_zero()
+            assert not (member + ts[0]).is_zero()
+    # e_i(t_1..t_r) = (-1)^i a_(r-i) over every root of a section
+    for f, x in ((QUARTIC_F, Fraction(1, 2)), (SEPTIC_F, Fraction(-3, 4))):
+        ctx = TowerContext()
+        curve = Curve(f)
+        ys = [pt.y for pt in curve.section_roots(x, ctx)]
+        a = curve.section_poly(x).monic().coeffs
+        r = len(ys)
+        for i in range(1, r + 1):
+            e = ctx.zero
+            for combo in combinations(ys, i):
+                mono = ctx.one
+                for y in combo:
+                    mono = mono * y
+                e = e + mono
+            assert (e - (-1) ** i * a[r - i]).is_zero()
+            assert not (e - (-1) ** i * a[r - i] + 1).is_zero()
+
+
+def test_is_zero_cauchy_agrees_with_reference_on_nonmonic_moduli(monkeypatch):
+    """Same verdicts with the Cauchy stage as without it, over two moduli of
+    non-1 primitive lead in one context, with a repeated root id, and with
+    products whose total degree crosses a power of two."""
+    rng = random.Random(2125)
+    quartic = Curve(QUARTIC_F).section_poly(Fraction(1, 2))   # 16 y^4 - 15
+    cubic = UPoly([-1, 2, 0, 3])                               # 3 t^3 + 2 t - 1
+    ctx = TowerContext()
+    q = []
+    for rid in (0, 1, 0):  # the third generator repeats the first's root
+        ctx, t = adjoin(ctx, quartic, rid)
+        q.append(t)
+    c = []
+    for rid in (0, 2):
+        ctx, t = adjoin(ctx, cubic, rid)
+        c.append(t)
+    module = _cauchy_module_element(ctx, quartic, q, 2)
+    ideal = [
+        (module, q[:2] + c[:1], 4),
+        (module, q[1:], 4),
+        (_cauchy_module_element(ctx, cubic, c, 2), c + q[:1], 3),
+        (q[0] - q[2], q[2:], 4),  # zero only by the later stages
+    ]
+    samples, cauchy_zeros = [], []
+    for factor, ts, degree in ideal:
+        for _ in range(3):
+            zero = _random_polynomial(rng, ctx, ts, degree, terms=2) * factor
+            samples += [zero, zero + rng.choice(ts) - rng.randint(0, 1)]
+            if factor is not ideal[-1][0]:
+                cauchy_zeros.append(zero)
+    # total degrees 3 -> 4 and 7 -> 8 around the packing width's steps
+    for mono in (q[0] * q[1] ** 2, q[0] ** 2 * q[1] ** 2,
+                 q[0] ** 3 * q[1] ** 3 * c[0], q[0] ** 3 * q[1] ** 3 * c[0] ** 2):
+        samples += [mono * module, mono * module + mono]
+        cauchy_zeros.append(mono * module)
+    for e in samples:
+        cauchy = e.is_zero()
+        with monkeypatch.context() as m:
+            m.setattr(towers, "_cauchy_normal_form", lambda a: a.terms)
+            reference = e.is_zero()
+        assert cauchy == reference
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
+    assert all(e.is_zero() for e in cauchy_zeros)
 
 
 def test_is_zero_rejects_minimal_polynomial_with_double_root_at_zero(monkeypatch):
