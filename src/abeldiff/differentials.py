@@ -175,18 +175,23 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
     """The symmetrized system: for each pole abscissa and k = 0..r-1, the sum
     of the point conditions weighted by the k-th power of the ordinate.  The
     unknowns' coefficients become power sums of the section polynomial, hence
-    rational; only the right-hand side touches the pole ordinates."""
+    rational; only the right-hand side touches the pole ordinates.  The
+    entry x^a p_(k+b) is built from the integer numerators and denominators
+    of x^a and p_(k+b) as one Fraction."""
     r = curve.r
     monos = monomials_upto(r - 1)
     dx = pole2.x - pole1.x
     matrix, rhs, tags = [], [], []
     for i, pole in ((1, pole1), (2, pole2)):
         ps = power_sums(curve.section_poly(pole.x), 2 * r - 1)
-        xpows = [pole.x ** a for a in range(r)]
+        pnum, pden = [p.numerator for p in ps], [p.denominator for p in ps]
+        u, v = pole.x.numerator, pole.x.denominator
+        xnum, xden = [u ** a for a in range(r)], [v ** a for a in range(r)]
         fyv = dx * curve.fy_at(pole)
         ypow = pole.y.ctx.one
         for k in range(r):
-            matrix.append([xpows[a] * ps[k + b] for (a, b) in monos])
+            matrix.append([Fraction(xnum[a] * pnum[k + b], xden[a] * pden[k + b])
+                           for (a, b) in monos])
             rhs.append(ypow * fyv)
             tags.append(("power", i, k))
             ypow = ypow * pole.y

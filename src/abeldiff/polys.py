@@ -3,8 +3,13 @@
 Coefficients are Fractions by default, but every ring operation (and most
 helpers) also accepts elements of richer commutative rings over Q — tower
 elements, or even UPoly values themselves — as long as they support +, -, *
-and a truthiness test for zero.  Division-based routines (divmod, gcd,
-resultant, power sums) require Fraction coefficients.
+and a truthiness test for zero.  The Q-only routines (divmod, gcd,
+resultant, power sums, sections f(x0, y)) require Fraction coefficients and
+run on integers: each takes the primitive integer numerators of its inputs
+once (UPoly caches them), works in int alone — pseudo-division, the
+primitive remainder sequence, Newton's identities scaled by powers of the
+leading coefficient — and builds one Fraction per output coefficient.  Each
+result is unique over Q, so it equals the one a Fraction computation gives.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ class UPoly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_ints")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_coeff(c) for c in coeffs]
@@ -143,22 +148,19 @@ class UPoly:
         return UPoly([c * inv for c in self.coeffs])
 
     def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        """Quotient and remainder; requires Fraction coefficients."""
+        """Quotient and remainder over Q; requires Fraction coefficients.
+
+        Pseudo-division of the primitive integer numerators,
+        s*A = q*B + r with self = sa*A and other = sb*B, gives the quotient
+        q*sa/(s*sb) and the remainder r*sa/s."""
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
         if self.degree < other.degree:
             return UPoly(), self
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quo = [Fraction(0)] * (dq + 1)
-        dlc = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] / dlc
-            quo[k] = c
-            if c:
-                for i, oc in enumerate(other.coeffs):
-                    rem[i + k] -= c * oc
-        return UPoly(quo), UPoly(rem)
+        a, sa = self.to_int_coeffs()
+        b, sb = other.to_int_coeffs()
+        s, q, r = _pseudo_divmod(a, b)
+        return _times(q, sa / (s * sb)), _times(r, sa / s)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -166,34 +168,92 @@ class UPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def to_int_coeffs(self) -> tuple[list[int], Fraction]:
-        """Primitive integer coefficients and the scalar s with self = s * prim."""
+    def to_int_coeffs(self) -> tuple[tuple[int, ...], Fraction]:
+        """Primitive integer coefficients, leading one positive, and the
+        scalar s with self = s * prim; requires Fraction coefficients.
+
+        Computed once and kept, like the hash: the tuple cannot be changed
+        by a caller."""
+        try:
+            return self._ints
+        except AttributeError:
+            pass
         if self.is_zero:
-            return [], Fraction(1)
+            self._ints = (), Fraction(1)
+            return self._ints
         m = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * m) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, v)
-        ints = [v // g for v in ints]
+        ints = [c.numerator * (m // c.denominator) for c in self.coeffs]
+        g = int_gcd(*ints)
         if ints[-1] < 0:
-            ints = [-v for v in ints]
             g = -g
-        return ints, Fraction(g, m)
+        self._ints = tuple([v // g for v in ints]), Fraction(g, m)
+        return self._ints
 
     def __repr__(self):
         return f"UPoly({[str(c) for c in self.coeffs]})"
 
 
+def _times(ints: Sequence[int], f: Fraction) -> UPoly:
+    """The UPoly f * ints, one Fraction per coefficient."""
+    n, d = f.numerator, f.denominator
+    return UPoly([Fraction(v * n, d) for v in ints])
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Integers s != 0 and the coefficient lists q, r with s*a = q*b + r and
+    len(r) = len(b) - 1, for integer coefficient lists with len(a) >= len(b)
+    and b[-1] != 0.
+
+    Each step cancels the remainder's leading coefficient c after scaling
+    the remainder by lead(b)/gcd(c, lead(b)) only, so s divides
+    lead(b)^(len(a) - len(b) + 1) and is 1 when lead(b) = 1."""
+    n = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    dq = len(r) - 1 - n
+    q = [0] * (dq + 1)
+    s = 1
+    for k in range(dq, -1, -1):
+        c = r[n + k]
+        if not c:
+            continue
+        g = int_gcd(c, lb)
+        u, c = lb // g, c // g
+        if u != 1:
+            s *= u
+            for i in range(n + k):
+                r[i] *= u
+            for i in range(k + 1, dq + 1):
+                q[i] *= u
+        q[k] = c
+        for i in range(n):
+            r[i + k] -= c * b[i]
+    return s, q, r[:n]
+
+
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic greatest common divisor over Q; gcd(0, 0) = 0.
 
-    Every remainder is made monic, which keeps the coefficients of the
-    Euclidean sequence from growing with each step."""
-    a, b = a.monic(), b.monic()
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a
+    A primitive remainder sequence on the integer numerators: each
+    pseudo-remainder is divided by its content, which keeps the
+    coefficients from growing with each step, and the last nonzero one is
+    made monic once, at the end."""
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    u, v = a.to_int_coeffs()[0], b.to_int_coeffs()[0]
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_divmod(u, v)[2]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        g = int_gcd(*r)
+        u, v = v, [c // g for c in r]
+    if len(v) == 1:
+        return UPoly([1])
+    return UPoly([Fraction(c, v[-1]) for c in v])
 
 
 def is_squarefree(a: UPoly) -> bool:
@@ -272,27 +332,26 @@ def power_sums(a: UPoly, count: int) -> list[Fraction]:
 
     Works on the coefficients alone — no root is ever extracted — which is
     what keeps the symmetrized linear system rational.  p_0 is the degree.
+    With c_0 .. c_n the primitive integer coefficients and L = c_n,
+    p_k = P_k / L^k for the integers P_0 = n and
+    P_k = -sum_{i=1}^{min(k-1,n)} c_(n-i) L^(i-1) P_(k-i) - [k <= n] k c_(n-k) L^(k-1).
     """
     if a.is_zero:
         raise ZeroPolynomial("power sums of the zero polynomial")
     if a.degree < 1:
         raise ZeroPolynomial("power sums need degree >= 1")
-    mon = a.monic()
-    n = mon.degree
-    # elementary symmetric functions from the coefficients
-    e = [Fraction(0)] * (n + 1)
-    e[0] = Fraction(1)
-    for i in range(1, n + 1):
-        e[i] = (-1) ** i * mon.coeffs[n - i]
-    ps: list[Fraction] = [Fraction(n)]
+    c = a.to_int_coeffs()[0]
+    n = len(c) - 1
+    lead = c[n]
+    # w[i] = c_(n-i) L^(i-1), i = 1 .. n
+    w = [0] + [c[n - i] * lead ** (i - 1) for i in range(1, n + 1)]
+    sums = [n]
     for k in range(1, count):
-        acc = Fraction(0)
+        acc = -k * w[k] if k <= n else 0
         for i in range(1, min(k - 1, n) + 1):
-            acc += (-1) ** (i - 1) * e[i] * ps[k - i]
-        if k <= n:
-            acc += (-1) ** (k - 1) * k * e[k]
-        ps.append(acc)
-    return ps[:count]
+            acc -= w[i] * sums[k - i]
+        sums.append(acc)
+    return [Fraction(v, lead ** k) for k, v in enumerate(sums[:count])]
 
 
 def _as_int(v) -> int:
@@ -444,20 +503,26 @@ class BPoly:
         return BPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j})
 
     def subs_x(self, x0) -> UPoly:
-        """The section polynomial f(x0, y) as a UPoly in y."""
-        x0 = _coeff(x0)
+        """The section polynomial f(x0, y) as a UPoly in y, at a rational
+        x0 = p/q; requires Fraction coefficients.
+
+        Every coefficient is summed in integers over the one denominator
+        lcm(denominators) * q^top, top the x-degree, from tables of the
+        powers of p and q."""
+        x0 = Fraction(x0)
         if not self.terms:
             return UPoly()
-        out = [Fraction(0)] * (self.degree_y + 1)
-        xpow = {0: Fraction(1)}
+        p, q = x0.numerator, x0.denominator
+        top = self.degree_x
+        ppow, qpow = [1], [1]
+        for _ in range(top):
+            ppow.append(ppow[-1] * p)
+            qpow.append(qpow[-1] * q)
+        m = lcm(*(c.denominator for c in self.terms.values()))
+        out = [0] * (self.degree_y + 1)
         for (i, j), c in self.terms.items():
-            if i not in xpow:
-                p = Fraction(1)
-                for _ in range(i):
-                    p *= x0
-                xpow[i] = p
-            out[j] = out[j] + c * xpow[i]
-        return UPoly(out)
+            out[j] += c.numerator * (m // c.denominator) * ppow[i] * qpow[top - i]
+        return _times(out, Fraction(1, m * qpow[top]))
 
     def coefficients_in_y(self) -> list[UPoly]:
         """List of y-coefficients, each a UPoly in x; index = y exponent."""

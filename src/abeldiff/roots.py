@@ -451,8 +451,7 @@ def isolate_roots(m: UPoly) -> list[RootApprox]:
     """All complex roots of a square-free polynomial as certified discs, in
     the canonical order (ascending re, then ascending im): the records
     shared with every request that isolates the same polynomial."""
-    ints, _ = m.to_int_coeffs()
-    return list(_isolated(tuple(ints)).roots)
+    return list(_isolated(m.to_int_coeffs()[0]).roots)
 
 
 def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
@@ -466,7 +465,7 @@ def refine_root(m: UPoly, root: RootApprox, target: mp.mpf) -> RootApprox:
     if root.radius < target:
         return root
     ints, _ = m.to_int_coeffs()
-    refined = _isolated(tuple(ints)).refined
+    refined = _isolated(ints).refined
     key = (root.index, root.center, root.radius, root.prec, target)
     shared = refined.get(key)
     if shared is None:

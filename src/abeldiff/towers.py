@@ -287,6 +287,8 @@ class TowerContext:
         # product of two reduced elements
         self.width = 1
         self._cauchy: dict[tuple[UPoly, int], tuple] = {}
+        # (monic modulus, root_id) -> index of its first generator
+        self._located: dict[tuple[UPoly, int], int] = {}
 
     def __len__(self):
         return len(self.extensions)
@@ -316,11 +318,9 @@ class TowerContext:
         return _element(self, {key: 1}, 1)
 
     def locate(self, modulus: UPoly, root_id: int) -> int | None:
-        monic = modulus.monic()
-        for i, ext in enumerate(self.extensions):
-            if ext.modulus == monic and ext.root_id == root_id:
-                return i
-        return None
+        """Index of the first generator for the root_id-th root of the
+        modulus, or None."""
+        return self._located.get((modulus.monic(), root_id))
 
     def cauchy_module(self, modulus: UPoly, j: int) -> tuple[int, tuple]:
         """The j-th Cauchy module of a monic modulus of degree r, in integers,
@@ -345,7 +345,9 @@ class TowerContext:
         self.extensions.append(ext)
         self.degrees += (ext.degree,)
         self.width = max(self.width, (2 * ext.degree).bit_length())
-        return len(self.extensions) - 1
+        idx = len(self.extensions) - 1
+        self._located.setdefault((ext.modulus, ext.root_id), idx)
+        return idx
 
 
 def adjoin(ctx: TowerContext, modulus: UPoly, root_id: int) -> tuple[TowerContext, "TowerElement"]:

@@ -76,6 +76,65 @@ def test_dense_curves_are_smooth(d):
     assert smoothness_report(f) == SmoothnessReport(True, "no singular points")
 
 
+def _seeded_curves():
+    """Per degree 3..7: a planted singular curve
+    f = h - h(a,b) - h_x(a,b)(x-a) - h_y(a,b)(y-b), singular at (a, b), and a
+    random dense curve, both from dense h with coefficients in -1..1 plus
+    x^d + y^d."""
+    rng = random.Random(5)
+    x, y = BPoly.x(), BPoly.y()
+    out = {}
+    for d in range(3, 8):
+        h = BPoly({(i, j): rng.randint(-1, 1) for i in range(d + 1) for j in range(d + 1 - i)})
+        h = h + BPoly({(d, 0): 1, (0, d): 1})
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        out["planted", d] = (h - h.eval(a, b) - h.partial_x().eval(a, b) * (x - a)
+                             - h.partial_y().eval(a, b) * (y - b))
+        dense = BPoly({(i, j): rng.randint(-1, 1) for i in range(d + 1) for j in range(d + 1 - i)})
+        out["dense", d] = dense + BPoly({(d, 0): 1, (0, d): 1})
+    return out
+
+
+# verdicts and details of _seeded_curves, recorded before the polynomial
+# layer ran on integer numerators; the planted curves must stay not smooth
+SEEDED_VERDICTS = {
+    ("planted", 3): "affine singular point: over abscissas with -3*x^0 + 1*x^1 = 0 the "
+                    "sections of f, f_x, f_y share the factor (-46*x^0)*y^0 + (23*x^0)*y^1",
+    ("dense", 3): "no singular points",
+    ("planted", 4): "affine singular point: over abscissas with 3*x^0 + 1*x^1 = 0 the "
+                    "sections of f, f_x, f_y share the factor (3468*x^0)*y^0 + (1734*x^0)*y^1",
+    ("dense", 4): "singular point at infinity along slope with 1*x^1 = 0",
+    ("planted", 5): "affine singular point: over abscissas with 1*x^0 + 1*x^1 = 0 the "
+                    "sections of f, f_x, f_y share the factor (576*x^0)*y^1",
+    ("dense", 5): "affine singular point: over abscissas with 3*x^0 + 1*x^1 + -1*x^2 + "
+                  "1*x^3 + 1*x^4 = 0 the sections of f, f_x, f_y share the factor "
+                  "(170058*x^0 + -88765*x^1 + -6766*x^2 + 78428*x^3)*y^0 + "
+                  "(-170058*x^0 + 88765*x^1 + 6766*x^2 + -78428*x^3)*y^1",
+    ("planted", 6): "affine singular point: over abscissas with 1/3*x^0 + 1*x^1 = 0 the "
+                    "sections of f, f_x, f_y share the factor "
+                    "(-51643593169484375/125524238436*x^0)*y^0 + "
+                    "(-51643593169484375/62762119218*x^0)*y^1",
+    ("dense", 6): "no singular points",
+    ("planted", 7): "affine singular point: over abscissas with 2/3*x^0 + 1*x^1 = 0 the "
+                    "sections of f, f_x, f_y share the factor "
+                    "(15450822977689568465492377600/328256967394537077627*x^0)*y^1",
+    ("dense", 7): "no singular points",
+}
+
+
+def test_seeded_smoothness_degrees_3_to_7():
+    curves = _seeded_curves()
+    assert curves.keys() == SEEDED_VERDICTS.keys()
+    for key, f in curves.items():
+        assert f.total_degree == key[1]
+        rep = smoothness_report(f)
+        assert rep.detail == SEEDED_VERDICTS[key], key
+        assert rep.smooth is (rep.detail == "no singular points")
+        if key[0] == "planted":
+            assert not rep.smooth
+
+
 def test_not_smooth_raised_on_construction():
     with pytest.raises(NotSmooth):
         Curve(BPoly({(0, 2): 1, (3, 0): -1}))

@@ -258,3 +258,151 @@ def test_bpoly_zero_coefficients_dropped():
 def test_resultant_y_circle():
     f = BPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1})
     assert resultant_y(f, f.partial_y()) == UPoly([-4, 0, 4])
+
+
+# -- the integer kernels against Fraction references -----------------------
+#
+# Each reference is the Fraction algorithm the kernel replaced: long
+# division, the monic Euclidean gcd, Newton's identities over the monic
+# polynomial's elementary symmetric functions, and substitution by Fraction
+# powers.  Every result is unique over Q, so they must agree exactly.
+
+
+def _ref_divmod(a, b):
+    if a.degree < b.degree:
+        return UPoly(), a
+    rem = list(a.coeffs)
+    dq = a.degree - b.degree
+    quo = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[b.degree + k] / b.leading
+        quo[k] = c
+        if c:
+            for i, bc in enumerate(b.coeffs):
+                rem[i + k] -= c * bc
+    return UPoly(quo), UPoly(rem)
+
+
+def _ref_gcd(a, b):
+    a, b = a.monic(), b.monic()
+    while not b.is_zero:
+        a, b = b, _ref_divmod(a, b)[1].monic()
+    return a
+
+
+def _ref_power_sums(a, count):
+    mon = a.monic()
+    n = mon.degree
+    e = [Fraction(1)] + [(-1) ** i * mon.coeffs[n - i] for i in range(1, n + 1)]
+    ps = [Fraction(n)]
+    for k in range(1, count):
+        acc = Fraction(0)
+        for i in range(1, min(k - 1, n) + 1):
+            acc += (-1) ** (i - 1) * e[i] * ps[k - i]
+        if k <= n:
+            acc += (-1) ** (k - 1) * k * e[k]
+        ps.append(acc)
+    return ps[:count]
+
+
+def _ref_subs_x(f, x0):
+    out = [Fraction(0)] * (f.degree_y + 1)
+    for (i, j), c in f.terms.items():
+        out[j] += c * x0 ** i
+    return UPoly(out)
+
+
+def _big_rational(rng):
+    """A rational with numerator up to 10^30 and denominator up to 10^12,
+    zero one time in five."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    return Fraction(rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)),
+                    rng.randint(1, 10 ** rng.randint(0, 12)))
+
+
+def _big_poly(rng, degree):
+    """A polynomial of exactly the given degree; its leading coefficient is
+    negative or not a unit about half of the time each."""
+    cs = [_big_rational(rng) for _ in range(degree)]
+    lead = _big_rational(rng) or Fraction(rng.choice([-1, 1]))
+    return UPoly(cs + [lead])
+
+
+def test_divmod_matches_long_division():
+    rng = random.Random(31)
+    for _ in range(150):
+        a = _big_poly(rng, rng.randint(0, 12))
+        # a divisor of higher degree and a constant divisor are both drawn
+        b = _big_poly(rng, rng.randint(0, 13))
+        q, r = a.divmod(b)
+        assert (q, r) == _ref_divmod(a, b), (a, b)
+        assert q * b + r == a and r.degree < b.degree
+        assert a // b == q and a % b == r
+    with pytest.raises(ZeroPolynomial):
+        UPoly([1, 2]).divmod(UPoly())
+
+
+def test_poly_gcd_matches_monic_euclid():
+    rng = random.Random(32)
+    for _ in range(60):
+        g = _big_poly(rng, rng.randint(0, 4))
+        a = g * _big_poly(rng, rng.randint(0, 8))
+        b = g * _big_poly(rng, rng.randint(0, 8))
+        got = poly_gcd(a, b)
+        assert got == _ref_gcd(a, b), (a, b)
+        assert got.degree >= g.degree and got.leading == 1
+        assert poly_gcd(a, UPoly()) == _ref_gcd(a, UPoly()) == a.monic()
+        assert poly_gcd(UPoly(), b) == b.monic()
+    assert poly_gcd(UPoly(), UPoly()) == UPoly()
+
+
+def test_power_sums_match_newton_over_monic_coefficients():
+    rng = random.Random(33)
+    for _ in range(40):
+        a = _big_poly(rng, rng.randint(1, 12))
+        n = a.degree
+        # Newton's identities give each p_k from p_0 .. p_(k-1) alone, so the
+        # reference's prefixes are its values at smaller counts
+        ref = _ref_power_sums(a, 2 * n + 3)
+        for count in range(2 * n + 4):
+            assert power_sums(a, count) == ref[:count], (a, count)
+
+
+def test_subs_x_matches_fraction_powers():
+    rng = random.Random(34)
+    for _ in range(60):
+        f = BPoly({(rng.randint(0, 12), rng.randint(0, 8)): _big_rational(rng)
+                   for _ in range(rng.randint(1, 20))})
+        x0 = rng.choice([_big_rational(rng), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+        assert f.subs_x(x0) == _ref_subs_x(f, x0), (f, x0)
+    assert BPoly().subs_x(Fraction(1, 2)) == UPoly()
+
+
+def test_int_view_is_cached_and_cannot_be_changed():
+    p = UPoly([Fraction(-3, 4), 0, Fraction(9, 2), Fraction(-3, 2)])
+    ints, scale = p.to_int_coeffs()
+    assert (ints, scale) == ((1, 0, -6, 2), Fraction(-3, 4))
+    assert p.to_int_coeffs()[0] is ints
+    with pytest.raises(TypeError):
+        ints[0] = 5
+    copy = list(ints)
+    copy[0] = 5
+    assert p.to_int_coeffs() == ((1, 0, -6, 2), Fraction(-3, 4))
+    assert UPoly().to_int_coeffs() == ((), Fraction(1))
+
+
+def test_q_only_routines_reject_tower_coefficients():
+    ctx, t = adjoin(TowerContext(), UPoly([-2, 0, 1]), 0)
+    p = UPoly([t, 1])
+    q = UPoly([1, 0, 1])
+    for routine in (p.to_int_coeffs, lambda: q.divmod(p), lambda: p.divmod(UPoly([1])),
+                    lambda: q % p, lambda: q // p, lambda: poly_gcd(p, q),
+                    lambda: poly_gcd(q, p), lambda: is_squarefree(p),
+                    lambda: power_sums(p, 3), lambda: resultant(p, q),
+                    lambda: BPoly({(1, 0): t}).subs_x(1),
+                    lambda: BPoly({(1, 0): 1}).subs_x(t)):
+        for _ in range(2):  # a failed call caches nothing
+            with pytest.raises((AttributeError, TypeError)):
+                routine()
+    # unhashable too: test_upoly_with_tower_coefficients_stays_unhashable

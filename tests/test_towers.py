@@ -992,3 +992,19 @@ def test_eval_bpoly_matches_term_by_term_evaluation():
                         got = eval_bpoly(p, pt.x, y)
                         assert got.terms == _term_by_term(p, pt.x, y).terms, (degree, p, y)
                 assert not eval_bpoly(f, pt.x, pt.y).terms
+
+
+def test_locate_finds_the_first_generator_of_a_modulus_and_root():
+    ctx = TowerContext()
+    assert ctx.locate(UPoly([-2, 0, 1]), 0) is None
+    adjoin(ctx, UPoly([-2, 0, 1]), 1)
+    adjoin(ctx, UPoly([-3, 0, 1]), 1)
+    # adjoin itself never deduplicates: the same (modulus, root) twice
+    adjoin(ctx, UPoly([-4, 0, 2]), 1)
+    assert len(ctx) == 3
+    # an equal but distinct polynomial, not monic, with trailing zeros
+    assert ctx.locate(UPoly([Fraction(-6), 0, Fraction(3), 0]), 1) == 0
+    assert ctx.locate(UPoly([-3, 0, 1]), 1) == 1
+    assert ctx.locate(UPoly([-2, 0, 1]), 0) is None
+    assert towers.locate_or_adjoin(ctx, UPoly([-1, 0, Fraction(1, 2)]), 1) == ctx.generator(0)
+    assert len(ctx) == 3
