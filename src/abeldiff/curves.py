@@ -14,12 +14,22 @@ is ambiguous (dynamic evaluation), so the answer holds for every root of
 every branch.  Points at infinity are checked through the homogenization's
 partial derivatives restricted to the line at infinity, which reduces to gcds
 of binary forms.
+
+A section is found once per tower context: Curve.section keeps the section
+polynomial f(x0, y) and its r points on the context, keyed by the curve
+polynomial and x0, so every later call in that context (a request makes
+one) returns the same Point objects.  Each section ordinate is the
+generator of the monic section polynomial for its root id, so f(x0, y)
+reduces to zero by construction and those points are not re-checked; a
+Point built by hand is.  f_y at a point is evaluated once and kept on the
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (DegreeDrop, InvalidArgument, IrrationalAbscissaUnsupported,
                      MultipleRoots, NotSmooth, NotSquareFree, PointNotOnCurve,
@@ -76,23 +86,42 @@ class Curve:
     def section_poly(self, x0) -> UPoly:
         return self.f.subs_x(_as_rational(x0))
 
-    def section_roots(self, x0, ctx: TowerContext) -> list["Point"]:
-        """All r points of the curve over the abscissa x0, ordinates adjoined
-        to (or located in) ctx, in the canonical root order."""
+    def section(self, x0, ctx: TowerContext) -> "Section":
+        """The section over the abscissa x0: f(x0, y) and its r points,
+        ordinates adjoined to (or located in) ctx, in the canonical root
+        order.  Built once per context and curve polynomial; a later call
+        returns the same record."""
         x0 = _as_rational(x0)
+        key = (self.f, x0)
+        found = ctx.sections.get(key)
+        if found is not None:
+            return found
         s = self.section_poly(x0)
         if s.degree < self.r:
             raise DegreeDrop(
                 f"section at x = {x0} has degree {s.degree} < {self.r}")
         monic = s.monic()
         try:  # isolating the first root decides square-freeness
-            return [Point(self, x0, locate_or_adjoin(ctx, monic, rid))
-                    for rid in range(self.r)]
+            points = tuple(_section_point(self, x0, locate_or_adjoin(ctx, monic, rid))
+                           for rid in range(self.r))
         except NotSquareFree:
             raise MultipleRoots(f"section at x = {x0} has a multiple root") from None
+        found = ctx.sections[key] = Section(s, points)
+        return found
+
+    def section_roots(self, x0, ctx: TowerContext) -> list["Point"]:
+        """All r points of the curve over the abscissa x0, in the canonical
+        root order: the points of section(x0, ctx)."""
+        return list(self.section(x0, ctx).points)
 
     def fy_at(self, p: "Point") -> TowerElement:
-        return eval_bpoly(self.fy, p.x, p.y)
+        """f_y at a point, evaluated once per point of this curve and kept
+        on it."""
+        if p.curve is not self:
+            return eval_bpoly(self.fy, p.x, p.y)
+        if p._fy is None:
+            p._fy = eval_bpoly(self.fy, p.x, p.y)
+        return p._fy
 
     def local_series(self, p: "Point", order: int) -> "LocalSeries":
         """Uniformization y = y0 + c1 t + ... + cn t^n with x = x0 + t.
@@ -118,10 +147,14 @@ class Curve:
 
 
 class Point:
-    """A curve point with rational abscissa and tower-element ordinate;
-    membership f(x, y) = 0 is verified exactly on construction."""
+    """A curve point with rational abscissa and tower-element ordinate.
 
-    __slots__ = ("curve", "x", "y")
+    Membership f(x, y) = 0 is verified exactly when a point is built by
+    hand (PointNotOnCurve otherwise).  The points of Curve.section are on
+    the curve by construction and skip that check.  f_y at the point is
+    kept in _fy once Curve.fy_at has evaluated it."""
+
+    __slots__ = ("curve", "x", "y", "_fy")
 
     def __init__(self, curve: Curve, x, y: TowerElement):
         self.curve = curve
@@ -129,11 +162,28 @@ class Point:
         if not isinstance(y, TowerElement):
             raise TypeError("ordinate must be a TowerElement")
         self.y = y
+        self._fy = None
         if not eval_bpoly(curve.f, self.x, y).is_zero():
             raise PointNotOnCurve(f"f({self.x}, y) != 0 for the given ordinate")
 
     def __repr__(self):
         return f"Point(x={self.x}, y={self.y!r})"
+
+
+def _section_point(curve: Curve, x: Fraction, y: TowerElement) -> Point:
+    """The section point (x, y), y a generator of the monic f(x, y): on the
+    curve by construction, so not re-checked."""
+    p = object.__new__(Point)
+    p.curve, p.x, p.y, p._fy = curve, x, y, None
+    return p
+
+
+class Section(NamedTuple):
+    """The section of a curve over a rational abscissa: its polynomial
+    f(x0, y) and its points in the canonical root order."""
+
+    poly: UPoly
+    points: tuple[Point, ...]
 
 
 @dataclass

@@ -112,6 +112,10 @@ class LinearSystem:
 
 
 def _locate_pole(sections: list[Point], p: Point) -> int:
+    """The index of p's ordinate in a section: p itself when it is a section
+    point, else found by exact comparison."""
+    if p in sections:
+        return sections.index(p)
     for i, q in enumerate(sections):
         if (q.y - p.y).is_zero():
             return i
@@ -183,7 +187,7 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
     dx = pole2.x - pole1.x
     matrix, rhs, tags = [], [], []
     for i, pole in ((1, pole1), (2, pole2)):
-        ps = power_sums(curve.section_poly(pole.x), 2 * r - 1)
+        ps = power_sums(curve.section(pole.x, pole.y.ctx).poly, 2 * r - 1)
         pnum, pden = [p.numerator for p in ps], [p.denominator for p in ps]
         u, v = pole.x.numerator, pole.x.denominator
         xnum, xden = [u ** a for a in range(r)], [v ** a for a in range(r)]
@@ -243,7 +247,7 @@ def _pole_quotient(curve: Curve, pole: Point) -> list[TowerElement]:
     (x_i, eta), by synthetic division of the section polynomial
     s = f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  Each q_b has
     degree below r in the pole's generator, so no product reduces."""
-    s = curve.section_poly(pole.x).coeffs
+    s = curve.section(pole.x, pole.y.ctx).poly.coeffs
     q = [pole.y.ctx.constant(s[curve.r])]
     for b in range(curve.r - 1, 0, -1):
         q.append(pole.y * q[-1] + s[b])

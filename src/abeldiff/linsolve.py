@@ -49,19 +49,18 @@ class RatMatrix:
         return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def _int_rows(rows) -> tuple[list[list[int]], list[Fraction]]:
-    """Scale each row by the lcm of its denominators; return integer rows and
-    the per-row scale factors."""
+def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Scale each row of ints and Fractions by the lcm of its denominators;
+    return integer rows and the per-row scale factors."""
     out, scales = [], []
     for row in rows:
         if all(type(v) is int for v in row):
             out.append(list(row))
-            scales.append(Fraction(1))
+            scales.append(1)
             continue
-        fr = [Fraction(v) for v in row]
-        m = lcm(*(c.denominator for c in fr)) if fr else 1
-        out.append([int(c * m) for c in fr])
-        scales.append(Fraction(m))
+        m = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (m // v.denominator) for v in row])
+        scales.append(m)
     return out, scales
 
 
@@ -98,7 +97,7 @@ def bareiss_det(matrix) -> Fraction:
         prev = pk
     den = 1
     for s in scales:
-        den *= s.numerator
+        den *= s
     return Fraction(sign * a[n - 1][n - 1], den)
 
 
@@ -179,27 +178,28 @@ def ff_solve(matrix, rhs: Sequence) -> SolveResult:
 
     free_cols = [c for c in range(n) if c not in set(pivots)]
 
-    # back substitution, free variables pinned to zero
+    # back substitution, free variables pinned to zero: each unknown sums
+    # the integer row entries times the known unknowns, then divides once
     particular: list = [Fraction(0)] * n
     for k in range(rank - 1, -1, -1):
-        col = pivots[k]
+        col, row = pivots[k], a[k]
         acc = b[k]
         for j in range(col + 1, n):
-            if a[k][j] != 0:
-                acc = acc - particular[j] * Fraction(a[k][j])
-        particular[col] = acc * Fraction(1, a[k][col])
+            if row[j]:
+                acc = acc - particular[j] * row[j]
+        particular[col] = acc * Fraction(1, row[col])
 
     nullspace: list[tuple[Fraction, ...]] = []
     for fc in free_cols:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for k in range(rank - 1, -1, -1):
-            col = pivots[k]
+            col, row = pivots[k], a[k]
             acc = Fraction(0)
             for j in range(col + 1, n):
-                if a[k][j] != 0 and vec[j] != 0:
-                    acc += Fraction(a[k][j]) * vec[j]
-            vec[col] = -acc / Fraction(a[k][col])
+                if row[j] and vec[j]:
+                    acc += row[j] * vec[j]
+            vec[col] = -acc / row[col]
         nullspace.append(tuple(vec))
 
     return SolveResult(particular=particular, nullspace=nullspace, rank=rank,

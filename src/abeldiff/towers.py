@@ -42,7 +42,14 @@ mpf parts, come from a cache on the disc, which every request that meets
 the same disc shares (roots memoizes refinements), and which holds for one
 precision.  The decimal of an element is the center of a disc of radius
 below 10^-digits/2, rounded to digits significant digits; a component below
-10^-digits/2 in magnitude prints as 0.0.
+10^-digits/2 in magnitude prints as 0.0.  The decimal path works on raw mpf
+parts (mpmath.libmp tuples), not mpmath objects: the refinement target
+10^-d is built once per d and mpmath precision and compared with mpf_lt;
+each center part is rounded to digits + 5 digits as mp.mpc rounds it under
+that context; the 0.0 test compares |part| with a threshold kept per digits;
+and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
+A generator's record (modulus, root id, root center to 20 digits) is built
+once per root record and copied out.
 is_zero decides in four exact stages, cheapest first: the syntactic test on
 the reduced form; the normal form modulo the Cauchy modules of the element's
 generators, which proves the identities that hold because generators sharing
@@ -60,12 +67,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest, round_up
+from mpmath.libmp import (dps_to_prec, from_rational, mpf_abs, mpf_lt, mpf_pos,
+                          round_nearest, round_up, to_str)
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
@@ -169,12 +178,18 @@ class _Disc(NamedTuple):
         t = bound.numerator * (self.den << self.prec) - q * self.rad
         return t > 0 and q * q * (self.re * self.re + self.im * self.im) < t * t
 
+    def center_parts(self, prec: int) -> tuple:
+        """The raw mpf parts of the center, each rounded to the nearest at
+        the disc's precision and then to prec bits, as mp.mpc(c) rounds them
+        under a context of prec bits."""
+        q = self.den << self.prec
+        return tuple(mpf_pos(from_rational(v, q, self.prec, round_nearest), prec,
+                             round_nearest) for v in (self.re, self.im))
+
     @property
     def c(self) -> mp.mpc:
         """The center rounded to prec bits."""
-        q = self.den << self.prec
-        return mp.make_mpc((from_rational(self.re, q, self.prec, round_nearest),
-                            from_rational(self.im, q, self.prec, round_nearest)))
+        return mp.make_mpc(self.center_parts(self.prec))
 
     @property
     def r(self) -> mp.mpf:
@@ -234,6 +249,8 @@ class ExtensionDescriptor:
         # reduced t^e for e >= d as (integer numerators of t^0..t^(d-1),
         # denominator), from t^d on; int_power extends it on demand
         self._int_powers = [_lowest_terms([-c for c in ints[:-1]], ints[-1])]
+        # (root record, serialize's dict for it)
+        self._record: tuple[RootApprox, dict] | None = None
 
     @property
     def degree(self) -> int:
@@ -256,21 +273,27 @@ class ExtensionDescriptor:
     def approximation(self) -> RootApprox:
         return self._root
 
-    def refine_to(self, target) -> RootApprox:
-        if not self._root.radius < target:
+    def refine_to(self, target: mp.mpf) -> RootApprox:
+        if not mpf_lt(self._root.radius._mpf_, target._mpf_):
             self._root = refine_root(self.modulus, self._root, target)
         return self._root
 
     def serialize(self) -> dict:
+        """The generator record: the primitive integer modulus, the root id
+        and the root's center to 20 significant digits.  Built once per
+        root record, which a refinement replaces, and handed out as a
+        copy."""
         root = self._root
-        return {
-            "modulus_int_coeffs": [str(c) for c in self.int_coeffs],
-            "root_index": self.root_id,
-            "root_approx": {
-                "re": mp.nstr(root.center.real, 20),
-                "im": mp.nstr(root.center.imag, 20),
-            },
-        }
+        if self._record is None or self._record[0] is not root:
+            re, im = root.center._mpc_
+            self._record = root, {
+                "modulus_int_coeffs": [str(c) for c in self.int_coeffs],
+                "root_index": self.root_id,
+                "root_approx": {"re": to_str(re, 20), "im": to_str(im, 20)},
+            }
+        record = self._record[1]
+        return {**record, "modulus_int_coeffs": list(record["modulus_int_coeffs"]),
+                "root_approx": dict(record["root_approx"])}
 
 
 class TowerContext:
@@ -289,6 +312,9 @@ class TowerContext:
         self._cauchy: dict[tuple[UPoly, int], tuple] = {}
         # (monic modulus, root_id) -> index of its first generator
         self._located: dict[tuple[UPoly, int], int] = {}
+        # (curve polynomial, abscissa) -> that curve's section, filled by
+        # curves.Curve.section
+        self.sections: dict = {}
 
     def __len__(self):
         return len(self.extensions)
@@ -641,7 +667,7 @@ class TowerElement:
         """A certified disc about the embedded value, computed in integers
         at the working precision of digits10 digits, from every present
         generator's root refined below 10**-digits10."""
-        target = mp.mpf(10) ** (-digits10)
+        target = _ten_to_minus(digits10, mp.mp.prec)
         exts = self.ctx.extensions
         roots = {i: exts[i].refine_to(target) for i in self.present_generators()}
         return _nested_ball(self.nums, self.den, roots, int(digits10 * 3.4) + 40)
@@ -688,13 +714,13 @@ class TowerElement:
         """The center of a certified disc of radius below 10**-digits/2
         about the embedded value, rounded to digits + 5 significant digits;
         printed to digits significant digits, it is the decimal."""
+        scale = 2 * 10 ** digits
         attempt = 0
         while True:
             work = digits + 10 + attempt * 20
             ball = self._ball(work)
-            if ball.rad * 2 * 10 ** digits < ball.den << ball.prec:
-                with mp.workdps(digits + 5):
-                    return mp.mpc(ball.c)
+            if ball.rad * scale < ball.den << ball.prec:
+                return mp.make_mpc(ball.center_parts(dps_to_prec(digits + 5)))
             attempt += 1
             if attempt > 8:
                 raise AbeldiffError("approximation did not converge")
@@ -727,11 +753,29 @@ def decimal_parts(value: mp.mpc, digits: int) -> dict:
     """The "re" and "im" strings of a value certified to within
     10**-digits/2, each to digits significant digits.  A component below
     10**-digits/2 in magnitude prints as 0.0: its digits would be rounding
-    noise, and 0.0 is still within 10**-digits of the true component."""
+    noise, and 0.0 is still within 10**-digits of the true component.
+    Decided and printed on the raw mpf parts, with the comparison and the
+    printing that mpmath's abs, < and nstr do at digits + 5 digits."""
+    prec, tiny = _print_threshold(digits)
+    return {part: "0.0" if mpf_lt(mpf_abs(x, prec, round_nearest), tiny)
+            else to_str(x, digits) for part, x in zip(("re", "im"), value._mpc_)}
+
+
+@lru_cache(maxsize=256)
+def _ten_to_minus(digits: int, prec: int) -> mp.mpf:
+    """10**-digits as an mpf at prec bits, the precision of mpmath's context
+    (which the caller passes, so a changed context gets its own value).
+    Shared by every caller, and immutable."""
+    with mp.workprec(prec):
+        return mp.mpf(10) ** (-digits)
+
+
+@lru_cache(maxsize=256)
+def _print_threshold(digits: int) -> tuple[int, tuple]:
+    """(p, 10**-digits/2 as a raw mpf), computed at p = the precision of
+    digits + 5 decimal digits."""
     with mp.workdps(digits + 5):
-        tiny = mp.mpf(10) ** (-digits) / 2
-        return {part: "0.0" if abs(x) < tiny else mp.nstr(x, digits)
-                for part, x in (("re", value.real), ("im", value.imag))}
+        return mp.mp.prec, (mp.mpf(10) ** (-digits) / 2)._mpf_
 
 
 class _Terms(Mapping):

@@ -1,16 +1,18 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from abeldiff import curves
+from abeldiff import cli, curves
 from abeldiff.curves import Curve, Point, SmoothnessReport, smoothness_report
 from abeldiff.errors import (DegreeDrop, IrrationalAbscissaUnsupported,
                              MultipleRoots, NotSmooth, PointNotOnCurve,
                              VerticalTangent)
 from abeldiff.polys import BPoly, UPoly, power_sums
-from abeldiff.towers import TowerContext
+from abeldiff.towers import TowerContext, eval_bpoly
 from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS
 
 
@@ -166,6 +168,54 @@ def test_section_roots_reuse_context(cubic):
     assert len(ctx) == 3
     for a, b in zip(pts, again):
         assert a.y == b.y
+
+
+def test_a_section_is_built_once_per_context(cubic, quartic):
+    ctx = TowerContext()
+    pts = cubic.section_roots(0, ctx)
+    again = cubic.section_roots(Fraction(0), ctx)
+    assert all(a is b for a, b in zip(pts, again)) and len(again) == 3
+    assert cubic.section(0, ctx).poly == cubic.section_poly(0)
+    # another curve over the same abscissa has its own section
+    assert not set(map(id, quartic.section_roots(0, ctx))) & set(map(id, pts))
+    fresh = cubic.section_roots(0, TowerContext())
+    assert not any(a is b for a, b in zip(pts, fresh))
+
+
+def test_section_points_are_on_the_curve_and_keep_their_f_y(cubic, quartic):
+    # section points skip the membership check, so it is proved here
+    ctx = TowerContext()
+    for curve in (cubic, quartic):
+        for x in (0, Fraction(1, 2), -3):
+            for p in curve.section_roots(x, ctx):
+                assert eval_bpoly(curve.f, p.x, p.y).is_zero()
+                fy = curve.fy_at(p)
+                assert fy is curve.fy_at(p)
+                assert fy == eval_bpoly(curve.fy, p.x, p.y)
+    # a point built by hand is still checked
+    good, wrong = cubic.section_roots(0, ctx)[0], cubic.section_roots(1, ctx)[0]
+    assert Point(cubic, 0, good.y).curve is cubic
+    with pytest.raises(PointNotOnCurve):
+        Point(cubic, 0, wrong.y)
+    # f_y of another curve's point is evaluated, not read from the point
+    q = quartic.section_roots(0, ctx)[0]
+    assert cubic.fy_at(q) == eval_bpoly(cubic.fy, q.x, q.y)
+    assert quartic.fy_at(q) == eval_bpoly(quartic.fy, q.x, q.y)
+
+
+def test_a_third_kind_request_evaluates_each_section_polynomial_once(monkeypatch):
+    calls = []
+    real = BPoly.subs_x
+
+    def subs_x(self, x0):
+        calls.append(x0)
+        return real(self, x0)
+    monkeypatch.setattr(BPoly, "subs_x", subs_x)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["third-kind", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2",
+                         "--digits", "30", "--json"])
+    assert code == 0
+    assert sorted(calls) == [Fraction(1, 2), 2]
 
 
 def test_tangent_abscissa_rejected(circle):

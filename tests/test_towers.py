@@ -5,6 +5,7 @@ from math import gcd, isqrt
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from abeldiff import towers
 from abeldiff.curves import Curve
@@ -939,6 +940,127 @@ def test_serialization_shape():
     coeffs = dict((tuple(k), v) for k, v in doc["coefficients"])
     assert coeffs[()] == "1/3"
     assert coeffs[(1,)] == "1"
+
+
+# The decimal path as it was written on mpmath objects; the raw-part path
+# must print exactly what these print.
+
+def _reference_center(ball, digits):
+    """approximate's value: the disc's center at its precision, rebuilt by
+    mp.mpc under a context of digits + 5 digits."""
+    q = ball.den << ball.prec
+    c = mp.make_mpc((from_rational(ball.re, q, ball.prec, round_nearest),
+                     from_rational(ball.im, q, ball.prec, round_nearest)))
+    with mp.workdps(digits + 5):
+        return mp.mpc(c)
+
+
+def _reference_approximate(a, digits):
+    attempt = 0
+    while True:
+        ball = a._ball(digits + 10 + attempt * 20)
+        if ball.rad * 2 * 10 ** digits < ball.den << ball.prec:
+            return _reference_center(ball, digits)
+        attempt += 1
+
+
+def _reference_decimal_parts(value, digits):
+    with mp.workdps(digits + 5):
+        tiny = mp.mpf(10) ** (-digits) / 2
+        return {part: "0.0" if abs(x) < tiny else mp.nstr(x, digits)
+                for part, x in (("re", value.real), ("im", value.imag))}
+
+
+def _reference_record(ext):
+    center = ext.approximation().center
+    return {"modulus_int_coeffs": [str(c) for c in ext.int_coeffs],
+            "root_index": ext.root_id,
+            "root_approx": {"re": mp.nstr(center.real, 20),
+                            "im": mp.nstr(center.imag, 20)}}
+
+
+def _center_part(rng, digits, q):
+    """A center numerator over q: zero, within 3 units of the 0.0 threshold
+    10^-digits/2, or of a random magnitude from far below it to 10^40, so
+    that both fixed and exponent formats print; either sign."""
+    kind = rng.random()
+    if kind < 0.1:
+        return 0
+    if kind < 0.3:
+        v = round(Fraction(q, 2 * 10 ** digits)) + rng.randint(-3, 3)
+    else:
+        v = int(Fraction(10) ** rng.randint(-digits - 3, 40) * q
+                * Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
+    return rng.choice((1, -1)) * v
+
+
+def test_decimal_path_prints_what_the_mpmath_object_path_prints():
+    prec0 = mp.mp.prec
+    rng = random.Random(2009)
+    formats = set()
+    for _ in range(3000):
+        digits = rng.choice((rng.randint(1, 40), rng.randint(1, 300)))
+        prec = int((digits + 10) * 3.4) + 40
+        den = rng.choice((1, rng.randint(1, 10 ** rng.randint(1, 40))))
+        q = den << prec
+        ball = towers._Disc(_center_part(rng, digits, q), _center_part(rng, digits, q),
+                            0, den, prec)
+        ref = _reference_center(ball, digits)
+        got = mp.make_mpc(ball.center_parts(dps_to_prec(digits + 5)))
+        assert got._mpc_ == ref._mpc_
+        text = towers.decimal_parts(got, digits)
+        assert text == _reference_decimal_parts(ref, digits)
+        formats.update("e" in t for t in text.values() if t != "0.0")
+        # an unrounded center: the 0.0 test rounds |part| as abs() did
+        raw = ball.c
+        assert towers.decimal_parts(raw, digits) == _reference_decimal_parts(raw, digits)
+    assert formats == {True, False}
+    # the refinement target follows mpmath's precision
+    for digits in (1, 30, 300):
+        assert towers._ten_to_minus(digits, mp.mp.prec) == mp.mpf(10) ** -digits
+        with mp.workprec(200):
+            target = towers._ten_to_minus(digits, mp.mp.prec)
+            assert target._mpf_ == (mp.mpf(10) ** -digits)._mpf_
+    assert mp.mp.prec == prec0
+
+
+def test_approximate_and_serialize_match_the_mpmath_object_path():
+    prec0 = mp.mp.prec
+    rng = random.Random(1848)
+    elements = _haupt_shaped_elements(rng)
+    for _ in range(4):
+        ctx = _random_context(rng)
+        elements += [_random_element(rng, ctx, big) for big in (False, True) for _ in range(2)]
+    for a in elements:
+        exts = [a.ctx.extensions[i] for i in a.present_generators()]
+        before = [ext.serialize() for ext in exts]
+        assert before == [_reference_record(ext) for ext in exts]
+        for digits in (1, 12, 30, 60, 120):
+            v = a.approximate(digits)
+            assert v._mpc_ == _reference_approximate(a, digits)._mpc_
+            doc = a.serialize(digits)
+            assert doc["decimal"] == {**_reference_decimal_parts(v, digits), "digits": digits}
+            assert doc["generators"] == [_reference_record(ext) for ext in exts]
+    # a record is handed out as a copy
+    ext = elements[0].ctx.extensions[0]
+    record = ext.serialize()
+    record["modulus_int_coeffs"].append("9")
+    record["root_approx"]["re"] = "9"
+    assert ext.serialize() == _reference_record(ext)
+    assert mp.mp.prec == prec0
+
+
+def test_a_generator_record_is_rebuilt_after_a_refinement():
+    ctx, _ = adjoin(TowerContext(), CUBE3, 2)
+    ext = ctx.extensions[0]
+    first = ext.serialize()
+    assert first == _reference_record(ext)
+    root = ext.approximation()
+    ext.refine_to(mp.mpf(10) ** -200)
+    assert ext.approximation() is not root
+    second = ext.serialize()
+    assert second == _reference_record(ext)
+    assert second["root_approx"] != first["root_approx"]
 
 
 def _term_by_term(p, x, y):
