@@ -2,9 +2,10 @@
 ordinates over a rational abscissa, and local power-series uniformization.
 
 Smoothness is decided exactly, never numerically.  One discriminant is
-computed: the y-resultant of the curve with its y-derivative, by
-evaluation/interpolation of half-size hybrid Bezout determinants
-(polys.resultant_matrix).  It vanishes identically exactly when f has a
+computed: the y-resultant of the curve with its y-derivative, by Kronecker
+substitution: one half-size hybrid Bezout determinant
+(polys.resultant_matrix) at x = 2^B, whose signed base-2^B digits are the
+resultant's coefficients.  It vanishes identically exactly when f has a
 repeated factor involving y; a repeated factor free of y is a repeated factor
 of the y-content of f (the gcd of its y-coefficients in Q[x]), which stands in
 for the x-discriminant Res_x(f, f_x) at the cost of a few gcds.  Candidate

@@ -354,39 +354,27 @@ def power_sums(a: UPoly, count: int) -> list[Fraction]:
     return [Fraction(v, lead ** k) for k, v in enumerate(sums[:count])]
 
 
-def _as_int(v) -> int:
-    v = Fraction(v)
-    if v.denominator != 1:
-        raise ValueError(f"interpolation data must be integers, got {v}")
-    return v.numerator
+def kronecker_bits(bound: int) -> int:
+    """The bits B of a Kronecker point 2^B at which an integer polynomial
+    whose coefficients are at most bound in absolute value can be read back
+    by signed_digits: every coefficient is then below 2^(B-1)."""
+    return bound.bit_length() + 1
 
 
-def interpolate(points: Sequence[tuple]) -> UPoly:
-    """The integer polynomial through points with distinct integer nodes.
-
-    Every divided difference of an integer polynomial at integer nodes is an
-    integer, so the Newton form is computed and expanded by Horner in integer
-    arithmetic alone; a division that leaves a remainder means the values
-    are not those of an integer polynomial and raises ValueError.
-    """
-    xs = [_as_int(p[0]) for p in points]
-    cs = [_as_int(p[1]) for p in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            q, r = divmod(cs[i] - cs[i - 1], xs[i] - xs[i - j])
-            if r:
-                raise ValueError("interpolation data are not those of an integer polynomial")
-            cs[i] = q
-    acc: list[int] = []
-    for i in range(n - 1, -1, -1):
-        x = xs[i]
-        nxt = [0] + acc
-        for k, v in enumerate(acc):
-            nxt[k] -= x * v
-        nxt[0] += cs[i]
-        acc = nxt
-    return UPoly(acc)
+def signed_digits(v: int, bits: int) -> list[int]:
+    """The coefficients, lowest first, of the integer polynomial R with
+    R(2^bits) = v and every |coefficient| < 2^(bits-1): the signed base
+    2^bits digits of v, each taken in [-2^(bits-1), 2^(bits-1))."""
+    base = 1 << bits
+    half, mask = base >> 1, base - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        out.append(d)
+        v = (v - d) >> bits
+    return out
 
 
 class BPoly:
@@ -487,6 +475,11 @@ class BPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:
+            # a monomial's power is one monomial
+            ((i, j), c), = self.terms.items()
+            if isinstance(c, Fraction):
+                return BPoly({(i * n, j * n): c ** n})
         result = BPoly.const(1)
         base = self
         while n:
@@ -576,11 +569,13 @@ class BPoly:
 def resultant_y(f: BPoly, g: BPoly) -> UPoly:
     """Resultant of f and g with respect to y, as a UPoly in x.
 
-    Computed by evaluation/interpolation: f and g are cleared of
-    denominators once (Res(c*f, d*g) = c^n * d^m * Res(f, g) for y-degrees m
-    and n), the determinant of resultant_matrix is taken at enough integer
-    abscissas on the generic y-degree shape (so degree drops at special x do
-    not change the matrix), and the samples are interpolated.
+    Computed by Kronecker substitution: f and g are cleared of denominators
+    once (Res(c*f, d*g) = c^n * d^m * Res(f, g) for y-degrees m and n), and
+    one determinant of resultant_matrix is taken at x = 2^B on the generic
+    y-degree shape.  Its value is R(2^B) for the integer resultant R, whose
+    coefficients are bounded by the product of the Sylvester rows' 1-norms,
+    ||c*f||_1^n * ||d*g||_1^m, so B = kronecker_bits of that bound reads
+    them back as the signed base-2^B digits.
     """
     fy = f.coefficients_in_y()
     gy = g.coefficients_in_y()
@@ -590,22 +585,23 @@ def resultant_y(f: BPoly, g: BPoly) -> UPoly:
         raise ZeroPolynomial("resultant with the zero polynomial")
     if m == 0 and n == 0:
         return UPoly([1])
-    dbound = n * max(p.degree for p in fy) + m * max(p.degree for p in gy)
     c = lcm(*(v.denominator for v in f.terms.values()))
     d = lcm(*(v.denominator for v in g.terms.values()))
     fi = [[int(v * c) for v in p.coeffs] for p in fy]
     gi = [[int(v * d) for v in p.coeffs] for p in gy]
-    samples: list[tuple[int, Fraction]] = []
-    x0 = 0
-    while len(samples) <= dbound:
-        rows = resultant_matrix([_eval_int(p, x0) for p in fi], [_eval_int(p, x0) for p in gi])
-        samples.append((x0, bareiss_det(rows)))
-        x0 = -x0 if x0 > 0 else -x0 + 1
-    return interpolate(samples) * Fraction(1, c ** n * d ** m)
+    bits = kronecker_bits(_norm1(fi) ** n * _norm1(gi) ** m)
+    det = bareiss_det(resultant_matrix([_at_power_of_two(p, bits) for p in fi],
+                                       [_at_power_of_two(p, bits) for p in gi]))
+    return _times(signed_digits(det.numerator, bits), Fraction(1, c ** n * d ** m))
 
 
-def _eval_int(coeffs: list[int], x: int) -> int:
+def _norm1(coeffs: list[list[int]]) -> int:
+    return sum(abs(v) for p in coeffs for v in p)
+
+
+def _at_power_of_two(coeffs: list[int], bits: int) -> int:
+    """The integer polynomial coeffs evaluated at 2^bits."""
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = (acc << bits) + c
     return acc

@@ -49,7 +49,8 @@ from mpmath.libmp import from_man_exp, round_ceiling
 
 from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
-from .polys import UPoly, interpolate, poly_gcd, resultant, resultant_matrix
+from .polys import (UPoly, kronecker_bits, poly_gcd, resultant, resultant_matrix,
+                    signed_digits)
 
 
 # Working precision, in bits, above which refinement gives up: far beyond
@@ -303,6 +304,11 @@ def _refine(ints, center, radius, target, prec):
     return z, rad, prec
 
 
+def _half_mpf(x: Fraction) -> mp.mpf:
+    """x/2 as an mpf at the working precision."""
+    return mp.mpf(x.numerator) / x.denominator * mp.mpf("0.5")
+
+
 class _Isolator:
     def __init__(self, poly: UPoly):
         if poly.is_zero or poly.degree < 1:
@@ -314,9 +320,9 @@ class _Isolator:
 
     def _refine_record(self, recs: list[RootApprox], i: int,
                        target: Fraction | mp.mpf) -> RootApprox:
-        """recs[i] refined below target, put back into recs."""
-        t = mp.mpf(target.numerator) / target.denominator * mp.mpf("0.5") \
-            if isinstance(target, Fraction) else mp.mpf(target)
+        """recs[i] refined below target, put back into recs; a Fraction
+        target is halved on its way to an mpf."""
+        t = _half_mpf(target) if isinstance(target, Fraction) else mp.mpf(target)
         rec = recs[i]
         if not rec.radius < t:
             z, rad, prec = _refine(self.ints, rec.center, rec.radius, t, rec.prec)
@@ -326,23 +332,27 @@ class _Isolator:
     def re_gap(self) -> Fraction:
         """Lower bound on |re(a) - re(b)| over root pairs with distinct real
         parts: separation bound of the midpoint polynomial
-        Res_y(p(y), p(2s - y))."""
+        Res_y(p(y), p(2s - y)).
+
+        One determinant at the Kronecker point s = 2^B: the coefficients of
+        p(2s - y) in y are integer polynomials in s whose 1-norms sum to
+        sum_k |a_k| 3^k, so the midpoint polynomial's coefficients are at
+        most (sum_k |a_k|)^n (sum_k |a_k| 3^k)^n."""
         if self._re_gap is not None:
             return self._re_gap
         n = self.n
         a = self.ints
-        samples = []
-        s = 0
-        while len(samples) <= n * n:
-            q = [0] * (n + 1)
-            for k in range(n + 1):
-                if not a[k]:
-                    continue
-                for j in range(k + 1):
-                    q[j] += a[k] * comb(k, j) * (2 * s) ** (k - j) * (-1) ** j
-            samples.append((s, bareiss_det(resultant_matrix(a, q))))
-            s = -s if s > 0 else -s + 1
-        big = interpolate(samples)
+        bits = kronecker_bits(sum(abs(v) for v in a) ** n
+                              * sum(abs(v) * 3 ** k for k, v in enumerate(a)) ** n)
+        two_s = 1 << (bits + 1)
+        q = [0] * (n + 1)
+        for k in range(n + 1):
+            if not a[k]:
+                continue
+            for j in range(k + 1):
+                q[j] += a[k] * comb(k, j) * two_s ** (k - j) * (-1) ** j
+        det = bareiss_det(resultant_matrix(a, q))
+        big = UPoly(signed_digits(det.numerator, bits))
         sqf = (big // poly_gcd(big, big.derivative()))
         if sqf.degree <= 1:
             gap = Fraction(1)
@@ -353,12 +363,13 @@ class _Isolator:
 
     def run(self) -> list[RootApprox]:
         prec = 80
+        sep8 = _half_mpf(self.sep / 4)
         for _ in range(3):
             seeds = _initial_roots(self.ints, prec)
             recs = [RootApprox(i, mp.mpc(z), mp.inf, prec, None)
                     for i, z in enumerate(seeds)]
             for i in range(self.n):
-                self._refine_record(recs, i, self.sep / 4)
+                self._refine_record(recs, i, sep8)
             ok = not any(_close(_parts(recs[i].center), _parts(recs[j].center),
                                 recs[i].radius, recs[j].radius)
                          for i in range(self.n) for j in range(i + 1, self.n))

@@ -40,6 +40,31 @@ def test_parentheses_and_unary_minus():
     assert parse_poly("- - 3") == BPoly.const(3)
 
 
+def _power_by_products(base, n):
+    """The square-and-multiply power that BPoly.__pow__ takes for sums."""
+    result = BPoly.const(1)
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def test_powers_of_monomials_parse_as_products_do(monkeypatch):
+    texts = ["x^3-y^3+2*x*y+x-2*y+1", "x^24+y^24-1", "(2/3*x^2*y)^5 - (-y)^7 + x^0",
+             "(-3*x)^4*y^2 - 5/7*(x*y)^3*x^2 + (x + y)^3", "(1/2)^3*x^2*y^4 + 0^0 - 0^2*x",
+             "((x^2)^3*y)^2 - (y^3)^2 + 7"]
+    fast = [parse_poly(t) for t in texts]
+    monkeypatch.setattr(BPoly, "__pow__", _power_by_products)
+    slow = [parse_poly(t) for t in texts]
+    for t, a, b in zip(texts, fast, slow):
+        assert a.terms == b.terms, t
+        assert all(type(c) is Fraction for c in a.terms.values()), t
+    assert BPoly({(1, 2): Fraction(-2, 3)}) ** 3 == BPoly({(3, 6): Fraction(-8, 27)})
+    assert BPoly.y() ** 0 == BPoly.const(1)
+
+
 def test_syntax_errors_carry_position():
     for text, pos in [("x +", 3), ("(x", 2), ("x ^ y", 4)]:
         with pytest.raises(PolySyntaxError) as exc:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from abeldiff.errors import ZeroPolynomial
 from abeldiff.linsolve import bareiss_det
-from abeldiff.polys import (BPoly, UPoly, interpolate, is_squarefree,
+from abeldiff.polys import (BPoly, UPoly, is_squarefree, kronecker_bits,
                             poly_gcd, power_sums, resultant, resultant_matrix,
-                            resultant_y)
+                            resultant_y, signed_digits)
 from abeldiff.towers import TowerContext, adjoin
 
 
@@ -142,6 +142,20 @@ def test_resultant_matrix_determinant_is_the_sylvester_determinant():
                 assert bareiss_det(rows) == _gauss_det(sylvester_matrix(a, b)), (a, b)
 
 
+def _assert_sylvester_oracle(f, g, got, abscissas):
+    """got agrees with the Sylvester determinant of f(x0, y) and g(x0, y),
+    on the generic y-degree shape, at every x0."""
+    fy, gy = f.coefficients_in_y(), g.coefficients_in_y()
+    for x0 in abscissas:
+        x0 = Fraction(x0)
+        expected = _gauss_det(sylvester_matrix([c.eval(x0) for c in fy],
+                                               [c.eval(x0) for c in gy]))
+        assert got.eval(x0) == expected, x0
+
+
+_ABSCISSAS = list(range(-5, 6)) + [Fraction(1, 2), Fraction(-7, 3), Fraction(10, 9)]
+
+
 def test_resultant_y_matches_sylvester_sampled_oracle():
     rng = random.Random(99)
     x = BPoly.x()
@@ -151,15 +165,81 @@ def test_resultant_y_matches_sylvester_sampled_oracle():
                    for j in range(dy_f) for i in range(rng.randint(0, 3))})
         g = BPoly({(i, j): rng.randint(-5, 5)
                    for j in range(dy_g) for i in range(rng.randint(0, 3))})
-        # leading y-coefficients vanish at some interpolation nodes (0, 1, -1, 2)
+        # leading y-coefficients vanish at some of the oracle's abscissas
+        # (f's at 0 and 1, g's at -1 or 0), where the y-degree drops
         f = f + (x - 1) * x * BPoly({(0, dy_f): 1})
         g = g + ((x + 1) * Fraction(1, 2) if trial % 2 else 3 * x) * BPoly({(0, dy_g): 1})
-        got = resultant_y(f, g)
-        fy, gy = f.coefficients_in_y(), g.coefficients_in_y()
-        for x0 in [Fraction(v) for v in range(-6, 7)] + [Fraction(1, 2), Fraction(-7, 3)]:
-            expected = _gauss_det(sylvester_matrix([c.eval(x0) for c in fy],
-                                                   [c.eval(x0) for c in gy]))
-            assert got.eval(x0) == expected, (trial, x0)
+        _assert_sylvester_oracle(f, g, resultant_y(f, g),
+                                 list(range(-6, 7)) + [Fraction(1, 2), Fraction(-7, 3)])
+
+
+def test_signed_digits_read_back_every_integer_polynomial():
+    rng = random.Random(31)
+    for _ in range(200):
+        bits = rng.randint(2, 70)
+        half = 1 << (bits - 1)
+        coeffs = [rng.randint(-half, half - 1) for _ in range(rng.randint(0, 12))]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        v = sum(c << (bits * k) for k, c in enumerate(coeffs))
+        assert signed_digits(v, bits) == coeffs
+    assert kronecker_bits(1) == 2 and kronecker_bits(2 ** 64 - 1) == 65
+
+
+def test_resultant_y_leading_coefficient_vanishing_at_the_kronecker_point():
+    x, y = BPoly.x(), BPoly.y()
+    f0 = y ** 3 + (2 * x - 1) * y + x * x - 3
+    g = 3 * y ** 2 + x * y - 5
+    # the point 2^B that resultant_y picks for (f0, g): products of the
+    # Sylvester rows' 1-norms, 8^2 * 9^3.  The bound of (f, g) counts the
+    # coefficient x - 2^B, so resultant_y reads (f, g) at a higher point,
+    # where no integer coefficient of f can vanish
+    b = kronecker_bits(8 ** 2 * 9 ** 3)
+    f = f0 + (x - 2 ** b - 1) * y ** 3      # leading y-coefficient x - 2^B
+    assert f.coefficients_in_y()[3].eval(Fraction(2 ** b)) == 0
+    got = resultant_y(f, g)
+    # at x0 = 2^B the y-degree of f drops; the formal shape still holds
+    _assert_sylvester_oracle(f, g, got, _ABSCISSAS + [2 ** b, 2 ** b + 1, 2 ** (b - 1)])
+
+
+def test_resultant_y_zero_on_a_common_factor():
+    x, y = BPoly.x(), BPoly.y()
+    h = y ** 2 - x * y + Fraction(1, 3)
+    f, g = h * (y - x ** 2 + 2), h * (x * y + 7)
+    got = resultant_y(f, g)
+    assert got.is_zero
+    _assert_sylvester_oracle(f, g, got, _ABSCISSAS)
+
+
+def test_resultant_y_with_a_y_free_operand_is_its_power():
+    x, y = BPoly.x(), BPoly.y()
+    f = 2 * y ** 3 - x * y + x ** 2 - 1
+    g = BPoly({(2, 0): Fraction(3, 2), (0, 0): -7})
+    g_x = g.coefficients_in_y()[0]
+    assert resultant_y(f, g) == g_x ** 3
+    assert resultant_y(g, f) == g_x ** 3
+    _assert_sylvester_oracle(f, g, resultant_y(f, g), _ABSCISSAS)
+    _assert_sylvester_oracle(g, f, resultant_y(g, f), _ABSCISSAS)
+
+
+def test_resultant_y_with_large_coefficients_and_denominators():
+    rng = random.Random(1030)
+    big = 10 ** 30
+    for _ in range(3):
+        f = BPoly({(i, j): Fraction(rng.randint(-big, big), rng.choice([1, 7, 10 ** 29 + 3]))
+                   for j in range(4) for i in range(3 - j + 1)})
+        g = BPoly({(i, j): Fraction(rng.randint(-big, big), rng.choice([1, 3, big + 1]))
+                   for j in range(3) for i in range(3)})
+        _assert_sylvester_oracle(f, g, resultant_y(f, g), _ABSCISSAS)
+
+
+def test_resultant_y_at_the_degree_cap():
+    # Res_y(y^24 + c, 24 y^23) = 24^24 * c^23 for c = x^24 - 1
+    f = BPoly({(24, 0): 1, (0, 24): 1, (0, 0): -1})
+    got = resultant_y(f, f.partial_y())
+    assert got.degree == 552
+    assert got == UPoly([-1] + [0] * 23 + [1]) ** 23 * 24 ** 24
+    _assert_sylvester_oracle(f, f.partial_y(), got, [0, 1, Fraction(1, 2), -2])
 
 
 def test_resultant_zero_iff_common_factor():
@@ -209,18 +289,6 @@ def test_upoly_divmod_roundtrip():
     q, r = a.divmod(b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-def test_interpolate():
-    p = UPoly([1, -2, 0, 3])
-    pts = [(Fraction(k), p.eval(Fraction(k))) for k in range(5)]
-    assert interpolate(pts) == p
-    q = UPoly([10**30 + 7, 0, -5, 2, 0, 9 * 10**20])
-    assert interpolate([(k, q.eval(k)) for k in (0, 1, -1, 2, -2, 3, -3)]) == q
-    with pytest.raises(ValueError):
-        interpolate([(Fraction(1, 2), 1), (0, 0)])
-    with pytest.raises(ValueError):
-        interpolate([(0, 0), (2, 1)])  # the line through them is t/2
 
 
 @settings(max_examples=60, deadline=None)

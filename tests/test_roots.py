@@ -8,7 +8,7 @@ import pytest
 
 from abeldiff import cli, roots as roots_mod
 from abeldiff.errors import AbeldiffError, NotSquareFree
-from abeldiff.polys import UPoly, is_squarefree
+from abeldiff.polys import BPoly, UPoly, is_squarefree, poly_gcd, resultant_y
 from abeldiff.roots import _Isolator, isolate_roots, refine_root, separation_bound
 
 
@@ -157,6 +157,27 @@ def test_real_part_gap_and_order_on_ties(poly, gap, centers):
     assert len(roots) == len(centers)
     for r, z in zip(roots, centers):
         assert abs(r.center - z) < r.radius
+
+
+def test_real_part_gap_is_the_midpoint_resultants_separation_bound():
+    # re_gap's one Kronecker determinant against resultant_y of p(y) and
+    # p(2x - y), over 30 seeded square-free polynomials
+    rng = random.Random(2718)
+    x, y = BPoly.x(), BPoly.y()
+    done = 0
+    while done < 30:
+        deg = rng.randint(2, 7)
+        ints = [rng.randint(-12, 12) for _ in range(deg)] + [rng.randint(1, 4)]
+        p = UPoly(ints)
+        if not is_squarefree(p):
+            continue
+        mid = resultant_y(sum((c * y ** k for k, c in enumerate(ints)), BPoly()),
+                          sum((c * (2 * x - y) ** k for k, c in enumerate(ints)), BPoly()))
+        sqf = mid // poly_gcd(mid, mid.derivative())
+        expected = (Fraction(1) if sqf.degree <= 1
+                    else separation_bound(sqf.to_int_coeffs()[0]))
+        assert _Isolator(p).re_gap() == expected, ints
+        done += 1
 
 
 def test_refinement_leaving_the_isolating_disc_is_an_error(monkeypatch):
