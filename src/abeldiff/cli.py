@@ -133,6 +133,43 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
     return pt
 
 
+def _haupt(curve: Curve, ctx: TowerContext, req: Request, p1, p2, doc_roots: dict):
+    """(differential, auxiliary points, result) of a haupt request.
+
+    The differential and its parameters depend on the curve, the poles and
+    the auxiliary points, not on the evaluation point: a group of requests
+    that share them (keyed by the curve and the --x1, --root1, --x2,
+    --root2, --a and --roota values) rebinds what the first one found
+    instead of solving again (differentials.recall).  The points are chosen
+    in the same order either way, after third_kind on a first request, so
+    errors are reported in the same order and generators numbered alike.
+
+    A group is stored only from a request whose --xp section adjoined no
+    auxiliary pole's generator, so that its generators keep the order that
+    the sections over --x1, --x2 and the --a take by themselves.  A request
+    whose --xp section puts them in another order cannot rebind the group
+    (differentials.rebind returns None) and solves afresh."""
+    roota = list(req.roota or [])
+    roota += [0] * (len(req.a or []) - len(roota))
+    key = (curve.f, p1.x, req.root1, p2.x, req.root2, tuple(req.a or []), tuple(roota))
+    group = diffs.recall(key)
+    d = diffs.third_kind(curve, p1, p2) if group is None else None
+    before = len(ctx)
+    pp = _chosen_point(curve, ctx, req.xp, req.rootp, "xp", doc_roots)
+    by_xp = range(before, len(ctx))
+    poles = [_chosen_point(curve, ctx, ax, ar, f"a{i + 1}", doc_roots)
+             for i, (ax, ar) in enumerate(zip(req.a or [], roota))]
+    params = None
+    if group is not None:
+        d, params = diffs.rebind(group, curve, p1, p2) or \
+            (diffs.third_kind(curve, p1, p2), None)
+    result = diffs.haupt_solve(d, pp, poles, params)
+    if params is None and not any(g in by_xp for q in poles
+                                  for g in q.y.present_generators()):
+        diffs.remember(key, d, poles, result.parameters)
+    return d, poles, result
+
+
 def run(req: Request) -> tuple[dict, bool]:
     """Execute a request; returns (structured document, all-verifications-ok)."""
     timings: dict[str, float] = {}
@@ -192,17 +229,11 @@ def run(req: Request) -> tuple[dict, bool]:
     timings["sections"] = time.perf_counter() - t1
 
     t1 = time.perf_counter()
-    d = diffs.third_kind(curve, p1, p2)
-    naive = diffs.third_kind_system_naive(d)
     if req.command == "haupt":
-        pp = _chosen_point(curve, ctx, req.xp, req.rootp, "xp", doc["inputs"]["points"])
-        roota = list(req.roota or [])
-        roota += [0] * (len(req.a or []) - len(roota))
-        poles = [
-            _chosen_point(curve, ctx, ax, ar, f"a{i + 1}", doc["inputs"]["points"])
-            for i, (ax, ar) in enumerate(zip(req.a or [], roota))
-        ]
-        result = diffs.haupt_solve(d, pp, poles)
+        d, poles, result = _haupt(curve, ctx, req, p1, p2, doc["inputs"]["points"])
+    else:
+        d = diffs.third_kind(curve, p1, p2)
+    naive = diffs.third_kind_system_naive(d)
     timings["third_kind"] = time.perf_counter() - t1
 
     doc["system"] = {

@@ -49,19 +49,31 @@ solves, certifies, and returns the differential.  Every later step takes
 that differential: third_kind_system_naive builds the per-point rows from
 its sections, vandermonde_equivalence checks them against its symmetrized
 system, and haupt_solve fixes its free parameters.
+
+Neither the differential nor its parameters depend on haupt's evaluation
+point, so a group of haupt requests that share the curve, the poles and the
+auxiliary points shares them too.  remember keeps what a group's solve
+found, detached from its request's context (towers.detach): the base
+numerator, the parameters, the rank and the certificates.  rebind attaches
+them in a later request's context, where the same roots are generators
+again, in the same order; there they are the numbers third_kind and the
+parameter solve would compute, checked when they were first computed.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
 from .linsolve import ff_solve, vandermonde
 from .polys import BPoly, UPoly, power_sums
-from .towers import TowerContext, TowerElement, eval_bpoly
+from .towers import (Detached, TowerContext, TowerElement, attach, detach,
+                     eval_bpoly)
 
 
 def monomials_upto(d: int) -> list[tuple[int, int]]:
@@ -435,7 +447,7 @@ class HauptResult:
 
 
 def haupt_solve(diff: ParametricDifferential, p_prime: Point,
-                poles: list[Point]) -> HauptResult:
+                poles: list[Point], params: list | None = None) -> HauptResult:
     """Value of the fundamental function at diff's first pole p1: the
     function with simple poles at p_prime and the given auxiliary points,
     residue -1 at p_prime, normalized to vanish at diff's second pole p2.
@@ -452,6 +464,11 @@ def haupt_solve(diff: ParametricDifferential, p_prime: Point,
     checked exactly on those values, rhs_q - sum_k c_k m_k(q) =
     -E(q) / ((q.x - x1)(x2 - q.x)) = 0 (VerificationFailed otherwise).  The
     result carries the determined parameters alongside the value.
+
+    params, when given, are the parameters that an earlier solve for the
+    same differential and auxiliary poles found and checked (see rebind):
+    the rows, the solve and the vanishing checks are skipped, and only the
+    checks that involve p_prime run.
     """
     curve = diff.curve
     p = curve.genus()
@@ -462,9 +479,19 @@ def haupt_solve(diff: ParametricDifferential, p_prime: Point,
     if len(set(absc)) != len(absc):
         raise SameAbscissa("all chosen abscissas must be pairwise distinct")
 
+    if params is None:
+        params = _solve_parameters(diff, poles)
+    value = eval_u(diff, p_prime, params)
+    return HauptResult(value=value, parameters=params)
+
+
+def _solve_parameters(diff: ParametricDifferential, poles: list[Point]) -> list:
+    """The parameters c_k for which the assigned numerator vanishes at every
+    auxiliary pole, checked exactly (see haupt_solve)."""
+    x1, x2 = diff.pole1.x, diff.pole2.x
     rows, rhs = [], []
     for q in poles:
-        if curve.fy_at(q).is_zero():
+        if diff.curve.fy_at(q).is_zero():
             raise EvaluationAtPole(f"f_y vanishes at auxiliary pole x = {q.x}")
         rows.append(_first_kind_at(diff, q))
         rhs.append(-eval_bpoly(diff.base_numerator, q.x, q.y)
@@ -474,8 +501,7 @@ def haupt_solve(diff: ParametricDifferential, p_prime: Point,
         if not (rv - _combination(diff, params, row)).is_zero():
             raise VerificationFailed(
                 f"assigned differential does not vanish at x = {q.x}")
-    value = eval_u(diff, p_prime, params)
-    return HauptResult(value=value, parameters=params)
+    return params
 
 
 def _solve_tower(rows: list[list[TowerElement]], rhs: list[TowerElement]) -> list:
@@ -507,6 +533,74 @@ def _solve_tower(rows: list[list[TowerElement]], rhs: list[TowerElement]) -> lis
             a[i] = [vi - f * vc for vi, vc in zip(a[i], a[col])]
             b[i] = b[i] - f * b[col]
     return b
+
+
+# -- haupt groups shared across requests ------------------------------------
+
+# Groups kept, least recently used dropped first.
+MAX_GROUPS = 32
+
+
+class _Group(NamedTuple):
+    """What a haupt group's differential and parameter solve found, free of
+    any context: the base numerator's monomials, then its coefficients, the
+    parameters and the ordinates the solve read as one detached table, and
+    the rank and residue certificates."""
+
+    monomials: tuple
+    detached: Detached
+    rank: int
+    certificates: tuple
+
+
+# group key -> _Group, least recently used first
+_groups: OrderedDict = OrderedDict()
+
+
+def recall(key) -> _Group | None:
+    """The group an earlier request stored under key, or None."""
+    group = _groups.get(key)
+    if group is not None:
+        _groups.move_to_end(key)
+    return group
+
+
+def remember(key, diff: ParametricDifferential, poles: list[Point],
+             params: list) -> None:
+    """Store diff's base numerator, rank and certificates and the checked
+    parameters for the auxiliary poles under key.  The table also lists the
+    generators of both poles and every auxiliary pole, since the solve read
+    them all: a rebinding that would reorder any of them is refused."""
+    terms = diff.base_numerator.terms
+    ordinates = [p.y for p in (diff.pole1, diff.pole2, *poles)]
+    _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params, *ordinates]),
+                          diff.rank, tuple(dict(c) for c in diff.certificates))
+    _groups.move_to_end(key)
+    if len(_groups) > MAX_GROUPS:
+        _groups.popitem(last=False)
+
+
+def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
+           ) -> tuple[ParametricDifferential, list] | None:
+    """The group's differential for the poles p1 and p2, chosen in a later
+    request's context, and its parameters: the same numbers that third_kind
+    and haupt_solve would find there.  Call it once the request's auxiliary
+    poles are chosen, whose generators the parameters use; None when their
+    generators are located out of the stored order (see towers.attach).
+    The symmetrized system is built afresh, since only the solve is kept."""
+    elements = attach(group.detached, p1.y.ctx)
+    if elements is None:
+        return None
+    pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
+    fkb = first_kind_basis(curve)
+    k = len(group.monomials)
+    diff = ParametricDifferential(
+        curve=curve, pole1=pole1, pole2=pole2,
+        base_numerator=BPoly(dict(zip(group.monomials, elements))),
+        first_kind_numerators=fkb.numerators, section1=section1,
+        section2=section2, system=_symmetrized_system(curve, pole1, pole2),
+        rank=group.rank, certificates=[dict(c) for c in group.certificates])
+    return diff, elements[k:k + len(fkb)]
 
 
 # -- verification bundles ----------------------------------------------------

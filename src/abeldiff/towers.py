@@ -31,16 +31,17 @@ complex value.  Both rest on one fixed-point ball kernel in Python
 integers: a ball is a center (re, im) of integers at scale 2^-P, P the
 working precision, and a radius counted in units of 2^-P, rounded upward.
 The element's numerators enter as they are stored, over its denominator D,
-which divides once, at the end.  The terms are summed one generator at a
-time, lowest index first: the partial sums that share the rest of their key
-are multiplied by one power ball and merged, so there is about one ball
-product per distinct key suffix rather than one per generator of every
-term.  Sums and integer multiples of a ball are exact; a product of balls
-truncates its center toward zero and adds 2 units to its radius.  Each
-generator's powers of its root disc, converted exactly from the disc's raw
-mpf parts, come from a cache on the disc, which every request that meets
-the same disc shares (roots memoizes refinements), and which holds for one
-precision.  The decimal of an element is the center of a disc of radius
+which divides once, at the end.  The sum is nested, lowest generator
+innermost: the partial sum of the terms that share the rest of their key is
+multiplied by one power ball, so there is about one ball product per
+distinct key suffix rather than one per generator of every term, and with
+the terms visited in reversed-key order only one partial sum per generator
+is open at a time.  Sums and integer multiples of a ball are exact; a
+product of balls truncates its center toward zero and adds 2 units to its
+radius.  Each generator's powers of its root disc, converted exactly from
+the disc's raw mpf parts, come from a cache on the disc, which every
+request that meets the same disc shares (roots memoizes refinements), and
+which holds for one precision.  The decimal of an element is the center of a disc of radius
 below 10^-digits/2, rounded to digits significant digits; a component below
 10^-digits/2 in magnitude prints as 0.0.  The decimal path works on raw mpf
 parts (mpmath.libmp tuples), not mpmath objects: the refinement target
@@ -61,6 +62,12 @@ so the Cauchy modules change no representation.  Moduli are never factored
 and no absolute minimal polynomial is ever computed; reducible moduli only
 surface when a zero divisor is inverted, which raises NotInvertible with a
 witness factor.
+
+detach takes elements out of their context: numerators over a table that
+names each generator by its monic modulus and root id.  attach rebinds them
+in another context that holds those roots, in the same index order, where
+they denote the same numbers: a request can so reuse exact results that an
+earlier request's context computed, without keeping that context.
 """
 
 from __future__ import annotations
@@ -205,27 +212,46 @@ def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
     t_i in the disc roots[i], at scale 2^-prec.
 
     The integer numerators are summed as they are, and the disc keeps den
-    as its denominator.  One generator at a time, lowest index first: each
-    partial sum is multiplied by the power of t_i it carries and merged
-    with those of equal rest of key.  A partial sum stays an exact integer
-    until a power multiplies it, exactly."""
-    level = nums
-    for i in range(max(map(len, level), default=0)):
-        root = roots.get(i)
-        merged: dict = {}
-        for key, v in level.items():
-            if key:
-                if key[0]:
-                    power = _power_ball(root, key[0], prec)
-                    if type(v) is int:
-                        v = v * power[0], v * power[1], abs(v) * power[2]
+    as its denominator.  The sum is nested lowest generator innermost: the
+    terms that share their exponents of t_(i+1), t_(i+2), ... form one
+    group at level i, whose partial sum is multiplied by the power of t_i
+    they carry once the group is complete.  The terms are visited sorted by
+    their reversed (zero-padded) keys, so each group is contiguous and one
+    partial sum per level is open at a time.  A partial sum stays an exact
+    integer until a power multiplies it, exactly, and sums are exact, so
+    the disc depends only on the groups, not on the order of the terms."""
+    n = max(map(len, nums), default=0)
+    if not n:
+        v = nums.get((), 0)
+    else:
+        pad = (0,) * n
+        # the zero-padded keys read from the highest generator down, so each
+        # group is contiguous; the sentinel completes every open group
+        items = sorted(((key + pad[len(key):], v) for key, v in nums.items()),
+                       key=lambda item: item[0][::-1])
+        items.append(((-1,) * n, 0))
+        acc = [0] * (n + 1)          # acc[i]: the open group of level i
+        last, acc[0] = items[0]
+        for key, v in items[1:]:
+            # the highest generator whose exponent changes completes the
+            # groups of its level and of every level below
+            p = n - 1
+            while key[p] == last[p]:
+                p -= 1
+            for i in range(p + 1):
+                w, e = acc[i], last[i]
+                if e:
+                    power = _power_ball(roots[i], e, prec)
+                    if type(w) is int:
+                        w = w * power[0], w * power[1], abs(w) * power[2]
                     else:
-                        v = _mul(v, power, prec)
-                key = key[1:]
-            prev = merged.get(key)
-            merged[key] = v if prev is None else _add(prev, v, prec)
-        level = merged
-    v = level.get((), 0)
+                        w = _mul(w, power, prec)
+                up = acc[i + 1]     # _add, without a call for an empty group
+                acc[i + 1] = w if type(up) is int and not up else _add(up, w, prec)
+                acc[i] = 0
+            acc[0] = v
+            last = key
+        v = acc[n]
     if type(v) is int:
         v = v << prec, 0, 0
     return _Disc(*v, den, prec)
@@ -394,6 +420,55 @@ def locate_or_adjoin(ctx: TowerContext, modulus: UPoly, root_id: int) -> "TowerE
     if found is not None:
         return ctx.generator(found)
     return adjoin(ctx, modulus, root_id)[1]
+
+
+class Detached(NamedTuple):
+    """Elements apart from any context.  generators names each generator
+    they use by (monic modulus, root id), in the index order of the
+    context they came from; each element is its (key, numerator) pairs,
+    keys listing the exponents of those generators, and its denominator."""
+
+    generators: tuple[tuple[UPoly, int], ...]
+    elements: tuple[tuple[tuple, int], ...]     # (terms, denominator)
+
+
+def detach(elements: list["TowerElement"]) -> Detached:
+    """Elements of one context, over one table of the generators they use."""
+    exts = elements[0].ctx.extensions
+    used = sorted({i for a in elements for key in a.nums for i, e in enumerate(key) if e})
+    return Detached(
+        tuple((exts[i].modulus, exts[i].root_id) for i in used),
+        tuple((tuple((tuple(key[i] if i < len(key) else 0 for i in used), n)
+                     for key, n in a.nums.items()), a.den) for a in elements))
+
+
+def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"] | None:
+    """The detached elements in ctx, each generator of the table located
+    there by its modulus and root id; None when the located generators are
+    not in the table's order.  Products, inversions and discs visit the
+    generators by index, so elements rebound in order are, term for term,
+    what the same operations give in ctx.  A generator that ctx does not
+    hold is an internal error."""
+    idx = []
+    for modulus, root_id in detached.generators:
+        i = ctx.locate(modulus, root_id)
+        if i is None:
+            raise AbeldiffError(f"no generator for root {root_id} of a degree "
+                                f"{modulus.degree} modulus to attach to")
+        idx.append(i)
+    if any(i >= j for i, j in zip(idx, idx[1:])):
+        return None
+    width = idx[-1] + 1 if idx else 0
+    out = []
+    for terms, den in detached.elements:
+        nums = {}
+        for compact, n in terms:
+            key = [0] * width
+            for i, e in zip(idx, compact):
+                key[i] = e
+            nums[_trim(key)] = n
+        out.append(_element(ctx, nums, den))
+    return out
 
 
 def _trim(key: tuple) -> tuple:

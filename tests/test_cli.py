@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +289,7 @@ def test_out_of_range_root_index_rejected(capsys):
     ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--xp", "3", "--a", "2"],
 ])
 def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
+    differentials._groups.clear()   # no haupt group that an earlier test solved
     calls = {"third_kind": [], "residue_certificates": [], "eval_u": []}
     for name, log in calls.items():
         def counted(*args, _real=getattr(differentials, name), _log=log, **kwargs):
@@ -315,6 +317,7 @@ def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
 def test_each_request_prepares_its_pole_pair_once(capsys, monkeypatch, argv, genus):
     # sections over x1 and x2 when the points are chosen and once more in
     # third_kind, then over xp and each --a
+    differentials._groups.clear()
     calls = {"_prepare": 0, "section_roots": 0}
     real_prepare, real_sections = differentials._prepare, Curve.section_roots
 
@@ -448,11 +451,127 @@ def test_a_request_does_not_depend_on_earlier_requests(capsys):
     group = ["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2",
              "--a", "4", "--a", "5", "--a", "6", "--digits", "60"]
     roots._isolated.cache_clear()
+    differentials._groups.clear()
     _document(capsys, group + ["--xp", "7"])
     after_another = _document(capsys, group + ["--xp", "3"])
     roots._isolated.cache_clear()
+    differentials._groups.clear()
     fresh = _document(capsys, group + ["--xp", "3"])
     assert after_another == fresh
+
+
+def _cold(capsys, argv):
+    """The document of a request that no earlier request of its haupt
+    group has helped."""
+    differentials._groups.clear()
+    return _document(capsys, argv)
+
+
+def _counting(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(*args, _real=getattr(differentials, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(differentials, name, counted)
+    return calls
+
+
+def test_a_later_request_of_a_haupt_group_reuses_its_solve(capsys, monkeypatch):
+    group = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--a", "2"]
+    cold = _cold(capsys, group + ["--xp", "5"])
+    differentials._groups.clear()
+    calls = _counting(monkeypatch, "third_kind", "_solve_tower", "haupt_solve")
+    _document(capsys, group + ["--xp", "3"])
+    assert calls == {"third_kind": 1, "_solve_tower": 1, "haupt_solve": 1}
+    assert _document(capsys, group + ["--xp", "5"]) == cold
+    assert calls == {"third_kind": 1, "_solve_tower": 1, "haupt_solve": 2}
+
+
+# x^4+y^4-1 has one section polynomial over x and -x: --xp=-1/2 adjoins no
+# generator, so the auxiliary points keep their place, and --xp=3 moves them
+# past its section
+@pytest.mark.parametrize("xps", [("3", "-1/2"), ("-1/2", "3")])
+def test_a_rebound_group_numbers_its_auxiliary_generators_anew(capsys, xps):
+    group = ["haupt", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2", "--a=4", "--a=5", "--a=6"]
+    cold = {xp: _cold(capsys, group + [f"--xp={xp}"]) for xp in xps}
+    differentials._groups.clear()
+    for xp in xps:
+        assert _document(capsys, group + [f"--xp={xp}"]) == cold[xp]
+    assert len(differentials._groups) == 1
+
+
+def test_a_group_adjoined_in_another_order_is_solved_afresh(capsys, monkeypatch):
+    # --xp=-5 adjoins the section over --a=5 before the one over --a=4:
+    # such a request is not stored, and rebinding the stored order into it
+    # would reorder the generators
+    group = ["haupt", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2", "--a=4", "--a=5", "--a=6"]
+    cold = _cold(capsys, group + ["--xp=-5"])
+    assert not differentials._groups
+    _document(capsys, group + ["--xp=3"])
+    calls = _counting(monkeypatch, "third_kind", "_solve_tower")
+    assert _document(capsys, group + ["--xp=-5"]) == cold
+    assert calls == {"third_kind": 1, "_solve_tower": 1}
+    _document(capsys, group + ["--xp=7/3"])   # the stored order still fits
+    assert calls == {"third_kind": 1, "_solve_tower": 1}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--xp", "0"], "SameAbscissa"),
+    (["--xp", "3", "--rootp", "9"], "InvalidArgument"),
+])
+def test_a_rebound_group_keeps_the_checks_on_its_evaluation_point(capsys, argv, error):
+    group = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--a", "2"]
+    cold = _cold(capsys, group + argv)
+    assert cold["error"]["type"] == error
+    _document(capsys, group + ["--xp", "5"])
+    assert len(differentials._groups) == 1
+    assert _document(capsys, group + argv) == cold
+
+
+def test_a_failed_solve_is_not_stored(capsys):
+    differentials._groups.clear()
+    argv = ["haupt", "-f", DENSE_QUARTIC, "--x1", "2", "--x2", "3", "--xp", "5",
+            "--a", "0", "--a", "4", "--a", "6"]
+    assert _document(capsys, argv)["error"]["type"] == "NotInvertible"
+    assert not differentials._groups
+
+
+def test_the_least_recently_used_group_is_dropped(capsys, monkeypatch):
+    monkeypatch.setattr(differentials, "MAX_GROUPS", 2)
+    differentials._groups.clear()
+
+    def request(x2):
+        _document(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", x2, "--a", "2",
+                           "--xp", "3"])
+    calls = _counting(monkeypatch, "third_kind")
+    for x2 in ("1", "4", "1", "5"):   # the second "1" is a hit; "5" drops "4"
+        request(x2)
+    assert calls["third_kind"] == 3
+    request("1")
+    assert calls["third_kind"] == 3
+    request("4")
+    assert calls["third_kind"] == 4
+    assert [key[3] for key in differentials._groups] == [1, 4]
+
+
+def test_a_seeded_sweep_of_haupt_groups_prints_the_cold_documents(capsys):
+    groups = [
+        (["haupt", "-f", CIRCLE, "--x1=0", "--x2=1/2"], ["3", "-2/3"]),
+        (["haupt", "-f", CUBIC, "--x1=0", "--x2=1", "--a=2"], ["3", "-1/2", "5/3", "-2"]),
+        (["haupt", "-f", CUBIC, "--x1=-1", "--x2=3", "--a=1/2", "--root1=1"], ["2", "-3"]),
+        (["haupt", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2", "--a=4", "--a=5", "--a=6"],
+         ["3", "-1/2", "-5", "7/3", "-4", "-2"]),
+        (["haupt", "-f", DENSE_QUARTIC, "--x1=1/3", "--x2=5/2", "--a=-2/3", "--a=7/3",
+          "--a=3"], ["0", "1", "-1"]),
+    ]
+    requests = [group + [f"--xp={xp}", "--digits", "40"]
+                for group, xps in groups for xp in xps]
+    cold = {" ".join(argv): _cold(capsys, argv) for argv in requests}
+    random.Random(2027).shuffle(requests)
+    differentials._groups.clear()
+    for argv in requests:
+        assert _document(capsys, argv) == cold[" ".join(argv)], argv
 
 
 def test_consecutive_requests_share_no_argument_lists(monkeypatch):

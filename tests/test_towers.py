@@ -346,6 +346,53 @@ def test_a_changed_copy_of_a_root_leaves_the_shared_power_balls_alone():
         assert (got.c, got.r) == (ref.c, ref.r)
 
 
+def _nested_ball_by_levels(nums, den, roots, prec):
+    """towers._nested_ball level by level, as it was first written: one
+    generator at a time, lowest index first, every partial sum of a level
+    multiplied by the power of t_i it carries and merged with those of
+    equal rest of key; a level holds one partial sum per key suffix."""
+    level = nums
+    for i in range(max(map(len, level), default=0)):
+        merged = {}
+        for key, v in level.items():
+            if key:
+                if key[0]:
+                    power = towers._power_ball(roots[i], key[0], prec)
+                    if type(v) is int:
+                        v = v * power[0], v * power[1], abs(v) * power[2]
+                    else:
+                        v = towers._mul(v, power, prec)
+                key = key[1:]
+            prev = merged.get(key)
+            merged[key] = v if prev is None else towers._add(prev, v, prec)
+        level = merged
+    v = level.get((), 0)
+    if type(v) is int:
+        v = v << prec, 0, 0
+    return towers._Disc(*v, den, prec)
+
+
+def test_nested_ball_in_reversed_key_order_matches_the_levels():
+    # one open partial sum per generator gives the discs, bit for bit, that
+    # the level-by-level sum gives: the groups a power multiplies are the
+    # same, and sums are exact
+    rng = random.Random(4099)
+    elements = _haupt_shaped_elements(rng)
+    for _ in range(12):
+        ctx = _random_context(rng)
+        for big in (False, True):
+            a, b = _random_element(rng, ctx, big), _random_element(rng, ctx, big)
+            elements += [ctx.zero, ctx.constant(Fraction(-7, 3)), a, a * b + b, a * a * b]
+    assert {len(a.present_generators()) for a in elements} >= {0, 1, 2, 3, 4}
+    for a in elements:
+        for digits in (15, 60):
+            target = mp.mpf(10) ** -digits
+            roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
+            prec = int(digits * 3.4) + 40
+            assert towers._nested_ball(a.nums, a.den, roots, prec) == \
+                _nested_ball_by_levels(a.nums, a.den, roots, prec)
+
+
 class _ParentBall:
     """Ball arithmetic in mpmath at the working precision, each operation's
     rounding folded into the radius, |c| from mpmath's abs: the oracle that
@@ -1130,3 +1177,51 @@ def test_locate_finds_the_first_generator_of_a_modulus_and_root():
     assert ctx.locate(UPoly([-2, 0, 1]), 0) is None
     assert towers.locate_or_adjoin(ctx, UPoly([-1, 0, Fraction(1, 2)]), 1) == ctx.generator(0)
     assert len(ctx) == 3
+
+
+def test_attach_rebinds_detached_elements_past_new_generators():
+    # detached in a context of sqrt 2 and a cube root of 3, attached where a
+    # generator of another modulus sits between them: the same operations
+    # give the same elements, term for term, and the same discs
+    rng = random.Random(1234)
+    old = TowerContext()
+    old, s = adjoin(old, SQRT2, 1)
+    old, c = adjoin(old, CUBE3, 2)
+    new = TowerContext()
+    new, s2 = adjoin(new, SQRT2, 1)
+    new, _ = adjoin(new, UPoly([-5, 0, 1]), 0)
+    new, c2 = adjoin(new, CUBE3, 2)
+
+    def build(s, c):
+        out = [s.ctx.constant(Fraction(-7, 3)), s.ctx.zero, c, s * c + 1]
+        for _ in range(4):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+            a = coeffs[0] + coeffs[1] * s + coeffs[2] * c * c + coeffs[3] * s * c
+            out.append((a * a + c).invert())
+        return out
+    state = rng.getstate()
+    detached = towers.detach(build(s, c))
+    rng.setstate(state)
+    expected = build(s2, c2)
+    assert [(m, r) for m, r in detached.generators] == [(SQRT2, 1), (CUBE3, 2)]
+    attached = towers.attach(detached, new)
+    for a, b in zip(attached, expected, strict=True):
+        assert a.ctx is new and a == b and a.nums == b.nums
+        if b.present_generators():
+            assert a._ball(30) == b._ball(30)
+
+
+def test_attach_refuses_a_reordering_and_raises_on_a_missing_root():
+    old = TowerContext()
+    old, s = adjoin(old, SQRT2, 1)
+    old, c = adjoin(old, CUBE3, 0)
+    detached = towers.detach([s + c])
+    swapped = TowerContext()
+    adjoin(swapped, CUBE3, 0)
+    adjoin(swapped, SQRT2, 1)
+    assert towers.attach(detached, swapped) is None
+    other_root = TowerContext()
+    adjoin(other_root, SQRT2, 0)
+    adjoin(other_root, CUBE3, 0)
+    with pytest.raises(towers.AbeldiffError, match="no generator"):
+        towers.attach(detached, other_root)
