@@ -124,6 +124,46 @@ def test_vandermonde_equivalence_conic(circle_diff):
     assert vandermonde_equivalence(circle_diff, naive)
 
 
+def _perturbed(system, row, col):
+    """A copy of system with 1 added to one entry, or to one right-hand side
+    when col is None."""
+    matrix, rhs = [list(r) for r in system.matrix], list(system.rhs)
+    if col is None:
+        rhs[row] = rhs[row] + 1
+    else:
+        matrix[row][col] = matrix[row][col] + 1
+    return dataclasses.replace(system, matrix=matrix, rhs=rhs)
+
+
+def _positions(system, i, rng=None):
+    """(row, col) of every entry and right-hand side (col None) in the rows
+    of pole abscissa i, or three of each kind drawn with rng."""
+    rows = [k for k, tag in enumerate(system.row_tags) if tag[1] == i]
+    entries = [(k, c) for k in rows for c in range(len(system.monomials))]
+    sides = [(k, None) for k in rows]
+    if rng is not None:
+        entries, sides = rng.sample(entries, 3), rng.sample(sides, 3)
+    return entries + sides
+
+
+def test_vandermonde_equivalence_fails_closed(circle_diff, cubic_diff, quartic):
+    # one perturbed entry or right-hand side, in either system and over
+    # either pole abscissa, is found: the check reads every entry
+    ctx = TowerContext()
+    quartic_diff = third_kind(quartic, quartic.section_roots(2, ctx)[0],
+                              quartic.section_roots(3, ctx)[0])
+    rng = random.Random(26)
+    for diff, sample in ((circle_diff, None), (cubic_diff, None), (quartic_diff, rng)):
+        naive = third_kind_system_naive(diff)
+        assert vandermonde_equivalence(diff, naive)
+        for i in (1, 2):
+            for row, col in _positions(naive, i, sample):
+                assert not vandermonde_equivalence(diff, _perturbed(naive, row, col))
+            for row, col in _positions(diff.system, i, sample):
+                bad = dataclasses.replace(diff, system=_perturbed(diff.system, row, col))
+                assert not vandermonde_equivalence(bad, naive)
+
+
 def test_nullspace_is_embedded_first_kind_space(cubic, cubic_diff):
     from abeldiff.linsolve import RatMatrix, ff_solve
     sys = cubic_diff.system
