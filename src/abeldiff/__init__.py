@@ -8,12 +8,12 @@ numeric embedding for root selection and decimal output.
 """
 
 from .curves import Curve, LocalSeries, Point, SmoothnessReport, smoothness_report
-from .differentials import (FirstKindBasis, HauptResult, LinearSystem,
-                            ParametricDifferential, eval_u, first_kind_basis,
-                            haupt_solve, residue_at, residue_certificates,
-                            third_kind, third_kind_system_naive,
-                            unit_circle_pullback, vandermonde_equivalence)
-from .linsolve import RatMatrix, SolveResult, ff_solve, vandermonde
+from .differentials import (HauptResult, LinearSystem, ParametricDifferential,
+                            eval_u, first_kind_basis, haupt_solve, residue_at,
+                            residue_certificates, third_kind,
+                            third_kind_system_naive, unit_circle_pullback,
+                            vandermonde_equivalence)
+from .linsolve import SolveResult, ff_solve, vandermonde
 from .parser import format_bpoly, parse_poly
 from .polys import (BPoly, UPoly, is_squarefree, poly_gcd, power_sums,
                     resultant, resultant_y)
@@ -23,13 +23,13 @@ from .towers import TowerContext, TowerElement, adjoin, eval_bpoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPoly", "Curve", "FirstKindBasis", "HauptResult", "LinearSystem",
-    "LocalSeries", "ParametricDifferential", "Point", "RatMatrix",
-    "SmoothnessReport", "SolveResult", "TowerContext", "TowerElement",
-    "UPoly", "adjoin", "eval_bpoly", "eval_u", "ff_solve",
-    "first_kind_basis", "format_bpoly", "haupt_solve", "is_squarefree",
-    "isolate_roots", "parse_poly", "poly_gcd", "power_sums", "residue_at",
-    "residue_certificates", "resultant", "resultant_y", "separation_bound",
-    "smoothness_report", "third_kind", "third_kind_system_naive",
-    "unit_circle_pullback", "vandermonde", "vandermonde_equivalence",
+    "BPoly", "Curve", "HauptResult", "LinearSystem", "LocalSeries",
+    "ParametricDifferential", "Point", "SmoothnessReport", "SolveResult",
+    "TowerContext", "TowerElement", "UPoly", "adjoin", "eval_bpoly", "eval_u",
+    "ff_solve", "first_kind_basis", "format_bpoly", "haupt_solve",
+    "is_squarefree", "isolate_roots", "parse_poly", "poly_gcd", "power_sums",
+    "residue_at", "residue_certificates", "resultant", "resultant_y",
+    "separation_bound", "smoothness_report", "third_kind",
+    "third_kind_system_naive", "unit_circle_pullback", "vandermonde",
+    "vandermonde_equivalence",
 ]

@@ -215,7 +215,7 @@ def run(req: Request) -> tuple[dict, bool]:
         basis = diffs.first_kind_basis(curve)
         doc["first_kind"] = {
             "dimension": len(basis),
-            "numerators": [format_bpoly(m) for m in basis.numerators],
+            "numerators": [format_bpoly(m) for m in basis],
             "denominator": "f_y",
         }
         doc["timings"] = timings

@@ -9,11 +9,13 @@ vanishes at the r-1 non-pole points of the section, and E equals
 conditions directly would put algebraic numbers in the matrix; summing the
 conditions against powers of the section ordinates turns every left-hand
 coefficient into a power sum of the section polynomial — a rational number.
-That symmetrized system is kept with the differential, and verify checks it:
-its rows are the Vandermonde matrix of the section ordinates times the
-per-point rows.  Its left factor, the Hankel matrix of power sums, is
-invertible for a square-free section, so per pole (x_i, eta_i) the
-conditions are exactly one polynomial identity in y,
+Both systems are two blocks of r rows, one per pole abscissa, with the
+per-point rows of a block in section order.  The symmetrized system is kept
+with the differential, and verify checks it: its block i is the Vandermonde
+matrix of section i's ordinates times the per-point block i.  Its left
+factor, the Hankel matrix of power sums, is invertible for a square-free
+section, so per pole (x_i, eta_i) the conditions are exactly one polynomial
+identity in y,
 E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i): the quotient vanishes at the
 other section points and equals f_y at the pole.  Its y^b-coefficients give
 sum_a c_{a,b} x_i^a = (x2 - x1) q_{i,b}, with rational rows and right-hand
@@ -85,38 +87,33 @@ def monomials_upto(d: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass
-class FirstKindBasis:
+def first_kind_basis(curve: Curve) -> list[BPoly]:
     """Numerators of a basis of everywhere-regular differentials: the
     monomials of total degree <= r-3, each over the shared denominator f_y."""
-
-    curve: Curve
-    numerators: list[BPoly]
-
-    def __len__(self):
-        return len(self.numerators)
-
-
-def first_kind_basis(curve: Curve) -> FirstKindBasis:
-    if curve.r < 3:
-        return FirstKindBasis(curve, [])
-    return FirstKindBasis(curve, [BPoly({m: 1}) for m in monomials_upto(curve.r - 3)])
+    return [BPoly({m: 1}) for m in monomials_upto(curve.r - 3)]
 
 
 @dataclass
 class LinearSystem:
-    """One of the two linear systems for the third-kind numerator.
+    """One of the two linear systems for the third-kind numerator: two
+    blocks of r rows, one per pole abscissa, in the order of the poles.
 
-    row_tags maps each row to its source condition: ("vanish", i, root_id)
-    for a regularity condition at a non-pole section point of abscissa i, or
-    ("residue", i, root_id) for the residue normalization at pole i.
+    row_tags maps each row to its source condition.  Per-point rows come in
+    section order: ("vanish", i, root_id) for a regularity condition at a
+    non-pole section point of abscissa i, ("residue", i, root_id) for the
+    residue normalization at pole i.  Symmetrized rows are ("power", i, k),
+    the k-th power-sum condition.
     """
 
     matrix: list                   # rows; Fractions for symmetrized
     rhs: list
-    labels: list[str]              # c0, c1, ... in graded monomial order
     monomials: list[tuple[int, int]]
     row_tags: list[tuple]
+
+    @property
+    def labels(self) -> list[str]:
+        """c0, c1, ... in graded monomial order."""
+        return [f"c{k}" for k in range(len(self.monomials))]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -162,9 +159,9 @@ def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerEl
 
 def third_kind_system_naive(diff: ParametricDifferential) -> LinearSystem:
     """The per-point system of diff's pole pair: 2r equations (one per
-    section point) in the r(r+1)/2 monomial coefficients; matrix entries are
-    tower elements.  Each residue row's right-hand side (x2 - x1) f_y(pole)
-    is evaluated here, not read from diff.system, since
+    section point, in section order) in the r(r+1)/2 monomial coefficients;
+    matrix entries are tower elements.  Each residue row's right-hand side
+    (x2 - x1) f_y(pole) is evaluated here, not read from diff.system, since
     vandermonde_equivalence checks the one against the other."""
     curve = diff.curve
     monos = monomials_upto(curve.r - 1)
@@ -174,17 +171,14 @@ def third_kind_system_naive(diff: ParametricDifferential) -> LinearSystem:
                                      (diff.section2, diff.pole2)], start=1):
         xpows = [pole.x ** a for a in range(curve.r)]
         for rid, pt in enumerate(sec):
-            if pt is pole:
-                pole_idx = rid
-                continue
             matrix.append(_monomial_row(monos, xpows, pt.y))
-            rhs.append(diff.ctx.zero)
-            tags.append(("vanish", i, rid))
-        matrix.append(_monomial_row(monos, xpows, pole.y))
-        rhs.append(dx * curve.fy_at(pole))
-        tags.append(("residue", i, pole_idx))
-    return LinearSystem(matrix, rhs,
-                        [f"c{k}" for k in range(len(monos))], monos, tags)
+            if pt is pole:
+                rhs.append(dx * curve.fy_at(pole))
+                tags.append(("residue", i, rid))
+            else:
+                rhs.append(diff.ctx.zero)
+                tags.append(("vanish", i, rid))
+    return LinearSystem(matrix, rhs, monos, tags)
 
 
 def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSystem:
@@ -211,8 +205,7 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
             rhs.append(ypow * fyv)
             tags.append(("power", i, k))
             ypow = ypow * pole.y
-    return LinearSystem(matrix, rhs,
-                        [f"c{k}" for k in range(len(monos))], monos, tags)
+    return LinearSystem(matrix, rhs, monos, tags)
 
 
 def _pole_factor(x1, x2) -> BPoly:
@@ -288,11 +281,11 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     system = _symmetrized_system(curve, pole1, pole2)
     r, monos = curve.r, system.monomials
     x1, x2 = pole1.x, pole2.x
-    fkb = first_kind_basis(curve)
+    first_kind = first_kind_basis(curve)
     pf = _pole_factor(x1, x2)
     xpows = [[x ** a for a in range(r)] for x in (x1, x2)]
     embedded = [[] for _ in range(r)]     # rows of block b, by y-degree
-    for mono in fkb.numerators:
+    for mono in first_kind:
         terms = (mono * pf).terms
         if len(mono.terms) != 1 or any(a + b >= r for a, b in terms):
             raise Inconsistent("a first-kind numerator is not a monomial whose "
@@ -312,7 +305,7 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
         sol = ff_solve(rows, [dx * q1[b], dx * q2[b]] + [zero] * len(embedded[b]))
         rank += sol.rank
         coeffs.update(((a, b), c) for a, c in enumerate(sol.particular))
-    p = len(fkb)
+    p = len(first_kind)
     if rank != len(monos):
         raise Inconsistent(f"nullspace dimension {len(monos) - rank + p} "
                            f"!= genus {p}")
@@ -320,7 +313,7 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
 
     diff = ParametricDifferential(
         curve=curve, pole1=pole1, pole2=pole2, base_numerator=base,
-        first_kind_numerators=fkb.numerators, section1=section1,
+        first_kind_numerators=first_kind, section1=section1,
         section2=section2, system=system, rank=rank - p)
     diff.certificates = residue_certificates(diff)
     failures = [c for c in diff.certificates if not c["ok"]]
@@ -592,15 +585,15 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
     if elements is None:
         return None
     pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
-    fkb = first_kind_basis(curve)
+    first_kind = first_kind_basis(curve)
     k = len(group.monomials)
     diff = ParametricDifferential(
         curve=curve, pole1=pole1, pole2=pole2,
         base_numerator=BPoly(dict(zip(group.monomials, elements))),
-        first_kind_numerators=fkb.numerators, section1=section1,
+        first_kind_numerators=first_kind, section1=section1,
         section2=section2, system=_symmetrized_system(curve, pole1, pole2),
         rank=group.rank, certificates=[dict(c) for c in group.certificates])
-    return diff, elements[k:k + len(fkb)]
+    return diff, elements[k:k + len(first_kind)]
 
 
 # -- verification bundles ----------------------------------------------------
@@ -608,35 +601,26 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
 
 def vandermonde_equivalence(diff: ParametricDifferential,
                             naive: LinearSystem) -> bool:
-    """Exact check that V_i . (per-point rows) == (symmetrized rows) for both
-    pole abscissas, including the right-hand sides; naive is the per-point
-    system third_kind_system_naive builds for diff's poles."""
+    """Exact check that V_i . (per-point block i) == (symmetrized block i)
+    for both pole abscissas, including the right-hand sides; naive is the
+    per-point system third_kind_system_naive builds for diff's poles."""
     sym = diff.system
     r = diff.curve.r
-    ncols = len(naive.monomials)
-    for i, sec in ((1, diff.section1), (2, diff.section2)):
-        point_rows = {}
-        point_rhs = {}
-        for row, tag, rv in zip(naive.matrix, naive.row_tags, naive.rhs):
-            if tag[1] == i:
-                point_rows[tag[2]] = row
-                point_rhs[tag[2]] = rv
+    if naive.shape != sym.shape:
+        return False
+    for i, sec in enumerate((diff.section1, diff.section2)):
+        block = slice(i * r, (i + 1) * r)
+        # each row with its right-hand side as one more entry
+        point_rows = [[*row, rv] for row, rv in zip(naive.matrix[block], naive.rhs[block])]
+        sym_rows = [[*row, rv] for row, rv in zip(sym.matrix[block], sym.rhs[block])]
         v = vandermonde([pt.y for pt in sec])
-        sym_rows = [(row, rv) for row, tag, rv in zip(sym.matrix, sym.row_tags, sym.rhs)
-                    if tag[1] == i]
         for k in range(r):
-            srow, srhs = sym_rows[k]
-            for c in range(ncols):
+            for c, expected in enumerate(sym_rows[k]):
                 acc = diff.ctx.zero
                 for j in range(r):
                     acc = acc + v[k][j] * point_rows[j][c]
-                if not (acc - srow[c]).is_zero():
+                if not (acc - expected).is_zero():
                     return False
-            acc = diff.ctx.zero
-            for j in range(r):
-                acc = acc + v[k][j] * point_rhs[j]
-            if not (acc - srhs).is_zero():
-                return False
     return True
 
 

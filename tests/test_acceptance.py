@@ -17,7 +17,7 @@ from abeldiff.differentials import (eval_u, haupt_solve,
                                     vandermonde_equivalence, _pole_factor)
 from abeldiff.errors import (AbeldiffError, MultipleRoots, PointNotOnCurve,
                              SameAbscissa, exit_code_for)
-from abeldiff.linsolve import RatMatrix, ff_solve, rank
+from abeldiff.linsolve import ff_solve, rank
 from abeldiff.polys import BPoly, UPoly, is_squarefree, power_sums
 from abeldiff.towers import TowerContext
 from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS
@@ -109,7 +109,7 @@ def test_criterion_4_genus_and_nullspace(cubic, circle, quartic,
     assert circle_diff.parameter_count == 0
     # nullspace == embedded monomial space of degree <= r-3
     sym = cubic_diff.system
-    sol = ff_solve(RatMatrix(sym.matrix), sym.rhs)
+    sol = ff_solve(sym.matrix, sym.rhs)
     pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     embedded = [tuple((m * pf).terms.get(mono, Fraction(0))
                       for mono in sym.monomials)
