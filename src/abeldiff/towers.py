@@ -75,8 +75,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import gcd, lcm
+from itertools import combinations_with_replacement, zip_longest
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 import mpmath as mp
@@ -255,6 +255,23 @@ def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
     if type(v) is int:
         v = v << prec, 0, 0
     return _Disc(*v, den, prec)
+
+
+class _Refined(dict):
+    """Root discs by generator index, each refined below target when it is
+    first read: a ball reads the generators present in its element, and
+    finds them as it sums."""
+
+    __slots__ = ("exts", "target")
+
+    def __init__(self, exts: list, target: mp.mpf):
+        super().__init__()
+        self.exts = exts
+        self.target = target
+
+    def __missing__(self, i: int) -> RootApprox:
+        root = self[i] = self.exts[i].refine_to(self.target)
+        return root
 
 
 class ExtensionDescriptor:
@@ -660,12 +677,10 @@ class TowerElement:
         return Fraction(self.nums[()], self.den)
 
     def present_generators(self) -> list[int]:
-        out: set[int] = set()
-        for key in self.nums:
-            for i, e in enumerate(key):
-                if e:
-                    out.add(i)
-        return sorted(out)
+        """The indices of the generators that occur in some term, in
+        order: one pass over the columns of the exponent keys."""
+        return [i for i, column in enumerate(zip_longest(*self.nums, fillvalue=0))
+                if any(column)]
 
     # -- decisions about the embedded complex value -----------------------
 
@@ -741,10 +756,9 @@ class TowerElement:
     def _ball(self, digits10: int) -> _Disc:
         """A certified disc about the embedded value, computed in integers
         at the working precision of digits10 digits, from every present
-        generator's root refined below 10**-digits10."""
-        target = _ten_to_minus(digits10, mp.mp.prec)
-        exts = self.ctx.extensions
-        roots = {i: exts[i].refine_to(target) for i in self.present_generators()}
+        generator's root refined below 10**-digits10 (when the sum first
+        reads it)."""
+        roots = _Refined(self.ctx.extensions, _ten_to_minus(digits10, mp.mp.prec))
         return _nested_ball(self.nums, self.den, roots, int(digits10 * 3.4) + 40)
 
     def _minimal_polynomial(self) -> list[Fraction]:
@@ -789,16 +803,7 @@ class TowerElement:
         """The center of a certified disc of radius below 10**-digits/2
         about the embedded value, rounded to digits + 5 significant digits;
         printed to digits significant digits, it is the decimal."""
-        scale = 2 * 10 ** digits
-        attempt = 0
-        while True:
-            work = digits + 10 + attempt * 20
-            ball = self._ball(work)
-            if ball.rad * scale < ball.den << ball.prec:
-                return mp.make_mpc(ball.center_parts(dps_to_prec(digits + 5)))
-            attempt += 1
-            if attempt > 8:
-                raise AbeldiffError("approximation did not converge")
+        return _certified(self._ball, digits)
 
     def serialize(self, digits: int | None = None) -> dict:
         gens = self.present_generators()
@@ -822,6 +827,87 @@ class TowerElement:
             return f"TowerElement(~{mp.nstr(v, 8)}; {len(self.nums)} terms)"
         except Exception:
             return f"TowerElement({len(self.nums)} terms)"
+
+
+class Quotient:
+    """An exact algebraic value numerator / denominator, two elements of one
+    context whose denominator embeds to a nonzero number; nothing is ever
+    divided exactly.  Its decimal comes from certified division of the two
+    parts' discs at one working precision (ball division, see
+    _quotient_disc).  Immutable."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: TowerElement, denominator: TowerElement):
+        if numerator.ctx is not denominator.ctx:
+            raise ContextMismatch("quotient parts belong to different tower contexts")
+        if not denominator.nums:
+            raise ZeroDivision("quotient with a zero denominator")
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def is_zero(self) -> bool:
+        """Exact decision, the numerator's: the denominator is nonzero."""
+        return self.numerator.is_zero()
+
+    def approximate(self, digits: int) -> mp.mpc:
+        """As TowerElement.approximate, from the quotient of the parts'
+        discs."""
+        num, den = self.numerator, self.denominator
+        return _certified(lambda work: _quotient_disc(num._ball(work), den._ball(work)),
+                          digits)
+
+    def serialize(self, digits: int | None = None) -> dict:
+        """Both parts in the element form, and with digits the decimal."""
+        doc = {"numerator": self.numerator.serialize(),
+               "denominator": self.denominator.serialize()}
+        if digits:
+            doc["decimal"] = {**decimal_parts(self.approximate(digits), digits),
+                              "digits": digits}
+        return doc
+
+    def __repr__(self):
+        return f"Quotient({self.numerator!r}, {self.denominator!r})"
+
+
+def _certified(ball, digits: int) -> mp.mpc:
+    """The center of the first disc ball(work) of radius below
+    10**-digits/2, over work = digits + 10, digits + 30, ... working digits
+    (nine attempts), rounded to digits + 5 significant digits; ball returns
+    None at a precision that certifies nothing."""
+    scale = 2 * 10 ** digits
+    for attempt in range(9):
+        disc = ball(digits + 10 + attempt * 20)
+        if disc is not None and disc.rad * scale < disc.den << disc.prec:
+            return mp.make_mpc(disc.center_parts(dps_to_prec(digits + 5)))
+    raise AbeldiffError("approximation did not converge")
+
+
+def _quotient_disc(a: _Disc, b: _Disc) -> _Disc | None:
+    """A disc about x/y for every x in a and y in b, at their scale 2^-P
+    over the denominator 1; None while b meets zero.
+
+    With c_a, c_b the centers and r_a, r_b the radii,
+    |x/y - c_a/c_b| <= (r_a + |c_a/c_b| r_b) / (|c_b| - r_b).  In units,
+    with A, B the integer centers, this is
+    2^P b.den (a.rad L + U b.rad) / (a.den L (L - b.rad)) for any
+    U >= |A| and 0 < L <= |B|, rounded upward.  The center is the Gaussian
+    quotient A conj(B) b.den 2^P / (|B|^2 a.den), each part truncated toward
+    zero, under 2 units off in all."""
+    norm = b.re * b.re + b.im * b.im
+    low = isqrt(norm)
+    if low <= b.rad:
+        return None
+    prec = a.prec
+    q = norm * a.den
+    re = (a.re * b.re + a.im * b.im) * b.den << prec
+    im = (a.im * b.re - a.re * b.im) * b.den << prec
+    re = re // q if re >= 0 else -(-re // q)
+    im = im // q if im >= 0 else -(-im // q)
+    high = isqrt(a.re * a.re + a.im * a.im) + 1
+    rad = (a.rad * low + high * b.rad) * b.den << prec
+    rad = -(-rad // (a.den * low * (low - b.rad))) + 2
+    return _Disc(re, im, rad, 1, prec)
 
 
 def decimal_parts(value: mp.mpc, digits: int) -> dict:

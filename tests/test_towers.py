@@ -515,6 +515,110 @@ def test_approximate_lies_within_its_digits_of_the_value():
                 assert abs(v - fine) <= mp.mpf(10) ** -d * max(1, abs(fine))
 
 
+def _one_generator_element(rng, ctx, j, big):
+    """A random nonzero element in the generator t_j alone."""
+    while True:
+        a = TowerElement(ctx, {_key(*[0] * j, e): Fraction(
+            rng.randint(-10**30, 10**30) if big else rng.randint(-5, 5),
+            rng.randint(1, 10**25) if big else rng.randint(1, 4))
+            for e in range(ctx.degrees[j])})
+        if a:
+            return a
+
+
+def test_quotient_disc_contains_the_value_and_prints_the_product_decimal():
+    # the certified division of Quotient against num * den.invert(): every
+    # disc that approximate's attempts would accept holds the product's value
+    # from a ball sum at 3x the working precision, and the decimal is the
+    # product's; denominators in one generator keep their inverses small
+    rng = random.Random(2009)
+    pairs = []
+    for _ in range(6):
+        ctx = _random_context(rng)
+        for big in (False, True):
+            j = rng.randrange(len(ctx))
+            den = _one_generator_element(rng, ctx, j, big)
+            if den.is_zero():
+                continue
+            pairs += [(_one_generator_element(rng, ctx, rng.randrange(len(ctx)), big), den),
+                      (_random_element(rng, ctx, big), den)]
+    # a denominator within 10^-30 of zero: its 15-digit disc meets zero
+    ctx, t = adjoin(_random_context(rng), SQRT2, 1)
+    with mp.workdps(60):
+        tiny = t - Fraction(int(mp.nint(t.approximate(40).real * 10 ** 30)), 10 ** 30)
+    assert not tiny._ball(15).excludes_zero()
+    assert towers._quotient_disc(t._ball(15), tiny._ball(15)) is None
+    pairs += [(t + 1, tiny), (_random_element(rng, ctx, True), tiny)]
+    assert {len(num.present_generators()) for num, _ in pairs} >= {1, 2}
+    for num, den in pairs:
+        q = towers.Quotient(num, den)
+        product = num * den.invert()
+        for digits in (1, 12, 30, 60, 120):
+            accepted = None
+            for attempt in range(9):
+                work = digits + 10 + 20 * attempt
+                disc = towers._quotient_disc(num._ball(work), den._ball(work))
+                if disc is None:
+                    continue
+                if product.terms:
+                    ref = _parent_ball(product, 3 * work)
+                else:
+                    ref = _ParentBall(mp.mpc(0), mp.mpf(0))
+                with mp.workprec(4 * disc.prec):
+                    assert abs(disc.c - ref.c) <= disc.r + ref.r
+                if disc.rad * 2 * 10 ** digits < disc.den << disc.prec:
+                    accepted = disc
+                    break
+            assert accepted is not None
+            assert q.approximate(digits)._mpc_ == \
+                mp.make_mpc(accepted.center_parts(dps_to_prec(digits + 5)))._mpc_
+            assert q.serialize(digits)["decimal"] == product.serialize(digits)["decimal"]
+        assert q.is_zero() == product.is_zero()
+
+
+def test_quotient_disc_holds_the_extreme_quotients_exactly():
+    # x = c_a + r_a u and y = c_b - r_b u c_b/|c_b| for unit u along c_b put
+    # |x/y - c_a/c_b| at its largest: the disc must hold those points, in
+    # Fractions, also when the denominator's disc nearly touches zero
+    rng = random.Random(1974)
+    prec = 64
+    for _ in range(300):
+        den_a, den_b = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        re_b = rng.randint(1, 2**80)
+        rad_b = rng.choice((0, rng.randint(0, re_b - 1), re_b - 1 - rng.randint(0, 3)))
+        a = towers._Disc(rng.randint(-2**80, 2**80), rng.randint(-2**80, 2**80),
+                         rng.randint(0, 2**70), den_a, prec)
+        b = towers._Disc(re_b, 0, rad_b, den_b, prec)
+        disc = towers._quotient_disc(a, b)
+        if isqrt(re_b * re_b) <= rad_b:
+            assert disc is None
+            continue
+        unit = 1 << prec
+        for sign in (1, -1):
+            x_re = Fraction(a.re + sign * a.rad, den_a * unit)
+            y = Fraction(re_b - rad_b, den_b * unit)
+            dx = x_re / y * unit - disc.re
+            dy = Fraction(a.im, den_a * unit) / y * unit - disc.im
+            assert _holds(disc.rad, 0, dx, dy)
+    assert towers._quotient_disc(towers._Disc(1, 0, 0, 1, 0), towers._Disc(3, -4, 5, 1, 0)) is None
+
+
+def test_quotient_serializes_both_parts_in_the_element_form():
+    ctx, r2 = adjoin(TowerContext(), SQRT2, 1)
+    ctx, c = adjoin(ctx, CUBE3, 2)
+    num, den = r2 * c + Fraction(1, 3), 2 * r2 - 1
+    # the parts as serialize prints them before the decimal refines any root
+    parts = {"numerator": num.serialize(), "denominator": den.serialize()}
+    assert towers.Quotient(num, den).serialize() == parts
+    doc = towers.Quotient(num, den).serialize(12)
+    assert doc == {**parts, "decimal": (num * den.invert()).serialize(12)["decimal"]}
+    assert list(doc) == ["numerator", "denominator", "decimal"]
+    with pytest.raises(ZeroDivision):
+        towers.Quotient(num, ctx.zero)
+    with pytest.raises(ContextMismatch):
+        towers.Quotient(num, TowerContext().one)
+
+
 def _exact(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
