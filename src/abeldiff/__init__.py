@@ -18,13 +18,13 @@ from .parser import format_bpoly, parse_poly
 from .polys import (BPoly, UPoly, is_squarefree, poly_gcd, power_sums,
                     resultant, resultant_y)
 from .roots import isolate_roots, separation_bound
-from .towers import TowerContext, TowerElement, adjoin, eval_bpoly
+from .towers import Quotient, TowerContext, TowerElement, adjoin, eval_bpoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BPoly", "Curve", "HauptResult", "LinearSystem", "LocalSeries",
-    "ParametricDifferential", "Point", "SmoothnessReport", "SolveResult",
+    "ParametricDifferential", "Point", "Quotient", "SmoothnessReport", "SolveResult",
     "TowerContext", "TowerElement", "UPoly", "adjoin", "eval_bpoly", "eval_u",
     "ff_solve", "first_kind_basis", "format_bpoly", "haupt_solve",
     "is_squarefree", "isolate_roots", "parse_poly", "poly_gcd", "power_sums",

@@ -34,11 +34,13 @@ it.
 Every condition is stated on the numerator E, never on the rational
 function u = E / ((x - x1)(x2 - x) f_y): f_y is a unit at every point of a
 square-free section, and haupt_solve checks it nonzero exactly at every
-auxiliary pole, so f_y changes no condition and is inverted only where a
-value is returned.  Every constructed differential is certified fail-closed
-by an independent residue oracle: at each section point p over a pole
-abscissa it checks f_y(p) != 0 exactly, so the residue there is
-sign * E(p) / ((x2 - x1) f_y(p)), and checks exactly that
+auxiliary pole, so f_y changes no condition.  Nor is it inverted where a
+value is returned: eval_u checks it nonzero exactly there too and returns u
+as a towers.Quotient, E(p) over (p.x - x1)(x2 - p.x) f_y(p), whose decimal
+comes from certified ball division.  Every constructed differential is
+certified fail-closed by an independent residue oracle: at each section
+point p over a pole abscissa it checks f_y(p) != 0 exactly, so the residue
+there is sign * E(p) / ((x2 - x1) f_y(p)), and checks exactly that
 E(p) - sign * expected * (x2 - x1) f_y(p) vanishes, which inverts
 nothing.  The fundamental function needs the assigned numerator
 E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values: it fixes
@@ -74,8 +76,8 @@ from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
 from .linsolve import ff_solve, vandermonde
 from .polys import BPoly, UPoly, power_sums
-from .towers import (Detached, TowerContext, TowerElement, attach, detach,
-                     eval_bpoly)
+from .towers import (Detached, Quotient, TowerContext, TowerElement, attach,
+                     detach, eval_bpoly)
 
 
 def monomials_upto(d: int) -> list[tuple[int, int]]:
@@ -412,12 +414,13 @@ def _combination(diff: ParametricDifferential, params, values) -> TowerElement:
 
 
 def eval_u(diff: ParametricDifferential, point: Point,
-           params=None) -> TowerElement:
+           params=None) -> Quotient:
     """Exact value of the rational function u at a point away from the pole
-    abscissas, for the parameters c_k (all zero by default):
+    abscissas, for the parameters c_k (all zero by default), as the quotient
     (E_base(p) + w sum_k c_k m_k(p)) / (w f_y(p)), w = (p.x - x1)(x2 - p.x),
-    from the values of the base and first-kind numerators at the point.
-    ValueError when the parameter count is not the genus."""
+    from the values of the base and first-kind numerators at the point:
+    f_y(p) is checked nonzero exactly (EvaluationAtPole otherwise) and never
+    inverted.  ValueError when the parameter count is not the genus."""
     if point.x == diff.pole1.x or point.x == diff.pole2.x:
         raise EvaluationAtPole(f"x = {point.x} is a pole abscissa")
     fyv = diff.curve.fy_at(point)
@@ -427,7 +430,7 @@ def eval_u(diff: ParametricDifferential, point: Point,
     num = eval_bpoly(diff.base_numerator, point.x, point.y)
     if params is not None:
         num = num + w * _combination(diff, params, _first_kind_at(diff, point))
-    return num * (w * fyv).invert()
+    return Quotient(num, w * fyv)
 
 
 # -- fundamental function ---------------------------------------------------
@@ -435,7 +438,10 @@ def eval_u(diff: ParametricDifferential, point: Point,
 
 @dataclass
 class HauptResult:
-    value: TowerElement
+    """The fundamental function's value, an exact quotient that eval_u
+    returns, and the parameters c_k that fix it."""
+
+    value: Quotient
     parameters: list
 
 
@@ -456,7 +462,9 @@ def haupt_solve(diff: ParametricDifferential, p_prime: Point,
     and once at p_prime.  The vanishing of E at every auxiliary pole is then
     checked exactly on those values, rhs_q - sum_k c_k m_k(q) =
     -E(q) / ((q.x - x1)(x2 - q.x)) = 0 (VerificationFailed otherwise).  The
-    result carries the determined parameters alongside the value.
+    value is eval_u's exact quotient at p_prime, so the parameter solve's
+    pivots are the only inversions, and the result carries the determined
+    parameters alongside it.
 
     params, when given, are the parameters that an earlier solve for the
     same differential and auxiliary poles found and checked (see rebind):

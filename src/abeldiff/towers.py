@@ -51,6 +51,11 @@ that context; the 0.0 test compares |part| with a threshold kept per digits;
 and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
 A generator's record (modulus, root id, root center to 20 digits) is built
 once per root record and copied out.
+A Quotient keeps a value as a numerator and a nonzero denominator and never
+divides: its decimal comes from ball division of the two parts' discs at
+one working precision, |a/b - c_a/c_b| <= (r_a + |c_a/c_b| r_b)/(|c_b| - r_b)
+(van der Hoeven, "Ball arithmetic", 2009), in the same loop of rising
+precisions that an element's decimal takes.
 is_zero decides in four exact stages, cheapest first: the syntactic test on
 the reduced form; the normal form modulo the Cauchy modules of the element's
 generators, which proves the identities that hold because generators sharing
@@ -265,7 +270,6 @@ class _Refined(dict):
     __slots__ = ("exts", "target")
 
     def __init__(self, exts: list, target: mp.mpf):
-        super().__init__()
         self.exts = exts
         self.target = target
 
@@ -865,9 +869,6 @@ class Quotient:
             doc["decimal"] = {**decimal_parts(self.approximate(digits), digits),
                               "digits": digits}
         return doc
-
-    def __repr__(self):
-        return f"Quotient({self.numerator!r}, {self.denominator!r})"
 
 
 def _certified(ball, digits: int) -> mp.mpc:

@@ -13,6 +13,7 @@ from abeldiff import cli, differentials, roots
 from abeldiff.curves import Curve
 from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
                              exit_code_for)
+from abeldiff.towers import TowerElement
 
 CUBIC = "x^3-y^3+2*x*y+x-2*y+1"
 CIRCLE = "x^2+y^2-1"
@@ -117,7 +118,8 @@ def test_haupt_command(capsys):
                                    "--digits", "30"])
     assert code == 0
     assert "decimal" in doc["haupt"]["value"]
-    assert doc["haupt"]["value"]["generators"]
+    assert doc["haupt"]["value"]["numerator"]["generators"]
+    assert doc["haupt"]["value"]["denominator"]["generators"]
     assert all(v["ok"] for v in doc["verification"])
 
 
@@ -383,14 +385,16 @@ def test_no_decimal_prints_digits_below_its_certified_error(capsys):
 # "stats" removed, and re-serialized with indent=2: the layout the CLI prints
 # the document in does not enter the digest.  A change that keeps the parsed
 # document identical leaves these as they are; one that changes the document
-# on purpose records the new digests.
+# on purpose records the new digests.  (The answered haupt entries were
+# re-recorded when haupt.value became a numerator, a denominator and the
+# decimal of their quotient.)
 DIGESTS = {
     "verify -f x^2+y^2-1 --x1 0 --x2 1/2":
         "9495dab5d8ac78a4090e45e362426ae3981a062f48d3957543b483cb273334a3",
     "third-kind -f x^3-y^3+2*x*y+x-2*y+1 --x1 0 --x2 1":
         "d53c8e8f0dc358aeaf5816b0bc08b75d0ba5992d48c223fe969ce2032a2ed6b5",
     "haupt -f x^3-y^3+2*x*y+x-2*y+1 --x1 0 --x2 1 --xp 3 --a 2":
-        "4f44a1e210807f3bef174ed55d8bd977ce8820a38df7c4624b52323f83a29c22",
+        "2ae758eaa43cf71633d54feab73b35b2df2379cfbec3f8db15842175b7b44539",
     "third-kind -f x^4+y^4-1 --x1 2 --x2 3":
         "80e47b4eece7d555ae41bcdb0a0e45bc57d1e6f5fbdc2df3654f377705dbf52a",
     "third-kind -f x^2+y^2-1 --x1 0 --x2 1/2 --root1 5":
@@ -400,9 +404,9 @@ DIGESTS = {
         "b1aaa7a9f443cd77de6c78cec0da35652898fde59c8b03a9f2d66477e20f5c3d",
     f"haupt -f {DENSE_QUARTIC} --x1=1/3 --x2=5/2 --xp=0 --a=-2/3 --a=7/3 --a=3 "
     "--digits 60":
-        "2c2ba799802d6010b9b953a01abac10cb4e483207e5060bb615f96ff45853a44",
+        "27ef9a8e08b60c3bcc949dc95ec53028d7005b7cd7bd9f4833dce2056195a4b9",
     "haupt -f x^4+y^4-1 --x1 0 --x2 2 --xp 3 --a 4 --a 5 --a 6":
-        "93afc582e4333ddc8458c505208ed2262dbb01566dee9f39515b5ff8645a876a",
+        "f93579cc127e5d7ad7d6f08d5b2bb9b9e6fd299df032a68a44e779a151249186",
     # section ordinates with exactly-zero real parts, and a septic
     "third-kind -f x^2+y^2-1 --x1=-4 --x2=6 --digits 30":
         "7cb87a2596b9d5f7ed72b3b5503f2bc1bf9f9aec315dd965f08ae6fbf8d3b6dd",
@@ -415,7 +419,7 @@ DIGESTS = {
     # a genus-3 haupt value with 227 terms in six generators, and a quartic
     # verify (both recorded before evaluation was nested)
     "haupt -f x^4+y^4-1 --x1=7 --x2=6 --xp=7/3 --a=-5/2 --a=3/2 --a=-4 --digits 60":
-        "da77974cda759e252ff0ea00693b51c3b068edd394ed970eb0c35deff0420642",
+        "ccf6eb0c945becef46fc79d9b6a80534452aa73ac2e10e4a332dff3086bcdc77",
     "verify -f x^4+y^4-1 --x1=2 --x2=3 --digits 30":
         "f63c418c9889b117a8e8b36254e1be09c0ce57292fdc7c9db7207d409eba551a",
     # residue certificates at a quintic's ten section points, and a cubic
@@ -486,6 +490,25 @@ def test_a_later_request_of_a_haupt_group_reuses_its_solve(capsys, monkeypatch):
     assert calls == {"third_kind": 1, "_solve_tower": 1, "haupt_solve": 1}
     assert _document(capsys, group + ["--xp", "5"]) == cold
     assert calls == {"third_kind": 1, "_solve_tower": 1, "haupt_solve": 2}
+
+
+def test_a_rebound_haupt_request_inverts_nothing(capsys, monkeypatch):
+    # the parameter solve's pivots are the only inversions of a haupt
+    # request, and a rebound group skips the solve; the value is a quotient
+    group = ["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2",
+             "--a", "4", "--a", "5", "--a", "6", "--digits", "60"]
+    _cold(capsys, group + ["--xp", "7"])
+    assert len(differentials._groups) == 1
+    calls = []
+    real_invert = TowerElement.invert
+
+    def counted(self):
+        calls.append(self)
+        return real_invert(self)
+    monkeypatch.setattr(TowerElement, "invert", counted)
+    doc = _document(capsys, group + ["--xp", "3"])
+    assert doc["haupt"]["value"]["decimal"]
+    assert calls == []
 
 
 # x^4+y^4-1 has one section polynomial over x and -x: --xp=-1/2 adjoins no
