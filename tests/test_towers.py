@@ -577,9 +577,9 @@ def test_quotient_disc_contains_the_value_and_prints_the_product_decimal():
 
 
 def test_quotient_disc_holds_the_extreme_quotients_exactly():
-    # x = c_a + r_a u and y = c_b - r_b u c_b/|c_b| for unit u along c_b put
-    # |x/y - c_a/c_b| at its largest: the disc must hold those points, in
-    # Fractions, also when the denominator's disc nearly touches zero
+    # x = c_a +- r_a and y = c_b - r_b, the point of b's disc nearest zero
+    # (c_b > 0), lie in the discs: the quotient disc must hold x/y, decided
+    # in Fractions, also when b's disc nearly touches zero
     rng = random.Random(1974)
     prec = 64
     for _ in range(300):
