@@ -127,7 +127,8 @@ class Curve:
     def local_series(self, p: "Point", order: int) -> "LocalSeries":
         """Uniformization y = y0 + c1 t + ... + cn t^n with x = x0 + t.
 
-        Each coefficient solves a linear equation whose pivot is f_y(p), so
+        Coefficient m is -[t^m] f(x0 + t, y0 + c1 t + ... + c_(m-1) t^(m-1))
+        / f_y(p), the polynomial evaluated by BPoly.eval at UPoly values, so
         the point must not sit on a vertical tangent; that is checked exactly
         at every order, and f_y(p) is inverted only when order >= 1.  The
         pivot is kept on the result as fy.
@@ -138,9 +139,10 @@ class Curve:
         coeffs: list[TowerElement] = []
         if order >= 1:
             inv = fyv.invert()
+            x = UPoly([p.x, 1])
         for m in range(1, order + 1):
-            res = _series_eval(self.f, p.x, [p.y] + coeffs, m)[m]
-            coeffs.append(-res * inv)
+            res = self.f.eval(x, UPoly([p.y] + coeffs)).coeffs
+            coeffs.append(-(res[m] if m < len(res) else 0) * inv)
         return LocalSeries(p, tuple(coeffs), order, fyv)
 
     def __repr__(self):
@@ -197,43 +199,6 @@ class LocalSeries:
     coefficients: tuple
     order: int
     fy: TowerElement
-
-
-# -- truncated series ------------------------------------------------------
-
-
-def _trunc_mul(a: list, b: list, order: int) -> list:
-    out = [Fraction(0)] * (order + 1)
-    for i, av in enumerate(a):
-        if i > order or not av:
-            continue
-        for j, bv in enumerate(b):
-            if i + j > order:
-                break
-            if bv:
-                out[i + j] = out[i + j] + av * bv
-    return out
-
-
-def _series_eval(f: BPoly, x0: Fraction, ycoeffs: list, order: int) -> list:
-    """Coefficients of f(x0 + t, y(t)) up to t^order, where y(t) has the
-    given coefficients (constant term first)."""
-    xs = [x0, Fraction(1)]
-    xpow: dict[int, list] = {0: [Fraction(1)]}
-    ypow: dict[int, list] = {0: [Fraction(1)]}
-
-    def _p(cache, base, e):
-        if e not in cache:
-            cache[e] = _trunc_mul(_p(cache, base, e - 1), base, order)
-        return cache[e]
-
-    acc = [Fraction(0)] * (order + 1)
-    for (i, j), c in sorted(f.terms.items()):
-        term = _trunc_mul(_p(xpow, xs, i), _p(ypow, ycoeffs, j), order)
-        for k in range(min(len(term), order + 1)):
-            if term[k]:
-                acc[k] = acc[k] + c * term[k]
-    return acc
 
 
 # -- exact smoothness ------------------------------------------------------

@@ -37,7 +37,8 @@ square-free section, and haupt_solve checks it nonzero exactly at every
 auxiliary pole, so f_y changes no condition.  Nor is it inverted where a
 value is returned: eval_u checks it nonzero exactly there too and returns u
 as a towers.Quotient, E(p) over (p.x - x1)(x2 - p.x) f_y(p), whose decimal
-comes from certified ball division.  Every constructed differential is
+comes from certified ball division, and residue_at returns the residue as
+one, sign * E(p) over (x2 - x1) f_y(p).  Every constructed differential is
 certified fail-closed by an independent residue oracle: at each section
 point p over a pole abscissa it checks f_y(p) != 0 exactly, so the residue
 there is sign * E(p) / ((x2 - x1) f_y(p)), and checks exactly that
@@ -329,17 +330,15 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
 
 
 def _residue_terms(diff: ParametricDifferential, point: Point):
-    """(sign, E(point), den) for a section point over either pole abscissa:
-    the residue there is sign * E(point) / den(), den() = (x2 - x1) *
-    f_y(point).
+    """(sign, E(point), f_y(point)) for a section point over either pole
+    abscissa: the residue there is sign * E(point) / ((x2 - x1) *
+    f_y(point)).
 
     With x = x0 + t the denominator of the differential is t * D1(t) with
     D1(0) = (x2 - x1) * f_y(point), and f_y(point) != 0 is checked exactly
     first (VerticalTangent), so the pole is simple.  E is the base
     numerator: the first-kind terms of an assigned numerator vanish over
-    both pole abscissas, so every assignment has these residues.  den is
-    evaluated only when called, from the f_y(point) that the check
-    computed.
+    both pole abscissas, so every assignment has these residues.
     """
     x1, x2 = diff.pole1.x, diff.pole2.x
     if point.x == x1:
@@ -350,15 +349,16 @@ def _residue_terms(diff: ParametricDifferential, point: Point):
         raise ValueError("residue_at expects a point over a pole abscissa")
     fyv = diff.curve.local_series(point, 0).fy  # raises VerticalTangent
     num = eval_bpoly(diff.base_numerator, point.x, point.y)
-    return sign, num, lambda: (x2 - x1) * fyv
+    return sign, num, fyv
 
 
-def residue_at(diff: ParametricDifferential, point: Point) -> TowerElement:
+def residue_at(diff: ParametricDifferential, point: Point) -> Quotient:
     """Residue of the differential at a section point over either pole
-    abscissa, computed independently of the construction:
-    sign * E(point) / ((x2 - x1) * f_y(point)) (see _residue_terms)."""
-    sign, num, den = _residue_terms(diff, point)
-    return sign * (num * den().invert())
+    abscissa, computed independently of the construction, as the quotient
+    sign * E(point) / ((x2 - x1) * f_y(point)) (see _residue_terms); nothing
+    is inverted."""
+    sign, num, fyv = _residue_terms(diff, point)
+    return Quotient(sign * num, (diff.pole2.x - diff.pole1.x) * fyv)
 
 
 def residue_certificates(diff: ParametricDifferential) -> list[dict]:
@@ -377,6 +377,7 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     out = []
     expected_total = 0
     all_ok = True
+    width = diff.pole2.x - diff.pole1.x
     for sec, pole in ((diff.section1, diff.pole1), (diff.section2, diff.pole2)):
         for rid, pt in enumerate(sec):
             expected = 0
@@ -384,8 +385,8 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
                 expected = 1
             elif pt is diff.pole2:
                 expected = -1
-            sign, num, den = _residue_terms(diff, pt)
-            ok = (num - sign * expected * den() if expected else num).is_zero()
+            sign, num, fyv = _residue_terms(diff, pt)
+            ok = (num - sign * expected * (width * fyv) if expected else num).is_zero()
             all_ok = all_ok and ok
             expected_total += expected
             out.append({

@@ -361,6 +361,7 @@ class _Isolator:
         self._re_gap = gap
         return gap
 
+    @mp.workprec(53)  # mpmath's default; the memo is keyed by the polynomial alone
     def run(self) -> list[RootApprox]:
         prec = 80
         sep8 = _half_mpf(self.sep / 4)

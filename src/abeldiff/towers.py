@@ -61,12 +61,12 @@ the reduced form; the normal form modulo the Cauchy modules of the element's
 generators, which proves the identities that hold because generators sharing
 a modulus denote distinct roots of it (sums over a section are symmetric
 functions of its roots); a certified disc that excludes zero; and, where
-none of those decides, the minimal polynomial of the multiplication
-operator.  Stored elements are only ever reduced by the individual moduli,
-so the Cauchy modules change no representation.  Moduli are never factored
-and no absolute minimal polynomial is ever computed; reducible moduli only
-surface when a zero divisor is inverted, which raises NotInvertible with a
-witness factor.
+none of those decides, the element's minimal polynomial, the first linear
+dependence among its powers (linsolve.ff_solve).  Stored elements are only
+ever reduced by the individual moduli, so the Cauchy modules change no
+representation.  Moduli are never factored and no absolute minimal
+polynomial is ever computed; reducible moduli only surface when a zero
+divisor is inverted, which raises NotInvertible with a witness factor.
 
 detach takes elements out of their context: numerators over a table that
 names each generator by its monic modulus and root id.  attach rebinds them
@@ -90,6 +90,7 @@ from mpmath.libmp import (dps_to_prec, from_rational, mpf_abs, mpf_lt, mpf_pos,
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
+from .linsolve import ff_solve
 from .polys import BPoly, UPoly
 from .roots import RootApprox, isolate_roots, refine_root
 
@@ -767,41 +768,30 @@ class TowerElement:
 
     def _minimal_polynomial(self) -> list[Fraction]:
         """Minimal polynomial of the element over Q, monic, coefficients
-        lowest degree first.
-
-        Krylov iteration on the powers 1, a, a^2, ...: the first linear
-        dependence over Q gives the minimal polynomial.  Moduli are
-        square-free, so the ring is a product of number fields and the
-        minimal polynomial is exactly prod (z - v) over the distinct values
-        v the element takes across all embeddings; its degree is usually
-        far below the subring dimension.
+        lowest degree first: the first linear dependence among the powers
+        1, a, a^2, ...  Their integer numerators are the columns of a
+        homogeneous system, solved by linsolve.ff_solve with the number of
+        powers doubled until it has a nullspace; its first vector w belongs
+        to the first free column k, is 1 there and zero past it, so
+        mu_j = w_j den_j / den_k, den_j the denominator of a^j.  Moduli are
+        square-free, so the ring is a product of number fields and mu is
+        prod (z - v) over the distinct values v the element takes across
+        all embeddings, usually of degree far below the subring dimension.
         """
-        echelon: list[tuple[tuple, dict, list[Fraction]]] = []
-        power = self.ctx.one
-        k = 0
+        powers = [self.ctx.one, self]
         while True:
-            row = dict(power.terms)
-            combo = [Fraction(0)] * k + [Fraction(1)]
-            for piv, brow, bcombo in echelon:
-                v = row.get(piv)
-                if not v:
-                    continue
-                f = v / brow[piv]
-                for kk, vv in brow.items():
-                    nv = row.get(kk, Fraction(0)) - f * vv
-                    if nv:
-                        row[kk] = nv
-                    else:
-                        row.pop(kk, None)
-                for i, c in enumerate(bcombo):
-                    if c:
-                        combo[i] -= f * c
-            if not row:
-                return combo
-            piv = min(row)
-            echelon.append((piv, row, combo))
-            power = power * self
-            k += 1
+            # rows in key order: hash order can make the elimination far slower
+            keys = sorted(set().union(*(p.nums for p in powers)))
+            rows = [[p.nums.get(k, 0) for p in powers] for k in keys]
+            nullspace = ff_solve(rows, [0] * len(rows)).nullspace
+            if nullspace:
+                w = list(nullspace[0])
+                while not w[-1]:
+                    w.pop()
+                top = powers[len(w) - 1].den
+                return [c * Fraction(p.den, top) for c, p in zip(w, powers)]
+            for _ in range(len(powers)):
+                powers.append(powers[-1] * self)
 
     def approximate(self, digits: int) -> mp.mpc:
         """The center of a certified disc of radius below 10**-digits/2

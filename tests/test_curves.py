@@ -301,6 +301,68 @@ def test_local_series_residual_order(cubic):
     assert not (c4.is_zero() if hasattr(c4, "is_zero") else c4 == 0)
 
 
+def _trunc_mul(a, b, order):
+    """The product of two coefficient lists, truncated past t^order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, av in enumerate(a):
+        if i > order or not av:
+            continue
+        for j, bv in enumerate(b):
+            if i + j > order:
+                break
+            if bv:
+                out[i + j] = out[i + j] + av * bv
+    return out
+
+
+def _series_eval(f, x0, ycoeffs, order):
+    """Coefficients of f(x0 + t, y(t)) up to t^order by truncated products,
+    as local_series first computed them; y(t) has the given coefficients,
+    constant term first."""
+    xs = [x0, Fraction(1)]
+    xpow = {0: [Fraction(1)]}
+    ypow = {0: [Fraction(1)]}
+
+    def _p(cache, base, e):
+        if e not in cache:
+            cache[e] = _trunc_mul(_p(cache, base, e - 1), base, order)
+        return cache[e]
+
+    acc = [Fraction(0)] * (order + 1)
+    for (i, j), c in sorted(f.terms.items()):
+        term = _trunc_mul(_p(xpow, xs, i), _p(ypow, ycoeffs, j), order)
+        for k in range(min(len(term), order + 1)):
+            if term[k]:
+                acc[k] = acc[k] + c * term[k]
+    return acc
+
+
+def test_local_series_matches_the_truncated_products():
+    # seeded smooth curves of degree 2 to 5, random rational abscissas and
+    # root ids, orders 1 to 5: the same coefficients, element for element
+    rng = random.Random(2812)
+    for d in range(2, 6):
+        for order in range(1, 6):
+            while True:
+                terms = {(i, j): rng.randint(-3, 3)
+                         for i in range(d + 1) for j in range(d + 1 - i)}
+                terms[d, 0] = terms[0, d] = 1
+                x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                try:
+                    curve = Curve(BPoly(terms))
+                    p = curve.section_roots(x0, TowerContext())[rng.randrange(d)]
+                    series = curve.local_series(p, order)
+                except (NotSmooth, DegreeDrop, MultipleRoots, VerticalTangent):
+                    continue
+                break
+            inv = series.fy.invert()
+            expected = []
+            for m in range(1, order + 1):
+                res = _series_eval(curve.f, p.x, [p.y] + expected, m)[m]
+                expected.append(-res * inv)
+            assert list(series.coefficients) == expected
+
+
 def test_local_series_vertical_tangent():
     circle = Curve(BPoly(CIRCLE_TERMS))
     pt = Point(circle, 1, TowerContext().constant(0))

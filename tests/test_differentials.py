@@ -196,9 +196,15 @@ def test_residues_conic(circle_diff):
     assert all(c["ok"] for c in residue_certificates(circle_diff))
 
 
+def _residue_is(diff, point, value):
+    """Whether residue_at(diff, point) equals value, cross-multiplied."""
+    r = residue_at(diff, point)
+    return (r.numerator - value * r.denominator).is_zero()
+
+
 def test_residue_values_at_poles(cubic_diff):
-    assert (residue_at(cubic_diff, cubic_diff.pole1) - 1).is_zero()
-    assert (residue_at(cubic_diff, cubic_diff.pole2) + 1).is_zero()
+    assert _residue_is(cubic_diff, cubic_diff.pole1, 1)
+    assert _residue_is(cubic_diff, cubic_diff.pole2, -1)
 
 
 def test_residue_zero_at_non_pole_points(cubic_diff):
@@ -211,10 +217,10 @@ def test_residue_zero_at_non_pole_points(cubic_diff):
 def test_swapped_poles_negate_residues(cubic, cubic_setup):
     _, p1, p2 = cubic_setup
     swapped = third_kind(cubic, p2, p1)
-    assert (residue_at(swapped, swapped.pole1) - 1).is_zero()
+    assert _residue_is(swapped, swapped.pole1, 1)
     # pole1 of the swapped family is the old pole2
     assert swapped.pole1.x == p2.x
-    assert (residue_at(swapped, swapped.pole2) + 1).is_zero()
+    assert _residue_is(swapped, swapped.pole2, -1)
 
 
 def test_particular_solution_satisfies_naive_system(cubic_diff):
@@ -485,7 +491,7 @@ def test_division_free_verdicts_match_the_residues(text, x1, x2):
         certs = residue_certificates(d)[:-1]
         assert [c["ok"] for c in certs] == verdicts
         for pt, cert in zip(points, certs):
-            assert cert["ok"] == (residue_at(d, pt) - cert["expected"]).is_zero()
+            assert cert["ok"] == _residue_is(d, pt, cert["expected"])
 
 
 def test_third_kind_inverts_nothing(monkeypatch):

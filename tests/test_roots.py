@@ -221,6 +221,23 @@ def test_isolation_cache_is_bounded_and_hands_out_the_shared_records():
     assert roots_mod._isolated.cache_info().hits >= 1
 
 
+def test_isolation_does_not_depend_on_the_global_precision():
+    # the memo is keyed by the polynomial alone, so a record isolated under
+    # a raised mpmath precision must be bit for bit the default one
+    def isolated(coeffs):
+        roots_mod._isolated.cache_clear()
+        return [(r.index, r.center._mpc_, r.radius._mpf_, r.prec, r.conj_index)
+                for r in isolate_roots(UPoly(coeffs))]
+
+    polys = [[-3, 0, 0, 1], [1, 1, 1], [-2, 4, -3, 1], [-1, 2, 0, 1], [-1, 0, 0, 0, 0, 1]]
+    try:
+        with mp.workprec(200):
+            raised = [isolated(c) for c in polys]
+        assert raised == [isolated(c) for c in polys]
+    finally:
+        roots_mod._isolated.cache_clear()
+
+
 def _records(coeffs):
     """Isolation records of coeffs, or the error that ended the isolation."""
     try:

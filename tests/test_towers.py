@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import mpmath as mp
 import pytest
@@ -995,6 +995,68 @@ def test_is_zero_cauchy_agrees_with_reference_on_nonmonic_moduli(monkeypatch):
         assert cauchy == reference
     monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
     assert all(e.is_zero() for e in cauchy_zeros)
+
+
+def _minimal_polynomial_by_echelon(a):
+    """TowerElement._minimal_polynomial as it was first written: its own
+    echelon over Fractions, grown one power 1, a, a^2, ... at a time, each
+    reduced by the rows before it while its combination of the powers is
+    tracked; the combination of the first power that reduces to nothing is
+    the monic minimal polynomial."""
+    echelon = []
+    power = a.ctx.one
+    k = 0
+    while True:
+        row = dict(power.terms)
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for piv, brow, bcombo in echelon:
+            v = row.get(piv)
+            if not v:
+                continue
+            f = v / brow[piv]
+            for kk, vv in brow.items():
+                nv = row.get(kk, Fraction(0)) - f * vv
+                if nv:
+                    row[kk] = nv
+                else:
+                    row.pop(kk, None)
+            for i, c in enumerate(bcombo):
+                if c:
+                    combo[i] -= f * c
+        if not row:
+            return combo
+        piv = min(row)
+        echelon.append((piv, row, combo))
+        power = power * a
+        k += 1
+
+
+def test_minimal_polynomial_matches_the_echelon():
+    # random elements of 1 to 3 generators, generators sharing one modulus
+    # with distinct roots, a reducible modulus, a rational element and zero
+    rng = random.Random(2811)
+    elements = []
+    while len(elements) < 24:
+        ctx = _random_context(rng)
+        if len(ctx) > 3 or prod(ctx.degrees) > 12:
+            continue
+        elements += [_random_element(rng, ctx, False) for _ in range(2)]
+    section = UPoly([-1, 2, 0, 1])
+    ctx, s0 = adjoin(TowerContext(), section, 0)
+    ctx, s2 = adjoin(ctx, section, 2)
+    elements += [s0 - s2, s0 * s2 + 1, s0 + s2 + 3 * s0 * s2,
+                 _random_element(rng, ctx, False)]
+    reducible = UPoly([-1, 1, -1, 1])  # (t - 1)(t^2 + 1)
+    for rid in range(3):
+        ctx, t = adjoin(TowerContext(), reducible, rid)
+        elements += [t - 1, t * t + 1, t * t - 2 * t + Fraction(1, 3)]
+    elements += [ctx.constant(Fraction(-7, 3)), ctx.zero]
+    assert {len(a.present_generators()) for a in elements} >= {0, 1, 2, 3}
+    for a in elements:
+        mu = a._minimal_polynomial()
+        assert mu == _minimal_polynomial_by_echelon(a)
+        assert mu[-1] == 1
+        assert not sum((c * a ** k for k, c in enumerate(mu)), a.ctx.zero)
 
 
 def test_is_zero_rejects_minimal_polynomial_with_double_root_at_zero(monkeypatch):
