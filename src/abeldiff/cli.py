@@ -22,7 +22,6 @@ import re
 import signal
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import differentials as diffs
@@ -55,27 +54,11 @@ def _rational(text: str) -> Fraction:
     return Fraction(literal)
 
 
-@dataclass
-class Request:
-    command: str
-    curve: str
-    x1: str | None = None
-    x2: str | None = None
-    xp: str | None = None
-    a: list[str] | None = None
-    root1: int = 0
-    root2: int = 0
-    rootp: int = 0
-    roota: list[int] | None = None
-    digits: int = 50
-    json_mode: bool = False
-    assume_smooth: bool = False
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared: parse_args
-    leaves it unchanged, and _request copies the lists it returns."""
+    leaves it unchanged, and the append actions copy their default lists
+    before appending.  Every command's namespace has every point field."""
     ap = argparse.ArgumentParser(
         prog="abeldiff",
         description="Exact Abelian differentials of the first and third kind "
@@ -90,31 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", dest="json_mode")
         p.add_argument("--assume-smooth", action="store_true")
         p.add_argument("--digits", type=int, default=50)
+        p.set_defaults(x1=None, x2=None, xp=None, a=[], root1=0, root2=0,
+                       rootp=0, roota=[])
         if need_points:
             p.add_argument("--x1", required=True)
             p.add_argument("--x2", required=True)
-            p.add_argument("--root1", type=int, default=0)
-            p.add_argument("--root2", type=int, default=0)
+            p.add_argument("--root1", type=int)
+            p.add_argument("--root2", type=int)
         if name == "haupt":
             p.add_argument("--xp", required=True,
                            help="abscissa of the evaluation point")
-            p.add_argument("--rootp", type=int, default=0)
-            p.add_argument("--a", action="append", default=[],
+            p.add_argument("--rootp", type=int)
+            p.add_argument("--a", action="append",
                            help="auxiliary pole abscissa (repeat per pole)")
-            p.add_argument("--roota", action="append", type=int, default=[])
+            p.add_argument("--roota", action="append", type=int)
     return ap
-
-
-def _request(args: argparse.Namespace) -> Request:
-    return Request(
-        command=args.command, curve=args.curve,
-        x1=getattr(args, "x1", None), x2=getattr(args, "x2", None),
-        xp=getattr(args, "xp", None), a=list(getattr(args, "a", []) or []),
-        root1=getattr(args, "root1", 0), root2=getattr(args, "root2", 0),
-        rootp=getattr(args, "rootp", 0),
-        roota=list(getattr(args, "roota", []) or []),
-        digits=args.digits, json_mode=args.json_mode,
-        assume_smooth=args.assume_smooth)
 
 
 def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
@@ -133,7 +106,8 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
     return pt
 
 
-def _haupt(curve: Curve, ctx: TowerContext, req: Request, p1, p2, doc_roots: dict):
+def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
+           doc_roots: dict):
     """(differential, auxiliary points, result) of a haupt request.
 
     The differential and its parameters depend on the curve, the poles and
@@ -149,16 +123,15 @@ def _haupt(curve: Curve, ctx: TowerContext, req: Request, p1, p2, doc_roots: dic
     the sections over --x1, --x2 and the --a take by themselves.  A request
     whose --xp section puts them in another order cannot rebind the group
     (differentials.rebind returns None) and solves afresh."""
-    roota = list(req.roota or [])
-    roota += [0] * (len(req.a or []) - len(roota))
-    key = (curve.f, p1.x, req.root1, p2.x, req.root2, tuple(req.a or []), tuple(roota))
+    roota = req.roota + [0] * (len(req.a) - len(req.roota))
+    key = (curve.f, p1.x, req.root1, p2.x, req.root2, tuple(req.a), tuple(roota))
     group = diffs.recall(key)
     d = diffs.third_kind(curve, p1, p2) if group is None else None
     before = len(ctx)
     pp = _chosen_point(curve, ctx, req.xp, req.rootp, "xp", doc_roots)
     by_xp = range(before, len(ctx))
     poles = [_chosen_point(curve, ctx, ax, ar, f"a{i + 1}", doc_roots)
-             for i, (ax, ar) in enumerate(zip(req.a or [], roota))]
+             for i, (ax, ar) in enumerate(zip(req.a, roota))]
     params = None
     if group is not None:
         d, params = diffs.rebind(group, curve, p1, p2) or \
@@ -170,7 +143,7 @@ def _haupt(curve: Curve, ctx: TowerContext, req: Request, p1, p2, doc_roots: dic
     return d, poles, result
 
 
-def run(req: Request) -> tuple[dict, bool]:
+def run(req: argparse.Namespace) -> tuple[dict, bool]:
     """Execute a request; returns (structured document, all-verifications-ok)."""
     timings: dict[str, float] = {}
     doc: dict = {
@@ -187,10 +160,10 @@ def run(req: Request) -> tuple[dict, bool]:
     if req.digits > MAX_DIGITS:
         raise InvalidArgument(
             f"--digits must be at most {MAX_DIGITS}, got {req.digits}")
-    if len(req.roota or []) > len(req.a or []):
+    if len(req.roota) > len(req.a):
         raise InvalidArgument(
             f"more --roota values ({len(req.roota)}) than --a poles "
-            f"({len(req.a or [])}); give at most one --roota per --a")
+            f"({len(req.a)}); give at most one --roota per --a")
     t0 = time.perf_counter()
     f = parse_poly(req.curve)
     doc["inputs"]["curve_canonical"] = format_bpoly(f)
@@ -324,10 +297,9 @@ def _emit(doc: dict, ok: bool, json_mode: bool) -> None:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        req = ap.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    req = _request(args)
     try:
         doc, ok = run(req)
     except AbeldiffError as e:

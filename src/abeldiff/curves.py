@@ -75,11 +75,10 @@ class Curve:
         self.f = f
         self.r = f.total_degree
         self.fy = f.partial_y()
-        self.report: SmoothnessReport | None = None
         if not assume_smooth:
-            self.report = smoothness_report(f)
-            if not self.report.smooth:
-                raise NotSmooth(self.report.detail)
+            report = smoothness_report(f)
+            if not report.smooth:
+                raise NotSmooth(report.detail)
 
     def genus(self) -> int:
         return (self.r - 1) * (self.r - 2) // 2

@@ -3,11 +3,11 @@
 One fraction-free (Bareiss) elimination serves the solver, the determinant
 and the rank: rows are scaled to integers and the elimination keeps every
 intermediate entry an integer via the exact-division step, which bounds
-coefficient growth far better than naive Gaussian elimination.  The
-right-hand side may live in any commutative ring containing the rationals
-(in practice: tower elements); it is carried through the same row
-operations, where the Bareiss division step becomes an exact division by an
-integer scalar.
+coefficient growth far better than naive Gaussian elimination.  A
+right-hand side, where a solve has one, may live in any commutative ring
+containing the rationals (in practice: tower elements); it is carried
+through the same row operations, where the Bareiss division step becomes an
+exact division by an integer scalar.
 """
 
 from __future__ import annotations
@@ -134,23 +134,27 @@ class SolveResult:
     rank: int
 
 
-def ff_solve(matrix, rhs: Sequence) -> SolveResult:
+def ff_solve(matrix, rhs: Sequence | None = None) -> SolveResult:
     """Solve A x = b exactly, A a list of rational rows, b entries in any
-    ring over Q.
+    ring over Q; without b, the homogeneous system A x = 0, whose
+    elimination carries no right-hand side.
 
     Raises Inconsistent when no solution exists.  Free variables of the
-    particular solution are set to zero; the nullspace basis is the standard
-    one-per-free-column basis.
+    particular solution are set to zero (all of it without b); the
+    nullspace basis is the standard one-per-free-column basis.
     """
-    if len(rhs) != len(matrix):
+    if rhs is not None and len(rhs) != len(matrix):
         raise ValueError("rhs length does not match the matrix")
     a, b, pivots, _, _ = _eliminate(matrix, rhs)
     rank = len(pivots)
-    for i in range(rank, len(a)):
-        if not _entry_is_zero(b[i]):
-            raise Inconsistent(f"row {i} reduces to 0 = {b[i]!r}")
     n = len(a[0]) if a else 0
-    particular = _back_substitute(a, pivots, b, n)
+    if b is None:
+        particular = [Fraction(0)] * n
+    else:
+        for i in range(rank, len(a)):
+            if not _entry_is_zero(b[i]):
+                raise Inconsistent(f"row {i} reduces to 0 = {b[i]!r}")
+        particular = _back_substitute(a, pivots, b, n)
     nullspace = []
     for fc in (c for c in range(n) if c not in pivots):
         # the free column moved to the right-hand side
@@ -161,7 +165,7 @@ def ff_solve(matrix, rhs: Sequence) -> SolveResult:
 
 
 def rank(matrix) -> int:
-    return ff_solve(matrix, [0] * len(matrix)).rank
+    return len(_eliminate(matrix)[2])
 
 
 def vandermonde(values: Sequence) -> list[list]:

@@ -770,9 +770,10 @@ class TowerElement:
         """Minimal polynomial of the element over Q, monic, coefficients
         lowest degree first: the first linear dependence among the powers
         1, a, a^2, ...  Their integer numerators are the columns of a
-        homogeneous system, solved by linsolve.ff_solve with the number of
-        powers doubled until it has a nullspace; its first vector w belongs
-        to the first free column k, is 1 there and zero past it, so
+        homogeneous system, solved by linsolve.ff_solve without a right-hand
+        side, with the number of powers doubled until it has a nullspace;
+        its first vector w belongs to the first free column k, is 1 there
+        and zero past it, so
         mu_j = w_j den_j / den_k, den_j the denominator of a^j.  Moduli are
         square-free, so the ring is a product of number fields and mu is
         prod (z - v) over the distinct values v the element takes across
@@ -783,7 +784,7 @@ class TowerElement:
             # rows in key order: hash order can make the elimination far slower
             keys = sorted(set().union(*(p.nums for p in powers)))
             rows = [[p.nums.get(k, 0) for p in powers] for k in keys]
-            nullspace = ff_solve(rows, [0] * len(rows)).nullspace
+            nullspace = ff_solve(rows).nullspace
             if nullspace:
                 w = list(nullspace[0])
                 while not w[-1]:

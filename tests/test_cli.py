@@ -14,6 +14,7 @@ from abeldiff.curves import Curve
 from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
                              exit_code_for)
 from abeldiff.towers import TowerElement
+from tests.test_haupt_oracle import EXIT_11_VALUE
 
 CUBIC = "x^3-y^3+2*x*y+x-2*y+1"
 CIRCLE = "x^2+y^2-1"
@@ -278,6 +279,14 @@ def test_stalled_refinement_is_an_error_that_leaves_the_precision_alone(capsys):
     assert mp.mp.prec == prec
 
 
+def test_an_ordinate_far_below_one_is_answered(capsys):
+    # x1 = 1 + 10^-100 puts the section's roots at +-i*sqrt(2)*10^-50
+    x1 = f"{10**100 + 1}/{10**100}"
+    code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, f"--x1={x1}", "--x2=0"])
+    assert code == 0
+    assert doc["verification"] and all(v["ok"] for v in doc["verification"])
+
+
 def test_out_of_range_root_index_rejected(capsys):
     code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE, "--x1", "0",
                                    "--x2", "1/2", "--root1", "5"])
@@ -455,10 +464,12 @@ def test_a_request_does_not_depend_on_earlier_requests(capsys):
     group = ["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2",
              "--a", "4", "--a", "5", "--a", "6", "--digits", "60"]
     roots._isolated.cache_clear()
+    roots._refined.cache_clear()
     differentials._groups.clear()
     _document(capsys, group + ["--xp", "7"])
     after_another = _document(capsys, group + ["--xp", "3"])
     roots._isolated.cache_clear()
+    roots._refined.cache_clear()
     differentials._groups.clear()
     fresh = _document(capsys, group + ["--xp", "3"])
     assert after_another == fresh
@@ -647,26 +658,30 @@ def test_closed_stdout_exits_141_without_a_traceback(json_flag):
 
 # Requests on smooth curves that should be answered but are not yet; each
 # fails today for the ROADMAP item its reason names, so a fix flips it.
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, value", [
     pytest.param(["third-kind", "-f", "x^6+y^6-1", "--x1=8", "--x2=0",
-                  "--digits", "30"],
+                  "--digits", "30"], None,
                  marks=pytest.mark.xfail(strict=True, reason=(
                      "ROADMAP item 1: _pair_conjugates pairs the roots at "
                      "53 bits and its assert fires")),
                  id="sextic-conjugate-pairing"),
-    pytest.param(["third-kind", "-f", CIRCLE, "--x1=1" + "0" * 299, "--x2=0"],
+    pytest.param(["third-kind", "-f", CIRCLE, "--x1=1" + "0" * 299, "--x2=0"], None,
                  marks=pytest.mark.xfail(strict=True, reason=(
                      "ROADMAP item 1: an absolute root-finding tolerance; a "
                      "300-digit abscissa exits 1, did not converge")),
                  id="circle-300-digit-abscissa"),
     pytest.param(["haupt", "-f", DENSE_QUARTIC, "--x1", "2", "--x2", "3",
-                  "--xp", "5", "--a", "0", "--a", "4", "--a", "6"],
+                  "--xp", "5", "--a", "0", "--a", "4", "--a", "6"], EXIT_11_VALUE,
                  marks=pytest.mark.xfail(strict=True, reason=(
                      "ROADMAP item 2: haupt inverts a zero divisor and "
                      "exits 11 (NotInvertible)")),
                  id="dense-quartic-exit-11"),
 ])
-def test_known_defect_requests_are_answered(capsys, argv):
+def test_known_defect_requests_are_answered(capsys, argv, value):
     code, doc = _run_json(capsys, argv)
     assert code == 0
     assert doc["verification"] and all(v["ok"] for v in doc["verification"])
+    if value is not None:   # the Brill-Noether oracle's (tests/test_haupt_oracle.py)
+        dec = doc["haupt"]["value"]["decimal"]
+        with mp.workdps(60):
+            assert abs(mp.mpc(dec["re"], dec["im"]) - mp.mpc(*value)) < mp.mpf(10) ** -40

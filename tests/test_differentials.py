@@ -97,6 +97,18 @@ def test_sym_system_rank_conic(circle_diff):
     assert circle_diff.parameter_count == 0
 
 
+def test_poles_given_by_rational_ordinates_are_located_exactly(circle):
+    # (0, 1) and (3/5, 4/5) built by hand are not section points; each is
+    # found as the section's root 1 by an exact comparison of ordinates
+    ctx = TowerContext()
+    d = third_kind(circle, Point(circle, 0, ctx.constant(1)),
+                   Point(circle, Fraction(3, 5), ctx.constant(Fraction(4, 5))))
+    assert d.pole1 is d.section1[1] and d.pole2 is d.section2[1]
+    direct = third_kind(circle, d.section1[1], d.section2[1]).base_numerator
+    assert d.base_numerator.terms.keys() == direct.terms.keys()
+    assert all((c - direct.terms[m]).is_zero() for m, c in d.base_numerator.terms.items())
+
+
 def test_tangent_section_rejected(circle, circle_setup):
     ctx, p1, _ = circle_setup
     with pytest.raises(MultipleRoots):

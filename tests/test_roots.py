@@ -100,6 +100,7 @@ def test_refinements_are_shared_and_equal_a_fresh_computation(monkeypatch):
         return r.center._mpc_, r.radius._mpf_, r.prec
 
     roots_mod._isolated.cache_clear()
+    roots_mod._refined.cache_clear()
     first, again = isolate_roots(p), isolate_roots(2 * p)
     calls = []
     real_refine = roots_mod._refine
@@ -119,6 +120,7 @@ def test_refinements_are_shared_and_equal_a_fresh_computation(monkeypatch):
                 setattr(r, name, value)
     assert len(calls) == 3
     roots_mod._isolated.cache_clear()
+    roots_mod._refined.cache_clear()
     assert [disc(refine_root(p, r, target)) for r in isolate_roots(p)] == \
         [disc(r) for r in miss]
 
@@ -183,6 +185,7 @@ def test_real_part_gap_is_the_midpoint_resultants_separation_bound():
 def test_refinement_leaving_the_isolating_disc_is_an_error(monkeypatch):
     p = UPoly([-1, 2, 0, 1])
     roots_mod._isolated.cache_clear()  # no refinement memoized by an earlier test
+    roots_mod._refined.cache_clear()
     root = isolate_roots(p)[0]
     # the kernel certifies a disc about a center 10 away from the root
     monkeypatch.setattr(roots_mod, "_newton",
@@ -219,6 +222,24 @@ def test_isolation_cache_is_bounded_and_hands_out_the_shared_records():
     assert again[0] is first[0]
     assert again[0].radius < 1
     assert roots_mod._isolated.cache_info().hits >= 1
+
+
+def test_roots_far_below_one_keep_their_size():
+    # +-sqrt(2)*10^-50: a clean-up of the polished seeds below an absolute
+    # 2^-(prec+49) would set both to zero, where refinement stalls
+    roots_mod._isolated.cache_clear()
+    roots_mod._refined.cache_clear()
+    p = UPoly([Fraction(-2, 10**100), 0, 1])
+    roots = isolate_roots(p)
+    with mp.workprec(400):
+        root2 = mp.sqrt(2) * mp.mpf(10) ** -50
+        for r, z in zip(roots, (-root2, root2)):
+            assert abs(r.center - z) < r.radius < root2
+            assert r.conj_index == r.index
+            fine = refine_root(p, r, root2 * mp.mpf(10) ** -40)
+            assert abs(fine.center - z) < fine.radius
+    roots_mod._isolated.cache_clear()
+    roots_mod._refined.cache_clear()
 
 
 def test_isolation_does_not_depend_on_the_global_precision():
@@ -457,4 +478,36 @@ def test_integer_newton_refinement_errors_leave_the_precision_alone(
     prec = mp.mp.prec
     with pytest.raises(AbeldiffError, match=message):
         roots_mod._refine(ints, center, radius, mp.mpf(10) ** -20, 80)
+    assert mp.mp.prec == prec
+
+
+def test_isolation_retries_at_four_times_the_precision(monkeypatch):
+    # a first start that puts both seeds on one root leaves overlapping
+    # discs; the isolation starts again at 4 x 80 bits
+    real, calls = roots_mod._initial_roots, []
+
+    def one_root_twice(ints, prec):
+        calls.append(prec)
+        found = real(ints, prec)
+        return [found[0]] * len(found) if len(calls) == 1 else found
+    monkeypatch.setattr(roots_mod, "_initial_roots", one_root_twice)
+    roots_mod._isolated.cache_clear()
+    try:
+        roots = isolate_roots(UPoly([-2, 0, 1]))
+    finally:
+        roots_mod._isolated.cache_clear()
+    assert calls == [80, 320]
+    for r, z in zip(roots, (-mp.sqrt(2), mp.sqrt(2))):
+        assert abs(r.center - z) < r.radius and r.prec == 320
+
+
+def test_isolation_that_never_separates_the_roots_is_an_error(monkeypatch):
+    real = roots_mod._initial_roots
+    monkeypatch.setattr(roots_mod, "_initial_roots",
+                        lambda ints, prec: [real(ints, prec)[0]] * (len(ints) - 1))
+    prec = mp.mp.prec
+    roots_mod._isolated.cache_clear()
+    with pytest.raises(AbeldiffError,
+                       match="^could not isolate all roots into disjoint discs$"):
+        isolate_roots(UPoly([-2, 0, 1]))
     assert mp.mp.prec == prec

@@ -764,6 +764,31 @@ def test_invert_zero_raises():
         (r2 - r2).invert()
 
 
+def test_is_zero_refines_the_disc_below_the_minimal_polynomial_bound(monkeypatch):
+    # two generators of t^2 - c, c = 2/10^100: t - s takes the values 0 and
+    # +-2 sqrt(c), so a disc certifies zero only below about 8 10^-100
+    c = Fraction(2, 10**100)
+    modulus = UPoly([-c, 0, 1])
+    precs, real = [], towers._nested_ball
+
+    def recorded(nums, den, roots, prec):
+        precs.append(prec)
+        return real(nums, den, roots, prec)
+    monkeypatch.setattr(towers, "_nested_ball", recorded)
+    ctx, s = adjoin(TowerContext(), modulus, 0)
+    ctx, t = adjoin(ctx, modulus, 0)           # one root twice
+    assert (t - s).terms and (t - s).is_zero()
+    assert precs == [91, 176, 312, 584]        # 15 and 40 digits, then doubled
+    # the two roots of t^2 - 2/10^200: 2.8 10^-100 apart, too close for
+    # the 40-digit disc, and excluded from zero by a refined one
+    modulus = UPoly([Fraction(-2, 10**200), 0, 1])
+    ctx, s = adjoin(TowerContext(), modulus, 0)
+    ctx, t = adjoin(ctx, modulus, 1)
+    precs.clear()
+    assert not (t - s).is_zero()
+    assert precs == [91, 176, 312, 584]
+
+
 def test_is_zero_basic():
     ctx, r2 = adjoin(TowerContext(), SQRT2, 1)
     assert ctx.zero.is_zero()
