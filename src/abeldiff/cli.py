@@ -58,7 +58,10 @@ def _rational(text: str) -> Fraction:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared: parse_args
     leaves it unchanged, and the append actions copy their default lists
-    before appending.  Every command's namespace has every point field."""
+    before appending.  A command takes only the flags it reads (--digits
+    with points, --assume-smooth unless smooth), but set_defaults gives
+    every command's namespace every field, and so every document its
+    inputs."""
     ap = argparse.ArgumentParser(
         prog="abeldiff",
         description="Exact Abelian differentials of the first and third kind "
@@ -71,11 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-f", "--curve", required=True,
                        help="curve polynomial in x and y, e.g. 'x^2+y^2-1'")
         p.add_argument("--json", action="store_true", dest="json_mode")
-        p.add_argument("--assume-smooth", action="store_true")
-        p.add_argument("--digits", type=int, default=50)
-        p.set_defaults(x1=None, x2=None, xp=None, a=[], root1=0, root2=0,
-                       rootp=0, roota=[])
+        p.set_defaults(assume_smooth=False, digits=50, x1=None, x2=None,
+                       xp=None, a=[], root1=0, root2=0, rootp=0, roota=[])
+        if name != "smooth":
+            p.add_argument("--assume-smooth", action="store_true")
         if need_points:
+            p.add_argument("--digits", type=int)
             p.add_argument("--x1", required=True)
             p.add_argument("--x2", required=True)
             p.add_argument("--root1", type=int)

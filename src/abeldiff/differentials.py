@@ -59,10 +59,10 @@ Neither the differential nor its parameters depend on haupt's evaluation
 point, so a group of haupt requests that share the curve, the poles and the
 auxiliary points shares them too.  remember keeps what a group's solve
 found, detached from its request's context (towers.detach): the base
-numerator, the parameters, the rank and the certificates.  rebind attaches
-them in a later request's context, where the same roots are generators
-again, in the same order; there they are the numbers third_kind and the
-parameter solve would compute, checked when they were first computed.
+numerator, the parameters and the certificates.  rebind attaches them in a
+later request's context, where the same roots are generators again, in the
+same order; there they are the numbers third_kind and the parameter solve
+would compute, checked when they were first computed.
 """
 
 from __future__ import annotations
@@ -100,18 +100,13 @@ def first_kind_basis(curve: Curve) -> list[BPoly]:
 class LinearSystem:
     """One of the two linear systems for the third-kind numerator: two
     blocks of r rows, one per pole abscissa, in the order of the poles.
-
-    row_tags maps each row to its source condition.  Per-point rows come in
-    section order: ("vanish", i, root_id) for a regularity condition at a
-    non-pole section point of abscissa i, ("residue", i, root_id) for the
-    residue normalization at pole i.  Symmetrized rows are ("power", i, k),
-    the k-th power-sum condition.
-    """
+    Per-point row k of a block is the condition at the section's root k (the
+    residue normalization at the pole, regularity elsewhere); symmetrized
+    row k is the k-th power-sum condition."""
 
     matrix: list                   # rows; Fractions for symmetrized
     rhs: list
     monomials: list[tuple[int, int]]
-    row_tags: list[tuple]
 
     @property
     def labels(self) -> list[str]:
@@ -169,19 +164,13 @@ def third_kind_system_naive(diff: ParametricDifferential) -> LinearSystem:
     curve = diff.curve
     monos = monomials_upto(curve.r - 1)
     dx = diff.pole2.x - diff.pole1.x
-    matrix, rhs, tags = [], [], []
-    for i, (sec, pole) in enumerate([(diff.section1, diff.pole1),
-                                     (diff.section2, diff.pole2)], start=1):
+    matrix, rhs = [], []
+    for sec, pole in ((diff.section1, diff.pole1), (diff.section2, diff.pole2)):
         xpows = [pole.x ** a for a in range(curve.r)]
-        for rid, pt in enumerate(sec):
+        for pt in sec:
             matrix.append(_monomial_row(monos, xpows, pt.y))
-            if pt is pole:
-                rhs.append(dx * curve.fy_at(pole))
-                tags.append(("residue", i, rid))
-            else:
-                rhs.append(diff.ctx.zero)
-                tags.append(("vanish", i, rid))
-    return LinearSystem(matrix, rhs, monos, tags)
+            rhs.append(dx * curve.fy_at(pole) if pt is pole else diff.ctx.zero)
+    return LinearSystem(matrix, rhs, monos)
 
 
 def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSystem:
@@ -194,8 +183,8 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
     r = curve.r
     monos = monomials_upto(r - 1)
     dx = pole2.x - pole1.x
-    matrix, rhs, tags = [], [], []
-    for i, pole in ((1, pole1), (2, pole2)):
+    matrix, rhs = [], []
+    for pole in (pole1, pole2):
         ps = power_sums(curve.section(pole.x, pole.y.ctx).poly, 2 * r - 1)
         pnum, pden = [p.numerator for p in ps], [p.denominator for p in ps]
         u, v = pole.x.numerator, pole.x.denominator
@@ -206,9 +195,8 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
             matrix.append([Fraction(xnum[a] * pnum[k + b], xden[a] * pden[k + b])
                            for (a, b) in monos])
             rhs.append(ypow * fyv)
-            tags.append(("power", i, k))
             ypow = ypow * pole.y
-    return LinearSystem(matrix, rhs, monos, tags)
+    return LinearSystem(matrix, rhs, monos)
 
 
 def _pole_factor(x1, x2) -> BPoly:
@@ -228,6 +216,8 @@ class ParametricDifferential:
     section points for every assignment, and the residue oracle checks the
     base numerator.  E(c) is only ever evaluated (eval_u), never built.
     certificates holds the residue-oracle verdicts that third_kind checked.
+    rank, 2r - 1, is the rank of the conditions: third_kind certifies that
+    their nullspace is exactly the first-kind space.
     """
 
     curve: Curve
@@ -238,12 +228,15 @@ class ParametricDifferential:
     section1: list[Point] = field(repr=False)
     section2: list[Point] = field(repr=False)
     system: LinearSystem = field(repr=False)
-    rank: int = 0
     certificates: list[dict] = field(default_factory=list, repr=False)
 
     @property
     def parameter_count(self) -> int:
         return len(self.first_kind_numerators)
+
+    @property
+    def rank(self) -> int:
+        return len(self.system.monomials) - self.parameter_count
 
     @property
     def ctx(self) -> TowerContext:
@@ -317,7 +310,7 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     diff = ParametricDifferential(
         curve=curve, pole1=pole1, pole2=pole2, base_numerator=base,
         first_kind_numerators=first_kind, section1=section1,
-        section2=section2, system=system, rank=rank - p)
+        section2=section2, system=system)
     diff.certificates = residue_certificates(diff)
     failures = [c for c in diff.certificates if not c["ok"]]
     if failures:
@@ -547,11 +540,10 @@ class _Group(NamedTuple):
     """What a haupt group's differential and parameter solve found, free of
     any context: the base numerator's monomials, then its coefficients, the
     parameters and the ordinates the solve read as one detached table, and
-    the rank and residue certificates."""
+    the residue certificates."""
 
     monomials: tuple
     detached: Detached
-    rank: int
     certificates: tuple
 
 
@@ -569,14 +561,14 @@ def recall(key) -> _Group | None:
 
 def remember(key, diff: ParametricDifferential, poles: list[Point],
              params: list) -> None:
-    """Store diff's base numerator, rank and certificates and the checked
+    """Store diff's base numerator and certificates and the checked
     parameters for the auxiliary poles under key.  The table also lists the
     generators of both poles and every auxiliary pole, since the solve read
     them all: a rebinding that would reorder any of them is refused."""
     terms = diff.base_numerator.terms
     ordinates = [p.y for p in (diff.pole1, diff.pole2, *poles)]
     _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params, *ordinates]),
-                          diff.rank, tuple(dict(c) for c in diff.certificates))
+                          tuple(dict(c) for c in diff.certificates))
     _groups.move_to_end(key)
     if len(_groups) > MAX_GROUPS:
         _groups.popitem(last=False)
@@ -601,7 +593,7 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
         base_numerator=BPoly(dict(zip(group.monomials, elements))),
         first_kind_numerators=first_kind, section1=section1,
         section2=section2, system=_symmetrized_system(curve, pole1, pole2),
-        rank=group.rank, certificates=[dict(c) for c in group.certificates])
+        certificates=[dict(c) for c in group.certificates])
     return diff, elements[k:k + len(first_kind)]
 
 

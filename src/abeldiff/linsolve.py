@@ -38,7 +38,9 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
 def _eliminate(rows, rhs=None):
     """Fraction-free row echelon form of a rational matrix given as a list
     of rows, with an optional right-hand side carried through the same row
-    operations.
+    operations.  Each pivot is the nonzero entry of least absolute value
+    in its column among the rows left (the first on a tie), so the cost
+    does not hinge on the row order; the pivot columns do not depend on it.
 
     Returns (a, b, pivots, sign, scale): the integer echelon rows, the
     transformed right-hand side (None without one), the pivot column of
@@ -57,7 +59,8 @@ def _eliminate(rows, rhs=None):
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if a[i][col]), None)
+        piv = min((i for i in range(r, m) if a[i][col]), key=lambda i: abs(a[i][col]),
+                  default=None)
         if piv is None:
             continue
         if piv != r:

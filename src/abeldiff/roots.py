@@ -25,7 +25,10 @@ exactly: conjugate pairs are detected through disc pairing, and the remaining
 ties fall back to a separation bound for the polynomial whose roots are all
 midpoints of root pairs (real parts are midpoints of conjugate pairs, so two
 distinct real parts differ by at least that bound).  Whether two discs (or
-their projections on an axis) meet is decided exactly, in integers.
+their projections on an axis) meet is decided exactly, in integers, except
+in _pair_conjugates: it still compares mp.conj of a center, rounded to
+mpmath's 53 bits, so it can miss the conjugate of a tiny disc and fail its
+assert (ROADMAP item 1a).
 
 Isolations and refinements are shared across requests, each in one
 bounded LRU cache: the isolation of each primitive integer polynomial, and

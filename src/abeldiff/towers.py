@@ -21,8 +21,10 @@ one, in their order, after cancelling common factors as Fraction does.
 
 eval_bpoly evaluates a bivariate polynomial at a point nested: it collects
 the coefficients of the section polynomial in y first, then sums them
-against the ordinate, assembling the terms directly when the ordinate is a
-bare generator of high enough degree and by Horner's rule otherwise.
+against the ordinate.  When the ordinate is a bare generator t_g, each
+term of c_j t_g^j is one packed monomial, and the routine that reduces a
+product's powers of t_g reduces them; any other ordinate is summed by
+Horner's rule.
 
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
@@ -619,15 +621,7 @@ class TowerElement:
                 raw, scale = _reduce_generator(raw, ctx.extensions[j], degrees[j],
                                                shift, mask)
                 den *= scale
-        nums = {}
-        for k, n in raw.items():
-            if n:
-                key = []
-                while k:
-                    key.append(k & mask)
-                    k >>= width
-                nums[tuple(key)] = n
-        return _lowest(ctx, nums, den)
+        return _lowest(ctx, _unpacked(raw, width), den)
 
     __rmul__ = __mul__
 
@@ -770,8 +764,10 @@ class TowerElement:
         """Minimal polynomial of the element over Q, monic, coefficients
         lowest degree first: the first linear dependence among the powers
         1, a, a^2, ...  Their integer numerators are the columns of a
-        homogeneous system, solved by linsolve.ff_solve without a right-hand
-        side, with the number of powers doubled until it has a nullspace;
+        homogeneous system, one row per monomial in any order (the
+        elimination picks its pivots), solved by linsolve.ff_solve without a
+        right-hand side, with the number of powers doubled until it has a
+        nullspace;
         its first vector w belongs to the first free column k, is 1 there
         and zero past it, so
         mu_j = w_j den_j / den_k, den_j the denominator of a^j.  Moduli are
@@ -781,9 +777,8 @@ class TowerElement:
         """
         powers = [self.ctx.one, self]
         while True:
-            # rows in key order: hash order can make the elimination far slower
-            keys = sorted(set().union(*(p.nums for p in powers)))
-            rows = [[p.nums.get(k, 0) for p in powers] for k in keys]
+            rows = [[p.nums.get(k, 0) for p in powers]
+                    for k in set().union(*(p.nums for p in powers))]
             nullspace = ff_solve(rows).nullspace
             if nullspace:
                 w = list(nullspace[0])
@@ -989,22 +984,40 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
     return [n // g for n in nums], den // g
 
 
+def _pack(key: tuple, width: int) -> int:
+    """The monomial of exponent key packed into one int: the exponent of t_j
+    in bits j*width..(j+1)*width-1, so multiplying monomials adds their
+    packed forms."""
+    k = 0
+    for e in reversed(key):
+        k = (k << width) | e
+    return k
+
+
 def _packed(nums: dict, width: int) -> tuple[list, int]:
     """An element's numerators as (packed monomial, numerator) pairs, plus
-    the OR of the packed monomials.
-
-    A monomial packs the exponent of t_j into bits j*width..(j+1)*width-1,
-    so multiplying monomials adds their packed forms.
-    """
+    the OR of the packed monomials."""
     out = []
     seen = 0
     for key, n in nums.items():
-        k = 0
-        for e in reversed(key):
-            k = (k << width) | e
+        k = _pack(key, width)
         seen |= k
         out.append((k, n))
     return out, seen
+
+
+def _unpacked(raw: dict, width: int) -> dict:
+    """The nonzero numerators of raw {packed monomial: n} by exponent key."""
+    mask = (1 << width) - 1
+    nums = {}
+    for k, n in raw.items():
+        if n:
+            key = []
+            while k:
+                key.append(k & mask)
+                k >>= width
+            nums[tuple(key)] = n
+    return nums
 
 
 def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int, shift: int,
@@ -1234,13 +1247,11 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
 
     The section polynomial's coefficients c_j = sum_i c_ij x^i are collected
     first, each coefficient of a monomial as an integer numerator over a
-    denominator.  When y is a bare generator t_g (every section
-    ordinate is one), sum_j c_j t_g^j is assembled without a ring product:
-    a term of c_j with t_g^e moves to t_g^(j+e), and where j+e reaches
-    deg t_g the cached reduced power t_g^(j+e), a rational combination of
-    lower powers, takes its place.  Since every modulus is univariate, that
-    gives the reduced form.  Any other ordinate is summed by Horner's
-    rule."""
+    denominator.  When y is a bare generator t_g (every section ordinate is
+    one), sum_j c_j t_g^j needs no ring product: each term of c_j is packed
+    with j added to its exponent of t_g, over one lcm denominator, and
+    _reduce_generator reduces the powers of t_g as for a product.  Any other
+    ordinate is summed by Horner's rule."""
     if not isinstance(y, TowerElement):
         raise TypeError("ordinate must be a TowerElement")
     ctx = y.ctx
@@ -1264,7 +1275,19 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
             cols.setdefault(j, {})[k] = n, d
     g = _bare_generator(y)
     if g is not None:
-        return _lowest(ctx, *_shifted(cols, g, ctx.extensions[g]))
+        d = ctx.degrees[g]      # a y-degree may pass d at a hand-built point
+        width = max(ctx.width, (max(cols, default=0) + d).bit_length())
+        shift = g * width
+        den = lcm(*{q for col in cols.values() for _, q in col.values()})
+        raw: dict[int, int] = {}
+        get = raw.get
+        for j, col in cols.items():
+            for k, (n, q) in col.items():
+                k = _pack(k, width) + (j << shift)
+                raw[k] = get(k, 0) + n * (den // q)
+        raw, scale = _reduce_generator(raw, ctx.extensions[g], d, shift,
+                                       (1 << width) - 1)
+        return _lowest(ctx, _unpacked(raw, width), den * scale)
     top = max(cols, default=-1)
     acc = _over_lcm(ctx, cols.get(top, {}))
     for j in range(top - 1, -1, -1):
@@ -1290,34 +1313,6 @@ def _over_lcm(ctx: TowerContext, col: dict) -> TowerElement:
     """The element of the coefficients n/d given as col {key: (n, d)}."""
     den = lcm(*{d for _, d in col.values()})
     return _lowest(ctx, {k: n * (den // d) for k, (n, d) in col.items()}, den)
-
-
-def _shifted(cols: dict, g: int, ext: ExtensionDescriptor) -> tuple[dict, int]:
-    """Reduced numerators and denominator of sum_j c_j t_g^j, c_j given by
-    its coefficients cols[j] {key: (n, d)}."""
-    d = ext.degree
-    parts = []
-    for j, col in cols.items():
-        for k, (n, q) in col.items():
-            e = j + (k[g] if len(k) > g else 0)
-            head, tail = k[:g] + (0,) * (g - len(k)), k[g + 1:]
-            if e < d:
-                parts.append((_trim(head + (e,) + tail), n, q))
-                continue
-            nums, r = ext.int_power(e)
-            for i, m in enumerate(nums):
-                if m:
-                    parts.append((_trim(head + (i,) + tail), n * m, q * r))
-    den = lcm(*{q for _, _, q in parts})
-    out: dict = {}
-    get = out.get
-    for key, n, q in parts:
-        v = get(key, 0) + n * (den // q)
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return out, den
 
 
 def _bare_generator(y: TowerElement) -> int | None:

@@ -159,7 +159,8 @@ def test_genus_on_singular_curve_exits_not_smooth(capsys):
     (["third-kind", "-f", "3", "--x1", "0", "--x2", "1"], "InvalidArgument", 2),
     (["smooth", "-f", "0"], "ZeroPolynomial", 17),
     (["smooth", "-f", "5"], "InvalidArgument", 2),
-    (["smooth", "--curve=-1/2", "--assume-smooth"], "InvalidArgument", 2),
+    # the smoothness waiver does not skip the constant check
+    (["genus", "--curve=-1/2", "--assume-smooth"], "InvalidArgument", 2),
 ])
 def test_constant_or_zero_curve_rejected_with_an_error_document(capsys, argv, error, code):
     # these ended in a ValueError traceback from Curve; smooth answered a
@@ -168,6 +169,23 @@ def test_constant_or_zero_curve_rejected_with_an_error_document(capsys, argv, er
     assert got == code
     assert doc["error"]["type"] == error
     assert doc["error"]["exit_code"] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus", "-f", CIRCLE, "--digits", "5"],
+    ["first-kind", "-f", CIRCLE, "--digits", "5"],
+    ["smooth", "-f", CIRCLE, "--digits", "5"],
+    ["smooth", "-f", CIRCLE, "--assume-smooth"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    # these print no decimals, and smooth reports smoothness whatever the
+    # waiver says; the document still lists the default of each input
+    assert cli.main(argv + ["--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
+    code, doc = _run_json(capsys, argv[:3])
+    assert code == 0
+    assert doc["inputs"]["digits"] == 50 and doc["inputs"]["assume_smooth"] is False
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,9 +47,16 @@ def test_naive_system_cubic_six_by_six(cubic_diff):
     sys = third_kind_system_naive(cubic_diff)
     assert sys.shape == (6, 6)
     assert sys.labels == [f"c{k}" for k in range(6)]
-    vanish = [t for t in sys.row_tags if t[0] == "vanish"]
-    residue = [t for t in sys.row_tags if t[0] == "residue"]
+    # row 3*(i-1) + k is the condition at root k over pole abscissa i: the
+    # residue normalization at the pole, a vanishing condition elsewhere
+    points = cubic_diff.section1 + cubic_diff.section2
+    residue = [k for k, pt in enumerate(points)
+               if pt is cubic_diff.pole1 or pt is cubic_diff.pole2]
+    vanish = [k for k in range(6) if k not in residue]
     assert len(vanish) == 4 and len(residue) == 2
+    assert [k // 3 for k in residue] == [0, 1]
+    assert all(sys.rhs[k].is_zero() for k in vanish)
+    assert not any(sys.rhs[k].is_zero() for k in residue)
 
 
 @pytest.mark.parametrize("terms, x1, x2", [
@@ -66,8 +73,8 @@ def test_naive_rows_match_monomial_evaluation(terms, x1, x2):
     sections = {1: curve.section_roots(x1, ctx), 2: curve.section_roots(x2, ctx)}
     sys = third_kind_system_naive(third_kind(curve, sections[1][0], sections[2][-1]))
     assert len(sys.matrix) == 2 * curve.r
-    for row, (_, i, rid) in zip(sys.matrix, sys.row_tags):
-        pt = sections[i][rid]
+    for k, row in enumerate(sys.matrix):
+        pt = sections[k // curve.r + 1][k % curve.r]
         for entry, m in zip(row, sys.monomials):
             expected = eval_bpoly(BPoly({m: 1}), pt.x, pt.y)
             assert list(entry.terms.items()) == list(expected.terms.items())
@@ -146,7 +153,8 @@ def _perturbed(system, row, col):
 def _positions(system, i, rng=None):
     """(row, col) of every entry and right-hand side (col None) in the rows
     of pole abscissa i, or three of each kind drawn with rng."""
-    rows = [k for k, tag in enumerate(system.row_tags) if tag[1] == i]
+    r = len(system.matrix) // 2      # block i - 1 holds rows of pole abscissa i
+    rows = range((i - 1) * r, i * r)
     entries = [(k, c) for k in rows for c in range(len(system.monomials))]
     sides = [(k, None) for k in rows]
     if rng is not None:
@@ -180,7 +188,7 @@ def test_vandermonde_equivalence_rejects_a_system_of_another_shape(cubic_diff):
     for keep in (range(n - 1), [*range(n), 0]):
         other = dataclasses.replace(
             naive, matrix=[naive.matrix[k] for k in keep],
-            rhs=[naive.rhs[k] for k in keep], row_tags=[naive.row_tags[k] for k in keep])
+            rhs=[naive.rhs[k] for k in keep])
         assert not vandermonde_equivalence(cubic_diff, other)
 
 
@@ -620,7 +628,8 @@ def test_block_solves_give_the_stacked_solution(f, x1, x2, i1, i2):
     diff = third_kind(curve, curve.section_roots(x1, ctx)[i1],
                       curve.section_roots(x2, ctx)[i2])
     assert diff.base_numerator == _stacked_base_numerator(diff)
-    assert diff.rank == 2 * curve.r - 1
+    # the rank the differential reports is its symmetrized system's
+    assert diff.rank == 2 * curve.r - 1 == rank(diff.system.matrix)
 
 
 def test_third_kind_prepares_its_pole_pair_once(monkeypatch, cubic, cubic_setup):

@@ -248,3 +248,46 @@ def test_ragged_rows_are_rejected():
             call()
     with pytest.raises(ValueError, match="non-square"):
         bareiss_det([[1, 2, 3], [4, 5, 6]])
+
+
+def _sign(perm) -> int:
+    """The sign of a permutation, from its inversions."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def test_row_order_changes_no_result():
+    # the elimination picks each pivot by size, not by row position, so a
+    # permutation of the rows changes every solve, rank and determinant by
+    # at most the permutation's sign
+    ctx, r2, r3 = _two_generators()
+    rng = random.Random(30)
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            # entries of very different sizes, some zero
+            rows = [[Fraction(rng.choice((0, 1, -1)) * rng.randint(1, 10**rng.randint(1, 12)),
+                              rng.randint(1, 10**rng.randint(0, 6))) for _ in range(n)]
+                    for _ in range(m)]
+        else:
+            # rank deficient: a product through k < min(m, n) columns
+            k = rng.randint(1, max(1, min(m, n) - 1))
+            left = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)]
+                    for _ in range(m)]
+            right = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                     for _ in range(k)]
+            rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                    for i in range(m)]
+        x = [Fraction(rng.randint(-5, 5)) + rng.randint(-2, 2) * r2 + rng.randint(-2, 2) * r3
+             for _ in range(n)]
+        rhs = [sum((x[j] * rows[i][j] for j in range(n)), ctx.zero) for i in range(m)]
+        solved, homogeneous = ff_solve(rows, rhs), ff_solve(rows)
+        det = bareiss_det(rows) if m == n else None
+        for _ in range(4):
+            perm = rng.sample(range(m), m)
+            permuted = [rows[i] for i in perm]
+            assert ff_solve(permuted, [rhs[i] for i in perm]) == solved
+            assert ff_solve(permuted) == homogeneous
+            assert rank(permuted) == solved.rank
+            if det is not None:
+                assert bareiss_det(permuted) == _sign(perm) * det == _sign(perm) * _cofactor(rows)

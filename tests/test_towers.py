@@ -1354,6 +1354,38 @@ def test_eval_bpoly_matches_term_by_term_evaluation():
                 assert not eval_bpoly(f, pt.x, pt.y).terms
 
 
+def test_eval_bpoly_at_a_bare_generator_matches_bpoly_eval():
+    # the powers of a bare generator are reduced by the product's routine, on
+    # packed fields wide enough for a y-degree past the generator's degree
+    ctx, r2 = adjoin(TowerContext(), SQRT2, 1)
+    got = eval_bpoly(SEPTIC_F, Fraction(1, 2), r2)
+    want = {(): Fraction(1, 128) - Fraction(3, 2), (1,): Fraction(8)}
+    assert got.terms == _term_by_term(SEPTIC_F, Fraction(1, 2), r2).terms == want
+    _assert_canonical(got, want)
+    rng = random.Random(30)
+    contexts = [_random_context(rng) for _ in range(6)]
+    # a degree-2 generator between two others, whose fields an overflow of
+    # its own would corrupt
+    ctx = TowerContext()
+    for modulus in (CUBE3, SQRT2, SQRT3):
+        ctx, _ = adjoin(ctx, modulus, 1)
+    contexts.append(ctx)
+    for ctx in contexts:
+        for g in range(len(ctx)):
+            d = ctx.degrees[g]
+            if d < 2:
+                continue        # the generator of a linear modulus is rational
+            y = ctx.generator(g)
+            for big in (False, True):
+                coeffs = [lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                          lambda: _random_element(rng, ctx, big)]
+                p = BPoly({(rng.randrange(4), rng.randint(0, 2 * d + 3)): rng.choice(coeffs)()
+                           for _ in range(rng.randint(1, 8))})
+                x = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                got = eval_bpoly(p, x, y)
+                _assert_canonical(got, _term_by_term(p, x, y).terms)
+
+
 def test_locate_finds_the_first_generator_of_a_modulus_and_root():
     ctx = TowerContext()
     assert ctx.locate(UPoly([-2, 0, 1]), 0) is None
