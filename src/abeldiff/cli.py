@@ -120,30 +120,20 @@ def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
     --root2, --a and --roota values) rebinds what the first one found
     instead of solving again (differentials.recall).  The points are chosen
     in the same order either way, after third_kind on a first request, so
-    errors are reported in the same order and generators numbered alike.
-
-    A group is stored only from a request whose --xp section adjoined no
-    auxiliary pole's generator, so that its generators keep the order that
-    the sections over --x1, --x2 and the --a take by themselves.  A request
-    whose --xp section puts them in another order cannot rebind the group
-    (differentials.rebind returns None) and solves afresh."""
+    errors are reported in the same order and generators numbered alike."""
     roota = req.roota + [0] * (len(req.a) - len(req.roota))
     key = (curve.f, p1.x, req.root1, p2.x, req.root2, tuple(req.a), tuple(roota))
     group = diffs.recall(key)
     d = diffs.third_kind(curve, p1, p2) if group is None else None
-    before = len(ctx)
     pp = _chosen_point(curve, ctx, req.xp, req.rootp, "xp", doc_roots)
-    by_xp = range(before, len(ctx))
     poles = [_chosen_point(curve, ctx, ax, ar, f"a{i + 1}", doc_roots)
              for i, (ax, ar) in enumerate(zip(req.a, roota))]
-    params = None
-    if group is not None:
-        d, params = diffs.rebind(group, curve, p1, p2) or \
-            (diffs.third_kind(curve, p1, p2), None)
-    result = diffs.haupt_solve(d, pp, poles, params)
-    if params is None and not any(g in by_xp for q in poles
-                                  for g in q.y.present_generators()):
-        diffs.remember(key, d, poles, result.parameters)
+    if group is None:
+        result = diffs.haupt_solve(d, pp, poles)
+        diffs.remember(key, d, result.parameters)
+    else:
+        d, params = diffs.rebind(group, curve, p1, p2)
+        result = diffs.haupt_solve(d, pp, poles, params)
     return d, poles, result
 
 

@@ -60,9 +60,10 @@ point, so a group of haupt requests that share the curve, the poles and the
 auxiliary points shares them too.  remember keeps what a group's solve
 found, detached from its request's context (towers.detach): the base
 numerator, the parameters and the certificates.  rebind attaches them in a
-later request's context, where the same roots are generators again, in the
-same order; there they are the numbers third_kind and the parameter solve
-would compute, checked when they were first computed.
+later request's context, where the same roots are generators again, in
+whatever order its sections adjoined them; there they are the numbers
+third_kind and the parameter solve would compute, checked when they were
+first computed.
 """
 
 from __future__ import annotations
@@ -538,9 +539,8 @@ MAX_GROUPS = 32
 
 class _Group(NamedTuple):
     """What a haupt group's differential and parameter solve found, free of
-    any context: the base numerator's monomials, then its coefficients, the
-    parameters and the ordinates the solve read as one detached table, and
-    the residue certificates."""
+    any context: the base numerator's monomials, then its coefficients and
+    the parameters as one detached table, and the residue certificates."""
 
     monomials: tuple
     detached: Detached
@@ -559,15 +559,11 @@ def recall(key) -> _Group | None:
     return group
 
 
-def remember(key, diff: ParametricDifferential, poles: list[Point],
-             params: list) -> None:
+def remember(key, diff: ParametricDifferential, params: list) -> None:
     """Store diff's base numerator and certificates and the checked
-    parameters for the auxiliary poles under key.  The table also lists the
-    generators of both poles and every auxiliary pole, since the solve read
-    them all: a rebinding that would reorder any of them is refused."""
+    parameters for the auxiliary poles under key."""
     terms = diff.base_numerator.terms
-    ordinates = [p.y for p in (diff.pole1, diff.pole2, *poles)]
-    _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params, *ordinates]),
+    _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params]),
                           tuple(dict(c) for c in diff.certificates))
     _groups.move_to_end(key)
     if len(_groups) > MAX_GROUPS:
@@ -575,26 +571,22 @@ def remember(key, diff: ParametricDifferential, poles: list[Point],
 
 
 def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
-           ) -> tuple[ParametricDifferential, list] | None:
+           ) -> tuple[ParametricDifferential, list]:
     """The group's differential for the poles p1 and p2, chosen in a later
     request's context, and its parameters: the same numbers that third_kind
     and haupt_solve would find there.  Call it once the request's auxiliary
-    poles are chosen, whose generators the parameters use; None when their
-    generators are located out of the stored order (see towers.attach).
-    The symmetrized system is built afresh, since only the solve is kept."""
+    poles are chosen, whose generators the parameters use.  The symmetrized
+    system is built afresh, since only the solve is kept."""
     elements = attach(group.detached, p1.y.ctx)
-    if elements is None:
-        return None
     pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
-    first_kind = first_kind_basis(curve)
     k = len(group.monomials)
     diff = ParametricDifferential(
         curve=curve, pole1=pole1, pole2=pole2,
         base_numerator=BPoly(dict(zip(group.monomials, elements))),
-        first_kind_numerators=first_kind, section1=section1,
+        first_kind_numerators=first_kind_basis(curve), section1=section1,
         section2=section2, system=_symmetrized_system(curve, pole1, pole2),
         certificates=[dict(c) for c in group.certificates])
-    return diff, elements[k:k + len(first_kind)]
+    return diff, elements[k:]
 
 
 # -- verification bundles ----------------------------------------------------

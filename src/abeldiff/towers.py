@@ -72,9 +72,11 @@ divisor is inverted, which raises NotInvertible with a witness factor.
 
 detach takes elements out of their context: numerators over a table that
 names each generator by its monic modulus and root id.  attach rebinds them
-in another context that holds those roots, in the same index order, where
-they denote the same numbers: a request can so reuse exact results that an
-earlier request's context computed, without keeping that context.
+in another context that holds those roots, in any index order, where they
+denote the same numbers: the reduced form is canonical, so relabelling the
+generators gives what the same operations compute there.  A request can so
+reuse exact results that an earlier request's context computed, without
+keeping that context.
 """
 
 from __future__ import annotations
@@ -466,13 +468,14 @@ def detach(elements: list["TowerElement"]) -> Detached:
                      for key, n in a.nums.items()), a.den) for a in elements))
 
 
-def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"] | None:
+def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
     """The detached elements in ctx, each generator of the table located
-    there by its modulus and root id; None when the located generators are
-    not in the table's order.  Products, inversions and discs visit the
-    generators by index, so elements rebound in order are, term for term,
-    what the same operations give in ctx.  A generator that ctx does not
-    hold is an internal error."""
+    there by its modulus and root id, in whatever index order ctx holds
+    them.  An element's reduced form is canonical, so relabelling its
+    generators gives, term for term, the element that the same operations
+    give in ctx when they succeed there (an inversion can meet a zero
+    divisor in one generator order and not in another).  A generator that
+    ctx does not hold, or two that it holds as one, is an internal error."""
     idx = []
     for modulus, root_id in detached.generators:
         i = ctx.locate(modulus, root_id)
@@ -480,9 +483,9 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"] | None
             raise AbeldiffError(f"no generator for root {root_id} of a degree "
                                 f"{modulus.degree} modulus to attach to")
         idx.append(i)
-    if any(i >= j for i, j in zip(idx, idx[1:])):
-        return None
-    width = idx[-1] + 1 if idx else 0
+    if len(set(idx)) < len(idx):
+        raise AbeldiffError("two generators to attach are one generator of the context")
+    width = max(idx) + 1 if idx else 0
     out = []
     for terms, den in detached.elements:
         nums = {}

@@ -426,7 +426,7 @@ DIGESTS = {
         "80e47b4eece7d555ae41bcdb0a0e45bc57d1e6f5fbdc2df3654f377705dbf52a",
     "third-kind -f x^2+y^2-1 --x1 0 --x2 1/2 --root1 5":
         "7bf332b7b2ffdee196a062da5492577cb353c6509c3318ec269ff2046ffb0606",
-    # the NotInvertible error document (exit 11, ROADMAP item 3)
+    # the NotInvertible error document (exit 11, ROADMAP item 2)
     f"haupt -f {DENSE_QUARTIC} --x1 2 --x2 3 --xp 5 --a 0 --a 4 --a 6":
         "b1aaa7a9f443cd77de6c78cec0da35652898fde59c8b03a9f2d66477e20f5c3d",
     f"haupt -f {DENSE_QUARTIC} --x1=1/3 --x2=5/2 --xp=0 --a=-2/3 --a=7/3 --a=3 "
@@ -541,9 +541,10 @@ def test_a_rebound_haupt_request_inverts_nothing(capsys, monkeypatch):
 
 
 # x^4+y^4-1 has one section polynomial over x and -x: --xp=-1/2 adjoins no
-# generator, so the auxiliary points keep their place, and --xp=3 moves them
-# past its section
-@pytest.mark.parametrize("xps", [("3", "-1/2"), ("-1/2", "3")])
+# generator, so the auxiliary points keep their place, --xp=3 moves them
+# past its section, and --xp=-5 adjoins the section over --a=5 before the
+# one over --a=4
+@pytest.mark.parametrize("xps", [("3", "-1/2"), ("-1/2", "3"), ("3", "-5"), ("-5", "3")])
 def test_a_rebound_group_numbers_its_auxiliary_generators_anew(capsys, xps):
     group = ["haupt", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2", "--a=4", "--a=5", "--a=6"]
     cold = {xp: _cold(capsys, group + [f"--xp={xp}"]) for xp in xps}
@@ -553,19 +554,17 @@ def test_a_rebound_group_numbers_its_auxiliary_generators_anew(capsys, xps):
     assert len(differentials._groups) == 1
 
 
-def test_a_group_adjoined_in_another_order_is_solved_afresh(capsys, monkeypatch):
-    # --xp=-5 adjoins the section over --a=5 before the one over --a=4:
-    # such a request is not stored, and rebinding the stored order into it
-    # would reorder the generators
+def test_a_group_adjoined_in_another_order_is_rebound(capsys, monkeypatch):
+    # --xp=-5 adjoins the section over --a=5 before the one over --a=4, so
+    # the group stored by --xp=3 is rebound with those generators swapped
     group = ["haupt", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2", "--a=4", "--a=5", "--a=6"]
     cold = _cold(capsys, group + ["--xp=-5"])
-    assert not differentials._groups
+    assert len(differentials._groups) == 1
+    differentials._groups.clear()
     _document(capsys, group + ["--xp=3"])
     calls = _counting(monkeypatch, "third_kind", "_solve_tower")
     assert _document(capsys, group + ["--xp=-5"]) == cold
-    assert calls == {"third_kind": 1, "_solve_tower": 1}
-    _document(capsys, group + ["--xp=7/3"])   # the stored order still fits
-    assert calls == {"third_kind": 1, "_solve_tower": 1}
+    assert calls == {"third_kind": 0, "_solve_tower": 0}
 
 
 @pytest.mark.parametrize("argv, error", [

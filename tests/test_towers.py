@@ -1402,18 +1402,24 @@ def test_locate_finds_the_first_generator_of_a_modulus_and_root():
     assert len(ctx) == 3
 
 
-def test_attach_rebinds_detached_elements_past_new_generators():
-    # detached in a context of sqrt 2 and a cube root of 3, attached where a
-    # generator of another modulus sits between them: the same operations
-    # give the same elements, term for term, and the same discs
+# the target contexts hold sqrt 2 and the cube root of 3 past a foreign
+# generator, swapped, and swapped around a foreign generator
+@pytest.mark.parametrize("layout", [("s", "x", "c"), ("c", "s"), ("c", "x", "s")],
+                         ids=["foreign-between", "swapped", "swapped-around-foreign"])
+def test_attach_rebinds_detached_elements_past_new_generators(layout):
+    # detached in a context of sqrt 2 and a cube root of 3, attached where
+    # they sit at other indices, in either order: the same operations give
+    # the same elements, term for term, and the same discs and records
     rng = random.Random(1234)
     old = TowerContext()
     old, s = adjoin(old, SQRT2, 1)
     old, c = adjoin(old, CUBE3, 2)
     new = TowerContext()
-    new, s2 = adjoin(new, SQRT2, 1)
-    new, _ = adjoin(new, UPoly([-5, 0, 1]), 0)
-    new, c2 = adjoin(new, CUBE3, 2)
+    gens = {}
+    for name in layout:
+        modulus, root_id = {"s": (SQRT2, 1), "x": (UPoly([-5, 0, 1]), 0), "c": (CUBE3, 2)}[name]
+        new, gens[name] = adjoin(new, modulus, root_id)
+    s2, c2 = gens["s"], gens["c"]
 
     def build(s, c):
         out = [s.ctx.constant(Fraction(-7, 3)), s.ctx.zero, c, s * c + 1]
@@ -1432,19 +1438,25 @@ def test_attach_rebinds_detached_elements_past_new_generators():
         assert a.ctx is new and a == b and a.nums == b.nums
         if b.present_generators():
             assert a._ball(30) == b._ball(30)
+        # after the discs, so that both records read the refined roots
+        assert a.serialize(30) == b.serialize(30)
 
 
-def test_attach_refuses_a_reordering_and_raises_on_a_missing_root():
+def test_attach_raises_on_a_missing_root_and_on_a_root_held_twice():
     old = TowerContext()
     old, s = adjoin(old, SQRT2, 1)
     old, c = adjoin(old, CUBE3, 0)
-    detached = towers.detach([s + c])
-    swapped = TowerContext()
-    adjoin(swapped, CUBE3, 0)
-    adjoin(swapped, SQRT2, 1)
-    assert towers.attach(detached, swapped) is None
     other_root = TowerContext()
     adjoin(other_root, SQRT2, 0)
     adjoin(other_root, CUBE3, 0)
     with pytest.raises(towers.AbeldiffError, match="no generator"):
-        towers.attach(detached, other_root)
+        towers.attach(towers.detach([s + c]), other_root)
+    # a*b + a with a and b both the root 1 of y^2 - 2 is 2 + sqrt 2; where
+    # the root is one generator, relabelling would give sqrt 2 + 1
+    twice = TowerContext()
+    twice, a = adjoin(twice, SQRT2, 1)
+    twice, b = adjoin(twice, SQRT2, 1)
+    once = TowerContext()
+    adjoin(once, SQRT2, 1)
+    with pytest.raises(towers.AbeldiffError, match="one generator"):
+        towers.attach(towers.detach([a * b + a]), once)
