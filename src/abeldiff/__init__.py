@@ -7,7 +7,7 @@ algebraic values carried in a flat multi-extension ring with certified
 numeric embedding for root selection and decimal output.
 """
 
-from .curves import Curve, LocalSeries, Point, SmoothnessReport, smoothness_report
+from .curves import Curve, Point, SmoothnessReport, smoothness_report
 from .differentials import (HauptResult, LinearSystem, ParametricDifferential,
                             eval_u, first_kind_basis, haupt_solve, residue_at,
                             residue_certificates, third_kind,
@@ -23,9 +23,9 @@ from .towers import Quotient, TowerContext, TowerElement, adjoin, eval_bpoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPoly", "Curve", "HauptResult", "LinearSystem", "LocalSeries",
-    "ParametricDifferential", "Point", "Quotient", "SmoothnessReport", "SolveResult",
-    "TowerContext", "TowerElement", "UPoly", "adjoin", "eval_bpoly", "eval_u",
+    "BPoly", "Curve", "HauptResult", "LinearSystem", "ParametricDifferential",
+    "Point", "Quotient", "SmoothnessReport", "SolveResult", "TowerContext",
+    "TowerElement", "UPoly", "adjoin", "eval_bpoly", "eval_u",
     "ff_solve", "first_kind_basis", "format_bpoly", "haupt_solve",
     "is_squarefree", "isolate_roots", "parse_poly", "poly_gcd", "power_sums",
     "residue_at", "residue_certificates", "resultant", "resultant_y",

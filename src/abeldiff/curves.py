@@ -1,5 +1,6 @@
 """Plane algebraic curves over Q: degree, genus, exact smoothness, section
-ordinates over a rational abscissa, and local power-series uniformization.
+ordinates over a rational abscissa, and the exact vertical-tangent check
+at a point.
 
 Smoothness is decided exactly, never numerically.  One discriminant is
 computed: the y-resultant of the curve with its y-derivative, by Kronecker
@@ -123,26 +124,13 @@ class Curve:
             p._fy = eval_bpoly(self.fy, p.x, p.y)
         return p._fy
 
-    def local_series(self, p: "Point", order: int) -> "LocalSeries":
-        """Uniformization y = y0 + c1 t + ... + cn t^n with x = x0 + t.
-
-        Coefficient m is -[t^m] f(x0 + t, y0 + c1 t + ... + c_(m-1) t^(m-1))
-        / f_y(p), the polynomial evaluated by BPoly.eval at UPoly values, so
-        the point must not sit on a vertical tangent; that is checked exactly
-        at every order, and f_y(p) is inverted only when order >= 1.  The
-        pivot is kept on the result as fy.
-        """
+    def local_series(self, p: "Point") -> TowerElement:
+        """f_y at a point, checked exactly to be nonzero (VerticalTangent
+        otherwise): then x - x0 is a local parameter there."""
         fyv = self.fy_at(p)
         if fyv.is_zero():
             raise VerticalTangent(f"f_y vanishes at x = {p.x}")
-        coeffs: list[TowerElement] = []
-        if order >= 1:
-            inv = fyv.invert()
-            x = UPoly([p.x, 1])
-        for m in range(1, order + 1):
-            res = self.f.eval(x, UPoly([p.y] + coeffs)).coeffs
-            coeffs.append(-(res[m] if m < len(res) else 0) * inv)
-        return LocalSeries(p, tuple(coeffs), order, fyv)
+        return fyv
 
     def __repr__(self):
         return f"Curve(degree={self.r}, genus={self.genus()})"
@@ -186,18 +174,6 @@ class Section(NamedTuple):
 
     poly: UPoly
     points: tuple[Point, ...]
-
-
-@dataclass
-class LocalSeries:
-    """Truncated uniformization at a point: substituting x = x0 + t,
-    y = y0 + sum(c_k t^k) into f leaves a remainder of order t^(order+1).
-    fy is f_y at the point, the pivot of every coefficient."""
-
-    point: Point
-    coefficients: tuple
-    order: int
-    fy: TowerElement
 
 
 # -- exact smoothness ------------------------------------------------------

@@ -341,7 +341,7 @@ def _residue_terms(diff: ParametricDifferential, point: Point):
         sign = -1     # (x - x1) = (x2 - x1) + t
     else:
         raise ValueError("residue_at expects a point over a pole abscissa")
-    fyv = diff.curve.local_series(point, 0).fy  # raises VerticalTangent
+    fyv = diff.curve.local_series(point)  # raises VerticalTangent
     num = eval_bpoly(diff.base_numerator, point.x, point.y)
     return sign, num, fyv
 

@@ -537,7 +537,7 @@ class BPoly:
 
     def eval(self, xv, yv):
         """Evaluate at a pair of ring values (Fractions, tower elements,
-        series represented as UPoly, ...)."""
+        ...)."""
         acc = Fraction(0)
         xpow: dict = {}
         ypow: dict = {}

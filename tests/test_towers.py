@@ -294,58 +294,6 @@ def _nested_sum(a, ball, power, prec):
     return level[()]
 
 
-def _uncached_ball(a, digits10):
-    """TowerElement._ball with every power of a root computed afresh, in a
-    cache of its own."""
-    target = mp.mpf(10) ** (-digits10)
-    roots = {}
-    for i in a.present_generators():
-        r = a.ctx.extensions[i].refine_to(target)
-        roots[i] = RootApprox(r.index, r.center, r.radius, r.prec, r.conj_index)
-    return towers._nested_ball(a.nums, a.den, roots, int(digits10 * 3.4) + 40)
-
-
-def test_ball_power_cache_is_bit_identical_and_invalidated():
-    ctx = TowerContext()
-    ctx, r2 = adjoin(ctx, SQRT2, 1)
-    ctx, c = adjoin(ctx, UPoly([-1, 2, 0, 0, 0, 1]), 3)
-    a = 3 * r2 * c ** 4 - Fraction(7, 5) * c ** 3 + r2 * c + Fraction(1, 9)
-
-    def check(digits):
-        got, ref = a._ball(digits), _uncached_ball(a, digits)
-        assert got == ref
-        assert (got.c, got.r) == (ref.c, ref.r)
-
-    for digits in (15, 40, 15, 40):   # each change of precision starts afresh
-        check(digits)
-    ext = ctx.extensions[1]
-    before = ext.approximation()
-    ext.refine_to(mp.mpf(10) ** -80)  # a new root object at the same precision
-    assert ext.approximation() is not before
-    check(40)
-    assert ext.approximation().balls and ext.approximation().balls is not before.balls
-
-
-def test_a_changed_copy_of_a_root_leaves_the_shared_power_balls_alone():
-    ctx, c = adjoin(TowerContext(), UPoly([-1, 2, 0, 0, 0, 1]), 3)
-    a = c ** 4 - Fraction(7, 5) * c ** 3 + c
-    # new records beside the shared disc whose cache holds a's powers: one
-    # moves the center, the other widens the radius
-    root = ctx.extensions[0].refine_to(mp.mpf(10) ** -40)
-    prec = int(40 * 3.4) + 40
-    moved = RootApprox(root.index, 2 * root.center, root.radius, root.prec,
-                       root.conj_index)
-    widened = RootApprox(root.index, root.center, 2 * root.radius, root.prec,
-                         root.conj_index)
-    for changed in (moved, widened):
-        a._ball(40)
-        assert towers._power_ball(changed, 3, prec) == \
-            towers._pow(towers._disc_ball(changed, prec), 3, prec)
-        got, ref = a._ball(40), _uncached_ball(a, 40)
-        assert got == ref
-        assert (got.c, got.r) == (ref.c, ref.r)
-
-
 def _nested_ball_by_levels(nums, den, roots, prec):
     """towers._nested_ball level by level, as it was first written: one
     generator at a time, lowest index first, every partial sum of a level
@@ -357,7 +305,7 @@ def _nested_ball_by_levels(nums, den, roots, prec):
         for key, v in level.items():
             if key:
                 if key[0]:
-                    power = towers._power_ball(roots[i], key[0], prec)
+                    power = towers._pow(towers._disc_ball(roots[i], prec), key[0], prec)
                     if type(v) is int:
                         v = v * power[0], v * power[1], abs(v) * power[2]
                     else:
@@ -1345,11 +1293,13 @@ def test_eval_bpoly_matches_term_by_term_evaluation():
                 polys = [f, curve.fy, poly(degree - 1, ratio), poly(degree + 2, ratio),
                          poly(degree - 1, lambda: element(others)),
                          poly(degree + 1, lambda: element(others + own)),
-                         poly(degree - 1, lambda: rng.choice((ratio(), element(own))))]
+                         poly(degree - 1, lambda: rng.choice((ratio(), element(own)))),
+                         BPoly(), poly(0, ratio)]   # zero and y-free: still elements
                 # the section ordinate, then three that are no bare generator
                 for y in (pt.y, 2 * pt.y, Fraction(3, 2) * pt.y - 1, ctx.constant(ratio())):
                     for p in polys:
                         got = eval_bpoly(p, pt.x, y)
+                        assert isinstance(got, TowerElement), (degree, p, y)
                         assert got.terms == _term_by_term(p, pt.x, y).terms, (degree, p, y)
                 assert not eval_bpoly(f, pt.x, pt.y).terms
 
@@ -1460,3 +1410,28 @@ def test_attach_raises_on_a_missing_root_and_on_a_root_held_twice():
     adjoin(once, SQRT2, 1)
     with pytest.raises(towers.AbeldiffError, match="one generator"):
         towers.attach(towers.detach([a * b + a]), once)
+
+
+def test_a_unit_inverts_in_every_generator_order():
+    # t1, t2 the roots 0 and 1 of y^3 - 2, t3 the root 2 of y^4 - 15: the
+    # leading coefficient of a in t3 over t1, t2 is a zero divisor, so
+    # Euclid in whichever generator was adjoined last could fail in one
+    # order and not another
+    cube2, quartic15 = UPoly([-2, 0, 0, 1]), UPoly([-15, 0, 0, 0, 1])
+    roots = [(cube2, 0), (cube2, 1), (quartic15, 2)]
+    inverses = []
+    for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        ctx, t = TowerContext(), {}
+        for k in order:
+            ctx, t[k] = adjoin(ctx, *roots[k])
+        t1, t2, t3 = t[0], t[1], t[2]
+        a = (t1 ** 2 * t3 ** 2 - t2 ** 2 * t3 ** 2
+             + Fraction(3, 2) * t1 ** 2 * t2 ** 2 * t3 + 2 * t1 * t2 * t3)
+        inv = a.invert()
+        assert a * inv == ctx.one
+        inverses.append(towers.detach([inv]))
+    one = TowerContext()
+    for root in roots:
+        one, _ = adjoin(one, *root)
+    first, *rest = (towers.attach(d, one)[0] for d in inverses)
+    assert all(other == first for other in rest)
