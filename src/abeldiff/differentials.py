@@ -38,16 +38,17 @@ auxiliary pole, so f_y changes no condition.  Nor is it inverted where a
 value is returned: eval_u checks it nonzero exactly there too and returns u
 as a towers.Quotient, E(p) over (p.x - x1)(x2 - p.x) f_y(p), whose decimal
 comes from certified ball division, and residue_at returns the residue as
-one, sign * E(p) over (x2 - x1) f_y(p).  Every constructed differential is
-certified fail-closed by an independent residue oracle: at each section
-point p over a pole abscissa it checks f_y(p) != 0 exactly, so the residue
-there is sign * E(p) / ((x2 - x1) f_y(p)), and checks exactly that
-E(p) - sign * expected * (x2 - x1) f_y(p) vanishes, which inverts
-nothing.  The fundamental function needs the assigned numerator
-E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values: it fixes
-the free parameters c_k so that E vanishes at the auxiliary poles, from
-E_base and the first-kind monomials m_k at each pole, and evaluates u at
-the evaluation point the same way.  E itself is never built.
+one, E(p) over sign * (x2 - x1) f_y(p).  Every constructed differential is
+certified fail-closed by an independent residue oracle, which decides on
+residue_at itself: at each section point p over a pole abscissa it takes
+the quotient n / d, whose denominator d = sign * (x2 - x1) f_y(p)
+residue_at has checked nonzero exactly, and checks exactly that
+n - expected * d vanishes, which inverts nothing.  The fundamental function needs the
+assigned numerator E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its
+values: it fixes the free parameters c_k so that E vanishes at the
+auxiliary poles, from E_base and the first-kind monomials m_k at each pole,
+and evaluates u at the evaluation point the same way.  E itself is never
+built.
 
 third_kind is the only step that takes a pole pair: it finds both sections,
 solves, certifies, and returns the differential.  Every later step takes
@@ -323,14 +324,14 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
 # -- the independent residue oracle ----------------------------------------
 
 
-def _residue_terms(diff: ParametricDifferential, point: Point):
-    """(sign, E(point), f_y(point)) for a section point over either pole
-    abscissa: the residue there is sign * E(point) / ((x2 - x1) *
-    f_y(point)).
+def residue_at(diff: ParametricDifferential, point: Point) -> Quotient:
+    """Residue of the differential at a section point over either pole
+    abscissa, computed independently of the construction, as the quotient
+    E(point) / (sign * (x2 - x1) * f_y(point)); nothing is inverted.
 
     With x = x0 + t the denominator of the differential is t * D1(t) with
-    D1(0) = (x2 - x1) * f_y(point), and f_y(point) != 0 is checked exactly
-    first (VerticalTangent), so the pole is simple.  E is the base
+    D1(0) = sign * (x2 - x1) * f_y(point), and f_y(point) != 0 is checked
+    exactly first (VerticalTangent), so the pole is simple.  E is the base
     numerator: the first-kind terms of an assigned numerator vanish over
     both pole abscissas, so every assignment has these residues.
     """
@@ -343,26 +344,17 @@ def _residue_terms(diff: ParametricDifferential, point: Point):
         raise ValueError("residue_at expects a point over a pole abscissa")
     fyv = diff.curve.local_series(point)  # raises VerticalTangent
     num = eval_bpoly(diff.base_numerator, point.x, point.y)
-    return sign, num, fyv
-
-
-def residue_at(diff: ParametricDifferential, point: Point) -> Quotient:
-    """Residue of the differential at a section point over either pole
-    abscissa, computed independently of the construction, as the quotient
-    sign * E(point) / ((x2 - x1) * f_y(point)) (see _residue_terms); nothing
-    is inverted."""
-    sign, num, fyv = _residue_terms(diff, point)
-    return Quotient(sign * num, (diff.pole2.x - diff.pole1.x) * fyv)
+    return Quotient(num, sign * (x2 - x1) * fyv)
 
 
 def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     """Residue oracle at every section point over both pole abscissas, plus
     the residue-sum identity.
 
-    The residue sign * E(p) / ((x2 - x1) f_y(p)) equals its expected value
-    exactly when E(p) - sign * expected * (x2 - x1) f_y(p) is zero, since
-    (x2 - x1) f_y(p) is nonzero: the oracle decides that, and just
-    E(p) = 0 where the expected residue is 0, so it inverts nothing.
+    The residue n / d that residue_at returns equals its expected value
+    exactly when n - expected * d is zero, since d is nonzero: the oracle
+    decides that, and just n = 0 where the expected residue is 0, so it
+    inverts nothing.
     Each residue is certified exactly equal to its expected value, so the
     sum certificate is the sum of the expected values over the certified
     points (mixing all residues into one element would drag every generator
@@ -371,16 +363,16 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     out = []
     expected_total = 0
     all_ok = True
-    width = diff.pole2.x - diff.pole1.x
-    for sec, pole in ((diff.section1, diff.pole1), (diff.section2, diff.pole2)):
+    for sec in (diff.section1, diff.section2):
         for rid, pt in enumerate(sec):
             expected = 0
             if pt is diff.pole1:
                 expected = 1
             elif pt is diff.pole2:
                 expected = -1
-            sign, num, fyv = _residue_terms(diff, pt)
-            ok = (num - sign * expected * (width * fyv) if expected else num).is_zero()
+            res = residue_at(diff, pt)
+            ok = (res.numerator - expected * res.denominator if expected
+                  else res.numerator).is_zero()
             all_ok = all_ok and ok
             expected_total += expected
             out.append({

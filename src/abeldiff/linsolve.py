@@ -102,10 +102,12 @@ def bareiss_det(matrix) -> Fraction:
 
 
 def _entry_is_zero(v) -> bool:
+    """Exact zero test of an entry: is_zero is a method of tower elements
+    and a property of polynomials; any other entry compares with 0."""
     probe = getattr(v, "is_zero", None)
-    if probe is not None:
-        return probe()
-    return v == 0
+    if probe is None:
+        return v == 0
+    return probe() if callable(probe) else probe
 
 
 def _back_substitute(a, pivots: list[int], b: Sequence, n: int) -> list:

@@ -7,7 +7,10 @@ Exponents and the total degree of every product are capped at MAX_DEGREE
 before the power or product is computed, so an oversized curve fails fast
 with InvalidArgument instead of running for minutes.  Integer literals
 (numerators and denominators) are capped at MAX_LITERAL_DIGITS digits before
-they are converted, below the 4300-digit limit of int().
+they are converted, below the 4300-digit limit of int().  Parentheses are
+nested at most MAX_NESTING deep, checked before each level recurses, so a
+deeply nested curve fails with InvalidArgument instead of exhausting
+Python's recursion limit (every level costs five frames).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .polys import BPoly
 
 MAX_DEGREE = 24
 MAX_LITERAL_DIGITS = 1000
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+\-*/^]))")
 
@@ -60,6 +64,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0      # parentheses open around the current atom
 
     def peek(self):
         return self.tokens[self.i]
@@ -148,7 +153,12 @@ class _Parser:
                 return BPoly.y()
             raise UnknownVariable(val, pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise InvalidArgument(f"parentheses nested deeper than the maximum "
+                                      f"{MAX_NESTING} (at position {pos})")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, val, pos = self.take()
             if not (kind == "op" and val == ")"):
                 raise PolySyntaxError("expected ')'", pos)

@@ -39,8 +39,9 @@ distinct key suffix rather than one per generator of every term, and with
 the terms visited in reversed-key order only one partial sum per generator
 is open at a time.  Sums and integer multiples of a ball are exact; a
 product of balls truncates its center toward zero and adds 2 units to its
-radius.  Each generator's root disc is converted exactly from its raw mpf
-parts once per ball, and each power of it taken once.  The decimal of an
+radius.  Each generator's root disc is refined, then converted exactly
+from its raw mpf parts, once per ball, when the sum first reads that
+generator, and each power of it is taken once.  The decimal of an
 element is the center of a disc of radius below 10^-digits/2, rounded to
 digits significant digits; a component below 10^-digits/2 in magnitude
 prints as 0.0.  The decimal path works on raw mpf parts (mpmath.libmp
@@ -67,6 +68,8 @@ ever reduced by the individual moduli, so the Cauchy modules change no
 representation.  Moduli are never factored and no absolute minimal
 polynomial is ever computed; reducible moduli only surface when a zero
 divisor is inverted, which raises NotInvertible with a witness factor.
+invert() is the one inverse of an element: an element divides only by a
+nonzero rational, and a negative power is a ValueError.
 
 detach takes elements out of their context: numerators over a table that
 names each generator by its monic modulus and root id.  attach rebinds them
@@ -79,7 +82,7 @@ keeping that context.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, zip_longest
@@ -200,9 +203,11 @@ class _Disc(NamedTuple):
                                          round_up))
 
 
-def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
+def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
+                 prec: int) -> _Disc:
     """The disc of sum (n_k / den) prod_i t_i^(k_i) over nums {k: n_k}, each
-    t_i in the disc roots[i], at scale 2^-prec.
+    t_i in the disc root_of(i), at scale 2^-prec; root_of is called once per
+    generator the sum reads, when it first builds that generator's ball.
 
     The integer numerators are summed as they are, and the disc keeps den
     as its denominator.  The sum is nested lowest generator innermost: the
@@ -238,7 +243,7 @@ def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
                     power = powers.get((i, e))
                     if power is None:
                         if (i, 1) not in powers:
-                            powers[i, 1] = _disc_ball(roots[i], prec)
+                            powers[i, 1] = _disc_ball(root_of(i), prec)
                         power = powers[i, e] = _pow(powers[i, 1], e, prec)
                     if type(w) is int:
                         w = w * power[0], w * power[1], abs(w) * power[2]
@@ -253,22 +258,6 @@ def _nested_ball(nums: dict, den: int, roots: dict, prec: int) -> _Disc:
     if type(v) is int:
         v = v << prec, 0, 0
     return _Disc(*v, den, prec)
-
-
-class _Refined(dict):
-    """Root discs by generator index, each refined below target when it is
-    first read: a ball reads the generators present in its element, and
-    finds them as it sums."""
-
-    __slots__ = ("exts", "target")
-
-    def __init__(self, exts: list, target: mp.mpf):
-        self.exts = exts
-        self.target = target
-
-    def __missing__(self, i: int) -> RootApprox:
-        root = self[i] = self.exts[i].refine_to(self.target)
-        return root
 
 
 class ExtensionDescriptor:
@@ -633,7 +622,7 @@ class TowerElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.invert() ** (-n)
+            raise ValueError("negative power of a tower element; use invert()")
         out = self.ctx.one
         base = self
         while n:
@@ -644,8 +633,8 @@ class TowerElement:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, TowerElement):
-            return self * other.invert()
+        """Division by a nonzero rational only: invert() is the one inverse
+        of an element."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivision("division by zero")
@@ -749,8 +738,9 @@ class TowerElement:
         at the working precision of digits10 digits, from every present
         generator's root refined below 10**-digits10 (when the sum first
         reads it)."""
-        roots = _Refined(self.ctx.extensions, _ten_to_minus(digits10, mp.mp.prec))
-        return _nested_ball(self.nums, self.den, roots, int(digits10 * 3.4) + 40)
+        exts, target = self.ctx.extensions, _ten_to_minus(digits10, mp.mp.prec)
+        return _nested_ball(self.nums, self.den, lambda i: exts[i].refine_to(target),
+                            int(digits10 * 3.4) + 40)
 
     def _minimal_polynomial(self) -> list[Fraction]:
         """Minimal polynomial of the element over Q, monic, coefficients

@@ -269,6 +269,14 @@ def test_oversized_curve_rejected_at_parse_time(capsys):
     assert doc["error"]["exit_code"] == 2
 
 
+@pytest.mark.parametrize("depth", [200, 10_000])
+def test_deeply_nested_curve_rejected_with_an_error_document(capsys, depth):
+    curve = "(" * depth + "x" + ")" * depth + "+y^2-1"
+    code, doc = _run_json(capsys, ["genus", "-f", curve])
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidArgument"
+
+
 def test_oversized_literal_rejected_with_an_error_document(capsys):
     code, doc = _run_json(capsys, ["genus", "-f", "9" * 5000 + "*x+y^2-1"])
     assert code == 2

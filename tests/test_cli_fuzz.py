@@ -1,0 +1,109 @@
+"""A seeded fuzz test over the CLI.
+
+About 200 third-kind, verify and haupt requests are drawn from a fixed seed
+and run in process through cli.main.  Each must end in exit 0 with every
+verdict true, or in an error document whose exit code is its type's own, and
+leave mpmath's precision as it found it.  Any other ending is a defect,
+sorted into a class: an exception that escapes cli.main (by its type and the
+function that raised it), an error of exit code 1, which is reserved for
+internal errors, a false verdict, or a typed error that names a known
+defect.
+
+KNOWN lists the classes of known defects with the ROADMAP item that removes
+them.  Any other class fails the test.  So does a known class that no
+request meets any more, so that the list is pruned when its item lands.
+"""
+
+import json
+import random
+import traceback
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath as mp
+
+from abeldiff import cli, differentials, errors
+from abeldiff.parser import parse_poly
+
+SEED = 2
+REQUESTS = 200
+
+LADDER = ("x^2+y^2-1", "x^3-y^3+2*x*y+x-2*y+1", "x^4+y^4-1", "x^5+y^5-1",
+          "x^6+y^6-1", "x^7+y^7-x-1")
+CURVES = LADDER + ("y^2-x^3+x", "y^3-x^2+1", "x^4+y^4+x*y-1")
+DEGREE = {c: parse_poly(c).total_degree for c in CURVES}
+GENUS = {c: (d - 1) * (d - 2) // 2 for c, d in DEGREE.items()}
+# haupt takes one auxiliary pole per unit of genus, and at genus 6 it does
+# not finish in 120 s (ROADMAP item 2), so it draws the curves of genus <= 3
+HAUPT_CURVES = tuple(c for c in CURVES if GENUS[c] <= 3)
+
+KNOWN = {
+    "AssertionError in roots._pair_conjugates":
+        "ROADMAP item 1a: conjugate discs built at 53 bits miss each other",
+    "error NotInvertible (exit 11)":
+        "ROADMAP item 2: the parameter solve meets a zero divisor as a pivot",
+}
+
+
+def _abscissa(rng: random.Random) -> str:
+    """A small p/q, 0 or +-1, a 20-digit integer, or +-1/10^12."""
+    kind = rng.choices(("small", "unit", "huge", "tiny"), weights=(6, 2, 1, 1))[0]
+    if kind == "small":
+        return str(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    if kind == "unit":
+        return rng.choice(("0", "1", "-1"))
+    if kind == "huge":
+        return str(rng.choice((1, -1)) * rng.randrange(10**19, 10**20))
+    return rng.choice(("", "-")) + f"1/{10**12}"
+
+
+def _request(rng: random.Random) -> list[str]:
+    command = rng.choice(("third-kind", "verify", "haupt"))
+    curve = rng.choice(HAUPT_CURVES if command == "haupt" else CURVES)
+
+    def point(flag: str, root: str) -> list[str]:
+        # flag=value, since a negative value would read as a flag
+        return [f"--{flag}={_abscissa(rng)}", f"--{root}={rng.randrange(DEGREE[curve])}"]
+    argv = [command, "-f", curve, *point("x1", "root1"), *point("x2", "root2"),
+            f"--digits={rng.randint(1, 40)}"]
+    if command == "haupt":
+        argv += point("xp", "rootp")
+        for _ in range(GENUS[curve]):
+            argv += point("a", "roota")
+    return argv
+
+
+def _defect(capsys, argv: list[str]) -> str | None:
+    """The defect class of the request's ending, or None for a sound one."""
+    prec = mp.mp.prec
+    try:
+        code = cli.main(argv + ["--json"])
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return f"{type(exc).__name__} in {Path(frame.filename).stem}.{frame.name}"
+    finally:
+        out = capsys.readouterr().out
+        assert mp.mp.prec == prec, argv
+    doc = json.loads(out)
+    if "error" not in doc:
+        ok = all(v["ok"] for v in doc["verification"])
+        return None if code == 0 and ok else f"a false verdict (exit {code})"
+    err = doc["error"]
+    assert err["exit_code"] == code == getattr(errors, err["type"]).exit_code, argv
+    if code == 1 or err["type"] == "NotInvertible":
+        return f"error {err['type']} (exit {code})"
+    return None
+
+
+def test_seeded_requests_end_in_an_answer_or_a_typed_error(capsys):
+    differentials._groups.clear()    # no earlier request's group is rebound
+    rng = random.Random(SEED)
+    found: dict[str, list[str]] = {}
+    for _ in range(REQUESTS):
+        argv = _request(rng)
+        defect = _defect(capsys, argv)
+        if defect is not None:
+            found.setdefault(defect, []).append(" ".join(argv))
+    unknown = {c: requests[:3] for c, requests in found.items() if c not in KNOWN}
+    assert not unknown, unknown
+    assert set(found) == set(KNOWN), f"no request meets {set(KNOWN) - set(found)}"

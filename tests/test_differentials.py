@@ -216,6 +216,33 @@ def test_residues_conic(circle_diff):
     assert all(c["ok"] for c in residue_certificates(circle_diff))
 
 
+def test_residue_oracle_decides_on_residue_at(cubic_diff, monkeypatch):
+    # one residue_at per section point over the pole abscissas, each reading
+    # f_y through Curve.local_series; a doubled numerator doubles the pole
+    # residues, which fails the oracle there and in the sum
+    seen, series = [], []
+    real_residue, real_series = differentials.residue_at, Curve.local_series
+
+    def residue(diff, pt):
+        seen.append(pt)
+        return real_residue(diff, pt)
+
+    def local_series(curve, pt):
+        series.append(pt)
+        return real_series(curve, pt)
+    monkeypatch.setattr(differentials, "residue_at", residue)
+    monkeypatch.setattr(Curve, "local_series", local_series)
+    points = cubic_diff.section1 + cubic_diff.section2
+    assert all(c["ok"] for c in residue_certificates(cubic_diff))
+    assert len(seen) == len(series) == len(points) == 6
+    assert all(a is b is c for a, b, c in zip(seen, series, points))
+    doubled = dataclasses.replace(
+        cubic_diff, base_numerator=cubic_diff.base_numerator * 2)
+    verdicts = [c["ok"] for c in residue_certificates(doubled)]
+    poles = (cubic_diff.pole1, cubic_diff.pole2)
+    assert verdicts == [not any(pt is p for p in poles) for pt in points] + [False]
+
+
 def _residue_is(diff, point, value):
     """Whether residue_at(diff, point) equals value, cross-multiplied."""
     r = residue_at(diff, point)

@@ -5,6 +5,7 @@ import pytest
 
 from abeldiff.errors import Inconsistent
 from abeldiff.linsolve import bareiss_det, ff_solve, rank, vandermonde
+from abeldiff.polys import UPoly
 
 
 def test_identity_system():
@@ -235,6 +236,13 @@ def test_inconsistent_tower_rhs():
     with pytest.raises(Inconsistent):
         ff_solve([[0, 1], [0, 2], [1, 0]], [r2, 2 * r2 + 1, r3])
     ff_solve([[0, 1], [0, 2], [1, 0]], [r2, 2 * r2, r3])
+
+
+def test_inconsistent_polynomial_rhs():
+    # is_zero is a property of UPoly, not a method
+    with pytest.raises(Inconsistent):
+        ff_solve([[1], [1]], [UPoly([1]), UPoly([2])])
+    assert ff_solve([[1], [1]], [UPoly([1, 2]), UPoly([1, 2])]).particular == [UPoly([1, 2])]
 
 
 def test_ragged_rows_are_rejected():

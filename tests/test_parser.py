@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abeldiff.errors import InvalidArgument, PolySyntaxError, UnknownVariable
-from abeldiff.parser import MAX_DEGREE, MAX_LITERAL_DIGITS, format_bpoly, parse_poly
+from abeldiff.parser import (MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_NESTING, format_bpoly,
+                             parse_poly)
 from abeldiff.polys import BPoly
 from tests.conftest import CUBIC_TERMS
 
@@ -127,6 +128,23 @@ def test_oversized_literal_rejected(text):
 def test_literal_cap_still_accepts_its_maximum():
     big = "9" * MAX_LITERAL_DIGITS
     assert parse_poly(f"{big}/{big}*x+y").terms[(1, 0)] == 1
+
+
+def _nested(depth: int, inner: str = "x") -> str:
+    return "(" * depth + inner + ")" * depth + "+y^2-1"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 200, 10_000])
+def test_deep_nesting_rejected_before_recursing(depth):
+    # every level of parentheses costs five frames, so 200 levels used to
+    # end in a RecursionError
+    with pytest.raises(InvalidArgument, match=f"nested deeper than the maximum {MAX_NESTING}"):
+        parse_poly(_nested(depth))
+
+
+def test_nesting_cap_still_accepts_its_maximum():
+    assert parse_poly(_nested(MAX_NESTING)) == parse_poly("x+y^2-1")
+    assert parse_poly(_nested(MAX_NESTING, "--x^2*-1+1")) == parse_poly("-x^2+y^2")
 
 
 def test_degree_cap_still_accepts_its_maximum():

@@ -337,7 +337,7 @@ def test_nested_ball_in_reversed_key_order_matches_the_levels():
             target = mp.mpf(10) ** -digits
             roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
             prec = int(digits * 3.4) + 40
-            assert towers._nested_ball(a.nums, a.den, roots, prec) == \
+            assert towers._nested_ball(a.nums, a.den, roots.__getitem__, prec) == \
                 _nested_ball_by_levels(a.nums, a.den, roots, prec)
 
 
@@ -624,7 +624,7 @@ def test_ball_radius_rounds_upward():
         center, radius = mp.mpc(rand_mpf(), rng.choice((0, 1)) * rand_mpf()), abs(rand_mpf())
         root = RootApprox(0, center, radius, prec, None)
         disc = towers._disc_ball(root, prec)
-        ball = towers._nested_ball({(1,): n}, 1, {0: root}, prec)
+        ball = towers._nested_ball({(1,): n}, 1, {0: root}.__getitem__, prec)
         assert ball == (n * disc[0], n * disc[1], abs(n) * disc[2], 1, prec)
         # root disc: exact shift of the raw parts, radius rounded upward
         ex, ey = _exact(center.real) * one, _exact(center.imag) * one
@@ -710,6 +710,24 @@ def test_invert_zero_raises():
         ctx.zero.invert()
     with pytest.raises(ZeroDivision):
         (r2 - r2).invert()
+
+
+def test_elements_divide_only_by_rationals_and_have_no_negative_powers():
+    # invert() is the one inverse: an element divisor and a negative power
+    # are refused, not inverted
+    ctx, r2 = adjoin(TowerContext(), SQRT2, 1)
+    e = r2 + 1
+    with pytest.raises(TypeError):
+        e / r2
+    with pytest.raises(TypeError):
+        e / (r2 * 0 + 2)
+    with pytest.raises(ValueError):
+        e ** -1
+    for q in (Fraction(2, 3), Fraction(-2, 3), 5):
+        assert e / q == e * (1 / Fraction(q))
+        assert (e / q).terms == {k: c / q for k, c in e.terms.items()}
+    with pytest.raises(ZeroDivision):
+        e / 0
 
 
 def test_is_zero_refines_the_disc_below_the_minimal_polynomial_bound(monkeypatch):
