@@ -10,7 +10,7 @@ numeric embedding for root selection and decimal output.
 from .curves import Curve, Point, SmoothnessReport, smoothness_report
 from .differentials import (HauptResult, LinearSystem, ParametricDifferential,
                             eval_u, first_kind_basis, haupt_solve, residue_at,
-                            residue_certificates, third_kind,
+                            residue_certificates, residue_oracle, third_kind,
                             third_kind_system_naive, unit_circle_pullback,
                             vandermonde_equivalence)
 from .linsolve import SolveResult, ff_solve, vandermonde
@@ -28,8 +28,8 @@ __all__ = [
     "TowerElement", "UPoly", "adjoin", "eval_bpoly", "eval_u",
     "ff_solve", "first_kind_basis", "format_bpoly", "haupt_solve",
     "is_squarefree", "isolate_roots", "parse_poly", "poly_gcd", "power_sums",
-    "residue_at", "residue_certificates", "resultant", "resultant_y",
-    "separation_bound", "smoothness_report", "third_kind",
+    "residue_at", "residue_certificates", "residue_oracle", "resultant",
+    "resultant_y", "separation_bound", "smoothness_report", "third_kind",
     "third_kind_system_naive", "unit_circle_pullback", "vandermonde",
     "vandermonde_equivalence",
 ]

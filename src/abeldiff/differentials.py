@@ -38,17 +38,25 @@ auxiliary pole, so f_y changes no condition.  Nor is it inverted where a
 value is returned: eval_u checks it nonzero exactly there too and returns u
 as a towers.Quotient, E(p) over (p.x - x1)(x2 - p.x) f_y(p), whose decimal
 comes from certified ball division, and residue_at returns the residue as
-one, E(p) over sign * (x2 - x1) f_y(p).  Every constructed differential is
-certified fail-closed by an independent residue oracle, which decides on
+one, E(p) over sign * (x2 - x1) f_y(p).
+
+Every constructed differential is certified fail-closed by its defining
+identity: residue_certificates checks E(x_i, y) = (x2 - x1) q_i(y) exactly,
+coefficient by coefficient, and f_y(pole) != 0 at both poles.  The section
+is square-free, so q_i vanishes at the other section points and equals f_y
+at the pole, and the residues +1, -1 and 0 follow with no point evaluated.
+When an identity fails, the verdicts are those of the independent residue
+oracle, which verify runs as its own check.  The oracle decides on
 residue_at itself: at each section point p over a pole abscissa it takes
 the quotient n / d, whose denominator d = sign * (x2 - x1) f_y(p)
 residue_at has checked nonzero exactly, and checks exactly that
-n - expected * d vanishes, which inverts nothing.  The fundamental function needs the
-assigned numerator E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its
-values: it fixes the free parameters c_k so that E vanishes at the
-auxiliary poles, from E_base and the first-kind monomials m_k at each pole,
-and evaluates u at the evaluation point the same way.  E itself is never
-built.
+n - expected * d vanishes, which inverts nothing.
+
+The fundamental function needs the assigned numerator
+E = E_base + (x - x1)(x2 - x) sum_k c_k m_k only by its values: it fixes
+the free parameters c_k so that E vanishes at the auxiliary poles, from
+E_base and the first-kind monomials m_k at each pole, and evaluates u at the
+evaluation point the same way.  E itself is never built.
 
 third_kind is the only step that takes a pole pair: it finds both sections,
 solves, certifies, and returns the differential.  Every later step takes
@@ -215,9 +223,10 @@ class ParametricDifferential:
     such a multiple with deg m_k <= r-3 is exactly adding the first-kind
     differential m_k dx / f_y, which changes E at no section point over x1
     or x2.  So residues are +1 at pole1, -1 at pole2 and 0 at the remaining
-    section points for every assignment, and the residue oracle checks the
-    base numerator.  E(c) is only ever evaluated (eval_u), never built.
-    certificates holds the residue-oracle verdicts that third_kind checked.
+    section points for every assignment, and the residue certificates check
+    the base numerator.  E(c) is only ever evaluated (eval_u), never built.
+    certificates holds the residue verdicts that third_kind checked
+    (residue_certificates), the per-point oracle's for every numerator.
     rank, 2r - 1, is the rank of the conditions: third_kind certifies that
     their nullspace is exactly the first-kind space.
     """
@@ -245,21 +254,22 @@ class ParametricDifferential:
         return self.pole1.y.ctx
 
 
-def _pole_quotient(curve: Curve, pole: Point) -> list[TowerElement]:
-    """The coefficients q_0 .. q_{r-1} of f(x_i, y) / (y - eta) at a pole
-    (x_i, eta), by synthetic division of the section polynomial
-    s = f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  Each q_b has
-    degree below r in the pole's generator, so no product reduces."""
+def _pole_quotient(curve: Curve, pole: Point, scale: Fraction) -> list[TowerElement]:
+    """The coefficients q_0 .. q_{r-1} of scale * f(x_i, y) / (y - eta) at a
+    pole (x_i, eta), by synthetic division of the scaled section polynomial
+    s = scale * f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  Each
+    q_b has degree below r in the pole's generator, so no product
+    reduces."""
     s = curve.section(pole.x, pole.y.ctx).poly.coeffs
-    q = [pole.y.ctx.constant(s[curve.r])]
+    q = [pole.y.ctx.constant(scale * s[curve.r])]
     for b in range(curve.r - 1, 0, -1):
-        q.append(pole.y * q[-1] + s[b])
+        q.append(pole.y * q[-1] + scale * s[b])
     return q[::-1]
 
 
 def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
-    """Construct the third-kind family and certify all residues with the
-    residue oracle.
+    """Construct the third-kind family and certify all residues by its
+    defining identity at both poles.
 
     The base numerator E is the unique solution of the conditions
     E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i) at both poles, stacked
@@ -272,8 +282,10 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     whose embedding stays in degree <= r-1 and vanishes exactly on both
     interpolation rows; full column rank of every block then certifies that
     the nullspace is exactly the embedded first-kind space.  Inconsistent
-    is raised when either fails.  The oracle's verdicts are returned in the
-    family's certificates; VerificationFailed is raised when any of them
+    is raised when either fails.  residue_certificates then checks the
+    identity on the solution, coefficient by coefficient, on elements of the
+    two pole generators; its verdicts are returned in the family's
+    certificates, and VerificationFailed is raised when any of them
     fails."""
     pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
     system = _symmetrized_system(curve, pole1, pole2)
@@ -295,12 +307,12 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
                                "the homogeneous system")
         embedded[b].append(row)
     dx = x2 - x1
-    q1, q2 = _pole_quotient(curve, pole1), _pole_quotient(curve, pole2)
+    q1, q2 = _pole_quotient(curve, pole1, dx), _pole_quotient(curve, pole2, dx)
     zero = pole1.y.ctx.zero
     coeffs, rank = {}, 0
     for b in range(r):
         rows = [xps[:r - b] for xps in xpows] + embedded[b]
-        sol = ff_solve(rows, [dx * q1[b], dx * q2[b]] + [zero] * len(embedded[b]))
+        sol = ff_solve(rows, [q1[b], q2[b]] + [zero] * len(embedded[b]))
         rank += sol.rank
         coeffs.update(((a, b), c) for a, c in enumerate(sol.particular))
     p = len(first_kind)
@@ -321,7 +333,7 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     return diff
 
 
-# -- the independent residue oracle ----------------------------------------
+# -- residues: the defining identity, and the independent oracle -------
 
 
 def residue_at(diff: ParametricDifferential, point: Point) -> Quotient:
@@ -347,19 +359,28 @@ def residue_at(diff: ParametricDifferential, point: Point) -> Quotient:
     return Quotient(num, sign * (x2 - x1) * fyv)
 
 
-def residue_certificates(diff: ParametricDifferential) -> list[dict]:
-    """Residue oracle at every section point over both pole abscissas, plus
-    the residue-sum identity.
+def _identity_holds(diff: ParametricDifferential, pole: Point) -> bool:
+    """Whether E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i) holds exactly at
+    a pole (x_i, eta_i): E's coefficients are summed onto the quotient's
+    negated ones, y-degree by y-degree over every y-degree of the base
+    numerator E (the quotient's are 0 from y^r up), and each sum must be
+    zero.  Both sides are elements of the pole generators, whose reduced
+    form is canonical, so an honest numerator's sums are empty."""
+    x, zero = pole.x, diff.ctx.zero
+    sums = dict(enumerate(_pole_quotient(diff.curve, pole,
+                                         diff.pole1.x - diff.pole2.x)))
+    for (a, b), c in diff.base_numerator.terms.items():
+        sums[b] = sums.get(b, zero) + (c * x ** a if a else c)
+    return all(v.is_zero() for v in sums.values())
 
-    The residue n / d that residue_at returns equals its expected value
-    exactly when n - expected * d is zero, since d is nonzero: the oracle
-    decides that, and just n = 0 where the expected residue is 0, so it
-    inverts nothing.
-    Each residue is certified exactly equal to its expected value, so the
-    sum certificate is the sum of the expected values over the certified
-    points (mixing all residues into one element would drag every generator
-    into a single huge subring for no extra information).
-    """
+
+def _verdicts(diff: ParametricDifferential, decide) -> list[dict]:
+    """One verdict per section point over both pole abscissas, in section
+    order, each decide(point, expected residue), then the residue-sum
+    identity.  Each residue decided equal to its expected value makes the
+    sum the sum of the expected values over the decided points (mixing all
+    residues into one element would drag every generator into a single huge
+    subring for no extra information)."""
     out = []
     expected_total = 0
     all_ok = True
@@ -370,9 +391,7 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
                 expected = 1
             elif pt is diff.pole2:
                 expected = -1
-            res = residue_at(diff, pt)
-            ok = (res.numerator - expected * res.denominator if expected
-                  else res.numerator).is_zero()
+            ok = decide(pt, expected)
             all_ok = all_ok and ok
             expected_total += expected
             out.append({
@@ -383,6 +402,40 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     out.append({"point": "sum over all section points", "expected": 0,
                 "ok": all_ok and expected_total == 0})
     return out
+
+
+def residue_certificates(diff: ParametricDifferential) -> list[dict]:
+    """The residue verdicts at every section point over both pole abscissas,
+    plus the residue-sum identity, decided from the defining identity.
+
+    At each pole (x_i, eta_i) it checks exactly that
+    E(x_i, y) = (x2 - x1) q_i(y), q_i = f(x_i, y) / (y - eta_i), and that
+    f_y(pole) != 0 (Curve.local_series).  Every section is square-free
+    (Curve.section), so q_i vanishes at the r - 1 other section points and
+    equals f_y at the pole: the residue E / (sign * (x2 - x1) f_y) is then
+    +1 at pole1, -1 at pole2 and 0 elsewhere, with nothing evaluated at a
+    point.  When an identity fails the verdicts are residue_oracle's, so
+    they are the per-point oracle's for every numerator."""
+    if not all(_identity_holds(diff, pole) for pole in (diff.pole1, diff.pole2)):
+        return residue_oracle(diff)
+    for pole in (diff.pole1, diff.pole2):
+        diff.curve.local_series(pole)  # raises VerticalTangent
+    return _verdicts(diff, lambda pt, expected: True)
+
+
+def residue_oracle(diff: ParametricDifferential) -> list[dict]:
+    """The independent residue oracle: the verdicts of residue_certificates,
+    decided point by point on residue_at.
+
+    The residue n / d that residue_at returns equals its expected value
+    exactly when n - expected * d is zero, since d is nonzero: the oracle
+    decides that, and just n = 0 where the expected residue is 0, so it
+    inverts nothing."""
+    def decide(pt: Point, expected: int) -> bool:
+        res = residue_at(diff, pt)
+        return (res.numerator - expected * res.denominator if expected
+                else res.numerator).is_zero()
+    return _verdicts(diff, decide)
 
 
 def _first_kind_at(diff: ParametricDifferential, point: Point) -> list[TowerElement]:

@@ -327,7 +327,8 @@ def test_out_of_range_root_index_rejected(capsys):
 ])
 def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
     differentials._groups.clear()   # no haupt group that an earlier test solved
-    calls = {"third_kind": [], "residue_certificates": [], "eval_u": []}
+    calls = {"third_kind": [], "residue_certificates": [], "residue_oracle": [],
+             "eval_u": []}
     for name, log in calls.items():
         def counted(*args, _real=getattr(differentials, name), _log=log, **kwargs):
             _log.append(sys._getframe(1).f_code.co_name)
@@ -337,6 +338,8 @@ def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
     assert code == 0
     assert len(calls["third_kind"]) == 1
     assert len(calls["residue_certificates"]) == 1
+    # only verify re-derives the residues point by point
+    assert calls["residue_oracle"] == (["run"] if argv[0] == "verify" else [])
     assert sum(v["check"].startswith("residue at") for v in doc["verification"]) == 7
     if argv[0] == "haupt":
         # u at the auxiliary pole is checked inside haupt_solve, not again by the CLI
@@ -701,6 +704,11 @@ def test_closed_stdout_exits_141_without_a_traceback(json_flag):
                      "ROADMAP item 2: haupt inverts a zero divisor and "
                      "exits 11 (NotInvertible)")),
                  id="dense-quartic-exit-11"),
+    pytest.param(["haupt", "-f", "x^4+y^4+x*y-1", "--x1=-1/4", "--root1=1",
+                  "--x2=-2", "--root2=2", "--xp=-5/4", "--rootp=3", "--a=-5/3",
+                  "--roota=2", "--a=4", "--roota=1", "--a=1", "--roota=0"], None,
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"),
+                 id="reducible-section-exit-11"),
 ])
 def test_known_defect_requests_are_answered(capsys, argv, value):
     code, doc = _run_json(capsys, argv)
