@@ -22,14 +22,16 @@ sum_a c_{a,b} x_i^a = (x2 - x1) q_{i,b}, with rational rows and right-hand
 sides from one synthetic division each.
 
 The conditions fix E only up to adding m*(x - x1)(x2 - x) for a monomial m of
-degree <= r-3, i.e. up to a first-kind differential.  For m = x^alpha y^b
-that vector lies in y-degree b alone, so the conditions split into one
-block per y-degree b: the r - b unknowns c_{a,b}, the two rows [x1^a] and
-[x2^a], and the embedded first-kind vectors of that degree as rows with
-right-hand side 0.  Each block has full column rank; together their solutions
-are the numerator orthogonal to the first-kind space under the monomial
-inner product, and r fraction-free solves of at most r unknowns each yield
-it.
+degree <= r-3, i.e. up to a first-kind differential; E is the solution
+orthogonal to those vectors under the monomial inner product.  For
+m = x^alpha y^b the vector lies in y-degree b alone, and so do the
+conditions: block b has the r - b unknowns c_{a,b} and the two rows
+u = [x1^a] and v = [x2^a].  A coefficient vector's inner products with u
+and v are its polynomial's values at x1 and x2, where every embedded vector
+of the block vanishes, so u and v span the block's orthogonal complement of
+the first-kind space and c_{a,b} = A x1^a + B x2^a.  The two conditions are
+then one 2 x 2 Gram system in A and B, and E takes r such solves, one per
+y-degree, with no first-kind vector built.
 
 Every condition is stated on the numerator E, never on the rational
 function u = E / ((x - x1)(x2 - x) f_y): f_y is a unit at every point of a
@@ -209,11 +211,6 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
     return LinearSystem(matrix, rhs, monos)
 
 
-def _pole_factor(x1, x2) -> BPoly:
-    """(x - x1)(x2 - x), the factor that embeds a first-kind numerator."""
-    return BPoly({(1, 0): 1, (0, 0): -x1}) * BPoly({(0, 0): x2, (1, 0): -1})
-
-
 @dataclass
 class ParametricDifferential:
     """A third-kind differential family E(c) dx / ((x-x1)(x2-x) f_y).
@@ -227,8 +224,8 @@ class ParametricDifferential:
     the base numerator.  E(c) is only ever evaluated (eval_u), never built.
     certificates holds the residue verdicts that third_kind checked
     (residue_certificates), the per-point oracle's for every numerator.
-    rank, 2r - 1, is the rank of the conditions: third_kind certifies that
-    their nullspace is exactly the first-kind space.
+    rank, 2r - 1, is the rank of the conditions when their nullspace is the
+    first-kind space, which verify checks on the symmetrized system.
     """
 
     curve: Curve
@@ -271,59 +268,41 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     """Construct the third-kind family and certify all residues by its
     defining identity at both poles.
 
-    The base numerator E is the unique solution of the conditions
-    E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i) at both poles, stacked
-    with the embedded first-kind vectors as rows with right-hand side 0
-    (see the module docstring).  They split by y-degree: block b has the
-    unknowns c_{a,b}, a < r - b, the rows [x1^a] and [x2^a] with the
-    y^b-coefficients of the two quotients, and one row for each embedded
-    first-kind numerator x^alpha y^b; each block is one small fraction-free
-    solve.  Each first-kind numerator is first checked to be a monomial
-    whose embedding stays in degree <= r-1 and vanishes exactly on both
-    interpolation rows; full column rank of every block then certifies that
-    the nullspace is exactly the embedded first-kind space.  Inconsistent
-    is raised when either fails.  residue_certificates then checks the
-    identity on the solution, coefficient by coefficient, on elements of the
-    two pole generators; its verdicts are returned in the family's
-    certificates, and VerificationFailed is raised when any of them
-    fails."""
+    The base numerator E is the solution of the conditions
+    E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i) at both poles that is
+    orthogonal to the embedded first-kind space (see the module docstring).
+    Block b, the r - b unknowns c_{a,b}, lies in the span of its two rows
+    u = [x1^a] and v = [x2^a]: c_{a,b} = A u_a + B v_a, where (A, B) solves
+    the 2 x 2 Gram system [[u.u, u.v], [u.v, v.v]] against the
+    y^b-coefficients of the two quotients, one small fraction-free solve.
+    Inconsistent is raised unless its rank is min(2, r - b); the last block
+    has u = v = [1], and the two quotients share its coefficient.  The
+    symmetrized system is kept for verify; the solve does not read it.
+    residue_certificates then checks the identity on the solution,
+    coefficient by coefficient, on elements of the two pole generators; its
+    verdicts are returned in the family's certificates, and
+    VerificationFailed is raised when any of them fails."""
     pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
     system = _symmetrized_system(curve, pole1, pole2)
-    r, monos = curve.r, system.monomials
-    x1, x2 = pole1.x, pole2.x
-    first_kind = first_kind_basis(curve)
-    pf = _pole_factor(x1, x2)
-    xpows = [[x ** a for a in range(r)] for x in (x1, x2)]
-    embedded = [[] for _ in range(r)]     # rows of block b, by y-degree
-    for mono in first_kind:
-        terms = (mono * pf).terms
-        if len(mono.terms) != 1 or any(a + b >= r for a, b in terms):
-            raise Inconsistent("a first-kind numerator is not a monomial whose "
-                               "embedding has degree <= r-1")
-        (_, b), = mono.terms
-        row = [terms.get((a, b), Fraction(0)) for a in range(r - b)]
-        if any(sum(e * xp for e, xp in zip(row, xps)) for xps in xpows):
-            raise Inconsistent("an embedded first-kind numerator does not solve "
-                               "the homogeneous system")
-        embedded[b].append(row)
+    r, x1, x2 = curve.r, pole1.x, pole2.x
     dx = x2 - x1
     q1, q2 = _pole_quotient(curve, pole1, dx), _pole_quotient(curve, pole2, dx)
-    zero = pole1.y.ctx.zero
-    coeffs, rank = {}, 0
+    coeffs = {}
     for b in range(r):
-        rows = [xps[:r - b] for xps in xpows] + embedded[b]
-        sol = ff_solve(rows, [q1[b], q2[b]] + [zero] * len(embedded[b]))
-        rank += sol.rank
-        coeffs.update(((a, b), c) for a, c in enumerate(sol.particular))
-    p = len(first_kind)
-    if rank != len(monos):
-        raise Inconsistent(f"nullspace dimension {len(monos) - rank + p} "
-                           f"!= genus {p}")
-    base = BPoly({m: coeffs[m] for m in monos if coeffs[m]})
+        u = [x1 ** a for a in range(r - b)]
+        v = [x2 ** a for a in range(r - b)]
+        uv = sum(s * t for s, t in zip(u, v))
+        sol = ff_solve([[sum(s * s for s in u), uv], [uv, sum(t * t for t in v)]],
+                       [q1[b], q2[b]])
+        if sol.rank != min(2, r - b):
+            raise Inconsistent(f"the y^{b} block has rank {sol.rank}")
+        wu, wv = sol.particular
+        coeffs.update(((a, b), wu * s + wv * t) for a, (s, t) in enumerate(zip(u, v)))
+    base = BPoly({m: coeffs[m] for m in system.monomials if coeffs[m]})
 
     diff = ParametricDifferential(
         curve=curve, pole1=pole1, pole2=pole2, base_numerator=base,
-        first_kind_numerators=first_kind, section1=section1,
+        first_kind_numerators=first_kind_basis(curve), section1=section1,
         section2=section2, system=system)
     diff.certificates = residue_certificates(diff)
     failures = [c for c in diff.certificates if not c["ok"]]

@@ -13,6 +13,12 @@ CIRCLE_TERMS = {(2, 0): 1, (0, 2): 1, (0, 0): -1}
 QUARTIC_TERMS = {(4, 0): 1, (0, 4): 1, (0, 0): -1}
 
 
+def pole_factor(x1, x2) -> BPoly:
+    """(x - x1)(x2 - x), the factor that embeds a first-kind numerator m as
+    the numerator m (x - x1)(x2 - x) of the third-kind family."""
+    return BPoly({(1, 0): 1, (0, 0): -x1}) * BPoly({(0, 0): x2, (1, 0): -1})
+
+
 @pytest.fixture(autouse=True)
 def global_precision_unchanged():
     """Every test leaves mpmath's global precision as it found it: the

@@ -14,13 +14,14 @@ from abeldiff.differentials import (eval_u, haupt_solve,
                                     residue_certificates,
                                     third_kind, third_kind_system_naive,
                                     unit_circle_pullback,
-                                    vandermonde_equivalence, _pole_factor)
+                                    vandermonde_equivalence)
 from abeldiff.errors import (AbeldiffError, MultipleRoots, PointNotOnCurve,
                              SameAbscissa, exit_code_for)
 from abeldiff.linsolve import ff_solve, rank
 from abeldiff.polys import BPoly, UPoly, is_squarefree, power_sums
 from abeldiff.towers import TowerContext
-from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS
+from tests.conftest import (CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS,
+                            pole_factor)
 
 
 def test_criterion_1_cubic_end_to_end():
@@ -110,7 +111,7 @@ def test_criterion_4_genus_and_nullspace(cubic, circle, quartic,
     # nullspace == embedded monomial space of degree <= r-3
     sym = cubic_diff.system
     sol = ff_solve(sym.matrix, sym.rhs)
-    pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
+    pf = pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     embedded = [tuple((m * pf).terms.get(mono, Fraction(0))
                       for mono in sym.monomials)
                 for m in cubic_diff.first_kind_numerators]

@@ -113,6 +113,37 @@ def test_verify_command_circle(capsys):
     assert all(v["ok"] for v in doc["verification"])
 
 
+def _nullspace_verdict(doc) -> bool:
+    verdict, = (v["ok"] for v in doc["verification"]
+                if v["check"] == "nullspace dimension == genus")
+    return verdict
+
+
+def test_verify_counts_the_nullspace_against_a_wrong_first_kind_space(
+        capsys, monkeypatch):
+    # the cubic's genus is 1: an empty first-kind space is a wrong count
+    # of free parameters, which the construction no longer reads
+    monkeypatch.setattr(differentials, "first_kind_basis", lambda curve: [])
+    code, doc = _run_json(capsys, ["verify", "-f", CUBIC, "--x1", "0", "--x2", "1"])
+    assert code == 14
+    assert _nullspace_verdict(doc) is False
+
+
+def test_verify_counts_the_nullspace_of_the_symmetrized_system(capsys, monkeypatch):
+    # the last row of the symmetrized system repeated over its first: one
+    # condition fewer, a nullspace one larger than the genus
+    real = differentials._symmetrized_system
+
+    def deficient(*args):
+        system = real(*args)
+        system.matrix[-1] = list(system.matrix[0])
+        return system
+    monkeypatch.setattr(differentials, "_symmetrized_system", deficient)
+    code, doc = _run_json(capsys, ["verify", "-f", CUBIC, "--x1", "0", "--x2", "1"])
+    assert code == 14
+    assert _nullspace_verdict(doc) is False
+
+
 def test_haupt_command(capsys):
     code, doc = _run_json(capsys, ["haupt", "-f", CUBIC, "--x1", "0",
                                    "--x2", "1", "--xp", "3", "--a", "2",

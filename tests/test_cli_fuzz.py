@@ -3,11 +3,12 @@
 About 200 third-kind, verify and haupt requests are drawn from a fixed seed
 and run in process through cli.main.  Each must end in exit 0 with every
 verdict true, or in an error document whose exit code is its type's own, and
-leave mpmath's precision as it found it.  Any other ending is a defect,
-sorted into a class: an exception that escapes cli.main (by its type and the
-function that raised it), an error of exit code 1, which is reserved for
-internal errors, a false verdict, or a typed error that names a known
-defect.
+leave mpmath's precision as it found it; an answered request, run a second
+time in the same process, must print the same document, timings aside.  Any
+other ending is a defect, sorted into a class: an exception that escapes
+cli.main (by its type and the function that raised it), an error of exit
+code 1, which is reserved for internal errors, a false verdict, a repeat
+that prints another document, or a typed error that names a known defect.
 
 KNOWN lists the classes of known defects with the ROADMAP item that removes
 them.  Any other class fails the test.  So does a known class that no
@@ -73,6 +74,18 @@ def _request(rng: random.Random) -> list[str]:
     return argv
 
 
+def _untimed(doc: dict) -> dict:
+    doc.pop("timings", None)
+    return doc
+
+
+def _repeated(capsys, argv: list[str]) -> dict:
+    """The document of the request run once more in this process, timings
+    aside: it meets the caches that its first run filled."""
+    cli.main(argv + ["--json"])
+    return _untimed(json.loads(capsys.readouterr().out))
+
+
 def _defect(capsys, argv: list[str]) -> str | None:
     """The defect class of the request's ending, or None for a sound one."""
     prec = mp.mp.prec
@@ -87,7 +100,10 @@ def _defect(capsys, argv: list[str]) -> str | None:
     doc = json.loads(out)
     if "error" not in doc:
         ok = all(v["ok"] for v in doc["verification"])
-        return None if code == 0 and ok else f"a false verdict (exit {code})"
+        if not (code == 0 and ok):
+            return f"a false verdict (exit {code})"
+        return None if _repeated(capsys, argv) == _untimed(doc) else \
+            "a repeat in the same process prints another document"
     err = doc["error"]
     assert err["exit_code"] == code == getattr(errors, err["type"]).exit_code, argv
     if code == 1 or err["type"] == "NotInvertible":

@@ -12,7 +12,7 @@ from abeldiff.differentials import (eval_u, first_kind_basis, haupt_solve,
                                     third_kind,
                                     third_kind_system_naive,
                                     unit_circle_pullback,
-                                    vandermonde_equivalence, _pole_factor,
+                                    vandermonde_equivalence,
                                     _solve_tower)
 from abeldiff.errors import (DegeneratePoints, DegreeDrop, EvaluationAtPole,
                              Inconsistent, MultipleRoots, SameAbscissa,
@@ -21,7 +21,8 @@ from abeldiff.linsolve import rank
 from abeldiff.parser import parse_poly
 from abeldiff.polys import BPoly, is_squarefree
 from abeldiff.towers import TowerContext, TowerElement, eval_bpoly
-from tests.conftest import CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS
+from tests.conftest import (CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS,
+                            pole_factor)
 from tests.test_cli import DENSE_QUARTIC
 from tests.test_curves import _dense
 
@@ -355,7 +356,7 @@ def test_particular_solution_satisfies_naive_system(cubic_diff):
 
 def test_nullspace_vector_satisfies_homogeneous_naive(cubic_diff):
     naive = third_kind_system_naive(cubic_diff)
-    pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
+    pf = pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     for mono in cubic_diff.first_kind_numerators:
         vec = mono * pf
         coords = [vec.terms.get(m, Fraction(0)) for m in naive.monomials]
@@ -485,7 +486,7 @@ def _assigned_u(diff, pt, params):
     """Reference for eval_u: the whole assigned numerator
     E_base + sum_k c_k m_k (x - x1)(x2 - x) as one BPoly, evaluated by
     BPoly.eval, and (x - x1)(x2 - x) f_y, its denominator."""
-    pf = _pole_factor(diff.pole1.x, diff.pole2.x)
+    pf = pole_factor(diff.pole1.x, diff.pole2.x)
     num = diff.base_numerator
     for c, mono in zip(params, diff.first_kind_numerators, strict=True):
         num = num + c * (mono * pf)
@@ -568,7 +569,7 @@ def test_monomials_upto_order():
 def test_first_kind_numerators_have_zero_residue_everywhere(cubic_diff):
     # the embedded first-kind numerators alone give regular differentials:
     # residue 0 at every section point over both pole abscissas
-    pf = _pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
+    pf = pole_factor(cubic_diff.pole1.x, cubic_diff.pole2.x)
     for mono in cubic_diff.first_kind_numerators:
         pure = dataclasses.replace(cubic_diff, base_numerator=mono * pf,
                                    first_kind_numerators=[])
@@ -642,7 +643,7 @@ def test_base_numerator_is_the_solution_orthogonal_to_first_kind(terms, x1, x2):
         for a, c in zip(row, coords):
             acc = acc + a * c
         assert (acc - rhs).is_zero()
-    pf = _pole_factor(diff.pole1.x, diff.pole2.x)
+    pf = pole_factor(diff.pole1.x, diff.pole2.x)
     assert len(diff.first_kind_numerators) == curve.genus()
     for mono in diff.first_kind_numerators:
         embedded = (mono * pf).terms
@@ -654,8 +655,9 @@ def test_base_numerator_is_the_solution_orthogonal_to_first_kind(terms, x1, x2):
 
 
 def test_third_kind_solves_one_block_per_y_degree(monkeypatch):
-    # one solve per y-degree b, each in the r - b coefficients c_{a,b}; the
-    # stacked matrix of all r(r+1)/2 columns is never built
+    # one solve per y-degree b, each the 2 x 2 Gram system of the block's
+    # two pole rows; the stacked matrix of all r(r+1)/2 columns is never
+    # built, and no first-kind numerator is read to solve
     real, calls = linsolve.ff_solve, []
 
     def counted(*args):
@@ -668,13 +670,26 @@ def test_third_kind_solves_one_block_per_y_degree(monkeypatch):
     for terms, x1, x2 in ((CUBIC_TERMS, 0, 1), (QUARTIC_TERMS, 2, 3)):
         curve = Curve(BPoly(terms))
         ctx = TowerContext()
+        p1, p2 = curve.section_roots(x1, ctx)[0], curve.section_roots(x2, ctx)[0]
         calls.clear()
-        third_kind(curve, curve.section_roots(x1, ctx)[0],
-                   curve.section_roots(x2, ctx)[0])
+        base = third_kind(curve, p1, p2).base_numerator
         assert len(calls) == curve.r
-        widths = [len(getattr(m, "rows", m)[0]) for m, _ in calls]
-        assert widths == list(range(curve.r, 0, -1))
-        assert curve.r * (curve.r + 1) // 2 not in widths
+        assert [(len(m), len(m[0])) for m, _ in calls] == [(2, 2)] * curve.r
+        with monkeypatch.context() as patched:
+            patched.setattr(differentials, "first_kind_basis",
+                            lambda curve: [BPoly({(1, 0): 1, (0, 1): 1})])
+            assert third_kind(curve, p1, p2).base_numerator == base
+
+
+def test_a_rank_deficient_block_is_inconsistent(monkeypatch, cubic, cubic_setup):
+    # a block of two or more unknowns whose Gram rows coincide determines
+    # only one combination of its two pole rows
+    _, p1, p2 = cubic_setup
+    real = linsolve.ff_solve
+    monkeypatch.setattr(differentials, "ff_solve",
+                        lambda rows, rhs: real([rows[0], rows[0]], [rhs[0], rhs[0]]))
+    with pytest.raises(Inconsistent, match="block has rank 1"):
+        third_kind(cubic, p1, p2)
 
 
 def _stacked_base_numerator(diff):
@@ -682,7 +697,7 @@ def _stacked_base_numerator(diff):
     diff.system with the embedded first-kind vectors appended as rows with
     right-hand side 0, in one fraction-free solve of full column rank."""
     system = diff.system
-    pf = _pole_factor(diff.pole1.x, diff.pole2.x)
+    pf = pole_factor(diff.pole1.x, diff.pole2.x)
     embedded = [[(mono * pf).terms.get(m, Fraction(0)) for m in system.monomials]
                 for mono in diff.first_kind_numerators]
     sol = linsolve.ff_solve(system.matrix + embedded,
@@ -720,6 +735,10 @@ LADDER_CURVES = ("x^2+y^2-1", "x^3-y^3+2*x*y+x-2*y+1", "x^4+y^4-1",
     *_random_pole_pairs({f"dense{d}": _dense(d) for d in (3, 4, 5)}, 2, 21),
     *(pytest.param(parse_poly(text), Fraction(1, 2), Fraction(1, 3), 0, 0, id=text)
       for text in ("x^10+y^10-1", "x^12+y^12-1")),
+    # r = 1: one block of one unknown, whose two rows coincide
+    pytest.param(parse_poly("x+2*y-1"), 3, Fraction(-1, 2), 0, 0, id="line"),
+    # x1 = 0: every row [x1^a] but its first entry is zero
+    pytest.param(parse_poly("x^5+y^5-1"), 0, 2, 1, 3, id="pole-at-zero"),
 ])
 def test_block_solves_give_the_stacked_solution(f, x1, x2, i1, i2):
     curve = Curve(f)
@@ -741,28 +760,3 @@ def test_third_kind_prepares_its_pole_pair_once(monkeypatch, cubic, cubic_setup)
     monkeypatch.setattr(Curve, "section_roots", counted)
     third_kind(cubic, p1, p2)
     assert calls == [p1.x, p2.x]
-
-
-@pytest.mark.parametrize("numerators", [
-    [BPoly({(1, 0): 1})],     # degree r-2: its embedding leaves the monomial range
-    [],                       # too small a space: the stacked system is rank deficient
-])
-def test_wrong_first_kind_space_is_inconsistent(monkeypatch, cubic, cubic_setup,
-                                                numerators):
-    _, p1, p2 = cubic_setup
-    monkeypatch.setattr(differentials, "first_kind_basis",
-                        lambda curve: numerators)
-    with pytest.raises(Inconsistent):
-        third_kind(cubic, p1, p2)
-
-
-def test_non_monomial_first_kind_numerator_is_inconsistent(monkeypatch, quartic):
-    # 1, x + y, y span the first-kind space too, but x + y is not a
-    # monomial: its embedding mixes y-degrees, which no block holds
-    numerators = [BPoly.const(1), BPoly({(1, 0): 1, (0, 1): 1}), BPoly({(0, 1): 1})]
-    monkeypatch.setattr(differentials, "first_kind_basis",
-                        lambda curve: numerators)
-    ctx = TowerContext()
-    with pytest.raises(Inconsistent):
-        third_kind(quartic, quartic.section_roots(2, ctx)[0],
-                   quartic.section_roots(3, ctx)[0])
