@@ -13,7 +13,7 @@ from .differentials import (HauptResult, LinearSystem, ParametricDifferential,
                             residue_certificates, residue_oracle, third_kind,
                             third_kind_system_naive, unit_circle_pullback,
                             vandermonde_equivalence)
-from .linsolve import SolveResult, ff_solve, vandermonde
+from .linsolve import SolveResult, ff_solve
 from .parser import format_bpoly, parse_poly
 from .polys import (BPoly, UPoly, is_squarefree, poly_gcd, power_sums,
                     resultant, resultant_y)
@@ -30,6 +30,6 @@ __all__ = [
     "is_squarefree", "isolate_roots", "parse_poly", "poly_gcd", "power_sums",
     "residue_at", "residue_certificates", "residue_oracle", "resultant",
     "resultant_y", "separation_bound", "smoothness_report", "third_kind",
-    "third_kind_system_naive", "unit_circle_pullback", "vandermonde",
+    "third_kind_system_naive", "unit_circle_pullback",
     "vandermonde_equivalence",
 ]

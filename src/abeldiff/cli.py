@@ -233,7 +233,7 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
 
     if req.command == "verify":
         verdicts.append({"check": "vandermonde equivalence",
-                         "ok": diffs.vandermonde_equivalence(d, naive)})
+                         "ok": diffs.vandermonde_equivalence(d)})
         # the nullspace of the paper's symmetrized conditions, the family's
         # free parameters and the genus: three counts, one number
         nullity = len(d.system.monomials) - rank(d.system.matrix)

@@ -11,11 +11,13 @@ conditions against powers of the section ordinates turns every left-hand
 coefficient into a power sum of the section polynomial — a rational number.
 Both systems are two blocks of r rows, one per pole abscissa, with the
 per-point rows of a block in section order.  The symmetrized system is kept
-with the differential, and verify checks it: its block i is the Vandermonde
-matrix of section i's ordinates times the per-point block i.  Its left
-factor, the Hankel matrix of power sums, is invertible for a square-free
-section, so per pole (x_i, eta_i) the conditions are exactly one polynomial
-identity in y,
+with the differential.  Its block i is the Vandermonde matrix V_i of section
+i's ordinates times the per-point block i, and verify checks that without
+multiplying it out: per-point entry (j, (a, b)) is x_i^a eta_j^b, so entry
+(k, (a, b)) of the product is x_i^a p_(k+b) once the 2r - 1 power-sum
+identities sum_j eta_j^m = p_m, m <= 2r - 2, hold.  V_i is invertible for a
+square-free section, so per pole (x_i, eta_i) the conditions are exactly
+one polynomial identity in y,
 E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i): the quotient vanishes at the
 other section points and equals f_y at the pole.  Its y^b-coefficients give
 sum_a c_{a,b} x_i^a = (x2 - x1) q_{i,b}, with rational rows and right-hand
@@ -63,8 +65,9 @@ evaluation point the same way.  E itself is never built.
 third_kind is the only step that takes a pole pair: it finds both sections,
 solves, certifies, and returns the differential.  Every later step takes
 that differential: third_kind_system_naive builds the per-point rows from
-its sections, vandermonde_equivalence checks them against its symmetrized
-system, and haupt_solve fixes its free parameters.
+its sections, vandermonde_equivalence checks its symmetrized system against
+the power sums of its sections' ordinates, and haupt_solve fixes its free
+parameters.
 
 Neither the differential nor its parameters depend on haupt's evaluation
 point, so a group of haupt requests that share the curve, the poles and the
@@ -87,7 +90,7 @@ from typing import NamedTuple
 from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
-from .linsolve import ff_solve, vandermonde
+from .linsolve import ff_solve
 from .polys import BPoly, UPoly, power_sums
 from .towers import (Detached, Quotient, TowerContext, TowerElement, attach,
                      detach, eval_bpoly)
@@ -170,9 +173,9 @@ def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerEl
 def third_kind_system_naive(diff: ParametricDifferential) -> LinearSystem:
     """The per-point system of diff's pole pair: 2r equations (one per
     section point, in section order) in the r(r+1)/2 monomial coefficients;
-    matrix entries are tower elements.  Each residue row's right-hand side
-    (x2 - x1) f_y(pole) is evaluated here, not read from diff.system, since
-    vandermonde_equivalence checks the one against the other."""
+    matrix entries are tower elements, and each residue row's right-hand side
+    is (x2 - x1) f_y(pole).  vandermonde_equivalence checks the symmetrized
+    system against V_i times this system's block i without building it."""
     curve = diff.curve
     monos = monomials_upto(curve.r - 1)
     dx = diff.pole2.x - diff.pole1.x
@@ -616,28 +619,55 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
 # -- verification bundles ----------------------------------------------------
 
 
-def vandermonde_equivalence(diff: ParametricDifferential,
-                            naive: LinearSystem) -> bool:
+def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
     """Exact check that V_i . (per-point block i) == (symmetrized block i)
-    for both pole abscissas, including the right-hand sides; naive is the
-    per-point system third_kind_system_naive builds for diff's poles."""
-    sym = diff.system
-    r = diff.curve.r
-    if naive.shape != sym.shape:
+    for both pole abscissas, right-hand sides included, with no product of
+    V_i formed.
+
+    Row k of V_i is (eta_j^k) over section i's ordinates, and per-point
+    entry (j, (a, b)) is x_i^a eta_j^b, with right-hand side
+    (x2 - x1) f_y(pole) at the pole and 0 elsewhere
+    (third_kind_system_naive).  So entry (k, (a, b)) of the product is
+    x_i^a sum_j eta_j^(k+b), and its right-hand side is
+    eta_pole^k (x2 - x1) f_y(pole).  The product is therefore the
+    symmetrized system, of 2r rows over monomials_upto(r - 1), exactly when
+    per pole abscissa, with p_m the power sums of the section polynomial:
+    - every symmetrized entry (k, (a, b)) is x_i^a p_(k+b), in Q;
+    - every symmetrized right-hand side k is eta_pole^k (x2 - x1) f_y(pole);
+    - sum_j eta_j^m = p_m for m = 0 .. 2r - 2, one is_zero each.
+    Each root's powers eta_j^0 .. eta_j^(2r-2) are one chain of products,
+    which also gives eta_pole^k."""
+    sym, curve, ctx = diff.system, diff.curve, diff.ctx
+    r = curve.r
+    monos = monomials_upto(r - 1)
+    if (sym.monomials != monos or len(sym.matrix) != 2 * r or len(sym.rhs) != 2 * r
+            or any(len(row) != len(monos) for row in sym.matrix)):
         return False
-    for i, sec in enumerate((diff.section1, diff.section2)):
-        block = slice(i * r, (i + 1) * r)
-        # each row with its right-hand side as one more entry
-        point_rows = [[*row, rv] for row, rv in zip(naive.matrix[block], naive.rhs[block])]
-        sym_rows = [[*row, rv] for row, rv in zip(sym.matrix[block], sym.rhs[block])]
-        v = vandermonde([pt.y for pt in sec])
-        for k in range(r):
-            for c, expected in enumerate(sym_rows[k]):
-                acc = diff.ctx.zero
-                for j in range(r):
-                    acc = acc + v[k][j] * point_rows[j][c]
-                if not (acc - expected).is_zero():
-                    return False
+    dx = diff.pole2.x - diff.pole1.x
+    for i, (sec, pole) in enumerate(((diff.section1, diff.pole1),
+                                     (diff.section2, diff.pole2))):
+        ps = power_sums(curve.section(pole.x, ctx).poly, 2 * r - 1)
+        xpows = [pole.x ** a for a in range(r)]
+        if any(entry != xpows[a] * ps[k + b]
+               for k, row in enumerate(sym.matrix[i * r:(i + 1) * r])
+               for entry, (a, b) in zip(row, monos)):
+            return False
+        chains = []
+        for pt in sec:
+            chain = [ctx.one]
+            for _ in range(2 * r - 2):
+                chain.append(chain[-1] * pt.y)
+            chains.append(chain)
+        pole_chain = next((c for pt, c in zip(sec, chains) if pt is pole), None)
+        if pole_chain is None:
+            return False
+        fyv = dx * curve.fy_at(pole)
+        if not all((rv - pole_chain[k] * fyv).is_zero()
+                   for k, rv in enumerate(sym.rhs[i * r:(i + 1) * r])):
+            return False
+        if not all((sum((c[m] for c in chains), ctx.zero) - ps[m]).is_zero()
+                   for m in range(2 * r - 1)):
+            return False
     return True
 
 

@@ -172,17 +172,3 @@ def ff_solve(matrix, rhs: Sequence | None = None) -> SolveResult:
 def rank(matrix) -> int:
     return len(_eliminate(matrix)[2])
 
-
-def vandermonde(values: Sequence) -> list[list]:
-    """Square matrix whose row k holds values**k, k = 0 .. n-1.
-
-    Entries live in the ring of the given values; with pairwise-distinct
-    values the determinant is nonzero.
-    """
-    n = len(values)
-    rows: list[list] = []
-    current = [Fraction(1)] * n
-    for _ in range(n):
-        rows.append(list(current))
-        current = [current[j] * values[j] for j in range(n)]
-    return rows

@@ -133,13 +133,11 @@ def test_same_abscissa_rejected(cubic):
 
 
 def test_vandermonde_equivalence_cubic(cubic_diff):
-    naive = third_kind_system_naive(cubic_diff)
-    assert vandermonde_equivalence(cubic_diff, naive)
+    assert vandermonde_equivalence(cubic_diff)
 
 
 def test_vandermonde_equivalence_conic(circle_diff):
-    naive = third_kind_system_naive(circle_diff)
-    assert vandermonde_equivalence(circle_diff, naive)
+    assert vandermonde_equivalence(circle_diff)
 
 
 def _perturbed(system, row, col):
@@ -165,34 +163,126 @@ def _positions(system, i, rng=None):
     return entries + sides
 
 
-def test_vandermonde_equivalence_fails_closed(circle_diff, cubic_diff, quartic):
-    # one perturbed entry or right-hand side, in either system and over
-    # either pole abscissa, is found: the check reads every entry
+def test_vandermonde_equivalence_fails_closed(circle_diff, cubic_diff, quartic,
+                                              monkeypatch):
+    # a perturbed symmetrized entry or right-hand side over either pole
+    # abscissa, a wrong power sum, and a section with one ordinate swapped
+    # for another root are each found
     ctx = TowerContext()
     quartic_diff = third_kind(quartic, quartic.section_roots(2, ctx)[0],
                               quartic.section_roots(3, ctx)[0])
     rng = random.Random(26)
-    for diff, sample in ((circle_diff, None), (cubic_diff, None), (quartic_diff, rng)):
-        naive = third_kind_system_naive(diff)
-        assert vandermonde_equivalence(diff, naive)
+    diffs = ((circle_diff, None), (cubic_diff, None), (quartic_diff, rng))
+    for diff, sample in diffs:
+        assert vandermonde_equivalence(diff)
         for i in (1, 2):
-            for row, col in _positions(naive, i, sample):
-                assert not vandermonde_equivalence(diff, _perturbed(naive, row, col))
             for row, col in _positions(diff.system, i, sample):
                 bad = dataclasses.replace(diff, system=_perturbed(diff.system, row, col))
-                assert not vandermonde_equivalence(bad, naive)
+                assert not vandermonde_equivalence(bad)
+        for name, pole in (("section1", diff.pole1), ("section2", diff.pole2)):
+            sec = getattr(diff, name)
+            for j in range(len(sec)):
+                swapped = [*sec[:j], sec[(j + 1) % len(sec)], *sec[j + 1:]]
+                assert not vandermonde_equivalence(
+                    dataclasses.replace(diff, **{name: swapped}))
+            # the same ordinates, but no section point is the pole, so no
+            # per-point row carries the residue condition
+            copied = [Point(diff.curve, pt.x, pt.y) if pt is pole else pt for pt in sec]
+            assert not vandermonde_equivalence(
+                dataclasses.replace(diff, **{name: copied}))
+    real_power_sums = differentials.power_sums
+    for diff, _ in diffs:
+        for m in range(2 * diff.curve.r - 1):
+            def one_off(poly, count, m=m):
+                ps = real_power_sums(poly, count)
+                return [*ps[:m], ps[m] + 1, *ps[m + 1:]]
+            # p_m read by the check alone, then by the system as well: the
+            # entries find the first, the identity sum_j eta_j^m = p_m the
+            # second
+            with monkeypatch.context() as patch:
+                patch.setattr(differentials, "power_sums", one_off)
+                assert not vandermonde_equivalence(diff)
+                rebuilt = differentials._symmetrized_system(diff.curve, diff.pole1,
+                                                            diff.pole2)
+                assert not vandermonde_equivalence(
+                    dataclasses.replace(diff, system=rebuilt))
 
 
 def test_vandermonde_equivalence_rejects_a_system_of_another_shape(cubic_diff):
     # the blocks are read by position, so a row too many or too few is no
     # pair of r-row blocks
-    naive = third_kind_system_naive(cubic_diff)
-    n = len(naive.matrix)
+    sym = cubic_diff.system
+    n = len(sym.matrix)
     for keep in (range(n - 1), [*range(n), 0]):
         other = dataclasses.replace(
-            naive, matrix=[naive.matrix[k] for k in keep],
-            rhs=[naive.rhs[k] for k in keep])
-        assert not vandermonde_equivalence(cubic_diff, other)
+            sym, matrix=[sym.matrix[k] for k in keep], rhs=[sym.rhs[k] for k in keep])
+        assert not vandermonde_equivalence(dataclasses.replace(cubic_diff, system=other))
+
+
+def _vandermonde(values: list) -> list[list]:
+    """The square matrix whose row k holds values**k, k = 0 .. n-1."""
+    rows, current = [], [1] * len(values)
+    for _ in values:
+        rows.append(current)
+        current = [c * v for c, v in zip(current, values)]
+    return rows
+
+
+def _multiplied_out(diff) -> bool:
+    """The Vandermonde check multiplied out, as a reference: V_i times
+    per-point block i equals symmetrized block i, entry by entry, right-hand
+    sides included, for both pole abscissas."""
+    naive, sym, r = third_kind_system_naive(diff), diff.system, diff.curve.r
+    if naive.shape != sym.shape:
+        return False
+    for i, sec in enumerate((diff.section1, diff.section2)):
+        block = slice(i * r, (i + 1) * r)
+        point_rows = [[*row, rv] for row, rv in zip(naive.matrix[block], naive.rhs[block])]
+        sym_rows = [[*row, rv] for row, rv in zip(sym.matrix[block], sym.rhs[block])]
+        v = _vandermonde([pt.y for pt in sec])
+        for k in range(r):
+            for c, expected in enumerate(sym_rows[k]):
+                acc = sum((v[k][j] * point_rows[j][c] for j in range(r)), diff.ctx.zero)
+                if not (acc - expected).is_zero():
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("x^2+y^2-1", [(0, Fraction(1, 2)), (Fraction(1, 3), Fraction(-2, 3))]),
+    ("x^3-y^3+2*x*y+x-2*y+1", [(0, 1), (2, Fraction(-1, 2)), (Fraction(1, 3), 3)]),
+    ("x^4+y^4-1", [(Fraction(1, 2), Fraction(-2, 3)), (2, 3)]),
+    ("x^5+y^5-1", [(Fraction(1, 2), Fraction(1, 3)), (0, 2)]),
+    ("x^6+y^6-1", [(Fraction(1, 2), Fraction(1, 3)), (2, Fraction(-1, 3))]),
+    ("x^7+y^7-x-1", [(0, 2), (Fraction(1, 2), Fraction(-2, 3))]),
+    (DENSE_QUARTIC, [(Fraction(1, 3), Fraction(5, 2)), (2, 3)]),
+])
+def test_vandermonde_equivalence_agrees_with_the_multiplied_out_product(
+        text, pairs, monkeypatch):
+    # on the true systems the check makes at most 2r - 1 zero tests per pole
+    # abscissa that the syntactic stage cannot decide
+    curve = Curve(parse_poly(text))
+    rng = random.Random(36)
+    real_is_zero, undecided = TowerElement.is_zero, []
+
+    def is_zero(element):
+        if any(element.terms):    # a generator term
+            undecided.append(element)
+        return real_is_zero(element)
+    for x1, x2 in pairs:
+        ctx = TowerContext()
+        sec1, sec2 = curve.section_roots(x1, ctx), curve.section_roots(x2, ctx)
+        diff = third_kind(curve, rng.choice(sec1), rng.choice(sec2))
+        undecided.clear()
+        with monkeypatch.context() as m:
+            m.setattr(TowerElement, "is_zero", is_zero)
+            assert vandermonde_equivalence(diff)
+        assert len(undecided) <= 2 * (2 * curve.r - 1)
+        assert _multiplied_out(diff)
+        row = rng.randrange(len(diff.system.matrix))
+        for col in (rng.randrange(len(diff.system.monomials)), None):
+            bad = dataclasses.replace(diff, system=_perturbed(diff.system, row, col))
+            assert not vandermonde_equivalence(bad) and not _multiplied_out(bad)
 
 
 def test_nullspace_is_embedded_first_kind_space(cubic, cubic_diff):

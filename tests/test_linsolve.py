@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from abeldiff.errors import Inconsistent
-from abeldiff.linsolve import bareiss_det, ff_solve, rank, vandermonde
+from abeldiff.linsolve import bareiss_det, ff_solve, rank
 from abeldiff.polys import UPoly
 
 
@@ -50,15 +50,6 @@ def test_solve_exactness_randomized():
             for i in range(m):
                 assert sum(rows[i][j] * v[j] for j in range(n)) == 0
         assert r.rank + len(r.nullspace) == n
-
-
-def test_vandermonde():
-    assert vandermonde([Fraction(1), Fraction(2)]) == [[1, 1], [1, 2]]
-    assert vandermonde([Fraction(5)]) == [[1]]
-    vals = [Fraction(1), Fraction(2), Fraction(-3)]
-    v = vandermonde(vals)
-    assert bareiss_det(v) != 0
-    assert v[2] == [1, 4, 9]
 
 
 def test_bareiss_det():

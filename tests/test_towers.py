@@ -10,7 +10,6 @@ from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 from abeldiff import towers
 from abeldiff.curves import Curve
 from abeldiff.differentials import (residue_certificates, third_kind,
-                                    third_kind_system_naive,
                                     vandermonde_equivalence)
 from abeldiff.errors import (ContextMismatch, NotInvertible, NotSquareFree,
                              ZeroDivision)
@@ -823,13 +822,11 @@ def test_cauchy_stage_decides_vandermonde_and_residues(monkeypatch, quartic):
     s2 = septic.section_roots(Fraction(-2, 3), ctx)[0]
     septic_diff = third_kind(septic, s1, s2)
     monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
-    assert vandermonde_equivalence(
-        diff, third_kind_system_naive(diff))
+    assert vandermonde_equivalence(diff)
     assert all(cert["ok"] for cert in residue_certificates(third_kind(septic, q1, q2)))
     # the septic's sections at non-integral abscissas have primitive leads
     # 2^7 and 3^7
-    assert vandermonde_equivalence(
-        septic_diff, third_kind_system_naive(septic_diff))
+    assert vandermonde_equivalence(septic_diff)
 
 
 def test_is_zero_cauchy_agrees_with_minimal_polynomial(monkeypatch):
