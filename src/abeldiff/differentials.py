@@ -158,14 +158,20 @@ def _prepare(curve: Curve, p1: Point, p2: Point
     return sec1[_locate_pole(sec1, p1)], sec2[_locate_pole(sec2, p2)], sec1, sec2
 
 
+def _powers(y: TowerElement, n: int) -> list[TowerElement]:
+    """y^0 .. y^(n-1), one chain of products from [1, y]."""
+    pows = [y.ctx.one, y][:n]
+    while len(pows) < n:
+        pows.append(pows[-1] * y)
+    return pows
+
+
 def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerElement]:
     """The monomials x^a y^b at a point, from the powers xpows of its
     abscissa and one chain of powers of its ordinate; at a section point,
     whose ordinate is a bare generator, each entry has the terms, in order,
     that eval_bpoly(BPoly({(a, b): 1}), x, y) gives."""
-    ypows = [y.ctx.one, y]
-    for _ in range(len(xpows) - 2):
-        ypows.append(ypows[-1] * y)
+    ypows = _powers(y, len(xpows))
     return [ypows[b] * xpows[a] if b else y.ctx.constant(xpows[a])
             for a, b in monos]
 
@@ -205,12 +211,10 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
         u, v = pole.x.numerator, pole.x.denominator
         xnum, xden = [u ** a for a in range(r)], [v ** a for a in range(r)]
         fyv = dx * curve.fy_at(pole)
-        ypow = pole.y.ctx.one
-        for k in range(r):
+        for k, ypow in enumerate(_powers(pole.y, r)):
             matrix.append([Fraction(xnum[a] * pnum[k + b], xden[a] * pden[k + b])
                            for (a, b) in monos])
             rhs.append(ypow * fyv)
-            ypow = ypow * pole.y
     return LinearSystem(matrix, rhs, monos)
 
 
@@ -652,12 +656,7 @@ def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
                for k, row in enumerate(sym.matrix[i * r:(i + 1) * r])
                for entry, (a, b) in zip(row, monos)):
             return False
-        chains = []
-        for pt in sec:
-            chain = [ctx.one]
-            for _ in range(2 * r - 2):
-                chain.append(chain[-1] * pt.y)
-            chains.append(chain)
+        chains = [_powers(pt.y, 2 * r - 1) for pt in sec]
         pole_chain = next((c for pt, c in zip(sec, chains) if pt is pole), None)
         if pole_chain is None:
             return False
@@ -684,30 +683,23 @@ def unit_circle_pullback(diff: ParametricDifferential) -> dict:
     x1, x2 = diff.pole1.x, diff.pole2.x
     if x1 == -1 or x2 == -1:
         raise ValueError("parametrization chart excludes x = -1")
-    ctx = diff.ctx
-
-    def upoly(coeffs) -> UPoly:
-        return UPoly([c if isinstance(c, TowerElement) else ctx.constant(c)
-                      for c in coeffs])
-
     e = diff.base_numerator
-    one_minus = upoly([1, 0, -1])     # 1 - t^2
-    two_t = upoly([0, 2])             # 2t
-    one_plus = upoly([1, 0, 1])       # 1 + t^2
-    ehat = upoly([0])
+    one_minus = UPoly([1, 0, -1])     # 1 - t^2
+    two_t = UPoly([0, 2])             # 2t
+    one_plus = UPoly([1, 0, 1])       # 1 + t^2
+    ehat = UPoly()
     for (i, j), c in sorted(e.terms.items()):
-        cc = c if isinstance(c, TowerElement) else ctx.constant(c)
-        term = UPoly([cc]) * one_minus ** i * two_t ** j * one_plus ** (1 - i - j)
+        term = UPoly([c]) * one_minus ** i * two_t ** j * one_plus ** (1 - i - j)
         ehat = ehat + term
-    a1 = upoly([1 - x1, 0, -(1 + x1)])           # (x(t) - x1)(1+t^2)
-    a2 = upoly([x2 - 1, 0, x2 + 1])              # (x2 - x(t))(1+t^2)
+    a1 = UPoly([1 - x1, 0, -(1 + x1)])           # (x(t) - x1)(1+t^2)
+    a2 = UPoly([x2 - 1, 0, x2 + 1])              # (x2 - x(t))(1+t^2)
     num = -1 * ehat
     den = Fraction(scale) * (a1 * a2)
 
     tau1 = diff.pole1.y / (1 + x1)
     tau2 = diff.pole2.y / (1 + x2)
     sep_ok = not (tau1 - tau2).is_zero()
-    lhs = num * upoly([-tau1, 1]) * upoly([-tau2, 1])
+    lhs = num * UPoly([-tau1, 1]) * UPoly([-tau2, 1])
     rhs = (tau1 - tau2) * den
     delta = lhs - rhs
     identity_ok = all(

@@ -69,7 +69,10 @@ representation.  Moduli are never factored and no absolute minimal
 polynomial is ever computed; reducible moduli only surface when a zero
 divisor is inverted, which raises NotInvertible with a witness factor.
 invert() is the one inverse of an element: an element divides only by a
-nonzero rational, and a negative power is a ValueError.
+nonzero rational, and a negative power is a ValueError.  It runs extended
+Euclid (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3) on UPolys
+in one present generator t_j, against its modulus, with elements free of
+t_j as coefficients; each division inverts its divisor's lead the same way.
 
 detach takes elements out of their context: numerators over a table that
 names each generator by its monic modulus and root id.  attach rebinds them
@@ -1131,9 +1134,9 @@ def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple, width: in
 # -- inversion ------------------------------------------------------------
 
 
-def _as_coeff_lists(a: TowerElement, j: int) -> list[TowerElement]:
-    """View a as a polynomial in generator j: list of coefficient elements
-    (not involving t_j), lowest degree first."""
+def _as_upoly(a: TowerElement, j: int) -> UPoly:
+    """a as a polynomial in generator j, whose coefficients are elements
+    not involving t_j."""
     d = a.ctx.degrees[j]
     buckets: list[dict] = [dict() for _ in range(d)]
     for key, n in a.nums.items():
@@ -1142,31 +1145,24 @@ def _as_coeff_lists(a: TowerElement, j: int) -> list[TowerElement]:
         if len(nk) > j:
             nk[j] = 0
         buckets[e][_trim(tuple(nk))] = n
-    return [_lowest(a.ctx, b, a.den) for b in buckets]
+    return UPoly([_lowest(a.ctx, b, a.den) for b in buckets])
 
 
-def _rp_strip(p: list[TowerElement]) -> list[TowerElement]:
-    q = list(p)
-    while q and not q[-1]:
-        q.pop()
-    return q
-
-
-def _rp_divmod(num: list[TowerElement], den: list[TowerElement], ctx: TowerContext):
-    den = _rp_strip(den)
-    lead_inv = ctx.one if den[-1] == ctx.one else _invert(den[-1])
-    rem = list(num)
-    dq = len(rem) - len(den)
-    quo: list[TowerElement] = [ctx.zero] * (dq + 1) if dq >= 0 else []
-    while len(_rp_strip(rem)) >= len(den):
-        rem = _rp_strip(rem)
-        k = len(rem) - len(den)
-        c = rem[-1] * lead_inv
-        quo[k] = quo[k] + c
-        for i, dc in enumerate(den):
-            rem[i + k] = rem[i + k] - c * dc
-        rem = rem[:-1]
-    return quo, _rp_strip(rem)
+def _divmod(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
+    """Quotient and remainder of num by den, whose coefficients are
+    elements; den's lead is inverted (NotInvertible when it is a zero
+    divisor).  Step k cancels rem[k + d] exactly, so it is not updated."""
+    lead = den.leading
+    lead_inv = lead if lead == 1 else _invert(lead)
+    rem = list(num.coeffs)
+    d = den.degree
+    quo = [0] * max(len(rem) - d, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        if rem[k + d]:
+            c = quo[k] = rem[k + d] * lead_inv
+            for i, dc in enumerate(den.coeffs[:d]):
+                rem[i + k] = rem[i + k] - c * dc
+    return UPoly(quo), UPoly(rem[:d])
 
 
 def _invert(a: TowerElement) -> TowerElement:
@@ -1181,49 +1177,28 @@ def _invert(a: TowerElement) -> TowerElement:
     # the order in which its generators were adjoined
     exts = ctx.extensions
     j = max(gens, key=lambda i: (exts[i].int_coeffs, exts[i].root_id, i))
-    m_list = [ctx.constant(c) for c in exts[j].modulus.coeffs]
-    a_list = _rp_strip(_as_coeff_lists(a, j))
-
-    r0, r1 = m_list, a_list
-    s0, s1 = [ctx.zero], [ctx.one]
-    while _rp_strip(r1):
-        q, r = _rp_divmod(r0, r1, ctx)
+    r0 = UPoly([ctx.constant(c) for c in exts[j].modulus.coeffs])
+    r1 = _as_upoly(a, j)
+    s0, s1 = UPoly(), UPoly([ctx.one])
+    while r1:
+        q, r = _divmod(r0, r1)
         r0, r1 = r1, r
-        # s_{k+1} = s_{k-1} - q * s_k
-        prod = [ctx.zero] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qc in enumerate(q):
-            for k, sc in enumerate(s1):
-                prod[i + k] = prod[i + k] + qc * sc
-        width = max(len(s0), len(prod), 1)
-        nxt = [(s0[i] if i < len(s0) else ctx.zero) -
-               (prod[i] if i < len(prod) else ctx.zero) for i in range(width)]
-        s0, s1 = s1, _rp_strip(nxt)
-
-    g = _rp_strip(r0)
+        s0, s1 = s1, s0 - q * s1
+    g = r0.coeffs
     if len(g) > 1:
         # nontrivial common factor of a and the modulus: witness for a split
         try:
             glead_inv = _invert(g[-1])
             monic = [c * glead_inv for c in g]
         except NotInvertible:
-            monic = g
+            monic = list(g)
         witness: object
         if all(c.is_rational() for c in monic):
             witness = UPoly([c.as_fraction() for c in monic])
         else:
             witness = monic
         raise NotInvertible(j, witness)
-    ginv = _invert(g[0])
-    # inverse = s0(t_j) * ginv, assembled back into the full ring
-    acc = ctx.zero
-    tj = ctx.generator(j)
-    tpow = ctx.one
-    for k, sc in enumerate(s0):
-        if k:
-            tpow = tpow * tj
-        if sc:
-            acc = acc + sc * tpow
-    return acc * ginv
+    return s0.eval(ctx.generator(j)) * _invert(g[0])
 
 
 def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:

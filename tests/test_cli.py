@@ -721,12 +721,12 @@ def test_closed_stdout_exits_141_without_a_traceback(json_flag):
     pytest.param(["third-kind", "-f", "x^6+y^6-1", "--x1=8", "--x2=0",
                   "--digits", "30"], None,
                  marks=pytest.mark.xfail(strict=True, reason=(
-                     "ROADMAP item 1: _pair_conjugates pairs the roots at "
+                     "ROADMAP item 1a: _pair_conjugates pairs the roots at "
                      "53 bits and its assert fires")),
                  id="sextic-conjugate-pairing"),
     pytest.param(["third-kind", "-f", CIRCLE, "--x1=1" + "0" * 299, "--x2=0"], None,
                  marks=pytest.mark.xfail(strict=True, reason=(
-                     "ROADMAP item 1: an absolute root-finding tolerance; a "
+                     "ROADMAP item 1a: an absolute root-finding tolerance; a "
                      "300-digit abscissa exits 1, did not converge")),
                  id="circle-300-digit-abscissa"),
     pytest.param(["haupt", "-f", DENSE_QUARTIC, "--x1", "2", "--x2", "3",

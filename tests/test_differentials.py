@@ -366,7 +366,7 @@ def _agreement_draw(curve: Curve, text: str, k: int) -> tuple:
 @pytest.mark.parametrize("name, k", [
     pytest.param(name, k, id=f"{name}-{k}", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=(
-            "ROADMAP item 1: _pair_conjugates pairs the roots of the section "
+            "ROADMAP item 1a: _pair_conjugates pairs the roots of the section "
             "over x = 9/2 at 53 bits and its assert fires"))
         if (name, k) == ("septic", 0) else ())
     for name in AGREEMENT_CURVES for k in range(AGREEMENT_DRAWS)])

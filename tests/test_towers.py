@@ -255,7 +255,7 @@ def test_every_operation_leaves_elements_in_lowest_terms():
                 _assert_canonical(a - b, _reference_sum(a.terms, negated))
                 _assert_canonical(a * b, _reference_product(ctx, a, b))
             for j in a.present_generators():   # the coefficients inversion divides
-                for part in towers._as_coeff_lists(a, j):
+                for part in towers._as_upoly(a, j).coeffs:
                     _assert_canonical(part, dict(part.terms))
             # one generator: inverses in two of these moduli grow for seconds
             if len(a.present_generators()) <= 1:
@@ -692,6 +692,41 @@ def test_invert_random_elements_in_tower():
         if e.is_zero():
             continue
         assert e * e.invert() == 1
+
+
+def test_division_and_inverse_over_random_towers():
+    # the extended Euclid that invert() runs, on polynomials whose
+    # coefficients are elements of 1 to 3 generators; three generators of
+    # degree 3 over these moduli take seconds
+    rng = random.Random(3701)
+    divisions = inverses = 0
+    for gens in (1, 2, 3) * 4:
+        moduli = [_random_modulus(rng, rng.randint(2, 5 - gens)) for _ in range(2)]
+        ctx = TowerContext()
+        for _ in range(gens):
+            modulus = rng.choice(moduli)
+            ctx, _ = adjoin(ctx, modulus, rng.randrange(modulus.degree))
+        elements = [_random_element(rng, ctx, False) for _ in range(12)]
+        for _ in range(4):
+            num = UPoly(rng.sample(elements, rng.randint(1, 6)))
+            den = UPoly(rng.sample(elements, rng.randint(1, 4)))
+            if not den:
+                continue
+            try:
+                q, r = towers._divmod(num, den)
+            except NotInvertible:
+                continue
+            assert q * den + r == num    # syntactic, coefficient by coefficient
+            assert r.degree < den.degree
+            divisions += 1
+        for a in elements:
+            try:
+                inverse = a.invert()
+            except (NotInvertible, ZeroDivision):
+                continue
+            assert not (a * inverse - 1).nums
+            inverses += 1
+    assert divisions >= 40 and inverses >= 100
 
 
 def test_not_invertible_witness():
