@@ -125,8 +125,9 @@ class UPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def derivative(self) -> "UPoly":
@@ -485,8 +486,9 @@ class BPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def partial_x(self) -> "BPoly":

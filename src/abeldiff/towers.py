@@ -9,21 +9,27 @@ representative, so ring-level zero testing is purely syntactic.
 Elements store their reduced form as integer numerators over one positive
 denominator, in lowest terms, as Sage's number field elements and FLINT's
 fmpq_poly do; every ring operation works on the numerators and ends in at
-most one gcd over them.  A sum adds numerators, over the lcm of the two
-denominators only when they differ; a negation needs no gcd.  A product is
-computed in integers: monomials are packed into single ints so that
-multiplying two of them is one addition, and the raw product is reduced one
-present generator at a time, highest first, by substituting t_j^e (e >=
+most one gcd over them.  A numerator's key is its monomial packed into one
+int (packed exponent vectors, Monagan & Pearce, CASC 2007), the exponent of
+t_j in bits j*_W .. (j+1)*_W - 1: the constant is key 0, and multiplying
+monomials adds keys.  Exponent tuples appear only in terms, the
+constructor, serialize and Detached.  A sum adds numerators, over the lcm
+of the two denominators only when they differ; a negation needs no gcd.  A
+product adds keys and multiplies numerators, then reduces the raw product
+one present generator at a time, highest first, by substituting t_j^e (e >=
 deg m_j) from a per-generator cache of reduced powers held as integer
-numerators over one denominator.  A product with a rational constant (or
-zero) skips all of that: it scales the other operand's numerators one by
-one, in their order, after cancelling common factors as Fraction does.
+numerators over one denominator; adjoin refuses a degree above 2^(_W-1),
+whose product exponents 2 deg - 2 would overflow a field.  A product with a
+rational constant (or zero) skips all of that: it scales the other
+operand's numerators one by one, in their order, after cancelling common
+factors as Fraction does.
 
 eval_bpoly evaluates a bivariate polynomial at a section point nested: it
 collects the coefficients of the section polynomial in y first, then sums
 them against the ordinate, a bare generator t_g, so each term of c_j t_g^j
-is one packed monomial, and the routine that reduces a product's powers of
-t_g reduces them.  Any other ordinate is left to BPoly.eval.
+is one key with j added to its field of t_g, and the routine that reduces a
+product's powers of t_g reduces them.  Any other ordinate is left to
+BPoly.eval.
 
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
@@ -36,7 +42,7 @@ which divides once, at the end.  The sum is nested, lowest generator
 innermost: the partial sum of the terms that share the rest of their key is
 multiplied by one power ball, so there is about one ball product per
 distinct key suffix rather than one per generator of every term, and with
-the terms visited in reversed-key order only one partial sum per generator
+the terms visited in increasing key order only one partial sum per generator
 is open at a time.  Sums and integer multiples of a ball are exact; a
 product of balls truncates its center toward zero and adds 2 units to its
 radius.  Each generator's root disc is refined, then converted exactly
@@ -87,9 +93,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement, zip_longest
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
+from operator import or_
 from typing import NamedTuple
 
 import mpmath as mp
@@ -102,6 +109,9 @@ from .linsolve import ff_solve
 from .polys import BPoly, UPoly
 from .roots import RootApprox, isolate_roots, refine_root
 
+# bits per exponent field of a packed monomial key
+_W = 16
+_MASK = (1 << _W) - 1
 
 def _mag(re: int, im: int) -> int:
     """An integer upper bound on |re + i im|: max + floor(min/2) + 1, at
@@ -208,40 +218,37 @@ class _Disc(NamedTuple):
 
 def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
                  prec: int) -> _Disc:
-    """The disc of sum (n_k / den) prod_i t_i^(k_i) over nums {k: n_k}, each
-    t_i in the disc root_of(i), at scale 2^-prec; root_of is called once per
-    generator the sum reads, when it first builds that generator's ball.
+    """The disc of sum (n_k / den) prod_i t_i^(k_i) over nums {k: n_k}, keys
+    packed, each t_i in the disc root_of(i), at scale 2^-prec; root_of is
+    called once per generator the sum reads, when it first builds that
+    generator's ball.
 
     The integer numerators are summed as they are, and the disc keeps den
     as its denominator.  The sum is nested lowest generator innermost: the
     terms that share their exponents of t_(i+1), t_(i+2), ... form one
     group at level i, whose partial sum is multiplied by the power of t_i
-    they carry once the group is complete.  The terms are visited sorted by
-    their reversed (zero-padded) keys, so each group is contiguous and one
-    partial sum per level is open at a time.  A partial sum stays an exact
-    integer until a power multiplies it, exactly, and sums are exact, so
-    the disc depends only on the groups, not on the order of the terms."""
-    n = max(map(len, nums), default=0)
+    they carry once the group is complete.  The terms are visited in
+    increasing key order, which compares the highest generator's field
+    first, so each group is contiguous and one partial sum per level is
+    open at a time.  A partial sum stays an exact integer until a power
+    multiplies it, exactly, and sums are exact, so the disc depends only on
+    the groups, not on the order of the terms."""
+    n = -(-max(nums, default=0).bit_length() // _W)     # levels
     if not n:
-        v = nums.get((), 0)
+        v = nums.get(0, 0)
     else:
-        pad = (0,) * n
-        # the zero-padded keys read from the highest generator down, so each
-        # group is contiguous; the sentinel completes every open group
-        items = sorted(((key + pad[len(key):], v) for key, v in nums.items()),
-                       key=lambda item: item[0][::-1])
-        items.append(((-1,) * n, 0))
-        acc = [0] * (n + 1)          # acc[i]: the open group of level i
+        # the sentinel's field n differs from every key's, so it completes
+        # every open group, up to level n
+        items = sorted(nums.items())
+        items.append((1 << n * _W, 0))
+        acc = [0] * (n + 2)          # acc[i]: the open group of level i
         powers = {}                  # (i, e) -> the ball of t_i^e
         last, acc[0] = items[0]
         for key, v in items[1:]:
             # the highest generator whose exponent changes completes the
             # groups of its level and of every level below
-            p = n - 1
-            while key[p] == last[p]:
-                p -= 1
-            for i in range(p + 1):
-                w, e = acc[i], last[i]
+            for i in range(((key ^ last).bit_length() - 1) // _W + 1):
+                w, e = acc[i], (last >> i * _W) & _MASK
                 if e:
                     power = powers.get((i, e))
                     if power is None:
@@ -257,7 +264,7 @@ def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
                 acc[i] = 0
             acc[0] = v
             last = key
-        v = acc[n]
+        v = acc[n + 1]
     if type(v) is int:
         v = v << prec, 0, 0
     return _Disc(*v, den, prec)
@@ -338,9 +345,6 @@ class TowerContext:
     def __init__(self):
         self.extensions: list[ExtensionDescriptor] = []
         self.degrees: tuple[int, ...] = ()
-        # bits per exponent in a packed monomial: holds any exponent of a
-        # product of two reduced elements
-        self.width = 1
         self._cauchy: dict[tuple[UPoly, int], tuple] = {}
         # (monic modulus, root_id) -> index of its first generator
         self._located: dict[tuple[UPoly, int], int] = {}
@@ -355,7 +359,7 @@ class TowerContext:
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         n = value.numerator
-        return _element(self, {(): n} if n else {}, value.denominator)
+        return _element(self, {0: n} if n else {}, value.denominator)
 
     @property
     def zero(self) -> "TowerElement":
@@ -372,8 +376,7 @@ class TowerContext:
         if modulus.degree == 1:
             # reduced form of t modulo the monic t + m_0: the root itself
             return self.constant(-modulus.coeffs[0])
-        key = tuple([0] * i + [1])
-        return _element(self, {key: 1}, 1)
+        return _element(self, {1 << i * _W: 1}, 1)
 
     def locate(self, modulus: UPoly, root_id: int) -> int | None:
         """Index of the first generator for the root_id-th root of the
@@ -402,7 +405,6 @@ class TowerContext:
     def _append(self, ext: ExtensionDescriptor) -> int:
         self.extensions.append(ext)
         self.degrees += (ext.degree,)
-        self.width = max(self.width, (2 * ext.degree).bit_length())
         idx = len(self.extensions) - 1
         self._located.setdefault((ext.modulus, ext.root_id), idx)
         return idx
@@ -414,6 +416,9 @@ def adjoin(ctx: TowerContext, modulus: UPoly, root_id: int) -> tuple[TowerContex
     monic = modulus.monic()
     if monic.degree < 1:
         raise NotSquareFree("modulus must have degree >= 1")
+    if monic.degree > 1 << _W - 1:
+        raise ValueError(f"modulus of degree {monic.degree} above {1 << _W - 1}: "
+                         f"a product's exponents would overflow a {_W}-bit field")
     roots = isolate_roots(monic)  # raises NotSquareFree when appropriate
     if not 0 <= root_id < len(roots):
         raise IndexError(f"root index {root_id} out of range for degree {len(roots)}")
@@ -441,11 +446,11 @@ class Detached(NamedTuple):
 def detach(elements: list["TowerElement"]) -> Detached:
     """Elements of one context, over one table of the generators they use."""
     exts = elements[0].ctx.extensions
-    used = sorted({i for a in elements for key in a.nums for i, e in enumerate(key) if e})
+    used = sorted({i for a in elements for i in a.present_generators()})
     return Detached(
         tuple((exts[i].modulus, exts[i].root_id) for i in used),
-        tuple((tuple((tuple(key[i] if i < len(key) else 0 for i in used), n)
-                     for key, n in a.nums.items()), a.den) for a in elements))
+        tuple((tuple((tuple((k >> i * _W) & _MASK for i in used), n)
+                     for k, n in a.nums.items()), a.den) for a in elements))
 
 
 def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
@@ -466,32 +471,18 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
         idx.append(i)
     if len(set(idx)) < len(idx):
         raise AbeldiffError("two generators to attach are one generator of the context")
-    width = max(idx) + 1 if idx else 0
-    out = []
-    for terms, den in detached.elements:
-        nums = {}
-        for compact, n in terms:
-            key = [0] * width
-            for i, e in zip(idx, compact):
-                key[i] = e
-            nums[_trim(key)] = n
-        out.append(_element(ctx, nums, den))
-    return out
-
-
-def _trim(key: tuple) -> tuple:
-    k = len(key)
-    while k and key[k - 1] == 0:
-        k -= 1
-    return tuple(key[:k])
+    shifts = [i * _W for i in idx]
+    return [_element(ctx, {sum(e << s for s, e in zip(shifts, compact)): n
+                           for compact, n in terms}, den)
+            for terms, den in detached.elements]
 
 
 class TowerElement:
     """An exact algebraic value: reduced polynomial in the context generators.
 
-    Stored as integer numerators nums {exponent key: n} over one denominator
-    den.  Invariant: den > 0, no n is zero, and gcd(den, *nums) == 1 (so the
-    zero element has den == 1).  The form is canonical, so equality is
+    Stored as integer numerators nums {packed monomial: n} over one
+    denominator den.  Invariant: den > 0, no n is zero, and gcd(den, *nums)
+    == 1 (so the zero element has den == 1).  The form is canonical, so equality is
     syntactic.  Immutable once constructed.  Arithmetic coerces ints and
     Fractions, and mixing elements of different contexts raises
     ContextMismatch.
@@ -500,15 +491,18 @@ class TowerElement:
     __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: TowerContext, terms: dict):
-        """The element sum c_k t^k of rational coefficients terms {k: c_k}."""
+        """The element sum c_k t^k of rational coefficients terms {k: c_k},
+        each k a tuple of exponents."""
         den = lcm(*{c.denominator for c in terms.values()})
         self.ctx = ctx
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}
+        self.nums = {_pack(k): c.numerator * (den // c.denominator)
+                     for k, c in terms.items() if c}
         self.den = den
 
     @property
     def terms(self) -> Mapping:
-        """The coefficients as Fractions, in the stored key order."""
+        """The coefficients as Fractions, in the stored key order, keyed by
+        exponent tuples without trailing zeros."""
         return _Terms(self.nums, self.den)
 
     # -- plumbing ---------------------------------------------------------
@@ -580,32 +574,29 @@ class TowerElement:
         a, b = self, o
         if not a.nums or not b.nums:
             return _element(ctx, {}, 1)
-        if len(b.nums) == 1 and () in b.nums:
+        if len(b.nums) == 1 and 0 in b.nums:
             a, b = b, a
-        if len(a.nums) == 1 and () in a.nums:
+        if len(a.nums) == 1 and 0 in a.nums:
             # a rational constant scales the other operand term by term, in
-            # its order: the terms and order the packed product gives
-            return b._scaled(a.nums[()], a.den)
-        width = ctx.width
-        mask = (1 << width) - 1
+            # its order: the terms and order the full product gives
+            return b._scaled(a.nums[0], a.den)
         den = a.den * b.den
-        a, seen_a = _packed(a.nums, width)
-        b, seen_b = _packed(b.nums, width)
         raw: dict[int, int] = {}
         get = raw.get
-        for k1, c1 in a:
-            for k2, c2 in b:
+        terms_b = b.nums.items()
+        for k1, c1 in a.nums.items():
+            for k2, c2 in terms_b:
                 k = k1 + k2
                 raw[k] = get(k, 0) + c1 * c2
+        # the fields of the ORs of the keys bound each operand's exponents
+        seen_a, seen_b = reduce(or_, a.nums), reduce(or_, b.nums)
         degrees = ctx.degrees
         for j in range(len(degrees) - 1, -1, -1):
-            shift = j * width
-            # the fields of seen_* bound each operand's exponents of t_j
-            if ((seen_a >> shift) & mask) + ((seen_b >> shift) & mask) >= degrees[j]:
-                raw, scale = _reduce_generator(raw, ctx.extensions[j], degrees[j],
-                                               shift, mask)
+            shift = j * _W
+            if ((seen_a >> shift) & _MASK) + ((seen_b >> shift) & _MASK) >= degrees[j]:
+                raw, scale = _reduce_generator(raw, ctx.extensions[j], degrees[j], shift)
                 den *= scale
-        return _lowest(ctx, _unpacked(raw, width), den)
+        return _lowest(ctx, {k: n for k, n in raw.items() if n}, den)
 
     __rmul__ = __mul__
 
@@ -631,8 +622,9 @@ class TowerElement:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __truediv__(self, other):
@@ -650,20 +642,20 @@ class TowerElement:
     # -- structure --------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(k == () for k in self.nums)
+        return not any(self.nums)
 
     def as_fraction(self) -> Fraction:
         if not self.nums:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("element is not syntactically rational")
-        return Fraction(self.nums[()], self.den)
+        return Fraction(self.nums[0], self.den)
 
     def present_generators(self) -> list[int]:
         """The indices of the generators that occur in some term, in
-        order: one pass over the columns of the exponent keys."""
-        return [i for i, column in enumerate(zip_longest(*self.nums, fillvalue=0))
-                if any(column)]
+        order: the nonzero fields of the OR of the keys."""
+        seen = reduce(or_, self.nums, 0)
+        return [i for i in range(-(-seen.bit_length() // _W)) if (seen >> i * _W) & _MASK]
 
     # -- decisions about the embedded complex value -----------------------
 
@@ -786,7 +778,7 @@ class TowerElement:
             "generators": [self.ctx.extensions[i].serialize() for i in gens],
             "coefficients": [
                 [list(key), _fraction_str(n, self.den)]
-                for key, n in sorted(self.nums.items())
+                for key, n in sorted((_unpack(k), n) for k, n in self.nums.items())
             ],
         }
         if digits:
@@ -913,7 +905,7 @@ def _print_threshold(digits: int) -> tuple[int, tuple]:
 
 class _Terms(Mapping):
     """An element's coefficients n/den as Fractions, in the stored key
-    order, each built when it is read."""
+    order, keyed by exponent tuples; each built when it is read."""
 
     __slots__ = ("_nums", "_den")
 
@@ -922,10 +914,10 @@ class _Terms(Mapping):
         self._den = den
 
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self._nums[key], self._den)
+        return Fraction(self._nums[_pack(key)], self._den)
 
     def __iter__(self):
-        return iter(self._nums)
+        return map(_unpack, self._nums)
 
     def __len__(self):
         return len(self._nums)
@@ -969,7 +961,7 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
     return [n // g for n in nums], den // g
 
 
-def _pack(key: tuple, width: int) -> int:
+def _pack(key: tuple, width: int = _W) -> int:
     """The monomial of exponent key packed into one int: the exponent of t_j
     in bits j*width..(j+1)*width-1, so multiplying monomials adds their
     packed forms."""
@@ -979,41 +971,24 @@ def _pack(key: tuple, width: int) -> int:
     return k
 
 
-def _packed(nums: dict, width: int) -> tuple[list, int]:
-    """An element's numerators as (packed monomial, numerator) pairs, plus
-    the OR of the packed monomials."""
-    out = []
-    seen = 0
-    for key, n in nums.items():
-        k = _pack(key, width)
-        seen |= k
-        out.append((k, n))
-    return out, seen
+def _unpack(k: int) -> tuple:
+    """The exponent tuple of a packed key, without trailing zeros."""
+    key = []
+    while k:
+        key.append(k & _MASK)
+        k >>= _W
+    return tuple(key)
 
 
-def _unpacked(raw: dict, width: int) -> dict:
-    """The nonzero numerators of raw {packed monomial: n} by exponent key."""
-    mask = (1 << width) - 1
-    nums = {}
-    for k, n in raw.items():
-        if n:
-            key = []
-            while k:
-                key.append(k & mask)
-                k >>= width
-            nums[tuple(key)] = n
-    return nums
-
-
-def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int, shift: int,
-                      mask: int) -> tuple[dict, int]:
+def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int,
+                      shift: int) -> tuple[dict, int]:
     """Replace every t^e with e >= d = deg(t) of the generator packed at
-    shift by its reduced form; returns the new numerators and the factor by
-    which their common denominator grew."""
+    shift by its reduced form; returns the new numerators, zeros possibly
+    among them, and the factor by which their common denominator grew."""
     out: dict[int, int] = {}
     over = []
     for k, c in raw.items():
-        e = (k >> shift) & mask
+        e = (k >> shift) & _MASK
         if e < d:
             out[k] = c
         elif c:
@@ -1057,8 +1032,9 @@ def _cauchy_rule(coeffs: list[int], j: int) -> tuple[int, tuple]:
 
 
 def _cauchy_normal_form(a: TowerElement) -> dict:
-    """Normal form of a's numerators, times nonzero integers and packed (see
-    _packed), modulo its generators' Cauchy modules: empty exactly when a's is.
+    """Normal form of a's numerators, times nonzero integers and repacked
+    (see _pack), modulo its generators' Cauchy modules: empty exactly when
+    a's is.
 
     Generators are grouped by modulus, keeping the first generator of each
     root id (the modules hold only for distinct roots).  Only generators
@@ -1082,9 +1058,10 @@ def _cauchy_normal_form(a: TowerElement) -> dict:
     groups = [sorted(gens.values()) for gens in groups.values() if len(gens) > 1]
     if not groups:
         return a.nums
-    width = max(map(sum, a.nums)).bit_length()
+    keys = [_unpack(k) for k in a.nums]
+    width = max(map(sum, keys)).bit_length()
     mask = (1 << width) - 1
-    terms = dict(_packed(a.nums, width)[0])
+    terms = {_pack(key, width): n for key, n in zip(keys, a.nums.values())}
     for gens in groups:
         ext = ctx.extensions[gens[0]]
         if (lead := ext.int_coeffs[-1]) != 1:
@@ -1137,14 +1114,11 @@ def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple, width: in
 def _as_upoly(a: TowerElement, j: int) -> UPoly:
     """a as a polynomial in generator j, whose coefficients are elements
     not involving t_j."""
-    d = a.ctx.degrees[j]
-    buckets: list[dict] = [dict() for _ in range(d)]
-    for key, n in a.nums.items():
-        e = key[j] if len(key) > j else 0
-        nk = list(key)
-        if len(nk) > j:
-            nk[j] = 0
-        buckets[e][_trim(tuple(nk))] = n
+    shift = j * _W
+    buckets: list[dict] = [dict() for _ in range(a.ctx.degrees[j])]
+    for k, n in a.nums.items():
+        e = (k >> shift) & _MASK
+        buckets[e][k - (e << shift)] = n
     return UPoly([_lowest(a.ctx, b, a.den) for b in buckets])
 
 
@@ -1171,7 +1145,7 @@ def _invert(a: TowerElement) -> TowerElement:
         raise ZeroDivision("inverting zero")
     gens = a.present_generators()
     if not gens:
-        return ctx.constant(Fraction(a.den, a.nums[()]))
+        return ctx.constant(Fraction(a.den, a.nums[0]))
     # Euclid runs in the present generator that comes last in an order of
     # the roots themselves, so whether a unit inverts does not depend on
     # the order in which its generators were adjoined
@@ -1210,10 +1184,11 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     section polynomial's coefficients c_j = sum_i c_ij x^i are collected
     first, each coefficient of a monomial as an integer numerator over a
     denominator, and sum_j c_j t_g^j needs no ring product: each term of
-    c_j is packed with j added to its exponent of t_g, over one lcm
-    denominator, and _reduce_generator reduces the powers of t_g as for a
-    product.  Any other ordinate goes to BPoly.eval; adding it to ctx.zero
-    keeps the value of a zero or y-free polynomial an element."""
+    c_j has j added to its field of t_g, over one lcm denominator, and
+    _reduce_generator reduces the powers of t_g as for a product.  That
+    field must hold the y-degree plus deg(t_g) - 1, else a ValueError.  Any
+    other ordinate goes to BPoly.eval; adding it to ctx.zero keeps the value
+    of a zero or y-free polynomial an element."""
     if not isinstance(y, TowerElement):
         raise TypeError("ordinate must be a TowerElement")
     ctx = y.ctx
@@ -1221,6 +1196,10 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     g = _bare_generator(y)
     if g is None:
         return ctx.zero + p.eval(x, y)
+    deg = ctx.degrees[g]    # a y-degree may pass deg at a hand-built point
+    if p.degree_y + deg - 1 > _MASK:
+        raise ValueError(f"y-degree {p.degree_y} at a generator of degree {deg} "
+                         f"overflows a {_W}-bit exponent field")
     # (j, key) -> the (i, numerator, denominator) triples of the key's
     # coefficient in c_ij
     groups: dict[tuple, list] = {}
@@ -1232,25 +1211,22 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
             for k, n in c.nums.items():
                 groups.setdefault((j, k), []).append((i, n, d))
         else:
-            groups.setdefault((j, ()), []).append((i, c.numerator, c.denominator))
+            groups.setdefault((j, 0), []).append((i, c.numerator, c.denominator))
     cols: dict[int, dict] = {}
     for (j, k), triples in groups.items():
         n, d = _at(triples, x.numerator, x.denominator)
         if n:
             cols.setdefault(j, {})[k] = n, d
-    d = ctx.degrees[g]      # a y-degree may pass d at a hand-built point
-    width = max(ctx.width, (max(cols, default=0) + d).bit_length())
-    shift = g * width
+    shift = g * _W
     den = lcm(*{q for col in cols.values() for _, q in col.values()})
     raw: dict[int, int] = {}
     get = raw.get
     for j, col in cols.items():
         for k, (n, q) in col.items():
-            k = _pack(k, width) + (j << shift)
+            k += j << shift
             raw[k] = get(k, 0) + n * (den // q)
-    raw, scale = _reduce_generator(raw, ctx.extensions[g], d, shift,
-                                   (1 << width) - 1)
-    return _lowest(ctx, _unpacked(raw, width), den * scale)
+    raw, scale = _reduce_generator(raw, ctx.extensions[g], deg, shift)
+    return _lowest(ctx, {k: n for k, n in raw.items() if n}, den * scale)
 
 
 def _at(triples: list, a: int, b: int) -> tuple[int, int]:
@@ -1269,7 +1245,6 @@ def _bare_generator(y: TowerElement) -> int | None:
     """g when y is the generator t_g itself, else None."""
     if len(y.nums) != 1 or y.den != 1:
         return None
-    (key, n), = y.nums.items()
-    if n != 1 or not key or key[-1] != 1 or any(key[:-1]):
-        return None
-    return len(key) - 1
+    (k, n), = y.nums.items()
+    g = (k.bit_length() - 1) // _W
+    return g if n == 1 and k and k == 1 << g * _W else None

@@ -13,6 +13,14 @@ that prints another document, or a typed error that names a known defect.
 KNOWN lists the classes of known defects with the ROADMAP item that removes
 them.  Any other class fails the test.  So does a known class that no
 request meets any more, so that the list is pruned when its item lands.
+
+A second seeded draw, of its own seed, runs smooth, genus and first-kind on
+the same curves and on smooth dense curves of degree 2 to 5, each the image
+of a Fermat curve X^d + Y^d + Z^d under a seeded invertible linear change
+of coordinates (smooth, since such a change keeps the curve smooth).  Every
+curve is smooth, so an answer must say so and give the genus
+(d-1)(d-2)/2 and the first-kind numerators, the monomials of degree <= d-3;
+NotSmooth, like exit 1, is a defect.  Its known classes are KNOWN_CURVE's.
 """
 
 import json
@@ -24,7 +32,8 @@ from pathlib import Path
 import mpmath as mp
 
 from abeldiff import cli, differentials, errors
-from abeldiff.parser import parse_poly
+from abeldiff.parser import format_bpoly, parse_poly
+from abeldiff.polys import BPoly
 
 SEED = 2
 REQUESTS = 200
@@ -74,6 +83,52 @@ def _request(rng: random.Random) -> list[str]:
     return argv
 
 
+def _fermat_image(rng: random.Random, d: int) -> str:
+    """sum_i (a_i x + b_i y + c_i)^d for a seeded invertible integer matrix
+    of rows (a_i, b_i, c_i), of total degree d, in canonical form."""
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        (a, b, c), (e, f, g), (h, i, j) = rows
+        if a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h):
+            curve = parse_poly("+".join(f"({u}*x+({v})*y+({w}))^{d}" for u, v, w in rows))
+            if curve.total_degree == d:
+                return format_bpoly(curve)
+
+
+CURVE_SEED = 3
+CURVE_REQUESTS = 60
+_DENSE_RNG = random.Random(CURVE_SEED + 1)
+DENSE = tuple(_fermat_image(_DENSE_RNG, d) for d in (2, 3, 4, 5) for _ in range(2))
+SMOOTH_CURVES = CURVES + DENSE
+KNOWN_CURVE: dict[str, str] = {}
+
+
+def _curve_request(rng: random.Random) -> list[str]:
+    command = rng.choice(("smooth", "genus", "first-kind"))
+    argv = [command, "-f", rng.choice(SMOOTH_CURVES)]
+    if command != "smooth" and rng.random() < 0.25:
+        argv.append("--assume-smooth")
+    return argv
+
+
+def _curve_answer_defect(doc: dict, code: int, curve: str) -> str | None:
+    """The defect class of an answer about a smooth curve, or None."""
+    d = parse_poly(curve).total_degree
+    if doc["command"] == "smooth":
+        return None if code == 0 and doc["smooth"]["smooth"] is True else \
+            f"a smooth curve reported not smooth (exit {code})"
+    genus = (d - 1) * (d - 2) // 2
+    if code or doc["degree"] != d or doc["genus"] != genus:
+        return f"a wrong genus or degree (exit {code})"
+    if doc["command"] == "first-kind":
+        basis = doc["first_kind"]
+        expected = {BPoly({(i, j): 1}) for i in range(d - 2) for j in range(d - 2 - i)}
+        if basis["dimension"] != genus or len(basis["numerators"]) != genus or \
+                {parse_poly(m) for m in basis["numerators"]} != expected:
+            return "a wrong first-kind basis"
+    return None
+
+
 def _untimed(doc: dict) -> dict:
     doc.pop("timings", None)
     return doc
@@ -87,7 +142,9 @@ def _repeated(capsys, argv: list[str]) -> dict:
 
 
 def _defect(capsys, argv: list[str]) -> str | None:
-    """The defect class of the request's ending, or None for a sound one."""
+    """The defect class of the request's ending, or None for a sound one.
+    A smooth, genus or first-kind answer is held to what its curve's
+    degree gives, and NotSmooth is a defect: every curve drawn is smooth."""
     prec = mp.mp.prec
     try:
         code = cli.main(argv + ["--json"])
@@ -99,14 +156,18 @@ def _defect(capsys, argv: list[str]) -> str | None:
         assert mp.mp.prec == prec, argv
     doc = json.loads(out)
     if "error" not in doc:
-        ok = all(v["ok"] for v in doc["verification"])
-        if not (code == 0 and ok):
-            return f"a false verdict (exit {code})"
+        if "verification" in doc:
+            ok = all(v["ok"] for v in doc["verification"])
+            defect = None if code == 0 and ok else f"a false verdict (exit {code})"
+        else:
+            defect = _curve_answer_defect(doc, code, argv[2])
+        if defect is not None:
+            return defect
         return None if _repeated(capsys, argv) == _untimed(doc) else \
             "a repeat in the same process prints another document"
     err = doc["error"]
     assert err["exit_code"] == code == getattr(errors, err["type"]).exit_code, argv
-    if code == 1 or err["type"] == "NotInvertible":
+    if code == 1 or err["type"] in ("NotInvertible", "NotSmooth"):
         return f"error {err['type']} (exit {code})"
     return None
 
@@ -123,3 +184,22 @@ def test_seeded_requests_end_in_an_answer_or_a_typed_error(capsys):
     unknown = {c: requests[:3] for c, requests in found.items() if c not in KNOWN}
     assert not unknown, unknown
     assert set(found) == set(KNOWN), f"no request meets {set(KNOWN) - set(found)}"
+
+
+def test_seeded_curve_requests_answer_smooth_curves(capsys):
+    assert len(set(DENSE)) == len(DENSE)
+    assert {parse_poly(c).total_degree for c in DENSE} == {2, 3, 4, 5}
+    rng = random.Random(CURVE_SEED)
+    found: dict[str, list[str]] = {}
+    commands = set()
+    for _ in range(CURVE_REQUESTS):
+        argv = _curve_request(rng)
+        commands.add(argv[0])
+        defect = _defect(capsys, argv)
+        if defect is not None:
+            found.setdefault(defect, []).append(" ".join(argv))
+    assert commands == {"smooth", "genus", "first-kind"}
+    unknown = {c: requests[:3] for c, requests in found.items() if c not in KNOWN_CURVE}
+    assert not unknown, unknown
+    assert set(found) == set(KNOWN_CURVE), \
+        f"no request meets {set(KNOWN_CURVE) - set(found)}"

@@ -337,7 +337,8 @@ def test_nested_ball_in_reversed_key_order_matches_the_levels():
             roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
             prec = int(digits * 3.4) + 40
             assert towers._nested_ball(a.nums, a.den, roots.__getitem__, prec) == \
-                _nested_ball_by_levels(a.nums, a.den, roots, prec)
+                _nested_ball_by_levels(dict(zip(a.terms, a.nums.values())), a.den,
+                                       roots, prec)
 
 
 class _ParentBall:
@@ -623,7 +624,7 @@ def test_ball_radius_rounds_upward():
         center, radius = mp.mpc(rand_mpf(), rng.choice((0, 1)) * rand_mpf()), abs(rand_mpf())
         root = RootApprox(0, center, radius, prec, None)
         disc = towers._disc_ball(root, prec)
-        ball = towers._nested_ball({(1,): n}, 1, {0: root}.__getitem__, prec)
+        ball = towers._nested_ball({towers._pack((1,)): n}, 1, {0: root}.__getitem__, prec)
         assert ball == (n * disc[0], n * disc[1], abs(n) * disc[2], 1, prec)
         # root disc: exact shift of the raw parts, radius rounded upward
         ex, ey = _exact(center.real) * one, _exact(center.imag) * one
@@ -1485,3 +1486,59 @@ def test_a_unit_inverts_in_every_generator_order():
         one, _ = adjoin(one, *root)
     first, *rest = (towers.attach(d, one)[0] for d in inverses)
     assert all(other == first for other in rest)
+
+
+def test_exponent_tuples_at_the_boundary():
+    # elements keep packed keys; terms, the constructor and serialize speak
+    # in exponent tuples without trailing zeros
+    rng = random.Random(2718)
+    for _ in range(12):
+        ctx = _random_context(rng)
+        elements = [ctx.zero, ctx.one] + [ctx.generator(j) for j in range(len(ctx))]
+        for big in (False, True):
+            a, b = _random_element(rng, ctx, big), _random_element(rng, ctx, big)
+            elements += [a, a * b + b, a * a * b]
+        for a in elements:
+            assert TowerElement(ctx, dict(a.terms)) == a
+            keys = list(a.terms)
+            assert all(type(k) is tuple and len(k) <= len(ctx) and (not k or k[-1])
+                       for k in keys)
+            listed = [tuple(k) for k, _ in a.serialize()["coefficients"]]
+            assert listed == sorted(keys)
+            assert a.present_generators() == sorted({i for k in keys
+                                                     for i, e in enumerate(k) if e})
+
+
+def test_a_modulus_past_the_exponent_field_is_refused_before_isolation(monkeypatch):
+    # a product of two reduced elements has exponents up to 2 deg - 2, which
+    # a 16-bit field holds up to deg = 2^15
+    def isolate(_):
+        raise AssertionError("isolated a modulus past the field")
+    monkeypatch.setattr(towers, "isolate_roots", isolate)
+    with pytest.raises(ValueError, match="overflow"):
+        adjoin(TowerContext(), UPoly([-2] + [0] * 2 ** 15 + [1]), 0)
+
+
+def test_a_y_degree_past_the_exponent_field_is_refused():
+    # at a generator of degree 2, y^(2^16 - 2) needs exponent 2^16 - 1 and
+    # y^(2^16 - 1) one past it
+    ctx, t = adjoin(TowerContext(), SQRT2, 1)
+    with pytest.raises(ValueError, match="overflow"):
+        eval_bpoly(BPoly({(0, 2 ** 16 - 1): 1}), 0, t)
+    assert eval_bpoly(BPoly({(1, 7): 1}), 2, t) == 2 * t ** 7 == 16 * t
+
+
+def test_a_power_takes_no_square_past_its_top_bit(monkeypatch):
+    # n's set bits multiply into the result, and each bit below the top one
+    # takes one square
+    ctx, t = adjoin(TowerContext(), CUBE3, 2)
+    expected = [ctx.one]
+    for _ in range(8):
+        expected.append(expected[-1] * t)
+    calls = []
+    mul = TowerElement.__mul__
+    monkeypatch.setattr(TowerElement, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    for n in range(1, 9):
+        calls.clear()
+        assert t ** n == expected[n]
+        assert len(calls) == n.bit_count() + n.bit_length() - 1, n
