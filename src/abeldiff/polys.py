@@ -120,15 +120,7 @@ class UPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = UPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, UPoly([1]))
 
     def derivative(self) -> "UPoly":
         return UPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -198,6 +190,32 @@ def _times(ints: Sequence[int], f: Fraction) -> UPoly:
     """The UPoly f * ints, one Fraction per coefficient."""
     n, d = f.numerator, f.denominator
     return UPoly([Fraction(v * n, d) for v in ints])
+
+
+def power(base, n: int, one):
+    """base^n, n >= 0, by binary powering from one, the unit of base's
+    ring: a product per set bit of n and a square per bit below the top."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def at_ratio(triples: list, p: int, q: int) -> tuple[int, int]:
+    """sum (n/d) x^i over the (i, n, d) triples at x = p/q, q > 0, as a
+    numerator over one positive denominator, not reduced: a lone triple
+    over d q^i, else over lcm(d) q^top, top the largest i."""
+    if len(triples) == 1:
+        (i, n, d), = triples
+        return (n * p ** i, d * q ** i) if i else (n, d)
+    top = max(i for i, _, _ in triples)
+    den = lcm(*{d for _, _, d in triples})
+    num = sum(n * (den // d) * p ** i * q ** (top - i) for i, n, d in triples)
+    return num, den * q ** top
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
@@ -481,15 +499,7 @@ class BPoly:
             ((i, j), c), = self.terms.items()
             if isinstance(c, Fraction):
                 return BPoly({(i * n, j * n): c ** n})
-        result = BPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, BPoly.const(1))
 
     def partial_x(self) -> "BPoly":
         return BPoly({(i - 1, j): i * c for (i, j), c in self.terms.items() if i})
@@ -499,25 +509,16 @@ class BPoly:
 
     def subs_x(self, x0) -> UPoly:
         """The section polynomial f(x0, y) as a UPoly in y, at a rational
-        x0 = p/q; requires Fraction coefficients.
-
-        Every coefficient is summed in integers over the one denominator
-        lcm(denominators) * q^top, top the x-degree, from tables of the
-        powers of p and q."""
+        x0 = p/q; requires Fraction coefficients.  Each y-coefficient is
+        at_ratio of its terms: one numerator over one denominator."""
         x0 = Fraction(x0)
-        if not self.terms:
-            return UPoly()
-        p, q = x0.numerator, x0.denominator
-        top = self.degree_x
-        ppow, qpow = [1], [1]
-        for _ in range(top):
-            ppow.append(ppow[-1] * p)
-            qpow.append(qpow[-1] * q)
-        m = lcm(*(c.denominator for c in self.terms.values()))
-        out = [0] * (self.degree_y + 1)
+        cols: dict[int, list] = {}
         for (i, j), c in self.terms.items():
-            out[j] += c.numerator * (m // c.denominator) * ppow[i] * qpow[top - i]
-        return _times(out, Fraction(1, m * qpow[top]))
+            cols.setdefault(j, []).append((i, c.numerator, c.denominator))
+        out = [Fraction(0)] * (self.degree_y + 1)
+        for j, triples in cols.items():
+            out[j] = Fraction(*at_ratio(triples, x0.numerator, x0.denominator))
+        return UPoly(out)
 
     def coefficients_in_y(self) -> list[UPoly]:
         """List of y-coefficients, each a UPoly in x; index = y exponent."""

@@ -12,17 +12,17 @@ fmpq_poly do; every ring operation works on the numerators and ends in at
 most one gcd over them.  A numerator's key is its monomial packed into one
 int (packed exponent vectors, Monagan & Pearce, CASC 2007), the exponent of
 t_j in bits j*_W .. (j+1)*_W - 1: the constant is key 0, and multiplying
-monomials adds keys.  Exponent tuples appear only in terms, the
-constructor, serialize and Detached.  A sum adds numerators, over the lcm
-of the two denominators only when they differ; a negation needs no gcd.  A
-product adds keys and multiplies numerators, then reduces the raw product
-one present generator at a time, highest first, by substituting t_j^e (e >=
-deg m_j) from a per-generator cache of reduced powers held as integer
-numerators over one denominator; adjoin refuses a degree above 2^(_W-1),
-whose product exponents 2 deg - 2 would overflow a field.  A product with a
-rational constant (or zero) skips all of that: it scales the other
-operand's numerators one by one, in their order, after cancelling common
-factors as Fraction does.
+monomials adds keys.  Exponent tuples, each one struct conversion from or to
+a key, appear only in terms, the constructor, serialize and Detached.  A sum
+adds numerators, over the lcm of the two denominators only when they differ;
+a negation needs no gcd.  A product adds keys and multiplies numerators, then
+reduces the raw product one present generator at a time, highest first, by
+substituting t_j^e (e >= deg m_j) from a per-generator cache of reduced
+powers held as integer numerators over one denominator; adjoin refuses a
+degree above 2^(_W-1), whose product exponents 2 deg - 2 would overflow a
+field.  A product with a rational constant (or zero) skips all of that: it
+scales the other operand's numerators one by one, in their order, after
+cancelling common factors as Fraction does.
 
 eval_bpoly evaluates a bivariate polynomial at a section point nested: it
 collects the coefficients of the section polynomial in y first, then sums
@@ -97,6 +97,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
 from operator import or_
+import struct
 from typing import NamedTuple
 
 import mpmath as mp
@@ -106,7 +107,7 @@ from mpmath.libmp import (dps_to_prec, from_rational, mpf_abs, mpf_lt, mpf_pos,
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
 from .linsolve import ff_solve
-from .polys import BPoly, UPoly
+from .polys import BPoly, UPoly, at_ratio, power
 from .roots import RootApprox, isolate_roots, refine_root
 
 # bits per exponent field of a packed monomial key
@@ -492,11 +493,23 @@ class TowerElement:
 
     def __init__(self, ctx: TowerContext, terms: dict):
         """The element sum c_k t^k of rational coefficients terms {k: c_k},
-        each k a tuple of exponents."""
-        den = lcm(*{c.denominator for c in terms.values()})
+        each k a tuple of exponents of a reduced monomial: the exponent of
+        t_j in 0 .. deg(m_j) - 1, and 0 past the context's generators.
+        ValueError for any other key, and for two keys that are one
+        monomial (equal once trailing zeros are trimmed)."""
+        degrees = ctx.degrees
+        coeffs = {}
+        for key, c in terms.items():
+            if any(key[len(degrees):]) or not all(0 <= e < d for e, d in zip(key, degrees)):
+                raise ValueError(f"exponents {key} are not a reduced monomial in "
+                                 f"generators of degrees {degrees}")
+            k = _pack(key[:len(degrees)])
+            if k in coeffs:
+                raise ValueError(f"two keys for the monomial {_unpack(k)}")
+            coeffs[k] = c
+        den = lcm(*{c.denominator for c in coeffs.values()})
         self.ctx = ctx
-        self.nums = {_pack(k): c.numerator * (den // c.denominator)
-                     for k, c in terms.items() if c}
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
         self.den = den
 
     @property
@@ -617,15 +630,7 @@ class TowerElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a tower element; use invert()")
-        out = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, self.ctx.one)
 
     def __truediv__(self, other):
         """Division by a nonzero rational only: invert() is the one inverse
@@ -654,8 +659,7 @@ class TowerElement:
     def present_generators(self) -> list[int]:
         """The indices of the generators that occur in some term, in
         order: the nonzero fields of the OR of the keys."""
-        seen = reduce(or_, self.nums, 0)
-        return [i for i in range(-(-seen.bit_length() // _W)) if (seen >> i * _W) & _MASK]
+        return [i for i, e in enumerate(_unpack(reduce(or_, self.nums, 0))) if e]
 
     # -- decisions about the embedded complex value -----------------------
 
@@ -914,7 +918,11 @@ class _Terms(Mapping):
         self._den = den
 
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self._nums[_pack(key)], self._den)
+        try:
+            k = _pack(key)
+        except struct.error:
+            raise KeyError(key) from None
+        return Fraction(self._nums[k], self._den)
 
     def __iter__(self):
         return map(_unpack, self._nums)
@@ -961,23 +969,19 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
     return [n // g for n in nums], den // g
 
 
-def _pack(key: tuple, width: int = _W) -> int:
+def _pack(key: tuple) -> int:
     """The monomial of exponent key packed into one int: the exponent of t_j
-    in bits j*width..(j+1)*width-1, so multiplying monomials adds their
-    packed forms."""
-    k = 0
-    for e in reversed(key):
-        k = (k << width) | e
-    return k
+    in bits j*_W .. (j+1)*_W - 1, so multiplying monomials adds their
+    packed forms.  One struct conversion of the exponents as little-endian
+    16-bit fields, which raises struct.error for one outside 0 .. _MASK."""
+    return int.from_bytes(struct.pack(f"<{len(key)}H", *key), "little")
 
 
 def _unpack(k: int) -> tuple:
-    """The exponent tuple of a packed key, without trailing zeros."""
-    key = []
-    while k:
-        key.append(k & _MASK)
-        k >>= _W
-    return tuple(key)
+    """The exponent tuple of a packed key, without trailing zeros: its
+    16-bit fields up to the highest nonzero one."""
+    n = -(-k.bit_length() // _W)
+    return struct.unpack(f"<{n}H", k.to_bytes(2 * n, "little"))
 
 
 def _reduce_generator(raw: dict, ext: ExtensionDescriptor, d: int,
@@ -1032,9 +1036,8 @@ def _cauchy_rule(coeffs: list[int], j: int) -> tuple[int, tuple]:
 
 
 def _cauchy_normal_form(a: TowerElement) -> dict:
-    """Normal form of a's numerators, times nonzero integers and repacked
-    (see _pack), modulo its generators' Cauchy modules: empty exactly when
-    a's is.
+    """Normal form of a's numerators, times nonzero integers, modulo its
+    generators' Cauchy modules: empty exactly when a's is.
 
     Generators are grouped by modulus, keeping the first generator of each
     root id (the modules hold only for distinct roots).  Only generators
@@ -1046,48 +1049,45 @@ def _cauchy_normal_form(a: TowerElement) -> dict:
 
     A group is reduced in integers by cauchy_module's rules, in u_i =
     L t_i: n_k t^k is n_k u^k / L^|k|, |k| its degree in the group, so n_k
-    is multiplied by L^(top - |k|), top the largest |k|.  A rewrite never
-    raises a total degree, so fields of the bit length of a's largest one
-    hold every exponent.
+    is multiplied by L^(top - |k|), top the largest |k|.  The rewrites work
+    on the stored keys: none raises a total degree in the group, so no
+    field passes k(r - 1), which a field holds for every r <= 256.  A group
+    where it might not is left to the later stages (a form modulo fewer
+    modules is empty only for a zero too).
     """
     ctx = a.ctx
     groups: dict[UPoly, dict[int, int]] = {}
     for g in a.present_generators():
         ext = ctx.extensions[g]
         groups.setdefault(ext.modulus, {}).setdefault(ext.root_id, g)
-    groups = [sorted(gens.values()) for gens in groups.values() if len(gens) > 1]
-    if not groups:
-        return a.nums
-    keys = [_unpack(k) for k in a.nums]
-    width = max(map(sum, keys)).bit_length()
-    mask = (1 << width) - 1
-    terms = {_pack(key, width): n for key, n in zip(keys, a.nums.values())}
-    for gens in groups:
-        ext = ctx.extensions[gens[0]]
-        if (lead := ext.int_coeffs[-1]) != 1:
-            degs = [sum((k >> g * width) & mask for g in gens) for k in terms]
+    terms = a.nums
+    for modulus, gens in groups.items():
+        if len(gens) < 2 or len(gens) * (modulus.degree - 1) > _MASK:
+            continue
+        gens = sorted(gens.values())
+        if (lead := ctx.extensions[gens[0]].int_coeffs[-1]) != 1:
+            degs = [sum((k >> g * _W) & _MASK for g in gens) for k in terms]
             top = max(degs)
             terms = {k: n * lead ** (top - e) for (k, n), e in zip(terms.items(), degs)}
         for j in range(len(gens), 0, -1):
-            terms = _reduce_leading(terms, gens[:j], *ctx.cauchy_module(ext.modulus, j), width)
+            terms = _reduce_leading(terms, gens[:j], *ctx.cauchy_module(modulus, j))
             if not terms:
                 return terms
     return terms
 
 
-def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple, width: int) -> dict:
+def _reduce_leading(terms: dict, gens: list[int], d: int, tail: tuple) -> dict:
     """Rewrite u^d -> tail (exponents over gens), u = gens[-1], until every
-    packed key has degree below d in u.  A rewrite adds a delta from
-    moves[x], the (delta, coefficient) pairs of tail's terms of u-degree x."""
-    shift = gens[-1] * width
-    mask = (1 << width) - 1
+    key has degree below d in u.  A rewrite adds a delta from moves[x], the
+    (delta, coefficient) pairs of tail's terms of u-degree x."""
+    shift = gens[-1] * _W
     moves: dict[int, list] = {}
     for exps, c in tail:
-        delta = sum(x << g * width for g, x in zip(gens, exps)) - (d << shift)
+        delta = sum(x << g * _W for g, x in zip(gens, exps)) - (d << shift)
         moves.setdefault(exps[-1], []).append((delta, c))
     levels: dict[int, dict] = {}
     for k, c in terms.items():
-        levels.setdefault((k >> shift) & mask, {})[k] = c
+        levels.setdefault((k >> shift) & _MASK, {})[k] = c
     out: dict = {}
     for e in range(max(levels), -1, -1):
         level = levels.pop(e, {})
@@ -1214,7 +1214,7 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
             groups.setdefault((j, 0), []).append((i, c.numerator, c.denominator))
     cols: dict[int, dict] = {}
     for (j, k), triples in groups.items():
-        n, d = _at(triples, x.numerator, x.denominator)
+        n, d = at_ratio(triples, x.numerator, x.denominator)
         if n:
             cols.setdefault(j, {})[k] = n, d
     shift = g * _W
@@ -1227,18 +1227,6 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
             raw[k] = get(k, 0) + n * (den // q)
     raw, scale = _reduce_generator(raw, ctx.extensions[g], deg, shift)
     return _lowest(ctx, {k: n for k, n in raw.items() if n}, den * scale)
-
-
-def _at(triples: list, a: int, b: int) -> tuple[int, int]:
-    """sum (n/d) x^i over the (i, n, d) triples at x = a/b, as a numerator
-    over one denominator, not reduced."""
-    if len(triples) == 1:
-        (i, n, d), = triples
-        return (n * a ** i, d * b ** i) if i else (n, d)
-    top = max(i for i, _, _ in triples)
-    den = lcm(*{d for _, _, d in triples})
-    num = sum(n * (den // d) * a ** i * b ** (top - i) for i, n, d in triples)
-    return num, den * b ** top
 
 
 def _bare_generator(y: TowerElement) -> int | None:

@@ -21,6 +21,10 @@ of coordinates (smooth, since such a change keeps the curve smooth).  Every
 curve is smooth, so an answer must say so and give the genus
 (d-1)(d-2)/2 and the first-kind numerators, the monomials of degree <= d-3;
 NotSmooth, like exit 1, is a defect.  Its known classes are KNOWN_CURVE's.
+
+A third seeded draw, of its own seed, runs third-kind and verify on the
+curves of degree 2 to 4 at abscissas p/q of height 10^30 to 10^40 and with
+--digits up to 200.  Its known classes are KNOWN_TALL's.
 """
 
 import json
@@ -203,3 +207,47 @@ def test_seeded_curve_requests_answer_smooth_curves(capsys):
     assert not unknown, unknown
     assert set(found) == set(KNOWN_CURVE), \
         f"no request meets {set(KNOWN_CURVE) - set(found)}"
+
+
+TALL_SEED = 5
+TALL_REQUESTS = 30
+TALL_CURVES = tuple(c for c in CURVES if DEGREE[c] <= 4)
+KNOWN_TALL = {
+    "AssertionError in roots._pair_conjugates":
+        "ROADMAP item 1a: conjugate discs built at 53 bits miss each other",
+}
+
+
+def _tall_abscissa(rng: random.Random) -> str:
+    """+-p/q in lowest terms whose height max(p, q) has 31 to 40 digits."""
+    while True:
+        digits = rng.randint(31, 40)
+        top = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        other = rng.randrange(1, 10 ** rng.randint(1, digits))
+        p, q = (top, other) if rng.random() < 0.5 else (other, top)
+        x = Fraction(rng.choice((1, -1)) * p, q)
+        if max(abs(x.numerator), x.denominator) > 10**30:
+            return str(x)
+
+
+def _tall_request(rng: random.Random) -> list[str]:
+    command = rng.choice(("third-kind", "verify"))
+    curve = rng.choice(TALL_CURVES)
+    argv = [command, "-f", curve]
+    for flag, root in (("x1", "root1"), ("x2", "root2")):
+        argv += [f"--{flag}={_tall_abscissa(rng)}", f"--{root}={rng.randrange(DEGREE[curve])}"]
+    return argv + [f"--digits={rng.randint(1, 200)}"]
+
+
+def test_seeded_tall_abscissas_end_in_an_answer_or_a_typed_error(capsys):
+    assert {DEGREE[c] for c in TALL_CURVES} == {2, 3, 4}
+    rng = random.Random(TALL_SEED)
+    found: dict[str, list[str]] = {}
+    for _ in range(TALL_REQUESTS):
+        argv = _tall_request(rng)
+        defect = _defect(capsys, argv)
+        if defect is not None:
+            found.setdefault(defect, []).append(" ".join(argv))
+    unknown = {c: requests[:3] for c, requests in found.items() if c not in KNOWN_TALL}
+    assert not unknown, unknown
+    assert set(found) == set(KNOWN_TALL), f"no request meets {set(KNOWN_TALL) - set(found)}"

@@ -474,3 +474,24 @@ def test_q_only_routines_reject_tower_coefficients():
             with pytest.raises((AttributeError, TypeError)):
                 routine()
     # unhashable too: test_upoly_with_tower_coefficients_stays_unhashable
+
+
+@pytest.mark.parametrize("base, one", [
+    (UPoly([Fraction(1, 2), -3, 1]), UPoly([1])),
+    (BPoly({(1, 0): 1, (0, 1): 2, (0, 0): Fraction(-1, 3)}), BPoly.const(1)),
+], ids=["UPoly", "BPoly"])
+def test_a_polynomial_power_takes_no_square_past_its_top_bit(monkeypatch, base, one):
+    # as for a tower element: n's set bits multiply into the result, and
+    # each bit below the top one takes one square
+    expected = [one]
+    for _ in range(8):
+        expected.append(expected[-1] * base)
+    calls = []
+    mul = type(base).__mul__
+    monkeypatch.setattr(type(base), "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    for n in range(9):
+        calls.clear()
+        assert base ** n == expected[n]
+        assert len(calls) == n.bit_count() + max(n.bit_length() - 1, 0), n
+    with pytest.raises(ValueError, match="negative power of a polynomial"):
+        base ** -1

@@ -1,4 +1,5 @@
 import random
+import struct
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt, prod
@@ -13,7 +14,7 @@ from abeldiff.differentials import (residue_certificates, third_kind,
                                     vandermonde_equivalence)
 from abeldiff.errors import (ContextMismatch, NotInvertible, NotSquareFree,
                              ZeroDivision)
-from abeldiff.polys import BPoly, UPoly, is_squarefree
+from abeldiff.polys import BPoly, UPoly, is_squarefree, power_sums
 from abeldiff.roots import RootApprox
 from abeldiff.towers import TowerContext, TowerElement, adjoin, eval_bpoly
 
@@ -1542,3 +1543,69 @@ def test_a_power_takes_no_square_past_its_top_bit(monkeypatch):
         calls.clear()
         assert t ** n == expected[n]
         assert len(calls) == n.bit_count() + n.bit_length() - 1, n
+
+
+def test_the_constructor_refuses_a_key_that_is_no_reduced_monomial():
+    ctx, t = adjoin(TowerContext(), SQRT2, 1)
+    assert TowerElement(ctx, {(1,): Fraction(2), (0, 0): Fraction(1, 3)}) == 2 * t + Fraction(1, 3)
+    for terms in ({(2,): Fraction(1)},                           # t^2, reduced 2
+                  {(1,): Fraction(1), (1, 0): Fraction(1)},      # t twice
+                  {(2 ** 16,): Fraction(1)},                     # past the field
+                  {(0, 1): Fraction(1)},                         # no t_1 in ctx
+                  {(-1,): Fraction(1)}):
+        with pytest.raises(ValueError):
+            TowerElement(ctx, terms)
+    ctx, three = adjoin(ctx, UPoly([-3, 1]), 0)
+    assert three == 3 and TowerElement(ctx, {(1, 0, 0): Fraction(1)}) == t
+    with pytest.raises(ValueError):     # a degree-1 generator's exponent is 0
+        TowerElement(ctx, {(0, 1): Fraction(1)})
+    # a key that cannot be packed is no key of the terms
+    for key in ((2 ** 16,), (-1,), (Fraction(1, 2),)):
+        assert key not in t.terms
+        with pytest.raises(KeyError):
+            t.terms[key]
+    assert t.terms[(1, 0)] == 1
+
+
+def test_pack_and_unpack_are_inverse_struct_conversions():
+    rng = random.Random(3916)
+    keys = [(), (65535,), (0, 65535), (65535,) * 30]
+    for _ in range(300):
+        key = [rng.choice((0, 1, 65535, rng.randrange(65536)))
+               for _ in range(rng.randint(1, 30))]
+        while key and not key[-1]:
+            key.pop()
+        keys.append(tuple(key))
+    for key in keys:
+        k = towers._pack(key)
+        assert k == sum(e << 16 * i for i, e in enumerate(key))
+        assert towers._unpack(k) == key
+        assert towers._pack(key + (0, 0)) == k
+    for bad in ((65536,), (-1,), (0, 65536), (3, -1)):
+        with pytest.raises(struct.error):
+            towers._pack(bad)
+
+
+def test_cauchy_stage_decides_power_sums_on_wide_keys(monkeypatch):
+    """sum_j t_j^m = p_m, m <= 2r - 2, over every root of a section whose
+    generators follow 16 others, so that their fields lie past bit 256 of
+    the stored keys: the Cauchy stage decides each alone, on those keys."""
+    monkeypatch.setattr(TowerElement, "_minimal_polynomial", _no_minimal_polynomial)
+    for modulus in (Curve(QUARTIC_F).section_poly(Fraction(1, 2)),
+                    Curve(SEPTIC_F).section_poly(Fraction(2, 5))):
+        r = modulus.degree
+        ctx = TowerContext()
+        for i in range(16):
+            ctx, _ = adjoin(ctx, SQRT2, i % 2)
+        ys = []
+        for rid in reversed(range(r)):
+            ctx, y = adjoin(ctx, modulus, rid)
+            ys.append(y)
+        assert all(min(y.nums) >> 256 for y in ys)
+        for m, p in enumerate(power_sums(modulus, 2 * r - 1)):
+            s = sum((y ** m for y in ys), ctx.zero) - p
+            assert s.is_zero(), m
+            perturbed = s + ys[m % r]
+            assert not perturbed.is_zero(), m
+            form = towers._cauchy_normal_form(perturbed)
+            assert any(form) and all(k >> 256 for k in form if k), m
