@@ -259,9 +259,13 @@ def _common_section_root(mod: UPoly, polys_in: list[UPoly]):
     if mod.degree == 0:
         return None
     polys = [UPoly([c % mod for c in p.coeffs]) for p in polys_in]
+    base = None
     while True:
         polys = [q for q in polys if q]
+        # the base's lead was found invertible on the pass before
         for q in polys:
+            if q is base:
+                continue
             g = poly_gcd(q.leading, mod)
             if g.degree > 0:
                 # ambiguous zero test: split the modulus and try both parts

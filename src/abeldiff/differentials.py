@@ -14,8 +14,11 @@ per-point rows of a block in section order.  The symmetrized system is kept
 with the differential.  Its block i is the Vandermonde matrix V_i of section
 i's ordinates times the per-point block i, and verify checks that without
 multiplying it out: per-point entry (j, (a, b)) is x_i^a eta_j^b, so entry
-(k, (a, b)) of the product is x_i^a p_(k+b) once the 2r - 1 power-sum
-identities sum_j eta_j^m = p_m, m <= 2r - 2, hold.  V_i is invertible for a
+(k, (a, b)) of the product is x_i^a p_(k+b), because the ordinates are the
+r distinct roots of the section polynomial and sum_j eta_j^m = p_m by
+Newton's theorem.  verify checks the theorem's hypotheses, the power sums
+in Q and the ordinates as the section's root generators, not its
+conclusion in the tower.  V_i is invertible for a
 square-free section, so per pole (x_i, eta_i) the conditions are exactly
 one polynomial identity in y,
 E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i): the quotient vanishes at the
@@ -633,14 +636,19 @@ def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
     (x2 - x1) f_y(pole) at the pole and 0 elsewhere
     (third_kind_system_naive).  So entry (k, (a, b)) of the product is
     x_i^a sum_j eta_j^(k+b), and its right-hand side is
-    eta_pole^k (x2 - x1) f_y(pole).  The product is therefore the
-    symmetrized system, of 2r rows over monomials_upto(r - 1), exactly when
-    per pole abscissa, with p_m the power sums of the section polynomial:
+    eta_pole^k (x2 - x1) f_y(pole).  When the ordinates are the r distinct
+    roots of the section polynomial q, sum_j eta_j^m is q's power sum p_m
+    for every m, by Newton's theorem.  So the product is the symmetrized
+    system, of 2r rows over monomials_upto(r - 1), when per pole abscissa:
     - every symmetrized entry (k, (a, b)) is x_i^a p_(k+b), in Q;
-    - every symmetrized right-hand side k is eta_pole^k (x2 - x1) f_y(pole);
-    - sum_j eta_j^m = p_m for m = 0 .. 2r - 2, one is_zero each.
-    Each root's powers eta_j^0 .. eta_j^(2r-2) are one chain of products,
-    which also gives eta_pole^k."""
+    - p_0 = r and p_1 .. p_(2r-2) satisfy Newton's identities with the
+      coefficients of the monic q, in Q, so the list is checked without
+      trusting power_sums;
+    - the section's ordinates are, in order, the generators that the
+      context holds for root ids 0 .. r - 1 of the monic q, which isolation
+      certified distinct, and the pole is one of the section's points;
+    - every symmetrized right-hand side k is eta_pole^k (x2 - x1) f_y(pole),
+      from the same chain of powers, so each is_zero is syntactic."""
     sym, curve, ctx = diff.system, diff.curve, diff.ctx
     r = curve.r
     monos = monomials_upto(r - 1)
@@ -650,22 +658,25 @@ def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
     dx = diff.pole2.x - diff.pole1.x
     for i, (sec, pole) in enumerate(((diff.section1, diff.pole1),
                                      (diff.section2, diff.pole2))):
-        ps = power_sums(curve.section(pole.x, ctx).poly, 2 * r - 1)
+        q = curve.section(pole.x, ctx).poly.monic()
+        ps = power_sums(q, 2 * r - 1)
         xpows = [pole.x ** a for a in range(r)]
         if any(entry != xpows[a] * ps[k + b]
                for k, row in enumerate(sym.matrix[i * r:(i + 1) * r])
                for entry, (a, b) in zip(row, monos)):
             return False
-        chains = [_powers(pt.y, 2 * r - 1) for pt in sec]
-        pole_chain = next((c for pt, c in zip(sec, chains) if pt is pole), None)
-        if pole_chain is None:
+        c = q.coeffs
+        if ps[0] != r or any(
+                ps[k] + sum(c[r - j] * ps[k - j] for j in range(1, min(k - 1, r) + 1))
+                + (k * c[r - k] if k <= r else 0)
+                for k in range(1, 2 * r - 1)):
             return False
-        fyv = dx * curve.fy_at(pole)
-        if not all((rv - pole_chain[k] * fyv).is_zero()
+        if (pole not in sec or [pt.y for pt in sec]
+                != [ctx.generator(ctx.locate(q, j)) for j in range(r)]):
+            return False
+        pows, fyv = _powers(pole.y, r), dx * curve.fy_at(pole)
+        if not all((rv - pows[k] * fyv).is_zero()
                    for k, rv in enumerate(sym.rhs[i * r:(i + 1) * r])):
-            return False
-        if not all((sum((c[m] for c in chains), ctx.zero) - ps[m]).is_zero()
-                   for m in range(2 * r - 1)):
             return False
     return True
 

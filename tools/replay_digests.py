@@ -36,8 +36,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from abeldiff import cli  # noqa: E402
 
 DENSE = "y^4+y-2-170*x+4*x*y-4*x*y^2+2*x*y^3+94*x^2-14*x^3-3*x^3*y+x^4"
-# third-kind above the ladder's degree 7 (24 is the parser's cap), verify
-# above the benchmark's quartic, both commands on the septic and the dense
+# third-kind and verify above the ladder's degree 7 and the benchmark's
+# quartic (24 is the parser's cap), both commands on the septic and the dense
 # quartic that CI compares, CI's two haupt requests, the line (r = 1), a
 # request that ends in NotInvertible (exit 11) within a second, smooth on
 # singular curves, whose witnesses no benchmark schedule prints (a cusp, an
@@ -46,7 +46,7 @@ DENSE = "y^4+y-2-170*x+4*x*y-4*x*y^2+2*x*y^3+94*x^2-14*x^3-3*x^3*y+x^4"
 # third-kind on a singular curve (NotSmooth, exit 3)
 BEYOND = [
     *(f"third-kind -f x^{r}+y^{r}-1 --x1=1/2 --x2=1/3 --digits 30" for r in (10, 12, 24)),
-    *(f"verify -f x^{r}+y^{r}-1 --x1=1/2 --x2=1/3 --digits 30" for r in (8, 10)),
+    *(f"verify -f x^{r}+y^{r}-1 --x1=1/2 --x2=1/3 --digits 30" for r in (8, 10, 12, 24)),
     *(f"{command} -f {args} --digits 30"
       for args in ("x^7+y^7-x-1 --x1=0 --x2=2", f"{DENSE} --x1=1/3 --x2=5/2")
       for command in ("third-kind", "verify")),
