@@ -111,29 +111,38 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
     return pt
 
 
+def _group_key(f, req: argparse.Namespace) -> tuple:
+    """The key of a haupt request's group: the curve and the values of
+    --x1, --root1, --x2, --root2, --a and --roota, so --a=2 and --a=4/2 are
+    one group.  Raises as _rational does for a malformed literal."""
+    roota = req.roota + [0] * (len(req.a) - len(req.roota))
+    return (f, _rational(req.x1), req.root1, _rational(req.x2), req.root2,
+            tuple(map(_rational, req.a)), tuple(roota))
+
+
 def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
-           doc_roots: dict):
+           key, group, doc_roots: dict):
     """(differential, auxiliary points, result) of a haupt request.
 
     The differential and its parameters depend on the curve, the poles and
     the auxiliary points, not on the evaluation point: a group of requests
-    that share them (keyed by the curve and the values of --x1, --root1,
-    --x2, --root2, --a and --roota, so --a=2 and --a=4/2 are one group)
-    rebinds what the first one found instead of solving again
-    (differentials.recall).  The points are chosen in the same order either
-    way, after third_kind on a first request, so errors are reported in the
-    same order and generators numbered alike."""
+    that share them (_group_key) rebinds what the first one found instead
+    of solving again (differentials.recall).  run passes the key (None when
+    a literal is malformed) and the group it found under it (or None).  The
+    points are chosen in the same order either way, after third_kind on a
+    first request, so errors are reported in the same order and generators
+    numbered alike."""
     roota = req.roota + [0] * (len(req.a) - len(req.roota))
-    key = (curve.f, p1.x, req.root1, p2.x, req.root2, tuple(map(_rational, req.a)),
-           tuple(roota))
-    group = diffs.recall(key)
-    d = diffs.third_kind(curve, p1, p2) if group is None else None
+    if group is None:
+        if key is None:  # p1 and p2 parsed, so a malformed --a raises here
+            _group_key(curve.f, req)
+        d = diffs.third_kind(curve, p1, p2)
     pp = _chosen_point(curve, ctx, req.xp, req.rootp, "xp", doc_roots)
     poles = [_chosen_point(curve, ctx, ax, ar, f"a{i + 1}", doc_roots)
              for i, (ax, ar) in enumerate(zip(req.a, roota))]
     if group is None:
         result = diffs.haupt_solve(d, pp, poles)
-        diffs.remember(key, d, result.parameters)
+        diffs.remember(key, d, result.parameters, not req.assume_smooth)
     else:
         d, params = diffs.rebind(group, curve, p1, p2)
         result = diffs.haupt_solve(d, pp, poles, params)
@@ -172,7 +181,19 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
         doc["timings"] = timings
         return doc, report.smooth
 
-    curve = Curve(f, assume_smooth=req.assume_smooth)
+    # a haupt request whose group was stored by a request that proved this
+    # same polynomial smooth skips the proof; with a malformed literal there
+    # is no group, and the error is reported where a first request reports it
+    key = group = None
+    if req.command == "haupt":
+        try:
+            key = _group_key(f, req)
+        except AbeldiffError:
+            pass
+        else:
+            group = diffs.recall(key)
+    proved = group is not None and group.proved_smooth
+    curve = Curve(f, assume_smooth=req.assume_smooth or proved)
     doc["genus"] = curve.genus()
     doc["degree"] = curve.r
     timings["curve"] = time.perf_counter() - t0
@@ -200,7 +221,8 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
 
     t1 = time.perf_counter()
     if req.command == "haupt":
-        d, poles, result = _haupt(curve, ctx, req, p1, p2, doc["inputs"]["points"])
+        d, poles, result = _haupt(curve, ctx, req, p1, p2, key, group,
+                                  doc["inputs"]["points"])
     else:
         d = diffs.third_kind(curve, p1, p2)
     naive = diffs.third_kind_system_naive(d)
@@ -264,8 +286,10 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _dumps(doc: dict) -> str:
-    # without indent, json.dumps runs the C encoder
-    return json.dumps(doc, separators=(",", ":"))
+    # without indent, json.dumps runs the C encoder; run builds a tree, so
+    # the encoder's cycle markers are skipped (a cycle still ends in
+    # RecursionError)
+    return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
 def _emit(doc: dict, ok: bool, json_mode: bool) -> None:

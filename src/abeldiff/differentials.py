@@ -574,11 +574,14 @@ MAX_GROUPS = 32
 class _Group(NamedTuple):
     """What a haupt group's differential and parameter solve found, free of
     any context: the base numerator's monomials, then its coefficients and
-    the parameters as one detached table, and the residue certificates."""
+    the parameters as one detached table, the residue certificates, and
+    whether the request that solved it proved its curve smooth (not under
+    --assume-smooth)."""
 
     monomials: tuple
     detached: Detached
     certificates: tuple
+    proved_smooth: bool
 
 
 # group key -> _Group, least recently used first
@@ -593,12 +596,14 @@ def recall(key) -> _Group | None:
     return group
 
 
-def remember(key, diff: ParametricDifferential, params: list) -> None:
-    """Store diff's base numerator and certificates and the checked
-    parameters for the auxiliary poles under key."""
+def remember(key, diff: ParametricDifferential, params: list,
+             proved_smooth: bool) -> None:
+    """Store diff's base numerator and certificates, the checked parameters
+    for the auxiliary poles and whether diff's curve was proved smooth
+    under key."""
     terms = diff.base_numerator.terms
     _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params]),
-                          tuple(dict(c) for c in diff.certificates))
+                          tuple(dict(c) for c in diff.certificates), proved_smooth)
     _groups.move_to_end(key)
     if len(_groups) > MAX_GROUPS:
         _groups.popitem(last=False)

@@ -9,10 +9,10 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from abeldiff import cli, differentials, roots
+from abeldiff import cli, curves, differentials, roots
 from abeldiff.curves import Curve
-from abeldiff.errors import (MultipleRoots, PointNotOnCurve, SameAbscissa,
-                             exit_code_for)
+from abeldiff.errors import (MultipleRoots, NotSmooth, PointNotOnCurve,
+                             SameAbscissa, exit_code_for)
 from abeldiff.towers import TowerElement
 from tests.test_haupt_oracle import EXIT_11_VALUE
 
@@ -666,6 +666,103 @@ def test_the_least_recently_used_group_is_dropped(capsys, monkeypatch):
     assert [key[3] for key in differentials._groups] == [1, 4]
 
 
+def _child_env():
+    """The environment of a child process that imports this abeldiff."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh(argv):
+    """The document a new process prints for argv."""
+    proc = subprocess.run([sys.executable, "-m", "abeldiff.cli", *argv, "--json"],
+                          capture_output=True, env=_child_env(), timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    doc.pop("timings", None)
+    return doc
+
+
+def _counting_proofs(monkeypatch):
+    """The polynomials that Curve proves smooth from now on, in order."""
+    proofs = []
+    real = curves.smoothness_report
+
+    def counted(f):
+        proofs.append(f)
+        return real(f)
+    monkeypatch.setattr(curves, "smoothness_report", counted)
+    return proofs
+
+
+def test_a_haupt_group_hit_skips_the_smoothness_proof(capsys, monkeypatch):
+    group = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--a", "2"]
+    differentials._groups.clear()
+    proofs = _counting_proofs(monkeypatch)
+    _document(capsys, group + ["--xp", "5"])
+    assert len(proofs) == 1
+    assert [g.proved_smooth for g in differentials._groups.values()] == [True]
+    hit = _document(capsys, group + ["--xp", "3"])
+    assert len(proofs) == 1
+    assert hit == _fresh(group + ["--xp", "3"])
+
+
+def test_a_group_stored_under_assume_smooth_waives_no_later_proof(capsys, monkeypatch):
+    # the cusp y^3 = x^2 is answered under --assume-smooth; the same group
+    # requested without the flag is proved, and refused, as in a new process
+    group = ["haupt", "-f", "x^2-y^3", "--x1", "1", "--x2", "2", "--a", "3"]
+    differentials._groups.clear()
+    proofs = _counting_proofs(monkeypatch)
+    assert "haupt" in _document(capsys, group + ["--xp", "5", "--assume-smooth"])
+    assert proofs == []
+    assert [g.proved_smooth for g in differentials._groups.values()] == [False]
+    code, doc = _run_json(capsys, group + ["--xp", "4"])
+    assert code == NotSmooth.exit_code and doc["error"]["type"] == "NotSmooth"
+    assert len(proofs) == 1
+    # on a smooth curve the proof is made and the answer is a new process's
+    group = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--a", "2"]
+    _document(capsys, group + ["--xp", "5", "--assume-smooth"])
+    assert _document(capsys, group + ["--xp", "3"]) == _fresh(group + ["--xp", "3"])
+    assert len(proofs) == 2
+
+
+@pytest.mark.parametrize("flag, literal", [("--x1", "1.0"), ("--x1", "1/0"),
+                                           ("--a", "sqrt(3)"), ("--a", "9" * 1001)],
+                         ids=["x1-decimal", "x1-zero-denominator", "a-irrational",
+                              "a-too-long"])
+def test_a_singular_curve_with_a_malformed_literal_is_not_smooth(capsys, flag, literal):
+    # the malformed literal has no group to look up, so the curve is proved
+    # first and refused, even with its well-formed group stored
+    values = {"--x1": "1", "--x2": "2", "--a": "3", "--xp": "5"}
+    argv = ["haupt", "-f", "x^2-y^3"] + [f"{k}={v}" for k, v in values.items()]
+    differentials._groups.clear()
+    assert "haupt" in _document(capsys, argv + ["--assume-smooth"])
+    values[flag] = literal
+    argv = ["haupt", "-f", "x^2-y^3"] + [f"{k}={v}" for k, v in values.items()]
+    code, doc = _run_json(capsys, argv)
+    assert code == NotSmooth.exit_code and doc["error"]["type"] == "NotSmooth"
+
+
+def test_an_evicted_group_is_proved_smooth_again(capsys, monkeypatch):
+    monkeypatch.setattr(differentials, "MAX_GROUPS", 2)
+    differentials._groups.clear()
+    proofs = _counting_proofs(monkeypatch)
+
+    def request(x2):
+        _document(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", x2, "--a", "2",
+                           "--xp", "3"])
+    for x2 in ("1", "1"):
+        request(x2)
+    assert len(proofs) == 1
+    for x2 in ("4", "5"):   # "5" drops "1"
+        request(x2)
+    assert len(proofs) == 3
+    request("1")
+    assert len(proofs) == 4
+    request("1")
+    assert len(proofs) == 4
+
+
 def test_a_seeded_sweep_of_haupt_groups_prints_the_cold_documents(capsys):
     groups = [
         (["haupt", "-f", CIRCLE, "--x1=0", "--x2=1/2"], ["3", "-2/3"]),
@@ -715,18 +812,28 @@ def test_json_document_is_one_compact_line(capsys, argv, code):
     assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
 
 
+def test_dumps_writes_the_bytes_of_json_dumps(capsys):
+    # _dumps skips the encoder's cycle markers; the bytes are the same
+    argv = ["haupt", "-f", DENSE_QUARTIC, "--x1=1/3", "--x2=5/2", "--a=-2/3",
+            "--a=7/3", "--a=3", "--xp=1", "--digits", "60"]
+    doc, ok = cli.run(cli.build_parser().parse_args(argv))
+    assert ok
+    code, error = _run_json(capsys, ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "0",
+                                     "--xp", "3", "--a", "2"])
+    assert code == SameAbscissa.exit_code
+    for d in (doc, error):
+        assert cli._dumps(d) == json.dumps(d, separators=(",", ":"))
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_closed_stdout_exits_141_without_a_traceback(json_flag):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)  # nobody reads: the child's first write breaks the pipe
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "abeldiff.cli", "genus", "-f", "x^3+y^3-1",
              *json_flag],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
