@@ -94,7 +94,7 @@ from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
 from .linsolve import ff_solve
-from .polys import BPoly, UPoly, power_sums
+from .polys import BPoly, UPoly, power_sums, powers
 from .towers import (Detached, Quotient, TowerContext, TowerElement, attach,
                      detach, eval_bpoly)
 
@@ -161,20 +161,12 @@ def _prepare(curve: Curve, p1: Point, p2: Point
     return sec1[_locate_pole(sec1, p1)], sec2[_locate_pole(sec2, p2)], sec1, sec2
 
 
-def _powers(y: TowerElement, n: int) -> list[TowerElement]:
-    """y^0 .. y^(n-1), one chain of products from [1, y]."""
-    pows = [y.ctx.one, y][:n]
-    while len(pows) < n:
-        pows.append(pows[-1] * y)
-    return pows
-
-
 def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerElement]:
     """The monomials x^a y^b at a point, from the powers xpows of its
     abscissa and one chain of powers of its ordinate; at a section point,
     whose ordinate is a bare generator, each entry has the terms, in order,
     that eval_bpoly(BPoly({(a, b): 1}), x, y) gives."""
-    ypows = _powers(y, len(xpows))
+    ypows = powers(y, len(xpows), y.ctx.one)
     return [ypows[b] * xpows[a] if b else y.ctx.constant(xpows[a])
             for a, b in monos]
 
@@ -190,7 +182,7 @@ def third_kind_system_naive(diff: ParametricDifferential) -> LinearSystem:
     dx = diff.pole2.x - diff.pole1.x
     matrix, rhs = [], []
     for sec, pole in ((diff.section1, diff.pole1), (diff.section2, diff.pole2)):
-        xpows = [pole.x ** a for a in range(curve.r)]
+        xpows = powers(pole.x, curve.r, Fraction(1))
         for pt in sec:
             matrix.append(_monomial_row(monos, xpows, pt.y))
             rhs.append(dx * curve.fy_at(pole) if pt is pole else diff.ctx.zero)
@@ -212,9 +204,9 @@ def _symmetrized_system(curve: Curve, pole1: Point, pole2: Point) -> LinearSyste
         ps = power_sums(curve.section(pole.x, pole.y.ctx).poly, 2 * r - 1)
         pnum, pden = [p.numerator for p in ps], [p.denominator for p in ps]
         u, v = pole.x.numerator, pole.x.denominator
-        xnum, xden = [u ** a for a in range(r)], [v ** a for a in range(r)]
+        xnum, xden = powers(u, r, 1), powers(v, r, 1)
         fyv = dx * curve.fy_at(pole)
-        for k, ypow in enumerate(_powers(pole.y, r)):
+        for k, ypow in enumerate(powers(pole.y, r, pole.y.ctx.one)):
             matrix.append([Fraction(xnum[a] * pnum[k + b], xden[a] * pden[k + b])
                            for (a, b) in monos])
             rhs.append(ypow * fyv)
@@ -297,10 +289,10 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     r, x1, x2 = curve.r, pole1.x, pole2.x
     dx = x2 - x1
     q1, q2 = _pole_quotient(curve, pole1, dx), _pole_quotient(curve, pole2, dx)
+    x1s, x2s = powers(x1, r, Fraction(1)), powers(x2, r, Fraction(1))
     coeffs = {}
     for b in range(r):
-        u = [x1 ** a for a in range(r - b)]
-        v = [x2 ** a for a in range(r - b)]
+        u, v = x1s[:r - b], x2s[:r - b]
         uv = sum(s * t for s, t in zip(u, v))
         sol = ff_solve([[sum(s * s for s in u), uv], [uv, sum(t * t for t in v)]],
                        [q1[b], q2[b]])
@@ -355,11 +347,12 @@ def _identity_holds(diff: ParametricDifferential, pole: Point) -> bool:
     numerator E (the quotient's are 0 from y^r up), and each sum must be
     zero.  Both sides are elements of the pole generators, whose reduced
     form is canonical, so an honest numerator's sums are empty."""
-    x, zero = pole.x, diff.ctx.zero
+    e, zero = diff.base_numerator, diff.ctx.zero
+    xpows = powers(pole.x, e.degree_x + 1, Fraction(1))
     sums = dict(enumerate(_pole_quotient(diff.curve, pole,
                                          diff.pole1.x - diff.pole2.x)))
-    for (a, b), c in diff.base_numerator.terms.items():
-        sums[b] = sums.get(b, zero) + (c * x ** a if a else c)
+    for (a, b), c in e.terms.items():
+        sums[b] = sums.get(b, zero) + (c * xpows[a] if a else c)
     return all(v.is_zero() for v in sums.values())
 
 
@@ -371,25 +364,14 @@ def _verdicts(diff: ParametricDifferential, decide) -> list[dict]:
     residues into one element would drag every generator into a single huge
     subring for no extra information)."""
     out = []
-    expected_total = 0
-    all_ok = True
     for sec in (diff.section1, diff.section2):
         for rid, pt in enumerate(sec):
-            expected = 0
-            if pt is diff.pole1:
-                expected = 1
-            elif pt is diff.pole2:
-                expected = -1
-            ok = decide(pt, expected)
-            all_ok = all_ok and ok
-            expected_total += expected
-            out.append({
-                "point": f"(x={pt.x}, root {rid})",
-                "expected": expected,
-                "ok": ok,
-            })
+            expected = 1 if pt is diff.pole1 else -1 if pt is diff.pole2 else 0
+            out.append({"point": f"(x={pt.x}, root {rid})", "expected": expected,
+                        "ok": decide(pt, expected)})
     out.append({"point": "sum over all section points", "expected": 0,
-                "ok": all_ok and expected_total == 0})
+                "ok": all(v["ok"] for v in out)
+                and sum(v["expected"] for v in out) == 0})
     return out
 
 
@@ -432,7 +414,7 @@ def _first_kind_at(diff: ParametricDifferential, point: Point) -> list[TowerElem
     point."""
     r = diff.curve.r
     return _monomial_row(monomials_upto(r - 3),
-                         [point.x ** a for a in range(r - 2)], point.y)
+                         powers(point.x, r - 2, Fraction(1)), point.y)
 
 
 def _combination(diff: ParametricDifferential, params, values) -> TowerElement:
@@ -665,7 +647,7 @@ def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
                                      (diff.section2, diff.pole2))):
         q = curve.section(pole.x, ctx).poly.monic()
         ps = power_sums(q, 2 * r - 1)
-        xpows = [pole.x ** a for a in range(r)]
+        xpows = powers(pole.x, r, Fraction(1))
         if any(entry != xpows[a] * ps[k + b]
                for k, row in enumerate(sym.matrix[i * r:(i + 1) * r])
                for entry, (a, b) in zip(row, monos)):
@@ -679,7 +661,7 @@ def vandermonde_equivalence(diff: ParametricDifferential) -> bool:
         if (pole not in sec or [pt.y for pt in sec]
                 != [ctx.generator(ctx.locate(q, j)) for j in range(r)]):
             return False
-        pows, fyv = _powers(pole.y, r), dx * curve.fy_at(pole)
+        pows, fyv = powers(pole.y, r, ctx.one), dx * curve.fy_at(pole)
         if not all((rv - pows[k] * fyv).is_zero()
                    for k, rv in enumerate(sym.rhs[i * r:(i + 1) * r])):
             return False

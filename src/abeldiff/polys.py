@@ -205,6 +205,15 @@ def power(base, n: int, one):
     return out
 
 
+def powers(base, n: int, one) -> list:
+    """base^0 .. base^(n-1) as one chain of products from [one, base]: each
+    power is the one before times base, and base^1 is base itself."""
+    out = [one, base][:max(n, 0)]
+    while len(out) < n:
+        out.append(out[-1] * base)
+    return out
+
+
 def at_ratio(triples: list, p: int, q: int) -> tuple[int, int]:
     """sum (n/d) x^i over the (i, n, d) triples at x = p/q, q > 0, as a
     numerator over one positive denominator, not reduced: a lone triple
@@ -361,16 +370,16 @@ def power_sums(a: UPoly, count: int) -> list[Fraction]:
         raise ZeroPolynomial("power sums need degree >= 1")
     c = a.to_int_coeffs()[0]
     n = len(c) - 1
-    lead = c[n]
+    lpows = powers(c[n], max(n, count), 1)
     # w[i] = c_(n-i) L^(i-1), i = 1 .. n
-    w = [0] + [c[n - i] * lead ** (i - 1) for i in range(1, n + 1)]
+    w = [0] + [c[n - i] * lpows[i - 1] for i in range(1, n + 1)]
     sums = [n]
     for k in range(1, count):
         acc = -k * w[k] if k <= n else 0
         for i in range(1, min(k - 1, n) + 1):
             acc -= w[i] * sums[k - i]
         sums.append(acc)
-    return [Fraction(v, lead ** k) for k, v in enumerate(sums[:count])]
+    return [Fraction(v, lk) for v, lk in zip(sums[:count], lpows)]
 
 
 def kronecker_bits(bound: int) -> int:
@@ -494,11 +503,6 @@ class BPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:
-            # a monomial's power is one monomial
-            ((i, j), c), = self.terms.items()
-            if isinstance(c, Fraction):
-                return BPoly({(i * n, j * n): c ** n})
         return power(self, n, BPoly.const(1))
 
     def partial_x(self) -> "BPoly":
@@ -540,27 +544,17 @@ class BPoly:
 
     def eval(self, xv, yv):
         """Evaluate at a pair of ring values (Fractions, tower elements,
-        ...)."""
+        ...): c x^i y^j summed term by term over the sorted terms, from one
+        chain of powers of each value."""
+        xpow = powers(xv, self.degree_x + 1, Fraction(1))
+        ypow = powers(yv, self.degree_y + 1, Fraction(1))
         acc = Fraction(0)
-        xpow: dict = {}
-        ypow: dict = {}
-
-        def _pow(cache, base, e):
-            if e == 0:
-                return Fraction(1)
-            if e not in cache:
-                if e == 1:
-                    cache[e] = base
-                else:
-                    cache[e] = _pow(cache, base, e - 1) * base
-            return cache[e]
-
         for (i, j), c in sorted(self.terms.items()):
             term = c
             if i:
-                term = term * _pow(xpow, xv, i)
+                term = term * xpow[i]
             if j:
-                term = term * _pow(ypow, yv, j)
+                term = term * ypow[j]
             acc = acc + term
         return acc
 

@@ -51,8 +51,8 @@ from mpmath.libmp import from_man_exp, round_ceiling
 
 from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
-from .polys import (UPoly, kronecker_bits, poly_gcd, resultant, resultant_matrix,
-                    signed_digits)
+from .polys import (UPoly, kronecker_bits, poly_gcd, powers, resultant,
+                    resultant_matrix, signed_digits)
 
 
 # Working precision, in bits, above which refinement gives up: far beyond
@@ -340,7 +340,7 @@ class _Isolator:
         n = self.n
         a = self.ints
         bits = kronecker_bits(sum(abs(v) for v in a) ** n
-                              * sum(abs(v) * 3 ** k for k, v in enumerate(a)) ** n)
+                              * sum(abs(v) * t for v, t in zip(a, powers(3, n + 1, 1))) ** n)
         two_s = 1 << (bits + 1)
         q = [0] * (n + 1)
         for k in range(n + 1):

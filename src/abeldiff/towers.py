@@ -102,12 +102,12 @@ from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (dps_to_prec, from_rational, mpf_abs, mpf_lt, mpf_pos,
-                          round_nearest, round_up, to_str)
+                          mpf_shift, round_nearest, round_up, to_str)
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
 from .linsolve import ff_solve
-from .polys import BPoly, UPoly, at_ratio, power
+from .polys import BPoly, UPoly, at_ratio, power, powers
 from .roots import RootApprox, isolate_roots, refine_root
 
 # bits per exponent field of a packed monomial key
@@ -399,7 +399,8 @@ class TowerContext:
         rule = self._cauchy.get(key)
         if rule is None:
             ints, _ = modulus.to_int_coeffs()
-            s = [c * ints[-1] ** (len(ints) - 2 - i) for i, c in enumerate(ints[:-1])]
+            lpows = powers(ints[-1], len(ints) - 1, 1)
+            s = [c * lp for c, lp in zip(ints[:-1], reversed(lpows))]
             rule = self._cauchy.setdefault(key, _cauchy_rule(s + [1], j))
         return rule
 
@@ -675,8 +676,8 @@ class TowerElement:
            those generators vanishes there; an element whose normal form
            modulo them is empty embeds to zero.  It is reduced in integers
            on packed monomials, by the modules of the modulus's monic
-           integer form.  This decides identities such as sum_j y_j^k = p_k
-           over a section.
+           integer form.  This decides the residue oracle's zeros, E = 0 at
+           the section points that are no pole.
         3. Disc.  A certified disc at 15, then 40 digits that excludes zero
            proves the value nonzero.
         4. Minimal polynomial.  A syntactically nonzero element can embed
@@ -908,10 +909,10 @@ def _ten_to_minus(digits: int, prec: int) -> mp.mpf:
 
 @lru_cache(maxsize=256)
 def _print_threshold(digits: int) -> tuple[int, tuple]:
-    """(p, 10**-digits/2 as a raw mpf), computed at p = the precision of
-    digits + 5 decimal digits."""
-    with mp.workdps(digits + 5):
-        return mp.mp.prec, (mp.mpf(10) ** (-digits) / 2)._mpf_
+    """(p, 10**-digits/2 as a raw mpf), p the precision of digits + 5
+    decimal digits: _ten_to_minus at p, halved exactly."""
+    p = dps_to_prec(digits + 5)
+    return p, mpf_shift(_ten_to_minus(digits, p)._mpf_, -1)
 
 
 class _Terms(Mapping):

@@ -162,6 +162,48 @@ def test_haupt_command(capsys):
     assert all(v["ok"] for v in doc["verification"])
 
 
+def _closed_form_system(r: int) -> dict:
+    """The system block of a degree-r curve: 2r per-point equations in the
+    r(r+1)/2 coefficients of the monomials of degree <= r - 1, rank 2r - 1,
+    and a nullspace of the genus (r - 1)(r - 2)/2."""
+    n = r * (r + 1) // 2
+    return {"naive_equations": 2 * r, "unknowns": n,
+            "unknown_labels": [f"c{k}" for k in range(n)],
+            "symmetrized_matrix_rational": True, "rank": 2 * r - 1,
+            "nullspace_dimension": (r - 1) * (r - 2) // 2}
+
+
+LADDER = ["2*x-3*y+1", CIRCLE, CUBIC, "x^4+y^4-1", "x^5+y^5-1", "x^6+y^6-1",
+          "x^7+y^7-x-1"]
+
+
+@pytest.mark.parametrize("command", ["third-kind", "verify"])
+@pytest.mark.parametrize("curve", LADDER)
+def test_the_system_block_is_its_closed_form(capsys, command, curve):
+    code, doc = _run_json(capsys, [command, "-f", curve, "--x1=1/2", "--x2=1/3"])
+    assert code == 0
+    assert doc["system"] == _closed_form_system(doc["degree"])
+    assert doc["system"]["nullspace_dimension"] == doc["genus"]
+
+
+# haupt up to genus 3: a genus-6 parameter solve can take minutes (ROADMAP)
+@pytest.mark.parametrize("curve, aux", [
+    ("2*x-3*y+1", []), (CIRCLE, []), (CUBIC, ["--a=2"]),
+    ("x^4+y^4-1", ["--a=4", "--a=5", "--a=6"]),
+])
+def test_the_haupt_system_block_is_its_closed_form_on_a_group_miss_and_hit(
+        capsys, monkeypatch, curve, aux):
+    group = ["haupt", "-f", curve, "--x1=1/2", "--x2=1/3", *aux]
+    differentials._groups.clear()
+    calls = _counting(monkeypatch, "third_kind")
+    for xp in ("--xp=3", "--xp=7/2"):
+        code, doc = _run_json(capsys, group + [xp])
+        assert code == 0
+        assert doc["system"] == _closed_form_system(doc["degree"])
+        assert doc["system"]["nullspace_dimension"] == doc["genus"]
+    assert calls == {"third_kind": 1}
+
+
 def test_multiple_roots_exit_code(capsys):
     code, doc = _run_json(capsys, ["third-kind", "-f", CIRCLE,
                                    "--x1", "0", "--x2", "1"])

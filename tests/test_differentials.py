@@ -19,7 +19,7 @@ from abeldiff.errors import (DegeneratePoints, DegreeDrop, EvaluationAtPole,
                              VerificationFailed)
 from abeldiff.linsolve import rank
 from abeldiff.parser import parse_poly
-from abeldiff.polys import BPoly, is_squarefree, power_sums
+from abeldiff.polys import BPoly, is_squarefree, power_sums, powers
 from abeldiff.towers import TowerContext, TowerElement, eval_bpoly
 from tests.conftest import (CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS,
                             pole_factor)
@@ -285,7 +285,7 @@ def _power_sums_hold(diff) -> bool:
     r, ctx = diff.curve.r, diff.ctx
     for sec, pole in ((diff.section1, diff.pole1), (diff.section2, diff.pole2)):
         ps = power_sums(diff.curve.section(pole.x, ctx).poly, 2 * r - 1)
-        chains = [differentials._powers(pt.y, 2 * r - 1) for pt in sec]
+        chains = [powers(pt.y, 2 * r - 1, ctx.one) for pt in sec]
         if not all((sum((c[m] for c in chains), ctx.zero) - ps[m]).is_zero()
                    for m in range(2 * r - 1)):
             return False
@@ -417,8 +417,9 @@ def _agreement_draw(curve: Curve, text: str, k: int) -> tuple:
     for name in AGREEMENT_CURVES for k in range(AGREEMENT_DRAWS)])
 def test_identity_certificates_agree_with_the_residue_oracle(name, k, monkeypatch):
     # verdict for verdict, the identity's certificates are the oracle's on
-    # the honest numerator and on three tampered ones: doubled (the poles
-    # fail), shifted by x - x1 (every point over x2 fails), and plus y^r
+    # the honest numerator and on four tampered ones: doubled (the poles
+    # fail), shifted by x - x1 (every point over x2 fails), plus y^r, and
+    # plus x^(2r), above the x-degree of every honest numerator
     text = AGREEMENT_CURVES[name]
     curve = Curve(parse_poly(text))
     x1, i1, x2, i2 = _agreement_draw(curve, text, k)
@@ -427,7 +428,7 @@ def test_identity_certificates_agree_with_the_residue_oracle(name, k, monkeypatc
                       curve.section_roots(x2, ctx)[i2])
     r, base = curve.r, diff.base_numerator
     numerators = [base, base * 2, base + BPoly({(1, 0): 1, (0, 0): -x1}),
-                  base + BPoly({(0, r): 1})]
+                  base + BPoly({(0, r): 1}), base + BPoly({(2 * r, 0): 1})]
     verdicts = []
     for numerator in numerators:
         d = dataclasses.replace(diff, base_numerator=numerator)

@@ -42,7 +42,7 @@ def test_parentheses_and_unary_minus():
 
 
 def _power_by_products(base, n):
-    """The square-and-multiply power that BPoly.__pow__ takes for sums."""
+    """Square-and-multiply from BPoly.const(1), squaring past the last bit."""
     result = BPoly.const(1)
     while n:
         if n & 1:

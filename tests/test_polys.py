@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from abeldiff.errors import ZeroPolynomial
 from abeldiff.linsolve import bareiss_det
 from abeldiff.polys import (BPoly, UPoly, is_squarefree, kronecker_bits,
-                            poly_gcd, power_sums, resultant, resultant_matrix,
-                            resultant_y, signed_digits)
+                            poly_gcd, power_sums, powers, resultant,
+                            resultant_matrix, resultant_y, signed_digits)
 from abeldiff.towers import TowerContext, adjoin
 
 
@@ -251,6 +251,18 @@ def test_resultant_zero_iff_common_factor():
         assert (resultant(a, b) == 0) == has_common
         common = UPoly([rng.randint(-3, 3), 1])
         assert resultant(a * common, b * common) == 0
+
+
+def test_powers_is_one_chain_of_products_from_one():
+    x = Fraction(-2, 3)
+    chain = powers(x, 6, Fraction(1))
+    assert chain == [x ** k for k in range(6)]
+    assert chain[1] is x and all(type(v) is Fraction for v in chain)
+    assert powers(3, 4, 1) == [1, 3, 9, 27]
+    assert powers(x, 1, Fraction(1)) == [1]
+    assert powers(x, 0, Fraction(1)) == powers(x, -1, Fraction(1)) == []
+    t = UPoly([1, 1])
+    assert powers(t, 3, UPoly([1])) == [UPoly([1]), t, UPoly([1, 2, 1])]
 
 
 def test_power_sums_examples():
