@@ -112,12 +112,14 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
 
 
 def _group_key(f, req: argparse.Namespace) -> tuple:
-    """The key of a haupt request's group: the curve and the values of
-    --x1, --root1, --x2, --root2, --a and --roota, so --a=2 and --a=4/2 are
-    one group.  Raises as _rational does for a malformed literal."""
+    """The key of a haupt request's group: the curve, the values of --x1,
+    --root1, --x2, --root2, --a and --roota, so --a=2 and --a=4/2 are one
+    group, and --digits, at which the group's blocks are printed and its
+    root discs refined.  Raises as _rational does for a malformed
+    literal."""
     roota = req.roota + [0] * (len(req.a) - len(req.roota))
     return (f, _rational(req.x1), req.root1, _rational(req.x2), req.root2,
-            tuple(map(_rational, req.a)), tuple(roota))
+            tuple(map(_rational, req.a)), tuple(roota), req.digits)
 
 
 def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
@@ -126,12 +128,14 @@ def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
 
     The differential and its parameters depend on the curve, the poles and
     the auxiliary points, not on the evaluation point: a group of requests
-    that share them (_group_key) rebinds what the first one found instead
-    of solving again (differentials.recall).  run passes the key (None when
-    a literal is malformed) and the group it found under it (or None).  The
-    points are chosen in the same order either way, after third_kind on a
-    first request, so errors are reported in the same order and generators
-    numbered alike."""
+    that share them and --digits (_group_key) rebinds what the first one
+    found, and resumes from the root discs it left, instead of solving
+    again (differentials.recall); run stores the group once it has printed
+    the blocks that the group alone fixes, and a hit copies them.  run
+    passes the key (None when a literal is malformed) and the group it
+    found under it (or None).  The points are chosen in the same order
+    either way, after third_kind on a first request, so errors are
+    reported in the same order and generators numbered alike."""
     roota = req.roota + [0] * (len(req.a) - len(req.roota))
     if group is None:
         if key is None:  # p1 and p2 parsed, so a malformed --a raises here
@@ -142,7 +146,6 @@ def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
              for i, (ax, ar) in enumerate(zip(req.a, roota))]
     if group is None:
         result = diffs.haupt_solve(d, pp, poles)
-        diffs.remember(key, d, result.parameters, not req.assume_smooth)
     else:
         d, params = diffs.rebind(group, curve, p1, p2)
         result = diffs.haupt_solve(d, pp, poles, params)
@@ -225,25 +228,35 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
                                   doc["inputs"]["points"])
     else:
         d = diffs.third_kind(curve, p1, p2)
-    naive = diffs.third_kind_system_naive(d)
     timings["third_kind"] = time.perf_counter() - t1
 
-    doc["system"] = {
-        "naive_equations": naive.shape[0],
-        "unknowns": naive.shape[1],
-        "unknown_labels": naive.labels,
-        "symmetrized_matrix_rational": True,
-        "rank": d.rank,
-        "nullspace_dimension": d.parameter_count,
-    }
-    doc["solution"] = {
-        "base_numerator": {
-            f"x^{i}*y^{j}": v.serialize(req.digits)
-            for (i, j), v in sorted(d.base_numerator.terms.items())
-        },
-        "first_kind_numerators": [format_bpoly(m) for m in d.first_kind_numerators],
-        "denominator": f"(x - {p1.x})*({p2.x} - x)*f_y",
-    }
+    if group is None:
+        naive = diffs.third_kind_system_naive(d)
+        doc["system"] = {
+            "naive_equations": naive.shape[0],
+            "unknowns": naive.shape[1],
+            "unknown_labels": naive.labels,
+            "symmetrized_matrix_rational": True,
+            "rank": d.rank,
+            "nullspace_dimension": d.parameter_count,
+        }
+        doc["solution"] = {
+            "base_numerator": {
+                f"x^{i}*y^{j}": v.serialize(req.digits)
+                for (i, j), v in sorted(d.base_numerator.terms.items())
+            },
+            "first_kind_numerators": [format_bpoly(m)
+                                      for m in d.first_kind_numerators],
+            "denominator": f"(x - {p1.x})*({p2.x} - x)*f_y",
+        }
+        if req.command == "haupt":
+            # after the base numerator's decimals, so that the group keeps
+            # the root discs that they refined
+            diffs.remember(key, d, result.parameters, not req.assume_smooth,
+                           _dumps({"system": doc["system"],
+                                   "solution": doc["solution"]}))
+    else:
+        doc.update(json.loads(group.blocks))
 
     # third_kind decided the residues from the defining identity; verify
     # re-derives them point by point with the independent oracle

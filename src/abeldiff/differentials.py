@@ -73,14 +73,17 @@ the power sums of its sections' ordinates, and haupt_solve fixes its free
 parameters.
 
 Neither the differential nor its parameters depend on haupt's evaluation
-point, so a group of haupt requests that share the curve, the poles and the
-auxiliary points shares them too.  remember keeps what a group's solve
-found, detached from its request's context (towers.detach): the base
-numerator, the parameters and the certificates.  rebind attaches them in a
-later request's context, where the same roots are generators again, in
-whatever order its sections adjoined them; there they are the numbers
-third_kind and the parameter solve would compute, checked when they were
-first computed.
+point, so a group of haupt requests that share the curve, the poles, the
+auxiliary points and the printed digits shares them too.  remember keeps
+what a group's first request found and printed, detached from its context
+(towers.detach): the base numerator, the parameters, the certificates, the
+root discs of their generators as that request left them, and the printed
+blocks that depend on nothing else.  rebind attaches them in a later
+request's context, where the same roots are generators again, in whatever
+order its sections adjoined them; there they are the numbers third_kind and
+the parameter solve would compute, checked when they were first computed,
+and their generators resume from the stored discs.  A rebound differential
+carries no symmetrized system, which only verify reads.
 """
 
 from __future__ import annotations
@@ -226,7 +229,9 @@ class ParametricDifferential:
     the base numerator.  E(c) is only ever evaluated (eval_u), never built.
     certificates holds the residue verdicts that third_kind checked
     (residue_certificates), the per-point oracle's for every numerator.
-    rank, 2r - 1, is the rank of the conditions when their nullspace is the
+    system is the symmetrized system that third_kind builds for verify, and
+    None on a differential that rebind rebuilt for a haupt group.  rank,
+    2r - 1, is the rank of the conditions when their nullspace is the
     first-kind space, which verify checks on the symmetrized system.
     """
 
@@ -237,7 +242,7 @@ class ParametricDifferential:
     first_kind_numerators: list[BPoly]
     section1: list[Point] = field(repr=False)
     section2: list[Point] = field(repr=False)
-    system: LinearSystem = field(repr=False)
+    system: LinearSystem | None = field(repr=False)
     certificates: list[dict] = field(default_factory=list, repr=False)
 
     @property
@@ -246,7 +251,7 @@ class ParametricDifferential:
 
     @property
     def rank(self) -> int:
-        return len(self.system.monomials) - self.parameter_count
+        return 2 * self.curve.r - 1
 
     @property
     def ctx(self) -> TowerContext:
@@ -556,14 +561,16 @@ MAX_GROUPS = 32
 class _Group(NamedTuple):
     """What a haupt group's differential and parameter solve found, free of
     any context: the base numerator's monomials, then its coefficients and
-    the parameters as one detached table, the residue certificates, and
-    whether the request that solved it proved its curve smooth (not under
-    --assume-smooth)."""
+    the parameters as one detached table with their generators' root discs,
+    the residue certificates, whether the request that solved it proved its
+    curve smooth (not under --assume-smooth), and the blocks of its document
+    that depend on the group alone, as the caller gave them."""
 
     monomials: tuple
     detached: Detached
     certificates: tuple
     proved_smooth: bool
+    blocks: object
 
 
 # group key -> _Group, least recently used first
@@ -579,13 +586,15 @@ def recall(key) -> _Group | None:
 
 
 def remember(key, diff: ParametricDifferential, params: list,
-             proved_smooth: bool) -> None:
+             proved_smooth: bool, blocks) -> None:
     """Store diff's base numerator and certificates, the checked parameters
-    for the auxiliary poles and whether diff's curve was proved smooth
-    under key."""
+    for the auxiliary poles, whether diff's curve was proved smooth and
+    the document blocks under key.  The root discs are stored as the
+    request has left them, so call it once the blocks are printed."""
     terms = diff.base_numerator.terms
     _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params]),
-                          tuple(dict(c) for c in diff.certificates), proved_smooth)
+                          tuple(dict(c) for c in diff.certificates), proved_smooth,
+                          blocks)
     _groups.move_to_end(key)
     if len(_groups) > MAX_GROUPS:
         _groups.popitem(last=False)
@@ -595,9 +604,11 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
            ) -> tuple[ParametricDifferential, list]:
     """The group's differential for the poles p1 and p2, chosen in a later
     request's context, and its parameters: the same numbers that third_kind
-    and haupt_solve would find there.  Call it once the request's auxiliary
-    poles are chosen, whose generators the parameters use.  The symmetrized
-    system is built afresh, since only the solve is kept."""
+    and haupt_solve would find there, whose generators take the stored root
+    discs where those are narrower (towers.attach).  Call it once the
+    request's auxiliary poles are chosen, whose generators the parameters
+    use.  The differential has no symmetrized system: a haupt request reads
+    only its rank."""
     elements = attach(group.detached, p1.y.ctx)
     pole1, pole2, section1, section2 = _prepare(curve, p1, p2)
     k = len(group.monomials)
@@ -605,7 +616,7 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
         curve=curve, pole1=pole1, pole2=pole2,
         base_numerator=BPoly(dict(zip(group.monomials, elements))),
         first_kind_numerators=first_kind_basis(curve), section1=section1,
-        section2=section2, system=_symmetrized_system(curve, pole1, pole2),
+        section2=section2, system=None,
         certificates=[dict(c) for c in group.certificates])
     return diff, elements[k:]
 

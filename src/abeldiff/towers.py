@@ -81,12 +81,14 @@ in one present generator t_j, against its modulus, with elements free of
 t_j as coefficients; each division inverts its divisor's lead the same way.
 
 detach takes elements out of their context: numerators over a table that
-names each generator by its monic modulus and root id.  attach rebinds them
-in another context that holds those roots, in any index order, where they
-denote the same numbers: the reduced form is canonical, so relabelling the
-generators gives what the same operations compute there.  A request can so
-reuse exact results that an earlier request's context computed, without
-keeping that context.
+names each generator by its monic modulus and root id, with the root disc
+the context held for it.  attach rebinds them in another context that holds
+those roots, in any index order, where they denote the same numbers: the
+reduced form is canonical, so relabelling the generators gives what the same
+operations compute there.  It also hands each generator the stored disc
+where that is narrower, and never widens one.  A request can so reuse exact
+results and certified discs that an earlier request's context computed,
+without keeping that context.
 """
 
 from __future__ import annotations
@@ -318,6 +320,12 @@ class ExtensionDescriptor:
             self._root = refine_root(self.modulus, self._root, target)
         return self._root
 
+    def narrow_to(self, root: RootApprox) -> None:
+        """Take root, a certified disc about this generator's root, when it
+        is narrower than the one held; a disc is never widened."""
+        if mpf_lt(root.radius._mpf_, self._root.radius._mpf_):
+            self._root = root
+
     def serialize(self) -> dict:
         """The generator record: the primitive integer modulus, the root id
         and the root's center to 20 significant digits.  Built once per
@@ -439,20 +447,25 @@ class Detached(NamedTuple):
     """Elements apart from any context.  generators names each generator
     they use by (monic modulus, root id), in the index order of the
     context they came from; each element is its (key, numerator) pairs,
-    keys listing the exponents of those generators, and its denominator."""
+    keys listing the exponents of those generators, and its denominator.
+    roots holds each generator's root disc as the context left it when
+    the elements were detached."""
 
     generators: tuple[tuple[UPoly, int], ...]
     elements: tuple[tuple[tuple, int], ...]     # (terms, denominator)
+    roots: tuple[RootApprox, ...]
 
 
 def detach(elements: list["TowerElement"]) -> Detached:
-    """Elements of one context, over one table of the generators they use."""
+    """Elements of one context, over one table of the generators they use
+    and their root discs."""
     exts = elements[0].ctx.extensions
     used = sorted({i for a in elements for i in a.present_generators()})
     return Detached(
         tuple((exts[i].modulus, exts[i].root_id) for i in used),
         tuple((tuple((tuple((k >> i * _W) & _MASK for i in used), n)
-                     for k, n in a.nums.items()), a.den) for a in elements))
+                     for k, n in a.nums.items()), a.den) for a in elements),
+        tuple(exts[i].approximation() for i in used))
 
 
 def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
@@ -461,9 +474,11 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
     them.  An element's reduced form is canonical, so relabelling its
     generators gives, term for term, the element that the same operations
     give in ctx (an inversion chooses its generators by their roots, not
-    their indices, so it succeeds in every order or in none).  A generator
-    that ctx does not hold, or two that it holds as one, is an internal
-    error."""
+    their indices, so it succeeds in every order or in none).  Each
+    generator of ctx takes the table's root disc where that is narrower
+    than its own (ExtensionDescriptor.narrow_to), so what the earlier
+    context refined is not refined again.  A generator that ctx does not
+    hold, or two that it holds as one, is an internal error."""
     idx = []
     for modulus, root_id in detached.generators:
         i = ctx.locate(modulus, root_id)
@@ -473,6 +488,8 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
         idx.append(i)
     if len(set(idx)) < len(idx):
         raise AbeldiffError("two generators to attach are one generator of the context")
+    for i, root in zip(idx, detached.roots):
+        ctx.extensions[i].narrow_to(root)
     shifts = [i * _W for i in idx]
     return [_element(ctx, {sum(e << s for s, e in zip(shifts, compact)): n
                            for compact, n in terms}, den)

@@ -824,6 +824,76 @@ def test_a_seeded_sweep_of_haupt_groups_prints_the_cold_documents(capsys):
         assert _document(capsys, argv) == cold[" ".join(argv)], argv
 
 
+GENUS_3_GROUP = ["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2",
+                 "--a", "4", "--a", "5", "--a", "6"]
+# the first draw of tests/test_cli_fuzz.py, which repeats it in process;
+# on a hit that left the pole generators at their isolation discs, the
+# value's generator records read other root_approx strings than these
+FUZZ_GROUP = ["haupt", "-f", "x^4+y^4+x*y-1", "--x1=7/4", "--root1=3",
+              "--x2=1/1000000000000", "--root2=1", "--digits=28", "--rootp=1",
+              "--a=5/4", "--roota=3", "--a=-5/3", "--roota=1", "--a=-2", "--roota=3"]
+
+
+def _first_in_process(capsys, argv):
+    """The document of argv in a process that has run nothing before it:
+    no group stored, no root isolated or refined."""
+    roots._isolated.cache_clear()
+    roots._refined.cache_clear()
+    differentials._groups.clear()
+    return _document(capsys, argv)
+
+
+def test_a_haupt_group_hit_builds_no_system_and_no_differential(capsys, monkeypatch):
+    group = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--a", "2"]
+    cold = _cold(capsys, group + ["--xp", "3"])
+    _cold(capsys, group + ["--xp", "5"])
+    for name in ("third_kind", "_symmetrized_system", "third_kind_system_naive"):
+        def refuse(*args, _name=name):
+            raise AssertionError(f"a group hit called {_name}")
+        monkeypatch.setattr(differentials, name, refuse)
+    assert _document(capsys, group + ["--xp", "3"]) == cold
+
+
+def test_a_haupt_group_hit_approximates_only_its_chosen_points(capsys, monkeypatch):
+    # the base numerator's decimals are copied, and the value is a quotient
+    # of discs: only the six chosen ordinates are approximated, to 12 digits
+    group = GENUS_3_GROUP + ["--digits", "60"]
+    _cold(capsys, group + ["--xp", "7"])
+    calls = []
+    real = TowerElement.approximate
+
+    def counted(self, digits):
+        calls.append((self, digits))
+        return real(self, digits)
+    monkeypatch.setattr(TowerElement, "approximate", counted)
+    doc = _document(capsys, group + ["--xp", "3"])
+    assert doc["haupt"]["value"]["decimal"]
+    assert [digits for _, digits in calls] == [12] * 6
+    gens = [a.present_generators() for a, _ in calls]
+    assert all(len(g) == 1 for g in gens)
+    assert [a for a, _ in calls] == [a.ctx.generator(g) for (a, _), (g,) in zip(calls, gens)]
+
+
+@pytest.mark.parametrize("xps", [("2", "2"), ("2", "3"), ("3", "2")])
+def test_a_haupt_group_hit_prints_a_first_requests_document(capsys, xps):
+    first = {xp: _first_in_process(capsys, FUZZ_GROUP + [f"--xp={xp}"]) for xp in xps}
+    differentials._groups.clear()
+    for xp in xps:
+        assert _document(capsys, FUZZ_GROUP + [f"--xp={xp}"]) == first[xp]
+    assert len(differentials._groups) == 1
+
+
+def test_a_haupt_group_at_other_digits_is_another_group(capsys, monkeypatch):
+    first = _first_in_process(capsys, GENUS_3_GROUP + ["--digits", "60", "--xp", "3"])
+    differentials._groups.clear()
+    calls = _counting(monkeypatch, "third_kind")
+    _document(capsys, GENUS_3_GROUP + ["--digits", "30", "--xp", "7"])
+    assert calls == {"third_kind": 1}
+    assert _document(capsys, GENUS_3_GROUP + ["--digits", "60", "--xp", "3"]) == first
+    assert calls == {"third_kind": 2}
+    assert [key[-1] for key in differentials._groups] == [30, 60]
+
+
 def test_consecutive_requests_share_no_argument_lists(monkeypatch):
     seen = []
 

@@ -42,13 +42,11 @@ def test_parentheses_and_unary_minus():
 
 
 def _power_by_products(base, n):
-    """Square-and-multiply from BPoly.const(1), squaring past the last bit."""
+    """n products by base from BPoly.const(1): repeated multiplication, an
+    independent reference for polys.power's square-and-multiply."""
     result = BPoly.const(1)
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
+    for _ in range(n):
+        result = result * base
     return result
 
 

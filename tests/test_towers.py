@@ -1457,6 +1457,29 @@ def test_attach_rebinds_detached_elements_past_new_generators(layout):
         assert a.serialize(30) == b.serialize(30)
 
 
+def test_attach_hands_on_a_stored_disc_only_where_it_is_narrower():
+    # sqrt 2 is refined before the detach and the cube root of 3 after it,
+    # in the target context: the first disc is taken, the second kept
+    old = TowerContext()
+    old, s = adjoin(old, SQRT2, 1)
+    old, c = adjoin(old, CUBE3, 2)
+    s.approximate(40)
+    detached = towers.detach([s * c + 1])
+    assert detached.roots == (old.extensions[0].approximation(),
+                              old.extensions[1].approximation())
+    new = TowerContext()
+    new, c2 = adjoin(new, CUBE3, 2)
+    new, s2 = adjoin(new, SQRT2, 1)
+    c2.approximate(40)
+    own_c, own_s = (ext.approximation() for ext in new.extensions)
+    assert own_c.radius < detached.roots[1].radius
+    assert detached.roots[0].radius < own_s.radius
+    attached, = towers.attach(detached, new)
+    assert new.extensions[0].approximation() is own_c
+    assert new.extensions[1].approximation() is detached.roots[0]
+    assert attached == s2 * c2 + 1
+
+
 def test_attach_raises_on_a_missing_root_and_on_a_root_held_twice():
     old = TowerContext()
     old, s = adjoin(old, SQRT2, 1)
