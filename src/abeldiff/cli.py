@@ -114,9 +114,8 @@ def _chosen_point(curve: Curve, ctx: TowerContext, text: str, root: int,
 def _group_key(f, req: argparse.Namespace) -> tuple:
     """The key of a haupt request's group: the curve, the values of --x1,
     --root1, --x2, --root2, --a and --roota, so --a=2 and --a=4/2 are one
-    group, and --digits, at which the group's blocks are printed and its
-    root discs refined.  Raises as _rational does for a malformed
-    literal."""
+    group, and --digits, at which the group's blocks are printed.  Raises
+    as _rational does for a malformed literal."""
     roota = req.roota + [0] * (len(req.a) - len(req.roota))
     return (f, _rational(req.x1), req.root1, _rational(req.x2), req.root2,
             tuple(map(_rational, req.a)), tuple(roota), req.digits)
@@ -129,12 +128,11 @@ def _haupt(curve: Curve, ctx: TowerContext, req: argparse.Namespace, p1, p2,
     The differential and its parameters depend on the curve, the poles and
     the auxiliary points, not on the evaluation point: a group of requests
     that share them and --digits (_group_key) rebinds what the first one
-    found, and resumes from the root discs it left, instead of solving
-    again (differentials.recall); run stores the group once it has printed
-    the blocks that the group alone fixes, and a hit copies them.  run
-    passes the key (None when a literal is malformed) and the group it
-    found under it (or None).  The points are chosen in the same order
-    either way, after third_kind on a first request, so errors are
+    found instead of solving again (differentials.recall); run stores the
+    group with the blocks that the group alone fixes, and a hit copies
+    them.  run passes the key (None when a literal is malformed) and the
+    group it found under it (or None).  The points are chosen in the same
+    order either way, after third_kind on a first request, so errors are
     reported in the same order and generators numbered alike."""
     roota = req.roota + [0] * (len(req.a) - len(req.roota))
     if group is None:
@@ -216,86 +214,90 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
         return doc, True
 
     ctx = TowerContext()
-    doc["inputs"]["points"] = {}
-    t1 = time.perf_counter()
-    p1 = _chosen_point(curve, ctx, req.x1, req.root1, "x1", doc["inputs"]["points"])
-    p2 = _chosen_point(curve, ctx, req.x2, req.root2, "x2", doc["inputs"]["points"])
-    timings["sections"] = time.perf_counter() - t1
-
-    t1 = time.perf_counter()
-    if req.command == "haupt":
-        d, poles, result = _haupt(curve, ctx, req, p1, p2, key, group,
-                                  doc["inputs"]["points"])
-    else:
-        d = diffs.third_kind(curve, p1, p2)
-    timings["third_kind"] = time.perf_counter() - t1
-
-    if group is None:
-        naive = diffs.third_kind_system_naive(d)
-        doc["system"] = {
-            "naive_equations": naive.shape[0],
-            "unknowns": naive.shape[1],
-            "unknown_labels": naive.labels,
-            "symmetrized_matrix_rational": True,
-            "rank": d.rank,
-            "nullspace_dimension": d.parameter_count,
-        }
-        doc["solution"] = {
-            "base_numerator": {
-                f"x^{i}*y^{j}": v.serialize(req.digits)
-                for (i, j), v in sorted(d.base_numerator.terms.items())
-            },
-            "first_kind_numerators": [format_bpoly(m)
-                                      for m in d.first_kind_numerators],
-            "denominator": f"(x - {p1.x})*({p2.x} - x)*f_y",
-        }
-        if req.command == "haupt":
-            # after the base numerator's decimals, so that the group keeps
-            # the root discs that they refined
-            diffs.remember(key, d, result.parameters, not req.assume_smooth,
-                           _dumps({"system": doc["system"],
-                                   "solution": doc["solution"]}))
-    else:
-        doc.update(json.loads(group.blocks))
-
-    # third_kind decided the residues from the defining identity; verify
-    # re-derives them point by point with the independent oracle
-    certificates = d.certificates
-    if req.command == "verify":
+    try:
+        doc["inputs"]["points"] = {}
         t1 = time.perf_counter()
-        certificates = diffs.residue_oracle(d)
-    verdicts = [{"check": f"residue at {cert['point']}",
-                 "expected": cert["expected"], "ok": cert["ok"]}
-                for cert in certificates]
+        p1 = _chosen_point(curve, ctx, req.x1, req.root1, "x1", doc["inputs"]["points"])
+        p2 = _chosen_point(curve, ctx, req.x2, req.root2, "x2", doc["inputs"]["points"])
+        timings["sections"] = time.perf_counter() - t1
 
-    if req.command == "verify":
-        verdicts.append({"check": "vandermonde equivalence",
-                         "ok": diffs.vandermonde_equivalence(d)})
-        # the nullspace of the paper's symmetrized conditions, the family's
-        # free parameters and the genus: three counts, one number
-        nullity = len(d.system.monomials) - rank(d.system.matrix)
-        verdicts.append({"check": "nullspace dimension == genus",
-                         "ok": nullity == d.parameter_count == curve.genus()})
-        try:
-            pull = diffs.unit_circle_pullback(d)
-            verdicts.append({"check": "unit-circle parametrization pullback",
-                             "ok": pull["ok"]})
-        except ValueError:
-            pass  # oracle only applies to the unit circle
-        timings["verify_extra"] = time.perf_counter() - t1
+        t1 = time.perf_counter()
+        if req.command == "haupt":
+            d, poles, result = _haupt(curve, ctx, req, p1, p2, key, group,
+                                      doc["inputs"]["points"])
+        else:
+            d = diffs.third_kind(curve, p1, p2)
+        timings["third_kind"] = time.perf_counter() - t1
 
-    if req.command == "haupt":
-        doc["haupt"] = {
-            "value": result.value.serialize(req.digits),
-            "parameters": [c.serialize() for c in result.parameters],
-        }
-        # haupt_solve raises VerificationFailed unless u vanishes at every pole
-        verdicts += [{"check": f"u vanishes at auxiliary pole a{i + 1}", "ok": True}
-                     for i in range(len(poles))]
+        if group is None:
+            naive = diffs.third_kind_system_naive(d)
+            doc["system"] = {
+                "naive_equations": naive.shape[0],
+                "unknowns": naive.shape[1],
+                "unknown_labels": naive.labels,
+                "symmetrized_matrix_rational": True,
+                "rank": d.rank,
+                "nullspace_dimension": d.parameter_count,
+            }
+            doc["solution"] = {
+                "base_numerator": {
+                    f"x^{i}*y^{j}": v.serialize(req.digits)
+                    for (i, j), v in sorted(d.base_numerator.terms.items())
+                },
+                "first_kind_numerators": [format_bpoly(m)
+                                          for m in d.first_kind_numerators],
+                "denominator": f"(x - {p1.x})*({p2.x} - x)*f_y",
+            }
+            if req.command == "haupt":
+                diffs.remember(key, d, result.parameters, not req.assume_smooth,
+                               _dumps({"system": doc["system"],
+                                       "solution": doc["solution"]}))
+        else:
+            doc.update(json.loads(group.blocks))
 
-    doc["verification"] = verdicts
-    doc["timings"] = timings
-    return doc, all(v["ok"] for v in verdicts)
+        # third_kind decided the residues from the defining identity; verify
+        # re-derives them point by point with the independent oracle
+        certificates = d.certificates
+        if req.command == "verify":
+            t1 = time.perf_counter()
+            certificates = diffs.residue_oracle(d)
+        verdicts = [{"check": f"residue at {cert['point']}",
+                     "expected": cert["expected"], "ok": cert["ok"]}
+                    for cert in certificates]
+
+        if req.command == "verify":
+            verdicts.append({"check": "vandermonde equivalence",
+                             "ok": diffs.vandermonde_equivalence(d)})
+            # the nullspace of the paper's symmetrized conditions, the family's
+            # free parameters and the genus: three counts, one number
+            nullity = len(d.system.monomials) - rank(d.system.matrix)
+            verdicts.append({"check": "nullspace dimension == genus",
+                             "ok": nullity == d.parameter_count == curve.genus()})
+            try:
+                pull = diffs.unit_circle_pullback(d)
+                verdicts.append({"check": "unit-circle parametrization pullback",
+                                 "ok": pull["ok"]})
+            except ValueError:
+                pass  # oracle only applies to the unit circle
+            timings["verify_extra"] = time.perf_counter() - t1
+
+        if req.command == "haupt":
+            doc["haupt"] = {
+                "value": result.value.serialize(req.digits),
+                "parameters": [c.serialize() for c in result.parameters],
+            }
+            # haupt_solve raises VerificationFailed unless u vanishes at every pole
+            verdicts += [{"check": f"u vanishes at auxiliary pole a{i + 1}", "ok": True}
+                         for i in range(len(poles))]
+
+        doc["verification"] = verdicts
+        doc["timings"] = timings
+        return doc, all(v["ok"] for v in verdicts)
+    finally:
+        # the context's sections hold points whose ordinates hold the
+        # context, a cycle that would keep the request's tower alive until
+        # the cyclic collector runs: emptying them frees it when run ends
+        ctx.sections.clear()
 
 
 def _dumps(doc: dict) -> str:

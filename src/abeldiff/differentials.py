@@ -76,14 +76,13 @@ Neither the differential nor its parameters depend on haupt's evaluation
 point, so a group of haupt requests that share the curve, the poles, the
 auxiliary points and the printed digits shares them too.  remember keeps
 what a group's first request found and printed, detached from its context
-(towers.detach): the base numerator, the parameters, the certificates, the
-root discs of their generators as that request left them, and the printed
-blocks that depend on nothing else.  rebind attaches them in a later
-request's context, where the same roots are generators again, in whatever
-order its sections adjoined them; there they are the numbers third_kind and
-the parameter solve would compute, checked when they were first computed,
-and their generators resume from the stored discs.  A rebound differential
-carries no symmetrized system, which only verify reads.
+(towers.detach): the base numerator, the parameters, the certificates and
+the printed blocks that depend on nothing else.  rebind attaches them in a
+later request's context, where the same roots are generators again, in
+whatever order its sections adjoined them; there they are the numbers
+third_kind and the parameter solve would compute, checked when they were
+first computed.  A rebound differential carries no symmetrized system,
+which only verify reads.
 """
 
 from __future__ import annotations
@@ -561,10 +560,10 @@ MAX_GROUPS = 32
 class _Group(NamedTuple):
     """What a haupt group's differential and parameter solve found, free of
     any context: the base numerator's monomials, then its coefficients and
-    the parameters as one detached table with their generators' root discs,
-    the residue certificates, whether the request that solved it proved its
-    curve smooth (not under --assume-smooth), and the blocks of its document
-    that depend on the group alone, as the caller gave them."""
+    the parameters as one detached table, the residue certificates, whether
+    the request that solved it proved its curve smooth (not under
+    --assume-smooth), and the blocks of its document that depend on the
+    group alone, as the caller gave them."""
 
     monomials: tuple
     detached: Detached
@@ -589,8 +588,7 @@ def remember(key, diff: ParametricDifferential, params: list,
              proved_smooth: bool, blocks) -> None:
     """Store diff's base numerator and certificates, the checked parameters
     for the auxiliary poles, whether diff's curve was proved smooth and
-    the document blocks under key.  The root discs are stored as the
-    request has left them, so call it once the blocks are printed."""
+    the document blocks under key."""
     terms = diff.base_numerator.terms
     _groups[key] = _Group(tuple(terms), detach([*terms.values(), *params]),
                           tuple(dict(c) for c in diff.certificates), proved_smooth,
@@ -604,8 +602,7 @@ def rebind(group: _Group, curve: Curve, p1: Point, p2: Point
            ) -> tuple[ParametricDifferential, list]:
     """The group's differential for the poles p1 and p2, chosen in a later
     request's context, and its parameters: the same numbers that third_kind
-    and haupt_solve would find there, whose generators take the stored root
-    discs where those are narrower (towers.attach).  Call it once the
+    and haupt_solve would find there (towers.attach).  Call it once the
     request's auxiliary poles are chosen, whose generators the parameters
     use.  The differential has no symmetrized system: a haupt request reads
     only its rank."""

@@ -448,8 +448,8 @@ def isolate_roots(m: UPoly) -> list[RootApprox]:
 
 
 # The warm-up and timed requests of the benchmark's seed-0 and seed-11
-# schedules make at most 311 distinct refinements per workload, so 512 keep
-# every repeat.
+# schedules make at most 244 distinct refinements per workload (the ladder's
+# at seed 11), so 512 keep every repeat.
 @lru_cache(maxsize=512)
 def _refined(ints, index, center, radius, prec, conj_index, target) -> RootApprox:
     z, rad, prec = _refine(ints, center, radius, target, max(prec, 80))

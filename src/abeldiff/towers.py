@@ -45,19 +45,21 @@ distinct key suffix rather than one per generator of every term, and with
 the terms visited in increasing key order only one partial sum per generator
 is open at a time.  Sums and integer multiples of a ball are exact; a
 product of balls truncates its center toward zero and adds 2 units to its
-radius.  Each generator's root disc is refined, then converted exactly
-from its raw mpf parts, once per ball, when the sum first reads that
-generator, and each power of it is taken once.  The decimal of an
+radius.  A ball at d digits converts each generator's disc at d digits
+(ExtensionDescriptor.refine_to, a function of the root and d alone) exactly
+from its raw mpf parts when the sum first reads that generator, and takes
+each power of it once.  The decimal of an
 element is the center of a disc of radius below 10^-digits/2, rounded to
 digits significant digits; a component below 10^-digits/2 in magnitude
 prints as 0.0.  The decimal path works on raw mpf parts (mpmath.libmp
 tuples), not mpmath objects: the refinement target 10^-d is built once per
-d and mpmath precision and compared with mpf_lt;
+d and compared with mpf_lt;
 each center part is rounded to digits + 5 digits as mp.mpc rounds it under
 that context; the 0.0 test compares |part| with a threshold kept per digits;
 and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
-A generator's record (modulus, root id, root center to 20 digits) is built
-once per root record and copied out.
+A generator's record (modulus, root id, its 22-digit disc's center to 20
+digits) is built once and copied out, so balls, decimals and records
+depend on the element and the digits alone, not on what ran before.
 A Quotient keeps a value as a numerator and a nonzero denominator and never
 divides: its decimal comes from ball division of the two parts' discs at
 one working precision, |a/b - c_a/c_b| <= (r_a + |c_a/c_b| r_b)/(|c_b| - r_b)
@@ -81,14 +83,12 @@ in one present generator t_j, against its modulus, with elements free of
 t_j as coefficients; each division inverts its divisor's lead the same way.
 
 detach takes elements out of their context: numerators over a table that
-names each generator by its monic modulus and root id, with the root disc
-the context held for it.  attach rebinds them in another context that holds
-those roots, in any index order, where they denote the same numbers: the
-reduced form is canonical, so relabelling the generators gives what the same
-operations compute there.  It also hands each generator the stored disc
-where that is narrower, and never widens one.  A request can so reuse exact
-results and certified discs that an earlier request's context computed,
-without keeping that context.
+names each generator by its monic modulus and root id.  attach rebinds them
+in another context that holds those roots, in any index order, where they
+denote the same numbers: the reduced form is canonical, so relabelling the
+generators gives what the same operations compute there, and their discs
+and records are those of the roots.  A request can so reuse exact results
+that an earlier request's context computed, without keeping that context.
 """
 
 from __future__ import annotations
@@ -115,6 +115,10 @@ from .roots import RootApprox, isolate_roots, refine_root
 # bits per exponent field of a packed monomial key
 _W = 16
 _MASK = (1 << _W) - 1
+
+# the digits of the disc a generator's record is read from: its 20 digits
+# plus 2, at which a 12-digit decimal (an ordinate echo) first works too
+_RECORD_DIGITS = 22
 
 def _mag(re: int, im: int) -> int:
     """An integer upper bound on |re + i im|: max + floor(min/2) + 1, at
@@ -275,10 +279,9 @@ def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
 
 class ExtensionDescriptor:
     """One generator: a square-free monic modulus plus the certified
-    approximation that pins which of its roots the generator denotes.
-
-    Refinement only ever shrinks the disc, so the root identity (root_id in
-    the canonical root order) can never change.
+    isolation disc that pins which of its roots the generator denotes.  The
+    disc is never replaced, so the root identity (root_id in the canonical
+    root order) can never change.
     """
 
     def __init__(self, modulus: UPoly, root: RootApprox):
@@ -291,8 +294,8 @@ class ExtensionDescriptor:
         # reduced t^e for e >= d as (integer numerators of t^0..t^(d-1),
         # denominator), from t^d on; int_power extends it on demand
         self._int_powers = [_lowest_terms([-c for c in ints[:-1]], ints[-1])]
-        # (root record, serialize's dict for it)
-        self._record: tuple[RootApprox, dict] | None = None
+        self._discs: dict[int, RootApprox] = {}    # digits -> refine_to(digits)
+        self._record: dict | None = None           # serialize's, built once
 
     @property
     def degree(self) -> int:
@@ -312,34 +315,33 @@ class ExtensionDescriptor:
                 den * q))
         return rows[e - d]
 
-    def approximation(self) -> RootApprox:
-        return self._root
-
-    def refine_to(self, target: mp.mpf) -> RootApprox:
-        if not mpf_lt(self._root.radius._mpf_, target._mpf_):
-            self._root = refine_root(self.modulus, self._root, target)
-        return self._root
-
-    def narrow_to(self, root: RootApprox) -> None:
-        """Take root, a certified disc about this generator's root, when it
-        is narrower than the one held; a disc is never widened."""
-        if mpf_lt(root.radius._mpf_, self._root.radius._mpf_):
-            self._root = root
+    def refine_to(self, digits: int) -> RootApprox:
+        """The root's disc of radius below 10^-digits, kept by digits: the
+        isolation disc if it is that narrow, else the isolation disc refined
+        below 10^-_RECORD_DIGITS and, past those digits, that disc refined
+        below 10^-digits, each 10^-d at mpmath's default 53 bits."""
+        disc = self._discs.get(digits)
+        if disc is None:
+            root, target = self._root, _ten_to_minus(digits, 53)
+            if digits > _RECORD_DIGITS:
+                root = self.refine_to(_RECORD_DIGITS)
+            elif not mpf_lt(root.radius._mpf_, target._mpf_):
+                target = _ten_to_minus(_RECORD_DIGITS, 53)
+            disc = self._discs[digits] = refine_root(self.modulus, root, target)
+        return disc
 
     def serialize(self) -> dict:
         """The generator record: the primitive integer modulus, the root id
-        and the root's center to 20 significant digits.  Built once per
-        root record, which a refinement replaces, and handed out as a
-        copy."""
-        root = self._root
-        if self._record is None or self._record[0] is not root:
-            re, im = root.center._mpc_
-            self._record = root, {
+        and the center of the root's _RECORD_DIGITS-digit disc to 20
+        significant digits.  Built once and handed out as a copy."""
+        if self._record is None:
+            re, im = self.refine_to(_RECORD_DIGITS).center._mpc_
+            self._record = {
                 "modulus_int_coeffs": [str(c) for c in self.int_coeffs],
                 "root_index": self.root_id,
                 "root_approx": {"re": to_str(re, 20), "im": to_str(im, 20)},
             }
-        record = self._record[1]
+        record = self._record
         return {**record, "modulus_int_coeffs": list(record["modulus_int_coeffs"]),
                 "root_approx": dict(record["root_approx"])}
 
@@ -447,25 +449,21 @@ class Detached(NamedTuple):
     """Elements apart from any context.  generators names each generator
     they use by (monic modulus, root id), in the index order of the
     context they came from; each element is its (key, numerator) pairs,
-    keys listing the exponents of those generators, and its denominator.
-    roots holds each generator's root disc as the context left it when
-    the elements were detached."""
+    keys listing the exponents of those generators, and its denominator."""
 
     generators: tuple[tuple[UPoly, int], ...]
     elements: tuple[tuple[tuple, int], ...]     # (terms, denominator)
-    roots: tuple[RootApprox, ...]
 
 
 def detach(elements: list["TowerElement"]) -> Detached:
-    """Elements of one context, over one table of the generators they use
-    and their root discs."""
+    """Elements of one context, over one table of the generators they
+    use."""
     exts = elements[0].ctx.extensions
     used = sorted({i for a in elements for i in a.present_generators()})
     return Detached(
         tuple((exts[i].modulus, exts[i].root_id) for i in used),
         tuple((tuple((tuple((k >> i * _W) & _MASK for i in used), n)
-                     for k, n in a.nums.items()), a.den) for a in elements),
-        tuple(exts[i].approximation() for i in used))
+                     for k, n in a.nums.items()), a.den) for a in elements))
 
 
 def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
@@ -474,11 +472,9 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
     them.  An element's reduced form is canonical, so relabelling its
     generators gives, term for term, the element that the same operations
     give in ctx (an inversion chooses its generators by their roots, not
-    their indices, so it succeeds in every order or in none).  Each
-    generator of ctx takes the table's root disc where that is narrower
-    than its own (ExtensionDescriptor.narrow_to), so what the earlier
-    context refined is not refined again.  A generator that ctx does not
-    hold, or two that it holds as one, is an internal error."""
+    their indices, so it succeeds in every order or in none).  A generator
+    that ctx does not hold, or two that it holds as one, is an internal
+    error."""
     idx = []
     for modulus, root_id in detached.generators:
         i = ctx.locate(modulus, root_id)
@@ -488,8 +484,6 @@ def attach(detached: Detached, ctx: TowerContext) -> list["TowerElement"]:
         idx.append(i)
     if len(set(idx)) < len(idx):
         raise AbeldiffError("two generators to attach are one generator of the context")
-    for i, root in zip(idx, detached.roots):
-        ctx.extensions[i].narrow_to(root)
     shifts = [i * _W for i in idx]
     return [_element(ctx, {sum(e << s for s, e in zip(shifts, compact)): n
                            for compact, n in terms}, den)
@@ -753,10 +747,10 @@ class TowerElement:
     def _ball(self, digits10: int) -> _Disc:
         """A certified disc about the embedded value, computed in integers
         at the working precision of digits10 digits, from every present
-        generator's root refined below 10**-digits10 (when the sum first
+        generator's disc at digits10 digits (refine_to, when the sum first
         reads it)."""
-        exts, target = self.ctx.extensions, _ten_to_minus(digits10, mp.mp.prec)
-        return _nested_ball(self.nums, self.den, lambda i: exts[i].refine_to(target),
+        exts = self.ctx.extensions
+        return _nested_ball(self.nums, self.den, lambda i: exts[i].refine_to(digits10),
                             int(digits10 * 3.4) + 40)
 
     def _minimal_polynomial(self) -> list[Fraction]:
@@ -917,9 +911,8 @@ def decimal_parts(value: mp.mpc, digits: int) -> dict:
 
 @lru_cache(maxsize=256)
 def _ten_to_minus(digits: int, prec: int) -> mp.mpf:
-    """10**-digits as an mpf at prec bits, the precision of mpmath's context
-    (which the caller passes, so a changed context gets its own value).
-    Shared by every caller, and immutable."""
+    """10**-digits as an mpf at prec bits.  Shared by every caller, and
+    immutable."""
     with mp.workprec(prec):
         return mp.mpf(10) ** (-digits)
 

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import mpmath as mp
@@ -827,11 +829,75 @@ def test_a_seeded_sweep_of_haupt_groups_prints_the_cold_documents(capsys):
 GENUS_3_GROUP = ["haupt", "-f", "x^4+y^4-1", "--x1", "0", "--x2", "2",
                  "--a", "4", "--a", "5", "--a", "6"]
 # the first draw of tests/test_cli_fuzz.py, which repeats it in process;
-# on a hit that left the pole generators at their isolation discs, the
-# value's generator records read other root_approx strings than these
+# its ordinate over x2 = 10^-12 has a real part near 2.5e-13, whose 20
+# digits a disc finer than its 22-digit one prints otherwise
 FUZZ_GROUP = ["haupt", "-f", "x^4+y^4+x*y-1", "--x1=7/4", "--root1=3",
               "--x2=1/1000000000000", "--root2=1", "--digits=28", "--rootp=1",
               "--a=5/4", "--roota=3", "--a=-5/3", "--roota=1", "--a=-2", "--roota=3"]
+
+
+# FUZZ_GROUP's pole pair as a third-kind request: its decimals read the
+# ordinate over x2 = 10^-12 from discs finer than the 22-digit one that
+# its record is read from
+TINY_ORDINATE = ["third-kind", "-f", "x^4+y^4+x*y-1", "--x1=7/4", "--root1=3",
+                 "--x2=1/1000000000000", "--root2=1", "--digits=28"]
+
+
+def _records(node, out: dict) -> dict:
+    """(modulus, root index) -> the root_approx texts of every generator
+    record in the document node, added to out."""
+    if isinstance(node, dict):
+        if "modulus_int_coeffs" in node:
+            key = tuple(node["modulus_int_coeffs"]), node["root_index"]
+            out.setdefault(key, set()).add(json.dumps(node["root_approx"]))
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            _records(child, out)
+    return out
+
+
+@pytest.mark.parametrize("argv", [TINY_ORDINATE, FUZZ_GROUP + ["--xp=3"],
+                                  *(line.split() for line in DIGESTS)],
+                         ids=["tiny-ordinate", "fuzz-group", *DIGESTS])
+def test_every_generator_prints_one_record_per_document(capsys, argv):
+    records = _records(_cold(capsys, argv), {})
+    if argv in (TINY_ORDINATE, FUZZ_GROUP + ["--xp=3"]):
+        assert records
+    assert {key: texts for key, texts in records.items() if len(texts) > 1} == {}
+
+
+def test_a_finished_request_leaves_no_tower_behind(capsys, monkeypatch):
+    # with the cyclic collector off, each request's context is freed when
+    # cli.main returns: a third-kind request, a haupt group's miss and hit,
+    # and requests that end in an error document, one of them with a
+    # zero divisor's witness
+    contexts = []
+
+    def tracked(real=cli.TowerContext):
+        ctx = real()
+        contexts.append(weakref.ref(ctx))
+        return ctx
+    monkeypatch.setattr(cli, "TowerContext", tracked)
+    group = ["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--a", "2"]
+    requests = [(["third-kind", "-f", CIRCLE, "--x1", "0", "--x2", "1/2"], 0),
+                (group + ["--xp", "3"], 0), (group + ["--xp", "5"], 0),
+                (["third-kind", "-f", CIRCLE, "--x1", "0", "--x2", "1/2", "--root1", "5"],
+                 2),
+                (["haupt", "-f", "x^4+y^4+x*y-1", "--x1=-1/4", "--root1=1", "--x2=-2",
+                  "--root2=2", "--xp=-5/4", "--rootp=3", "--a=-5/3", "--roota=2",
+                  "--a=4", "--roota=1", "--a=1", "--roota=0"], 11)]
+    differentials._groups.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv, code in requests:
+            assert cli.main(argv + ["--json"]) == code
+            capsys.readouterr()
+            assert len(contexts) == 1 and contexts.pop()() is None, argv
+    finally:
+        gc.enable()
+    assert len(differentials._groups) == 1
 
 
 def _first_in_process(capsys, argv):

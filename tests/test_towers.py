@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
+from abeldiff import roots as roots_module
 from abeldiff import towers
 from abeldiff.curves import Curve
 from abeldiff.differentials import (residue_certificates, third_kind,
@@ -15,7 +16,7 @@ from abeldiff.differentials import (residue_certificates, third_kind,
 from abeldiff.errors import (ContextMismatch, NotInvertible, NotSquareFree,
                              ZeroDivision)
 from abeldiff.polys import BPoly, UPoly, is_squarefree, power_sums
-from abeldiff.roots import RootApprox
+from abeldiff.roots import RootApprox, isolate_roots
 from abeldiff.towers import TowerContext, TowerElement, adjoin, eval_bpoly
 
 SQRT2 = UPoly([-2, 0, 1])
@@ -334,8 +335,7 @@ def test_nested_ball_in_reversed_key_order_matches_the_levels():
     assert {len(a.present_generators()) for a in elements} >= {0, 1, 2, 3, 4}
     for a in elements:
         for digits in (15, 60):
-            target = mp.mpf(10) ** -digits
-            roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
+            roots = {i: a.ctx.extensions[i].refine_to(digits) for i in a.present_generators()}
             prec = int(digits * 3.4) + 40
             assert towers._nested_ball(a.nums, a.den, roots.__getitem__, prec) == \
                 _nested_ball_by_levels(dict(zip(a.terms, a.nums.values())), a.den,
@@ -379,8 +379,7 @@ class _ParentBall:
 def _parent_ball(a, digits10):
     """TowerElement._ball computed with _ParentBall, on the roots it uses."""
     prec = int(digits10 * 3.4) + 40
-    target = mp.mpf(10) ** (-digits10)
-    roots = {i: a.ctx.extensions[i].refine_to(target) for i in a.present_generators()}
+    roots = {i: a.ctx.extensions[i].refine_to(digits10) for i in a.present_generators()}
     with mp.workprec(prec):
         return _nested_sum(
             a, lambda c: _ParentBall.from_fraction(c, prec),
@@ -390,10 +389,8 @@ def _parent_ball(a, digits10):
 def _fine_value(a, digits10):
     """a's embedded value with every root refined to 10^-(3 digits10), at 4x
     the working precision of a._ball(digits10)."""
-    target = mp.mpf(10) ** (-3 * digits10)
     exts = a.ctx.extensions
-    centers = {i: towers.refine_root(exts[i].modulus, exts[i].approximation(), target).center
-               for i in a.present_generators()}
+    centers = {i: exts[i].refine_to(3 * digits10).center for i in a.present_generators()}
     with mp.workprec(4 * (int(digits10 * 3.4) + 40)):
         acc = mp.mpc(0)
         for key, coeff in a.terms.items():
@@ -1223,7 +1220,7 @@ def _reference_decimal_parts(value, digits):
 
 
 def _reference_record(ext):
-    center = ext.approximation().center
+    center = ext.refine_to(22).center
     return {"modulus_int_coeffs": [str(c) for c in ext.int_coeffs],
             "root_index": ext.root_id,
             "root_approx": {"re": mp.nstr(center.real, 20),
@@ -1266,7 +1263,7 @@ def test_decimal_path_prints_what_the_mpmath_object_path_prints():
         raw = ball.c
         assert towers.decimal_parts(raw, digits) == _reference_decimal_parts(raw, digits)
     assert formats == {True, False}
-    # the refinement target follows mpmath's precision
+    # 10^-digits is rounded at the precision it is asked for
     for digits in (1, 30, 300):
         assert towers._ten_to_minus(digits, mp.mp.prec) == mp.mpf(10) ** -digits
         with mp.workprec(200):
@@ -1301,17 +1298,28 @@ def test_approximate_and_serialize_match_the_mpmath_object_path():
     assert mp.mp.prec == prec0
 
 
-def test_a_generator_record_is_rebuilt_after_a_refinement():
-    ctx, _ = adjoin(TowerContext(), CUBE3, 2)
-    ext = ctx.extensions[0]
-    first = ext.serialize()
-    assert first == _reference_record(ext)
-    root = ext.approximation()
-    ext.refine_to(mp.mpf(10) ** -200)
-    assert ext.approximation() is not root
-    second = ext.serialize()
-    assert second == _reference_record(ext)
-    assert second["root_approx"] != first["root_approx"]
+# y^4 + 10^-12 y - 1 + 10^-48, the section of x^4 + y^4 + xy - 1 over
+# x = 10^-12: the real part of its root 1 is about 2.5e-13, and its
+# isolation disc is already narrower than 10^-22
+TINY_RE = UPoly([Fraction(1, 10 ** 48) - 1, Fraction(1, 10 ** 12), 0, 0, 1])
+
+
+def test_a_generator_record_is_read_from_its_22_digit_disc_after_any_refinement():
+    # the record is read from the 22-digit disc whether it is built first or
+    # after a refinement to 200 digits, whose center reads 2.5e-13 to 20
+    # digits where the 22-digit disc's reads 2.4999999999999999497e-13
+    records = []
+    for first in (None, 200):
+        ctx, _ = adjoin(TowerContext(), TINY_RE, 1)
+        ext = ctx.extensions[0]
+        if first:
+            ext.refine_to(first)
+        records.append(ext.serialize())
+        ext.refine_to(200)
+        assert ext.serialize() == records[-1] == _reference_record(ext)
+    assert records[0] == records[1]
+    assert records[0]["root_approx"]["re"] == "2.4999999999999999497e-13"
+    assert mp.nstr(ext.refine_to(200).center.real, 20) == "2.5e-13"
 
 
 def _term_by_term(p, x, y):
@@ -1453,31 +1461,54 @@ def test_attach_rebinds_detached_elements_past_new_generators(layout):
         assert a.ctx is new and a == b and a.nums == b.nums
         if b.present_generators():
             assert a._ball(30) == b._ball(30)
-        # after the discs, so that both records read the refined roots
         assert a.serialize(30) == b.serialize(30)
 
 
-def test_attach_hands_on_a_stored_disc_only_where_it_is_narrower():
-    # sqrt 2 is refined before the detach and the cube root of 3 after it,
-    # in the target context: the first disc is taken, the second kept
-    old = TowerContext()
-    old, s = adjoin(old, SQRT2, 1)
-    old, c = adjoin(old, CUBE3, 2)
-    s.approximate(40)
-    detached = towers.detach([s * c + 1])
-    assert detached.roots == (old.extensions[0].approximation(),
-                              old.extensions[1].approximation())
-    new = TowerContext()
-    new, c2 = adjoin(new, CUBE3, 2)
-    new, s2 = adjoin(new, SQRT2, 1)
-    c2.approximate(40)
-    own_c, own_s = (ext.approximation() for ext in new.extensions)
-    assert own_c.radius < detached.roots[1].radius
-    assert detached.roots[0].radius < own_s.radius
-    attached, = towers.attach(detached, new)
-    assert new.extensions[0].approximation() is own_c
-    assert new.extensions[1].approximation() is detached.roots[0]
-    assert attached == s2 * c2 + 1
+def _disc(root):
+    return root.center._mpc_, root.radius._mpf_, root.prec
+
+
+def test_a_generators_disc_at_given_digits_is_the_same_after_any_refinement():
+    # each root's disc at each number of digits, read first in a context of
+    # its own, is read again after refinements at other digits, in contexts
+    # that hold the roots in other orders, and after a detach and an attach
+    # into yet another order, with the shared refinements forgotten
+    digits = (1, 12, 15, 22, 30, 60, 200)
+    roots = [(SQRT2, 1), (CUBE3, 2), (TINY_RE, 1)]
+
+    def discs(ctx):
+        return [[_disc(ext.refine_to(d)) for d in digits] for ext in ctx.extensions]
+    fresh = []
+    for modulus, root_id in roots:
+        fresh += discs(adjoin(TowerContext(), modulus, root_id)[0])
+    # the isolation disc wherever it is narrower than 10^-digits already
+    shortcuts = 0
+    for (modulus, root_id), row in zip(roots, fresh):
+        isolated = isolate_roots(modulus)[root_id]
+        for d, disc in zip(digits, row):
+            assert mp.make_mpf(disc[1]) < mp.mpf(10) ** -d
+            if isolated.radius < mp.mpf(10) ** -d:
+                assert disc == _disc(isolated)
+                shortcuts += 1
+    # sqrt 2 and the cube root of 3 at 1, 12 and 15 digits, TINY_RE's root
+    # up to 22
+    assert shortcuts == 3 + 3 + 4
+    roots_module._refined.cache_clear()
+    rng = random.Random(47)
+    for _ in range(3):
+        old, new = TowerContext(), TowerContext()
+        for ctx in (old, new):
+            for k in rng.sample(range(3), 3):
+                adjoin(ctx, *roots[k])
+        order = [roots.index((ext.modulus, ext.root_id)) for ext in old.extensions]
+        for d in rng.sample(digits, 4):
+            for ext in old.extensions:
+                ext.refine_to(d)
+        assert discs(old) == [fresh[k] for k in order]
+        t = [old.generator(i) for i in range(3)]
+        towers.attach(towers.detach([t[0] * t[1] + t[2]]), new)
+        order = [roots.index((ext.modulus, ext.root_id)) for ext in new.extensions]
+        assert discs(new) == [fresh[k] for k in order]
 
 
 def test_attach_raises_on_a_missing_root_and_on_a_root_held_twice():
