@@ -20,10 +20,13 @@ for every root of every branch.  Points at infinity are checked through the
 homogenization's partial derivatives restricted to the line at infinity,
 which reduces to gcds of binary forms.
 
-A section is found once per tower context: Curve.section keeps the section
-polynomial f(x0, y) and its r points on the context, keyed by the curve
-polynomial and x0, so every later call in that context (a request makes
-one) returns the same Point objects.  Each section ordinate is the
+A section is found once per tower context, and its polynomial once per
+process: Curve.section keeps the section polynomial f(x0, y) and its r
+points on the context, keyed by the curve polynomial and x0, so every later
+call in that context (a request makes one) returns the same Point objects;
+f(x0, y) and its monic form come from a bounded LRU cache keyed the same
+way, so a request that meets a section an earlier request met takes neither
+again (the public section_poly is not cached).  Each section ordinate is the
 generator of the monic section polynomial for its root id, so f(x0, y)
 reduces to zero by construction and those points are not re-checked; a
 Point built by hand is.  f_y at a point is evaluated once and kept on the
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import (DegreeDrop, InvalidArgument, IrrationalAbscissaUnsupported,
@@ -101,11 +104,10 @@ class Curve:
         found = ctx.sections.get(key)
         if found is not None:
             return found
-        s = self.section_poly(x0)
+        s, monic = _section_polys(self.f, x0)
         if s.degree < self.r:
             raise DegreeDrop(
                 f"section at x = {x0} has degree {s.degree} < {self.r}")
-        monic = s.monic()
         try:  # isolating the first root decides square-freeness
             points = tuple(_section_point(self, x0, locate_or_adjoin(ctx, monic, rid))
                            for rid in range(self.r))
@@ -170,6 +172,14 @@ def _section_point(curve: Curve, x: Fraction, y: TowerElement) -> Point:
     p = object.__new__(Point)
     p.curve, p.x, p.y, p._fy = curve, x, y, None
     return p
+
+
+@lru_cache(maxsize=512)
+def _section_polys(f: BPoly, x0: Fraction) -> tuple[UPoly, UPoly]:
+    """f(x0, y) and its monic form, shared by every request that meets the
+    section: both are immutable."""
+    s = f.subs_x(x0)
+    return s, s.monic()
 
 
 class Section(NamedTuple):

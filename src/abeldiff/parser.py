@@ -11,12 +11,19 @@ they are converted, below the 4300-digit limit of int().  Parentheses are
 nested at most MAX_NESTING deep, checked before each level recurses, so a
 deeply nested curve fails with InvalidArgument instead of exhausting
 Python's recursion limit (every level costs five frames).
+
+A curve text is parsed once per process: parse_poly keeps the polynomial of
+each of the last MAX_TEXTS distinct texts in a bounded LRU cache and hands
+out that one BPoly, whose terms are read-only, to every request that sends
+the text; a text that fails is not kept and fails again on every call.
+format_bpoly is kept per polynomial the same way.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidArgument, PolySyntaxError, UnknownVariable
 from .polys import BPoly
@@ -24,6 +31,8 @@ from .polys import BPoly
 MAX_DEGREE = 24
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
+# distinct curve texts, and polynomials, whose parse and print are kept
+MAX_TEXTS = 256
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+\-*/^]))")
 
@@ -166,9 +175,10 @@ class _Parser:
         raise PolySyntaxError(f"expected a number, variable or '(', got {val!r}", pos)
 
 
+@lru_cache(maxsize=MAX_TEXTS)
 def parse_poly(text: str) -> BPoly:
     """Exact bivariate polynomial from text; round-trips with format_bpoly
-    up to term order."""
+    up to term order.  One shared BPoly per text (module docstring)."""
     p = _Parser(text)
     result = p.expr()
     kind, val, pos = p.peek()
@@ -194,9 +204,11 @@ def _fmt_mono(i: int, j: int) -> str:
     return "*".join(parts)
 
 
+@lru_cache(maxsize=MAX_TEXTS)
 def format_bpoly(p: BPoly) -> str:
     """Canonical form: terms by descending total degree, then descending
-    x-exponent; parses back to the same polynomial."""
+    x-exponent; parses back to the same polynomial.  Rational coefficients
+    only: the polynomial is a cache key, and tower elements do not hash."""
     if p.is_zero:
         return "0"
     keys = sorted(p.terms, key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))

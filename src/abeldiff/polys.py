@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import ZeroPolynomial
@@ -406,9 +407,13 @@ def signed_digits(v: int, bits: int) -> list[int]:
 
 
 class BPoly:
-    """Sparse bivariate polynomial keyed by (x_exponent, y_exponent)."""
+    """Sparse bivariate polynomial keyed by (x_exponent, y_exponent).
 
-    __slots__ = ("terms",)
+    terms is a read-only view, so a polynomial that several requests hold
+    (parser.parse_poly hands out one per curve text) cannot be changed by
+    any of them; its hash is computed once, as UPoly's is."""
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict | None = None):
         norm = {}
@@ -417,7 +422,7 @@ class BPoly:
                 c = _coeff(c)
                 if c:
                     norm[(int(i), int(j))] = c
-        self.terms = norm
+        self.terms = MappingProxyType(norm)
 
     @classmethod
     def const(cls, c) -> "BPoly":
@@ -460,7 +465,12 @@ class BPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # computed once; tower coefficients make the hash raise TypeError
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __neg__(self):
         return BPoly({k: -c for k, c in self.terms.items()})

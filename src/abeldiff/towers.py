@@ -58,8 +58,9 @@ each center part is rounded to digits + 5 digits as mp.mpc rounds it under
 that context; the 0.0 test compares |part| with a threshold kept per digits;
 and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
 A generator's record (modulus, root id, its 22-digit disc's center to 20
-digits) is built once and copied out, so balls, decimals and records
-depend on the element and the digits alone, not on what ran before.
+digits) is built once per root in the process and copied out, so balls,
+decimals and records depend on the element and the digits alone, not on
+what ran before.
 A Quotient keeps a value as a numerator and a nonzero denominator and never
 divides: its decimal comes from ball division of the two parts' discs at
 one working precision, |a/b - c_a/c_b| <= (r_a + |c_a/c_b| r_b)/(|c_b| - r_b)
@@ -295,7 +296,6 @@ class ExtensionDescriptor:
         # denominator), from t^d on; int_power extends it on demand
         self._int_powers = [_lowest_terms([-c for c in ints[:-1]], ints[-1])]
         self._discs: dict[int, RootApprox] = {}    # digits -> refine_to(digits)
-        self._record: dict | None = None           # serialize's, built once
 
     @property
     def degree(self) -> int:
@@ -333,17 +333,23 @@ class ExtensionDescriptor:
     def serialize(self) -> dict:
         """The generator record: the primitive integer modulus, the root id
         and the center of the root's _RECORD_DIGITS-digit disc to 20
-        significant digits.  Built once and handed out as a copy."""
-        if self._record is None:
-            re, im = self.refine_to(_RECORD_DIGITS).center._mpc_
-            self._record = {
-                "modulus_int_coeffs": [str(c) for c in self.int_coeffs],
-                "root_index": self.root_id,
-                "root_approx": {"re": to_str(re, 20), "im": to_str(im, 20)},
-            }
-        record = self._record
-        return {**record, "modulus_int_coeffs": list(record["modulus_int_coeffs"]),
-                "root_approx": dict(record["root_approx"])}
+        significant digits.  Its texts are built once per root in the
+        process (_generator_record), and each call returns a new dict."""
+        coeffs, re, im = _generator_record(self.int_coeffs, self._root)
+        return {"modulus_int_coeffs": list(coeffs), "root_index": self.root_id,
+                "root_approx": {"re": re, "im": im}}
+
+
+@lru_cache(maxsize=512)
+def _generator_record(ints: tuple[int, ...], root: RootApprox) -> tuple[tuple[str, ...], str, str]:
+    """The texts of serialize's record of a root of the primitive integer
+    modulus ints, root its isolation record (shared by every request that
+    isolates ints, and so one per root id): the coefficients, and the
+    center of refine_to(_RECORD_DIGITS), the isolation disc refined below
+    10^-_RECORD_DIGITS, to 20 digits."""
+    disc = refine_root(UPoly(ints), root, _ten_to_minus(_RECORD_DIGITS, 53))
+    re, im = disc.center._mpc_
+    return tuple(map(str, ints)), to_str(re, 20), to_str(im, 20)
 
 
 class TowerContext:

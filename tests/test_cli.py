@@ -409,24 +409,34 @@ def test_out_of_range_root_index_rejected(capsys):
 ])
 def test_each_request_builds_its_differential_once(capsys, monkeypatch, argv):
     differentials._groups.clear()   # no haupt group that an earlier test solved
+    # each call logs how many haupt_solve calls are open around it, so the
+    # test names no caller and survives moving code between functions
     calls = {"third_kind": [], "residue_certificates": [], "residue_oracle": [],
-             "eval_u": []}
+             "eval_u": [], "haupt_solve": []}
+    open_solves = [0]
     for name, log in calls.items():
-        def counted(*args, _real=getattr(differentials, name), _log=log, **kwargs):
-            _log.append(sys._getframe(1).f_code.co_name)
-            return _real(*args, **kwargs)
+        def counted(*args, _real=getattr(differentials, name), _log=log,
+                    _solve=name == "haupt_solve", **kwargs):
+            _log.append(open_solves[0])
+            open_solves[0] += _solve
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                open_solves[0] -= _solve
         monkeypatch.setattr(differentials, name, counted)
     code, doc = _run_json(capsys, argv)
     assert code == 0
     assert len(calls["third_kind"]) == 1
     assert len(calls["residue_certificates"]) == 1
-    # only verify re-derives the residues point by point
-    assert calls["residue_oracle"] == (["run"] if argv[0] == "verify" else [])
+    # only verify re-derives the residues point by point, once per request
+    assert len(calls["residue_oracle"]) == (1 if argv[0] == "verify" else 0)
     assert sum(v["check"].startswith("residue at") for v in doc["verification"]) == 7
+    # u is evaluated only inside haupt_solve, never by the CLI
+    assert all(calls["eval_u"])
     if argv[0] == "haupt":
         # u at the auxiliary pole is checked inside haupt_solve, not again by the CLI
         assert "u vanishes at auxiliary pole a1" in [v["check"] for v in doc["verification"]]
-        assert set(calls["eval_u"]) == {"haupt_solve"}
+        assert calls["haupt_solve"] == [0] and calls["eval_u"]
 
 
 @pytest.mark.parametrize("argv, genus", [

@@ -263,6 +263,8 @@ def test_section_points_are_on_the_curve_and_keep_their_f_y(cubic, quartic):
 
 
 def test_a_third_kind_request_evaluates_each_section_polynomial_once(monkeypatch):
+    # section polynomials are kept per process: the first request takes
+    # each of its two, and an identical second request takes none
     calls = []
     real = BPoly.subs_x
 
@@ -270,11 +272,14 @@ def test_a_third_kind_request_evaluates_each_section_polynomial_once(monkeypatch
         calls.append(x0)
         return real(self, x0)
     monkeypatch.setattr(BPoly, "subs_x", subs_x)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["third-kind", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2",
-                         "--digits", "30", "--json"])
-    assert code == 0
-    assert sorted(calls) == [Fraction(1, 2), 2]
+    curves._section_polys.cache_clear()
+    for taken in ([Fraction(1, 2), 2], []):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["third-kind", "-f", "x^4+y^4-1", "--x1=1/2", "--x2=2",
+                             "--digits", "30", "--json"])
+        assert code == 0
+        assert sorted(calls) == taken
 
 
 def test_tangent_abscissa_rejected(circle):

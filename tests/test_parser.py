@@ -123,6 +123,25 @@ def test_oversized_literal_rejected(text):
         parse_poly(text)
 
 
+def test_a_curve_text_is_parsed_once():
+    text = "x^3-y^3+2*x*y+x-2*y+1"
+    assert parse_poly(text) is parse_poly(text)
+    assert parse_poly(text) == parse_poly("1-2*y+x+2*x*y-y^3+x^3")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x^2+y^2-", PolySyntaxError),
+    ("9" * (MAX_LITERAL_DIGITS + 1) + "*x+y^2-1", InvalidArgument),
+])
+def test_a_failing_curve_text_fails_on_every_call(text, error):
+    # a failure is not cached: the second call parses again and raises again
+    misses = parse_poly.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(error):
+            parse_poly(text)
+    assert parse_poly.cache_info().misses == misses + 2
+
+
 def test_literal_cap_still_accepts_its_maximum():
     big = "9" * MAX_LITERAL_DIGITS
     assert parse_poly(f"{big}/{big}*x+y").terms[(1, 0)] == 1

@@ -335,6 +335,19 @@ def test_bpoly_zero_coefficients_dropped():
     assert (BPoly({(1, 0): 1}) - BPoly({(1, 0): 1})).is_zero
 
 
+def test_bpoly_terms_are_read_only():
+    # one BPoly is shared by every request that sends its curve text
+    terms = {(2, 0): 1, (0, 2): 1, (0, 0): -1}
+    f = BPoly(terms)
+    with pytest.raises(TypeError):
+        f.terms[(0, 0)] = 5
+    with pytest.raises(TypeError):
+        del f.terms[(2, 0)]
+    terms[(0, 0)] = 5                 # the caller's dict is not the polynomial's
+    assert f.terms == {(2, 0): 1, (0, 2): 1, (0, 0): -1}
+    assert hash(f) == hash(BPoly({(0, 0): -1, (0, 2): 1, (2, 0): 1}))
+
+
 def test_resultant_y_circle():
     f = BPoly({(2, 0): 1, (0, 2): 1, (0, 0): -1})
     assert resultant_y(f, f.partial_y()) == UPoly([-4, 0, 4])

@@ -1298,6 +1298,22 @@ def test_approximate_and_serialize_match_the_mpmath_object_path():
     assert mp.mp.prec == prec0
 
 
+def test_a_generator_record_is_built_once_per_root_and_copied_out():
+    # two requests' contexts adjoin the same root: the record's texts are
+    # built once, and a caller that edits its copy changes no later one
+    towers._generator_record.cache_clear()
+    modulus = UPoly([-2, 0, 3])
+    for _ in range(2):
+        ctx, _ = adjoin(TowerContext(), modulus, 1)
+        record = ctx.extensions[0].serialize()
+        assert record == _reference_record(ctx.extensions[0])
+        record["modulus_int_coeffs"].append("9")
+        record["root_approx"]["re"] = "9"
+        record["root_index"] = 0
+    assert towers._generator_record.cache_info().misses == 1
+    assert ctx.extensions[0].serialize() == _reference_record(ctx.extensions[0])
+
+
 # y^4 + 10^-12 y - 1 + 10^-48, the section of x^4 + y^4 + xy - 1 over
 # x = 10^-12: the real part of its root 1 is about 2.5e-13, and its
 # isolation disc is already narrower than 10^-22
