@@ -42,10 +42,7 @@ MAX_DIGITS = 10000
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-@functools.lru_cache(maxsize=1024)
 def _rational(text: str) -> Fraction:
-    """The abscissa a literal denotes, kept per literal (a Fraction is
-    immutable); a malformed literal raises on every call."""
     literal = text.strip()
     if not _RATIONAL.match(literal):
         raise IrrationalAbscissaUnsupported(

@@ -174,10 +174,12 @@ def _section_point(curve: Curve, x: Fraction, y: TowerElement) -> Point:
     return p
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _section_polys(f: BPoly, x0: Fraction) -> tuple[UPoly, UPoly]:
     """f(x0, y) and its monic form, shared by every request that meets the
-    section: both are immutable."""
+    section: both are immutable.  64 holds the sections of the last few
+    haupt groups (a request meets at most a handful), and caps what a
+    sweep of abscissas that never repeat keeps alive."""
     s = f.subs_x(x0)
     return s, s.monic()
 

@@ -16,7 +16,6 @@ A curve text is parsed once per process: parse_poly keeps the polynomial of
 each of the last MAX_TEXTS distinct texts in a bounded LRU cache and hands
 out that one BPoly, whose terms are read-only, to every request that sends
 the text; a text that fails is not kept and fails again on every call.
-format_bpoly is kept per polynomial the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .polys import BPoly
 MAX_DEGREE = 24
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
-# distinct curve texts, and polynomials, whose parse and print are kept
+# distinct curve texts whose polynomials are kept
 MAX_TEXTS = 256
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+\-*/^]))")
@@ -204,11 +203,9 @@ def _fmt_mono(i: int, j: int) -> str:
     return "*".join(parts)
 
 
-@lru_cache(maxsize=MAX_TEXTS)
 def format_bpoly(p: BPoly) -> str:
     """Canonical form: terms by descending total degree, then descending
-    x-exponent; parses back to the same polynomial.  Rational coefficients
-    only: the polynomial is a cache key, and tower elements do not hash."""
+    x-exponent; parses back to the same polynomial."""
     if p.is_zero:
         return "0"
     keys = sorted(p.terms, key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))

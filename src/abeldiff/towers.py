@@ -58,9 +58,9 @@ each center part is rounded to digits + 5 digits as mp.mpc rounds it under
 that context; the 0.0 test compares |part| with a threshold kept per digits;
 and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
 A generator's record (modulus, root id, its 22-digit disc's center to 20
-digits) is built once per root in the process and copied out, so balls,
-decimals and records depend on the element and the digits alone, not on
-what ran before.
+digits) is a new dict on every call, and its center is printed once per
+root in the process, so balls, decimals and records depend on the element
+and the digits alone, not on what ran before.
 A Quotient keeps a value as a numerator and a nonzero denominator and never
 divides: its decimal comes from ball division of the two parts' discs at
 one working precision, |a/b - c_a/c_b| <= (r_a + |c_a/c_b| r_b)/(|c_b| - r_b)
@@ -333,23 +333,21 @@ class ExtensionDescriptor:
     def serialize(self) -> dict:
         """The generator record: the primitive integer modulus, the root id
         and the center of the root's _RECORD_DIGITS-digit disc to 20
-        significant digits.  Its texts are built once per root in the
-        process (_generator_record), and each call returns a new dict."""
-        coeffs, re, im = _generator_record(self.int_coeffs, self._root)
-        return {"modulus_int_coeffs": list(coeffs), "root_index": self.root_id,
-                "root_approx": {"re": re, "im": im}}
+        significant digits.  The center's texts are built once per root in
+        the process (_center_texts), and each call returns a new dict."""
+        re, im = _center_texts(self.refine_to(_RECORD_DIGITS))
+        return {"modulus_int_coeffs": [str(c) for c in self.int_coeffs],
+                "root_index": self.root_id, "root_approx": {"re": re, "im": im}}
 
 
 @lru_cache(maxsize=512)
-def _generator_record(ints: tuple[int, ...], root: RootApprox) -> tuple[tuple[str, ...], str, str]:
-    """The texts of serialize's record of a root of the primitive integer
-    modulus ints, root its isolation record (shared by every request that
-    isolates ints, and so one per root id): the coefficients, and the
-    center of refine_to(_RECORD_DIGITS), the isolation disc refined below
-    10^-_RECORD_DIGITS, to 20 digits."""
-    disc = refine_root(UPoly(ints), root, _ten_to_minus(_RECORD_DIGITS, 53))
+def _center_texts(disc: RootApprox) -> tuple[str, str]:
+    """The real and imaginary parts of a disc's center to 20 significant
+    digits.  refine_to hands out one disc per root and digits (the
+    isolation record or roots' shared refinement), so a root's record is
+    printed once per process."""
     re, im = disc.center._mpc_
-    return tuple(map(str, ints)), to_str(re, 20), to_str(im, 20)
+    return to_str(re, 20), to_str(im, 20)
 
 
 class TowerContext:

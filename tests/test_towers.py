@@ -1299,9 +1299,9 @@ def test_approximate_and_serialize_match_the_mpmath_object_path():
 
 
 def test_a_generator_record_is_built_once_per_root_and_copied_out():
-    # two requests' contexts adjoin the same root: the record's texts are
-    # built once, and a caller that edits its copy changes no later one
-    towers._generator_record.cache_clear()
+    # two requests' contexts adjoin the same root: the center's texts are
+    # printed once, and a caller that edits its copy changes no later one
+    towers._center_texts.cache_clear()
     modulus = UPoly([-2, 0, 3])
     for _ in range(2):
         ctx, _ = adjoin(TowerContext(), modulus, 1)
@@ -1310,7 +1310,7 @@ def test_a_generator_record_is_built_once_per_root_and_copied_out():
         record["modulus_int_coeffs"].append("9")
         record["root_approx"]["re"] = "9"
         record["root_index"] = 0
-    assert towers._generator_record.cache_info().misses == 1
+    assert towers._center_texts.cache_info().misses == 1
     assert ctx.extensions[0].serialize() == _reference_record(ctx.extensions[0])
 
 
