@@ -96,9 +96,9 @@ from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
 from .linsolve import ff_solve
-from .polys import BPoly, UPoly, power_sums, powers
+from .polys import BPoly, UPoly, at_ratio, power_sums, powers
 from .towers import (Detached, Quotient, TowerContext, TowerElement, attach,
-                     detach, eval_bpoly)
+                     bare_generator, detach, eval_bpoly)
 
 
 def monomials_upto(d: int) -> list[tuple[int, int]]:
@@ -164,12 +164,20 @@ def _prepare(curve: Curve, p1: Point, p2: Point
 
 
 def _monomial_row(monos, xpows: list[Fraction], y: TowerElement) -> list[TowerElement]:
-    """The monomials x^a y^b at a point, from the powers xpows of its
-    abscissa and one chain of powers of its ordinate; at a section point,
-    whose ordinate is a bare generator, each entry has the terms, in order,
-    that eval_bpoly(BPoly({(a, b): 1}), x, y) gives."""
-    ypows = powers(y, len(xpows), y.ctx.one)
-    return [ypows[b] * xpows[a] if b else y.ctx.constant(xpows[a])
+    """The monomials x^a y^b, b < len(xpows), at a point, from the powers
+    xpows of its abscissa.  At a section point of a curve of degree r the
+    ordinate is a bare generator t_g of degree r, and with len(xpows) <= r
+    each entry is the one-term element x^a t_g^b (TowerContext.monomial),
+    with the terms, in order, that eval_bpoly(BPoly({(a, b): 1}), x, y) and
+    the generic path give.  Any other ordinate (a generator of lower degree,
+    a rational root, a hand-built element) takes that generic path: one
+    chain of powers of the ordinate, each scaled by x^a."""
+    ctx = y.ctx
+    g = bare_generator(y, len(xpows))
+    if g is not None:
+        return [ctx.monomial(g, b, xpows[a]) for a, b in monos]
+    ypows = powers(y, len(xpows), ctx.one)
+    return [ypows[b] * xpows[a] if b else ctx.constant(xpows[a])
             for a, b in monos]
 
 
@@ -260,13 +268,18 @@ class ParametricDifferential:
 def _pole_quotient(curve: Curve, pole: Point, scale: Fraction) -> list[TowerElement]:
     """The coefficients q_0 .. q_{r-1} of scale * f(x_i, y) / (y - eta) at a
     pole (x_i, eta), by synthetic division of the scaled section polynomial
-    s = scale * f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  Each
-    q_b has degree below r in the pole's generator, so no product
-    reduces."""
-    s = curve.section(pole.x, pole.y.ctx).poly.coeffs
-    q = [pole.y.ctx.constant(scale * s[curve.r])]
+    s = scale * f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  q_b
+    has degree r - 1 - b in eta.  At a section point eta is a bare generator
+    of degree r, so eta q_b is a shift of q_b's keys
+    (TowerElement.times_generator), the product's terms with no product
+    taken; any other ordinate takes the generic product."""
+    eta = pole.y
+    s = curve.section(pole.x, eta.ctx).poly.coeffs
+    g = bare_generator(eta, curve.r)
+    q = [eta.ctx.constant(scale * s[curve.r])]
     for b in range(curve.r - 1, 0, -1):
-        q.append(pole.y * q[-1] + scale * s[b])
+        q.append((eta * q[-1] if g is None else q[-1].times_generator(g))
+                 + scale * s[b])
     return q[::-1]
 
 
@@ -294,12 +307,15 @@ def third_kind(curve: Curve, p1: Point, p2: Point) -> ParametricDifferential:
     dx = x2 - x1
     q1, q2 = _pole_quotient(curve, pole1, dx), _pole_quotient(curve, pole2, dx)
     x1s, x2s = powers(x1, r, Fraction(1)), powers(x2, r, Fraction(1))
+    # block b's Gram matrix sums over a < r - b: prefixes of three sums
+    grams, uu, uv, vv = [], 0, 0, 0
+    for s, t in zip(x1s, x2s):
+        uu, uv, vv = uu + s * s, uv + s * t, vv + t * t
+        grams.append([[uu, uv], [uv, vv]])
     coeffs = {}
     for b in range(r):
         u, v = x1s[:r - b], x2s[:r - b]
-        uv = sum(s * t for s, t in zip(u, v))
-        sol = ff_solve([[sum(s * s for s in u), uv], [uv, sum(t * t for t in v)]],
-                       [q1[b], q2[b]])
+        sol = ff_solve(grams[r - b - 1], [q1[b], q2[b]])
         if sol.rank != min(2, r - b):
             raise Inconsistent(f"the y^{b} block has rank {sol.rank}")
         wu, wv = sol.particular
@@ -350,14 +366,51 @@ def _identity_holds(diff: ParametricDifferential, pole: Point) -> bool:
     negated ones, y-degree by y-degree over every y-degree of the base
     numerator E (the quotient's are 0 from y^r up), and each sum must be
     zero.  Both sides are elements of the pole generators, whose reduced
-    form is canonical, so an honest numerator's sums are empty."""
-    e, zero = diff.base_numerator, diff.ctx.zero
-    xpows = powers(pole.x, e.degree_x + 1, Fraction(1))
-    sums = dict(enumerate(_pole_quotient(diff.curve, pole,
-                                         diff.pole1.x - diff.pole2.x)))
+    form is canonical, so an honest numerator's sums are empty.
+
+    Each sum is taken on integer numerators, as eval_bpoly collects a
+    section polynomial's coefficients: per y-degree b and monomial key k,
+    the (a, numerator, denominator) triples of E's coefficients (a rational
+    coefficient at key 0) give sum_a c_(a,b)[k] x_i^a by polys.at_ratio,
+    which must cancel the quotient's numerator at k.  A y-degree whose sum
+    does not cancel key by key is summed in the ring, as it always was, and
+    decided by is_zero, so a tampered numerator gets is_zero's verdict."""
+    e, ctx = diff.base_numerator, diff.ctx
+    quotient = _pole_quotient(diff.curve, pole, diff.pole1.x - diff.pole2.x)
+    # (b, key) -> the (a, numerator, denominator) triples of E at key
+    groups: dict[tuple, list] = {}
     for (a, b), c in e.terms.items():
-        sums[b] = sums.get(b, zero) + (c * xpows[a] if a else c)
-    return all(v.is_zero() for v in sums.values())
+        if isinstance(c, TowerElement):
+            if c.ctx is not ctx:
+                raise ContextMismatch("a numerator coefficient belongs to another context")
+            for k, n in c.nums.items():
+                groups.setdefault((b, k), []).append((a, n, c.den))
+        else:
+            groups.setdefault((b, 0), []).append((a, c.numerator, c.denominator))
+    # per y-degree, the keys whose sum has not cancelled
+    left = {b: set(q.nums) for b, q in enumerate(quotient)}
+    u, v = pole.x.numerator, pole.x.denominator
+    for (b, k), triples in groups.items():
+        n, d = at_ratio(triples, u, v)
+        if b < len(quotient):
+            q = quotient[b]
+            # n/d + m/den cancels exactly when n den + m d does
+            if not n * q.den + q.nums.get(k, 0) * d:
+                left[b].discard(k)
+                continue
+        if n:
+            left.setdefault(b, set()).add(k)
+    xpows = powers(pole.x, e.degree_x + 1, Fraction(1))
+    for b, keys in left.items():
+        if not keys:
+            continue
+        total = quotient[b] if b < len(quotient) else ctx.zero
+        for (a, j), c in e.terms.items():
+            if j == b:
+                total = total + (c * xpows[a] if a else c)
+        if not total.is_zero():
+            return False
+    return True
 
 
 def _verdicts(diff: ParametricDifferential, decide) -> list[dict]:

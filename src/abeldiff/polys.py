@@ -105,6 +105,8 @@ class UPoly:
         if isinstance(other, UPoly):
             if self.is_zero or other.is_zero:
                 return UPoly()
+            if self.degree and other.degree and _rational(self) and _rational(other):
+                return _int_product(self, other)
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
@@ -187,10 +189,39 @@ class UPoly:
         return f"UPoly({[str(c) for c in self.coeffs]})"
 
 
+def _rational(p: UPoly) -> bool:
+    return all(type(c) is Fraction for c in p.coeffs)
+
+
+def _int_product(a: UPoly, b: UPoly) -> UPoly:
+    """a * b for a and b of degree at least 1 with Fraction coefficients:
+    the product of their primitive integer views, scaled once.  (A constant
+    factor only scales the other's coefficients, which the generic loop
+    does with one Fraction product each.)"""
+    (x, sx), (y, sy) = a.to_int_coeffs(), b.to_int_coeffs()
+    out = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                out[i + j] += u * v
+    return _times(out, sx * sy)
+
+
 def _times(ints: Sequence[int], f: Fraction) -> UPoly:
-    """The UPoly f * ints, one Fraction per coefficient."""
+    """The UPoly f * ints, f != 0, one Fraction per coefficient, with its
+    primitive integer view kept, as to_int_coeffs would compute it: ints
+    over their content, the leading one positive, and f times the content."""
     n, d = f.numerator, f.denominator
-    return UPoly([Fraction(v * n, d) for v in ints])
+    p = UPoly([Fraction(v * n, d) for v in ints])
+    ints = ints[:len(p.coeffs)]
+    if not ints:
+        p._ints = (), Fraction(1)
+        return p
+    g = int_gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    p._ints = tuple([v // g for v in ints]), f * g
+    return p
 
 
 def power(base, n: int, one):

@@ -22,7 +22,11 @@ powers held as integer numerators over one denominator; adjoin refuses a
 degree above 2^(_W-1), whose product exponents 2 deg - 2 would overflow a
 field.  A product with a rational constant (or zero) skips all of that: it
 scales the other operand's numerators one by one, in their order, after
-cancelling common factors as Fraction does.
+cancelling common factors as Fraction does; an int or Fraction operand
+builds no constant element.  Where no reduction can be due, two products
+need no product at all: TowerContext.monomial builds c t_g^b, b < deg(t_g),
+as one term, and TowerElement.times_generator multiplies by t_g by adding
+t_g's unit to every key; each stores what the product stores.
 
 eval_bpoly evaluates a bivariate polynomial at a section point nested: it
 collects the coefficients of the section polynomial in y first, then sums
@@ -384,6 +388,15 @@ class TowerContext:
     def one(self) -> "TowerElement":
         return self.constant(1)
 
+    def monomial(self, g: int, b: int, c) -> "TowerElement":
+        """c t_g^b for a rational c and 0 <= b < deg(t_g) (ValueError
+        otherwise), as one term: the element that c times the b-th power of
+        the generator gives, with no product taken."""
+        if not 0 <= b < self.degrees[g]:
+            raise ValueError(f"t{g}^{b} is not reduced at degree {self.degrees[g]}")
+        n = c.numerator
+        return _element(self, {b << g * _W: n}, c.denominator) if n else self.zero
+
     def generator(self, i: int) -> "TowerElement":
         if not 0 <= i < len(self.extensions):
             raise IndexError(f"no generator t{i} in this context")
@@ -596,6 +609,13 @@ class TowerElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales the numerators term by term, in their order,
+            # with no constant element built: the terms and order the full
+            # product gives
+            if not other or not self.nums:
+                return _element(self.ctx, {}, 1)
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -606,8 +626,7 @@ class TowerElement:
         if len(b.nums) == 1 and 0 in b.nums:
             a, b = b, a
         if len(a.nums) == 1 and 0 in a.nums:
-            # a rational constant scales the other operand term by term, in
-            # its order: the terms and order the full product gives
+            # a rational constant scales the other operand the same way
             return b._scaled(a.nums[0], a.den)
         den = a.den * b.den
         raw: dict[int, int] = {}
@@ -628,6 +647,17 @@ class TowerElement:
         return _lowest(ctx, {k: n for k, n in raw.items() if n}, den)
 
     __rmul__ = __mul__
+
+    def times_generator(self, g: int) -> "TowerElement":
+        """self * t_g as one shift of every key, for self of degree below
+        deg(t_g) - 1 in t_g (ValueError otherwise): the terms, in order, and
+        the denominator of the product, which then reduces nothing."""
+        shift = g * _W
+        if any((k >> shift & _MASK) + 1 >= self.ctx.degrees[g] for k in self.nums):
+            raise ValueError(f"t{g} times an element of degree "
+                             f"{self.ctx.degrees[g] - 1} in it needs a reduction")
+        one = 1 << shift
+        return _element(self.ctx, {k + one: n for k, n in self.nums.items()}, self.den)
 
     def _scaled(self, p: int, q: int) -> "TowerElement":
         """self * p/q for p/q in lowest terms, q > 0: the common factors of p
@@ -1215,7 +1245,7 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
         raise TypeError("ordinate must be a TowerElement")
     ctx = y.ctx
     x = Fraction(x)
-    g = _bare_generator(y)
+    g = bare_generator(y)
     if g is None:
         return ctx.zero + p.eval(x, y)
     deg = ctx.degrees[g]    # a y-degree may pass deg at a hand-built point
@@ -1251,10 +1281,13 @@ def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     return _lowest(ctx, {k: n for k, n in raw.items() if n}, den * scale)
 
 
-def _bare_generator(y: TowerElement) -> int | None:
-    """g when y is the generator t_g itself, else None."""
+def bare_generator(y: TowerElement, degree: int = 1) -> int | None:
+    """g when y is the generator t_g itself and deg(t_g) >= degree, so that
+    y^0 .. y^(degree - 1) are reduced monomials; else None."""
     if len(y.nums) != 1 or y.den != 1:
         return None
     (k, n), = y.nums.items()
     g = (k.bit_length() - 1) // _W
-    return g if n == 1 and k and k == 1 << g * _W else None
+    if n == 1 and k and k == 1 << g * _W and y.ctx.degrees[g] >= degree:
+        return g
+    return None

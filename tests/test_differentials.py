@@ -19,8 +19,8 @@ from abeldiff.errors import (DegeneratePoints, DegreeDrop, EvaluationAtPole,
                              VerificationFailed)
 from abeldiff.linsolve import rank
 from abeldiff.parser import parse_poly
-from abeldiff.polys import BPoly, is_squarefree, power_sums, powers
-from abeldiff.towers import TowerContext, TowerElement, eval_bpoly
+from abeldiff.polys import BPoly, UPoly, is_squarefree, power_sums, powers
+from abeldiff.towers import TowerContext, TowerElement, adjoin, eval_bpoly
 from tests.conftest import (CIRCLE_TERMS, CUBIC_TERMS, QUARTIC_TERMS,
                             pole_factor)
 from tests.test_cli import DENSE_QUARTIC
@@ -896,3 +896,145 @@ def test_third_kind_prepares_its_pole_pair_once(monkeypatch, cubic, cubic_setup)
     monkeypatch.setattr(Curve, "section_roots", counted)
     third_kind(cubic, p1, p2)
     assert calls == [p1.x, p2.x]
+
+
+# -- direct construction paths against the generic products ---------------
+
+
+def _stored(e: TowerElement) -> tuple:
+    """An element as stored: its numerators in key order, and its
+    denominator."""
+    return list(e.nums.items()), e.den
+
+
+def _generic_row(monos, xpows, y):
+    """_monomial_row by tower products only: one chain of powers of y,
+    each multiplied by the constant element x^a."""
+    ypows = powers(y, len(xpows), y.ctx.one)
+    return [ypows[b] * y.ctx.constant(xpows[a]) if b else y.ctx.constant(xpows[a])
+            for a, b in monos]
+
+
+def _generic_quotient(curve, pole, scale):
+    """_pole_quotient by tower products only."""
+    ctx = pole.y.ctx
+    s = curve.section(pole.x, ctx).poly.coeffs
+    q = [ctx.constant(scale * s[curve.r])]
+    for b in range(curve.r - 1, 0, -1):
+        q.append(pole.y * q[-1] + ctx.constant(scale * s[b]))
+    return q[::-1]
+
+
+def _assert_rows_agree(monos, xpows, y):
+    """_monomial_row gives, entry by entry, the generic products, equal in
+    numerators, their order and the denominator, and the values of the
+    monomials by eval_bpoly."""
+    got = differentials._monomial_row(monos, xpows, y)
+    want = _generic_row(monos, xpows, y)
+    assert [_stored(e) for e in got] == [_stored(e) for e in want]
+    for (a, b), e in zip(monos, got):
+        assert e.ctx is y.ctx
+        assert e == eval_bpoly(BPoly({(a, b): 1}), xpows[1] if len(xpows) > 1 else 0, y)
+
+
+LADDER_TEXTS = ["x^2+y^2-1", "x^3-y^3+2*x*y+x-2*y+1", "x^4+y^4-1", "x^5+y^5-1",
+                "x^7+y^7-x-1", DENSE_QUARTIC]
+
+
+@pytest.mark.parametrize("text", LADDER_TEXTS)
+def test_monomial_rows_and_pole_quotients_at_section_points_are_the_products(text):
+    curve = Curve(parse_poly(text), assume_smooth=True)
+    r = curve.r
+    ctx = TowerContext()
+    for x in (Fraction(1, 3), Fraction(2), Fraction(-5, 2)):
+        for pt in curve.section_roots(x, ctx):
+            assert differentials.bare_generator(pt.y, r) is not None
+            for top in (r - 1, r - 3):   # the per-point rows, the first-kind values
+                if top >= 0:
+                    _assert_rows_agree(monomials_upto(top), powers(x, top + 1, Fraction(1)),
+                                       pt.y)
+            for scale in (Fraction(1), Fraction(-7, 3)):
+                got = differentials._pole_quotient(curve, pt, scale)
+                want = _generic_quotient(curve, pt, scale)
+                assert [_stored(q) for q in got] == [_stored(q) for q in want]
+
+
+def test_monomial_rows_off_the_direct_path_are_the_products():
+    # a degree-1 generator is a rational constant, a generator of degree
+    # below the row's reach needs its powers reduced, and a hand-built
+    # ordinate is no bare generator: each takes the generic path
+    ctx, rational = adjoin(TowerContext(), UPoly([-3, 2]), 0)
+    ctx, sqrt2 = adjoin(ctx, UPoly([-2, 0, 1]), 1)
+    ctx, cube = adjoin(ctx, UPoly([-5, 0, 0, 1]), 0)
+    assert rational == Fraction(3, 2)
+    monos = monomials_upto(4)
+    for x in (Fraction(0), Fraction(-5, 2)):
+        xpows = powers(x, 5, Fraction(1))
+        for y in (rational, sqrt2, cube, 2 * cube - 1, sqrt2 * cube):
+            assert differentials.bare_generator(y, 5) is None
+            _assert_rows_agree(monos, xpows, y)
+    # a direct path needs every power below the generator's degree
+    with pytest.raises(ValueError):
+        ctx.monomial(1, 2, Fraction(1))
+    with pytest.raises(ValueError):
+        (sqrt2 + 1).times_generator(1)
+
+
+def test_pole_quotient_at_a_hand_built_pole_is_the_product(circle):
+    # (0, 1) on the circle, its ordinate given as the rational 1
+    ctx = TowerContext()
+    pole = Point(circle, 0, ctx.constant(1))
+    got = differentials._pole_quotient(circle, pole, Fraction(5, 2))
+    assert [_stored(q) for q in got] == \
+        [_stored(q) for q in _generic_quotient(circle, pole, Fraction(5, 2))]
+    # 5/2 (y^2 - 1) / (y - 1) = 5/2 y + 5/2
+    assert [q.as_fraction() for q in got] == [Fraction(5, 2), Fraction(5, 2)]
+
+
+def _identity_in_the_ring(diff, pole) -> bool:
+    """_identity_holds by ring sums and is_zero alone."""
+    e, zero = diff.base_numerator, diff.ctx.zero
+    xpows = powers(pole.x, e.degree_x + 1, Fraction(1))
+    sums = dict(enumerate(_generic_quotient(diff.curve, pole,
+                                            diff.pole1.x - diff.pole2.x)))
+    for (a, b), c in e.terms.items():
+        sums[b] = sums.get(b, zero) + (c * diff.ctx.constant(xpows[a]) if a else c)
+    return all(v.is_zero() for v in sums.values())
+
+
+@pytest.mark.parametrize("text", LADDER_TEXTS[:4])
+def test_identity_on_integer_numerators_decides_as_the_ring_sums(text, monkeypatch):
+    curve = Curve(parse_poly(text), assume_smooth=True)
+    r = curve.r
+    x1, x2 = {2: (0, Fraction(1, 2)), 3: (0, 1)}.get(r, (Fraction(1, 2), Fraction(1, 3)))
+    ctx = TowerContext()
+    diff = third_kind(curve, curve.section_roots(x1, ctx)[0],
+                      curve.section_roots(x2, ctx)[r - 1])
+    base = diff.base_numerator
+    fractions = BPoly({m: c.as_fraction() for m, c in base.terms.items()
+                       if c.is_rational()})
+    numerators = {
+        "honest": base, "doubled": base * 2,
+        "shifted": base + BPoly({(1, 0): 1, (0, 0): -x1}),
+        "plus y^r": base + BPoly({(0, r): Fraction(1, 3)}),
+        "plus x^2r": base + BPoly({(2 * r, 0): 1}),
+        "rational part": fractions, "one": BPoly.const(1), "zero": BPoly()}
+    called = []
+    real = differentials.residue_oracle
+    monkeypatch.setattr(differentials, "residue_oracle",
+                        lambda d: called.append(d) or real(d))
+    for name, numerator in numerators.items():
+        d = dataclasses.replace(diff, base_numerator=numerator)
+        holds = [differentials._identity_holds(d, p) for p in (d.pole1, d.pole2)]
+        assert holds == [_identity_in_the_ring(d, p) for p in (d.pole1, d.pole2)], name
+        # x - x1 vanishes over x1 only, and x^2r over x1 = 0
+        assert holds == {"honest": [True, True], "shifted": [True, False],
+                         "plus x^2r": [x1 == 0, False]}.get(name, [False, False]), name
+        called.clear()
+        assert residue_certificates(d) == real(d)
+        assert called == ([] if name == "honest" else [d]), name
+    # an honest numerator's sums cancel on the integers: is_zero is never asked
+    monkeypatch.setattr(TowerElement, "is_zero",
+                        lambda self: pytest.fail("is_zero called"))
+    assert differentials._identity_holds(diff, diff.pole1)
+    assert differentials._identity_holds(diff, diff.pole2)

@@ -520,3 +520,44 @@ def test_a_polynomial_power_takes_no_square_past_its_top_bit(monkeypatch, base, 
         assert len(calls) == n.bit_count() + max(n.bit_length() - 1, 0), n
     with pytest.raises(ValueError, match="negative power of a polynomial"):
         base ** -1
+
+
+def _convolution(a: UPoly, b: UPoly) -> list:
+    """The coefficients of a * b by the schoolbook convolution, in the
+    coefficients' own arithmetic."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + u * v
+    return out
+
+
+def test_rational_products_go_through_the_integer_views():
+    # over Q the product of the primitive integer views, scaled once, is
+    # the convolution in Fractions, and the integer view kept on a product,
+    # a quotient or a remainder is what to_int_coeffs computes afresh
+    rng = random.Random(56)
+    for _ in range(300):
+        a, b = (UPoly([Fraction(rng.randint(-10**rng.randint(0, 30), 10**6),
+                                rng.randint(1, 10**rng.randint(0, 12)))
+                       * (rng.random() < 0.8) for _ in range(rng.randint(0, 9))])
+                for _ in range(2))
+        product = a * b
+        assert product.coeffs == UPoly(_convolution(a, b)).coeffs
+        assert all(type(c) is Fraction for c in product.coeffs)
+        assert product.to_int_coeffs() == UPoly(product.coeffs).to_int_coeffs()
+        if b:     # so do a quotient and a remainder
+            for part in a.divmod(b):
+                assert part.to_int_coeffs() == UPoly(part.coeffs).to_int_coeffs()
+    q, r = UPoly([-1, 0, 4]).divmod(UPoly([Fraction(-1, 3), Fraction(2, 3)]))
+    assert not r and r.to_int_coeffs() == ((), Fraction(1))
+    assert q.to_int_coeffs() == ((1, 2), Fraction(3))
+    # polynomials over tower elements, and over polynomials, still convolve
+    # their coefficients
+    ctx, t = adjoin(TowerContext(), UPoly([-2, 0, 1]), 0)
+    p, q = UPoly([t, 1]), UPoly([Fraction(1, 2), t, 3])
+    assert (p * q).coeffs == tuple(_convolution(p, q))
+    nested = UPoly([UPoly([1, 2]), UPoly([Fraction(-1, 3)])])
+    assert (nested * nested).coeffs == tuple(_convolution(nested, nested))

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath as mp
+import mpmath.libmp as mp_libmp
 import pytest
 
 from abeldiff import cli, roots as roots_mod
@@ -511,3 +512,123 @@ def test_isolation_that_never_separates_the_roots_is_an_error(monkeypatch):
                        match="^could not isolate all roots into disjoint discs$"):
         isolate_roots(UPoly([-2, 0, 1]))
     assert mp.mp.prec == prec
+
+
+# -- the float prefilter and the integer radius test -------------------------
+
+def _draw_mpf(rng):
+    """A raw mpf of 1 to 200 bits, from 10^-300 to 10^300 in magnitude or
+    (one draw in eight) past the float range, either sign, or zero."""
+    if rng.random() < 0.05:
+        return mp_libmp.fzero
+    bits = rng.randint(1, 200)
+    size = rng.randint(1031, 1400) if rng.random() < 0.125 else rng.randint(-996, 996)
+    man = rng.getrandbits(bits) | 1 << bits - 1
+    return mp_libmp.from_man_exp(-man if rng.random() < 0.5 else man, size - bits)
+
+
+def _draw_radius(rng, scale):
+    """0, a radius below the float range, one that underflows to a
+    subnormal, an infinite one, or one near the raw mpf scale."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return mp_libmp.fzero
+    if kind == 1:
+        return mp_libmp.from_man_exp(rng.getrandbits(60) | 1, -1200)
+    if kind == 2:
+        return mp_libmp.from_man_exp(rng.getrandbits(20) | 1, -1090)
+    if kind == 3:
+        return mp_libmp.finf
+    exp = scale[2] + scale[3] if scale[1] else 0
+    return mp_libmp.from_man_exp(rng.getrandbits(80) | 1, exp - 80 - rng.randint(0, 60))
+
+
+def _disc_pairs(seed, count):
+    """count pairs of discs (center parts, radius) as raw mpfs: unrelated
+    draws, and draws whose centers lie at the sum of the radii times
+    1 + delta, delta from -2^-30 to 2^-30 and 0, along an axis or both."""
+    rng = random.Random(seed)
+    add, mul = mp_libmp.mpf_add, mp_libmp.mpf_mul
+    for _ in range(count):
+        u = (_draw_mpf(rng), _draw_mpf(rng))
+        r1, r2 = _draw_radius(rng, u[0]), _draw_radius(rng, u[1])
+        if rng.random() < 0.4 or mp_libmp.finf in (r1, r2):
+            v = (_draw_mpf(rng), _draw_mpf(rng))
+        else:
+            k = rng.choice([0, 30, 38, 40, 42, 45, 52, 60])
+            sign = rng.choice([1, -1]) if k else 0
+            reach = add(r1, r2)
+            reach = add(reach, mp_libmp.from_man_exp(sign * reach[1] if reach[1] else 0,
+                                                     reach[2] - k) if k else mp_libmp.fzero)
+            if rng.random() < 0.5:   # along the real axis
+                v = (add(u[0], reach), u[1])
+            else:                    # diagonally, rounded: 3-4-5 triangle
+                v = (add(u[0], mul(reach, mp_libmp.from_rational(3, 5, 300))),
+                     add(u[1], mul(reach, mp_libmp.from_rational(4, 5, 300))))
+        yield u, r1, v, r2
+
+
+def test_the_float_prefilter_only_tells_apart_discs_that_never_meet():
+    # the prefilter may call two discs apart only where _close says they do
+    # not meet, and where _pair_conjugates' comparison at 53 bits (mp.conj
+    # rounds the center) says the second misses the first's conjugate
+    told_apart = decided_close = 0
+    for u, r1, v, r2 in _disc_pairs(5, 3000):
+        a, b = roots_mod._view(*u, r1), roots_mod._view(*v, r2)
+        close = roots_mod._close(*[tuple(map(mp.make_mpf, w)) for w in (u, v)],
+                                 mp.make_mpf(r1), mp.make_mpf(r2))
+        if roots_mod._apart(a, b):
+            told_apart += 1
+            assert not close, (u, r1, v, r2)
+        decided_close += close
+        ra = roots_mod.RootApprox(0, mp.make_mpc(u), mp.make_mpf(r1), 80, None)
+        rb = roots_mod.RootApprox(1, mp.make_mpc(v), mp.make_mpf(r2), 80, None)
+        if roots_mod._apart((a[0], -a[1], *a[2:]), b):
+            with mp.workprec(53):
+                assert not roots_mod._conjugate_meets(ra, rb), (u, r1, v, r2)
+    # the draws reach both verdicts, and the prefilter settles most pairs
+    assert decided_close > 1000 and told_apart > 300
+
+
+def _target_draws(seed, count):
+    """Raw mpf targets: more than 53 bits, exactly 53 or fewer, powers of
+    two, and the float neighbours of powers of two."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        exp = rng.randint(-400, 100)
+        kind = rng.randrange(4)
+        if kind == 0:
+            bits = rng.randint(54, 400)
+        elif kind == 1:
+            bits = rng.randint(1, 53)
+        else:
+            bits = 1
+        man = rng.getrandbits(bits) | 1 << bits - 1 | 1
+        if kind == 3:   # 2^k - 2^(k-54), just below a power of two
+            man, exp = (1 << 54) - 1, exp - 54
+        yield mp_libmp.from_man_exp(man, exp)
+
+
+def test_the_integer_radius_test_agrees_with_comparing_mpfs():
+    # m units of 2^-P, rounded upward into a 53-bit mpf, are below the
+    # target exactly when m <= _units_below(target, P): at the boundary, on
+    # both sides, and at random counts
+    rng = random.Random(9)
+    checked = 0
+    for target in _target_draws(3, 600):
+        t = mp.make_mpf(target)
+        for P in (0, 60, rng.randint(1, 1400)):
+            bound = roots_mod._units_below(t, P)
+            counts = {bound + d for d in range(-3, 4)} | {
+                rng.randint(1, max(2, 2 * bound)) for _ in range(4)}
+            for m in counts:
+                if m < 1:
+                    continue
+                rad = mp.make_mpf(mp_libmp.from_man_exp(m, -P, 53, mp_libmp.round_ceiling))
+                assert (m <= bound) == (rad < t), (target, P, m)
+                checked += 1
+    assert checked > 5000
+    inf_target, zero = mp.make_mpf(mp_libmp.finf), mp.make_mpf(mp_libmp.fzero)
+    assert roots_mod._units_below(inf_target, 80) == float("inf")
+    assert roots_mod._units_below(zero, 80) == -1
+    assert roots_mod._units_below(-mp.mpf(1), 80) == -1

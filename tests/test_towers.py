@@ -1692,3 +1692,39 @@ def test_cauchy_stage_decides_power_sums_on_wide_keys(monkeypatch):
             assert not perturbed.is_zero(), m
             form = towers._cauchy_normal_form(perturbed)
             assert any(form) and all(k >> 256 for k in form if k), m
+
+
+def test_direct_products_store_what_the_generic_product_stores():
+    # a rational factor scales without a constant element, c t_g^b is built
+    # as one term and t_g q as a shift of q's keys: each is stored as the
+    # product of elements stores it, numerators in the same order over the
+    # same denominator
+    def stored(e):
+        return list(e.nums.items()), e.den
+
+    rng = random.Random(4242)
+    for _ in range(12):
+        ctx = _random_context(rng)
+        elements = [ctx.zero, ctx.one] + [ctx.generator(j) for j in range(len(ctx))] + \
+            [_random_element(rng, ctx, big) for big in (False, True) for _ in range(3)]
+        for a in elements:
+            for s in SCALARS + [True, 12, Fraction(-3, 10**20)]:
+                want = stored(a * ctx.constant(s))
+                assert stored(a * s) == stored(s * a) == want
+        for g in range(len(ctx)):
+            d, t = ctx.degrees[g], ctx.generator(g)
+            for b in range(d):
+                for c in SCALARS:
+                    assert stored(ctx.monomial(g, b, Fraction(c))) == \
+                        stored(t ** b * ctx.constant(c))
+            with pytest.raises(ValueError):
+                ctx.monomial(g, d, Fraction(1))
+            if d < 2:
+                continue        # t_g is rational, and no element has a key in it
+            shift = g * towers._W
+            for a in elements:
+                if max(((k >> shift) & towers._MASK for k in a.nums), default=0) < d - 1:
+                    assert stored(a.times_generator(g)) == stored(t * a)
+                else:
+                    with pytest.raises(ValueError):
+                        a.times_generator(g)
