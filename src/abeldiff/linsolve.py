@@ -35,6 +35,13 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
+def _divided(v, d: int):
+    """v * Fraction(1, d), the exact division of a right-hand side entry by
+    a nonzero integer; v itself when d is 1, unless v is an int, which that
+    product makes a Fraction."""
+    return v if d == 1 and type(v) is not int else v * Fraction(1, d)
+
+
 def _eliminate(rows, rhs=None):
     """Fraction-free row echelon form of a rational matrix given as a list
     of rows, with an optional right-hand side carried through the same row
@@ -51,7 +58,7 @@ def _eliminate(rows, rhs=None):
     if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
     a, scales = _int_rows(rows)
-    b = None if rhs is None else [v * s for v, s in zip(rhs, scales)]
+    b = None if rhs is None else [v if s == 1 else v * s for v, s in zip(rhs, scales)]
     m = len(a)
     pivots: list[int] = []
     sign = prev = 1
@@ -80,7 +87,7 @@ def _eliminate(rows, rhs=None):
                 ri[j] = q
             ri[col] = 0
             if b is not None:
-                b[i] = (b[i] * pk - b[r] * aik) * Fraction(1, prev)
+                b[i] = _divided(b[i] * pk - b[r] * aik, prev)
         prev = pk
         pivots.append(col)
     return a, b, pivots, sign, prod(scales)
@@ -121,7 +128,7 @@ def _back_substitute(a, pivots: list[int], b: Sequence, n: int) -> list:
         for j in range(col + 1, n):
             if row[j]:
                 acc = acc - x[j] * row[j]
-        x[col] = acc * Fraction(1, row[col])
+        x[col] = _divided(acc, row[col])
     return x
 
 

@@ -8,10 +8,12 @@ that bound, after which each disc provably contains exactly one root and
 refinement can never jump to a different root.
 
 Newton's method runs in Python integers (_newton): the center is a Gaussian
-integer at scale 2^-P, p(z) and p'(z) are evaluated exactly at it by
-homogeneous Horner on the integer coefficients, and the radius
-deg * |p(z)/p'(z)| plus one unit 2^-P is bounded upward with integer square
-roots, so it holds for the center exactly as stored.  The radius is a count
+integer at scale 2^-P, p(z) and p'(z) are evaluated exactly at it on the
+homogeneous integer coefficients, by Horner at a real center and by
+Goertzel's real recurrence at any other (two products per coefficient
+instead of four), and the radius deg * |p(z)/p'(z)| plus one unit 2^-P is
+bounded upward with integer square roots, taken only where the bound can
+pass, so it holds for the center exactly as stored.  The radius is a count
 m of units, and whether it is below the target, rounded upward to a 53-bit
 mpf as the returned disc's radius is, is decided in integers: m must not
 pass floor(L 2^P), L the largest 53-bit float strictly below the target, one
@@ -253,43 +255,66 @@ def _units_below(target, P: int):
     return top << exp if exp >= 0 else top >> -exp
 
 
+def _goertzel(top, c0, zr, zi):
+    """The integer polynomial of coefficients top (c_n .. c_1, highest
+    first) and c0 at the Gaussian integer w = zr + i zi, as (re, im), by
+    Goertzel's recurrence b_k = c_k + 2 zr b_(k+1) - |w|^2 b_(k+2): w is a
+    root of x^2 - 2 zr x + |w|^2, so the value is c0 + w b_1 - |w|^2 b_2.
+    Two real products per coefficient where complex Horner takes four, and
+    exact, so the value is Horner's (Goertzel, Amer. Math. Monthly 65,
+    1958)."""
+    s, t = zr << 1, zr * zr + zi * zi
+    b1 = b2 = 0
+    for c in top:
+        b1, b2 = c + s * b1 - t * b2, b1
+    return c0 + zr * b1 - t * b2, zi * b1
+
+
 def _newton(ints, zr, zi, P, target):
     """Newton's method for a root of the integer polynomial ints from the
     Gaussian integer center (zr + i zi) at scale 2^-P, for at most 300
     steps.
 
     At each center p(z) 2^(nP) and p'(z) 2^((n-1)P) are evaluated exactly
-    by homogeneous Horner, so their quotient is p/p' in units of 2^-P: the
-    radius n |p/p'| + 2^-P is bounded upward with integer square roots, as
-    a count of units, and compared with target in integers (_units_below,
-    once per call); the Newton step is the quotient rounded to the nearest
-    unit.  Returns (zr, zi, radius) for the first center whose radius,
-    rounded upward into a 53-bit mpf, is below target, or (zr, zi, None)
-    once p'(z) = 0, a step rounds to no move or the steps run out: from
-    there, 2^-P is too coarse to certify target."""
+    on the homogeneous integer coefficients c_k = a_k 2^((n-k)P) and k c_k,
+    by Horner at a real center and by Goertzel's recurrence at any other
+    (_goertzel), so their quotient is p/p' in units of 2^-P.  The radius
+    n |p/p'| + 2^-P is bounded upward with integer square roots, as a count
+    of units, and compared with target in integers (_units_below, once per
+    call).  The roots are taken only when n^2 |p|^2 <= (below + 1)^2 |p'|^2:
+    otherwise n |p/p'| > below + 1 and the count passes below anyway.  The
+    Newton step is the quotient rounded to the nearest unit.  Returns
+    (zr, zi, radius) for the first center whose radius, rounded upward into
+    a 53-bit mpf, is below target, or (zr, zi, None) once p'(z) = 0, a step
+    rounds to no move or the steps run out: from there, 2^-P is too coarse
+    to certify target."""
     n = len(ints) - 1
     below = _units_below(target, P)
+    reach = None if below == inf else (below + 1) ** 2
     scaled = [c << (n - k) * P for k, c in enumerate(ints[:n])]
     scaled.reverse()
+    top = [ints[n]] + scaled[:-1]           # c_n .. c_1
+    slopes = [k * c for k, c in zip(range(n, 1, -1), top)]
     for _ in range(300):
-        pr, pj, dr, dj = ints[n], 0, 0, 0
         if zi:
-            for c in scaled:
-                dr, dj = dr * zr - dj * zi + pr, dr * zi + dj * zr + pj
-                pr, pj = pr * zr - pj * zi + c, pr * zi + pj * zr
+            pr, pj = _goertzel(top, scaled[-1], zr, zi)
+            dr, dj = _goertzel(slopes, top[-1], zr, zi)
         else:
+            pr, dr = ints[n], 0
             for c in scaled:
                 dr = dr * zr + pr
                 pr = pr * zr + c
+            pj = dj = 0
         d2 = dr * dr + dj * dj
         if not d2:
             break
         p2 = pr * pr + pj * pj
-        a = isqrt(p2)
-        a += a * a < p2
-        units = -(-n * a // isqrt(d2)) + 1
-        if units <= below:
-            return zr, zi, mp.make_mpf(from_man_exp(units, -P, 53, round_ceiling))
+        if reach is None or n * n * p2 <= reach * d2:
+            a = isqrt(p2)
+            a += a * a < p2
+            units = -(-n * a // isqrt(d2)) + 1
+            if units <= below:
+                return zr, zi, mp.make_mpf(from_man_exp(units, -P, 53, round_ceiling))
         # (pr + i pj) / (dr + i dj), rounded to the nearest unit
         sr = (2 * (pr * dr + pj * dj) + d2) // (2 * d2)
         sj = (2 * (pj * dr - pr * dj) + d2) // (2 * d2)

@@ -51,20 +51,26 @@ is open at a time.  Sums and integer multiples of a ball are exact; a
 product of balls truncates its center toward zero and adds 2 units to its
 radius.  A ball at d digits converts each generator's disc at d digits
 (ExtensionDescriptor.refine_to, a function of the root and d alone) exactly
-from its raw mpf parts when the sum first reads that generator, and takes
-each power of it once.  The decimal of an
+from its raw mpf parts, and takes each power of it once per request: the
+context keeps one table of power balls per working precision, which the
+discs of all its elements, and both parts of a quotient, read and fill, and
+which goes with the context.  The decimal of an
 element is the center of a disc of radius below 10^-digits/2, rounded to
 digits significant digits; a component below 10^-digits/2 in magnitude
-prints as 0.0.  The decimal path works on raw mpf parts (mpmath.libmp
-tuples), not mpmath objects: the refinement target 10^-d is built once per
-d and compared with mpf_lt;
-each center part is rounded to digits + 5 digits as mp.mpc rounds it under
-that context; the 0.0 test compares |part| with a threshold kept per digits;
-and the digits are those of libmp.to_str, which mp.nstr calls for an mpf.
-A generator's record (modulus, root id, its 22-digit disc's center to 20
-digits) is a new dict on every call, and its center is printed once per
-root in the process, so balls, decimals and records depend on the element
-and the digits alone, not on what ran before.
+prints as 0.0.  The decimal path is integer arithmetic on raw mpf parts
+(mpmath.libmp tuples), not on mpmath objects: the refinement target 10^-d
+is built once per d and compared with mpf_lt; each center part is rounded
+to digits + 5 digits as mp.mpc rounds it under that context, nearest-even
+at the disc's precision and then at that of the digits (_rounded); and
+_decimal decides the 0.0 test against a threshold kept per digits and
+writes the digits by the rules of libmp.to_str, which mp.nstr calls for an
+mpf, handing to_str itself only a part past 2^3500, where to_str divides by
+a power of ten at high precision first.  approximate still returns an
+mp.mpc, the only way to a decimal.  A generator's record (modulus, root id,
+its 22-digit disc's center to 20 digits) is a new dict on every call, and
+its center is printed once per root in the process, so balls, decimals and
+records depend on the element and the digits alone, not on what ran
+before.
 A Quotient keeps a value as a numerator and a nonzero denominator and never
 divides: its decimal comes from ball division of the two parts' discs at
 one working precision, |a/b - c_a/c_b| <= (r_a + |c_a/c_b| r_b)/(|c_b| - r_b)
@@ -102,14 +108,14 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log
 from operator import or_
 import struct
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_rational, mpf_abs, mpf_lt, mpf_pos,
-                          mpf_shift, round_nearest, round_up, to_str)
+from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_lt, mpf_shift,
+                          numeral, round_up, to_str)
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
@@ -187,6 +193,38 @@ def _add(x, y, prec: int):
     return x[0] + y[0], x[1] + y[1], x[2] + y[2]
 
 
+def _nearest(m: int, n: int, sticky) -> int:
+    """m >> n, n >= 1, rounded to the nearest, ties to even, as mpmath's
+    normalize rounds a mantissa; sticky is nonzero when nonzero bits below
+    m's were already dropped, so m is not a tie."""
+    t = m >> n - 1
+    if t & 1 and (t & 2 or sticky or m & (1 << n - 1) - 1):
+        return (t >> 1) + 1
+    return t >> 1
+
+
+def _rounded(v: int, q: int, p: int, prec: int) -> tuple:
+    """The raw mpf of v/q, q > 0, rounded to the nearest at p bits and then
+    at prec bits, ties to even each time: from_rational(v, q, p,
+    round_nearest) under mpf_pos(., prec, round_nearest), in integers."""
+    if not v:
+        return fzero
+    sign = v < 0
+    v = abs(v)
+    # v 2^s / q lies in (2^p, 2^(p+2)), so its floor m has p + 1 or p + 2
+    # bits, and the remainder is the sticky part of the first rounding
+    s = p + 1 - v.bit_length() + q.bit_length()
+    m, rem = divmod(v << s, q) if s >= 0 else divmod(v, q << -s)
+    n = m.bit_length() - p
+    man, exp = _nearest(m, n, rem), n - s
+    n = man.bit_length() - prec
+    if n > 0:
+        man, exp = _nearest(man, n, 0), exp + n
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return int(sign), man, exp + zeros, man.bit_length()
+
+
 class _Disc(NamedTuple):
     """A certified disc about an element's embedded value: center re + i im
     and radius rad, all over den * 2^prec."""
@@ -207,12 +245,12 @@ class _Disc(NamedTuple):
         return t > 0 and q * q * (self.re * self.re + self.im * self.im) < t * t
 
     def center_parts(self, prec: int) -> tuple:
-        """The raw mpf parts of the center, each rounded to the nearest at
-        the disc's precision and then to prec bits, as mp.mpc(c) rounds them
-        under a context of prec bits."""
+        """The raw mpf parts of the center, as mp.mpc(c) rounds them under a
+        context of prec bits: each part v / (den 2^self.prec) rounded to the
+        nearest, ties to even, at the disc's precision, and that rounded the
+        same way to prec bits (from_rational, then mpf_pos), in integers."""
         q = self.den << self.prec
-        return tuple(mpf_pos(from_rational(v, q, self.prec, round_nearest), prec,
-                             round_nearest) for v in (self.re, self.im))
+        return _rounded(self.re, q, self.prec, prec), _rounded(self.im, q, self.prec, prec)
 
     @property
     def c(self) -> mp.mpc:
@@ -229,11 +267,12 @@ class _Disc(NamedTuple):
 
 
 def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
-                 prec: int) -> _Disc:
+                 prec: int, powers: dict | None = None) -> _Disc:
     """The disc of sum (n_k / den) prod_i t_i^(k_i) over nums {k: n_k}, keys
     packed, each t_i in the disc root_of(i), at scale 2^-prec; root_of is
-    called once per generator the sum reads, when it first builds that
-    generator's ball.
+    called once per generator whose ball the sum first builds.  powers
+    {(i, e): ball of t_i^e} holds the power balls already built at prec and
+    keeps those the sum builds; without it, each call builds its own.
 
     The integer numerators are summed as they are, and the disc keeps den
     as its denominator.  The sum is nested lowest generator innermost: the
@@ -254,7 +293,8 @@ def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
         items = sorted(nums.items())
         items.append((1 << n * _W, 0))
         acc = [0] * (n + 2)          # acc[i]: the open group of level i
-        powers = {}                  # (i, e) -> the ball of t_i^e
+        if powers is None:
+            powers = {}
         last, acc[0] = items[0]
         for key, v in items[1:]:
             # the highest generator whose exponent changes completes the
@@ -370,6 +410,9 @@ class TowerContext:
         # (curve polynomial, abscissa) -> that curve's section, filled by
         # curves.Curve.section
         self.sections: dict = {}
+        # working precision -> {(i, e): the ball of t_i^e}, shared by the
+        # discs of every element at that precision (_nested_ball)
+        self._powers: dict[int, dict] = {}
 
     def __len__(self):
         return len(self.extensions)
@@ -781,11 +824,13 @@ class TowerElement:
     def _ball(self, digits10: int) -> _Disc:
         """A certified disc about the embedded value, computed in integers
         at the working precision of digits10 digits, from every present
-        generator's disc at digits10 digits (refine_to, when the sum first
-        reads it)."""
-        exts = self.ctx.extensions
+        generator's disc at digits10 digits (refine_to).  Each power ball of
+        a generator is built once per context and precision, which
+        determines digits10, and kept in the context's table."""
+        ctx = self.ctx
+        exts, prec = ctx.extensions, int(digits10 * 3.4) + 40
         return _nested_ball(self.nums, self.den, lambda i: exts[i].refine_to(digits10),
-                            int(digits10 * 3.4) + 40)
+                            prec, ctx._powers.setdefault(prec, {}))
 
     def _minimal_polynomial(self) -> list[Fraction]:
         """Minimal polynomial of the element over Q, monic, coefficients
@@ -936,11 +981,75 @@ def decimal_parts(value: mp.mpc, digits: int) -> dict:
     10**-digits/2, each to digits significant digits.  A component below
     10**-digits/2 in magnitude prints as 0.0: its digits would be rounding
     noise, and 0.0 is still within 10**-digits of the true component.
-    Decided and printed on the raw mpf parts, with the comparison and the
-    printing that mpmath's abs, < and nstr do at digits + 5 digits."""
+    Decided and printed in integers on the raw mpf parts, with the
+    comparison that mpmath's abs and < make at digits + 5 digits and the
+    text that nstr prints (_decimal)."""
     prec, tiny = _print_threshold(digits)
-    return {part: "0.0" if mpf_lt(mpf_abs(x, prec, round_nearest), tiny)
-            else to_str(x, digits) for part, x in zip(("re", "im"), value._mpc_)}
+    return {part: _decimal(x, digits, prec, tiny)
+            for part, x in zip(("re", "im"), value._mpc_)}
+
+
+_LOG2_10 = log(10, 2)      # the float libmp.to_str converts digits by
+
+
+def _decimal(x: tuple, digits: int, prec: int, tiny: tuple) -> str:
+    """The text of the raw mpf x: "0.0" when |x| rounded to the nearest at
+    prec bits is below tiny, else libmp.to_str(x, digits), in integers.
+
+    Its rules, which the digits follow: x is floored to digits + 3 decimal
+    digits, through a fixed-point integer of fixprec fractional bits; the
+    digit string is rounded half up at its last printed digit, a carry out
+    of it adding one to the exponent; the form is fixed when the leading
+    digit's exponent lies strictly between min(-(digits // 3), -5) and
+    digits, else d.ddd with an exponent; trailing zeros are stripped.  A
+    part whose binary exponent passes 3500, where to_str divides by a power
+    of ten at high precision first, a special value, and digits 0 are
+    to_str's own."""
+    sign, man, exp, bc = x
+    if not man:
+        return "0.0" if x == fzero else to_str(x, digits)
+    m, e = man, exp
+    if bc > prec:
+        m, e = _nearest(man, bc - prec, 0), exp + bc - prec
+    _, tman, texp, _ = tiny
+    if m << e - texp < tman if e >= texp else m < tman << texp - e:
+        return "0.0"
+    if abs(exp + bc) > 3500 or not digits:
+        return to_str(x, digits)
+    size = digits + 3
+    fixprec = max(int(size * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    text = numeral(fixed * 10 ** fixdps >> fixprec, 10, size)
+    point = len(text) - fixdps - 1     # the leading digit's exponent
+    if len(text) > digits and text[digits] >= "5":
+        # the text has no leading zero, so its head rounds up as an integer
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:         # 99..9 became 10..0
+            text = text[:digits]
+            point += 1
+    else:
+        text = text[:digits]
+    if min(-(digits // 3), -5) < point < digits:
+        if point < 0:
+            text = "0" * -point + text
+            split = 1
+        else:
+            split = point + 1
+            if split > digits:
+                text += "0" * (split - digits)
+        point = 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    if not point:
+        return text
+    return f"{text}e+{point}" if point > 0 else f"{text}e{point}"
 
 
 @lru_cache(maxsize=256)

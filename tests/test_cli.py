@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from abeldiff import cli, curves, differentials, roots
+from abeldiff import cli, curves, differentials, roots, towers
 from abeldiff.curves import Curve
 from abeldiff.errors import (MultipleRoots, NotSmooth, PointNotOnCurve,
                              SameAbscissa, exit_code_for)
@@ -908,6 +908,43 @@ def test_a_finished_request_leaves_no_tower_behind(capsys, monkeypatch):
     finally:
         gc.enable()
     assert len(differentials._groups) == 1
+
+
+def test_a_request_builds_each_generator_ball_once_per_precision(capsys, monkeypatch):
+    # the decimals of a third-kind document's coefficients, and every other
+    # disc of the request, read each generator's power balls from one table
+    # per precision in the request's context: one _disc_ball call per
+    # generator and precision.  The next request's context starts with an
+    # empty table and builds the same balls again, and its document is the
+    # same
+    contexts, built = [], []
+
+    def tracked(real=cli.TowerContext):
+        ctx = real()
+        assert ctx._powers == {}
+        contexts.append(ctx)
+        return ctx
+
+    def recorded(root, prec, real=towers._disc_ball):
+        built.append((root, prec))
+        return real(root, prec)
+    monkeypatch.setattr(cli, "TowerContext", tracked)
+    monkeypatch.setattr(towers, "_disc_ball", recorded)
+    argv = ["third-kind", "-f", "x^4+y^4-1", "--x1=0", "--x2=2", "--digits", "30", "--json"]
+    docs, ends = [], []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("timings")
+        docs.append(doc)
+        ends.append(len(built))
+    calls = [(id(root), prec) for root, prec in built]  # built keeps each root
+    first, again = calls[:ends[0]], calls[ends[0]:]
+    assert len(contexts) == 2 and contexts[0] is not contexts[1]
+    assert len(docs[0]["solution"]["base_numerator"]) > 1
+    assert len({root for root, _ in first}) >= 2
+    assert len(first) == len(set(first))
+    assert again == first and docs[1] == docs[0]
 
 
 def _first_in_process(capsys, argv):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -632,3 +633,106 @@ def test_the_integer_radius_test_agrees_with_comparing_mpfs():
     assert roots_mod._units_below(inf_target, 80) == float("inf")
     assert roots_mod._units_below(zero, 80) == -1
     assert roots_mod._units_below(-mp.mpf(1), 80) == -1
+
+
+def _horner(coeffs, zr, zi):
+    """sum c_k w^k at w = zr + i zi by complex Horner, coeffs lowest first."""
+    re = im = 0
+    for c in reversed(coeffs):
+        re, im = re * zr - im * zi + c, re * zi + im * zr
+    return re, im
+
+
+def test_goertzel_evaluation_is_complex_horner_exactly():
+    # the homogeneous coefficients c_k 2^((n-k)P) of seeded integer
+    # polynomials at Gaussian-integer centers of scale 2^-P, real ones too
+    rng = random.Random(1958)
+    real = 0
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        h = 10 ** rng.randint(0, 40)
+        ints = [rng.randint(-h, h) for _ in range(n)] + [rng.choice((1, -1)) * rng.randint(1, h)]
+        P = rng.randint(40, 4000)
+        coeffs = [c << (n - k) * P for k, c in enumerate(ints)]
+        zr = rng.randint(-1 << P + 8, 1 << P + 8)
+        zi = 0 if rng.random() < 0.25 else rng.randint(-1 << P + 8, 1 << P + 8)
+        real += not zi
+        top = coeffs[:0:-1]
+        assert roots_mod._goertzel(top, coeffs[0], zr, zi) == _horner(coeffs, zr, zi)
+        slopes = [k * c for k, c in enumerate(coeffs)][1:]
+        assert (roots_mod._goertzel(slopes[:0:-1], slopes[0], zr, zi)
+                == _horner(slopes, zr, zi))
+    assert 0 < real < 400
+
+
+def _newton_horner(ints, zr, zi, P, target):
+    """roots._newton as it was before Goertzel's recurrence and the skipped
+    square roots: complex Horner at every center, both roots at every
+    step.  The reference the kernel must reproduce exactly."""
+    n = len(ints) - 1
+    below = roots_mod._units_below(target, P)
+    scaled = [c << (n - k) * P for k, c in enumerate(ints[:n])]
+    scaled.reverse()
+    for _ in range(300):
+        pr, pj, dr, dj = ints[n], 0, 0, 0
+        if zi:
+            for c in scaled:
+                dr, dj = dr * zr - dj * zi + pr, dr * zi + dj * zr + pj
+                pr, pj = pr * zr - pj * zi + c, pr * zi + pj * zr
+        else:
+            for c in scaled:
+                dr = dr * zr + pr
+                pr = pr * zr + c
+        d2 = dr * dr + dj * dj
+        if not d2:
+            break
+        p2 = pr * pr + pj * pj
+        a = math.isqrt(p2)
+        a += a * a < p2
+        units = -(-n * a // math.isqrt(d2)) + 1
+        if units <= below:
+            return zr, zi, mp.make_mpf(mp_libmp.from_man_exp(units, -P, 53,
+                                                             mp_libmp.round_ceiling))
+        sr = (2 * (pr * dr + pj * dj) + d2) // (2 * d2)
+        sj = (2 * (pj * dr - pr * dj) + d2) // (2 * d2)
+        if not (sr or sj):
+            break
+        zr -= sr
+        zi -= sj
+    return zr, zi, None
+
+
+def test_newton_kernel_returns_what_the_horner_loop_returned(monkeypatch):
+    # from every float seed of the kernel cases, at several scales and
+    # targets: the same (zr, zi, radius).  The square roots are skipped
+    # where they cannot pass, so a call that steps k times before it passes
+    # takes 2 of them, not 2k; from a passing center it passes at once
+    taken = []
+
+    def counted(v):
+        taken.append(v)
+        return math.isqrt(v)
+    monkeypatch.setattr(roots_mod, "isqrt", counted)
+    rng = random.Random(4)
+    stepped = at_once = 0
+    for ints in _kernel_cases() + [[1, 0, 1], [-2, 0, 1], [5, 3]]:
+        seeds = roots_mod._float_seeds(ints) or [complex(1.5, 0.5), complex(-0.5, 0.0)]
+        for seed in seeds:
+            for P in (40, 80, rng.randint(100, 400)):
+                zr, zi = ((m << P) // d for m, d in (seed.real.as_integer_ratio(),
+                                                    seed.imag.as_integer_ratio()))
+                for target in (mp.mpf(2) ** -rng.randint(1, P - 10), mp.mpf(10) ** -3,
+                               mp.inf, mp.mpf(0)):
+                    taken.clear()
+                    got = roots_mod._newton(ints, zr, zi, P, target)
+                    assert got == _newton_horner(ints, zr, zi, P, target)
+                    if got[2] is None or len(taken) > 2:
+                        continue
+                    steps = (zr, zi) != got[:2]
+                    stepped += steps
+                    # from the passing center: the first step passes
+                    taken.clear()
+                    again = roots_mod._newton(ints, *got[:2], P, target)
+                    assert again == got and len(taken) == 2
+                    at_once += 1
+    assert stepped > 100 and at_once > 1000

@@ -783,9 +783,9 @@ def test_is_zero_refines_the_disc_below_the_minimal_polynomial_bound(monkeypatch
     modulus = UPoly([-c, 0, 1])
     precs, real = [], towers._nested_ball
 
-    def recorded(nums, den, roots, prec):
+    def recorded(nums, den, roots, prec, *table):
         precs.append(prec)
-        return real(nums, den, roots, prec)
+        return real(nums, den, roots, prec, *table)
     monkeypatch.setattr(towers, "_nested_ball", recorded)
     ctx, s = adjoin(TowerContext(), modulus, 0)
     ctx, t = adjoin(ctx, modulus, 0)           # one root twice
@@ -1227,15 +1227,48 @@ def _reference_record(ext):
                             "im": mp.nstr(center.imag, 20)}}
 
 
+def _tie(rng, digits, point):
+    """A value whose digits + 1 leading digits, the leading one at 10^point,
+    end in a 5: a decimal tie at the last printed digit, its other digits
+    random or all 9s (a carry).  Exact, and dyadic, where the tie can be,
+    else the nearest such value; the rounding to digits + 5 digits then
+    puts it just above or below the tie."""
+    low, high = 10 ** (digits - 1), 10 ** digits - 1
+    head = rng.choice((rng.randint(low, high), high, high - rng.randint(0, 9) * 10 ** (
+        digits // 2)))
+    after = digits - 1 - point          # the digits after the point
+    if after > 0 and rng.random() < 0.5 and 5 ** after < high:
+        # (2 head + 1) a multiple of 5^after makes the tie a dyadic value
+        u = rng.randint(-(-(2 * low + 1) // 5 ** after), (2 * high + 1) // 5 ** after) | 1
+        if low <= (u * 5 ** after - 1) // 2 <= high:
+            head = (u * 5 ** after - 1) // 2
+    return Fraction(2 * head + 1, 2) * Fraction(10) ** -after
+
+
 def _center_part(rng, digits, q):
-    """A center numerator over q: zero, within 3 units of the 0.0 threshold
-    10^-digits/2, or of a random magnitude from far below it to 10^40, so
-    that both fixed and exponent formats print; either sign."""
+    """A center numerator over q, either sign, that prints the cases of
+    mpmath's printing: zero; within 3 units of the 0.0 threshold
+    10^-digits/2; a decimal tie at the last printed digit, with a 9-carry
+    in some; a leading digit at either side of the two switches between
+    fixed and exponent form (strictly between min(-(digits//3), -5) and
+    digits is fixed); past 2^3500, where to_str divides by a power of ten
+    first; or of a random magnitude from far below the threshold to
+    10^40."""
     kind = rng.random()
-    if kind < 0.1:
+    low = min(-(digits // 3), -5)
+    if kind < 0.08:
         return 0
-    if kind < 0.3:
+    if kind < 0.2:
         v = round(Fraction(q, 2 * 10 ** digits)) + rng.randint(-3, 3)
+    elif kind < 0.45:
+        point = rng.choice((low, low + 1, digits - 1, digits, rng.randint(-digits, 40)))
+        v = round(_tie(rng, digits, point) * q)
+    elif kind < 0.6:
+        point = rng.choice((low - 1, low, low + 1, digits - 1, digits, digits + 1))
+        v = round(Fraction(rng.randint(10 ** 6, 10 ** 7 - 1), 10 ** 6)
+                  * Fraction(10) ** point * q)
+    elif kind < 0.63:
+        v = (rng.getrandbits(rng.randint(1, 400)) | 1) << q.bit_length() + rng.randint(3490, 3700)
     else:
         v = int(Fraction(10) ** rng.randint(-digits - 3, 40) * q
                 * Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
@@ -1246,10 +1279,10 @@ def test_decimal_path_prints_what_the_mpmath_object_path_prints():
     prec0 = mp.mp.prec
     rng = random.Random(2009)
     formats = set()
-    for _ in range(3000):
+    for _ in range(20000):
         digits = rng.choice((rng.randint(1, 40), rng.randint(1, 300)))
         prec = int((digits + 10) * 3.4) + 40
-        den = rng.choice((1, rng.randint(1, 10 ** rng.randint(1, 40))))
+        den = rng.choice((1, 1, rng.randint(1, 10 ** rng.randint(1, 40))))
         q = den << prec
         ball = towers._Disc(_center_part(rng, digits, q), _center_part(rng, digits, q),
                             0, den, prec)
@@ -1263,6 +1296,16 @@ def test_decimal_path_prints_what_the_mpmath_object_path_prints():
         raw = ball.c
         assert towers.decimal_parts(raw, digits) == _reference_decimal_parts(raw, digits)
     assert formats == {True, False}
+    # a tie rounds half up, and a carry out of the leading digit moves it
+    # into exponent form at digits, as mp.nstr prints
+    for value, digits, text in ((Fraction(5, 2), 1, "3.0"), (Fraction(-1, 8), 2, "-0.13"),
+                                (Fraction(3999, 2), 4, "2000.0"),
+                                (Fraction(19999, 2), 4, "1.0e+4")):
+        prec = int((digits + 10) * 3.4) + 40
+        ball = towers._Disc(int(value * 2 ** prec), 0, 0, 1, prec)
+        got = mp.make_mpc(ball.center_parts(dps_to_prec(digits + 5)))
+        assert towers.decimal_parts(got, digits)["re"] == text
+        assert _reference_decimal_parts(got, digits)["re"] == text
     # 10^-digits is rounded at the precision it is asked for
     for digits in (1, 30, 300):
         assert towers._ten_to_minus(digits, mp.mp.prec) == mp.mpf(10) ** -digits
