@@ -49,7 +49,11 @@ one, E(p) over sign * (x2 - x1) f_y(p).
 
 Every constructed differential is certified fail-closed by its defining
 identity: residue_certificates checks E(x_i, y) = (x2 - x1) q_i(y) exactly,
-coefficient by coefficient, and f_y(pole) != 0 at both poles.  The section
+coefficient by coefficient, and f_y(pole) != 0 at both poles.  E's
+coefficients at x_i are the elements towers.y_coefficients reads, and the
+q_i come from one synthetic division each; both are in reduced form, which
+is canonical, so for a constructed numerator each pair is syntactically
+equal, and only a pair that differs goes to is_zero.  The section
 is square-free, so q_i vanishes at the other section points and equals f_y
 at the pole, and the residues +1, -1 and 0 follow with no point evaluated.
 When an identity fails, the verdicts are those of the independent residue
@@ -90,15 +94,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .curves import Curve, Point
 from .errors import (ContextMismatch, DegeneratePoints, EvaluationAtPole,
                      Inconsistent, SameAbscissa, VerificationFailed)
 from .linsolve import ff_solve
-from .polys import BPoly, UPoly, at_ratio, power_sums, powers
+from .polys import BPoly, UPoly, power_sums, powers
 from .towers import (Detached, Quotient, TowerContext, TowerElement, attach,
-                     bare_generator, detach, eval_bpoly)
+                     bare_generator, detach, eval_bpoly, y_coefficients)
 
 
 def monomials_upto(d: int) -> list[tuple[int, int]]:
@@ -269,17 +274,16 @@ def _pole_quotient(curve: Curve, pole: Point, scale: Fraction) -> list[TowerElem
     """The coefficients q_0 .. q_{r-1} of scale * f(x_i, y) / (y - eta) at a
     pole (x_i, eta), by synthetic division of the scaled section polynomial
     s = scale * f(x_i, y): q_{r-1} = s_r and q_{b-1} = s_b + eta q_b.  q_b
-    has degree r - 1 - b in eta.  At a section point eta is a bare generator
-    of degree r, so eta q_b is a shift of q_b's keys
-    (TowerElement.times_generator), the product's terms with no product
-    taken; any other ordinate takes the generic product."""
+    has degree r - 1 - b in eta.  The pole is one that _prepare located in
+    its section, so for r >= 2 eta is a bare generator t_g of degree r, and
+    eta q_b is a shift of q_b's keys (TowerElement.times_generator), the
+    product's terms with no product taken; for r = 1 no step is taken."""
     eta = pole.y
     s = curve.section(pole.x, eta.ctx).poly.coeffs
     g = bare_generator(eta, curve.r)
     q = [eta.ctx.constant(scale * s[curve.r])]
     for b in range(curve.r - 1, 0, -1):
-        q.append((eta * q[-1] if g is None else q[-1].times_generator(g))
-                 + scale * s[b])
+        q.append(q[-1].times_generator(g) + scale * s[b])
     return q[::-1]
 
 
@@ -362,55 +366,16 @@ def residue_at(diff: ParametricDifferential, point: Point) -> Quotient:
 
 def _identity_holds(diff: ParametricDifferential, pole: Point) -> bool:
     """Whether E(x_i, y) = (x2 - x1) f(x_i, y) / (y - eta_i) holds exactly at
-    a pole (x_i, eta_i): E's coefficients are summed onto the quotient's
-    negated ones, y-degree by y-degree over every y-degree of the base
-    numerator E (the quotient's are 0 from y^r up), and each sum must be
-    zero.  Both sides are elements of the pole generators, whose reduced
-    form is canonical, so an honest numerator's sums are empty.
-
-    Each sum is taken on integer numerators, as eval_bpoly collects a
-    section polynomial's coefficients: per y-degree b and monomial key k,
-    the (a, numerator, denominator) triples of E's coefficients (a rational
-    coefficient at key 0) give sum_a c_(a,b)[k] x_i^a by polys.at_ratio,
-    which must cancel the quotient's numerator at k.  A y-degree whose sum
-    does not cancel key by key is summed in the ring, as it always was, and
-    decided by is_zero, so a tampered numerator gets is_zero's verdict."""
-    e, ctx = diff.base_numerator, diff.ctx
-    quotient = _pole_quotient(diff.curve, pole, diff.pole1.x - diff.pole2.x)
-    # (b, key) -> the (a, numerator, denominator) triples of E at key
-    groups: dict[tuple, list] = {}
-    for (a, b), c in e.terms.items():
-        if isinstance(c, TowerElement):
-            if c.ctx is not ctx:
-                raise ContextMismatch("a numerator coefficient belongs to another context")
-            for k, n in c.nums.items():
-                groups.setdefault((b, k), []).append((a, n, c.den))
-        else:
-            groups.setdefault((b, 0), []).append((a, c.numerator, c.denominator))
-    # per y-degree, the keys whose sum has not cancelled
-    left = {b: set(q.nums) for b, q in enumerate(quotient)}
-    u, v = pole.x.numerator, pole.x.denominator
-    for (b, k), triples in groups.items():
-        n, d = at_ratio(triples, u, v)
-        if b < len(quotient):
-            q = quotient[b]
-            # n/d + m/den cancels exactly when n den + m d does
-            if not n * q.den + q.nums.get(k, 0) * d:
-                left[b].discard(k)
-                continue
-        if n:
-            left.setdefault(b, set()).add(k)
-    xpows = powers(pole.x, e.degree_x + 1, Fraction(1))
-    for b, keys in left.items():
-        if not keys:
-            continue
-        total = quotient[b] if b < len(quotient) else ctx.zero
-        for (a, j), c in e.terms.items():
-            if j == b:
-                total = total + (c * xpows[a] if a else c)
-        if not total.is_zero():
-            return False
-    return True
+    a pole (x_i, eta_i), coefficient by coefficient in y: E's coefficients
+    at x_i (towers.y_coefficients) against the quotient's, the shorter list
+    padded with zeros.  Both sides are elements of the pole generators,
+    whose reduced form is canonical, so an honest numerator's pairs are
+    syntactically equal; a pair that is not is decided by is_zero on its
+    difference, so a tampered numerator gets is_zero's verdict."""
+    quotient = _pole_quotient(diff.curve, pole, diff.pole2.x - diff.pole1.x)
+    coeffs = y_coefficients(diff.base_numerator, pole.x, diff.ctx)
+    return all(a == b or (a - b).is_zero()
+               for a, b in zip_longest(coeffs, quotient, fillvalue=diff.ctx.zero))
 
 
 def _verdicts(diff: ParametricDifferential, decide) -> list[dict]:
@@ -437,8 +402,10 @@ def residue_certificates(diff: ParametricDifferential) -> list[dict]:
     plus the residue-sum identity, decided from the defining identity.
 
     At each pole (x_i, eta_i) it checks exactly that
-    E(x_i, y) = (x2 - x1) q_i(y), q_i = f(x_i, y) / (y - eta_i), and that
-    f_y(pole) != 0 (Curve.local_series).  Every section is square-free
+    E(x_i, y) = (x2 - x1) q_i(y), q_i = f(x_i, y) / (y - eta_i), as equal
+    coefficients in y (_identity_holds), and that f_y(pole) != 0
+    (Curve.local_series).  A coefficient of E from another context raises
+    ContextMismatch.  Every section is square-free
     (Curve.section), so q_i vanishes at the r - 1 other section points and
     equals f_y at the pole: the residue E / (sign * (x2 - x1) f_y) is then
     +1 at pole1, -1 at pole2 and 0 elsewhere, with nothing evaluated at a

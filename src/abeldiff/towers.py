@@ -28,12 +28,16 @@ need no product at all: TowerContext.monomial builds c t_g^b, b < deg(t_g),
 as one term, and TowerElement.times_generator multiplies by t_g by adding
 t_g's unit to every key; each stores what the product stores.
 
-eval_bpoly evaluates a bivariate polynomial at a section point nested: it
-collects the coefficients of the section polynomial in y first, then sums
-them against the ordinate, a bare generator t_g, so each term of c_j t_g^j
-is one key with j added to its field of t_g, and the routine that reduces a
-product's powers of t_g reduces them.  Any other ordinate is left to
-BPoly.eval.
+y_coefficients reads a bivariate polynomial at a rational x as its
+coefficients in y, the elements c_j = sum_i c_ij x^i: each numerator is
+summed on integers per monomial key (polys.at_ratio), and each c_j is
+stored in lowest terms.  It is the one such reading: eval_bpoly and the
+residue identity of differentials both take it.  eval_bpoly evaluates a
+bivariate polynomial at a section point nested: it takes those
+coefficients first, then sums them against the ordinate, a bare generator
+t_g, so each term of c_j t_g^j is one key with j added to its field of
+t_g, and the routine that reduces a product's powers of t_g reduces them.
+Any other ordinate is left to BPoly.eval.
 
 The ring maps into the complex numbers by sending every generator to its
 chosen root.  That map is a ring homomorphism for any root choice, and all
@@ -114,8 +118,7 @@ import struct
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_lt, mpf_shift,
-                          numeral, round_up, to_str)
+from mpmath.libmp import dps_to_prec, fzero, mpf_lt, mpf_shift, numeral, to_str
 
 from .errors import (AbeldiffError, ContextMismatch, NotInvertible,
                      NotSquareFree, ZeroDivision)
@@ -251,19 +254,6 @@ class _Disc(NamedTuple):
         same way to prec bits (from_rational, then mpf_pos), in integers."""
         q = self.den << self.prec
         return _rounded(self.re, q, self.prec, prec), _rounded(self.im, q, self.prec, prec)
-
-    @property
-    def c(self) -> mp.mpc:
-        """The center rounded to prec bits."""
-        return mp.make_mpc(self.center_parts(self.prec))
-
-    @property
-    def r(self) -> mp.mpf:
-        """The radius about c, rounded upward: rad plus what rounding the
-        center to prec bits can move it, under 2^-prec |center|."""
-        extra = (_mag(self.re, self.im) >> self.prec) + 1
-        return mp.make_mpf(from_rational(self.rad + extra, self.den << self.prec, 53,
-                                         round_up))
 
 
 def _nested_ball(nums: dict, den: int, root_of: Callable[[int], RootApprox],
@@ -1336,56 +1326,68 @@ def _invert(a: TowerElement) -> TowerElement:
     return s0.eval(ctx.generator(j)) * _invert(g[0])
 
 
+def y_coefficients(p: BPoly, x, ctx: TowerContext) -> list[TowerElement]:
+    """p(x, y) at a rational x as its coefficients c_0 .. c_deg_y(p) in y,
+    elements of ctx: c_j = sum_i c_ij x^i, its numerator at each monomial key
+    summed on the integer numerators of the c_ij by polys.at_ratio, and
+    stored in lowest terms.  A c_ij is a rational or an element of ctx;
+    one of another context raises ContextMismatch."""
+    x = Fraction(x)
+    # per y-degree, key -> the (i, numerator, denominator) triples of the
+    # key's coefficient in c_ij
+    cols: list[dict] = [{} for _ in range(p.degree_y + 1)]
+    for (i, j), c in p.terms.items():
+        col = cols[j]
+        if isinstance(c, TowerElement):
+            if c.ctx is not ctx:
+                raise ContextMismatch("a coefficient belongs to another tower context")
+            d = c.den
+            for k, n in c.nums.items():
+                col.setdefault(k, []).append((i, n, d))
+        else:
+            col.setdefault(0, []).append((i, c.numerator, c.denominator))
+    out = []
+    for col in cols:
+        sums = [(k, *at_ratio(triples, x.numerator, x.denominator))
+                for k, triples in col.items()]
+        den = lcm(*(d for _, n, d in sums if n))
+        out.append(_lowest(ctx, {k: n * (den // d) for k, n, d in sums if n}, den))
+    return out
+
+
 def eval_bpoly(p: BPoly, x, y: TowerElement) -> TowerElement:
     """Exact evaluation of a bivariate polynomial at a rational abscissa and
     a tower ordinate.  Coefficients may themselves be tower elements of the
     same context.
 
     When y is a bare generator t_g (every section ordinate is one), the
-    section polynomial's coefficients c_j = sum_i c_ij x^i are collected
-    first, each coefficient of a monomial as an integer numerator over a
-    denominator, and sum_j c_j t_g^j needs no ring product: each term of
-    c_j has j added to its field of t_g, over one lcm denominator, and
-    _reduce_generator reduces the powers of t_g as for a product.  That
-    field must hold the y-degree plus deg(t_g) - 1, else a ValueError.  Any
-    other ordinate goes to BPoly.eval; adding it to ctx.zero keeps the value
-    of a zero or y-free polynomial an element."""
+    section polynomial's coefficients c_j are taken first (y_coefficients),
+    and sum_j c_j t_g^j needs no ring product: each key of c_j has j added
+    to its field of t_g, over one lcm denominator, and _reduce_generator
+    reduces the powers of t_g as for a product.  That field must hold the
+    y-degree plus deg(t_g) - 1, else a ValueError.  Any other ordinate goes
+    to BPoly.eval; adding it to ctx.zero keeps the value of a zero or y-free
+    polynomial an element."""
     if not isinstance(y, TowerElement):
         raise TypeError("ordinate must be a TowerElement")
     ctx = y.ctx
-    x = Fraction(x)
     g = bare_generator(y)
     if g is None:
-        return ctx.zero + p.eval(x, y)
+        return ctx.zero + p.eval(Fraction(x), y)
     deg = ctx.degrees[g]    # a y-degree may pass deg at a hand-built point
     if p.degree_y + deg - 1 > _MASK:
         raise ValueError(f"y-degree {p.degree_y} at a generator of degree {deg} "
                          f"overflows a {_W}-bit exponent field")
-    # (j, key) -> the (i, numerator, denominator) triples of the key's
-    # coefficient in c_ij
-    groups: dict[tuple, list] = {}
-    for (i, j), c in p.terms.items():
-        if isinstance(c, TowerElement):
-            if c.ctx is not ctx:
-                raise ContextMismatch("coefficient context differs from the ordinate's")
-            d = c.den
-            for k, n in c.nums.items():
-                groups.setdefault((j, k), []).append((i, n, d))
-        else:
-            groups.setdefault((j, 0), []).append((i, c.numerator, c.denominator))
-    cols: dict[int, dict] = {}
-    for (j, k), triples in groups.items():
-        n, d = at_ratio(triples, x.numerator, x.denominator)
-        if n:
-            cols.setdefault(j, {})[k] = n, d
+    cols = y_coefficients(p, x, ctx)
     shift = g * _W
-    den = lcm(*{q for col in cols.values() for _, q in col.values()})
+    den = lcm(*(c.den for c in cols))
     raw: dict[int, int] = {}
     get = raw.get
-    for j, col in cols.items():
-        for k, (n, q) in col.items():
+    for j, c in enumerate(cols):
+        f = den // c.den
+        for k, n in c.nums.items():
             k += j << shift
-            raw[k] = get(k, 0) + n * (den // q)
+            raw[k] = get(k, 0) + n * f
     raw, scale = _reduce_generator(raw, ctx.extensions[g], deg, shift)
     return _lowest(ctx, {k: n for k, n in raw.items() if n}, den * scale)
 

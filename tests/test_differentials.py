@@ -980,17 +980,6 @@ def test_monomial_rows_off_the_direct_path_are_the_products():
         (sqrt2 + 1).times_generator(1)
 
 
-def test_pole_quotient_at_a_hand_built_pole_is_the_product(circle):
-    # (0, 1) on the circle, its ordinate given as the rational 1
-    ctx = TowerContext()
-    pole = Point(circle, 0, ctx.constant(1))
-    got = differentials._pole_quotient(circle, pole, Fraction(5, 2))
-    assert [_stored(q) for q in got] == \
-        [_stored(q) for q in _generic_quotient(circle, pole, Fraction(5, 2))]
-    # 5/2 (y^2 - 1) / (y - 1) = 5/2 y + 5/2
-    assert [q.as_fraction() for q in got] == [Fraction(5, 2), Fraction(5, 2)]
-
-
 def _identity_in_the_ring(diff, pole) -> bool:
     """_identity_holds by ring sums and is_zero alone."""
     e, zero = diff.base_numerator, diff.ctx.zero
@@ -1038,3 +1027,29 @@ def test_identity_on_integer_numerators_decides_as_the_ring_sums(text, monkeypat
                         lambda self: pytest.fail("is_zero called"))
     assert differentials._identity_holds(diff, diff.pole1)
     assert differentials._identity_holds(diff, diff.pole2)
+
+
+def test_a_numerator_that_differs_by_a_zero_element_holds_through_is_zero(
+        circle, monkeypatch):
+    # (x - x2)(t0 + t1), t0 and t1 the two section generators over x1: over
+    # x2 it vanishes syntactically, over x1 it is (x1 - x2)(t0 + t1), which
+    # embeds to zero (the roots of y^2 - 3/4 sum to 0) but is no empty sum
+    x1, x2 = Fraction(1, 2), Fraction(1, 3)
+    ctx = TowerContext()
+    diff = third_kind(circle, circle.section_roots(x1, ctx)[0],
+                      circle.section_roots(x2, ctx)[1])
+    t0, t1 = (pt.y for pt in diff.section1)
+    assert t0 != t1 and (t0 + t1) and (t0 + t1).is_zero()
+    numerator = diff.base_numerator + BPoly({(1, 0): t0 + t1, (0, 0): -x2 * (t0 + t1)})
+    d = dataclasses.replace(diff, base_numerator=numerator)
+    calls = []
+    is_zero = TowerElement.is_zero
+    monkeypatch.setattr(TowerElement, "is_zero",
+                        lambda self: calls.append(self) or is_zero(self))
+    assert differentials._identity_holds(d, d.pole1)
+    assert differentials._identity_holds(d, d.pole2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    certificates = residue_certificates(d)
+    assert certificates == residue_oracle(d)
+    assert all(c["ok"] for c in certificates)

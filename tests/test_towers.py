@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import gcd, isqrt, prod
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest, round_up
 
 from abeldiff import roots as roots_module
 from abeldiff import towers
@@ -376,6 +377,16 @@ class _ParentBall:
         return out
 
 
+def _mpmath_ball(disc) -> _ParentBall:
+    """A fixed-point disc as an mpmath ball: its center rounded to the
+    disc's precision, and the radius about that center rounded upward to 53
+    bits, rad plus what rounding the center can move it, under
+    2^-prec |center|."""
+    extra = (towers._mag(disc.re, disc.im) >> disc.prec) + 1
+    radius = from_rational(disc.rad + extra, disc.den << disc.prec, 53, round_up)
+    return _ParentBall(mp.make_mpc(disc.center_parts(disc.prec)), mp.make_mpf(radius))
+
+
 def _parent_ball(a, digits10):
     """TowerElement._ball computed with _ParentBall, on the roots it uses."""
     prec = int(digits10 * 3.4) + 40
@@ -437,7 +448,7 @@ def test_ball_contains_the_value_with_a_radius_near_the_parent_oracle():
         if not a.terms:
             continue
         for digits in (15, 40, 70):
-            ball = a._ball(digits)
+            ball = _mpmath_ball(a._ball(digits))
             oracle = _parent_ball(a, digits)
             assert ball.r <= 4 * oracle.r
             with mp.workprec(4 * (int(digits * 3.4) + 40)):
@@ -510,8 +521,9 @@ def test_quotient_disc_contains_the_value_and_prints_the_product_decimal():
                     ref = _parent_ball(product, 3 * work)
                 else:
                     ref = _ParentBall(mp.mpc(0), mp.mpf(0))
+                ball = _mpmath_ball(disc)
                 with mp.workprec(4 * disc.prec):
-                    assert abs(disc.c - ref.c) <= disc.r + ref.r
+                    assert abs(ball.c - ref.c) <= ball.r + ref.r
                 if disc.rad * 2 * 10 ** digits < disc.den << disc.prec:
                     accepted = disc
                     break
@@ -642,10 +654,10 @@ def test_ball_radius_rounds_upward():
         body = _exact(radius) * one
         assert _holds(disc[2], body, ex - disc[0], ey - disc[1])
         assert disc[2] <= body + 3
-        # final conversion: c is the center over den 2^prec at prec bits, and
-        # r covers its rounding
+        # final conversion: the mpmath ball's center is the center over
+        # den 2^prec at prec bits, and its radius covers that rounding
         den = rng.randint(1, 10**40)
-        out = towers._Disc(re, im, rad, den, prec)
+        out = _mpmath_ball(towers._Disc(re, im, rad, den, prec))
         q = den * one
         body = Fraction(rad, q)
         assert _holds(_exact(out.r), body, _exact(out.c.real) - Fraction(re, q),
@@ -1293,7 +1305,7 @@ def test_decimal_path_prints_what_the_mpmath_object_path_prints():
         assert text == _reference_decimal_parts(ref, digits)
         formats.update("e" in t for t in text.values() if t != "0.0")
         # an unrounded center: the 0.0 test rounds |part| as abs() did
-        raw = ball.c
+        raw = _mpmath_ball(ball).c
         assert towers.decimal_parts(raw, digits) == _reference_decimal_parts(raw, digits)
     assert formats == {True, False}
     # a tie rounds half up, and a carry out of the leading digit moves it
@@ -1466,6 +1478,82 @@ def test_eval_bpoly_at_a_bare_generator_matches_bpoly_eval():
                 x = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                 got = eval_bpoly(p, x, y)
                 _assert_canonical(got, _term_by_term(p, x, y).terms)
+
+
+def _ring_columns(ctx, p, x):
+    """y_coefficients by ring sums: sum_i c_ij x^i in the tower, per j."""
+    cols = [ctx.zero] * (p.degree_y + 1)
+    for (i, j), c in p.terms.items():
+        cols[j] = cols[j] + c * Fraction(x) ** i
+    return cols
+
+
+def test_y_coefficients_of_a_rational_polynomial_are_subs_x():
+    rng = random.Random(5101)
+    ctx = TowerContext()
+
+    def ratio():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for _ in range(200):
+        x = ratio()
+        terms = {(rng.randrange(5), rng.randrange(6)): ratio() for _ in range(rng.randint(0, 8))}
+        # a column that vanishes at x: c (x' - x) for x' the abscissa
+        j = rng.randrange(7)
+        terms.update({(1, j): Fraction(3), (0, j): -3 * x})
+        p = BPoly(terms)
+        got = towers.y_coefficients(p, x, ctx)
+        want = list(p.subs_x(x).coeffs)
+        want += [Fraction(0)] * (len(got) - len(want))
+        assert len(got) == p.degree_y + 1
+        assert got == [ctx.constant(c) for c in want]
+        assert all(c.is_rational() and c.ctx is ctx for c in got)
+    assert towers.y_coefficients(BPoly(), Fraction(1, 2), ctx) == []
+
+
+def test_y_coefficients_with_tower_coefficients_are_the_ring_sums():
+    rng = random.Random(5102)
+    for _ in range(12):
+        ctx = _random_context(rng)
+        top = 2 * max(ctx.degrees) + 2       # y-degrees past every generator's
+        for big in (False, True):
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            terms = {}
+            for _ in range(rng.randint(1, 10)):
+                # every other y-degree may stay empty: zero columns
+                j = 2 * rng.randrange(top // 2 + 1)
+                terms[rng.randrange(4), j] = rng.choice(
+                    (_random_element(rng, ctx, big), Fraction(rng.randint(-9, 9), 7)))
+            # a column of elements that cancels at x
+            c = _random_element(rng, ctx, big)
+            terms.update({(2, 1): c, (0, 1): -c * x * x})
+            p = BPoly(terms)
+            got = towers.y_coefficients(p, x, ctx)
+            assert got == _ring_columns(ctx, p, x)
+            assert not got[1]
+            for c in got:
+                _assert_canonical(c, dict(c.terms))
+        assert towers.y_coefficients(BPoly(), 0, ctx) == []
+
+
+def test_a_coefficient_of_another_context_is_refused():
+    ctx, t = adjoin(TowerContext(), SQRT2, 1)
+    _, foreign = adjoin(TowerContext(), SQRT2, 1)
+    p = BPoly({(0, 1): 1, (1, 0): foreign})
+    with pytest.raises(ContextMismatch):
+        towers.y_coefficients(p, 2, ctx)
+    for y in (t, 2 * t + 1):        # the bare generator and the generic path
+        with pytest.raises(ContextMismatch):
+            eval_bpoly(p, 2, y)
+    # a base numerator with one foreign coefficient, above its y-degree
+    curve = Curve(QUARTIC_F, assume_smooth=True)
+    ctx = TowerContext()
+    diff = third_kind(curve, curve.section_roots(Fraction(1, 2), ctx)[0],
+                      curve.section_roots(Fraction(1, 3), ctx)[1])
+    _, foreign = adjoin(TowerContext(), SQRT2, 1)
+    tampered = BPoly({**diff.base_numerator.terms, (0, curve.r): foreign})
+    with pytest.raises(ContextMismatch):
+        residue_certificates(dataclasses.replace(diff, base_numerator=tampered))
 
 
 def test_locate_finds_the_first_generator_of_a_modulus_and_root():
