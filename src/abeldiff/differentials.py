@@ -371,7 +371,11 @@ def _identity_holds(diff: ParametricDifferential, pole: Point) -> bool:
     padded with zeros.  Both sides are elements of the pole generators,
     whose reduced form is canonical, so an honest numerator's pairs are
     syntactically equal; a pair that is not is decided by is_zero on its
-    difference, so a tampered numerator gets is_zero's verdict."""
+    difference, so a tampered numerator gets is_zero's verdict.  For r >= 2
+    a pole whose ordinate is not a bare generator of degree r, which
+    _prepare never hands out, leaves the identity unproved."""
+    if diff.curve.r >= 2 and bare_generator(pole.y, diff.curve.r) is None:
+        return False
     quotient = _pole_quotient(diff.curve, pole, diff.pole2.x - diff.pole1.x)
     coeffs = y_coefficients(diff.base_numerator, pole.x, diff.ctx)
     return all(a == b or (a - b).is_zero()

@@ -1,11 +1,13 @@
 """Certified isolation and refinement of the complex roots of a square-free
 rational polynomial.
 
-Strategy: a Mahler-type separation bound is computed exactly from the integer
-coefficients, numeric roots are refined by Newton iteration until the
-classical a-posteriori radius  deg * |p(z)/p'(z)|  drops below a quarter of
-that bound, after which each disc provably contains exactly one root and
-refinement can never jump to a different root.
+Everything works on the primitive integer coefficients that an isolation is
+keyed by.  Strategy: a Mahler-type separation bound is computed exactly from
+them (the discriminant is one determinant of polys.resultant_matrix on the
+integer coefficients of p and p'), numeric roots are refined by Newton
+iteration until the classical a-posteriori radius  deg * |p(z)/p'(z)|  drops
+below a quarter of that bound, after which each disc provably contains
+exactly one root and refinement can never jump to a different root.
 
 Newton's method runs in Python integers (_newton): the center is a Gaussian
 integer at scale 2^-P, p(z) and p'(z) are evaluated exactly at it on the
@@ -30,12 +32,14 @@ Canonical order: ascending real part, ties broken by ascending imaginary
 part.  Real-part comparisons that do not resolve numerically are certified
 exactly: conjugate pairs are detected through disc pairing, and the remaining
 ties fall back to a separation bound for the polynomial whose roots are all
-midpoints of root pairs (real parts are midpoints of conjugate pairs, so two
-distinct real parts differ by at least that bound).  Whether two discs (or
-their projections on an axis) meet is decided exactly, in integers (_close),
-except in _pair_conjugates: it still compares mp.conj of a center, rounded
-to mpmath's 53 bits (_conjugate_meets), so it can miss the conjugate of a
-tiny disc and fail its assert (ROADMAP item 1a).  That comparison stays as
+midpoints of root pairs, Res_y(p(y), p(2x - y)), taken by the package's one
+Kronecker resultant, polys.resultant_y (real parts are midpoints of
+conjugate pairs, so two distinct real parts differ by at least that bound).
+Whether two discs (or their projections on an axis) meet is decided
+exactly, in integers (_close), except in _pair_conjugates: it still
+compares mp.conj of a center, rounded to mpmath's 53 bits
+(_conjugate_meets), so it can miss the conjugate of a tiny disc and fail
+its assert (ROADMAP item 1a).  That comparison stays as
 it is here: deciding it exactly would answer requests that fail today, and
 the answered set moves only with the benchmark's re-baseline.
 
@@ -67,15 +71,14 @@ import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import comb, frexp, hypot, inf, isqrt, pi
+from math import frexp, hypot, inf, isqrt, pi
 
 import mpmath as mp
 from mpmath.libmp import finf, from_man_exp, round_ceiling, to_float
 
 from .errors import AbeldiffError, NotSquareFree, ZeroPolynomial
 from .linsolve import bareiss_det
-from .polys import (UPoly, kronecker_bits, poly_gcd, powers, resultant,
-                    resultant_matrix, signed_digits)
+from .polys import BPoly, UPoly, poly_gcd, resultant_matrix, resultant_y
 
 
 # Working precision, in bits, above which refinement gives up: far beyond
@@ -99,13 +102,18 @@ class RootApprox:
 
 def separation_bound(ints: list[int]) -> Fraction:
     """Positive rational strictly below the minimal pairwise root distance
-    (Mahler's bound), for a square-free integer polynomial; NotSquareFree
-    when the discriminant shows a multiple root."""
+    (Mahler's bound), for a square-free integer polynomial ints, lowest
+    coefficient first; NotSquareFree when the discriminant shows a multiple
+    root, ValueError for a zero leading coefficient.  The discriminant is
+    Res(p, p') / lead, one determinant of resultant_matrix on the integer
+    coefficients of p and p'."""
     n = len(ints) - 1
+    if not ints[-1]:
+        raise ValueError("separation bound of a zero leading coefficient")
     if n <= 1:
         return Fraction(1)
-    p = UPoly(ints)
-    disc = resultant(p, p.derivative()) / p.leading
+    slopes = [k * c for k, c in enumerate(ints)][1:]
+    disc = bareiss_det(resultant_matrix(ints, slopes)) / ints[-1]
     if disc == 0:
         raise NotSquareFree("polynomial has multiple roots")
     d3 = abs(3 * disc)
@@ -411,12 +419,15 @@ def _half_mpf(x: Fraction) -> mp.mpf:
 
 
 class _Isolator:
-    def __init__(self, poly: UPoly):
-        if poly.is_zero or poly.degree < 1:
+    """The isolation of one primitive integer polynomial ints, lowest
+    coefficient first, the tuple that _isolated is keyed by."""
+
+    def __init__(self, ints: tuple[int, ...]):
+        if len(ints) < 2:
             raise ZeroPolynomial("root isolation needs degree >= 1")
-        self.ints, _ = poly.to_int_coeffs()
-        self.n = len(self.ints) - 1
-        self.sep = separation_bound(self.ints)
+        self.ints = ints
+        self.n = len(ints) - 1
+        self.sep = separation_bound(ints)
         self._re_gap: Fraction | None = None
 
     def _refine_record(self, recs: list[RootApprox], i: int,
@@ -432,35 +443,17 @@ class _Isolator:
 
     def re_gap(self) -> Fraction:
         """Lower bound on |re(a) - re(b)| over root pairs with distinct real
-        parts: separation bound of the midpoint polynomial
-        Res_y(p(y), p(2s - y)).
-
-        One determinant at the Kronecker point s = 2^B: the coefficients of
-        p(2s - y) in y are integer polynomials in s whose 1-norms sum to
-        sum_k |a_k| 3^k, so the midpoint polynomial's coefficients are at
-        most (sum_k |a_k|)^n (sum_k |a_k| 3^k)^n."""
-        if self._re_gap is not None:
-            return self._re_gap
-        n = self.n
-        a = self.ints
-        bits = kronecker_bits(sum(abs(v) for v in a) ** n
-                              * sum(abs(v) * t for v, t in zip(a, powers(3, n + 1, 1))) ** n)
-        two_s = 1 << (bits + 1)
-        q = [0] * (n + 1)
-        for k in range(n + 1):
-            if not a[k]:
-                continue
-            for j in range(k + 1):
-                q[j] += a[k] * comb(k, j) * two_s ** (k - j) * (-1) ** j
-        det = bareiss_det(resultant_matrix(a, q))
-        big = UPoly(signed_digits(det.numerator, bits))
-        sqf = (big // poly_gcd(big, big.derivative()))
-        if sqf.degree <= 1:
-            gap = Fraction(1)
-        else:
-            gap = separation_bound(sqf.to_int_coeffs()[0])
-        self._re_gap = gap
-        return gap
+        parts: the separation bound of the square-free part of the midpoint
+        polynomial Res_y(p(y), p(2x - y)) (polys.resultant_y), whose roots
+        are the midpoints (a + b) / 2 of root pairs."""
+        if self._re_gap is None:
+            a, x, y = self.ints, BPoly.x(), BPoly.y()
+            mid = resultant_y(sum((c * y ** k for k, c in enumerate(a)), BPoly()),
+                              sum((c * (2 * x - y) ** k for k, c in enumerate(a)), BPoly()))
+            sqf = mid // poly_gcd(mid, mid.derivative())
+            self._re_gap = (Fraction(1) if sqf.degree <= 1
+                            else separation_bound(sqf.to_int_coeffs()[0]))
+        return self._re_gap
 
     @mp.workprec(53)  # mpmath's default; the memo is keyed by the polynomial alone
     def run(self) -> list[RootApprox]:
@@ -484,7 +477,7 @@ class _Isolator:
             raise AbeldiffError("could not isolate all roots into disjoint discs")
 
         # pairwise-disjoint discs + radii < sep/4 make conjugate pairing exact
-        conj = self._pair_conjugates(recs)
+        conj = self._pair_conjugates(recs, views)
 
         order = sorted(range(self.n),
                        key=cmp_to_key(lambda i, j: self.compare(recs, conj, i, j)))
@@ -492,12 +485,11 @@ class _Isolator:
         return [replace(recs[old], index=new, conj_index=pos[conj[old]])
                 for new, old in enumerate(order)]
 
-    def _pair_conjugates(self, recs) -> list[int]:
+    def _pair_conjugates(self, recs, views) -> list[int]:
         """Each root's conjugate: the first disc that meets the conjugate of
         its own, by _conjugate_meets wherever the float prefilter cannot
-        tell the two apart."""
+        tell the two apart; views are the records' _views."""
         conj = [-1] * self.n
-        views = _views(recs)
         for i, rec in enumerate(recs):
             x, y, r, size = views[i]
             mirror = (x, -y, r, size)
@@ -548,7 +540,7 @@ class _Isolator:
 def _isolated(ints: tuple[int, ...]) -> tuple[RootApprox, ...]:
     """Roots of the primitive integer polynomial ints, shared across
     requests that meet the same section polynomial."""
-    return tuple(_Isolator(UPoly(ints)).run())
+    return tuple(_Isolator(ints).run())
 
 
 def isolate_roots(m: UPoly) -> list[RootApprox]:

@@ -383,6 +383,16 @@ def test_residue_oracle_decides_on_residue_at(cubic_diff, monkeypatch):
         assert verdicts == [not any(pt is p for p in poles) for pt in points] + [False]
 
 
+def test_a_pole_that_is_no_section_generator_gets_the_oracles_verdicts(
+        circle, circle_setup, circle_diff):
+    # a hand-built pole (0, 1) on x^2 + y^2 - 1 whose ordinate is the
+    # constant 1, not the generator of the section over 0: the identity is
+    # left unproved and the verdicts are the oracle's, not a TypeError
+    ctx, _, _ = circle_setup
+    hand = dataclasses.replace(circle_diff, pole1=Point(circle, 0, ctx.constant(1)))
+    assert residue_certificates(hand) == residue_oracle(hand)
+
+
 # the benchmark's ladder of degree 2 to 7, and a dense quartic
 AGREEMENT_CURVES = {"circle": "x^2+y^2-1", "cubic": "x^3-y^3+2*x*y+x-2*y+1",
                     "quartic": "x^4+y^4-1", "quintic": "x^5+y^5-1",

@@ -9,8 +9,10 @@ import mpmath.libmp as mp_libmp
 import pytest
 
 from abeldiff import cli, roots as roots_mod
-from abeldiff.errors import AbeldiffError, NotSquareFree
-from abeldiff.polys import BPoly, UPoly, is_squarefree, poly_gcd, resultant_y
+from abeldiff.errors import AbeldiffError, NotSquareFree, ZeroPolynomial
+from abeldiff.linsolve import bareiss_det
+from abeldiff.polys import (UPoly, is_squarefree, kronecker_bits, poly_gcd, resultant,
+                            resultant_matrix, signed_digits)
 from abeldiff.roots import _Isolator, isolate_roots, refine_root, separation_bound
 
 
@@ -139,6 +141,67 @@ def test_not_squarefree_rejected():
         isolate_roots(UPoly([0, 0, 1]))
 
 
+def _separation_bound_by_upoly(ints):
+    """roots.separation_bound as it was before it took the determinant on
+    the integers it is given: the discriminant through UPoly(ints), its
+    derivative and polys.resultant.  The reference the direct form must
+    reproduce."""
+    n = len(ints) - 1
+    if n <= 1:
+        return Fraction(1)
+    p = UPoly(ints)
+    disc = resultant(p, p.derivative()) / p.leading
+    if disc == 0:
+        raise NotSquareFree("polynomial has multiple roots")
+    d3 = abs(3 * disc)
+    num = math.isqrt(d3.numerator // d3.denominator)
+    if num == 0:
+        num = Fraction(math.isqrt(d3.numerator), math.isqrt(d3.denominator) + 1)
+    if n % 2 == 0:
+        npow = n ** ((n + 2) // 2)
+    else:
+        npow = n ** ((n + 1) // 2) * (math.isqrt(n) + 1)
+    norm_up = math.isqrt(sum(c * c for c in ints)) + 1
+    return Fraction(num) / (npow * norm_up ** (n - 1))
+
+
+def _outcome(bound, ints):
+    try:
+        return bound(ints)
+    except NotSquareFree as e:
+        return type(e), str(e)
+
+
+def test_separation_bound_is_the_one_taken_through_upoly():
+    # 300 seeded integer polynomials of degree 2-12, coefficients up to
+    # 10^6, every fifth one times a squared factor: the same bound, or
+    # NotSquareFree in the same cases
+    rng = random.Random(300)
+    multiple = 0
+    for k in range(300):
+        deg = rng.randint(2, 12)
+        p = UPoly([rng.randint(-10 ** 6, 10 ** 6) for _ in range(deg)]
+                  + [rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)])
+        if k % 5 == 0:
+            p = p * UPoly([rng.randint(-9, 9), rng.randint(1, 9)]) ** 2
+        ints = [int(c) for c in p.coeffs]
+        got = _outcome(separation_bound, ints)
+        assert got == _outcome(_separation_bound_by_upoly, ints), ints
+        multiple += isinstance(got, tuple)
+    assert multiple >= 60
+
+
+def test_separation_bound_refuses_a_zero_leading_coefficient():
+    with pytest.raises(ValueError, match="zero leading coefficient"):
+        separation_bound([1, 2, 0])
+
+
+def test_isolation_of_a_constant_is_refused():
+    for constant in (UPoly(), UPoly([5])):
+        with pytest.raises(ZeroPolynomial, match="^root isolation needs degree >= 1$"):
+            isolate_roots(constant)
+
+
 def test_zero_discriminant_has_no_separation_bound():
     # (y - 1)^2: the bound would be 0, below no root distance
     with pytest.raises(NotSquareFree, match="^polynomial has multiple roots$"):
@@ -156,18 +219,37 @@ def test_zero_discriminant_has_no_separation_bound():
     (UPoly([-2, 4, -3, 1]), Fraction(124, 17796870375), [1 - 1j, 1, 1 + 1j]),
 ])
 def test_real_part_gap_and_order_on_ties(poly, gap, centers):
-    assert _Isolator(poly).re_gap() == gap
+    assert _Isolator(poly.to_int_coeffs()[0]).re_gap() == gap
     roots = isolate_roots(poly)
     assert len(roots) == len(centers)
     for r, z in zip(roots, centers):
         assert abs(r.center - z) < r.radius
 
 
+def _kronecker_re_gap(ints):
+    """roots._Isolator.re_gap as it was before it took polys.resultant_y:
+    its own Kronecker point s = 2^B, from a bound on the midpoint
+    polynomial's coefficients, p(2s - y) expanded binomially, one
+    determinant and a signed-digit read-back.  The reference the
+    resultant_y form must reproduce."""
+    n, a = len(ints) - 1, ints
+    bits = kronecker_bits(sum(abs(v) for v in a) ** n
+                          * sum(abs(v) * 3 ** k for k, v in enumerate(a)) ** n)
+    two_s = 1 << (bits + 1)
+    q = [0] * (n + 1)
+    for k in range(n + 1):
+        for j in range(k + 1):
+            q[j] += a[k] * math.comb(k, j) * two_s ** (k - j) * (-1) ** j
+    big = UPoly(signed_digits(bareiss_det(resultant_matrix(a, q)).numerator, bits))
+    sqf = big // poly_gcd(big, big.derivative())
+    return (Fraction(1) if sqf.degree <= 1
+            else _separation_bound_by_upoly(sqf.to_int_coeffs()[0]))
+
+
 def test_real_part_gap_is_the_midpoint_resultants_separation_bound():
-    # re_gap's one Kronecker determinant against resultant_y of p(y) and
-    # p(2x - y), over 30 seeded square-free polynomials
+    # re_gap through resultant_y of p(y) and p(2x - y) against the Kronecker
+    # construction it replaced, over 30 seeded square-free polynomials
     rng = random.Random(2718)
-    x, y = BPoly.x(), BPoly.y()
     done = 0
     while done < 30:
         deg = rng.randint(2, 7)
@@ -175,12 +257,8 @@ def test_real_part_gap_is_the_midpoint_resultants_separation_bound():
         p = UPoly(ints)
         if not is_squarefree(p):
             continue
-        mid = resultant_y(sum((c * y ** k for k, c in enumerate(ints)), BPoly()),
-                          sum((c * (2 * x - y) ** k for k, c in enumerate(ints)), BPoly()))
-        sqf = mid // poly_gcd(mid, mid.derivative())
-        expected = (Fraction(1) if sqf.degree <= 1
-                    else separation_bound(sqf.to_int_coeffs()[0]))
-        assert _Isolator(p).re_gap() == expected, ints
+        prim = p.to_int_coeffs()[0]
+        assert _Isolator(prim).re_gap() == _kronecker_re_gap(prim), ints
         done += 1
 
 
@@ -265,7 +343,7 @@ def _records(coeffs):
     """Isolation records of coeffs, or the error that ended the isolation."""
     try:
         return [(r.index, r.center, r.radius, r.prec, r.conj_index)
-                for r in _Isolator(UPoly(coeffs)).run()]
+                for r in _Isolator(UPoly(coeffs).to_int_coeffs()[0]).run()]
     except AbeldiffError as e:
         return type(e), str(e)
 
