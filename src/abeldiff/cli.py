@@ -6,7 +6,8 @@ by abscissa plus an index into the canonical root order of the section, and
 the chosen root's decimal approximation is always echoed so the intended
 branch can be confirmed.  Structured output (--json) is a single versioned
 document printed as one compact line (no indentation; pipe it through
-``python -m json.tool`` to read it); it is byte-for-byte deterministic for
+``python -m json.tool`` to read it), written in pieces with the bytes of one
+``json.dumps`` call (_write_json); it is byte-for-byte deterministic for
 identical requests except for the "timings" subtree.  When stdout is closed
 before the output is written, the console script exits 141 (128 + SIGPIPE)
 without a traceback.
@@ -300,16 +301,75 @@ def run(req: argparse.Namespace) -> tuple[dict, bool]:
         ctx.sections.clear()
 
 
-def _dumps(doc: dict) -> str:
+def _dumps(doc) -> str:
     # without indent, json.dumps runs the C encoder; run builds a tree, so
     # the encoder's cycle markers are skipped (a cycle still ends in
     # RecursionError)
     return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
+# Longest list the writer encodes in one call; a longer one (a haupt value's
+# 900 coefficient terms) goes out CHUNK items at a time.
+CHUNK = 256
+
+
+def _splits(obj) -> bool:
+    """Whether obj is, or holds below its dicts and lists of dicts, a list
+    of anything else longer than CHUNK.  A list whose first item is a dict
+    counts as a list of dicts: the document's lists are homogeneous."""
+    todo = [obj]
+    for o in todo:      # todo grows as the loop reads it
+        if type(o) is dict:
+            todo += o.values()
+        elif type(o) is list:
+            if o and type(o[0]) is dict:
+                todo += o
+            elif len(o) > CHUNK:
+                return True
+    return False
+
+
+def _pieces(obj):
+    """The pieces of _dumps(obj), in order.  The writer descends only into
+    dicts and lists of dicts; a value that holds no long list is one _dumps
+    call, and a long list one call per CHUNK items, so the encoder's
+    transient fragments are those of one piece, not of the whole document."""
+    if not _splits(obj):
+        yield _dumps(obj)
+    elif type(obj) is dict:
+        sep = "{"
+        for k, v in obj.items():
+            # the encoder's own key conversion and escaping: '{"k":0}' -> '"k":'
+            yield sep + _dumps({k: 0})[1:-2]
+            yield from _pieces(v)
+            sep = ","
+        yield "}"
+    elif type(obj[0]) is dict:
+        sep = "["
+        for v in obj:
+            yield sep
+            yield from _pieces(v)
+            sep = ","
+        yield "]"
+    else:
+        yield "["
+        for i in range(0, len(obj), CHUNK):
+            yield ("," if i else "") + _dumps(obj[i:i + CHUNK])[1:-1]
+        yield "]"
+
+
+def _write_json(doc: dict) -> None:
+    """Write doc to stdout as one compact line: the bytes of _dumps(doc) and
+    a newline, in pieces."""
+    write = sys.stdout.write
+    for piece in _pieces(doc):
+        write(piece)
+    write("\n")
+
+
 def _emit(doc: dict, ok: bool, json_mode: bool) -> None:
     if json_mode:
-        print(_dumps(doc))
+        _write_json(doc)
         return
     print(f"curve: {doc['inputs'].get('curve_canonical', doc['inputs']['curve'])}")
     if "smooth" in doc:
@@ -351,7 +411,7 @@ def main(argv=None) -> int:
                "error": {"type": type(e).__name__, "message": str(e),
                          "exit_code": exit_code_for(e)}}
         if req.json_mode:
-            print(_dumps(err))
+            _write_json(err)
         else:
             print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         return exit_code_for(e)

@@ -1305,25 +1305,27 @@ def _invert(a: TowerElement) -> TowerElement:
     r0 = UPoly([ctx.constant(c) for c in exts[j].modulus.coeffs])
     r1 = _as_upoly(a, j)
     s0, s1 = UPoly(), UPoly([ctx.one])
-    while r1:
+    while r1.degree > 0:
         q, r = _divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
+    if r1:
+        # a nonzero constant remainder rho = s1 * a (mod the modulus): it is
+        # inverted here once, not again by a last division
+        return s1.eval(ctx.generator(j)) * _invert(r1.coeffs[0])
+    # nontrivial common factor of a and the modulus: witness for a split
     g = r0.coeffs
-    if len(g) > 1:
-        # nontrivial common factor of a and the modulus: witness for a split
-        try:
-            glead_inv = _invert(g[-1])
-            monic = [c * glead_inv for c in g]
-        except NotInvertible:
-            monic = list(g)
-        witness: object
-        if all(c.is_rational() for c in monic):
-            witness = UPoly([c.as_fraction() for c in monic])
-        else:
-            witness = monic
-        raise NotInvertible(j, witness)
-    return s0.eval(ctx.generator(j)) * _invert(g[0])
+    try:
+        glead_inv = _invert(g[-1])
+        monic = [c * glead_inv for c in g]
+    except NotInvertible:
+        monic = list(g)
+    witness: object
+    if all(c.is_rational() for c in monic):
+        witness = UPoly([c.as_fraction() for c in monic])
+    else:
+        witness = monic
+    raise NotInvertible(j, witness)
 
 
 def y_coefficients(p: BPoly, x, ctx: TowerContext) -> list[TowerElement]:

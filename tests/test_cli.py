@@ -1,10 +1,13 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -1030,11 +1033,81 @@ def test_consecutive_requests_share_no_argument_lists(monkeypatch):
     (["haupt", "-f", CUBIC, "--x1", "0", "--x2", "1", "--xp", "3", "--a", "2"], 0),
     (["haupt", "-f", CUBIC, "--x1", "0", "--x2", "0", "--xp", "3", "--a", "2"],
      SameAbscissa.exit_code),
-], ids=["answer", "error"])
+    # a value of 900 coefficient terms, which the writer prints in pieces
+    (["haupt", "-f", DENSE_QUARTIC, "--x1=1/3", "--x2=5/2", "--xp=0", "--a=-2/3",
+      "--a=7/3", "--a=3", "--digits", "60"], 0),
+], ids=["answer", "error", "dense-quartic"])
 def test_json_document_is_one_compact_line(capsys, argv, code):
     assert cli.main(argv + ["--json"]) == code
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
+
+def _terms(n):
+    return [[[k % 5, k % 3], f"{k - 400}/{k % 7 + 1}"] for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK + 1])
+def test_pieces_join_to_the_one_shot_encoding(n):
+    long = _terms(n)
+    docs = [
+        long,
+        {"coefficients": long},
+        {"schema": "weier/1", "parameters": [{"coefficients": long, "den": 3},
+                                             {"coefficients": [], "generators": {}}],
+         "empty": {}, "none": [], "list of empty dicts": [{}, {}],
+         "n\u00e4me \u2192 \"q\"": ["\u00e9t\u00e9", "\U0001d4b3", long], "flag": None},
+        [{"value": {"numerator": {"coefficients": long}}}, {"k": [1.5, True]}],
+    ]
+    for doc in docs:
+        pieces = list(cli._pieces(doc))
+        assert "".join(pieces) == cli._dumps(doc)
+        assert len(pieces) == 1 or n > cli.CHUNK
+
+
+def test_a_document_without_long_lists_is_one_encoder_call(monkeypatch, capsys):
+    # every ladder and verify document is written by a single _dumps call;
+    # a long list goes out one CHUNK at a time
+    calls = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda obj: calls.append(obj) or dumps(obj))
+    assert cli.main(["verify", "-f", "x^7+y^7-x-1", "--x1=1/3", "--x2=-7/2",
+                     "--json"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    doc = {"coefficients": _terms(2 * cli.CHUNK + 1)}
+    cli._write_json(doc)
+    # the key, then three slices
+    assert [len(c) for c in calls] == [1, cli.CHUNK, cli.CHUNK, 1]
+    assert capsys.readouterr().out.endswith(dumps(doc) + "\n")
+
+
+def test_writing_a_long_document_holds_one_piece_at_a_time():
+    # the shape of the dense-quartic haupt document: a value of 900
+    # coefficient terms and three parameters of 448, each term a key of 21
+    # exponents and a rational string; the one-shot encoder holds every
+    # fragment of it at once, the writer those of CHUNK terms
+    def coefficients(n, salt):
+        return [[[(k >> i) & 1 for i in range(21)], f"{7 ** 170 + salt * k}/{3 ** 60}"]
+                for k in range(n)]
+    doc = {"schema": "weier/1", "haupt": {
+        "value": {"numerator": {"coefficients": coefficients(900, 1)}},
+        "parameters": [{"coefficients": coefficients(448, s)} for s in (2, 3, 4)]}}
+    size = len(cli._dumps(doc))
+    assert 400_000 < size < 600_000
+
+    def peak(write):
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(buf):
+                write(doc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bound = size + 1_500_000
+    assert peak(cli._write_json) < bound
+    assert peak(lambda d: print(cli._dumps(d))) > bound
 
 
 def test_dumps_writes_the_bytes_of_json_dumps(capsys):

@@ -718,6 +718,31 @@ def test_invert_random_elements_in_tower():
         assert e * e.invert() == 1
 
 
+@pytest.mark.parametrize("moduli", [(SQRT2, CUBE3), (CUBE3, SQRT2),
+                                    (SQRT2, CUBE3, UPoly([-5, 0, 1]))],
+                         ids=["sqrt2-cube3", "cube3-sqrt2", "three"])
+def test_invert_inverts_each_constant_remainder_once(monkeypatch, moduli):
+    # Euclid stops at the constant remainder rho and inverts it there; a
+    # last division by rho would invert it a second time, at every level
+    ctx, gens = TowerContext(), []
+    for modulus in moduli:
+        ctx, t = adjoin(ctx, modulus, 0)
+        gens.append(t)
+    entered = []
+    inner = towers._invert
+
+    def counted(e):
+        entered.append((e.den, tuple(sorted(e.nums.items()))))
+        return inner(e)
+    monkeypatch.setattr(towers, "_invert", counted)
+    for t in gens:
+        u = sum((g for g in gens if g is not t), ctx.constant(2))
+        a = u * t + u * u - 3       # linear in t over the other generators
+        entered.clear()
+        assert a * a.invert() == 1
+        assert len(entered) == len(set(entered)) > 1
+
+
 def test_division_and_inverse_over_random_towers():
     # the extended Euclid that invert() runs, on polynomials whose
     # coefficients are elements of 1 to 3 generators; three generators of
